@@ -5,7 +5,11 @@ Two numeric regimes live here.
 *  Certified: ``ComplexHP`` pairs of interval enclosures, used to verify the
    modular transformation identities (eta and theta under SL2(Z), theta
    quasi-periodicity, and the full psi-product transformation) with relative
-   residuals far below 1e-25 at 192-bit precision.
+   residuals far below 1e-25 at 192-bit precision.  The Pochhammer products
+   behind eta, theta and psi, thousands of factors near the cusps, run in
+   fixed-point midpoint-radius balls over Python ints (F = prec + 32
+   fraction bits, one ulp of radius per truncating shift) and convert back
+   to enclosures through outward-rounded endpoints.
 
 *  Diagnostic: plain multiprecision quadrature over a Farey dissection that
    recovers power-series coefficients from the contour integral
@@ -28,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, Sequence
+from math import isqrt
+from typing import Callable, Sequence
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from .enclosure import Enclosure, one, precision, zero
+from .enclosure import Enclosure, one, zero
 from .modular import TransformData, transform_data
 from .qseries import ProductSpec
 
@@ -85,9 +90,6 @@ class ComplexHP:
             c = Enclosure.from_fraction(c)
         return ComplexHP(self.re * c, self.im * c)
 
-    def conjugate(self) -> "ComplexHP":
-        return ComplexHP(self.re, -self.im)
-
     def abs_enclosure(self) -> Enclosure:
         return (self.re.square() + self.im.square()).sqrt()
 
@@ -102,9 +104,6 @@ class ComplexHP:
             base = base * base
             e >>= 1
         return out
-
-    def mid_complex(self) -> mpmath.mpc:
-        return mpmath.mpc(self.re.mid, self.im.mid)
 
 
 def cexp(z: ComplexHP) -> ComplexHP:
@@ -144,20 +143,6 @@ def csqrt_upper(z: ComplexHP) -> ComplexHP:
 
 
 # ---------------------------------------------------------------------------
-# complex balls: long products without the rectangle wrapping effect
-# ---------------------------------------------------------------------------
-#
-# Rectangle multiplication loses a factor of up to sqrt(2) of radius per
-# step when the value rotates, so a ten-thousand-factor Pochhammer product
-# explodes.  Midpoint-radius ("ball") multiplication has no wrapping: the
-# radius recurrence is |x| r_y + |y| r_x + r_x r_y plus rounding slop, which
-# stays proportional to the magnitude.  Only the product loops use balls;
-# results convert back to rectangles.
-
-_RAD_PAD = mpmath.mpf(1) + mpmath.mpf(2) ** -24  # swallows nearest-rounding of radius math
-
-
-# ---------------------------------------------------------------------------
 # Pochhammer products with certified tails
 # ---------------------------------------------------------------------------
 
@@ -167,76 +152,127 @@ def _tail_padding(prod: ComplexHP, t_hi) -> ComplexHP:
     return prod * cexp(ComplexHP(t, t))
 
 
+def _scaled(x: tuple, shift: int, up: bool) -> int:
+    """floor(x 2^shift) for a raw mpf tuple x, or the ceiling when `up`."""
+    sign, man, exp, _ = x
+    if not man and exp:
+        raise ConvergenceRefused("non-finite argument to a Pochhammer product")
+    if sign:
+        man = -man
+    exp += shift
+    if exp >= 0:
+        return man << exp
+    return -(-man >> -exp) if up else man >> -exp
+
+
+def _ball(z: ComplexHP, shift: int) -> tuple[int, int, int]:
+    """Integer ball (re, im, rad) containing the rectangle z scaled by 2^shift."""
+    parts = []
+    for part in (z.re, z.im):
+        lo = _scaled(part.lo._mpf_, shift, False)
+        hi = _scaled(part.hi._mpf_, shift, True)
+        mid = (lo + hi) >> 1
+        parts += [mid, hi - mid]
+    re, rad_re, im, rad_im = parts
+    return re, im, isqrt(rad_re * rad_re + rad_im * rad_im) + 1
+
+
+def _outward(man: int, exp: int, up: bool) -> mpmath.mpf:
+    """man * 2^exp rounded outward to the interval precision."""
+    return mp.make_mpf(from_man_exp(man, exp, iv.prec, round_ceiling if up else round_floor))
+
+
 def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
     """(z0; q)_inf = prod_{k>=0} (1 - z0 q^k) with a certified tail factor.
 
-    The partial product stops once |z0 q^k| is far below one ulp at the
-    working precision; the remaining factors contribute a multiplicative
+    The partial product stops once |z0 q^k| < 2^-(prec + 24), far below one
+    ulp at the working precision (tested on |Re| + |Im| + radius, an upper
+    bound of the modulus); the remaining factors contribute a multiplicative
     e^{[-t, t] + i[-t, t]} with t bounding the tail of sum |log(1 - z0 q^k)|.
 
-    The loop runs in midpoint-radius (ball) form on raw components:
+    The loop runs in midpoint-radius (ball) form, not on rectangles:
     rectangle multiplication wraps (radius grows ~sqrt(2) per rotating
-    factor, fatal for 10^4-factor products) while the ball radius recurrence
-    |x| r_y + |y| r_x + r_x r_y stays proportional to the magnitude.  All
-    magnitudes in the radius bookkeeping are 1-norm upper bounds, every
-    radius update is padded multiplicatively, and midpoint rounding is
-    absorbed by magnitude * ulp terms, so containment is preserved.
+    factor, fatal for 10^4-factor products) while the ball radius
+    |x| r_y + (|y| + r_y) r_x stays proportional to the magnitude.
+
+    Balls are fixed point over Python ints: integer centre parts and an
+    integer radius in units of 2^-(F + e), with F = prec + 32 fraction bits
+    and e a binary exponent of the ball's own.  q and z0 are converted
+    exactly from their endpoints (floor and ceiling, so the ball covers the
+    rectangle).  Error accounting:
+
+    * a product (a b) >> F truncates each part by less than one ulp, so
+      every shift adds one whole ulp of radius;
+    * every modulus that multiplies a radius is an integer upper bound of
+      the true modulus, never a 1-norm, which would compound over the loop:
+      isqrt(x^2 + y^2) + 1 for q and for each factor 1 - z0 q^k, carried as
+      (|x| |y| >> F) + 3 through the products z0 q^k and the running product;
+    * z0 q^k and the running product keep their leading bit near F by
+      shifting centre and radius together: left shifts are exact, right
+      shifts (the product grows when |z0| > 1) add an ulp per part.
+
+    The result converts back through outward-rounded endpoints.
     """
     aq = q.abs_enclosure()
     if not aq.hi < 1:
         raise ConvergenceRefused("the nome satisfies |q| >= 1 at this precision")
     prec = iv.prec
-    thresh = mpmath.mpf(2) ** (-(prec + 24))
-    with mp.workprec(prec + 16):
-        ulp = mpmath.mpf(2) ** (5 - (prec + 16))
-        pad = _RAD_PAD
-        one = mpmath.mpf(1)
-        sqrt = mpmath.sqrt
-        # unpack balls: centre components and radius, radii from rect widths
-        qr, qi = q.re.mid, q.im.mid
-        qrad = (mpmath.mpf(q.re.width) + mpmath.mpf(q.im.width)
-                + (abs(qr) + abs(qi)) * ulp) * pad
-        zr, zi = z0.re.mid, z0.im.mid
-        zrad = (mpmath.mpf(z0.re.width) + mpmath.mpf(z0.im.width)
-                + (abs(zr) + abs(zi)) * ulp) * pad
-        # radius multipliers must be true-modulus upper bounds: anything larger
-        # (like a 1-norm) compounds over the loop and reintroduces wrapping
-        aq2 = sqrt(qr * qr + qi * qi) * pad + qrad
-        # prod = 1 - z0
-        pr, pi_ = one - zr, -zi
-        prad = (zrad + (one + abs(zr) + abs(zi)) * ulp) * pad
-        # zk = z0 * q
-        az1 = abs(zr) + abs(zi)
-        zr, zi = zr * qr - zi * qi, zr * qi + zi * qr
-        zrad = (az1 * qrad + aq2 * zrad + az1 * ulp) * pad
-        k = 1
-        while True:
-            az1 = abs(zr) + abs(zi)
-            if az1 * pad + zrad < thresh:
-                break
-            if k >= max_factors:
-                raise ConvergenceRefused(
-                    f"needs more than {max_factors} factors "
-                    f"(|q| ~ {mpmath.nstr(aq.hi, 8)}); increase the factor budget "
-                    f"or move the argument"
-                )
-            # u = 1 - zk, then prod *= u
-            ur, ui = one - zr, -zi
-            urad = (zrad + (one + az1) * ulp) * pad
-            au2 = sqrt(ur * ur + ui * ui) * pad + urad
-            ap1 = abs(pr) + abs(pi_)
-            pr, pi_ = pr * ur - pi_ * ui, pr * ui + pi_ * ur
-            prad = (ap1 * urad + au2 * prad + ap1 * (au2 + one) * ulp) * pad
-            # zk *= q
-            zr, zi = zr * qr - zi * qi, zr * qi + zi * qr
-            zrad = (az1 * qrad + aq2 * zrad + az1 * ulp) * pad
-            k += 1
-        zk_hi = az1 * pad + zrad
-        r = (prad + (abs(pr) + abs(pi_)) * ulp) * pad
-        rect = ComplexHP(Enclosure.from_endpoints(pr - r, pr + r),
-                         Enclosure.from_endpoints(pi_ - r, pi_ + r))
+    fb = prec + 32  # F, the fraction bits of every ball
+    one_ = 1 << fb
+    low, high = one_ >> 16, one_ << 16  # renormalise outside [2^(F-16), 2^(F+16)]
+    qr, qi, qrad = _ball(q, fb)
+    qm = isqrt(qr * qr + qi * qi) + 1
+    qmr = qm + qrad
+    # zk = z0 q^k at scale 2^-(F + ez), ez raised as zk shrinks; the loop
+    # stops once |zk| < 2^-(prec + 24), which is `stop` at that scale
+    zr, zi, zrad = _ball(z0, fb)
+    zm = isqrt(zr * zr + zi * zi) + 1
+    ez, stop = 0, 1 << (fb - (prec + 24))
+    # running product at scale 2^-(F + ep)
+    pr, pi_, prad, pm, ep = one_, 0, 0, one_, 0
+    # each "+ 3" after a right shift: 1 because the shifted bound rounds
+    # down, 2 because both centre parts round down (|error| < sqrt(2))
+    k = 0
+    while True:
+        # u = 1 - zk at scale 2^-F
+        ur, ui = one_ - (zr >> ez), -(zi >> ez)
+        urad = (zrad >> ez) + 3
+        um = isqrt(ur * ur + ui * ui) + 1
+        # prod *= u
+        prad = ((pm * urad + (um + urad) * prad) >> fb) + 3
+        pm = ((pm * um) >> fb) + 3
+        pr, pi_ = (pr * ur - pi_ * ui) >> fb, (pr * ui + pi_ * ur) >> fb
+        mag = pm + prad
+        if mag < low:
+            s = fb - mag.bit_length()
+            pr, pi_, pm, prad, ep = pr << s, pi_ << s, pm << s, prad << s, ep + s
+        elif mag > high:
+            s = mag.bit_length() - fb
+            pr, pi_, ep = pr >> s, pi_ >> s, ep - s
+            pm, prad = (pm >> s) + 3, (prad >> s) + 3
+        # zk *= q
+        zrad = ((zm * qrad + qmr * zrad) >> fb) + 3
+        zm = ((zm * qm) >> fb) + 3
+        zr, zi = (zr * qr - zi * qi) >> fb, (zr * qi + zi * qr) >> fb
+        if zm < low:
+            s = fb - zm.bit_length()
+            zr, zi, zm, zrad, ez, stop = zr << s, zi << s, zm << s, zrad << s, ez + s, stop << s
+        k += 1
+        zk_bound = abs(zr) + abs(zi) + zrad
+        if zk_bound < stop:
+            break
+        if k >= max_factors:
+            raise ConvergenceRefused(
+                f"needs more than {max_factors} factors "
+                f"(|q| ~ {mpmath.nstr(aq.hi, 8)}); increase the factor budget "
+                f"or move the argument"
+            )
+    exp = -(fb + ep)
+    rect = ComplexHP(
+        Enclosure.from_endpoints(_outward(pr - prad, exp, False), _outward(pr + prad, exp, True)),
+        Enclosure.from_endpoints(_outward(pi_ - prad, exp, False), _outward(pi_ + prad, exp, True)))
     # tail: sum_{j >= k} |log(1 - z0 q^j)| <= |zk| / ((1 - |q|)(1 - |zk|))
-    az_e = Enclosure.from_endpoints(0, zk_hi)
+    az_e = Enclosure.from_endpoints(0, _outward(zk_bound, -(fb + ez), True))
     t = (az_e / ((1 - aq) * (1 - az_e))).hi
     return _tail_padding(rect, t)
 

@@ -64,9 +64,9 @@ def _note(msg: str) -> None:
 
 def cmd_expand(args) -> int:
     name, spec = _parse_spec(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     series = expand_product(spec, args.trunc)
-    _note(f"expanded {name} to order {args.trunc} in {time.time() - t0:.2f}s")
+    _note(f"expanded {name} to order {args.trunc} in {time.perf_counter() - t0:.2f}s")
     out = _open_out(args)
     try:
         if args.format == "csv":
@@ -170,7 +170,7 @@ def _sample_tau(rng: random.Random):
 
 
 def _residual_eta(seed: int) -> float:
-    from .circle import ComplexHP, cexp, csqrt_upper, e_pi_i_half_turns, eta
+    from .circle import ComplexHP, csqrt_upper, e_pi_i_half_turns, eta
     from .modular import GammaMatrix
 
     rng = random.Random(seed)
@@ -278,7 +278,7 @@ def cmd_xcheck(args) -> int:
         raise SystemExit(f"error: unknown identity {args.identity!r}; known: {known}")
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             residuals = list(pool.map(_xcheck_worker, jobs))
@@ -290,7 +290,7 @@ def cmd_xcheck(args) -> int:
         "max_residual": max(residuals) if residuals else 0.0,
         "precision_bits": args.precision,
         "seed": args.seed,
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
     out = _open_out(args)
     try:
@@ -304,9 +304,9 @@ def cmd_xcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     name, spec = _parse_spec(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     series = expand_product(spec, args.trunc)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     digits = len(str(abs(series.coeffs[-1])))
     print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(dt, 3),
                       "last_coefficient_digits": digits}))

@@ -108,6 +108,84 @@ class TestBasicEvaluations:
         with pytest.raises(ConvergenceRefused):
             pochhammer_product(ComplexHP.one(), c_hp(2, 0), 10)
 
+    def test_pochhammer_refuses_unbounded_argument(self):
+        whole_line = Enclosure.from_endpoints(mpmath.mpf("-inf"), mpmath.mpf("inf"))
+        with pytest.raises(ConvergenceRefused):
+            pochhammer_product(ComplexHP(whole_line, Enclosure.from_fraction(0)),
+                               c_hp(0, Fraction(1, 2)), 10)
+
+
+def _mp(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _kernel_and_reference(sigma, tau):
+    """pochhammer_product at e^{2 pi i sigma} (q itself when sigma is None),
+    q = e^{2 pi i tau}, and mpmath.qp there at twice the working precision."""
+    q = e_two_pi_i(c_hp(*tau))
+    z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
+    # the input balls come from interval exponentials and have width
+    assert q.re.width > 0 and z0.re.width > 0
+    got = pochhammer_product(z0, q, 100_000)
+    with mpmath.mp.workprec(2 * mpmath.iv.prec + 64):
+        turn = 2j * mpmath.pi
+        mq = mpmath.exp(turn * (_mp(tau[0]) + 1j * _mp(tau[1])))
+        mz = mq if sigma is None else mpmath.exp(turn * (_mp(sigma[0]) + 1j * _mp(sigma[1])))
+        ref = mpmath.qp(mz, mq)
+    return got, ref
+
+
+def _relative_width(got: ComplexHP, ref: mpmath.mpc) -> mpmath.mpf:
+    return max(got.re.width, got.im.width) / abs(ref)
+
+
+class TestPochhammerKernel:
+    """The fixed-point ball loop against mpmath.qp at twice the working precision."""
+
+    # (sigma or None for z0 = q, tau, size of the value): near the cusp 0 the
+    # product is tiny and the rescaling runs; Im sigma < 0 gives |z0| > 1 and
+    # a product that grows past 2^17, so the right-shift path runs too
+    POINTS = {
+        "near_cusp": (None, (Fraction(0), Fraction(1, 200)), "tiny"),
+        "growing": ((Fraction(3, 10), Fraction(-1, 2)), (Fraction(1, 5), Fraction(1, 50)), "huge"),
+        "short": ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_contains_qp_reference(self, name):
+        sigma, tau, size = self.POINTS[name]
+        got, ref = _kernel_and_reference(sigma, tau)
+        assert got.re.lo <= ref.real <= got.re.hi
+        assert got.im.lo <= ref.imag <= got.im.hi
+        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - mpmath.iv.prec)
+        if size == "tiny":
+            assert abs(ref) < mpmath.mpf(2) ** -17
+        elif size == "huge":
+            assert abs(ref) > mpmath.mpf(2) ** 17
+
+    def test_radius_does_not_compound_on_rotating_factors(self):
+        # 4769 factors 1 - q^k that turn around the circle: with true moduli
+        # the relative width is 2^-179.4 at 192 bits, a 1-norm gives 2^-160.5
+        with precision(192):
+            got, ref = _kernel_and_reference(None, (Fraction(1, 10), Fraction(1, 200)))
+            assert got.re.contains(ref.real) and got.im.contains(ref.imag)
+            assert _relative_width(got, ref) < mpmath.mpf(2) ** -176
+
+    @pytest.mark.parametrize("sigma,tau,count", [
+        ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 48),
+        (None, (Fraction(1, 10), Fraction(1, 200)), 4769),
+    ])
+    def test_stopping_rule_pins_the_factor_count(self, sigma, tau, count):
+        # the loop stops once |z0 q^k| < 2^-(prec + 24); bench/draws.py
+        # predicts factor counts from that rule
+        with precision(192):
+            q = e_two_pi_i(c_hp(*tau))
+            z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
+            with pytest.raises(ConvergenceRefused):
+                pochhammer_product(z0, q, count - 1)
+            pochhammer_product(z0, q, count)
+            pochhammer_product(z0, q, count + 1)
+
 
 class TestProductTransformation:
     def test_unit_arc(self):
