@@ -18,14 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import __version__
-from .analytic import (CertificateRefused, EventualDominanceCertificate,
-                       dominance_with_escalation, eventual_dominance_certificate, family)
+from .analytic import (CertificateRefused, EventualDominanceCertificate, FamilyModel,
+                       eventual_dominance_certificate, family)
 from .enclosure import precision
 from .modular import delta_of, lpos_set, omega_of
-from .qseries import QSeries, expand_product, registered_spec, slice_indices
+from .qseries import QSeries, expand_product, registered_spec, sign_exceptions
 
 SCHEMA_VERSION = 1
 
@@ -101,32 +100,47 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
+def _check_binding(target: TargetSpec, fam: FamilyModel) -> None:
+    """Refuse a target that its family model does not describe."""
+    if target.modulus != 5:
+        raise ValueError(f"target {target.key}: modulus {target.modulus}, "
+                         f"family models cover residue classes mod 5")
+    if target.residue % 5 != fam.residue:
+        raise ValueError(f"target {target.key}: residue {target.residue} is not "
+                         f"family {fam.name}'s class {fam.residue} (mod 5)")
+    if fam.claimed_sign != target.sign:
+        raise ValueError(f"target {target.key}: sign {target.sign} differs from "
+                         f"family {fam.name}'s claimed sign {fam.claimed_sign}")
+    if target.finite_last_index < target.threshold_index:
+        raise ValueError(f"target {target.key}: finite range ends at "
+                         f"{target.finite_last_index}, before the dominance "
+                         f"threshold {target.threshold_index}")
+
+
 def certify(target_key: str, precision_bits: int = 192, precision_cap: int = 1024,
             seed: int = 0) -> CertifyResult:
     """Build the certificate for one registered target.
 
-    Exact signs on the finite range, then the eventual-dominance certificate
-    at the threshold (escalating precision on 'unknown' up to the cap).  Any
-    exact sign violation fails loudly with the violating index; a dominance
-    verdict stuck at 'unknown' at the precision cap is reported via exit
-    code 3.
+    The target must match its family model (modulus 5, residue class, sign)
+    and its finite range must reach the threshold; otherwise it is refused
+    with a ValueError before anything is expanded.  Then exact signs on the
+    finite range, then the eventual-dominance certificate at the threshold
+    (escalating precision on 'unknown' up to the cap).  Any exact sign
+    violation fails loudly with the violating index; a dominance verdict
+    stuck at 'unknown' at the precision cap is reported via exit code 3.
     """
     try:
         target = TARGETS[target_key]
     except KeyError:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown target {target_key!r}; registered: {known}") from None
+    fam = family(target.family_name)
+    _check_binding(target, fam)
     spec = registered_spec(target.spec_name)
     series = cached_expansion(target.spec_name, target.trunc_order)
+    exceptions = sign_exceptions(series, target.residue, target.modulus,
+                                 target.start_index, target.finite_last_index, target.sign)
 
-    exceptions: list[int] = []
-    for idx in slice_indices(target.residue, target.modulus,
-                             target.start_index, target.finite_last_index):
-        c = series.coeffs[idx]
-        if (c > 0) - (c < 0) != target.sign:
-            exceptions.append(idx)
-
-    fam = family(target.family_name)
     cert: dict = {
         "schema_version": SCHEMA_VERSION,
         "target": target.key,
@@ -172,9 +186,6 @@ def certify(target_key: str, precision_bits: int = 192, precision_cap: int = 102
     if eventual is None:
         cert["meta"]["invalid"] = f"dominance not certified at {precision_cap} bits: {last_refusal}"
         return CertifyResult(_finish(cert), ok=False, exit_code=3, eventual=None)
-
-    if target.finite_last_index < target.threshold_index:
-        raise AssertionError("finite range must reach the dominance threshold")
 
     cert["asymptotic"].update({
         "precision_bits": eventual.precision_bits,
@@ -237,12 +248,8 @@ def verify_known_theorems(trunc_order: int = 800) -> dict[str, SignTable]:
     out: dict[str, SignTable] = {}
     for name, patterns in KNOWN_PATTERNS.items():
         series = cached_expansion(name, trunc_order)
-        bad: list[int] = []
-        for residue, start, sign in patterns:
-            for idx in slice_indices(residue, 5, start, trunc_order):
-                c = series.coeffs[idx]
-                if (c > 0) - (c < 0) != sign:
-                    bad.append(idx)
+        bad = [idx for residue, start, sign in patterns
+               for idx in sign_exceptions(series, residue, 5, start, trunc_order, sign)]
         if bad:
             raise SignViolation(
                 f"documented pattern for {name} fails at index {min(bad)} "
@@ -277,8 +284,8 @@ def richmond_szekeres_scan(trunc_order: int = 2000) -> dict[str, EventualPattern
     out: dict[str, EventualPatternScan] = {}
     for name, pattern in RICHMOND_SZEKERES_PATTERNS.items():
         series = cached_expansion(name, trunc_order)
-        bad = [idx for idx, c in enumerate(series.coeffs)
-               if (c > 0) - (c < 0) != pattern[idx % 5]]
+        bad = sorted(idx for residue, sign in pattern.items()
+                     for idx in sign_exceptions(series, residue, 5, 0, trunc_order, sign))
         cutoff = (max(bad) + 1) if bad else 0
         out[name] = EventualPatternScan(name, trunc_order, cutoff, tuple(bad))
     return out

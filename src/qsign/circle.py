@@ -147,9 +147,16 @@ def csqrt_upper(z: ComplexHP) -> ComplexHP:
 # ---------------------------------------------------------------------------
 
 def _tail_padding(prod: ComplexHP, t_hi) -> ComplexHP:
-    """Multiply by a rectangle containing e^{w} for all |Re w|,|Im w| <= t_hi."""
-    t = Enclosure.from_endpoints(-t_hi, t_hi)
-    return prod * cexp(ComplexHP(t, t))
+    """Multiply by a box containing e^w for all |Re w|, |Im w| <= t_hi <= 1/2.
+
+    On 0 <= t <= 1/2: e^t <= 1 + 2t, e^-t cos t >= 1 - 2t and e^t sin t <= 2t,
+    so e^w lies in [1 - 2t, 1 + 2t] + i[-2t, 2t].
+    """
+    if not t_hi <= 0.5:
+        raise ConvergenceRefused(f"tail bound {mpmath.nstr(t_hi, 8)} exceeds 1/2")
+    two_t = mpmath.ldexp(t_hi, 1)
+    d = Enclosure.from_endpoints(-two_t, two_t)
+    return prod * ComplexHP(1 + d, d)
 
 
 def _scaled(x: tuple, shift: int, up: bool) -> int:

@@ -1,17 +1,35 @@
 """Command line front end.
 
-Subcommands:
+Subcommands and their flags (each flag is attached only where it is read):
 
-* ``expand``     stream exact coefficients of a registered or inline product
-* ``certify``    build a sign-pattern certificate (exit 0/2/3)
-* ``delta``      growth-exponent table per residue class
-* ``dominance``  certified main-term vs error-bound comparison at one index
-* ``xcheck``     randomized residual checks of the transformation identities
-* ``bench``      time the exact expansion engine
+* ``expand``     stream exact coefficients of a registered or inline product;
+                 --spec, --spec-json, --trunc, --format (csv/json/table), --out
+* ``certify``    build a sign-pattern certificate (exit 0/2/3);
+                 --target, --precision, --precision-cap, --seed, --out
+* ``delta``      growth-exponent table per residue class;
+                 --spec, --spec-json, --format (csv/json), --out
+* ``dominance``  certified main-term vs error-bound comparison at one index;
+                 --family, --n, --precision, --precision-cap, --out
+* ``xcheck``     randomized residual checks of the transformation identities;
+                 --identity, --samples, --precision, --seed, --workers, --out
+* ``bench``      time the exact expansion engine; --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
-output stays machine-clean.  All randomness is driven by --seed.  The
-QSIGN_PRECISION environment variable overrides the default precision.
+output stays machine-clean.  All randomness is driven by --seed.
+``--precision`` defaults to ``enclosure.DEFAULT_PRECISION``, which the
+QSIGN_PRECISION environment variable overrides.  Precision is scoped per
+call (``certify``, ``dominance_with_escalation`` and each xcheck sample set
+their own); ``main`` sets none, and expand, delta and bench are exact.
+
+The delta tables are one call per spec::
+
+    qsign delta --spec A --out delta_A.csv
+
+and the identity sweep is a shell loop::
+
+    for k in eta theta quasiperiodicity psi product; do
+        qsign xcheck --identity $k --samples 100 --workers 2 || echo "$k failed"
+    done
 """
 
 from __future__ import annotations
@@ -23,8 +41,9 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .enclosure import DEFAULT_PRECISION, precision
@@ -48,10 +67,20 @@ def _parse_spec(args) -> tuple[str, ProductSpec]:
     return name, REGISTERED_SPECS[name]
 
 
-def _open_out(args) -> TextIO:
+@contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The --out file (closed afterwards), or stdout when it is unset or '-'."""
     if args.out and args.out != "-":
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
+def _write_json(args, payload: dict) -> None:
+    with _output(args) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
 
 
 def _note(msg: str) -> None:
@@ -67,8 +96,7 @@ def cmd_expand(args) -> int:
     t0 = time.perf_counter()
     series = expand_product(spec, args.trunc)
     _note(f"expanded {name} to order {args.trunc} in {time.perf_counter() - t0:.2f}s")
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "csv":
             for row in iter_csv_rows(series):
                 out.write(row + "\n")
@@ -79,9 +107,6 @@ def cmd_expand(args) -> int:
         else:
             for n, c in enumerate(series.coeffs):
                 out.write(f"{n:>8}  {c}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -90,13 +115,7 @@ def cmd_certify(args) -> int:
 
     result = certify(args.target, precision_bits=args.precision,
                      precision_cap=args.precision_cap, seed=args.seed)
-    out = _open_out(args)
-    try:
-        json.dump(result.certificate, out, indent=2)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_json(args, result.certificate)
     if result.ok:
         _note(f"target {args.target}: certified")
     else:
@@ -108,9 +127,8 @@ def cmd_delta(args) -> int:
     from .modular import delta_table_rows, lpos_set, omega_of
 
     name, spec = _parse_spec(args)
-    rows = list(delta_table_rows(name, spec, debug_variants=args.debug_variants))
-    out = _open_out(args)
-    try:
+    rows = list(delta_table_rows(name, spec))
+    with _output(args) as out:
         if args.format == "json":
             json.dump({"spec": name, "omega": str(omega_of(spec)),
                        "lpos": sorted(lpos_set(spec)), "rows": rows}, out, default=str)
@@ -120,9 +138,6 @@ def cmd_delta(args) -> int:
             out.write(",".join(cols) + "\n")
             for row in rows:
                 out.write(",".join(str(row[c]) for c in cols) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -140,13 +155,7 @@ def cmd_dominance(args) -> int:
         "verdict": res.verdict if isinstance(res.verdict, str) else bool(res.verdict),
         "precision_bits": res.precision_bits,
     }
-    out = _open_out(args)
-    try:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_json(args, payload)
     return 0 if res.verdict is True else 1
 
 
@@ -292,13 +301,7 @@ def cmd_xcheck(args) -> int:
         "seed": args.seed,
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
-    out = _open_out(args)
-    try:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_json(args, payload)
     return 0 if payload["max_residual"] < 1e-25 else 1
 
 
@@ -323,60 +326,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_opts=True):
-        p.add_argument("--precision", type=int,
-                       default=int(os.environ.get("QSIGN_PRECISION", DEFAULT_PRECISION)),
-                       help="working precision in bits")
-        p.add_argument("--precision-cap", type=int, default=1024)
-        p.add_argument("--seed", type=int, default=20250810, help="RNG seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if spec_opts:
-            p.add_argument("--spec", default=None, help="registered spec name")
-            p.add_argument("--spec-json", default=None,
-                           help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file')
+    shared = {
+        "--spec": dict(default=None, help="registered spec name"),
+        "--spec-json": dict(default=None,
+                            help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file'),
+        "--precision": dict(type=int, default=DEFAULT_PRECISION,
+                            help=f"working precision in bits (default {DEFAULT_PRECISION}, "
+                                 f"set by QSIGN_PRECISION)"),
+        "--precision-cap": dict(type=int, default=1024),
+        "--seed": dict(type=int, default=20250810, help="RNG seed"),
+        "--out": dict(default=None, help="output path (default stdout)"),
+    }
 
-    p = sub.add_parser("expand", help="stream exact coefficients")
-    common(p)
-    p.add_argument("--trunc", type=int, required=True)
-    p.set_defaults(func=cmd_expand, format="csv")
+    def add(name: str, summary: str, func, own: dict, *flags: str) -> None:
+        p = sub.add_parser(name, help=summary)
+        for flag, kw in own.items():
+            p.add_argument(flag, **kw)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("certify", help="build a sign-pattern certificate")
-    common(p, spec_opts=False)
-    p.add_argument("--target", required=True, help="A5n, B5n or D5n1")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("delta", help="growth exponent table per residue class")
-    common(p)
-    p.add_argument("--debug-variants", action="store_true",
-                   help="also emit the degenerate display-form value per class")
-    p.set_defaults(func=cmd_delta, format="csv")
-
-    p = sub.add_parser("dominance", help="main term vs error bound at one index")
-    common(p, spec_opts=False)
-    p.add_argument("--family", required=True, choices=("A", "B", "D"))
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_dominance)
-
-    p = sub.add_parser("xcheck", help="randomized identity residual checks")
-    common(p, spec_opts=False)
-    p.add_argument("--identity", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_xcheck)
-
-    p = sub.add_parser("bench", help="time the exact expansion engine")
-    common(p)
-    p.add_argument("--trunc", type=int, default=19501)
-    p.set_defaults(func=cmd_bench)
+    add("expand", "stream exact coefficients", cmd_expand,
+        {"--trunc": dict(type=int, required=True),
+         "--format": dict(choices=("csv", "json", "table"), default="csv")},
+        "--spec", "--spec-json", "--out")
+    add("certify", "build a sign-pattern certificate", cmd_certify,
+        {"--target": dict(required=True, help="A5n, B5n or D5n1")},
+        "--precision", "--precision-cap", "--seed", "--out")
+    add("delta", "growth exponent table per residue class", cmd_delta,
+        {"--format": dict(choices=("csv", "json"), default="csv")},
+        "--spec", "--spec-json", "--out")
+    add("dominance", "main term vs error bound at one index", cmd_dominance,
+        {"--family": dict(required=True, choices=("A", "B", "D")),
+         "--n": dict(type=int, required=True)},
+        "--precision", "--precision-cap", "--out")
+    add("xcheck", "randomized identity residual checks", cmd_xcheck,
+        {"--identity": dict(required=True), "--samples": dict(type=int, default=100),
+         "--workers": dict(type=int, default=os.cpu_count() or 1)},
+        "--precision", "--seed", "--out")
+    add("bench", "time the exact expansion engine", cmd_bench,
+        {"--trunc": dict(type=int, default=19501)}, "--spec", "--spec-json")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    with precision(args.precision):
-        return args.func(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -231,14 +231,6 @@ def cos_half_turns(t: Fraction) -> Enclosure:
     return (Enclosure.pi() * _coerce(t)).cos()
 
 
-def sin_half_turns(t: Fraction) -> Enclosure:
-    t = t % 2
-    return (Enclosure.pi() * _coerce(t)).sin()
-
-
-ZERO = None  # populated lazily; precision-dependent constants are built per call
-
-
 def one() -> Enclosure:
     return Enclosure(iv.mpf(1))
 

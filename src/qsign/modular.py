@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .qseries import ProductSpec
 
@@ -289,29 +289,25 @@ def class_representative(spec: ProductSpec, aleph: int, l: int,
     return None
 
 
-def delta_of(spec: ProductSpec, aleph: int, l: int,
-             display_variant: bool = False) -> Fraction:
+def delta_of(spec: ProductSpec, aleph: int, l: int) -> Fraction:
     """Delta(aleph, l) = -sum_j delta_j (2 d_j^2/m_j + 12 d_j^2/m_j (lam*^2 - lam*)).
 
     d_j = gcd(m_j, k) and lam* depend only on the class of (h, k) modulo
     (l, L), so any coprime representative gives the same value (tested).
-    With ``display_variant`` the quadratic term (lam*^2 - lam*) is replaced
-    by the degenerate difference (lam* - lam*) = 0; that variant does not
-    reproduce the documented class values and exists only for table audits.
     """
     rep = class_representative(spec, aleph, l)
     if rep is None:
         raise ValueError(f"class (aleph, l) = ({aleph}, {l}) has no coprime representative")
     h, k = rep
-    return delta_at(spec, h, k, display_variant=display_variant)
+    return delta_at(spec, h, k)
 
 
-def delta_at(spec: ProductSpec, h: int, k: int, display_variant: bool = False) -> Fraction:
+def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
     total = Fraction(0)
     for r, m, delta in spec.factors:
         d = gcd(m, k)
         _, lam_star = lambda_pair(m, r, h, k)
-        quad = (lam_star * lam_star - lam_star) if not display_variant else Fraction(0)
+        quad = lam_star * lam_star - lam_star
         total -= delta * (Fraction(2 * d * d, m) + Fraction(12 * d * d, m) * quad)
     return total
 
@@ -329,8 +325,7 @@ def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
     return out
 
 
-def delta_table_rows(spec_name: str, spec: ProductSpec,
-                     debug_variants: bool = False) -> Iterator[dict]:
+def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
     """Rows for the delta-table dump, sorted by (l, aleph)."""
     pos = lpos_set(spec)
     for l in range(1, spec.level + 1):
@@ -338,7 +333,7 @@ def delta_table_rows(spec_name: str, spec: ProductSpec,
             if class_representative(spec, aleph, l) is None:
                 continue
             dv = delta_of(spec, aleph, l)
-            row = {
+            yield {
                 "spec": spec_name,
                 "aleph": aleph,
                 "l": l,
@@ -346,11 +341,6 @@ def delta_table_rows(spec_name: str, spec: ProductSpec,
                 "delta_den": dv.denominator,
                 "in_Lpos": (aleph, l) in pos,
             }
-            if debug_variants:
-                dd = delta_of(spec, aleph, l, display_variant=True)
-                row["delta_display_num"] = dd.numerator
-                row["delta_display_den"] = dd.denominator
-            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +361,6 @@ class UnitPhase:
 
     def __pow__(self, e: int) -> "UnitPhase":
         return UnitPhase(self.t * e)
-
-    def conjugate(self) -> "UnitPhase":
-        return UnitPhase(-self.t)
 
 
 @dataclass(frozen=True)

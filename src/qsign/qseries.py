@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 
 class TruncationMismatchError(ValueError):
@@ -152,21 +152,6 @@ def expand_pochhammer(a: int, m: int, trunc_order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # product specifications
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PochhammerFactor:
-    """Single symbol (q^a; q^m)_inf^e."""
-
-    a: int
-    m: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.m < 1 or self.a > self.m:
-            raise ValueError("need 1 <= a <= m")
-        if self.e == 0:
-            raise ValueError("exponent must be nonzero")
-
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -401,8 +386,7 @@ def slice_signs(s: QSeries, residue: int, modulus: int, lo: int, hi: int) -> lis
         )
     if lo < 0 or lo > hi:
         raise ValueError(f"bad index range [{lo}, {hi}]")
-    start = lo + (residue - lo) % modulus
-    return [_sign(s.coeffs[i]) for i in range(start, hi + 1, modulus)]
+    return [_sign(s.coeffs[i]) for i in slice_indices(residue, modulus, lo, hi)]
 
 
 def slice_indices(residue: int, modulus: int, lo: int, hi: int) -> range:
@@ -410,11 +394,15 @@ def slice_indices(residue: int, modulus: int, lo: int, hi: int) -> range:
     return range(start, hi + 1, modulus)
 
 
-def series_to_csv(s: QSeries, out: TextIO) -> None:
-    """Dump `index,coefficient` rows, one per n up to the truncation order."""
-    out.write("index,coefficient\n")
-    for n, c in enumerate(s.coeffs):
-        out.write(f"{n},{c}\n")
+def sign_exceptions(s: QSeries, residue: int, modulus: int, lo: int, hi: int,
+                    sign: int) -> list[int]:
+    """Ascending indices == residue (mod modulus) in [lo, hi] whose sign is not `sign`.
+
+    The one exact sign scan: every finite sign check goes through here, with
+    the range checks of ``slice_signs``.
+    """
+    signs = slice_signs(s, residue, modulus, lo, hi)
+    return [i for i, g in zip(slice_indices(residue, modulus, lo, hi), signs) if g != sign]
 
 
 def iter_csv_rows(s: QSeries) -> Iterator[str]:

@@ -122,6 +122,14 @@ class TestMainTermAndBound:
         for n in (11, 106, 1001):
             assert main_term("D", n).is_positive()
 
+    @pytest.mark.parametrize("name", ["A", "B", "D"])
+    def test_class_sign_is_claimed_sign(self, name):
+        # M(n) = -amp cos(pi phase(n)) x^{-1/2} I_1(...) with amp > 0
+        f = family(name)
+        sign = -f.class_cos()
+        assert isinstance(sign, Enclosure)
+        assert sign.is_positive() if f.claimed_sign > 0 else sign.is_negative()
+
     def test_amplitude_constant_of_level25_family(self):
         # cos(pi/5)/(1 + cos(2 pi/5)) equals 1/(2 cos(pi/5)); golden-ratio algebra
         f = family("D")

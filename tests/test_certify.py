@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -75,6 +76,34 @@ class TestCertify:
         assert result.certificate["finite"]["exceptions"] == [505]
         assert "invalid" in result.certificate["meta"]
         monkeypatch.undo()
+
+
+class TestTargetBinding:
+    @pytest.mark.parametrize("change,match", [
+        ({"modulus": 10}, "modulus 10"),
+        ({"residue": 1}, "residue 1 is not family A's class 0"),
+        ({"sign": 1}, "claimed sign -1"),
+        ({"finite_last_index": 800}, "before the dominance threshold 801"),
+    ])
+    def test_mismatched_target_refused_before_expansion(self, monkeypatch, change, match):
+        from qsign import certify as certify_mod
+
+        def no_expansion(*args):
+            raise AssertionError("expanded before the binding check")
+
+        monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], **change))
+        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
+        with pytest.raises(ValueError, match=match):
+            certify("A5n")
+
+    def test_registered_targets_match_their_families(self):
+        from qsign.analytic import family
+
+        for target in TARGETS.values():
+            fam = family(target.family_name)
+            assert target.modulus == 5
+            assert target.residue % 5 == fam.residue
+            assert target.sign == fam.claimed_sign
 
 
 class TestKnownTheorems:

@@ -6,11 +6,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform,
-                          csqrt_upper, e_two_pi_i, eta, farey_arcs, farey_fractions,
-                          lemma_arc_integral, numeric_coefficient, numeric_coefficients,
-                          pi_factor_value, pochhammer_product, psi, psi_by_theta,
-                          theta, theta_by_sum, transformed_arguments)
+from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
+                          check_product_transform, csqrt_upper, e_two_pi_i, eta, farey_arcs,
+                          farey_fractions, lemma_arc_integral, numeric_coefficient,
+                          numeric_coefficients, pi_factor_value, pochhammer_product, psi,
+                          psi_by_theta, theta, theta_by_sum, transformed_arguments)
 from qsign.enclosure import Enclosure, cos_half_turns, precision
 from qsign.modular import phase_data, transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
@@ -185,6 +185,23 @@ class TestPochhammerKernel:
                 pochhammer_product(z0, q, count - 1)
             pochhammer_product(z0, q, count)
             pochhammer_product(z0, q, count + 1)
+
+    @pytest.mark.parametrize("t", [mpmath.mpf(2) ** -200, mpmath.mpf(2) ** -10,
+                                   mpmath.mpf(1) / 4, mpmath.mpf(1) / 2])
+    def test_tail_padding_box_contains_exp(self, t):
+        with precision(192):
+            box = _tail_padding(ComplexHP.one(), t)
+        with mpmath.workprec(2 * 192):
+            for w in (mpmath.mpc(t, t), mpmath.mpc(t, -t), mpmath.mpc(-t, t),
+                      mpmath.mpc(-t, -t), mpmath.mpc(t, 0), mpmath.mpc(-t, 0)):
+                v = mpmath.exp(w)
+                assert box.re.lo <= v.real <= box.re.hi
+                assert box.im.lo <= v.imag <= box.im.hi
+
+    @pytest.mark.parametrize("t", [mpmath.mpf(3) / 4, mpmath.inf])
+    def test_tail_padding_refuses_past_half(self, t):
+        with pytest.raises(ConvergenceRefused):
+            _tail_padding(ComplexHP.one(), t)
 
 
 class TestProductTransformation:

@@ -78,10 +78,6 @@ class TestTables:
         level5 = {k: v for k, v in by_class.items() if k[1] == 5}
         assert {v[0] for v in level5.values()} == {24, -24}
 
-    def test_delta_debug_variants_column(self):
-        res = run_cli(["delta", "--spec", "A", "--debug-variants"])
-        assert "delta_display_num" in res.stdout.splitlines()[0]
-
 
 class TestDominanceCommand:
     def test_verdict_true_at_805(self):
@@ -146,3 +142,38 @@ def test_parser_covers_documented_flags():
     text = parser.format_help()
     for sub in ("expand", "certify", "delta", "dominance", "xcheck", "bench"):
         assert sub in text
+
+
+#: the flags each subcommand reads, and no others
+SUBCOMMAND_FLAGS = {
+    "expand": {"--spec", "--spec-json", "--trunc", "--format", "--out"},
+    "certify": {"--target", "--precision", "--precision-cap", "--seed", "--out"},
+    "delta": {"--spec", "--spec-json", "--format", "--out"},
+    "dominance": {"--family", "--n", "--precision", "--precision-cap", "--out"},
+    "xcheck": {"--identity", "--samples", "--precision", "--seed", "--workers", "--out"},
+    "bench": {"--spec", "--spec-json", "--trunc"},
+}
+
+
+def test_each_subcommand_has_exactly_its_flags():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "expand" in a.choices)
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
+    for name, sub in subparsers.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings
+                 if opt not in ("-h", "--help")}
+        assert flags == SUBCOMMAND_FLAGS[name], name
+    formats = {name: next(a.choices for a in subparsers.choices[name]._actions
+                          if "--format" in a.option_strings) for name in ("expand", "delta")}
+    assert set(formats["expand"]) == {"csv", "json", "table"}
+    assert set(formats["delta"]) == {"csv", "json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "A5n", "--workers", "2"],
+    ["expand", "--spec", "A", "--trunc", "5", "--precision", "96"],
+])
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -164,10 +164,6 @@ class TestGrowthExponents:
         assert delta_of(a, 2, 5) == -24
         assert delta_of(a, 3, 5) == -24
 
-    def test_delta_display_variant_differs(self):
-        a = registered_spec("A")
-        assert delta_of(a, 1, 5, display_variant=True) != delta_of(a, 1, 5)
-
     def test_positive_classes(self):
         assert lpos_set(registered_spec("A")) == {(1, 5), (4, 5)}
         assert lpos_set(registered_spec("B")) == {(2, 5), (3, 5)}
@@ -205,12 +201,11 @@ class TestGrowthExponents:
                 assert delta_at(spec, h, k) == ref
 
     def test_table_rows_sorted_and_flagged(self):
-        rows = list(delta_table_rows("A", registered_spec("A"), debug_variants=True))
+        rows = list(delta_table_rows("A", registered_spec("A")))
         keys = [(r["l"], r["aleph"]) for r in rows]
         assert keys == sorted(keys)
         flagged = {(r["aleph"], r["l"]) for r in rows if r["in_Lpos"]}
         assert flagged == {(1, 5), (4, 5)}
-        assert all("delta_display_num" in r for r in rows)
 
 
 class TestPhases:

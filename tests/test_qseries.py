@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -7,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_pochhammer, expand_product,
                            expand_product_reference, iter_csv_rows, ps_inv, ps_mul,
-                           registered_spec, rr_sum_side, series_to_csv, slice_signs)
+                           registered_spec, rr_sum_side, sign_exceptions, slice_indices,
+                           slice_signs)
 
 
 def brute_partitions(n):
@@ -180,11 +180,38 @@ class TestSliceSigns:
             slice_signs(QSeries.one(10), 0, 5, 0, 11)
 
 
+class TestSignExceptions:
+    def test_empty_where_pattern_holds(self, series_a_1000):
+        assert sign_exceptions(series_a_1000, 0, 5, 5, 1000, -1) == []
+
+    def test_exact_indices_on_corrupted_series(self):
+        # 1, -1, 2, -2, ...: negate the positive entry at 6, zero the one at 20
+        coeffs = [(n // 2 + 1) * (-1) ** n for n in range(30)]
+        coeffs[6], coeffs[20] = -coeffs[6], 0
+        s = QSeries.from_coeffs(coeffs)
+        assert sign_exceptions(s, 0, 2, 0, 29, 1) == [6, 20]
+        assert sign_exceptions(s, 0, 2, 8, 19, 1) == []
+        assert sign_exceptions(s, 1, 2, 0, 29, -1) == []
+        assert sign_exceptions(s, 0, 2, 0, 29, 0) == [i for i in range(0, 30, 2) if i != 20]
+
+    def test_agrees_with_slice_filter(self, series_800):
+        for name, s in series_800.items():
+            for residue in range(5):
+                for sign in (-1, 0, 1):
+                    idx = slice_indices(residue, 5, 1, 800)
+                    signs = slice_signs(s, residue, 5, 1, 800)
+                    expected = [i for i, g in zip(idx, signs) if g != sign]
+                    assert sign_exceptions(s, residue, 5, 1, 800, sign) == expected, name
+
+    def test_range_must_fit_truncation(self):
+        with pytest.raises(TruncationMismatchError):
+            sign_exceptions(QSeries.one(10), 0, 5, 0, 11, 1)
+
+
 class TestSerialization:
     def test_csv_dump(self):
-        buf = io.StringIO()
-        series_to_csv(QSeries.from_coeffs([1, -2, 0]), buf)
-        assert buf.getvalue() == "index,coefficient\n0,1\n1,-2\n2,0\n"
+        rows = iter_csv_rows(QSeries.from_coeffs([1, -2, 0]))
+        assert "".join(row + "\n" for row in rows) == "index,coefficient\n0,1\n1,-2\n2,0\n"
 
     def test_csv_rows_match_series(self):
         s = expand_product(registered_spec("c"), 5)
