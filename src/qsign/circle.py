@@ -11,16 +11,17 @@ Two numeric regimes live here.
    fraction bits, one ulp of radius per truncating shift) and convert back
    to enclosures through outward-rounded endpoints.
 
-*  Diagnostic: plain multiprecision quadrature over a Farey dissection that
-   recovers power-series coefficients from the contour integral
+*  Diagnostic: plain multiprecision quadrature that recovers power-series
+   coefficients from the contour integral over the full circle
 
-       alpha(n) = sum_{h/k} e^{-2 pi i n h/k}
-                  int_{arc} f(e^{2 pi i tau}) e^{2 pi n rho} e^{-2 pi i n phi} dphi
+       alpha(n) = e^{2 pi n rho} int_0^1 f(e^{2 pi i (x + i rho)}) e^{-2 pi i n x} dx
 
-   with tau = h/k + phi + i rho on the arc and rho = 1/N^2.  The quadrature
-   (adaptive trapezoid with Richardson extrapolation) carries a stated, not
-   certified, tolerance: it cross-checks the exact engine and never feeds a
-   certificate.
+   with rho = 1/N^2.  The integrand is periodic and analytic, so the plain
+   trapezoid rule on equispaced nodes converges geometrically; it carries a
+   stated, not certified, tolerance, cross-checks the exact engine and never
+   feeds a certificate.  The Farey dissection of order N is kept for the
+   single-arc spot checks of the Bessel main term (Romberg on one arc,
+   whose integrand is not periodic).
 
 The theta product form multiplies the three Pochhammer symbols
 (xi; q)(xi^{-1} q; q)(q; q); dropping the (q; q) factor would break the
@@ -506,23 +507,21 @@ def farey_arcs(order: int) -> list[FareyArc]:
 # diagnostic quadrature (plain multiprecision, stated tolerance)
 # ---------------------------------------------------------------------------
 
-def _romberg(f: Callable, a: mpmath.mpf, b: mpmath.mpf, tol, max_depth: int
-             ) -> tuple[mpmath.mpc, float]:
-    """Trapezoid with Richardson extrapolation on dyadic refinements.
+#: node cap of the full-circle trapezoid rule in `numeric_coefficients`
+_MAX_NODES = 2 ** 13
 
-    `f(x, pos)` receives the dyadic position pos = (i, n) of the node so the
-    caller can memoize expensive sub-factors shared between integrals over
-    the same interval.  Returns (value, estimated error).
-    """
+
+def _romberg(f: Callable, a: mpmath.mpf, b: mpmath.mpf, tol) -> tuple[mpmath.mpc, float]:
+    """Trapezoid with Richardson extrapolation on dyadic refinements: (value, error)."""
     h = b - a
-    rows = [[(f(a, (0, 1)) + f(b, (1, 1))) * h / 2]]
+    rows = [[(f(a) + f(b)) * h / 2]]
     err = mpmath.inf
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, 17):  # at most 2^16 intervals
         n = 2 ** depth
         h = (b - a) / n
         total = mpmath.mpc(0)
         for i in range(1, n, 2):
-            total += f(a + i * h, (i, n))
+            total += f(a + i * h)
         row = [rows[-1][0] / 2 + total * h]
         for m, prev in enumerate(rows[-1], start=1):
             row.append(row[-1] + (row[-1] - prev) / (4 ** m - 1))
@@ -551,63 +550,48 @@ def _psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmat
 
 
 def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
-                         dps: int = 40, tol: float = 1e-8,
-                         max_depth: int = 13) -> dict[int, mpmath.mpf]:
-    """Coefficients alpha(n) for all n in `ns` by arc-by-arc quadrature.
+                         dps: int = 40, tol: float = 1e-8) -> dict[int, mpmath.mpf]:
+    """Coefficients alpha(n) for all n in `ns` by the trapezoid rule on the circle.
 
-    Diagnostic only: adaptive trapezoid with Richardson extrapolation at the
-    stated (not certified) tolerance.  The psi product on an arc does not
-    depend on n, so its values are cached per dyadic node and shared across
-    all requested indices.  Arcs are processed in (k, h) order, making the
-    summation order deterministic.
+    Diagnostic only (stated, not certified, tolerance).  f = sum alpha(m) q^m
+    is sampled at the M nodes tau_j = j/M + i rho, rho = 1/order^2, and
+
+        alpha_M(n) = e^{2 pi n rho}/M Re sum_j f(tau_j) e^{-2 pi i n j/M}
+
+    has the aliasing error sum_{k>=1} alpha(n + kM) e^{-2 pi rho k M},
+    geometric in M (the k < 0 terms vanish once M > n, where estimates
+    start).  M doubles from 2, each level evaluating only its new odd nodes,
+    and the first level whose estimates all moved by less than `tol`
+    (absolute) is returned: that move is the odd-k part of the previous
+    level's error.  `ConvergenceRefused` past `_MAX_NODES` nodes.
     """
     if order < 2:
-        raise ValueError("need Farey order >= 2")
-    rho = Fraction(1, order * order)
-    out = {n: mpmath.mpf(0) for n in ns}
+        raise ValueError("need order >= 2")
+    if not ns:
+        return {}
     with mp.workdps(dps):
-        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
-        for arc in sorted(farey_arcs(order), key=lambda a: (a.k, a.h)):
-            a = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
-            b = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
-            centre = mpmath.mpf(arc.h) / arc.k
-            fcache: dict = {}
-
-            def f_at(phi, pos, _centre=centre, _cache=fcache):
-                v = _cache.get(pos)
-                if v is None:
-                    v = _psi_product_mpc(spec, _centre + phi + 1j * rho_mp, dps)
-                    _cache[pos] = v
-                return v
-
-            for n in ns:
-                damp = mpmath.exp(2 * mpmath.pi * n * rho_mp)
-                phase = mpmath.exp(-2j * mpmath.pi * n * centre)
-
-                def g(phi, pos, _n=n, _damp=damp):
-                    return f_at(phi, pos) * _damp * mpmath.exp(-2j * mpmath.pi * _n * phi)
-
-                val, _ = _romberg(g, a, b, mpmath.mpf(tol), max_depth)
-                out[n] += mpmath.re(phase * val)
-        result = {n: +out[n] for n in ns}
-    return result
-
-
-def numeric_coefficient(spec: ProductSpec, n: int, order: int = 6,
-                        dps: int = 40, tol: float = 1e-9) -> Enclosure:
-    """Single-coefficient diagnostic estimate, reported as value +- stated tolerance.
-
-    The interval radius reflects the quadrature's stated tolerance, not a
-    certified bound; use the exact engine for proofs.
-    """
-    val = numeric_coefficients(spec, [n], order=order, dps=dps, tol=tol)[n]
-    pad = mpmath.mpf(tol) * max(1, abs(val))
-    return Enclosure.from_endpoints(val - pad, val + pad)
+        rho = mpmath.mpf(1) / (order * order)
+        values = [_psi_product_mpc(spec, mpmath.mpc(0, rho), dps)]
+        prev, m = None, 1
+        while m < _MAX_NODES:
+            m *= 2
+            odd = [_psi_product_mpc(spec, mpmath.mpc(mpmath.mpf(j) / m, rho), dps)
+                   for j in range(1, m, 2)]
+            values = [v for pair in zip(values, odd) for v in pair]
+            if m <= max(ns):
+                continue
+            roots = [mpmath.expjpi(mpmath.mpf(-2 * j) / m) for j in range(m)]
+            est = {n: mpmath.exp(2 * mpmath.pi * n * rho) / m
+                   * mpmath.re(mpmath.fdot((v, roots[n * j % m]) for j, v in enumerate(values)))
+                   for n in ns}
+            if prev is not None and all(abs(est[n] - prev[n]) < tol for n in ns):
+                return est
+            prev = est
+    raise ConvergenceRefused(f"trapezoid estimates still moving at {_MAX_NODES} nodes")
 
 
 def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: int,
-                       h: int | None = None, dps: int = 40,
-                       max_depth: int = 16) -> dict:
+                       h: int | None = None, dps: int = 40) -> dict:
     """Spot check of the single-arc Bessel evaluation used for main terms.
 
     Numerically integrates
@@ -638,7 +622,7 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
         aa = mpmath.mpf(a_par.numerator) / a_par.denominator
         bb = mpmath.mpf(b_par.numerator) / b_par.denominator
 
-        def g(phi, _pos):
+        def g(phi):
             zz = k * (rr - 1j * phi)
             return (mpmath.exp(mpmath.pi / (12 * k) * (bb * zz + aa / zz))
                     * mpmath.exp(-2j * mpmath.pi * n * phi)
@@ -646,7 +630,7 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
 
         lo = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
         hi = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
-        val, err = _romberg(g, lo, hi, mpmath.mpf(10) ** (-(dps - 12)), max_depth)
+        val, err = _romberg(g, lo, hi, mpmath.mpf(10) ** (-(dps - 12)))
         m = 24 * n + b_par
         bessel_arg = (Enclosure.pi() / (6 * k)) * Enclosure.from_fraction(a_par * m).sqrt()
         main = (2 * Enclosure.pi() / k) * bessel_im1(bessel_arg) \

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -48,6 +49,24 @@ def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
         raise ValueError(f"endpoint {x} is not finite")
     val = Fraction(man) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
     return -val if sign else val
+
+
+def _directed_str(x: mpmath.mpf, digits: int, up: bool) -> str:
+    """x to `digits` significant decimals, rounded toward +inf if `up`, else -inf.
+
+    The exact endpoint is divided once in `decimal` under directed rounding;
+    for digits >= 2 the layout is ``mpmath.nstr(x, digits, strip_zeros=False)``'s.
+    """
+    if not x or not mpmath.isfinite(x):
+        return mpmath.nstr(x, digits, strip_zeros=False)
+    v = mpf_to_fraction(x)
+    with localcontext(Context(prec=digits, rounding=ROUND_CEILING if up else ROUND_FLOOR)):
+        dec = Decimal(v.numerator) / v.denominator
+    lead = dec.adjusted()
+    if min(-(digits // 3), -5) < lead < digits:  # nstr's fixed-point range
+        s = f"{dec:.{digits - 1 - lead}f}"
+        return s if "." in s else s + "."
+    return f"{dec:.{digits - 1}e}"
 
 
 def _coerce(x: Number) -> "Enclosure":
@@ -123,11 +142,12 @@ class Enclosure:
         return f"Enclosure[{mpmath.nstr(self.lo, 20)}, {mpmath.nstr(self.hi, 20)}]"
 
     def str_lo(self, digits: int = 25) -> str:
-        """Decimal string rounded down; safe as a certified lower bound."""
-        return mpmath.nstr(self.lo, digits, strip_zeros=False)
+        """Decimal string rounded toward -inf; safe as a certified lower bound."""
+        return _directed_str(self.lo, digits, up=False)
 
     def str_hi(self, digits: int = 25) -> str:
-        return mpmath.nstr(self.hi, digits, strip_zeros=False)
+        """Decimal string rounded toward +inf; safe as a certified upper bound."""
+        return _directed_str(self.hi, digits, up=True)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -35,12 +35,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .qseries import ProductSpec
+import numpy as np
 
-try:  # vectorized definitional Dedekind sweep; pure-Python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .qseries import ProductSpec
 
 
 class NotCoprimeError(ValueError):
@@ -70,13 +67,15 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     d %= c
     if gcd(d, c) != 1 and c > 1:
         raise NotCoprimeError(f"gcd({d}, {c}) != 1")
-    s = Fraction(0)
-    sign = 1
+    # s = num/den over the common denominator prod 12dc; one Fraction at the end
+    num, den, sign = 0, 1, 1
     while c > 1:
-        s += sign * (Fraction(d * d + c * c + 1, 12 * d * c) - Fraction(1, 4))
+        t = 12 * d * c
+        num = num * t + sign * (d * d + c * c + 1 - 3 * d * c) * den
+        den *= t
         d, c = c % d, d
         sign = -sign
-    return s
+    return Fraction(num, den)
 
 
 def dedekind_sum_direct(d: int, c: int) -> Fraction:
@@ -104,11 +103,9 @@ def dedekind_sums_direct_all(c: int) -> dict[int, Fraction]:
     Same formula as ``dedekind_sum_direct``, vectorized over n for the
     full-range verification sweeps.
     """
-    if _np is None:  # pragma: no cover
-        return {d: dedekind_sum_direct(d, c) for d in range(1, max(c, 2)) if gcd(d, c) == 1}
     if c == 1:
         return {0: Fraction(0)}
-    n = _np.arange(1, c, dtype=_np.int64)
+    n = np.arange(1, c, dtype=np.int64)
     w = 2 * n - c
     out: dict[int, Fraction] = {}
     for d in range(1, c):
@@ -315,31 +312,29 @@ def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
     """Classes (aleph, l) with a coprime representative and Delta(aleph, l) > 0."""
     out = set()
-    big_l = spec.level
-    for l in range(1, big_l + 1):
+    for l in range(1, spec.level + 1):
         for aleph in range(l):
-            if class_representative(spec, aleph, l) is None:
-                continue
-            if delta_of(spec, aleph, l) > 0:
+            rep = class_representative(spec, aleph, l)
+            if rep is not None and delta_at(spec, *rep) > 0:
                 out.add((aleph, l))
     return out
 
 
 def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
-    """Rows for the delta-table dump, sorted by (l, aleph)."""
-    pos = lpos_set(spec)
+    """Rows for the delta-table dump, sorted by (l, aleph); in_Lpos is Delta > 0."""
     for l in range(1, spec.level + 1):
         for aleph in range(l):
-            if class_representative(spec, aleph, l) is None:
+            rep = class_representative(spec, aleph, l)
+            if rep is None:
                 continue
-            dv = delta_of(spec, aleph, l)
+            dv = delta_at(spec, *rep)
             yield {
                 "spec": spec_name,
                 "aleph": aleph,
                 "l": l,
                 "delta_num": dv.numerator,
                 "delta_den": dv.denominator,
-                "in_Lpos": (aleph, l) in pos,
+                "in_Lpos": dv > 0,
             }
 
 

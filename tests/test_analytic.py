@@ -109,6 +109,38 @@ class TestEnclosureSoundness:
             prev_width = e.width
 
 
+class TestDirectedDecimalStrings:
+    @staticmethod
+    def assert_outward(e: Enclosure, digits: int) -> None:
+        assert Fraction(e.str_lo(digits)) <= mpf_to_fraction(e.lo)
+        assert Fraction(e.str_hi(digits)) >= mpf_to_fraction(e.hi)
+
+    @pytest.mark.parametrize("fam,n0", [("A", 801), ("B", 801), ("D", 19001)])
+    def test_certificate_endpoints(self, fam, n0):
+        with precision(192):
+            first = eventual_dominance_certificate(fam, n0).first_index
+            for e in (wang_main_lower(fam, first), error_bound(fam, first)):
+                self.assert_outward(e, 30)
+
+    def test_certificate_strings_round_outward(self):
+        # round-to-nearest gave ...566343e+145 and ...681e+144 here
+        with precision(192):
+            cert = eventual_dominance_certificate("D", 19001)
+        assert cert.wang_main_lo.endswith("566342e+145")
+        assert cert.bound_hi.endswith("707682e+144")
+
+    @pytest.mark.parametrize("x", [Fraction(-22, 7), Fraction(3, 10 ** 40), Fraction(5, 4)])
+    def test_negative_tiny_and_exact_values(self, x):
+        e = Enclosure.from_fraction(x)
+        for digits in (5, 25, 30):
+            self.assert_outward(e, digits)
+
+    def test_exact_decimal_is_kept(self):
+        e = Enclosure.from_fraction(Fraction(5, 4))
+        assert e.str_lo(5) == e.str_hi(5) == "1.2500"
+        assert Enclosure.from_fraction(-2).str_hi(3) == "-2.00"
+
+
 class TestMainTermAndBound:
     def test_reciprocal_family_negative_on_class(self):
         for n in (10, 105, 800, 2005):

@@ -6,11 +6,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsign import circle
 from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
                           check_product_transform, csqrt_upper, e_two_pi_i, eta, farey_arcs,
-                          farey_fractions, lemma_arc_integral, numeric_coefficient,
-                          numeric_coefficients, pi_factor_value, pochhammer_product, psi,
-                          psi_by_theta, theta, theta_by_sum, transformed_arguments)
+                          farey_fractions, lemma_arc_integral, numeric_coefficients,
+                          pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
+                          theta_by_sum, transformed_arguments)
 from qsign.enclosure import Enclosure, cos_half_turns, precision
 from qsign.modular import phase_data, transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
@@ -324,22 +325,23 @@ class TestMoebiusClosedFormAgainstEvaluation:
 
 
 class TestNumericCoefficients:
-    def test_constant_term(self):
-        got = numeric_coefficient(registered_spec("A"), 0, order=4, dps=30, tol=1e-8)
-        assert abs(float(got.mid) - 1) < 1e-6
-
-    def test_small_coefficients_match_exact(self):
-        spec = registered_spec("A")
-        exact = expand_product(spec, 8)
-        got = numeric_coefficients(spec, [4, 7], order=4, dps=35, tol=1e-9)
-        for n in (4, 7):
+    @pytest.mark.parametrize("name", ["A", "B", "D"])
+    def test_small_coefficients_match_exact(self, name):
+        spec = registered_spec(name)
+        ns = [0, 4, 6, 7]
+        exact = expand_product(spec, max(ns))
+        got = numeric_coefficients(spec, ns, order=4, dps=35, tol=1e-9)
+        for n in ns:
             assert abs(float(got[n]) - exact.coeff(n)) / max(1, abs(exact.coeff(n))) < 1e-6
 
-    def test_fifth_power_coefficient(self):
-        spec = registered_spec("B")
-        exact = expand_product(spec, 8)
-        got = numeric_coefficient(spec, 7, order=4, dps=35, tol=1e-9)
-        assert abs(float(got.mid) - exact.coeff(7)) / abs(exact.coeff(7)) < 1e-6
+    def test_empty_index_list(self):
+        assert numeric_coefficients(registered_spec("A"), [], order=4, dps=30, tol=1e-9) == {}
+
+    def test_refuses_at_node_cap(self, monkeypatch):
+        # 16 nodes never exceed n = 20, so no estimate is ever formed
+        monkeypatch.setattr(circle, "_MAX_NODES", 2 ** 4)
+        with pytest.raises(ConvergenceRefused):
+            numeric_coefficients(registered_spec("A"), [20], order=4, dps=30, tol=1e-9)
 
 
 class TestLemmaSpotChecks:
