@@ -324,15 +324,27 @@ class TestMoebiusClosedFormAgainstEvaluation:
             assert rel_residual(direct_sig, sig) < 1e-30
 
 
+def assert_small_coefficients_match_exact(name):
+    spec = registered_spec(name)
+    ns = [0, 4, 6, 7]
+    exact = expand_product(spec, max(ns))
+    got = numeric_coefficients(spec, ns, order=4, dps=35, tol=1e-9)
+    for n in ns:
+        assert abs(float(got[n]) - exact.coeff(n)) / max(1, abs(exact.coeff(n))) < 1e-6
+
+
 class TestNumericCoefficients:
-    @pytest.mark.parametrize("name", ["A", "B", "D"])
-    def test_small_coefficients_match_exact(self, name):
-        spec = registered_spec(name)
-        ns = [0, 4, 6, 7]
-        exact = expand_product(spec, max(ns))
-        got = numeric_coefficients(spec, ns, order=4, dps=35, tol=1e-9)
-        for n in ns:
-            assert abs(float(got[n]) - exact.coeff(n)) / max(1, abs(exact.coeff(n))) < 1e-6
+    def test_constant_term(self):
+        got = numeric_coefficients(registered_spec("A"), [0], order=4, dps=30, tol=1e-8)
+        assert abs(float(got[0]) - 1) < 1e-6
+
+    def test_small_coefficients_match_exact(self):
+        assert_small_coefficients_match_exact("A")
+
+    @pytest.mark.parametrize("name", ["B", "D"])
+    def test_small_coefficients_match_exact_higher_level(self, name):
+        # B is level 5; D is level 25
+        assert_small_coefficients_match_exact(name)
 
     def test_empty_index_list(self):
         assert numeric_coefficients(registered_spec("A"), [], order=4, dps=30, tol=1e-9) == {}
