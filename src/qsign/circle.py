@@ -20,8 +20,8 @@ Two numeric regimes live here.
    trapezoid rule on equispaced nodes converges geometrically; it carries a
    stated, not certified, tolerance, cross-checks the exact engine and never
    feeds a certificate.  The Farey dissection of order N is kept for the
-   single-arc spot checks of the Bessel main term (Romberg on one arc,
-   whose integrand is not periodic).
+   single-arc spot checks of the Bessel main term (tanh-sinh on one arc,
+   whose integrand is not periodic, refusing past its stated tolerance).
 
 The theta product form multiplies the three Pochhammer symbols
 (xi; q)(xi^{-1} q; q)(q; q); dropping the (q; q) factor would break the
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
@@ -511,28 +511,6 @@ def farey_arcs(order: int) -> list[FareyArc]:
 _MAX_NODES = 2 ** 13
 
 
-def _romberg(f: Callable, a: mpmath.mpf, b: mpmath.mpf, tol) -> tuple[mpmath.mpc, float]:
-    """Trapezoid with Richardson extrapolation on dyadic refinements: (value, error)."""
-    h = b - a
-    rows = [[(f(a) + f(b)) * h / 2]]
-    err = mpmath.inf
-    for depth in range(1, 17):  # at most 2^16 intervals
-        n = 2 ** depth
-        h = (b - a) / n
-        total = mpmath.mpc(0)
-        for i in range(1, n, 2):
-            total += f(a + i * h)
-        row = [rows[-1][0] / 2 + total * h]
-        for m, prev in enumerate(rows[-1], start=1):
-            row.append(row[-1] + (row[-1] - prev) / (4 ** m - 1))
-        rows.append(row)
-        if depth >= 3:
-            err = abs(row[-1] - rows[-2][-1])
-            if err < tol:
-                return row[-1], float(err)
-    return rows[-1][-1], float(err)
-
-
 def _psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath.mpc:
     out = mpmath.mpc(1)
     floor = mpmath.mpf(10) ** (-(prec_dps + 8))
@@ -602,7 +580,9 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
         main = (2 pi / k) ((24 n + b)/a)^{-1/2} I_{-1}((pi/6k) sqrt(a (24 n + b)))
 
     against the stated bound |I - main| <= e^{pi a/3} e^{2 pi rho (n + b/24)} / (pi (n + b/24)).
-    Requires n > b/24.
+    Requires n > b/24.  The integral is tanh-sinh quadrature split at the
+    Farey point; `ConvergenceRefused` when its error estimate exceeds
+    10^-(dps - 12).
     """
     if a_par <= 0:
         raise ValueError("a must be positive")
@@ -630,7 +610,12 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
 
         lo = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
         hi = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
-        val, err = _romberg(g, lo, hi, mpmath.mpf(10) ** (-(dps - 12)))
+        tol = mpmath.mpf(10) ** (-(dps - 12))
+        # tanh-sinh on both sides of the Farey point, where the integrand peaks
+        val, err = mpmath.quad(g, [lo, 0, hi], error=True)
+        if err > tol:
+            raise ConvergenceRefused(
+                f"arc quadrature error estimate {mpmath.nstr(err, 3)} exceeds {mpmath.nstr(tol, 3)}")
         m = 24 * n + b_par
         bessel_arg = (Enclosure.pi() / (6 * k)) * Enclosure.from_fraction(a_par * m).sqrt()
         main = (2 * Enclosure.pi() / k) * bessel_im1(bessel_arg) \

@@ -12,7 +12,8 @@ Subcommands and their flags (each flag is attached only where it is read):
                  --family, --n, --precision, --precision-cap, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
                  --identity, --samples, --precision, --seed, --workers, --out
-* ``bench``      time the exact expansion engine; --spec, --spec-json, --trunc
+* ``bench``      time the exact expansion engine and report its pass counts
+                 and largest coefficient in bits; --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  All randomness is driven by --seed.
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 from . import __version__
 from .enclosure import DEFAULT_PRECISION, precision
 from .qseries import (ProductSpec, REGISTERED_SPECS, expand_product, iter_csv_rows,
-                      registered_spec)
+                      pass_plan, registered_spec)
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
@@ -311,8 +312,11 @@ def cmd_bench(args) -> int:
     series = expand_product(spec, args.trunc)
     dt = time.perf_counter() - t0
     digits = len(str(abs(series.coeffs[-1])))
+    mul_passes, div_passes = pass_plan(spec, args.trunc)
     print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(dt, 3),
-                      "last_coefficient_digits": digits}))
+                      "last_coefficient_digits": digits,
+                      "mul_passes": len(mul_passes), "div_passes": len(div_passes),
+                      "coeff_bits_max": max(abs(c).bit_length() for c in series.coeffs)}))
     return 0
 
 

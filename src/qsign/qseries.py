@@ -20,9 +20,18 @@ triple product,
 
 so multiplying or dividing by a psi factor is a sparse pass with O(sqrt(N/m))
 terms instead of a dense O(N^2/m) factor sweep.  Residual (q^m; q^m)_inf
-powers are handled with the sparse pentagonal-number series.  A literal
-factor-by-factor expander is kept as ``expand_product_reference`` and the
-two are required to agree exactly.
+powers are handled with Euler's pentagonal series, which is the triple
+product with r = m and modulus 3m.  A literal factor-by-factor expander is
+kept as ``expand_product_reference`` and the two are required to agree
+exactly.
+
+Each pass is slice arithmetic on one numpy array, one shifted slice per
+term.  Multiplication passes run on int64 while a proven bound holds: every
+term is +-1, so a pass by t terms multiplies the l1 norm by at most t, and
+the array switches to Python ints (dtype object) before the product of the
+term counts would pass 2^63 - 1.  Division passes run on Python ints in
+blocks; a term reaching back a whole block or more subtracts finished values
+as one slice per block, and only the short terms run index by index.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class TruncationMismatchError(ValueError):
@@ -214,7 +225,15 @@ def registered_spec(name: str) -> ProductSpec:
 # sparse triple-product engine
 # ---------------------------------------------------------------------------
 
-def _triple_product_terms(r: int, m: int, trunc_order: int) -> list[tuple[int, int]]:
+#: block length of a division pass: a divisor term with exponent e >= _BLOCK
+#: reads only finished blocks, so it runs as one slice subtraction per block
+_BLOCK = 512
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+Terms = list[tuple[int, int]]
+
+
+def _triple_product_terms(r: int, m: int, trunc_order: int) -> Terms:
     """Sparse terms of sum_j (-1)^j q^{rj + m j(j-1)/2}, exponent <= trunc_order."""
     terms = []
     for step in (1, -1):
@@ -229,88 +248,111 @@ def _triple_product_terms(r: int, m: int, trunc_order: int) -> list[tuple[int, i
     return terms
 
 
-def _pentagonal_terms(m: int, trunc_order: int) -> list[tuple[int, int]]:
-    """Sparse terms of (q^m; q^m)_inf = sum_j (-1)^j q^{m j(3j-1)/2}."""
-    terms = []
-    for step in (1, -1):
-        j = 0 if step == 1 else -1
-        while True:
-            e = m * j * (3 * j - 1) // 2
-            if e > trunc_order:
-                break
-            terms.append((e, -1 if j & 1 else 1))
-            j += step
-    # j=0 appears once only
-    terms = sorted(set(terms))
-    return terms
+def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Terms]]:
+    """The sparse (multiplication, division) passes whose product is `spec`.
+
+    Each psi factor is a triple-product series divided by (q^m; q^m)_inf, and
+    (q^m; q^m)_inf is itself the triple product with r = m and modulus 3m
+    (Euler's pentagonal theorem), so every pass is a list of terms (e, +-1)
+    of one triple product, ascending in e.  Eta-type powers that do not
+    cancel become correction passes after the psi passes.
+    """
+    n = trunc_order
+    eta_exponents: dict[int, int] = {}
+    mul_passes: list[Terms] = []
+    div_passes: list[Terms] = []
+    for r, m, delta in spec.factors:
+        terms = _triple_product_terms(r, m, n)
+        (mul_passes if delta > 0 else div_passes).extend([terms] * abs(delta))
+        eta_exponents[m] = eta_exponents.get(m, 0) - delta
+    for m in sorted(eta_exponents):
+        e = eta_exponents[m]
+        if e:
+            terms = _triple_product_terms(m, 3 * m, n)
+            (mul_passes if e > 0 else div_passes).extend([terms] * abs(e))
+    return mul_passes, div_passes
 
 
-def _sparse_mul(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
-    n = len(coeffs) - 1
-    out = [0] * (n + 1)
-    for e, s in terms:
-        if s > 0:
-            for i in range(n + 1 - e):
-                v = coeffs[i]
-                if v:
-                    out[i + e] += v
+def _mul_pass(a: np.ndarray, terms: Terms) -> np.ndarray:
+    """a * sum_t c_t q^{e_t} truncated to len(a), one shifted slice per term."""
+    out = np.zeros_like(a)
+    n1 = len(a)
+    for e, c in terms:
+        if c > 0:
+            out[e:] += a[:n1 - e]
         else:
-            for i in range(n + 1 - e):
-                v = coeffs[i]
-                if v:
-                    out[i + e] -= v
+            out[e:] -= a[:n1 - e]
     return out
 
 
-def _sparse_div(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
+def _div_pass(out: np.ndarray, terms: Terms) -> None:
+    """Divide the object array `out` in place by sum_t c_t q^{e_t} with c_0 = 1.
+
+    out[i] <- out[i] - sum_{t >= 1} c_t out[i - e_t], block by block.  Terms
+    with e >= _BLOCK read out[lo - e:hi - e], which lies wholly before the
+    block [lo, hi) since e >= _BLOCK >= hi - lo: those reads are finished
+    values and never overlap the slice being written.  The remaining terms
+    run the recurrence index by index on a list copy of the block and the
+    _BLOCK values before it (zeros before index 0).
+    """
     if terms[0] != (0, 1):
         raise ConstantTermError("sparse divisor must have constant term 1")
-    rest = terms[1:]
-    n = len(coeffs) - 1
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        s = coeffs[i]
-        for e, c in rest:
-            if e > i:
+    near_plus = [e for e, c in terms[1:] if e < _BLOCK and c > 0]
+    near_minus = [e for e, c in terms[1:] if e < _BLOCK and c < 0]
+    far = [(e, c) for e, c in terms[1:] if e >= _BLOCK]
+    n1 = len(out)
+    for lo in range(0, n1, _BLOCK):
+        hi = min(lo + _BLOCK, n1)
+        for e, c in far:
+            if e >= hi:
                 break
+            start = max(lo, e)
             if c > 0:
-                s -= out[i - e]
+                out[start:hi] -= out[start - e:hi - e]
             else:
-                s += out[i - e]
-        out[i] = s
-    return out
+                out[start:hi] += out[start - e:hi - e]
+        base = lo - _BLOCK
+        w = [0] * max(0, -base) + out[max(0, base):hi].tolist()
+        for k in range(_BLOCK, _BLOCK + hi - lo):
+            s = w[k]
+            for e in near_minus:
+                s += w[k - e]
+            for e in near_plus:
+                s -= w[k - e]
+            w[k] = s
+        out[lo:hi] = np.array(w[_BLOCK:], dtype=object)
 
 
 def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
     """Exact expansion of prod_j (q^{r_j}, q^{m_j - r_j}; q^{m_j})_inf^{delta_j}.
 
-    Each psi factor is the triple-product series divided by (q^m; q^m)_inf,
-    so the expansion applies sparse triple-product passes and corrects with
-    pentagonal-number passes for whatever eta-type powers do not cancel.
-    The result is independent of factor order (all arithmetic is exact).
+    Runs the passes of ``pass_plan``, multiplications first: they keep the
+    intermediate coefficients small.  Every pass is slice arithmetic on one
+    numpy array.  A multiplication pass by t terms, each +-1, adds t shifted
+    copies of its input, so every partial sum is at most the input's l1
+    norm and the output's l1 norm is at most t times it.  The array is
+    therefore int64 while the product of the term counts of the passes run
+    so far, this one included, is at most 2^63 - 1; the dtype is chosen from
+    this bound before each pass, and the array becomes Python ints (dtype
+    object) before the first pass that would break it.  Division passes,
+    whose coefficients grow without such a bound, run on Python ints in
+    blocks of _BLOCK (see ``_div_pass``).  The result is independent of
+    factor order (all arithmetic is exact).
     """
     n = trunc_order
-    coeffs = [0] * (n + 1)
+    mul_passes, div_passes = pass_plan(spec, n)
+    coeffs = np.zeros(n + 1, dtype=np.int64)
     coeffs[0] = 1
-    eta_exponents: dict[int, int] = {}
-    mul_passes: list[list[tuple[int, int]]] = []
-    div_passes: list[list[tuple[int, int]]] = []
-    for r, m, delta in spec.factors:
-        terms = _triple_product_terms(r, m, n)
-        for _ in range(abs(delta)):
-            (mul_passes if delta > 0 else div_passes).append(terms)
-        eta_exponents[m] = eta_exponents.get(m, 0) - delta
-    for m in sorted(eta_exponents):
-        e = eta_exponents[m]
-        terms = _pentagonal_terms(m, n)
-        for _ in range(abs(e)):
-            (mul_passes if e > 0 else div_passes).append(terms)
-    # multiplications first: they keep intermediate coefficients small
+    l1_bound = 1
     for terms in mul_passes:
-        coeffs = _sparse_mul(coeffs, terms)
+        l1_bound *= len(terms)
+        if l1_bound > _INT64_MAX:
+            coeffs = coeffs.astype(object, copy=False)
+        coeffs = _mul_pass(coeffs, terms)
+    coeffs = coeffs.astype(object, copy=False)
     for terms in div_passes:
-        coeffs = _sparse_div(coeffs, terms)
-    return QSeries(n, tuple(coeffs))
+        _div_pass(coeffs, terms)
+    return QSeries(n, tuple(coeffs.tolist()))
 
 
 def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:

@@ -363,6 +363,11 @@ class TestLemmaSpotChecks:
         assert rep["ok"]
         assert rep["abs_error"] <= rep["bound"]
 
+    def test_refuses_unconverged_quadrature(self):
+        # e^{-2 pi i n phi} turns 80 times over the arc of width 3/112 at n = 3000
+        with pytest.raises(ConvergenceRefused, match="error estimate"):
+            lemma_arc_integral(Fraction(24), Fraction(0), 5, 3000, 13)
+
     def test_requires_index_above_shift(self):
         # hypothesis n > b/24 violated: b = 980 gives b/24 > 30
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qsign.cli import build_parser, main
+from qsign.qseries import expand_product, registered_spec
 
 
 def run_cli(args, **kw):
@@ -135,6 +136,14 @@ class TestBench:
         payload = json.loads(res.stdout)
         assert payload["spec"] == "c" and payload["trunc"] == 2000
         assert payload["seconds"] >= 0
+        # psi(2,5)/psi(1,5): one triple-product pass each way, the eta powers cancel
+        assert payload["mul_passes"] == 1 and payload["div_passes"] == 1
+        series = expand_product(registered_spec("c"), 2000)
+        assert payload["coeff_bits_max"] == max(abs(c).bit_length() for c in series.coeffs)
+        res = run_cli(["bench", "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]', "--trunc", "50"])
+        payload = json.loads(res.stdout)
+        # psi(1,5)^2: two triple-product multiplications, two eta divisions
+        assert payload["mul_passes"] == 2 and payload["div_passes"] == 2
 
 
 def test_parser_covers_documented_flags():

@@ -1,11 +1,13 @@
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from qsign import qseries
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_pochhammer, expand_product,
-                           expand_product_reference, iter_csv_rows, ps_inv, ps_mul,
+                           expand_product_reference, iter_csv_rows, pass_plan, ps_inv, ps_mul,
                            registered_spec, rr_sum_side, sign_exceptions, slice_indices,
                            slice_signs)
 
@@ -146,6 +148,54 @@ class TestProductSpecs:
     def test_level(self):
         assert registered_spec("A").level == 5
         assert registered_spec("D").level == 25
+
+
+def truncated(s, n):
+    """The first n + 1 coefficients of s: the expansion to order n of the same product."""
+    return QSeries(n, s.coeffs[:n + 1])
+
+
+#: specs whose multiplication passes at N = 1000 break the int64 bound:
+#: psi(2,5)^12 / psi(1,5) only at its last (twelfth) pass, and psi(2,5)^30,
+#: whose multiplication passes reach 72-bit coefficients, so int64 would wrap
+INT64_BREAKING = [ProductSpec(((2, 5, 12), (1, 5, -1))), ProductSpec(((2, 5, 30),))]
+
+
+class TestSliceEngine:
+    """The slice passes against the factor-by-factor reference, around the block edges."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_equals_reference_across_block_edges(self, name):
+        block = qseries._BLOCK
+        spec = registered_spec(name)
+        top = 2 * block + 7
+        ref = expand_product_reference(spec, top)
+        for n in (0, 1, 5, block - 1, block, block + 1, top):
+            assert expand_product(spec, n) == truncated(ref, n), (name, n)
+
+    @pytest.mark.parametrize("spec", INT64_BREAKING)
+    def test_int64_to_object_switch(self, spec):
+        mul_passes, _ = pass_plan(spec, 1000)
+        assert prod(len(terms) for terms in mul_passes) > qseries._INT64_MAX
+        got = expand_product(spec, 1000)
+        assert got == expand_product_reference(spec, 1000)
+        assert max(abs(c) for c in got.coeffs) > qseries._INT64_MAX
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 25])
+    def test_eta_passes_are_euler_pentagonal_series(self, m):
+        n = 600
+        eta = expand_pochhammer(m, m, n).coeffs
+        terms = qseries._triple_product_terms(m, 3 * m, n)
+        assert terms == [(e, c) for e, c in enumerate(eta) if c]
+
+    @seed(20251217)
+    @given(st.lists(st.tuples(st.sampled_from([5, 10, 25]), st.integers(1, 24),
+                              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                    min_size=1, max_size=3))
+    @settings(max_examples=10, deadline=None)
+    def test_random_inline_specs_match_reference(self, raw):
+        spec = ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw))
+        assert expand_product(spec, 1100) == expand_product_reference(spec, 1100)
 
 
 class TestRogersRamanujan:
