@@ -1,18 +1,24 @@
 """Certified Bessel main terms, explicit error bounds and dominance checks.
 
-The three coefficient families in scope share one shape of asymptotics: at a
-fixed residue class mod 5 the coefficient equals a main term
+Main terms come from the spec's modular data (circle method for eta
+quotients: Rademacher 1937, Zuckerman 1939).  The Farey arcs h/k of the Lpos
+classes with maximal Delta/k^2 dominate, with class constants
+c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
+``modular``).  For the families in scope they sit at k = 5 with Delta = 24:
 
-    M(n) = -amp * cos(pi * phase(n)) * x^{-1/2} * I_1((4 pi/5) sqrt(x)),
+    M(n) = (2 pi/5) Re S_r x^{-1/2} I_1((4 pi/5) sqrt(x)),
+    S_r = sum_h c_h e^{-2 pi i r h/5},   r = n mod 5,   x = n + Omega/24,
 
-with x = n + shift, plus an error of magnitude at most
+the one-arc form ``circle.lemma_arc_integral`` checks.  The coefficient is
+M(n) plus an error of magnitude at most
 
     E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20),
 
-where C is an explicit constant (a short sum of powers of e).  Certified
-sign verdicts compare the enclosure of |M| against the enclosure of E:
-"true" only when the intervals separate strictly, "unknown" when they
-overlap at the working precision (callers escalate precision and retry).
+C the paper's explicit constant (a short sum of powers of e).  Other k or
+Delta, where E is not stated, and an S_r not certified real are refused.
+Certified verdicts compare the enclosure of |M| against that of E: "true"
+only when the intervals separate strictly, "unknown" when they overlap at
+the working precision (callers escalate precision and retry).
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
@@ -28,9 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Callable, Literal, Union
 
-from .enclosure import Enclosure, cos_half_turns, one, precision, zero
+from .circle import ComplexHP, e_pi_i_half_turns, pi_factor_value
+from .enclosure import Enclosure, iv, one, precision, zero
+from .modular import (class_representative, delta_at, lpos_set, omega_exact, phase_data,
+                      transform_data)
+from .qseries import ProductSpec, registered_spec
 
 Verdict = Union[bool, Literal["unknown"]]
 
@@ -108,53 +120,52 @@ def wang_bounds_hold(x: Enclosure) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# family models
+# main terms derived from the modular data, and the family models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class MainTermData:
+    """Exact data of a spec's dominant arcs h/k: (h, t_h, Pi factors) per arc."""
+
+    k: int
+    delta: Fraction
+    omega: Fraction       # the Bessel variable is x = n + omega/24
+    arcs: tuple[tuple[int, Fraction, tuple[tuple[Fraction, int], ...]], ...]
+
+
+@lru_cache(maxsize=32)
+def main_term_data(spec: ProductSpec) -> MainTermData:
+    """Arcs h/k of the Lpos classes with maximal Delta/k^2 (growth I_1((pi/6k) sqrt(24 Delta x))).
+
+    k is the classes' smallest denominator, which they must share.
+    """
+    ranked = []
+    for aleph, l in lpos_set(spec):
+        h, k = class_representative(spec, aleph, l)
+        ranked.append((delta_at(spec, h, k) / (k * k), k, l, aleph))
+    if not ranked:
+        raise CertificateRefused("no class with Delta > 0: the coefficients do not grow")
+    best = max(ranked)[0]
+    dominant = {(k, l, aleph) for ratio, k, l, aleph in ranked if ratio == best}
+    if len({(k, l) for k, l, _ in dominant}) > 1:
+        raise CertificateRefused(f"dominant arcs at several denominators: {sorted(dominant)}")
+    k, l, _ = min(dominant)
+    alephs = {aleph for _, _, aleph in dominant}
+    arcs = tuple((h, transform_data(spec, h, k).prefactor_phase().t,
+                  phase_data(spec, h, k).pi_factors)
+                 for h in range(k) if gcd(h, k) == 1 and h % l in alephs)
+    return MainTermData(k, best * k * k, omega_exact(spec), arcs)
+
+
+@dataclass(frozen=True)
 class FamilyModel:
-    """Closed-form main term and error bound of one coefficient family."""
+    """One coefficient family: its spec, the claimed class and sign, the paper's E constant."""
 
     name: str
-    shift: int                      # x = n + shift inside the Bessel argument
+    spec_name: str
     residue: int                    # residue class mod 5 carrying the claim
-    claimed_sign: int               # certified sign of the coefficient there
-    phase_half_turns: Callable[[int], Fraction]  # cos(pi * phase(n))
-    min_n: int
-    # amplitude = amp_rational * pi, times cos(pi/5)/(1 + cos(2 pi/5)) when flagged
-    amp_rational: Fraction
-    use_d_constant: bool
+    claimed_sign: int               # claimed sign of the coefficient there
     error_const: Callable[[], Enclosure]  # the n-free part of E(n), built per call
-
-    def x_of(self, n: int) -> int:
-        return n + self.shift
-
-    def amplitude(self) -> Enclosure:
-        """Positive constant amp with M(n) = -amp cos(pi phase(n)) x^{-1/2} I_1(...)."""
-        amp = Enclosure.pi() * Enclosure.from_fraction(self.amp_rational)
-        if self.use_d_constant:
-            c1 = cos_half_turns(Fraction(1, 5))
-            c2 = cos_half_turns(Fraction(2, 5))
-            amp = amp * c1 / (1 + c2)
-        return amp
-
-    def class_cos(self) -> Enclosure:
-        """cos(pi phase(n)) for n in the claimed residue class: an n-free constant."""
-        return cos_half_turns(self.phase_half_turns(self._class_witness()))
-
-    def _class_witness(self) -> int:
-        n = self.residue
-        while n < self.min_n:
-            n += 5
-        return n
-
-
-def _phase_a(n: int) -> Fraction:
-    return Fraction(2 * n + 1, 5)
-
-
-def _phase_b(n: int) -> Fraction:
-    return Fraction(2 * (2 * n - 1), 5)
 
 
 def _const_ab() -> Enclosure:
@@ -169,21 +180,9 @@ def _const_d() -> Enclosure:
 
 
 FAMILIES: dict[str, FamilyModel] = {
-    "A": FamilyModel(
-        name="A", shift=-1, residue=0, claimed_sign=-1, phase_half_turns=_phase_a,
-        min_n=2, amp_rational=Fraction(4, 5), use_d_constant=False,
-        error_const=_const_ab,
-    ),
-    "B": FamilyModel(
-        name="B", shift=1, residue=0, claimed_sign=-1, phase_half_turns=_phase_b,
-        min_n=1, amp_rational=Fraction(4, 5), use_d_constant=False,
-        error_const=_const_ab,
-    ),
-    "D": FamilyModel(
-        name="D", shift=0, residue=1, claimed_sign=1, phase_half_turns=_phase_a,
-        min_n=1, amp_rational=Fraction(2, 5), use_d_constant=True,
-        error_const=_const_d,
-    ),
+    "A": FamilyModel("A", spec_name="A", residue=0, claimed_sign=-1, error_const=_const_ab),
+    "B": FamilyModel("B", spec_name="B", residue=0, claimed_sign=-1, error_const=_const_ab),
+    "D": FamilyModel("D", spec_name="D", residue=1, claimed_sign=1, error_const=_const_d),
 }
 
 
@@ -196,36 +195,56 @@ def family(name_or_model: str | FamilyModel) -> FamilyModel:
         raise UsageError(f"unknown family {name_or_model!r}; known: A, B, D") from None
 
 
+def _route(f: FamilyModel) -> MainTermData:
+    """The family's main-term data, refused unless k = 5 and Delta = 24 (where E is stated)."""
+    data = main_term_data(registered_spec(f.spec_name))
+    if data.k != 5 or data.delta != 24:
+        raise CertificateRefused(f"family {f.name}: dominant arcs at k = {data.k} with "
+                                 f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
+    return data
+
+
+def _x_of(f: FamilyModel, n: int) -> Fraction:
+    x = n + _route(f).omega / 24
+    if x <= 0:
+        raise UsageError(f"family {f.name} needs x = n + Omega/24 > 0, got {x} at n = {n}")
+    return x
+
+
+def class_constant(fam: str | FamilyModel, r: int) -> Enclosure:
+    """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
+    f = family(fam)
+    data = _route(f)
+    s = ComplexHP.from_fractions(0)
+    for h, t, pi_factors in data.arcs:
+        s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
+    if not s.im.contains(0):
+        raise CertificateRefused(f"family {f.name}: Im S_{r} = {s.im!r} excludes 0")
+    return s.re
+
+
 # ---------------------------------------------------------------------------
 # main term and error bound
 # ---------------------------------------------------------------------------
 
 def main_term(fam: str | FamilyModel, n: int) -> Enclosure:
-    """Enclosure of M(n) = -amp cos(pi phase(n)) x^{-1/2} I_{-1}((4 pi/5) sqrt(x))."""
+    """Enclosure of M(n) = (2 pi/5) Re S_r x^{-1/2} I_{-1}((4 pi/5) sqrt(x)), r = n mod 5."""
     f = family(fam)
-    if n < f.min_n:
-        raise UsageError(f"family {f.name} needs n >= {f.min_n}")
-    x = Enclosure.from_fraction(f.x_of(n))
-    arg = 4 * Enclosure.pi() / 5 * x.sqrt()
-    cosn = cos_half_turns(f.phase_half_turns(n))
-    return -(f.amplitude() * cosn * bessel_im1(arg) / x.sqrt())
+    sx = Enclosure.from_fraction(_x_of(f, n)).sqrt()
+    bessel = bessel_im1(4 * Enclosure.pi() / 5 * sx)
+    return 2 * Enclosure.pi() / 5 * class_constant(f, n % 5) * bessel / sx
 
 
 def error_bound(fam: str | FamilyModel, n: int) -> Enclosure:
-    """Upper enclosure of the explicit error bound E(n); requires n >= 20.
+    """Upper enclosure of E(n) (module docstring); requires n >= 20.
 
-    E(n) = [sum_k e^{c_k}] e^{scale} + e^{8 pi + extra}
-           + (2 pi^{5/4}/5) e^{(2 pi/5) sqrt(x)} sqrt(x),   x = n + shift.
-
-    For families A and B this is (2 e^54 + e^{8 pi} + 185) e^2 + growth; for
-    family D it is e^332 + e^272 + e^{8 pi + 2} + growth.  The finite exact
-    check always covers n < 20.
+    C is (2 e^54 + e^{8 pi} + 185) e^2 for families A and B and
+    e^332 + e^272 + e^{8 pi + 2} for D; the finite exact check covers n < 20.
     """
     f = family(fam)
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
-    x = Enclosure.from_fraction(f.x_of(n))
-    return f.error_const() + _error_growth(x)
+    return f.error_const() + _error_growth(Enclosure.from_fraction(_x_of(f, n)))
 
 
 def _error_growth(x: Enclosure) -> Enclosure:
@@ -263,8 +282,6 @@ def dominance(fam: str | FamilyModel, n: int) -> DominanceResult:
         verdict = False
     else:
         verdict = "unknown"
-    from .enclosure import iv
-
     return DominanceResult(f.name, n, verdict, m, e, iv.prec)
 
 
@@ -288,17 +305,17 @@ def dominance_with_escalation(fam: str | FamilyModel, n: int,
 def wang_main_lower(fam: str | FamilyModel, n: int) -> Enclosure:
     """Elementary lower bound for |M(n)| on the residue class via the e^x/sqrt(x) bound.
 
-    |M(n)| >= amp |cos_const| x^{-1/2} * (1/10) e^y / sqrt(y),
+    |M(n)| >= (2 pi/5) |Re S_r| x^{-1/2} * (1/10) e^y / sqrt(y),
     y = (4 pi/5) sqrt(x); valid when y >= 3.
     """
     f = family(fam)
     if n % 5 != f.residue:
         raise UsageError("index outside the family's residue class")
-    x = Enclosure.from_fraction(f.x_of(n))
+    x = Enclosure.from_fraction(_x_of(f, n))
     y = 4 * Enclosure.pi() / 5 * x.sqrt()
     if y.lo < 3:
         raise UsageError("lower bound needs (4 pi/5) sqrt(x) >= 3")
-    return f.amplitude() * abs(f.class_cos()) * wang_lower(y) / x.sqrt()
+    return 2 * Enclosure.pi() / 5 * abs(class_constant(f, f.residue)) * wang_lower(y) / x.sqrt()
 
 
 @dataclass(frozen=True)
@@ -306,7 +323,7 @@ class EventualDominanceCertificate:
     """Machine-checkable record: dominance at a threshold plus monotone extension.
 
     The claim is |M(n)| > E(n) for every n >= n0 in the family's residue
-    class mod 5 (the cosine factor is constant there).  ``first_index`` is
+    class mod 5 (Re S_r is constant there).  ``first_index`` is
     the smallest such n; the certified Wang-route comparison runs at
     x0 = x(first_index).  ``monotone_ok`` certifies sqrt(x0) > 25/(4 pi)
     (which implies the weaker 15/(8 pi) condition), under which both
@@ -320,7 +337,7 @@ class EventualDominanceCertificate:
     family: str
     n0: int
     first_index: int
-    x0: int
+    x0: Fraction
     wang_main_lo: str
     bound_hi: str
     monotone_ok: bool
@@ -333,26 +350,22 @@ def eventual_dominance_certificate(fam: str | FamilyModel, n0: int) -> EventualD
     if n0 < 20:
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
     first = n0 + (f.residue - n0) % 5
-    x0 = f.x_of(first)
+    x0 = _x_of(f, first)
     # monotonicity precondition sqrt(x0) > 25/(4 pi), certified strictly
     lhs = Enclosure.from_fraction(Fraction(625, 16)) / (Enclosure.pi() * Enclosure.pi())
     if not lhs.strictly_less(Enclosure.from_fraction(x0)):
         raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
-    monotone_ok = True
     wang_lo = wang_main_lower(f, first)
     bound = error_bound(f, first)
-    issued = wang_lo.strictly_greater(bound)
-    if not issued:
+    if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
             f"Wang-route dominance at index {first} not certified "
             f"(lower {wang_lo!r} vs bound {bound!r})"
         )
-    from .enclosure import iv
-
     return EventualDominanceCertificate(
         family=f.name, n0=n0, first_index=first, x0=x0,
         wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
-        monotone_ok=monotone_ok, precision_bits=iv.prec, issued=issued,
+        monotone_ok=True, precision_bits=iv.prec, issued=True,
     )
 
 
@@ -409,8 +422,9 @@ def colored_partition_majorant(eta: int, s: int, t: int, n: int,
     (1/((z; q)_inf (w; q)_inf))^eta.  d*_eta is the signed analogue from
     ((z; q)_inf (w; q)_inf)^eta, whose coefficient is (-1)^{s+t} times the
     count of pairs of *sets* of distinct (value, shade) parts, so
-    |d*| <= p* holds term by term.  Both counts enumerate partitions by
-    memoized recursion over the (value, shade) pair space.
+    |d*| <= p* holds term by term.  Both counts come from the exact
+    power-series recurrence of ``_colored_counts``; nothing is kept between
+    calls.
     """
     if eta < 1:
         raise UsageError("eta must be a positive integer")
@@ -422,38 +436,27 @@ def colored_partition_majorant(eta: int, s: int, t: int, n: int,
 
 
 def _colored_pairs(eta: int, s: int, t: int, n: int, distinct: bool) -> int:
-    total = 0
-    for j in range(n + 1):
-        left = _colored_count(eta, s, j, distinct)
-        if left:
-            total += left * _colored_count(eta, t, n - j, distinct)
-    return total
+    counts = _colored_counts(eta, max(s, t), n, distinct)
+    return sum(counts[s][j] * counts[t][n - j] for j in range(n + 1))
 
 
-def _colored_count(eta: int, slots: int, total: int, distinct: bool,
-                   _cache: dict = {}) -> int:
-    """Multisets (or sets) of `slots` pairs (value >= 0, shade in [eta]) summing to total."""
-    key_base = (eta, distinct)
+def _colored_counts(eta: int, slots: int, n: int, distinct: bool) -> list[list[int]]:
+    """F[c][m]: multisets (sets if `distinct`) of c pairs (value, shade) with value sum m.
 
-    def rec(pmax: int, slots: int, rem: int) -> int:
-        if slots == 0:
-            return 1 if rem == 0 else 0
-        if pmax < 0:
-            return 0
-        vmax = pmax // eta
-        if rem > vmax * slots:
-            return 0
-        if distinct and slots > pmax + 1:
-            return 0
-        key = (key_base, pmax, slots, rem)
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
-        v = pmax // eta
-        skip = rec(pmax - 1, slots, rem)
-        take = rec(pmax - 1 if distinct else pmax, slots - 1, rem - v)
-        _cache[key] = out = skip + take
-        return out
-
-    pmax = (total + 1) * eta - 1 if total > 0 else eta - 1
-    return rec(pmax, slots, total)
+    sum_c F_c z^c is prod_{v>=0} (1 - z q^v)^{-eta}, or (1 + z q^v)^eta for
+    sets, which is exp(sum_k g_k z^k / k) with g_k = +-eta/(1 - q^k) (minus
+    for even k in the set case).  So c F_c = sum_{k=1..c} g_k F_{c-k}, where
+    dividing by 1 - q^k is a running sum along each residue class mod k; the
+    division by c is exact.
+    """
+    rows = [[1] + [0] * n]
+    for c in range(1, slots + 1):
+        acc = [0] * (n + 1)
+        for k in range(1, c + 1):
+            part = list(rows[c - k])
+            for m in range(k, n + 1):
+                part[m] += part[m - k]
+            sign = -1 if distinct and k % 2 == 0 else 1
+            acc = [a + sign * b for a, b in zip(acc, part)]
+        rows.append([eta * a // c for a in acc])
+    return rows

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .analytic import (CertificateRefused, EventualDominanceCertificate, FamilyModel,
-                       eventual_dominance_certificate, family)
+                       class_constant, eventual_dominance_certificate, family)
 from .enclosure import precision
-from .modular import delta_of, lpos_set, omega_of
 from .qseries import QSeries, expand_product, registered_spec, sign_exceptions
 
 SCHEMA_VERSION = 1
@@ -76,9 +75,17 @@ _EXPANSION_CACHE: dict[tuple[str, int], QSeries] = {}
 
 
 def cached_expansion(spec_name: str, trunc_order: int) -> QSeries:
-    """Expansion memo: certification and verification share the heavy series."""
+    """Expansion memo shared by certification and verification.
+
+    An exact (name, N) entry wins, then the prefix of the spec's shortest
+    longer expansion; only a miss expands, and only a miss is stored.
+    """
     key = (spec_name, trunc_order)
     if key not in _EXPANSION_CACHE:
+        longer = [n for name, n in _EXPANSION_CACHE if name == spec_name and n > trunc_order]
+        if longer:
+            coeffs = _EXPANSION_CACHE[(spec_name, min(longer))].coeffs
+            return QSeries(trunc_order, coeffs[:trunc_order + 1])
         _EXPANSION_CACHE[key] = expand_product(registered_spec(spec_name), trunc_order)
     return _EXPANSION_CACHE[key]
 
@@ -101,7 +108,10 @@ def _finish(cert: dict) -> dict:
 
 
 def _check_binding(target: TargetSpec, fam: FamilyModel) -> None:
-    """Refuse a target that its family model does not describe."""
+    """Refuse a target that its family model, or its derived main term, does not describe."""
+    if target.spec_name != fam.spec_name:
+        raise ValueError(f"target {target.key}: spec {target.spec_name} is not "
+                         f"family {fam.name}'s spec {fam.spec_name}")
     if target.modulus != 5:
         raise ValueError(f"target {target.key}: modulus {target.modulus}, "
                          f"family models cover residue classes mod 5")
@@ -115,16 +125,20 @@ def _check_binding(target: TargetSpec, fam: FamilyModel) -> None:
         raise ValueError(f"target {target.key}: finite range ends at "
                          f"{target.finite_last_index}, before the dominance "
                          f"threshold {target.threshold_index}")
+    const = class_constant(fam, fam.residue)
+    if not (const.is_positive() if target.sign > 0 else const.is_negative()):
+        raise ValueError(f"target {target.key}: sign {target.sign} is not the sign of "
+                         f"the derived class constant Re S = {const!r}")
 
 
-def certify(target_key: str, precision_bits: int = 192, precision_cap: int = 1024,
-            seed: int = 0) -> CertifyResult:
+def certify(target_key: str, precision_bits: int = 192,
+            precision_cap: int = 1024) -> CertifyResult:
     """Build the certificate for one registered target.
 
-    The target must match its family model (modulus 5, residue class, sign)
-    and its finite range must reach the threshold; otherwise it is refused
-    with a ValueError before anything is expanded.  Then exact signs on the
-    finite range, then the eventual-dominance certificate at the threshold
+    The target must match its family model (spec, modulus 5, residue class,
+    claimed and derived sign) and its finite range must reach the threshold;
+    otherwise it is refused before anything is expanded.  Then exact signs on
+    the finite range, then the eventual-dominance certificate at the threshold
     (escalating precision on 'unknown' up to the cap).  Any exact sign
     violation fails loudly with the violating index; a dominance verdict
     stuck at 'unknown' at the precision cap is reported via exit code 3.
@@ -163,7 +177,7 @@ def certify(target_key: str, precision_bits: int = 192, precision_cap: int = 102
             "bound_hi": None,
             "monotone_ok": None,
         },
-        "meta": {"version": __version__, "seed": seed, "hash": ""},
+        "meta": {"version": __version__, "hash": ""},
     }
 
     if exceptions:
@@ -194,20 +208,6 @@ def certify(target_key: str, precision_bits: int = 192, precision_cap: int = 102
         "monotone_ok": eventual.monotone_ok,
     })
     return CertifyResult(_finish(cert), ok=True, exit_code=0, eventual=eventual)
-
-
-def certificate_consistency(result: CertifyResult) -> bool:
-    """Re-derive the modular table entries recorded implicitly by the target."""
-    target = TARGETS[result.certificate["target"]]
-    spec = registered_spec(target.spec_name)
-    omega = omega_of(spec)
-    expected_omega = {"A": -24, "B": 24, "D": 0}[target.family_name]
-    if omega != expected_omega:
-        return False
-    pos = lpos_set(spec)
-    if not pos:
-        return False
-    return all(delta_of(spec, a, l) > 0 for a, l in pos)
 
 
 # ---------------------------------------------------------------------------

@@ -581,8 +581,9 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
 
     against the stated bound |I - main| <= e^{pi a/3} e^{2 pi rho (n + b/24)} / (pi (n + b/24)).
     Requires n > b/24.  The integral is tanh-sinh quadrature split at the
-    Farey point; `ConvergenceRefused` when its error estimate exceeds
-    10^-(dps - 12).
+    Farey point; `ConvergenceRefused` when ``quadrature_err`` exceeds
+    10^-(dps - 12).  That is mpmath's difference of the last two tanh-sinh
+    levels: an estimate, not a bound (it can read below the working precision).
     """
     if a_par <= 0:
         raise ValueError("a must be positive")

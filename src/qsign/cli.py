@@ -5,7 +5,7 @@ Subcommands and their flags (each flag is attached only where it is read):
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
 * ``certify``    build a sign-pattern certificate (exit 0/2/3);
-                 --target, --precision, --precision-cap, --seed, --out
+                 --target, --precision, --precision-cap, --out
 * ``delta``      growth-exponent table per residue class;
                  --spec, --spec-json, --format (csv/json), --out
 * ``dominance``  certified main-term vs error-bound comparison at one index;
@@ -115,7 +115,7 @@ def cmd_certify(args) -> int:
     from .certify import certify
 
     result = certify(args.target, precision_bits=args.precision,
-                     precision_cap=args.precision_cap, seed=args.seed)
+                     precision_cap=args.precision_cap)
     _write_json(args, result.certificate)
     if result.ok:
         _note(f"target {args.target}: certified")
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", "--spec-json", "--out")
     add("certify", "build a sign-pattern certificate", cmd_certify,
         {"--target": dict(required=True, help="A5n, B5n or D5n1")},
-        "--precision", "--precision-cap", "--seed", "--out")
+        "--precision", "--precision-cap", "--out")
     add("delta", "growth exponent table per residue class", cmd_delta,
         {"--format": dict(choices=("csv", "json"), default="csv")},
         "--spec", "--spec-json", "--out")

@@ -245,12 +245,6 @@ class Enclosure:
         return self.hi < 0
 
 
-def cos_half_turns(t: Fraction) -> Enclosure:
-    """Enclosure of cos(pi t) for exact rational t, reduced mod 2 first."""
-    t = t % 2
-    return (Enclosure.pi() * _coerce(t)).cos()
-
-
 def one() -> Enclosure:
     return Enclosure(iv.mpf(1))
 

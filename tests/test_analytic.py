@@ -5,14 +5,19 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsign.analytic import (CertificateRefused, UsageError, bessel_im1,
-                            colored_partition_majorant, dominance,
+from qsign.analytic import (CertificateRefused, FamilyModel, UsageError, bessel_im1,
+                            class_constant, colored_partition_majorant, dominance,
                             dominance_with_escalation, error_bound,
                             eventual_dominance_certificate, family, main_term,
-                            majorization_check, wang_bounds_hold, wang_lower,
-                            wang_main_lower, wang_upper)
-from qsign.enclosure import Enclosure, cos_half_turns, mpf_to_fraction, precision
-from qsign.qseries import expand_pochhammer, ps_inv, ps_mul, QSeries
+                            main_term_data, majorization_check, wang_bounds_hold,
+                            wang_lower, wang_main_lower, wang_upper)
+from qsign.enclosure import Enclosure, mpf_to_fraction, one, precision
+from qsign.qseries import expand_pochhammer, ps_inv, ps_mul, QSeries, registered_spec
+
+
+def cos_pi(t: Fraction) -> Enclosure:
+    """cos(pi t) for exact rational t."""
+    return (Enclosure.pi() * Enclosure.from_fraction(t)).cos()
 
 
 def bessel_partial_sum_oracle(x: Fraction, terms: int = 80) -> tuple[Fraction, Fraction]:
@@ -123,10 +128,10 @@ class TestDirectedDecimalStrings:
                 self.assert_outward(e, 30)
 
     def test_certificate_strings_round_outward(self):
-        # round-to-nearest gave ...566343e+145 and ...681e+144 here
+        # round-to-nearest gives ...707681e+144 for the bound here
         with precision(192):
             cert = eventual_dominance_certificate("D", 19001)
-        assert cert.wang_main_lo.endswith("566342e+145")
+        assert cert.wang_main_lo.endswith("132685e+145")
         assert cert.bound_hi.endswith("707682e+144")
 
     @pytest.mark.parametrize("x", [Fraction(-22, 7), Fraction(3, 10 ** 40), Fraction(5, 4)])
@@ -156,18 +161,22 @@ class TestMainTermAndBound:
 
     @pytest.mark.parametrize("name", ["A", "B", "D"])
     def test_class_sign_is_claimed_sign(self, name):
-        # M(n) = -amp cos(pi phase(n)) x^{-1/2} I_1(...) with amp > 0
+        # M(n) = (2 pi/5) Re S_r x^{-1/2} I_1(...): the derived class constant
+        # Re S_r on the claimed class is a certified enclosure of the claimed sign
+        closed = {"A": lambda: -2 * cos_pi(Fraction(1, 5)),
+                  "B": lambda: -2 * cos_pi(Fraction(2, 5)),
+                  "D": lambda: cos_pi(Fraction(2, 5)) / cos_pi(Fraction(1, 5))}[name]
         f = family(name)
-        sign = -f.class_cos()
-        assert isinstance(sign, Enclosure)
-        assert sign.is_positive() if f.claimed_sign > 0 else sign.is_negative()
+        const = class_constant(name, f.residue)
+        assert isinstance(const, Enclosure) and const.intersects(closed())
+        assert const.is_positive() if f.claimed_sign > 0 else const.is_negative()
 
     def test_amplitude_constant_of_level25_family(self):
-        # cos(pi/5)/(1 + cos(2 pi/5)) equals 1/(2 cos(pi/5)); golden-ratio algebra
-        f = family("D")
-        amp = f.amplitude() * 5 / (2 * Enclosure.pi())
-        inv = 1 / (2 * cos_half_turns(Fraction(1, 5)))
-        assert amp.intersects(inv)
+        # |Pi| = cos(pi/5)/(1 + cos(2 pi/5)) = 1/(2 cos(pi/5)) by golden-ratio
+        # algebra, so Re S_r(D) = Re S_r(A) / (2 cos(pi/5)) in every class
+        inv = 1 / (2 * cos_pi(Fraction(1, 5)))
+        for r in range(5):
+            assert (class_constant("D", r) / class_constant("A", r)).intersects(inv)
 
     def test_min_n_guard(self):
         with pytest.raises(UsageError):
@@ -191,6 +200,57 @@ class TestMainTermAndBound:
         small = error_bound("A", 805)
         large = error_bound("A", 100000)
         assert large.strictly_greater(small)
+
+
+class TestDerivedMainTerm:
+    @pytest.mark.parametrize("name,omega,hs", [("A", -24, (1, 4)), ("B", 24, (2, 3)),
+                                               ("D", 0, (1, 4))])
+    def test_dominant_arcs(self, name, omega, hs):
+        data = main_term_data(registered_spec(name))
+        assert (data.k, data.delta, data.omega) == (5, 24, omega)
+        assert tuple(h for h, _, _ in data.arcs) == hs
+        assert main_term_data.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("name,phase", [("A", lambda r: Fraction(2 * r + 1, 5)),
+                                            ("B", lambda r: Fraction(2 * (2 * r - 1), 5))])
+    def test_class_constants_match_the_closed_form(self, name, phase):
+        # the level-5 families: Re S_r = -2 cos(pi phase(r)) in every class
+        for r in range(5):
+            assert class_constant(name, r).intersects(-2 * cos_pi(phase(r)))
+
+    def test_spec_off_the_certified_route_refused(self):
+        # c = 1/R dominates at k = 5 with Delta = 24/5; E(n) is stated for Delta = 24 only
+        assert main_term_data(registered_spec("c")).delta == Fraction(24, 5)
+        fam = FamilyModel("c", spec_name="c", residue=0, claimed_sign=1, error_const=one)
+        for call in (lambda: class_constant(fam, 0), lambda: main_term(fam, 100),
+                     lambda: error_bound(fam, 100),
+                     lambda: eventual_dominance_certificate(fam, 801)):
+            with pytest.raises(CertificateRefused, match="Delta = 24/5"):
+                call()
+
+
+def audit_violations(name: str, series: QSeries, indices) -> list[int]:
+    """Indices n where |a(n) - M(n)| < E(n) is not certified against the exact a(n)."""
+    bad = []
+    for n in indices:
+        diff = abs(Enclosure.from_fraction(series.coeffs[n]) - main_term(name, n))
+        if not diff.strictly_less(error_bound(name, n)):
+            bad.append(n)
+    return bad
+
+
+class TestAnalyticVsExact:
+    """The analytic model against exact coefficients, in every residue class."""
+
+    @pytest.mark.parametrize("name,fixture", [("A", "series_a_1000"), ("B", "series_b_1000")])
+    def test_level5_families_every_index_to_1000(self, name, fixture, request):
+        series = request.getfixturevalue(fixture)
+        assert audit_violations(name, series, range(20, 1001)) == []
+
+    def test_level25_family_up_to_the_finite_range(self, series_d_19501):
+        # a stride of 11 visits every residue; a main term at half this
+        # amplitude fails at 93 of these 137 indices, the first at n = 18440
+        assert audit_violations("D", series_d_19501, range(18000, 19502, 11)) == []
 
 
 class TestDominance:

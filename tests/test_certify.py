@@ -4,10 +4,16 @@ import json
 
 import pytest
 
+from qsign import certify as certify_mod
+from qsign.analytic import FAMILIES, CertificateRefused, FamilyModel
 from qsign.certify import (KNOWN_PATTERNS, TARGETS, CertifyResult, SignViolation,
-                           certificate_consistency, certify, richmond_szekeres_scan,
-                           verify_known_theorems)
-from qsign.qseries import slice_indices
+                           certify, richmond_szekeres_scan, verify_known_theorems)
+from qsign.enclosure import one
+from qsign.qseries import QSeries, expand_product, registered_spec, slice_indices
+
+
+def no_expansion(*args):
+    raise AssertionError("expanded before the binding check")
 
 
 class TestCertify:
@@ -52,14 +58,11 @@ class TestCertify:
         assert list(cert["finite"]) == ["lo", "hi", "trunc", "all_ok", "exceptions"]
         assert list(cert["asymptotic"]) == ["n0", "precision_bits", "main_lo",
                                             "bound_hi", "monotone_ok"]
-        assert list(cert["meta"]) == ["version", "seed", "hash"]
+        assert list(cert["meta"]) == ["version", "hash"]
 
     def test_unknown_target_lists_registered(self):
         with pytest.raises(KeyError, match="registered"):
             certify("Z9")
-
-    def test_modular_table_consistency(self, series_a_1000):
-        assert certificate_consistency(certify("A5n"))
 
     def test_violation_produces_invalid_partial_certificate(self, monkeypatch):
         # corrupt the expansion cache so one claimed-negative coefficient is positive
@@ -84,26 +87,57 @@ class TestTargetBinding:
         ({"residue": 1}, "residue 1 is not family A's class 0"),
         ({"sign": 1}, "claimed sign -1"),
         ({"finite_last_index": 800}, "before the dominance threshold 801"),
+        ({"spec_name": "B"}, "spec B is not family A's spec A"),
     ])
     def test_mismatched_target_refused_before_expansion(self, monkeypatch, change, match):
-        from qsign import certify as certify_mod
-
-        def no_expansion(*args):
-            raise AssertionError("expanded before the binding check")
-
         monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], **change))
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
         with pytest.raises(ValueError, match=match):
             certify("A5n")
 
-    def test_registered_targets_match_their_families(self):
-        from qsign.analytic import family
+    def test_sign_against_the_derived_main_term_refused(self, monkeypatch):
+        # family and target agree on +1, but Re S_0 of spec A is -2 cos(pi/5)
+        monkeypatch.setitem(FAMILIES, "A", dataclasses.replace(FAMILIES["A"], claimed_sign=1))
+        monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], sign=1))
+        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
+        with pytest.raises(ValueError, match="derived class constant"):
+            certify("A5n")
 
+    def test_spec_off_the_certified_route_refused(self, monkeypatch):
+        # c = 1/R dominates at k = 5 with Delta = 24/5, where no error bound is stated
+        monkeypatch.setitem(FAMILIES, "c", FamilyModel("c", "c", 0, 1, one))
+        monkeypatch.setitem(TARGETS, "c5n", dataclasses.replace(
+            TARGETS["A5n"], key="c5n", spec_name="c", family_name="c", sign=1))
+        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
+        with pytest.raises(CertificateRefused, match="Delta = 24/5"):
+            certify("c5n")
+
+    def test_registered_targets_match_their_families(self):
         for target in TARGETS.values():
-            fam = family(target.family_name)
+            fam = FAMILIES[target.family_name]
+            assert target.spec_name == fam.spec_name
             assert target.modulus == 5
             assert target.residue % 5 == fam.residue
             assert target.sign == fam.claimed_sign
+
+
+class TestExpansionCache:
+    def test_shorter_truncation_is_a_prefix_of_a_longer_one(self, series_a_1000, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("expanded although a longer expansion is cached")
+
+        # without an exact (A, 800) entry the (A, 1000) expansion serves it
+        monkeypatch.delitem(certify_mod._EXPANSION_CACHE, ("A", 800), raising=False)
+        monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
+        got = certify_mod.cached_expansion("A", 800)
+        assert ("A", 800) not in certify_mod._EXPANSION_CACHE
+        monkeypatch.undo()
+        assert got == expand_product(registered_spec("A"), 800)
+
+    def test_exact_entry_wins_over_a_longer_one(self, series_a_1000, monkeypatch):
+        fake = QSeries.one(800)
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, ("A", 800), fake)
+        assert certify_mod.cached_expansion("A", 800) is fake
 
 
 class TestKnownTheorems:

@@ -12,7 +12,7 @@ from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
                           farey_fractions, lemma_arc_integral, numeric_coefficients,
                           pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
                           theta_by_sum, transformed_arguments)
-from qsign.enclosure import Enclosure, cos_half_turns, precision
+from qsign.enclosure import Enclosure, precision
 from qsign.modular import phase_data, transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
 
@@ -250,7 +250,7 @@ class TestProductTransformation:
     def test_pi_value_matches_level25_amplitude(self):
         pd = phase_data(registered_spec("D"), 1, 5)
         val = pi_factor_value(pd.pi_factors).abs_enclosure()
-        closed = cos_half_turns(Fraction(1, 5)) / (1 + cos_half_turns(Fraction(2, 5)))
+        closed = (Enclosure.pi() / 5).cos() / (1 + (2 * Enclosure.pi() / 5).cos())
         assert val.intersects(closed)
 
 

@@ -156,7 +156,7 @@ def test_parser_covers_documented_flags():
 #: the flags each subcommand reads, and no others
 SUBCOMMAND_FLAGS = {
     "expand": {"--spec", "--spec-json", "--trunc", "--format", "--out"},
-    "certify": {"--target", "--precision", "--precision-cap", "--seed", "--out"},
+    "certify": {"--target", "--precision", "--precision-cap", "--out"},
     "delta": {"--spec", "--spec-json", "--format", "--out"},
     "dominance": {"--family", "--n", "--precision", "--precision-cap", "--out"},
     "xcheck": {"--identity", "--samples", "--precision", "--seed", "--workers", "--out"},
@@ -181,6 +181,7 @@ def test_each_subcommand_has_exactly_its_flags():
 @pytest.mark.parametrize("argv", [
     ["certify", "--target", "A5n", "--workers", "2"],
     ["expand", "--spec", "A", "--trunc", "5", "--precision", "96"],
+    ["certify", "--target", "A5n", "--seed", "1"],
 ])
 def test_unread_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
