@@ -1,24 +1,27 @@
 """Certified Bessel main terms, explicit error bounds and dominance checks.
 
-Main terms come from the spec's modular data (circle method for eta
-quotients: Rademacher 1937, Zuckerman 1939).  The Farey arcs h/k of the Lpos
-classes with maximal Delta/k^2 dominate, with class constants
+Every function here takes a registered spec name; the claims (which residue
+class, which sign) live in ``certify.TARGETS``.  Main terms come from the
+spec's modular data (circle method for eta quotients: Rademacher 1937,
+Zuckerman 1939).  The Farey arcs h/k of the Lpos classes with maximal
+Delta/k^2 dominate, with class constants
 c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
-``modular``).  For the families in scope they sit at k = 5 with Delta = 24:
+``modular``).  For specs A, B, C and D they sit at k = 5 with Delta = 24:
 
     M(n) = (2 pi/5) Re S_r x^{-1/2} I_1((4 pi/5) sqrt(x)),
     S_r = sum_h c_h e^{-2 pi i r h/5},   r = n mod 5,   x = n + Omega/24,
 
-the one-arc form ``circle.lemma_arc_integral`` checks.  The coefficient is
-M(n) plus an error of magnitude at most
+the one-arc form ``circle.lemma_arc_integral`` checks.  For A, B and D the
+coefficient is M(n) plus an error of magnitude at most
 
-    E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20),
+    E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20)
 
-C the paper's explicit constant (a short sum of powers of e).  Other k or
-Delta, where E is not stated, and an S_r not certified real are refused.
-Certified verdicts compare the enclosure of |M| against that of E: "true"
-only when the intervals separate strictly, "unknown" when they overlap at
-the working precision (callers escalate precision and retry).
+in every residue class, C the paper's explicit constant (a short sum of
+powers of e) in ``ERROR_CONSTANTS``.  Other k or Delta, a spec without a
+stated C, and an S_r not certified real are refused.  Certified verdicts
+compare the enclosure of |M| against that of E: "true" only when the
+intervals separate strictly, "unknown" when they overlap at the working
+precision (callers retry along ``precision_schedule``).
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
@@ -120,7 +123,7 @@ def wang_bounds_hold(x: Enclosure) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# main terms derived from the modular data, and the family models
+# main terms derived from the modular data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -157,17 +160,6 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
     return MainTermData(k, best * k * k, omega_exact(spec), arcs)
 
 
-@dataclass(frozen=True)
-class FamilyModel:
-    """One coefficient family: its spec, the claimed class and sign, the paper's E constant."""
-
-    name: str
-    spec_name: str
-    residue: int                    # residue class mod 5 carrying the claim
-    claimed_sign: int               # claimed sign of the coefficient there
-    error_const: Callable[[], Enclosure]  # the n-free part of E(n), built per call
-
-
 def _const_ab() -> Enclosure:
     # (2 e^54 + e^{8 pi} + 185) e^2
     c = 2 * Enclosure.exp_of(54) + (8 * Enclosure.pi()).exp() + 185
@@ -179,47 +171,35 @@ def _const_d() -> Enclosure:
     return Enclosure.exp_of(332) + Enclosure.exp_of(272) + (8 * Enclosure.pi() + 2).exp()
 
 
-FAMILIES: dict[str, FamilyModel] = {
-    "A": FamilyModel("A", spec_name="A", residue=0, claimed_sign=-1, error_const=_const_ab),
-    "B": FamilyModel("B", spec_name="B", residue=0, claimed_sign=-1, error_const=_const_ab),
-    "D": FamilyModel("D", spec_name="D", residue=1, claimed_sign=1, error_const=_const_d),
-}
+#: the paper's constant C of E(n) per spec, built per call at the working precision
+ERROR_CONSTANTS: dict[str, Callable[[], Enclosure]] = {"A": _const_ab, "B": _const_ab,
+                                                       "D": _const_d}
 
 
-def family(name_or_model: str | FamilyModel) -> FamilyModel:
-    if isinstance(name_or_model, FamilyModel):
-        return name_or_model
-    try:
-        return FAMILIES[name_or_model]
-    except KeyError:
-        raise UsageError(f"unknown family {name_or_model!r}; known: A, B, D") from None
-
-
-def _route(f: FamilyModel) -> MainTermData:
-    """The family's main-term data, refused unless k = 5 and Delta = 24 (where E is stated)."""
-    data = main_term_data(registered_spec(f.spec_name))
+def _route(spec_name: str) -> MainTermData:
+    """The spec's main-term data, refused unless k = 5 and Delta = 24 (where E is stated)."""
+    data = main_term_data(registered_spec(spec_name))
     if data.k != 5 or data.delta != 24:
-        raise CertificateRefused(f"family {f.name}: dominant arcs at k = {data.k} with "
+        raise CertificateRefused(f"spec {spec_name}: dominant arcs at k = {data.k} with "
                                  f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
     return data
 
 
-def _x_of(f: FamilyModel, n: int) -> Fraction:
-    x = n + _route(f).omega / 24
+def _x_of(spec_name: str, n: int) -> Fraction:
+    x = n + _route(spec_name).omega / 24
     if x <= 0:
-        raise UsageError(f"family {f.name} needs x = n + Omega/24 > 0, got {x} at n = {n}")
+        raise UsageError(f"spec {spec_name} needs x = n + Omega/24 > 0, got {x} at n = {n}")
     return x
 
 
-def class_constant(fam: str | FamilyModel, r: int) -> Enclosure:
+def class_constant(spec_name: str, r: int) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    f = family(fam)
-    data = _route(f)
+    data = _route(spec_name)
     s = ComplexHP.from_fractions(0)
     for h, t, pi_factors in data.arcs:
         s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
     if not s.im.contains(0):
-        raise CertificateRefused(f"family {f.name}: Im S_{r} = {s.im!r} excludes 0")
+        raise CertificateRefused(f"spec {spec_name}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
 
 
@@ -227,24 +207,26 @@ def class_constant(fam: str | FamilyModel, r: int) -> Enclosure:
 # main term and error bound
 # ---------------------------------------------------------------------------
 
-def main_term(fam: str | FamilyModel, n: int) -> Enclosure:
+def main_term(spec_name: str, n: int) -> Enclosure:
     """Enclosure of M(n) = (2 pi/5) Re S_r x^{-1/2} I_{-1}((4 pi/5) sqrt(x)), r = n mod 5."""
-    f = family(fam)
-    sx = Enclosure.from_fraction(_x_of(f, n)).sqrt()
+    sx = Enclosure.from_fraction(_x_of(spec_name, n)).sqrt()
     bessel = bessel_im1(4 * Enclosure.pi() / 5 * sx)
-    return 2 * Enclosure.pi() / 5 * class_constant(f, n % 5) * bessel / sx
+    return 2 * Enclosure.pi() / 5 * class_constant(spec_name, n % 5) * bessel / sx
 
 
-def error_bound(fam: str | FamilyModel, n: int) -> Enclosure:
+def error_bound(spec_name: str, n: int) -> Enclosure:
     """Upper enclosure of E(n) (module docstring); requires n >= 20.
 
-    C is (2 e^54 + e^{8 pi} + 185) e^2 for families A and B and
-    e^332 + e^272 + e^{8 pi + 2} for D; the finite exact check covers n < 20.
+    C is ``ERROR_CONSTANTS[spec_name]``; a spec the paper states no C for is
+    refused.  The finite exact check covers n < 20.
     """
-    f = family(fam)
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
-    return f.error_const() + _error_growth(Enclosure.from_fraction(_x_of(f, n)))
+    x = _x_of(spec_name, n)
+    if spec_name not in ERROR_CONSTANTS:
+        raise CertificateRefused(f"spec {spec_name}: no explicit error constant; "
+                                 f"stated for {', '.join(ERROR_CONSTANTS)}")
+    return ERROR_CONSTANTS[spec_name]() + _error_growth(Enclosure.from_fraction(x))
 
 
 def _error_growth(x: Enclosure) -> Enclosure:
@@ -254,7 +236,7 @@ def _error_growth(x: Enclosure) -> Enclosure:
 
 @dataclass(frozen=True)
 class DominanceResult:
-    family: str
+    spec: str
     n: int
     verdict: Verdict
     main: Enclosure
@@ -262,19 +244,14 @@ class DominanceResult:
     precision_bits: int
 
 
-def dominance(fam: str | FamilyModel, n: int) -> DominanceResult:
-    """Certified comparison |M(n)| > E(n) at index n in the family's residue class.
+def dominance(spec_name: str, n: int) -> DominanceResult:
+    """Certified comparison |M(n)| > E(n) at index n, in any residue class.
 
     True/False only when the enclosures separate strictly; "unknown" when
     they overlap at the current working precision.
     """
-    f = family(fam)
-    if n % 5 != f.residue:
-        raise UsageError(
-            f"family {f.name} certifies indices == {f.residue} (mod 5), got {n}"
-        )
-    m = main_term(f, n)
-    e = error_bound(f, n)
+    m = main_term(spec_name, n)
+    e = error_bound(spec_name, n)
     am = abs(m)
     if am.strictly_greater(e):
         verdict: Verdict = True
@@ -282,90 +259,99 @@ def dominance(fam: str | FamilyModel, n: int) -> DominanceResult:
         verdict = False
     else:
         verdict = "unknown"
-    return DominanceResult(f.name, n, verdict, m, e, iv.prec)
+    return DominanceResult(spec_name, n, verdict, m, e, iv.prec)
 
 
-def dominance_with_escalation(fam: str | FamilyModel, n: int,
-                              start_bits: int = 192,
-                              cap_bits: int = 1024) -> DominanceResult:
-    """Double precision on "unknown" verdicts up to the cap, then report."""
-    bits = start_bits
-    while True:
+#: the highest precision any escalation reaches
+PRECISION_CAP = 1024
+
+
+def precision_schedule(start_bits: int) -> tuple[int, ...]:
+    """The precisions to try in turn: start_bits, then doublings up to PRECISION_CAP.
+
+    A start outside [8, PRECISION_CAP] is refused here, before anything runs.
+    """
+    if not 8 <= start_bits <= PRECISION_CAP:
+        raise UsageError(f"precision {start_bits} bits outside [8, {PRECISION_CAP}]")
+    bits = [start_bits]
+    while bits[-1] < PRECISION_CAP:
+        bits.append(min(2 * bits[-1], PRECISION_CAP))
+    return tuple(bits)
+
+
+def dominance_with_escalation(spec_name: str, n: int, start_bits: int = 192) -> DominanceResult:
+    """``dominance`` along ``precision_schedule(start_bits)`` until the verdict is not "unknown"."""
+    for bits in precision_schedule(start_bits):
         with precision(bits):
-            res = dominance(fam, n)
-        if res.verdict != "unknown" or bits >= cap_bits:
-            return res
-        bits = min(2 * bits, cap_bits)
+            res = dominance(spec_name, n)
+        if res.verdict != "unknown":
+            break
+    return res
 
 
 # ---------------------------------------------------------------------------
 # eventual dominance
 # ---------------------------------------------------------------------------
 
-def wang_main_lower(fam: str | FamilyModel, n: int) -> Enclosure:
-    """Elementary lower bound for |M(n)| on the residue class via the e^x/sqrt(x) bound.
+def wang_main_lower(spec_name: str, n: int) -> Enclosure:
+    """Elementary lower bound for |M(n)| via the e^x/sqrt(x) bound.
 
     |M(n)| >= (2 pi/5) |Re S_r| x^{-1/2} * (1/10) e^y / sqrt(y),
-    y = (4 pi/5) sqrt(x); valid when y >= 3.
+    y = (4 pi/5) sqrt(x), r = n mod 5; valid when y >= 3.
     """
-    f = family(fam)
-    if n % 5 != f.residue:
-        raise UsageError("index outside the family's residue class")
-    x = Enclosure.from_fraction(_x_of(f, n))
+    x = Enclosure.from_fraction(_x_of(spec_name, n))
     y = 4 * Enclosure.pi() / 5 * x.sqrt()
     if y.lo < 3:
         raise UsageError("lower bound needs (4 pi/5) sqrt(x) >= 3")
-    return 2 * Enclosure.pi() / 5 * abs(class_constant(f, f.residue)) * wang_lower(y) / x.sqrt()
+    return 2 * Enclosure.pi() / 5 * abs(class_constant(spec_name, n % 5)) * wang_lower(y) / x.sqrt()
 
 
 @dataclass(frozen=True)
 class EventualDominanceCertificate:
     """Machine-checkable record: dominance at a threshold plus monotone extension.
 
-    The claim is |M(n)| > E(n) for every n >= n0 in the family's residue
-    class mod 5 (Re S_r is constant there).  ``first_index`` is
-    the smallest such n; the certified Wang-route comparison runs at
-    x0 = x(first_index).  ``monotone_ok`` certifies sqrt(x0) > 25/(4 pi)
-    (which implies the weaker 15/(8 pi) condition), under which both
+    The claim is |M(n)| > E(n) for every n >= n0 in one residue class mod 5
+    (Re S_r is constant there).  ``first_index`` is the smallest such n; the
+    certified Wang-route comparison runs at x0 = x(first_index).  A
+    certificate is only issued once sqrt(x0) > 25/(4 pi) is certified (which
+    implies the weaker 15/(8 pi) condition); under it both
     x^{-3/4} e^{(4 pi/5) sqrt(x)} / const and x^{-5/4} e^{(2 pi/5) sqrt(x)}
-    have positive log-derivative; the sum of their nonincreasing reciprocals
+    have positive log-derivative, the sum of their nonincreasing reciprocals
     is nonincreasing, so the ratio (Wang lower bound of |M|) / E is
     nondecreasing in x and the strict comparison at x0 extends to every
     later index in the class.
     """
 
-    family: str
+    spec: str
     n0: int
     first_index: int
     x0: Fraction
     wang_main_lo: str
     bound_hi: str
-    monotone_ok: bool
     precision_bits: int
-    issued: bool
 
 
-def eventual_dominance_certificate(fam: str | FamilyModel, n0: int) -> EventualDominanceCertificate:
-    f = family(fam)
+def eventual_dominance_certificate(spec_name: str, residue: int,
+                                   n0: int) -> EventualDominanceCertificate:
+    """Certify |M(n)| > E(n) for every n >= n0 with n = residue (mod 5), or refuse."""
     if n0 < 20:
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
-    first = n0 + (f.residue - n0) % 5
-    x0 = _x_of(f, first)
+    first = n0 + (residue - n0) % 5
+    x0 = _x_of(spec_name, first)
     # monotonicity precondition sqrt(x0) > 25/(4 pi), certified strictly
     lhs = Enclosure.from_fraction(Fraction(625, 16)) / (Enclosure.pi() * Enclosure.pi())
     if not lhs.strictly_less(Enclosure.from_fraction(x0)):
         raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
-    wang_lo = wang_main_lower(f, first)
-    bound = error_bound(f, first)
+    wang_lo = wang_main_lower(spec_name, first)
+    bound = error_bound(spec_name, first)
     if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
             f"Wang-route dominance at index {first} not certified "
             f"(lower {wang_lo!r} vs bound {bound!r})"
         )
     return EventualDominanceCertificate(
-        family=f.name, n0=n0, first_index=first, x0=x0,
-        wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
-        monotone_ok=True, precision_bits=iv.prec, issued=True,
+        spec=spec_name, n0=n0, first_index=first, x0=x0,
+        wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30), precision_bits=iv.prec,
     )
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import __version__
-from .analytic import (CertificateRefused, EventualDominanceCertificate, FamilyModel,
-                       class_constant, eventual_dominance_certificate, family)
+from .analytic import (CertificateRefused, class_constant, eventual_dominance_certificate,
+                       precision_schedule)
 from .enclosure import precision
 from .qseries import QSeries, expand_product, registered_spec, sign_exceptions
 
@@ -34,38 +35,37 @@ class SignViolation(AssertionError):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """One conjectured pattern: sign of spec coefficients on a residue class."""
+    """One claim: the sign of a spec's coefficients on a residue class mod 5.
 
+    The analytic layer is keyed by the spec; this record is the only place a
+    claim's residue class and sign are written down.
+    """
+
+    modulus: ClassVar[int] = 5
     key: str
     spec_name: str
     residue: int
-    modulus: int
     sign: int                  # +1 or -1
     start_index: int           # first index carrying the claim
-    finite_last_index: int     # last exactly-checked index
-    trunc_order: int
-    family_name: str
+    finite_last_index: int     # last exactly-checked index, also the truncation
     threshold_index: int       # certified dominance for class indices >= this
     statement: str
 
 
 TARGETS: dict[str, TargetSpec] = {
     "A5n": TargetSpec(
-        key="A5n", spec_name="A", residue=0, modulus=5, sign=-1,
-        start_index=5, finite_last_index=1000, trunc_order=1000,
-        family_name="A", threshold_index=801,
+        key="A5n", spec_name="A", residue=0, sign=-1,
+        start_index=5, finite_last_index=1000, threshold_index=801,
         statement="coefficients of 1/R^5 at indices 5n are negative for n >= 1",
     ),
     "B5n": TargetSpec(
-        key="B5n", spec_name="B", residue=0, modulus=5, sign=-1,
-        start_index=5, finite_last_index=1000, trunc_order=1000,
-        family_name="B", threshold_index=801,
+        key="B5n", spec_name="B", residue=0, sign=-1,
+        start_index=5, finite_last_index=1000, threshold_index=801,
         statement="coefficients of R^5 at indices 5n are negative for n >= 1",
     ),
     "D5n1": TargetSpec(
-        key="D5n1", spec_name="D", residue=1, modulus=5, sign=1,
-        start_index=1, finite_last_index=19501, trunc_order=19501,
-        family_name="D", threshold_index=19001,
+        key="D5n1", spec_name="D", residue=1, sign=1,
+        start_index=1, finite_last_index=19501, threshold_index=19001,
         statement="coefficients of R(q^5)/R^5(q) at indices 5n+1 are positive for n >= 0",
     ),
 }
@@ -95,7 +95,6 @@ class CertifyResult:
     certificate: dict
     ok: bool
     exit_code: int             # 0 certified, 2 sign violation, 3 dominance unknown
-    eventual: EventualDominanceCertificate | None
 
 
 def _canonical_json(cert: dict) -> str:
@@ -107,51 +106,40 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
-def _check_binding(target: TargetSpec, fam: FamilyModel) -> None:
-    """Refuse a target that its family model, or its derived main term, does not describe."""
-    if target.spec_name != fam.spec_name:
-        raise ValueError(f"target {target.key}: spec {target.spec_name} is not "
-                         f"family {fam.name}'s spec {fam.spec_name}")
-    if target.modulus != 5:
-        raise ValueError(f"target {target.key}: modulus {target.modulus}, "
-                         f"family models cover residue classes mod 5")
-    if target.residue % 5 != fam.residue:
-        raise ValueError(f"target {target.key}: residue {target.residue} is not "
-                         f"family {fam.name}'s class {fam.residue} (mod 5)")
-    if fam.claimed_sign != target.sign:
-        raise ValueError(f"target {target.key}: sign {target.sign} differs from "
-                         f"family {fam.name}'s claimed sign {fam.claimed_sign}")
+def _check_target(target: TargetSpec) -> None:
+    """Refuse a target whose finite range stops short of n0 or whose sign the main term denies."""
     if target.finite_last_index < target.threshold_index:
         raise ValueError(f"target {target.key}: finite range ends at "
                          f"{target.finite_last_index}, before the dominance "
                          f"threshold {target.threshold_index}")
-    const = class_constant(fam, fam.residue)
+    const = class_constant(target.spec_name, target.residue)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
-        raise ValueError(f"target {target.key}: sign {target.sign} is not the sign of "
-                         f"the derived class constant Re S = {const!r}")
+        raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
+                         f"{target.sign} is not the sign of the derived class constant "
+                         f"Re S = {const!r}")
 
 
-def certify(target_key: str, precision_bits: int = 192,
-            precision_cap: int = 1024) -> CertifyResult:
+def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     """Build the certificate for one registered target.
 
-    The target must match its family model (spec, modulus 5, residue class,
-    claimed and derived sign) and its finite range must reach the threshold;
-    otherwise it is refused before anything is expanded.  Then exact signs on
-    the finite range, then the eventual-dominance certificate at the threshold
-    (escalating precision on 'unknown' up to the cap).  Any exact sign
-    violation fails loudly with the violating index; a dominance verdict
-    stuck at 'unknown' at the precision cap is reported via exit code 3.
+    A precision outside ``precision_schedule``'s range, a finite range that
+    stops short of the threshold and a claimed sign that is not the sign of
+    the derived class constant are refused before anything is expanded.  Then
+    exact signs on the finite range, then the eventual-dominance certificate
+    at the threshold, retried along ``precision_schedule(precision_bits)``
+    while it is refused.  Any exact sign violation fails loudly with the
+    violating index; a dominance still refused at the last precision is
+    reported via exit code 3.
     """
     try:
         target = TARGETS[target_key]
     except KeyError:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown target {target_key!r}; registered: {known}") from None
-    fam = family(target.family_name)
-    _check_binding(target, fam)
+    schedule = precision_schedule(precision_bits)
+    _check_target(target)
     spec = registered_spec(target.spec_name)
-    series = cached_expansion(target.spec_name, target.trunc_order)
+    series = cached_expansion(target.spec_name, target.finite_last_index)
     exceptions = sign_exceptions(series, target.residue, target.modulus,
                                  target.start_index, target.finite_last_index, target.sign)
 
@@ -166,7 +154,7 @@ def certify(target_key: str, precision_bits: int = 192,
         "finite": {
             "lo": target.start_index,
             "hi": target.finite_last_index,
-            "trunc": target.trunc_order,
+            "trunc": target.finite_last_index,
             "all_ok": not exceptions,
             "exceptions": exceptions[:64],
         },
@@ -182,32 +170,28 @@ def certify(target_key: str, precision_bits: int = 192,
 
     if exceptions:
         cert["meta"]["invalid"] = f"sign violation at index {exceptions[0]}"
-        return CertifyResult(_finish(cert), ok=False, exit_code=2, eventual=None)
+        return CertifyResult(_finish(cert), ok=False, exit_code=2)
 
-    eventual = None
-    bits = precision_bits
-    last_refusal: str | None = None
-    while bits <= precision_cap:
+    for bits in schedule:
         try:
             with precision(bits):
-                eventual = eventual_dominance_certificate(fam, target.threshold_index)
+                eventual = eventual_dominance_certificate(target.spec_name, target.residue,
+                                                          target.threshold_index)
             break
         except CertificateRefused as exc:
-            last_refusal = str(exc)
-            if bits == precision_cap:
-                break
-            bits = min(2 * bits, precision_cap)
-    if eventual is None:
-        cert["meta"]["invalid"] = f"dominance not certified at {precision_cap} bits: {last_refusal}"
-        return CertifyResult(_finish(cert), ok=False, exit_code=3, eventual=None)
+            refusal = exc
+    else:
+        cert["meta"]["invalid"] = f"dominance not certified at {bits} bits: {refusal}"
+        return CertifyResult(_finish(cert), ok=False, exit_code=3)
 
+    # issuing the certificate is what certifies the monotone extension
     cert["asymptotic"].update({
         "precision_bits": eventual.precision_bits,
         "main_lo": eventual.wang_main_lo,
         "bound_hi": eventual.bound_hi,
-        "monotone_ok": eventual.monotone_ok,
+        "monotone_ok": True,
     })
-    return CertifyResult(_finish(cert), ok=True, exit_code=0, eventual=eventual)
+    return CertifyResult(_finish(cert), ok=True, exit_code=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ Subcommands and their flags (each flag is attached only where it is read):
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
 * ``certify``    build a sign-pattern certificate (exit 0/2/3);
-                 --target, --precision, --precision-cap, --out
+                 --target, --precision, --out
 * ``delta``      growth-exponent table per residue class;
                  --spec, --spec-json, --format (csv/json), --out
 * ``dominance``  certified main-term vs error-bound comparison at one index;
-                 --family, --n, --precision, --precision-cap, --out
+                 --family (a spec with an explicit error constant, the keys of
+                 ``analytic.ERROR_CONSTANTS``), --n, --precision, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
                  --identity, --samples, --precision, --seed, --workers, --out
 * ``bench``      time the exact expansion engine and report its pass counts
@@ -18,9 +19,12 @@ Subcommands and their flags (each flag is attached only where it is read):
 Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  All randomness is driven by --seed.
 ``--precision`` defaults to ``enclosure.DEFAULT_PRECISION``, which the
-QSIGN_PRECISION environment variable overrides.  Precision is scoped per
-call (``certify``, ``dominance_with_escalation`` and each xcheck sample set
-their own); ``main`` sets none, and expand, delta and bench are exact.
+QSIGN_PRECISION environment variable overrides; a value outside
+[8, ``analytic.PRECISION_CAP``] is a usage error (exit 2).  ``certify`` and
+``dominance`` start there and double up to the cap while undecided.
+Precision is scoped per call (``certify``, ``dominance_with_escalation`` and
+each xcheck sample set their own); ``main`` sets none, and expand, delta and
+bench are exact.
 
 The delta tables are one call per spec::
 
@@ -47,6 +51,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
+from .analytic import ERROR_CONSTANTS, PRECISION_CAP, dominance_with_escalation
 from .enclosure import DEFAULT_PRECISION, precision
 from .qseries import (ProductSpec, REGISTERED_SPECS, expand_product, iter_csv_rows,
                       pass_plan, registered_spec)
@@ -114,8 +119,7 @@ def cmd_expand(args) -> int:
 def cmd_certify(args) -> int:
     from .certify import certify
 
-    result = certify(args.target, precision_bits=args.precision,
-                     precision_cap=args.precision_cap)
+    result = certify(args.target, precision_bits=args.precision)
     _write_json(args, result.certificate)
     if result.ok:
         _note(f"target {args.target}: certified")
@@ -143,12 +147,9 @@ def cmd_delta(args) -> int:
 
 
 def cmd_dominance(args) -> int:
-    from .analytic import dominance_with_escalation
-
-    res = dominance_with_escalation(args.family, args.n, start_bits=args.precision,
-                                    cap_bits=args.precision_cap)
+    res = dominance_with_escalation(args.family, args.n, start_bits=args.precision)
     payload = {
-        "family": res.family,
+        "family": res.spec,
         "n": res.n,
         "main_lo": res.main.str_lo(25),
         "main_hi": res.main.str_hi(25),
@@ -297,7 +298,7 @@ def cmd_xcheck(args) -> int:
     payload = {
         "identity": args.identity,
         "samples": args.samples,
-        "max_residual": max(residuals) if residuals else 0.0,
+        "max_residual": max(residuals),
         "precision_bits": args.precision,
         "seed": args.seed,
         "elapsed_s": round(time.perf_counter() - t0, 3),
@@ -322,6 +323,20 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _precision_bits(text: str) -> int:
+    bits = int(text)
+    if not 8 <= bits <= PRECISION_CAP:
+        raise argparse.ArgumentTypeError(f"{bits} bits is outside [8, {PRECISION_CAP}]")
+    return bits
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsign",
@@ -334,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec": dict(default=None, help="registered spec name"),
         "--spec-json": dict(default=None,
                             help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file'),
-        "--precision": dict(type=int, default=DEFAULT_PRECISION,
+        # a string default goes through the type check too, so QSIGN_PRECISION is range-checked
+        "--precision": dict(type=_precision_bits, default=str(DEFAULT_PRECISION),
                             help=f"working precision in bits (default {DEFAULT_PRECISION}, "
                                  f"set by QSIGN_PRECISION)"),
-        "--precision-cap": dict(type=int, default=1024),
         "--seed": dict(type=int, default=20250810, help="RNG seed"),
         "--out": dict(default=None, help="output path (default stdout)"),
     }
@@ -356,16 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", "--spec-json", "--out")
     add("certify", "build a sign-pattern certificate", cmd_certify,
         {"--target": dict(required=True, help="A5n, B5n or D5n1")},
-        "--precision", "--precision-cap", "--out")
+        "--precision", "--out")
     add("delta", "growth exponent table per residue class", cmd_delta,
         {"--format": dict(choices=("csv", "json"), default="csv")},
         "--spec", "--spec-json", "--out")
     add("dominance", "main term vs error bound at one index", cmd_dominance,
-        {"--family": dict(required=True, choices=("A", "B", "D")),
+        {"--family": dict(required=True, choices=tuple(ERROR_CONSTANTS)),
          "--n": dict(type=int, required=True)},
-        "--precision", "--precision-cap", "--out")
+        "--precision", "--out")
     add("xcheck", "randomized identity residual checks", cmd_xcheck,
-        {"--identity": dict(required=True), "--samples": dict(type=int, default=100),
+        {"--identity": dict(required=True), "--samples": dict(type=_positive_int, default=100),
          "--workers": dict(type=int, default=os.cpu_count() or 1)},
         "--precision", "--seed", "--out")
     add("bench", "time the exact expansion engine", cmd_bench,

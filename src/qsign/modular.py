@@ -300,13 +300,17 @@ def delta_of(spec: ProductSpec, aleph: int, l: int) -> Fraction:
 
 
 def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
-    total = Fraction(0)
+    """Delta at the fraction h/k, in integers: -sum_j delta_j (2 d^2 + 12 u (u - d)) / m_j.
+
+    u = lam d - r h = (-r h) mod d is the integer with lam* = u/d, so that
+    d^2 (lam*^2 - lam*) = u (u - d); the numerators are summed per modulus.
+    """
+    numerators: dict[int, int] = {}
     for r, m, delta in spec.factors:
         d = gcd(m, k)
-        _, lam_star = lambda_pair(m, r, h, k)
-        quad = lam_star * lam_star - lam_star
-        total -= delta * (Fraction(2 * d * d, m) + Fraction(12 * d * d, m) * quad)
-    return total
+        u = -r * h % d
+        numerators[m] = numerators.get(m, 0) - delta * (2 * d * d + 12 * u * (u - d))
+    return sum((Fraction(num, m) for m, num in numerators.items()), Fraction(0))
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:

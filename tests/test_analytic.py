@@ -5,14 +5,18 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsign.analytic import (CertificateRefused, FamilyModel, UsageError, bessel_im1,
+from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
                             class_constant, colored_partition_majorant, dominance,
                             dominance_with_escalation, error_bound,
-                            eventual_dominance_certificate, family, main_term,
-                            main_term_data, majorization_check, wang_bounds_hold,
+                            eventual_dominance_certificate, main_term, main_term_data,
+                            majorization_check, precision_schedule, wang_bounds_hold,
                             wang_lower, wang_main_lower, wang_upper)
-from qsign.enclosure import Enclosure, mpf_to_fraction, one, precision
+from qsign.certify import TARGETS
+from qsign.enclosure import Enclosure, mpf_to_fraction, precision
 from qsign.qseries import expand_pochhammer, ps_inv, ps_mul, QSeries, registered_spec
+
+#: the registered claim on each spec that carries one
+CLAIMS = {target.spec_name: target for target in TARGETS.values()}
 
 
 def cos_pi(t: Fraction) -> Enclosure:
@@ -123,14 +127,14 @@ class TestDirectedDecimalStrings:
     @pytest.mark.parametrize("fam,n0", [("A", 801), ("B", 801), ("D", 19001)])
     def test_certificate_endpoints(self, fam, n0):
         with precision(192):
-            first = eventual_dominance_certificate(fam, n0).first_index
+            first = eventual_dominance_certificate(fam, CLAIMS[fam].residue, n0).first_index
             for e in (wang_main_lower(fam, first), error_bound(fam, first)):
                 self.assert_outward(e, 30)
 
     def test_certificate_strings_round_outward(self):
         # round-to-nearest gives ...707681e+144 for the bound here
         with precision(192):
-            cert = eventual_dominance_certificate("D", 19001)
+            cert = eventual_dominance_certificate("D", 1, 19001)
         assert cert.wang_main_lo.endswith("132685e+145")
         assert cert.bound_hi.endswith("707682e+144")
 
@@ -166,10 +170,10 @@ class TestMainTermAndBound:
         closed = {"A": lambda: -2 * cos_pi(Fraction(1, 5)),
                   "B": lambda: -2 * cos_pi(Fraction(2, 5)),
                   "D": lambda: cos_pi(Fraction(2, 5)) / cos_pi(Fraction(1, 5))}[name]
-        f = family(name)
-        const = class_constant(name, f.residue)
+        claim = CLAIMS[name]
+        const = class_constant(name, claim.residue)
         assert isinstance(const, Enclosure) and const.intersects(closed())
-        assert const.is_positive() if f.claimed_sign > 0 else const.is_negative()
+        assert const.is_positive() if claim.sign > 0 else const.is_negative()
 
     def test_amplitude_constant_of_level25_family(self):
         # |Pi| = cos(pi/5)/(1 + cos(2 pi/5)) = 1/(2 cos(pi/5)) by golden-ratio
@@ -221,11 +225,19 @@ class TestDerivedMainTerm:
     def test_spec_off_the_certified_route_refused(self):
         # c = 1/R dominates at k = 5 with Delta = 24/5; E(n) is stated for Delta = 24 only
         assert main_term_data(registered_spec("c")).delta == Fraction(24, 5)
-        fam = FamilyModel("c", spec_name="c", residue=0, claimed_sign=1, error_const=one)
-        for call in (lambda: class_constant(fam, 0), lambda: main_term(fam, 100),
-                     lambda: error_bound(fam, 100),
-                     lambda: eventual_dominance_certificate(fam, 801)):
+        for call in (lambda: class_constant("c", 0), lambda: main_term("c", 100),
+                     lambda: error_bound("c", 100),
+                     lambda: eventual_dominance_certificate("c", 0, 801)):
             with pytest.raises(CertificateRefused, match="Delta = 24/5"):
+                call()
+
+    def test_spec_without_an_error_constant_refused(self):
+        # C is on the route (k = 5, Delta = 24) but the paper states no E(n) for it
+        assert main_term_data(registered_spec("C")).delta == 24
+        assert isinstance(main_term("C", 100), Enclosure)
+        for call in (lambda: error_bound("C", 100), lambda: dominance("C", 100),
+                     lambda: eventual_dominance_certificate("C", 0, 801)):
+            with pytest.raises(CertificateRefused, match="no explicit error constant"):
                 call()
 
 
@@ -265,11 +277,13 @@ class TestDominance:
     def test_level25_family_at_19006(self):
         res = dominance_with_escalation("D", 19006)
         assert res.verdict is True
-        assert res.precision_bits <= 1024
+        assert res.precision_bits <= PRECISION_CAP
 
-    def test_wrong_residue_class_rejected(self):
-        with pytest.raises(UsageError):
-            dominance("A", 803)
+    def test_unclaimed_residue_class(self, series_a_1000):
+        # E(n) bounds |a(n) - M(n)| in every class, so dominance has the sign of a(n)
+        res = dominance("A", 803)
+        assert res.verdict is True and res.spec == "A"
+        assert res.main.is_positive() and series_a_1000.coeffs[803] > 0
 
     def test_small_indices_not_dominant(self):
         # far below the threshold the bound exceeds the main term
@@ -277,17 +291,30 @@ class TestDominance:
         assert res.verdict is False
 
 
+class TestPrecisionSchedule:
+    def test_doublings_up_to_the_cap(self):
+        assert list(precision_schedule(192)) == [192, 384, 768, 1024]
+        assert list(precision_schedule(1024)) == [PRECISION_CAP] == [1024]
+        assert list(precision_schedule(8)) == [8, 16, 32, 64, 128, 256, 512, 1024]
+
+    @pytest.mark.parametrize("bits", [7, 1025, 2048])
+    def test_out_of_range_start_refused(self, bits):
+        with pytest.raises(UsageError, match="outside"):
+            precision_schedule(bits)
+        with pytest.raises(UsageError, match="outside"):
+            dominance_with_escalation("A", 805, start_bits=bits)
+
+
 class TestEventualDominance:
     def test_certificates_issue_at_documented_thresholds(self):
         for fam, n0 in (("A", 801), ("B", 801), ("D", 19001)):
-            cert = eventual_dominance_certificate(fam, n0)
-            assert cert.issued and cert.monotone_ok
-            assert cert.n0 == n0
-            assert cert.first_index % 5 == family(fam).residue
+            cert = eventual_dominance_certificate(fam, CLAIMS[fam].residue, n0)
+            assert cert.spec == fam and cert.n0 == n0
+            assert cert.first_index % 5 == CLAIMS[fam].residue
 
     def test_first_index_alignment(self):
-        cert = eventual_dominance_certificate("A", 801)
-        assert cert.first_index == 805
+        assert eventual_dominance_certificate("A", 0, 801).first_index == 805
+        assert eventual_dominance_certificate("A", 3, 801).first_index == 803
 
     def test_wang_route_weaker_than_sharp_enclosure(self):
         lo = wang_main_lower("A", 805)
@@ -296,11 +323,11 @@ class TestEventualDominance:
 
     def test_refusal_below_validity(self):
         with pytest.raises(CertificateRefused):
-            eventual_dominance_certificate("A", 15)
+            eventual_dominance_certificate("A", 0, 15)
 
     def test_refusal_when_not_dominant(self):
         with pytest.raises(CertificateRefused):
-            eventual_dominance_certificate("A", 100)
+            eventual_dominance_certificate("A", 0, 100)
 
     def test_constant_chain_margin(self):
         # e^50 * 2^5 / |1 - e^{2 pi i/5}|^5 < e^54, the shortcut constant:

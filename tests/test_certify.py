@@ -5,15 +5,22 @@ import json
 import pytest
 
 from qsign import certify as certify_mod
-from qsign.analytic import FAMILIES, CertificateRefused, FamilyModel
-from qsign.certify import (KNOWN_PATTERNS, TARGETS, CertifyResult, SignViolation,
-                           certify, richmond_szekeres_scan, verify_known_theorems)
-from qsign.enclosure import one
+from qsign.analytic import CertificateRefused, UsageError
+from qsign.certify import (KNOWN_PATTERNS, TARGETS, SignViolation, certify,
+                           richmond_szekeres_scan, verify_known_theorems)
 from qsign.qseries import QSeries, expand_product, registered_spec, slice_indices
 
 
 def no_expansion(*args):
-    raise AssertionError("expanded before the binding check")
+    raise AssertionError("expanded before the target check")
+
+
+#: certificate hashes of the three registered targets at the default 192 bits
+CERTIFICATE_HASHES = {
+    "A5n": "9dde866ab036695ecc0e19336b4c0d94ab97018145f61516e5cb3656c6122f0f",
+    "B5n": "9d94589116c3160086aab4532feb9125c0dfae30cc91e44059c70f1e48dc1c1f",
+    "D5n1": "b31b2266748a04247da9a4c8f6aaeb0200e1949ed22b2f83e45a049f4dd1d314",
+}
 
 
 class TestCertify:
@@ -35,6 +42,10 @@ class TestCertify:
     def test_no_gap_between_finite_and_asymptotic(self):
         for key, target in TARGETS.items():
             assert target.finite_last_index >= target.threshold_index
+
+    def test_certificate_hashes_pinned(self, series_a_1000, series_b_1000, series_d_19501):
+        for key, digest in CERTIFICATE_HASHES.items():
+            assert certify(key).certificate["meta"]["hash"] == digest, key
 
     def test_certificates_reproducible(self, series_a_1000):
         a = certify("A5n")
@@ -83,11 +94,12 @@ class TestCertify:
 
 class TestTargetBinding:
     @pytest.mark.parametrize("change,match", [
-        ({"modulus": 10}, "modulus 10"),
-        ({"residue": 1}, "residue 1 is not family A's class 0"),
-        ({"sign": 1}, "claimed sign -1"),
-        ({"finite_last_index": 800}, "before the dominance threshold 801"),
-        ({"spec_name": "B"}, "spec B is not family A's spec A"),
+        pytest.param({"residue": 1}, "residue 1, claimed sign -1 is not the sign of the derived "
+                     "class constant", id="change1-residue 1"),
+        pytest.param({"sign": 1}, "claimed sign 1 is not the sign of the derived class constant",
+                     id="change2-claimed sign 1"),
+        pytest.param({"finite_last_index": 800}, "before the dominance threshold 801",
+                     id="change3-before the dominance threshold 801"),
     ])
     def test_mismatched_target_refused_before_expansion(self, monkeypatch, change, match):
         monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], **change))
@@ -95,30 +107,19 @@ class TestTargetBinding:
         with pytest.raises(ValueError, match=match):
             certify("A5n")
 
-    def test_sign_against_the_derived_main_term_refused(self, monkeypatch):
-        # family and target agree on +1, but Re S_0 of spec A is -2 cos(pi/5)
-        monkeypatch.setitem(FAMILIES, "A", dataclasses.replace(FAMILIES["A"], claimed_sign=1))
-        monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], sign=1))
-        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
-        with pytest.raises(ValueError, match="derived class constant"):
-            certify("A5n")
-
     def test_spec_off_the_certified_route_refused(self, monkeypatch):
         # c = 1/R dominates at k = 5 with Delta = 24/5, where no error bound is stated
-        monkeypatch.setitem(FAMILIES, "c", FamilyModel("c", "c", 0, 1, one))
         monkeypatch.setitem(TARGETS, "c5n", dataclasses.replace(
-            TARGETS["A5n"], key="c5n", spec_name="c", family_name="c", sign=1))
+            TARGETS["A5n"], key="c5n", spec_name="c", sign=1))
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
         with pytest.raises(CertificateRefused, match="Delta = 24/5"):
             certify("c5n")
 
-    def test_registered_targets_match_their_families(self):
-        for target in TARGETS.values():
-            fam = FAMILIES[target.family_name]
-            assert target.spec_name == fam.spec_name
-            assert target.modulus == 5
-            assert target.residue % 5 == fam.residue
-            assert target.sign == fam.claimed_sign
+    @pytest.mark.parametrize("bits", [7, 2048])
+    def test_precision_outside_the_schedule_refused(self, monkeypatch, bits):
+        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
+        with pytest.raises(UsageError, match="outside"):
+            certify("A5n", bits)
 
 
 class TestExpansionCache:

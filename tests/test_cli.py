@@ -122,6 +122,9 @@ class TestPrecisionControls:
         res = run_cli(["dominance", "--family", "A", "--n", "805"], env=env)
         payload = json.loads(res.stdout)
         assert payload["precision_bits"] == 96
+        env["QSIGN_PRECISION"] = "2048"
+        res = run_cli(["dominance", "--family", "A", "--n", "805"], env=env)
+        assert res.returncode == 2 and "2048 bits is outside [8, 1024]" in res.stderr
 
     def test_flag_beats_default(self):
         res = run_cli(["dominance", "--family", "A", "--n", "805",
@@ -156,9 +159,9 @@ def test_parser_covers_documented_flags():
 #: the flags each subcommand reads, and no others
 SUBCOMMAND_FLAGS = {
     "expand": {"--spec", "--spec-json", "--trunc", "--format", "--out"},
-    "certify": {"--target", "--precision", "--precision-cap", "--out"},
+    "certify": {"--target", "--precision", "--out"},
     "delta": {"--spec", "--spec-json", "--format", "--out"},
-    "dominance": {"--family", "--n", "--precision", "--precision-cap", "--out"},
+    "dominance": {"--family", "--n", "--precision", "--out"},
     "xcheck": {"--identity", "--samples", "--precision", "--seed", "--workers", "--out"},
     "bench": {"--spec", "--spec-json", "--trunc"},
 }
@@ -187,3 +190,19 @@ def test_unread_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "A5n", "--precision", "2048"],
+    ["certify", "--target", "A5n", "--precision", "7"],
+    ["dominance", "--family", "A", "--n", "805", "--precision", "1025"],
+    ["xcheck", "--identity", "psi", "--precision", "4"],
+    ["xcheck", "--identity", "psi", "--samples", "0"],
+    ["xcheck", "--identity", "psi", "--samples", "-3"],
+    ["dominance", "--family", "C", "--n", "805"],
+])
+def test_out_of_range_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err

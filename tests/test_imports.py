@@ -1,8 +1,10 @@
-"""Unused-import guard for the package and the scripts.
+"""Unused-import and dead-private-name guards for the package and the scripts.
 
 Every name a module imports (``from __future__`` excluded) must be loaded
 somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
-``mpmath``.
+``mpmath``.  Likewise every module-level private name (``_name``: a function,
+a class or an assignment target) in the package must be loaded in its own
+module, so a helper that a change leaves without a caller is caught.
 """
 
 import ast
@@ -11,7 +13,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "qsign").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "qsign").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,10 +32,26 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    loaded = {node.id for node in ast.walk(tree)
-              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loaded = loaded_names(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in loaded]
+
+
+def dead_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        defined[sub.id] = node.lineno
+    loaded = loaded_names(tree)
+    return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda kv: kv[1])
+            if name.startswith("_") and not name.startswith("__") and name not in loaded]
 
 
 def test_guard_sees_an_unused_import():
@@ -39,3 +63,16 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_sees_a_dead_private_name():
+    source = ("def _used():\n    pass\n\ndef _dead():\n    _used()\n\n"
+              "class _Gone:\n    pass\n\n_TABLE, public = {}, 1\n_LIMIT: int = 3\n"
+              "__all__ = []\n")
+    assert dead_private_names(source) == ["line 4: _dead", "line 7: _Gone",
+                                          "line 10: _TABLE", "line 11: _LIMIT"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []

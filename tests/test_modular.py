@@ -25,6 +25,17 @@ def dedekind_by_sawtooth(d: int, c: int) -> Fraction:
                 for n in range(1, c)), Fraction(0))
 
 
+def delta_by_lambda_star(spec: ProductSpec, h: int, k: int) -> Fraction:
+    """Delta(h/k) = -sum_j delta_j (2 d^2/m + 12 d^2/m (lam*^2 - lam*)) in Fractions."""
+    total = Fraction(0)
+    for r, m, delta in spec.factors:
+        d = gcd(m, k)
+        _, lam_star = lambda_pair(m, r, h, k)
+        quad = lam_star * lam_star - lam_star
+        total -= delta * (Fraction(2 * d * d, m) + Fraction(12 * d * d, m) * quad)
+    return total
+
+
 class TestSawtooth:
     def test_integer(self):
         assert sawtooth(3) == 0
@@ -199,6 +210,19 @@ class TestGrowthExponents:
             h = aleph + l * rng.randint(0, max(1, k // l))
             if 0 <= h < k and gcd(h, k) == 1:
                 assert delta_at(spec, h, k) == ref
+
+    def test_integer_delta_matches_the_lambda_star_formula(self):
+        rng = random.Random(20251018)
+        specs = [registered_spec(name) for name in ("A", "B", "C", "D", "c", "d")]
+        for _ in range(12):
+            raw = [(rng.choice([5, 10, 25]), rng.randint(1, 24),
+                    rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 3))]
+            specs.append(ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw)))
+        for spec in specs:
+            for k in range(1, 51):
+                for h in range(k):
+                    if gcd(h, k) == 1:
+                        assert delta_at(spec, h, k) == delta_by_lambda_star(spec, h, k), (spec, h, k)
 
     def test_table_rows_sorted_and_flagged(self):
         rows = list(delta_table_rows("A", registered_spec("A")))
