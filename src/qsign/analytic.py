@@ -43,8 +43,7 @@ from typing import Callable, Literal, Union
 
 from .circle import ComplexHP, e_pi_i_half_turns, pi_factor_value
 from .enclosure import Enclosure, iv, one, precision, zero
-from .modular import (class_representative, delta_at, lpos_set, omega_exact, phase_data,
-                      transform_data)
+from .modular import _class_deltas, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
 Verdict = Union[bool, Literal["unknown"]]
@@ -142,10 +141,8 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
 
     k is the classes' smallest denominator, which they must share.
     """
-    ranked = []
-    for aleph, l in lpos_set(spec):
-        h, k = class_representative(spec, aleph, l)
-        ranked.append((delta_at(spec, h, k) / (k * k), k, l, aleph))
+    ranked = [(dv / (k * k), k, l, aleph)
+              for aleph, l, _, k, dv in _class_deltas(spec) if dv > 0]
     if not ranked:
         raise CertificateRefused("no class with Delta > 0: the coefficients do not grow")
     best = max(ranked)[0]
@@ -154,9 +151,8 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
         raise CertificateRefused(f"dominant arcs at several denominators: {sorted(dominant)}")
     k, l, _ = min(dominant)
     alephs = {aleph for _, _, aleph in dominant}
-    arcs = tuple((h, transform_data(spec, h, k).prefactor_phase().t,
-                  phase_data(spec, h, k).pi_factors)
-                 for h in range(k) if gcd(h, k) == 1 and h % l in alephs)
+    tds = [transform_data(spec, h, k) for h in range(k) if gcd(h, k) == 1 and h % l in alephs]
+    arcs = tuple((td.h, td.prefactor_phase().t, td.pi_factors()) for td in tds)
     return MainTermData(k, best * k * k, omega_exact(spec), arcs)
 
 

@@ -10,7 +10,8 @@ Subcommands and their flags (each flag is attached only where it is read):
                  --spec, --spec-json, --format (csv/json), --out
 * ``dominance``  certified main-term vs error-bound comparison at one index;
                  --family (a spec with an explicit error constant, the keys of
-                 ``analytic.ERROR_CONSTANTS``), --n, --precision, --out
+                 ``analytic.ERROR_CONSTANTS``), --n (outside the error bound's
+                 range: a usage error, exit 2), --precision, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
                  --identity, --samples, --precision, --seed, --workers, --out
 * ``bench``      time the exact expansion engine and report its pass counts
@@ -51,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .analytic import ERROR_CONSTANTS, PRECISION_CAP, dominance_with_escalation
+from .analytic import ERROR_CONSTANTS, PRECISION_CAP, UsageError, dominance_with_escalation
 from .enclosure import DEFAULT_PRECISION, precision
 from .qseries import (ProductSpec, REGISTERED_SPECS, expand_product, iter_csv_rows,
                       pass_plan, registered_spec)
@@ -129,14 +130,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    from .modular import delta_table_rows, lpos_set, omega_of
+    from .modular import delta_table_rows, omega_of
 
     name, spec = _parse_spec(args)
     rows = list(delta_table_rows(name, spec))
     with _output(args) as out:
         if args.format == "json":
             json.dump({"spec": name, "omega": str(omega_of(spec)),
-                       "lpos": sorted(lpos_set(spec)), "rows": rows}, out, default=str)
+                       "lpos": sorted((r["aleph"], r["l"]) for r in rows if r["in_Lpos"]),
+                       "rows": rows}, out, default=str)
             out.write("\n")
         else:
             cols = list(rows[0].keys())
@@ -147,7 +149,10 @@ def cmd_delta(args) -> int:
 
 
 def cmd_dominance(args) -> int:
-    res = dominance_with_escalation(args.family, args.n, start_bits=args.precision)
+    try:
+        res = dominance_with_escalation(args.family, args.n, start_bits=args.precision)
+    except UsageError as exc:  # n outside the bound's range (argparse has checked --precision)
+        raise argparse.ArgumentError(None, f"argument --n: {exc}") from None
     payload = {
         "family": res.spec,
         "n": res.n,
@@ -391,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:  # a value argparse cannot check on its own
+        build_parser().error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,19 @@ fraction h/k and a factor modulus m, the ceiling data (lambda, lambda*), the
 growth exponents Omega and Delta, the root-of-unity phases omega, Upsilon and
 the finite product Pi over factors with lambda* = 0.
 
+The layer computes in integers and builds one ``Fraction`` per output, from
+an integer numerator over a known denominator: a Dedekind sum is 6c s(d, c)
+over 6c, the per-factor fields come from d, m', k', hbar, b, lambda and
+u = lambda d - r h (so lambda* = u/d), and the exponents summed over the
+factors use the common denominator L k (L the level) or 6k.  Per factor,
+
+    Upsilon:  delta [r h m - r d + 2 r u + hbar d m (lambda^2 - lambda)]/(m k),
+    omega:    -delta s(m'h, k')  = -delta (6k' s(m'h, k')) d/(6k),
+    Delta:    -delta (2 d^2 + 12 u (u - d))/m.
+
+The definitional ``Fraction`` forms (``lambda_pair`` and the formulas in the
+docstrings) are kept as the test oracle.
+
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
 d = gcd(m, k), m = d m', k = d k'.  The attached matrix is
 
@@ -64,10 +77,16 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    d %= c
-    if gcd(d, c) != 1 and c > 1:
+    if c > 1 and gcd(d, c) != 1:
         raise NotCoprimeError(f"gcd({d}, {c}) != 1")
-    # s = num/den over the common denominator prod 12dc; one Fraction at the end
+    return Fraction(_dedekind_6c(d, c), 6 * c)
+
+
+def _dedekind_6c(d: int, c: int) -> int:
+    """6c s(d, c), an integer for gcd(d, c) = 1 (unchecked here), by the recursion above."""
+    c0 = c
+    d %= c
+    # s = num/den over the common denominator prod 12dc
     num, den, sign = 0, 1, 1
     while c > 1:
         t = 12 * d * c
@@ -75,7 +94,10 @@ def dedekind_sum(d: int, c: int) -> Fraction:
         den *= t
         d, c = c % d, d
         sign = -sign
-    return Fraction(num, den)
+    out, rem = divmod(6 * c0 * num, den)
+    if rem:
+        raise ArithmeticError(f"6c s(d, c) is not an integer at c = {c0}")
+    return out
 
 
 def dedekind_sum_direct(d: int, c: int) -> Fraction:
@@ -138,17 +160,22 @@ class GammaMatrix:
         return t % 2
 
 
-def hbar_of(m: int, h: int, k: int) -> int:
-    """Smallest nonnegative hbar with hbar * m'h = -1 (mod k'); 0 when k' = 1."""
+def _check_fraction(h: int, k: int) -> None:
     if not (0 <= h < k):
         raise ValueError("need 0 <= h < k")
     if gcd(h, k) != 1:
         raise NotCoprimeError(f"gcd({h}, {k}) != 1")
+
+
+def _hbar(mp: int, h: int, kp: int) -> int:
+    return 0 if kp == 1 else -pow(mp * h % kp, -1, kp) % kp
+
+
+def hbar_of(m: int, h: int, k: int) -> int:
+    """Smallest nonnegative hbar with hbar * m'h = -1 (mod k'); 0 when k' = 1."""
+    _check_fraction(h, k)
     d = gcd(m, k)
-    mp, kp = m // d, k // d
-    if kp == 1:
-        return 0
-    return (-pow(mp * h % kp, -1, kp)) % kp
+    return _hbar(m // d, h, k // d)
 
 
 def gamma_of(m: int, h: int, k: int) -> GammaMatrix:
@@ -197,18 +224,28 @@ class FactorTransform:
 
 def factor_transform(r: int, m: int, delta: int, h: int, k: int,
                      hbar_offset: int = 0) -> FactorTransform:
+    """The factor's data in integers, each Fraction field built once.
+
+    With u = lambda d - r h (so lambda* = u/d, lambda = ceil(rh/d)):
+    sigma_const = (r d + lambda hbar d m)/(m k), sigma_wcoef = u d/(m k),
+    tau_const = hbar d/k and tau_wcoef = d^2/(m k).
+    """
+    if not 1 <= r < m:
+        raise ValueError("need 1 <= r < m")
+    _check_fraction(h, k)
     d = gcd(m, k)
     mp, kp = m // d, k // d
-    hb = hbar_of(m, h, k) + hbar_offset * kp
-    b = (hb * mp * h + 1) // kp
-    lam, lam_star = lambda_pair(m, r, h, k)
+    hb = _hbar(mp, h, kp) + hbar_offset * kp
+    lam = -(-r * h // d)
+    u = lam * d - r * h
+    mk = m * k
     return FactorTransform(
-        r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb, b=b,
-        lam=lam, lam_star=lam_star,
-        sigma_const=Fraction(r * d, m * k) + Fraction(lam * hb * d, k),
-        sigma_wcoef=lam_star * Fraction(d * d, m * k),
+        r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
+        b=(hb * mp * h + 1) // kp, lam=lam, lam_star=Fraction(u, d),
+        sigma_const=Fraction(r * d + lam * hb * d * m, mk),
+        sigma_wcoef=Fraction(u * d, mk),
         tau_const=Fraction(hb * d, k),
-        tau_wcoef=Fraction(d * d, m * k),
+        tau_wcoef=Fraction(d * d, mk),
     )
 
 
@@ -245,11 +282,11 @@ def gamma_action_coeffs(m: int, h: int, k: int, r: int,
 # ---------------------------------------------------------------------------
 
 def omega_exact(spec: ProductSpec) -> Fraction:
-    """Omega = sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j), exact."""
-    total = Fraction(0)
-    for r, m, delta in spec.factors:
-        total += delta * (2 * m - 12 * r + Fraction(12 * r * r, m))
-    return total
+    """Omega = sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j), one Fraction over the level."""
+    big_l = spec.level
+    num = sum(delta * (2 * m * m - 12 * r * m + 12 * r * r) * (big_l // m)
+              for r, m, delta in spec.factors)
+    return Fraction(num, big_l)
 
 
 def omega_of(spec: ProductSpec) -> int | Fraction:
@@ -303,43 +340,42 @@ def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
     """Delta at the fraction h/k, in integers: -sum_j delta_j (2 d^2 + 12 u (u - d)) / m_j.
 
     u = lam d - r h = (-r h) mod d is the integer with lam* = u/d, so that
-    d^2 (lam*^2 - lam*) = u (u - d); the numerators are summed per modulus.
+    d^2 (lam*^2 - lam*) = u (u - d); the sum is one Fraction over the level.
     """
-    numerators: dict[int, int] = {}
+    big_l = spec.level
+    num = 0
     for r, m, delta in spec.factors:
         d = gcd(m, k)
         u = -r * h % d
-        numerators[m] = numerators.get(m, 0) - delta * (2 * d * d + 12 * u * (u - d))
-    return sum((Fraction(num, m) for m, num in numerators.items()), Fraction(0))
+        num -= delta * (2 * d * d + 12 * u * (u - d)) * (big_l // m)
+    return Fraction(num, big_l)
+
+
+def _class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int, int, Fraction]]:
+    """(aleph, l, h, k, Delta) per class with a coprime representative h/k, by (l, aleph)."""
+    for l in range(1, spec.level + 1):
+        for aleph in range(l):
+            rep = class_representative(spec, aleph, l)
+            if rep is not None:
+                yield aleph, l, *rep, delta_at(spec, *rep)
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
     """Classes (aleph, l) with a coprime representative and Delta(aleph, l) > 0."""
-    out = set()
-    for l in range(1, spec.level + 1):
-        for aleph in range(l):
-            rep = class_representative(spec, aleph, l)
-            if rep is not None and delta_at(spec, *rep) > 0:
-                out.add((aleph, l))
-    return out
+    return {(aleph, l) for aleph, l, _, _, dv in _class_deltas(spec) if dv > 0}
 
 
 def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
     """Rows for the delta-table dump, sorted by (l, aleph); in_Lpos is Delta > 0."""
-    for l in range(1, spec.level + 1):
-        for aleph in range(l):
-            rep = class_representative(spec, aleph, l)
-            if rep is None:
-                continue
-            dv = delta_at(spec, *rep)
-            yield {
-                "spec": spec_name,
-                "aleph": aleph,
-                "l": l,
-                "delta_num": dv.numerator,
-                "delta_den": dv.denominator,
-                "in_Lpos": dv > 0,
-            }
+    for aleph, l, _, _, dv in _class_deltas(spec):
+        yield {
+            "spec": spec_name,
+            "aleph": aleph,
+            "l": l,
+            "delta_num": dv.numerator,
+            "delta_den": dv.denominator,
+            "in_Lpos": dv > 0,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -396,62 +432,66 @@ class TransformData:
         t = Fraction(self.sum_delta, 2) + self.sum_delta_lambda
         return UnitPhase(t) * (self.omega ** 2) * self.upsilon
 
+    def pi_factors(self) -> tuple[tuple[Fraction, int], ...]:
+        """(x_j, delta_j) for the factors with lam*_j = 0: Pi = prod (1 - e^{2 pi i x_j})^{delta_j}.
+
+        x_j is the transformed first argument sigma_const, which for lam* = 0
+        equals (r d + r hbar m h)/(m k), reduced mod 1.  Each x_j is
+        certified non-integral before it is returned.
+        """
+        out = []
+        for ft in self.factors:
+            if ft.lam_star == 0:
+                x = ft.sigma_const % 1
+                if x == 0:
+                    raise ArithmeticError(f"vanishing Pi factor at (h, k) = ({self.h}, {self.k}), "
+                                          f"(r, m) = ({ft.r}, {ft.m})")
+                out.append((x, ft.delta))
+        return tuple(out)
+
 
 def transform_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> TransformData:
     """Assemble the exact data of the product transformation at h/k.
 
     The per-factor building blocks: matrix data, (lambda, lambda*), the
-    transformed arguments, the Dedekind-sum phase omega and the correction
-    phase Upsilon
+    transformed arguments (``factor_transform``), the Dedekind-sum phase
+    omega = exp(-pi i sum_j delta_j s(m'_j h, k'_j)) and the correction phase
 
         Upsilon = exp(pi i sum_j delta_j [ r_j h/k - r_j d_j/(m_j k)
                   + 2 r_j d_j lam*_j/(m_j k) + hbar_j d_j (lam_j^2 - lam_j)/k ]).
+
+    The two exponents are summed as integer numerators over L k and 6k (see
+    the module docstring) and each becomes one Fraction at the end, as do
+    Omega and Delta.
     """
-    if not (0 <= h < k):
-        raise ValueError("need 0 <= h < k")
-    if gcd(h, k) != 1:
-        raise NotCoprimeError(f"gcd({h}, {k}) != 1")
+    _check_fraction(h, k)
+    big_l = spec.level
     facs = []
-    omega_t = Fraction(0)
-    ups_t = Fraction(0)
-    sum_delta = 0
-    sum_dl = 0
+    omega_num = ups_num = sum_delta = sum_dl = 0
     for r, m, delta in spec.factors:
         ft = factor_transform(r, m, delta, h, k, hbar_offset=hbar_offset)
         facs.append(ft)
-        omega_t -= delta * dedekind_sum(ft.m_prime * h, ft.k_prime)
-        ups_t += delta * (
-            Fraction(r * h, k)
-            - Fraction(r * ft.d, m * k)
-            + 2 * Fraction(r * ft.d, m * k) * ft.lam_star
-            + Fraction(ft.hbar * ft.d, k) * (ft.lam * ft.lam - ft.lam)
-        )
+        d, lam, hb = ft.d, ft.lam, ft.hbar
+        u = lam * d - r * h
+        omega_num -= delta * _dedekind_6c(ft.m_prime * h, ft.k_prime) * d
+        ups_num += (delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam))
+                    * (big_l // m))
         sum_delta += delta
-        sum_dl += delta * ft.lam
+        sum_dl += delta * lam
     return TransformData(
         spec=spec, h=h, k=k, factors=tuple(facs),
-        omega=UnitPhase(omega_t), upsilon=UnitPhase(ups_t),
+        omega=UnitPhase(Fraction(omega_num, 6 * k)),
+        upsilon=UnitPhase(Fraction(ups_num, big_l * k)),
         omega_exponent=omega_exact(spec), delta_exponent=delta_at(spec, h, k),
         sum_delta=sum_delta, sum_delta_lambda=sum_dl,
     )
 
 
 def phase_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> PhaseData:
-    """omega, Upsilon and Pi at h/k.
+    """omega, Upsilon and Pi at h/k, read off one ``transform_data`` call.
 
     Pi collects (1 - e^{2 pi i x_j})^{delta_j} over the factors with
-    lam*_j = 0, where x_j = (r_j d_j + r_j hbar_j m_j h)/(m_j k) equals the
-    transformed first argument of the factor.  Each x_j is certified
-    non-integral before it is returned.
+    lam*_j = 0 (``TransformData.pi_factors``).
     """
     td = transform_data(spec, h, k, hbar_offset=hbar_offset)
-    pi_factors = []
-    for ft in td.factors:
-        if ft.lam_star == 0:
-            x = Fraction(ft.r * ft.d + ft.r * ft.hbar * ft.m * h, ft.m * k) % 1
-            if x == 0:
-                raise ArithmeticError(
-                    f"vanishing Pi factor at (h, k) = ({h}, {k}), (r, m) = ({ft.r}, {ft.m})"
-                )
-            pi_factors.append((x, ft.delta))
-    return PhaseData(omega=td.omega, upsilon=td.upsilon, pi_factors=tuple(pi_factors))
+    return PhaseData(omega=td.omega, upsilon=td.upsilon, pi_factors=td.pi_factors())

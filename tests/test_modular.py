@@ -5,12 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsign.modular import (GammaMatrix, NotCoprimeError, class_representative,
-                           dedekind_sum, dedekind_sum_direct, dedekind_sums_direct_all,
-                           delta_at, delta_of, delta_table_rows, factor_transform,
-                           gamma_action_coeffs, gamma_of, hbar_of, lambda_pair,
-                           lpos_set, omega_exact, omega_of, phase_data, sawtooth,
-                           transform_data)
+from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, UnitPhase,
+                           class_representative, dedekind_sum, dedekind_sum_direct,
+                           dedekind_sums_direct_all, delta_at, delta_of, delta_table_rows,
+                           factor_transform, gamma_action_coeffs, gamma_of, hbar_of,
+                           lambda_pair, lpos_set, omega_exact, omega_of, phase_data,
+                           sawtooth, transform_data)
 from qsign.qseries import ProductSpec, registered_spec
 
 
@@ -34,6 +34,49 @@ def delta_by_lambda_star(spec: ProductSpec, h: int, k: int) -> Fraction:
         quad = lam_star * lam_star - lam_star
         total -= delta * (Fraction(2 * d * d, m) + Fraction(12 * d * d, m) * quad)
     return total
+
+
+def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
+                               hbar_offset: int = 0) -> FactorTransform:
+    """The five Fraction fields by the definitional formulas, via hbar_of and lambda_pair."""
+    d = gcd(m, k)
+    mp, kp = m // d, k // d
+    hb = hbar_of(m, h, k) + hbar_offset * kp
+    lam, lam_star = lambda_pair(m, r, h, k)
+    return FactorTransform(
+        r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
+        b=(hb * mp * h + 1) // kp, lam=lam, lam_star=lam_star,
+        sigma_const=Fraction(r * d, m * k) + Fraction(lam * hb * d, k),
+        sigma_wcoef=lam_star * Fraction(d * d, m * k),
+        tau_const=Fraction(hb * d, k),
+        tau_wcoef=Fraction(d * d, m * k),
+    )
+
+
+def upsilon_reference(factors: list[FactorTransform], h: int, k: int) -> Fraction:
+    """The Upsilon exponent as the four-term Fraction sum per factor."""
+    total = Fraction(0)
+    for ft in factors:
+        r, m, d, lam = ft.r, ft.m, ft.d, ft.lam
+        total += ft.delta * (Fraction(r * h, k) - Fraction(r * d, m * k)
+                             + 2 * Fraction(r * d, m * k) * ft.lam_star
+                             + Fraction(ft.hbar * d, k) * (lam * lam - lam))
+    return total
+
+
+def omega_exponent_reference(spec: ProductSpec) -> Fraction:
+    """Omega = sum_j delta_j (2 m_j - 12 r_j + 12 r_j^2 / m_j) as a Fraction chain."""
+    total = Fraction(0)
+    for r, m, delta in spec.factors:
+        total += delta * (2 * m - 12 * r + Fraction(12 * r * r, m))
+    return total
+
+
+def random_level_spec(rng: random.Random, level: int) -> ProductSpec:
+    """Up to three factors, one of modulus `level`, the others of modulus 5 or `level`."""
+    moduli = [level] + [rng.choice((5, level)) for _ in range(rng.randint(0, 2))]
+    return ProductSpec(tuple((rng.randint(1, m - 1), m, rng.choice((-3, -2, -1, 1, 2, 3)))
+                             for m in moduli))
 
 
 class TestSawtooth:
@@ -275,3 +318,30 @@ class TestPhases:
         # the order-2 element: chi = e^{-pi i/4}
         g = GammaMatrix(0, -1, 1, 0)
         assert g.chi_exponent() % 2 == Fraction(-1, 4) % 2
+
+    def test_integer_transform_data_matches_the_fraction_formulas(self):
+        rng = random.Random(20251108)
+        specs = [registered_spec(name) for name in ("A", "B", "C", "D", "c", "d")]
+        specs += [random_level_spec(rng, level) for level in (5, 10, 25) for _ in range(4)]
+        for spec in specs:
+            big_omega_ref = omega_exponent_reference(spec)
+            for k in range(1, 31):
+                for h in range(k):
+                    if gcd(h, k) != 1:
+                        continue
+                    delta_ref = delta_by_lambda_star(spec, h, k)
+                    for off in range(3):
+                        where = (spec, h, k, off)
+                        td = transform_data(spec, h, k, hbar_offset=off)
+                        facs = [factor_transform_reference(r, m, delta, h, k, off)
+                                for r, m, delta in spec.factors]
+                        assert td.factors == tuple(facs), where
+                        assert td.upsilon == UnitPhase(upsilon_reference(facs, h, k)), where
+                        omega_ref = -sum(ft.delta * dedekind_sum(ft.m_prime * h, ft.k_prime)
+                                         for ft in facs)
+                        assert td.omega == UnitPhase(omega_ref), where
+                        assert td.omega_exponent == big_omega_ref, where
+                        assert td.delta_exponent == delta_ref, where
+                        assert td.pi_factors() == tuple(
+                            (Fraction(ft.r * ft.d + ft.r * ft.hbar * ft.m * h, ft.m * k) % 1,
+                             ft.delta) for ft in facs if ft.lam_star == 0), where
