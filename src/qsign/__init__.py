@@ -5,7 +5,8 @@ Subpackages:
 * ``qseries``   -- exact truncated power series over Python ints
 * ``modular``   -- Dedekind sums and the exact transformation data of
                    two-variable Pochhammer products under Farey fractions
-* ``enclosure`` -- directed-rounded interval arithmetic (wrapping mpmath.iv)
+* ``enclosure`` -- directed-rounded interval arithmetic (mpmath.libmp interval
+                   kernels, bit-identical to mpmath.iv)
 * ``analytic``  -- Bessel main terms, explicit error bounds, certified
                    dominance and eventual-dominance certificates
 * ``circle``    -- high-precision eta/theta/psi evaluation, Farey dissection

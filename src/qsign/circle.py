@@ -110,14 +110,15 @@ class ComplexHP:
 def cexp(z: ComplexHP) -> ComplexHP:
     """exp(z) as a rectangle: e^re (cos im + i sin im), interval-sound."""
     r = z.re.exp()
-    return ComplexHP(r * z.im.cos(), r * z.im.sin())
+    c, s = z.im.cos_sin()
+    return ComplexHP(r * c, r * s)
 
 
 def e_two_pi_i(t: ComplexHP | Fraction) -> ComplexHP:
     """e^{2 pi i t}; for exact rational t the angle is formed exactly first."""
     if isinstance(t, Fraction):
         ang = Enclosure.pi() * Enclosure.from_fraction(2 * (t % 1))
-        return ComplexHP(ang.cos(), ang.sin())
+        return ComplexHP(*ang.cos_sin())
     two_pi = Enclosure.pi() * 2
     return cexp(ComplexHP(-(two_pi * t.im), two_pi * t.re))
 
@@ -125,7 +126,7 @@ def e_two_pi_i(t: ComplexHP | Fraction) -> ComplexHP:
 def e_pi_i_half_turns(t: Fraction) -> ComplexHP:
     """Exact unit phase e^{pi i t} for rational t."""
     ang = Enclosure.pi() * Enclosure.from_fraction(t % 2)
-    return ComplexHP(ang.cos(), ang.sin())
+    return ComplexHP(*ang.cos_sin())
 
 
 def csqrt_upper(z: ComplexHP) -> ComplexHP:
@@ -292,7 +293,11 @@ def eta(tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -> ComplexHP:
     """Dedekind eta: q^{1/24} prod (1 - q^k), q = e^{2 pi i tau}, Im(tau) > 0."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("eta needs Im(tau) > 0")
-    q = e_two_pi_i(tau)
+    return _eta(tau, e_two_pi_i(tau), max_factors)
+
+
+def _eta(tau: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
+    """eta(tau) given its nome q = e^{2 pi i tau}."""
     head = cexp(ComplexHP(-(Enclosure.pi() * tau.im / 12), Enclosure.pi() * tau.re / 12))
     return head * pochhammer_product(q, q, max_factors)
 
@@ -306,7 +311,11 @@ def theta(sigma: ComplexHP, tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -
     """
     if not tau.im.is_positive():
         raise ConvergenceRefused("theta needs Im(tau) > 0")
-    q = e_two_pi_i(tau)
+    return _theta(sigma, tau, e_two_pi_i(tau), max_factors)
+
+
+def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
+    """theta(sigma; tau) given the nome q = e^{2 pi i tau}."""
     xi = e_two_pi_i(sigma)
     pi_e = Enclosure.pi()
     # -i q^{1/8} xi^{-1/2} = -i e^{pi i tau/4} e^{-pi i sigma}
@@ -365,12 +374,15 @@ def psi(sigma: ComplexHP, tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -> 
 
 
 def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
-    """psi via i e^{-pi i tau/6} e^{pi i sigma} theta(sigma; tau)/eta(tau)."""
+    """psi via i e^{-pi i tau/6} e^{pi i sigma} theta(sigma; tau)/eta(tau), one nome."""
+    if not tau.im.is_positive():
+        raise ConvergenceRefused("theta needs Im(tau) > 0")
     pi_e = Enclosure.pi()
     head = cexp(ComplexHP(pi_e * tau.im / 6 - pi_e * sigma.im,
                           -(pi_e * tau.re / 6) + pi_e * sigma.re))
     head = ComplexHP(-head.im, head.re)  # multiply by i
-    return head * theta(sigma, tau) / eta(tau)
+    q = e_two_pi_i(tau)
+    return head * _theta(sigma, tau, q, _FACTOR_BUDGET) / _eta(tau, q, _FACTOR_BUDGET)
 
 
 # ---------------------------------------------------------------------------

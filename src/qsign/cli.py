@@ -41,6 +41,7 @@ and the identity sweep is a shell loop::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -342,7 +343,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qsign parser, built once per process (parse_args keeps no state on it)."""
     parser = argparse.ArgumentParser(
         prog="qsign",
         description="exact q-series expansion and certified sign-pattern verification",

@@ -1,14 +1,23 @@
 """Directed-rounded interval arithmetic for certified inequalities.
 
-``Enclosure`` wraps mpmath's interval type (``mpmath.iv``): a pair of
-arbitrary-precision endpoints, every operation rounded outward so the true
-real value is always contained.  This is the only numeric type allowed on
-certification paths; anything that needs a sign decision compares interval
-endpoints strictly.
+``Enclosure`` is a pair of arbitrary-precision endpoints, every operation
+rounded outward so the true real value is always contained.  This is the
+only numeric type allowed on certification paths; anything that needs a
+sign decision compares interval endpoints strictly.
 
-Precision is the ambient interval working precision in bits; use the
-``precision`` context manager to change it locally.  Escalating precision
-tightens enclosures but never invalidates them.
+The value is the raw endpoint pair of ``mpmath.libmp`` (``_mpi_``, two mpf
+tuples), and every operation calls the interval kernels ``mpi_add``,
+``mpi_mul``, ``mpi_div``, ``mpi_exp``, ``mpi_cos_sin`` ... directly, with no
+``mpmath.iv`` object in between.  Ints and Fractions are coerced exactly as
+``iv.mpf`` coerces them (``from_int`` rounded floor and ceiling, then
+``mpi_div`` for a ratio), so every endpoint is bit for bit the one
+``mpmath.iv`` returns (``tests/test_enclosure.py`` checks this).
+
+Precision is the ambient interval working precision ``iv.prec`` in bits,
+read once per operation and recorded in the result's ``bits``; use the
+``precision`` context manager to change it locally.  ``QSIGN_PRECISION``
+sets its value at import.  Escalating precision tightens enclosures but
+never invalidates them.
 """
 
 from __future__ import annotations
@@ -21,7 +30,11 @@ from typing import Iterator, Union
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import fzero
+from mpmath.ctx_iv import convert_mpf_
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, fzero, mpf_gt, mpf_le, mpf_lt,
+                          mpf_pi, mpf_sign, mpi_abs, mpi_add, mpi_cos_sin, mpi_div, mpi_exp,
+                          mpi_log, mpi_mul, mpi_neg, mpi_sqrt, mpi_sub, round_ceiling,
+                          round_floor)
 
 DEFAULT_PRECISION = int(os.environ.get("QSIGN_PRECISION", "192"))
 iv.prec = DEFAULT_PRECISION
@@ -69,43 +82,71 @@ def _directed_str(x: mpmath.mpf, digits: int, up: bool) -> str:
     return f"{dec:.{digits - 1}e}"
 
 
+def _int_mpi(n: int, prec: int) -> tuple:
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _mpi_of(x: Number, prec: int) -> tuple:
+    """Endpoint pair of an operand, coerced at `prec` the way ``iv.mpf`` does."""
+    if isinstance(x, Enclosure):
+        return x._mpi_
+    if isinstance(x, int):
+        return _int_mpi(x, prec)
+    if isinstance(x, Fraction):
+        return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
+    raise TypeError(f"cannot coerce {type(x).__name__} to Enclosure")
+
+
+_new = object.__new__
+
+
+def _make(v: tuple, prec: int) -> "Enclosure":
+    out = _new(Enclosure)
+    out._mpi_ = v
+    out.bits = prec
+    return out
+
+
 def _coerce(x: Number) -> "Enclosure":
     if isinstance(x, Enclosure):
         return x
-    if isinstance(x, int):
-        return Enclosure(iv.mpf(x))
-    if isinstance(x, Fraction):
-        return Enclosure(iv.mpf(x.numerator) / iv.mpf(x.denominator))
-    raise TypeError(f"cannot coerce {type(x).__name__} to Enclosure")
+    prec = iv.prec
+    return _make(_mpi_of(x, prec), prec)
 
 
 class Enclosure:
     """Interval [lo, hi] of arbitrary-precision reals, outward rounded."""
 
-    __slots__ = ("_iv", "bits")
+    __slots__ = ("_mpi_", "bits")
 
     def __init__(self, value, bits: int | None = None):
-        if isinstance(value, Enclosure):
-            value = value._iv
-        if not isinstance(value, iv.mpf):
-            value = iv.mpf(value)
-        self._iv = value
+        """From an Enclosure, an ``mpmath.iv`` value, or anything ``iv.mpf`` accepts."""
+        self._mpi_ = value._mpi_ if hasattr(value, "_mpi_") else iv.mpf(value)._mpi_
         self.bits = bits if bits is not None else iv.prec
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_fraction(x: Fraction | int) -> "Enclosure":
-        x = Fraction(x)
-        return Enclosure(iv.mpf(x.numerator) / iv.mpf(x.denominator))
+        prec = iv.prec
+        return _make(_mpi_of(Fraction(x), prec), prec)
 
     @staticmethod
     def from_endpoints(lo, hi) -> "Enclosure":
-        return Enclosure(iv.mpf([lo, hi]))
+        """[lo, hi]; mpf endpoints are kept as they are, others rounded outward."""
+        prec = iv.prec
+        a = convert_mpf_(lo, prec, round_floor)
+        b = convert_mpf_(hi, prec, round_ceiling)
+        if a == fnan or b == fnan:
+            a, b = fninf, finf
+        if not mpf_le(a, b):
+            raise ValueError("endpoints must be properly ordered")
+        return _make((a, b), prec)
 
     @staticmethod
     def pi() -> "Enclosure":
-        return Enclosure(iv.pi)
+        prec = iv.prec
+        return _make((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
 
     @staticmethod
     def exp_of(x: Number) -> "Enclosure":
@@ -115,11 +156,11 @@ class Enclosure:
 
     @property
     def lo(self) -> mpmath.mpf:
-        return mp.make_mpf(self._iv._mpi_[0])
+        return mp.make_mpf(self._mpi_[0])
 
     @property
     def hi(self) -> mpmath.mpf:
-        return mp.make_mpf(self._iv._mpi_[1])
+        return mp.make_mpf(self._mpi_[1])
 
     @property
     def mid(self) -> mpmath.mpf:
@@ -136,7 +177,7 @@ class Enclosure:
         return self.lo <= x <= self.hi
 
     def intersects(self, other: "Enclosure") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
+        return not (mpf_lt(self._mpi_[1], other._mpi_[0]) or mpf_lt(other._mpi_[1], self._mpi_[0]))
 
     def __repr__(self) -> str:
         return f"Enclosure[{mpmath.nstr(self.lo, 20)}, {mpmath.nstr(self.hi, 20)}]"
@@ -152,71 +193,84 @@ class Enclosure:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Number) -> "Enclosure":
-        return Enclosure(self._iv + _coerce(other)._iv)
+        prec = iv.prec
+        return _make(mpi_add(self._mpi_, _mpi_of(other, prec), prec), prec)
 
     __radd__ = __add__
 
     def __sub__(self, other: Number) -> "Enclosure":
-        return Enclosure(self._iv - _coerce(other)._iv)
+        prec = iv.prec
+        return _make(mpi_sub(self._mpi_, _mpi_of(other, prec), prec), prec)
 
     def __rsub__(self, other: Number) -> "Enclosure":
-        return Enclosure(_coerce(other)._iv - self._iv)
+        prec = iv.prec
+        return _make(mpi_sub(_mpi_of(other, prec), self._mpi_, prec), prec)
 
     def __mul__(self, other: Number) -> "Enclosure":
-        return Enclosure(self._iv * _coerce(other)._iv)
+        prec = iv.prec
+        return _make(mpi_mul(self._mpi_, _mpi_of(other, prec), prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Number) -> "Enclosure":
-        return Enclosure(self._iv / _coerce(other)._iv)
+        prec = iv.prec
+        return _make(mpi_div(self._mpi_, _mpi_of(other, prec), prec), prec)
 
     def __rtruediv__(self, other: Number) -> "Enclosure":
-        return Enclosure(_coerce(other)._iv / self._iv)
+        prec = iv.prec
+        return _make(mpi_div(_mpi_of(other, prec), self._mpi_, prec), prec)
 
     def __neg__(self) -> "Enclosure":
-        return Enclosure(-self._iv)
+        prec = iv.prec
+        return _make(mpi_neg(self._mpi_, prec), prec)
 
     def __abs__(self) -> "Enclosure":
-        lo, hi = self._iv._mpi_
-        if mp.make_mpf(lo) >= 0:
-            return Enclosure(self._iv)
-        if mp.make_mpf(hi) <= 0:
-            return Enclosure(-self._iv)
-        m = max(-mp.make_mpf(lo), mp.make_mpf(hi))
-        return Enclosure(iv.mpf([0, m]))
+        prec = iv.prec
+        return _make(mpi_abs(self._mpi_, prec), prec)
 
     def square(self) -> "Enclosure":
         """Interval square: tighter than self * self when 0 is inside."""
-        return abs(self) * abs(self)
+        prec = iv.prec
+        a = mpi_abs(self._mpi_, prec)
+        return _make(mpi_mul(a, a, prec), prec)
 
     def clamp_nonneg(self) -> "Enclosure":
         """Intersect with [0, inf); valid when the true value is known >= 0."""
-        lo, hi = self._iv._mpi_
-        if mp.make_mpf(lo) < 0:
+        lo, hi = self._mpi_
+        if mpf_sign(lo) < 0:
             lo = fzero
-        if mp.make_mpf(hi) < 0:
+        if mpf_sign(hi) < 0:
             hi = fzero
-        return Enclosure(iv.make_mpf((lo, hi)))
+        return _make((lo, hi), iv.prec)
 
     def sqrt(self) -> "Enclosure":
-        return Enclosure(iv.sqrt(self._iv))
+        prec = iv.prec
+        return _make(mpi_sqrt(self._mpi_, prec), prec)
 
     def exp(self) -> "Enclosure":
-        return Enclosure(iv.exp(self._iv))
+        prec = iv.prec
+        return _make(mpi_exp(self._mpi_, prec), prec)
 
     def log(self) -> "Enclosure":
-        return Enclosure(iv.log(self._iv))
+        prec = iv.prec
+        return _make(mpi_log(self._mpi_, prec), prec)
+
+    def cos_sin(self) -> tuple["Enclosure", "Enclosure"]:
+        """(cos, sin) from one argument reduction; each is what ``cos``/``sin`` return."""
+        prec = iv.prec
+        c, s = mpi_cos_sin(self._mpi_, prec)
+        return _make(c, prec), _make(s, prec)
 
     def cos(self) -> "Enclosure":
-        return Enclosure(iv.cos(self._iv))
+        return self.cos_sin()[0]
 
     def sin(self) -> "Enclosure":
-        return Enclosure(iv.sin(self._iv))
+        return self.cos_sin()[1]
 
     def pow_int(self, e: int) -> "Enclosure":
         if e < 0:
             return 1 / self.pow_int(-e)
-        out = Enclosure(iv.mpf(1))
+        out = one()
         base = self
         while e:
             if e & 1:
@@ -233,21 +287,21 @@ class Enclosure:
 
     def strictly_less(self, other: Number) -> bool:
         """True only if every value of self is below every value of other."""
-        return self.hi < _coerce(other).lo
+        return mpf_lt(self._mpi_[1], _mpi_of(other, iv.prec)[0])
 
     def strictly_greater(self, other: Number) -> bool:
-        return self.lo > _coerce(other).hi
+        return mpf_gt(self._mpi_[0], _mpi_of(other, iv.prec)[1])
 
     def is_positive(self) -> bool:
-        return self.lo > 0
+        return mpf_gt(self._mpi_[0], fzero)
 
     def is_negative(self) -> bool:
-        return self.hi < 0
+        return mpf_lt(self._mpi_[1], fzero)
 
 
 def one() -> Enclosure:
-    return Enclosure(iv.mpf(1))
+    return _make((fone, fone), iv.prec)
 
 
 def zero() -> Enclosure:
-    return Enclosure(iv.mpf(0))
+    return _make((fzero, fzero), iv.prec)

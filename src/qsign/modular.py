@@ -308,13 +308,21 @@ def class_representative(spec: ProductSpec, aleph: int, l: int,
                          k_span: int = 40) -> tuple[int, int] | None:
     """Some (h, k) with h = aleph (mod l), k = l (mod L), gcd(h, k) = 1, 0 <= h < k.
 
-    Returns None when no coprime representative exists within the search
-    horizon (for the moduli in scope, nonexistence within the horizon is
-    nonexistence outright, e.g. class (0, 5) at level 5).
+    Returns None when no coprime representative exists: at once when
+    g = gcd(aleph, l, L) > 1, since g divides every such h and k (e.g. class
+    (0, 5) at level 5), else after the search horizon (for the levels in
+    scope every class with g = 1 has a representative inside it; tested).
     """
     big_l = spec.level
     if not 1 <= l <= big_l or not 0 <= aleph < l:
         raise ValueError("need 1 <= l <= level and 0 <= aleph < l")
+    return _representative(aleph, l, big_l, k_span)
+
+
+def _representative(aleph: int, l: int, big_l: int, k_span: int = 40) -> tuple[int, int] | None:
+    """``class_representative`` at level big_l, without the range check."""
+    if gcd(aleph, l, big_l) > 1:
+        return None
     for t in range(k_span):
         k = l + t * big_l
         for h in range(aleph, k, l):
@@ -342,9 +350,13 @@ def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
     u = lam d - r h = (-r h) mod d is the integer with lam* = u/d, so that
     d^2 (lam*^2 - lam*) = u (u - d); the sum is one Fraction over the level.
     """
-    big_l = spec.level
+    return _delta_at(spec.factors, spec.level, h, k)
+
+
+def _delta_at(factors, big_l: int, h: int, k: int) -> Fraction:
+    """``delta_at`` for the factors of a spec of level big_l."""
     num = 0
-    for r, m, delta in spec.factors:
+    for r, m, delta in factors:
         d = gcd(m, k)
         u = -r * h % d
         num -= delta * (2 * d * d + 12 * u * (u - d)) * (big_l // m)
@@ -353,11 +365,12 @@ def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
 
 def _class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int, int, Fraction]]:
     """(aleph, l, h, k, Delta) per class with a coprime representative h/k, by (l, aleph)."""
-    for l in range(1, spec.level + 1):
+    big_l = spec.level  # a gcd loop: read once per scan, not per class
+    for l in range(1, big_l + 1):
         for aleph in range(l):
-            rep = class_representative(spec, aleph, l)
+            rep = _representative(aleph, l, big_l)
             if rep is not None:
-                yield aleph, l, *rep, delta_at(spec, *rep)
+                yield aleph, l, *rep, _delta_at(spec.factors, big_l, *rep)
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,15 @@ class TestTables:
         assert {v[0] for v in level5.values()} == {24, -24}
 
 
+    @pytest.mark.parametrize("name,prefix", [("A", "18a7f422630af065"),
+                                             ("B", "1e17197603103726"),
+                                             ("D", "d13496c6b9551113")])
+    def test_delta_csv_pinned(self, name, prefix, capsys):
+        assert main(["delta", "--spec", name]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest[:16] == prefix
+
+
 class TestDominanceCommand:
     def test_verdict_true_at_805(self):
         res = run_cli(["dominance", "--family", "A", "--n", "805"])
@@ -108,6 +118,14 @@ class TestXcheck:
         a, b = json.loads(one.stdout), json.loads(two.stdout)
         del a["elapsed_s"], b["elapsed_s"]
         assert a == b
+
+    @pytest.mark.parametrize("identity,residual", [("psi", 7.017423320756231e-56),
+                                                   ("quasiperiodicity", 7.756862836924889e-56)])
+    def test_residuals_pinned(self, identity, residual, capsys):
+        # interval endpoints are bit-identical to mpmath.iv's, so the residuals are exact
+        assert main(["xcheck", "--identity", identity, "--samples", "3", "--seed", "7",
+                     "--workers", "1", "--precision", "192"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] == residual
 
     def test_unknown_identity(self):
         res = run_cli(["xcheck", "--identity", "wat"])
@@ -207,3 +225,22 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument --" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; each call still parses on its own."""
+
+    def test_defaults_do_not_carry_over(self, capsys):
+        argv = ["expand", "--spec", "c", "--trunc", "4"]
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["trunc"] == 4
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "index,coefficient"
+
+    def test_usage_error_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["dominance", "--family", "A", "--n", "5"])
+            assert exc.value.code == 2
+            assert "error: argument --n" in capsys.readouterr().err
+        assert build_parser() is build_parser()

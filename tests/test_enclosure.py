@@ -1,0 +1,156 @@
+"""Enclosure against mpmath.iv: the same operation must give the same endpoints.
+
+``Enclosure`` runs on the raw ``mpmath.libmp`` interval kernels; these tests
+recompute every operation through ``mpmath.iv`` at the same precision and
+require bit-identical endpoint pairs, over seeded random operands at several
+precisions (point and wide intervals, intervals straddling 0, int and
+Fraction operands).
+"""
+
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+from mpmath import iv
+
+from qsign.enclosure import Enclosure, one, precision, zero
+
+BITS = (53, 192, 384, 1024)
+
+
+def _iv_fraction(f: Fraction):
+    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
+
+
+def _random_fraction(rng: random.Random, scale: int = 10**6) -> Fraction:
+    return Fraction(rng.randint(-scale, scale), rng.randint(1, 10**4))
+
+
+def _random_iv(rng: random.Random, scale: int = 10**6, positive: bool = False):
+    """A point or wide interval with rational-rounded endpoints."""
+    a, b = _random_fraction(rng, scale), _random_fraction(rng, scale)
+    if positive:
+        a, b = abs(a) + Fraction(1, 7), abs(b) + Fraction(1, 7)
+    if rng.random() < 0.3:
+        b = a
+    a, b = min(a, b), max(a, b)
+    return iv.mpf([_iv_fraction(a).a, _iv_fraction(b).b])
+
+
+def _same(got: Enclosure, ref, bits: int) -> None:
+    assert got._mpi_ == ref._mpi_
+    assert got.bits == bits
+
+
+def _iv_pow_int(x, e: int):
+    if e < 0:
+        return 1 / _iv_pow_int(x, -e)
+    out, base = iv.mpf(1), x
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("bits", BITS)
+class TestKernelsMatchMpmathIv:
+    def test_arithmetic(self, bits):
+        rng = random.Random(bits)
+        with precision(bits):
+            for _ in range(60):
+                ix, iy = _random_iv(rng), _random_iv(rng)
+                x, y = Enclosure(ix), Enclosure(iy)
+                _same(x + y, ix + iy, bits)
+                _same(x - y, ix - iy, bits)
+                _same(x * y, ix * iy, bits)
+                _same(x / y, ix / iy, bits)
+                _same(-x, -ix, bits)
+
+    def test_int_and_fraction_operands(self, bits):
+        rng = random.Random(bits + 1)
+        with precision(bits):
+            for _ in range(60):
+                ix = _random_iv(rng)
+                x = Enclosure(ix)
+                n = rng.randint(-10**40, 10**40)
+                f = _random_fraction(rng, 10**30)
+                fi = _iv_fraction(f)
+                _same(x + n, ix + n, bits)
+                _same(n + x, n + ix, bits)
+                _same(x - n, ix - n, bits)
+                _same(n - x, n - ix, bits)
+                _same(x * n, ix * n, bits)
+                _same(x / n, ix / n, bits)
+                _same(n / x, n / ix, bits)
+                _same(x + f, ix + fi, bits)
+                _same(f - x, fi - ix, bits)
+                _same(f * x, fi * ix, bits)
+                _same(x / f, ix / fi, bits)
+                _same(f / x, fi / ix, bits)
+
+    def test_abs_and_square(self, bits):
+        rng = random.Random(bits + 2)
+        with precision(bits):
+            for _ in range(60):
+                ix = _random_iv(rng)
+                x = Enclosure(ix)
+                _same(abs(x), abs(ix), bits)
+                _same(x.square(), abs(ix) * abs(ix), bits)
+            # straddling 0 with the negative end the larger one
+            ix = iv.mpf([_iv_fraction(Fraction(-1, 3)).a, _iv_fraction(Fraction(1, 10**9)).b])
+            _same(abs(Enclosure(ix)), abs(ix), bits)
+            assert abs(Enclosure(ix)).contains(Fraction(1, 3))
+
+    def test_elementary_functions(self, bits):
+        rng = random.Random(bits + 3)
+        with precision(bits):
+            for _ in range(40):
+                ix = _random_iv(rng, scale=40 * 10**4)
+                x = Enclosure(ix)
+                _same(x.exp(), iv.exp(ix), bits)
+                _same(x.cos(), iv.cos(ix), bits)
+                _same(x.sin(), iv.sin(ix), bits)
+                c, s = x.cos_sin()
+                _same(c, iv.cos(ix), bits)
+                _same(s, iv.sin(ix), bits)
+                ip = _random_iv(rng, positive=True)
+                p = Enclosure(ip)
+                _same(p.sqrt(), iv.sqrt(ip), bits)
+                _same(p.log(), iv.log(ip), bits)
+
+    def test_pow_int(self, bits):
+        rng = random.Random(bits + 4)
+        with precision(bits):
+            for _ in range(30):
+                ix = _random_iv(rng, scale=10**4)
+                e = rng.randint(-4, 9)
+                _same(Enclosure(ix).pow_int(e), _iv_pow_int(ix, e), bits)
+
+    def test_constructors_and_constants(self, bits):
+        rng = random.Random(bits + 5)
+        with precision(bits):
+            for _ in range(40):
+                f = _random_fraction(rng, 10**50)
+                _same(Enclosure.from_fraction(f), _iv_fraction(f), bits)
+                n = rng.randint(-10**80, 10**80)
+                _same(Enclosure.from_fraction(n), _iv_fraction(Fraction(n)), bits)
+                lo = mpmath.mpf(_random_fraction(rng).numerator) / 3
+                _same(Enclosure.from_endpoints(lo, lo + 1), iv.mpf([lo, lo + 1]), bits)
+                _same(Enclosure.from_endpoints(-n - 1, n * n), iv.mpf([-n - 1, n * n]), bits)
+            _same(Enclosure.pi(), iv.mpf(iv.pi), bits)
+            _same(one(), iv.mpf(1), bits)
+            _same(zero(), iv.mpf(0), bits)
+            _same(Enclosure.exp_of(Fraction(5, 3)), iv.exp(_iv_fraction(Fraction(5, 3))), bits)
+
+
+def test_unordered_endpoints_refused():
+    with pytest.raises(ValueError):
+        Enclosure.from_endpoints(1, 0)
+
+
+def test_non_number_operand_refused():
+    with pytest.raises(TypeError):
+        one() + 0.5

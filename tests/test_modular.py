@@ -235,6 +235,18 @@ class TestGrowthExponents:
         with pytest.raises(ValueError, match="no coprime representative"):
             delta_of(registered_spec("A"), 0, 5)
 
+    @pytest.mark.parametrize("big_l", [5, 10, 12, 25, 30])
+    def test_representative_missing_exactly_on_a_common_factor(self, big_l):
+        spec = ProductSpec(((1, big_l, 1),))
+        for l in range(1, big_l + 1):
+            for aleph in range(l):
+                rep = class_representative(spec, aleph, l)
+                assert (rep is None) == (gcd(aleph, l, big_l) > 1), (aleph, l)
+                if rep is not None:
+                    h, k = rep
+                    assert 0 <= h < k and gcd(h, k) == 1
+                    assert h % l == aleph and k % big_l == l % big_l
+
     @given(t=st.integers(0, 49))
     @settings(max_examples=50, deadline=None)
     def test_delta_class_invariance(self, t):
