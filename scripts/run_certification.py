@@ -2,7 +2,8 @@
 """Run the full certification suite: three targets, desk checks, pattern scans.
 
 Writes one certificate JSON per target plus a summary, and exits nonzero if
-anything fails to certify.
+anything fails to certify.  Every target runs at ``certify``'s default
+precision; ``qsign certify --precision`` sets another one.
 
     python scripts/run_certification.py --out-dir out/
 """
@@ -19,7 +20,6 @@ from qsign.certify import certify, richmond_szekeres_scan, verify_known_theorems
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", type=Path)
-    parser.add_argument("--precision", type=int, default=192)
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -27,7 +27,7 @@ def main() -> int:
     summary = {}
     for target in ("A5n", "B5n", "D5n1"):
         t0 = time.perf_counter()
-        result = certify(target, precision_bits=args.precision)
+        result = certify(target)
         elapsed = time.perf_counter() - t0
         path = args.out_dir / f"certificate_{target}.json"
         path.write_text(json.dumps(result.certificate, indent=2) + "\n")

@@ -42,8 +42,8 @@ from math import gcd
 from typing import Callable, Literal, Union
 
 from .circle import ComplexHP, e_pi_i_half_turns, pi_factor_value
-from .enclosure import Enclosure, iv, one, precision, zero
-from .modular import _class_deltas, omega_exact, transform_data
+from .enclosure import Enclosure, one, precision, zero
+from .modular import class_deltas, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
 Verdict = Union[bool, Literal["unknown"]]
@@ -142,7 +142,7 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
     k is the classes' smallest denominator, which they must share.
     """
     ranked = [(dv / (k * k), k, l, aleph)
-              for aleph, l, _, k, dv in _class_deltas(spec) if dv > 0]
+              for aleph, l, _, k, dv in class_deltas(spec) if dv > 0]
     if not ranked:
         raise CertificateRefused("no class with Delta > 0: the coefficients do not grow")
     best = max(ranked)[0]
@@ -237,7 +237,7 @@ class DominanceResult:
     verdict: Verdict
     main: Enclosure
     bound: Enclosure
-    precision_bits: int
+    precision_bits: int   # the bits of ``main`` and ``bound``
 
 
 def dominance(spec_name: str, n: int) -> DominanceResult:
@@ -255,7 +255,7 @@ def dominance(spec_name: str, n: int) -> DominanceResult:
         verdict = False
     else:
         verdict = "unknown"
-    return DominanceResult(spec_name, n, verdict, m, e, iv.prec)
+    return DominanceResult(spec_name, n, verdict, m, e, m.bits)
 
 
 #: the highest precision any escalation reaches
@@ -324,7 +324,7 @@ class EventualDominanceCertificate:
     x0: Fraction
     wang_main_lo: str
     bound_hi: str
-    precision_bits: int
+    precision_bits: int   # the bits of the enclosures behind wang_main_lo and bound_hi
 
 
 def eventual_dominance_certificate(spec_name: str, residue: int,
@@ -347,7 +347,8 @@ def eventual_dominance_certificate(spec_name: str, residue: int,
         )
     return EventualDominanceCertificate(
         spec=spec_name, n0=n0, first_index=first, x0=x0,
-        wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30), precision_bits=iv.prec,
+        wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
+        precision_bits=wang_lo.bits,
     )
 
 

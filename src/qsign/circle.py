@@ -38,7 +38,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_floor
 
 from .enclosure import Enclosure, one, zero
 from .modular import TransformData, transform_data
@@ -156,9 +156,13 @@ def _tail_padding(prod: ComplexHP, t_hi) -> ComplexHP:
     """
     if not t_hi <= 0.5:
         raise ConvergenceRefused(f"tail bound {mpmath.nstr(t_hi, 8)} exceeds 1/2")
-    two_t = mpmath.ldexp(t_hi, 1)
-    d = Enclosure.from_endpoints(-two_t, two_t)
+    d = _symmetric_box(mpmath.ldexp(t_hi, 1))
     return prod * ComplexHP(1 + d, d)
+
+
+def _symmetric_box(t: mpmath.mpf) -> Enclosure:
+    """[-t, t] for an mpf t >= 0; the lower endpoint is t negated exactly, not rounded."""
+    return Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t)
 
 
 def _scaled(x: tuple, shift: int, up: bool) -> int:
@@ -358,8 +362,7 @@ def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> 
     ratio = (-(Enclosure.pi() * (2 * nu_edge * tau.im - 2 * im_s_abs))).exp()
     if not ratio.hi < 0.5:
         raise ConvergenceRefused("theta series needs more terms for a tail bound")
-    t_hi = (2 * edge / (1 - ratio)).hi
-    box = Enclosure.from_endpoints(-t_hi, t_hi)
+    box = _symmetric_box((2 * edge / (1 - ratio)).hi)
     return total + ComplexHP(box, box)
 
 
@@ -440,11 +443,15 @@ def check_product_transform(spec: ProductSpec, h: int, k: int,
     tau = ComplexHP((Enclosure.from_fraction(h) - z.im) / k, z.re / k)
     lhs = product_side(spec, tau)
     rhs = transformed_side(td, z)
-    num = (lhs - rhs).abs_enclosure().hi
+    return relative_residual(lhs, rhs), lhs, rhs
+
+
+def relative_residual(lhs: ComplexHP, rhs: ComplexHP) -> mpmath.mpf:
+    """Upper bound of |lhs - rhs| / |lhs|; refused when the enclosure of |lhs| touches 0."""
     den = lhs.abs_enclosure().lo
     if den <= 0:
         raise ConvergenceRefused("left side enclosure touches zero")
-    return num / den, lhs, rhs
+    return (lhs - rhs).abs_enclosure().hi / den
 
 
 def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]]) -> ComplexHP:

@@ -6,14 +6,18 @@ Subcommands and their flags (each flag is attached only where it is read):
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
 * ``certify``    build a sign-pattern certificate (exit 0/2/3);
                  --target, --precision, --out
-* ``delta``      growth-exponent table per residue class;
+* ``delta``      growth-exponent table per residue class; the json form adds
+                 Omega as an exact fraction string (``modular.omega_exact``,
+                 "-24/5" for c) and the Lpos classes;
                  --spec, --spec-json, --format (csv/json), --out
 * ``dominance``  certified main-term vs error-bound comparison at one index;
                  --family (a spec with an explicit error constant, the keys of
                  ``analytic.ERROR_CONSTANTS``), --n (outside the error bound's
                  range: a usage error, exit 2), --precision, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
-                 --identity, --samples, --precision, --seed, --workers, --out
+                 a sample whose left side may vanish (sigma drawn as 0) is
+                 refused with ``circle.ConvergenceRefused``; --identity,
+                 --samples, --precision, --seed, --workers, --out
 * ``bench``      time the exact expansion engine and report its pass counts
                  and largest coefficient in bits; --spec, --spec-json, --trunc
 
@@ -131,13 +135,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    from .modular import delta_table_rows, omega_of
+    from .modular import delta_table_rows, omega_exact
 
     name, spec = _parse_spec(args)
     rows = list(delta_table_rows(name, spec))
     with _output(args) as out:
         if args.format == "json":
-            json.dump({"spec": name, "omega": str(omega_of(spec)),
+            json.dump({"spec": name, "omega": str(omega_exact(spec)),
                        "lpos": sorted((r["aleph"], r["l"]) for r in rows if r["in_Lpos"]),
                        "rows": rows}, out, default=str)
             out.write("\n")
@@ -187,7 +191,7 @@ def _sample_tau(rng: random.Random):
 
 
 def _residual_eta(seed: int) -> float:
-    from .circle import ComplexHP, csqrt_upper, e_pi_i_half_turns, eta
+    from .circle import ComplexHP, csqrt_upper, e_pi_i_half_turns, eta, relative_residual
     from .modular import GammaMatrix
 
     rng = random.Random(seed)
@@ -199,11 +203,12 @@ def _residual_eta(seed: int) -> float:
     chi = e_pi_i_half_turns(GammaMatrix(a, b, c, d).chi_exponent())
     lhs = eta(gt)
     rhs = chi * csqrt_upper(ctd) * eta(tau)
-    return float((lhs - rhs).abs_enclosure().hi / lhs.abs_enclosure().lo)
+    return float(relative_residual(lhs, rhs))
 
 
 def _residual_theta(seed: int) -> float:
-    from .circle import ComplexHP, cexp, csqrt_upper, e_pi_i_half_turns, theta
+    from .circle import (ComplexHP, cexp, csqrt_upper, e_pi_i_half_turns, relative_residual,
+                         theta)
     from .enclosure import Enclosure
     from .modular import GammaMatrix
 
@@ -220,11 +225,11 @@ def _residual_theta(seed: int) -> float:
     quad = cexp(ComplexHP(-(Enclosure.pi() * ((sig * sig).scale(c) / ctd).im),
                           Enclosure.pi() * ((sig * sig).scale(c) / ctd).re))
     rhs = chi3 * csqrt_upper(ctd) * quad * theta(sig, tau)
-    return float((lhs - rhs).abs_enclosure().hi / lhs.abs_enclosure().lo)
+    return float(relative_residual(lhs, rhs))
 
 
 def _residual_quasi(seed: int) -> float:
-    from .circle import ComplexHP, cexp, theta
+    from .circle import ComplexHP, cexp, relative_residual, theta
     from .enclosure import Enclosure
 
     rng = random.Random(seed)
@@ -239,11 +244,11 @@ def _residual_quasi(seed: int) -> float:
                           -(Enclosure.pi() * (tau.re * (aa * aa) + sig.re * (2 * aa)))))
     sgn = -1 if (aa + bb) % 2 else 1
     rhs = (head * theta(sig, tau)).scale(sgn)
-    return float((lhs - rhs).abs_enclosure().hi / lhs.abs_enclosure().lo)
+    return float(relative_residual(lhs, rhs))
 
 
 def _residual_psi(seed: int) -> float:
-    from .circle import ComplexHP, psi, psi_by_theta
+    from .circle import ComplexHP, psi, psi_by_theta, relative_residual
 
     rng = random.Random(seed)
     tre, tim = _sample_tau(rng)
@@ -253,9 +258,7 @@ def _residual_psi(seed: int) -> float:
     direct = psi(sig, tau)
     via = psi_by_theta(sig, tau)
     mirrored = psi(tau - sig, tau)
-    r1 = (direct - via).abs_enclosure().hi / direct.abs_enclosure().lo
-    r2 = (direct - mirrored).abs_enclosure().hi / direct.abs_enclosure().lo
-    return float(max(r1, r2))
+    return float(max(relative_residual(direct, via), relative_residual(direct, mirrored)))
 
 
 def _residual_product(seed: int) -> float:

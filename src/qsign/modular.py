@@ -19,6 +19,14 @@ factors use the common denominator L k (L the level) or 6k.  Per factor,
 The definitional ``Fraction`` forms (``lambda_pair`` and the formulas in the
 docstrings) are kept as the test oracle.
 
+Each quantity has one function: ``omega_exact`` (Omega), ``delta_at``
+(Delta at h/k), ``class_representative`` (a coprime h/k in a class (aleph,
+l)), ``class_deltas`` (the one class scan, shared by ``lpos_set``,
+``delta_table_rows`` and ``analytic.main_term_data``) and ``transform_data``
+(matrices, omega, Upsilon, and Pi through ``TransformData.pi_factors``).
+The level L is ``ProductSpec.level``, computed once per spec, so none of
+them needs it passed in.
+
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
 d = gcd(m, k), m = d m', k = d k'.  The attached matrix is
 
@@ -289,41 +297,21 @@ def omega_exact(spec: ProductSpec) -> Fraction:
     return Fraction(num, big_l)
 
 
-def omega_of(spec: ProductSpec) -> int | Fraction:
-    """Omega as an int; every registered spec has integral Omega.
-
-    A non-integral value is reported as the exact Fraction together with a
-    warning rather than silently rounded.
-    """
-    val = omega_exact(spec)
-    if val.denominator != 1:
-        import warnings
-
-        warnings.warn(f"Omega is not an integer for this spec: {val}", stacklevel=2)
-        return val
-    return val.numerator
-
-
-def class_representative(spec: ProductSpec, aleph: int, l: int,
-                         k_span: int = 40) -> tuple[int, int] | None:
+def class_representative(spec: ProductSpec, aleph: int, l: int) -> tuple[int, int] | None:
     """Some (h, k) with h = aleph (mod l), k = l (mod L), gcd(h, k) = 1, 0 <= h < k.
 
     Returns None when no coprime representative exists: at once when
     g = gcd(aleph, l, L) > 1, since g divides every such h and k (e.g. class
-    (0, 5) at level 5), else after the search horizon (for the levels in
-    scope every class with g = 1 has a representative inside it; tested).
+    (0, 5) at level 5), else after the 40 denominators k = l + t L, 0 <= t < 40
+    (for the levels in scope every class with g = 1 has a representative
+    among them; tested).
     """
     big_l = spec.level
     if not 1 <= l <= big_l or not 0 <= aleph < l:
         raise ValueError("need 1 <= l <= level and 0 <= aleph < l")
-    return _representative(aleph, l, big_l, k_span)
-
-
-def _representative(aleph: int, l: int, big_l: int, k_span: int = 40) -> tuple[int, int] | None:
-    """``class_representative`` at level big_l, without the range check."""
     if gcd(aleph, l, big_l) > 1:
         return None
-    for t in range(k_span):
+    for t in range(40):
         k = l + t * big_l
         for h in range(aleph, k, l):
             if gcd(h, k) == 1:
@@ -331,56 +319,42 @@ def _representative(aleph: int, l: int, big_l: int, k_span: int = 40) -> tuple[i
     return None
 
 
-def delta_of(spec: ProductSpec, aleph: int, l: int) -> Fraction:
-    """Delta(aleph, l) = -sum_j delta_j (2 d_j^2/m_j + 12 d_j^2/m_j (lam*^2 - lam*)).
-
-    d_j = gcd(m_j, k) and lam* depend only on the class of (h, k) modulo
-    (l, L), so any coprime representative gives the same value (tested).
-    """
-    rep = class_representative(spec, aleph, l)
-    if rep is None:
-        raise ValueError(f"class (aleph, l) = ({aleph}, {l}) has no coprime representative")
-    h, k = rep
-    return delta_at(spec, h, k)
-
-
 def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
     """Delta at the fraction h/k, in integers: -sum_j delta_j (2 d^2 + 12 u (u - d)) / m_j.
 
-    u = lam d - r h = (-r h) mod d is the integer with lam* = u/d, so that
-    d^2 (lam*^2 - lam*) = u (u - d); the sum is one Fraction over the level.
+    This is -sum_j delta_j (2 d_j^2/m_j + 12 d_j^2/m_j (lam*^2 - lam*)) with
+    d_j = gcd(m_j, k); u = lam d - r h = (-r h) mod d is the integer with
+    lam* = u/d, so that d^2 (lam*^2 - lam*) = u (u - d).  The sum is one
+    Fraction over the level.  d_j and lam* depend only on the class of
+    (h, k) modulo (l, L), so every coprime representative of a class gives
+    the same value (tested).
     """
-    return _delta_at(spec.factors, spec.level, h, k)
-
-
-def _delta_at(factors, big_l: int, h: int, k: int) -> Fraction:
-    """``delta_at`` for the factors of a spec of level big_l."""
+    big_l = spec.level
     num = 0
-    for r, m, delta in factors:
+    for r, m, delta in spec.factors:
         d = gcd(m, k)
         u = -r * h % d
         num -= delta * (2 * d * d + 12 * u * (u - d)) * (big_l // m)
     return Fraction(num, big_l)
 
 
-def _class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int, int, Fraction]]:
+def class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int, int, Fraction]]:
     """(aleph, l, h, k, Delta) per class with a coprime representative h/k, by (l, aleph)."""
-    big_l = spec.level  # a gcd loop: read once per scan, not per class
-    for l in range(1, big_l + 1):
+    for l in range(1, spec.level + 1):
         for aleph in range(l):
-            rep = _representative(aleph, l, big_l)
+            rep = class_representative(spec, aleph, l)
             if rep is not None:
-                yield aleph, l, *rep, _delta_at(spec.factors, big_l, *rep)
+                yield aleph, l, *rep, delta_at(spec, *rep)
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
     """Classes (aleph, l) with a coprime representative and Delta(aleph, l) > 0."""
-    return {(aleph, l) for aleph, l, _, _, dv in _class_deltas(spec) if dv > 0}
+    return {(aleph, l) for aleph, l, _, _, dv in class_deltas(spec) if dv > 0}
 
 
 def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
     """Rows for the delta-table dump, sorted by (l, aleph); in_Lpos is Delta > 0."""
-    for aleph, l, _, _, dv in _class_deltas(spec):
+    for aleph, l, _, _, dv in class_deltas(spec):
         yield {
             "spec": spec_name,
             "aleph": aleph,
@@ -409,20 +383,6 @@ class UnitPhase:
 
     def __pow__(self, e: int) -> "UnitPhase":
         return UnitPhase(self.t * e)
-
-
-@dataclass(frozen=True)
-class PhaseData:
-    """omega, Upsilon and the exact finite product Pi at one Farey fraction.
-
-    ``pi_factors`` lists (x, delta) for the factors with lam* = 0, denoting
-    (1 - e^{2 pi i x})^delta; the x are non-integral rationals so no factor
-    vanishes.
-    """
-
-    omega: UnitPhase
-    upsilon: UnitPhase
-    pi_factors: tuple[tuple[Fraction, int], ...]
 
 
 @dataclass(frozen=True)
@@ -498,13 +458,3 @@ def transform_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> T
         omega_exponent=omega_exact(spec), delta_exponent=delta_at(spec, h, k),
         sum_delta=sum_delta, sum_delta_lambda=sum_dl,
     )
-
-
-def phase_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> PhaseData:
-    """omega, Upsilon and Pi at h/k, read off one ``transform_data`` call.
-
-    Pi collects (1 - e^{2 pi i x_j})^{delta_j} over the factors with
-    lam*_j = 0 (``TransformData.pi_factors``).
-    """
-    td = transform_data(spec, h, k, hbar_offset=hbar_offset)
-    return PhaseData(omega=td.omega, upsilon=td.upsilon, pi_factors=td.pi_factors())

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -179,9 +180,9 @@ class ProductSpec:
             if delta == 0:
                 raise ValueError("delta must be nonzero")
 
-    @property
+    @cached_property
     def level(self) -> int:
-        """lcm of the factor moduli."""
+        """lcm of the factor moduli, computed once per spec."""
         out = 1
         for _, m, _ in self.factors:
             out = out * m // gcd(out, m)

@@ -17,7 +17,7 @@ from qsign.certify import richmond_szekeres_scan, verify_known_theorems
 from qsign.circle import lemma_arc_integral, numeric_coefficients
 from qsign.cli import _XCHECK_KINDS, _xcheck_worker
 from qsign.enclosure import precision
-from qsign.modular import (dedekind_sum, dedekind_sums_direct_all, lpos_set, omega_of)
+from qsign.modular import dedekind_sum, dedekind_sums_direct_all, lpos_set, omega_exact
 from qsign.qseries import (expand_pochhammer, expand_product, ps_inv, ps_mul,
                            registered_spec, rr_sum_side, slice_signs)
 
@@ -69,7 +69,7 @@ def test_criterion_04_documented_sign_patterns(series_800):
 
 
 def test_criterion_05_modular_tables():
-    omegas = {name: omega_of(registered_spec(name)) for name in ("A", "B", "D")}
+    omegas = {name: omega_exact(registered_spec(name)) for name in ("A", "B", "D")}
     pos_a = lpos_set(registered_spec("A"))
     pos_b = lpos_set(registered_spec("B"))
     pos_d = lpos_set(registered_spec("D"))

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +198,16 @@ class TestEventualPatternScan:
             for e in scan.exceptions:
                 c = series.coeffs[e]
                 assert (c > 0) - (c < 0) != pattern[e % 5]
+
+
+def test_certification_script_end_to_end(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_certification.py"
+    res = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    for key, digest in CERTIFICATE_HASHES.items():
+        cert = json.loads((tmp_path / f"certificate_{key}.json").read_text())
+        assert cert["meta"]["hash"] == digest, key
+    patterns = json.loads((tmp_path / "summary.json").read_text())["eventual_patterns"]
+    assert patterns["c"]["exceptions"] == [2, 4, 9]
+    assert patterns["d"]["exceptions"] == [3, 8, 13, 23]

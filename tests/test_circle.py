@@ -12,8 +12,8 @@ from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
                           farey_fractions, lemma_arc_integral, numeric_coefficients,
                           pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
                           theta_by_sum, transformed_arguments)
-from qsign.enclosure import Enclosure, precision
-from qsign.modular import phase_data, transform_data as td_of
+from qsign.enclosure import Enclosure, mpf_to_fraction, precision
+from qsign.modular import transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
 
 
@@ -199,6 +199,14 @@ class TestPochhammerKernel:
                 assert box.re.lo <= v.real <= box.re.hi
                 assert box.im.lo <= v.imag <= box.im.hi
 
+    def test_tail_padding_box_rounds_outward(self):
+        with precision(192):
+            t = Enclosure.from_fraction(Fraction(1, 3 * 10**30)).hi
+            box = _tail_padding(ComplexHP.one(), t)
+        two_t = 2 * mpf_to_fraction(t)
+        assert mpf_to_fraction(box.im.lo) <= -two_t and mpf_to_fraction(box.im.hi) >= two_t
+        assert mpf_to_fraction(box.re.lo) <= 1 - two_t and mpf_to_fraction(box.re.hi) >= 1 + two_t
+
     @pytest.mark.parametrize("t", [mpmath.mpf(3) / 4, mpmath.inf])
     def test_tail_padding_refuses_past_half(self, t):
         with pytest.raises(ConvergenceRefused):
@@ -248,8 +256,8 @@ class TestProductTransformation:
         assert rel_residual(lhs, rhs) < 1e-25
 
     def test_pi_value_matches_level25_amplitude(self):
-        pd = phase_data(registered_spec("D"), 1, 5)
-        val = pi_factor_value(pd.pi_factors).abs_enclosure()
+        pi_factors = td_of(registered_spec("D"), 1, 5).pi_factors()
+        val = pi_factor_value(pi_factors).abs_enclosure()
         closed = (Enclosure.pi() / 5).cos() / (1 + (2 * Enclosure.pi() / 5).cos())
         assert val.intersects(closed)
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qsign.circle import ConvergenceRefused
 from qsign.cli import build_parser, main
 from qsign.qseries import expand_product, registered_spec
 
@@ -89,6 +90,11 @@ class TestTables:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest[:16] == prefix
 
+    def test_delta_json_omega_is_exact_and_quiet(self):
+        res = run_cli(["delta", "--spec", "c", "--format", "json"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["omega"] == "-24/5"
+
 
 class TestDominanceCommand:
     def test_verdict_true_at_805(self):
@@ -126,6 +132,13 @@ class TestXcheck:
         assert main(["xcheck", "--identity", identity, "--samples", "3", "--seed", "7",
                      "--workers", "1", "--precision", "192"]) == 0
         assert json.loads(capsys.readouterr().out)["max_residual"] == residual
+
+    @pytest.mark.parametrize("identity", ["psi", "quasiperiodicity"])
+    def test_vanishing_left_side_is_refused(self, identity):
+        # seed 636946 draws sigma = 0, where psi and theta vanish
+        with pytest.raises(ConvergenceRefused, match="touches zero"):
+            main(["xcheck", "--identity", identity, "--samples", "1", "--seed", "636946",
+                  "--workers", "1"])
 
     def test_unknown_identity(self):
         res = run_cli(["xcheck", "--identity", "wat"])

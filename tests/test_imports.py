@@ -1,10 +1,12 @@
-"""Unused-import and dead-private-name guards for the package and the scripts.
+"""Unused-import, dead-private-name and private-import guards for the package and the scripts.
 
 Every name a module imports (``from __future__`` excluded) must be loaded
 somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
 ``mpmath``.  Likewise every module-level private name (``_name``: a function,
 a class or an assignment target) in the package must be loaded in its own
-module, so a helper that a change leaves without a caller is caught.
+module, so a helper that a change leaves without a caller is caught.  No
+module imports a private name from a ``qsign`` module: a name another
+module needs is public.
 """
 
 import ast
@@ -54,6 +56,17 @@ def dead_private_names(source: str) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in loaded]
 
 
+def private_qsign_imports(source: str) -> list[str]:
+    """``_name``s imported from a qsign module, relatively or as ``qsign.*``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "qsign"):
+            out += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return out
+
+
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom typing import Iterable, Iterator\nx: Iterator\n") == [
         "line 1: os", "line 2: Iterable"]
@@ -76,3 +89,15 @@ def test_guard_sees_a_dead_private_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text()) == []
+
+
+def test_guard_sees_a_private_qsign_import():
+    source = ("from .modular import _class_deltas, omega_exact\nfrom . import __version__\n"
+              "from qsign.circle import ComplexHP, _tail_padding\nfrom os import _exit\n"
+              "from qsign import circle\n")
+    assert private_qsign_imports(source) == ["line 1: _class_deltas", "line 3: _tail_padding"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_qsign_imports(path):
+    assert private_qsign_imports(path.read_text()) == []

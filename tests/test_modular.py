@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, UnitPhase,
-                           class_representative, dedekind_sum, dedekind_sum_direct,
-                           dedekind_sums_direct_all, delta_at, delta_of, delta_table_rows,
-                           factor_transform, gamma_action_coeffs, gamma_of, hbar_of,
-                           lambda_pair, lpos_set, omega_exact, omega_of, phase_data,
-                           sawtooth, transform_data)
+                           class_deltas, class_representative, dedekind_sum,
+                           dedekind_sum_direct, dedekind_sums_direct_all, delta_at,
+                           delta_table_rows, factor_transform, gamma_action_coeffs, gamma_of,
+                           hbar_of, lambda_pair, lpos_set, omega_exact, sawtooth,
+                           transform_data)
 from qsign.qseries import ProductSpec, registered_spec
 
 
@@ -200,40 +200,33 @@ class TestMoebiusClosedForms:
 
 class TestGrowthExponents:
     def test_omega_values(self):
-        assert omega_of(registered_spec("A")) == -24
-        assert omega_of(registered_spec("B")) == 24
-        assert omega_of(registered_spec("D")) == 0
-
-    def test_omega_non_integer_warns(self):
-        spec = ProductSpec(((1, 7, 1),))
-        assert omega_exact(spec).denominator != 1
-        with pytest.warns(UserWarning):
-            val = omega_of(spec)
-        assert val == omega_exact(spec)
+        assert omega_exact(registered_spec("A")) == -24
+        assert omega_exact(registered_spec("B")) == 24
+        assert omega_exact(registered_spec("D")) == 0
 
     def test_delta_class_values(self):
         a = registered_spec("A")
-        assert delta_of(a, 1, 5) == 24
-        assert delta_of(a, 4, 5) == 24
-        assert delta_of(a, 2, 5) == -24
-        assert delta_of(a, 3, 5) == -24
+        assert delta_at(a, *class_representative(a, 1, 5)) == 24
+        assert delta_at(a, *class_representative(a, 4, 5)) == 24
+        assert delta_at(a, *class_representative(a, 2, 5)) == -24
+        assert delta_at(a, *class_representative(a, 3, 5)) == -24
 
     def test_positive_classes(self):
         assert lpos_set(registered_spec("A")) == {(1, 5), (4, 5)}
         assert lpos_set(registered_spec("B")) == {(2, 5), (3, 5)}
 
     def test_level25_positive_classes(self):
-        pos = lpos_set(registered_spec("D"))
+        d = registered_spec("D")
+        pos = lpos_set(d)
         assert len(pos) == 20
         for aleph, l in pos:
             assert aleph % 5 in (1, 4)
             assert l % 25 in (5, 10, 15, 20)
-            assert delta_of(registered_spec("D"), aleph, l) == 24
+            assert delta_at(d, *class_representative(d, aleph, l)) == 24
 
     def test_no_representative_class_excluded(self):
         assert class_representative(registered_spec("A"), 0, 5) is None
-        with pytest.raises(ValueError, match="no coprime representative"):
-            delta_of(registered_spec("A"), 0, 5)
+        assert (0, 5) not in {(aleph, l) for aleph, l, *_ in class_deltas(registered_spec("A"))}
 
     @pytest.mark.parametrize("big_l", [5, 10, 12, 25, 30])
     def test_representative_missing_exactly_on_a_common_factor(self, big_l):
@@ -289,15 +282,14 @@ class TestGrowthExponents:
 
 class TestPhases:
     def test_pi_empty_when_lambda_star_nonzero(self):
-        assert phase_data(registered_spec("A"), 1, 5).pi_factors == ()
+        assert transform_data(registered_spec("A"), 1, 5).pi_factors() == ()
 
     def test_omega_trivial_at_unit_denominator(self):
-        pd = phase_data(registered_spec("A"), 0, 1)
-        assert pd.omega.t == 0
+        assert transform_data(registered_spec("A"), 0, 1).omega.t == 0
 
     def test_level25_pi_factors(self):
-        pd = phase_data(registered_spec("D"), 1, 5)
-        assert pd.pi_factors == ((Fraction(1, 5), 1), (Fraction(2, 5), -1))
+        td = transform_data(registered_spec("D"), 1, 5)
+        assert td.pi_factors() == ((Fraction(1, 5), 1), (Fraction(2, 5), -1))
 
     @given(t=st.integers(0, 29))
     @settings(max_examples=30, deadline=None)
@@ -307,11 +299,11 @@ class TestPhases:
         k = rng.randint(1, 30)
         hs = [h for h in range(k) if gcd(h, k) == 1] or [0]
         h = rng.choice(hs)
-        base = phase_data(spec, h, k)
-        shifted = phase_data(spec, h, k, hbar_offset=rng.randint(1, 3))
+        base = transform_data(spec, h, k)
+        shifted = transform_data(spec, h, k, hbar_offset=rng.randint(1, 3))
         assert base.omega == shifted.omega
         assert base.upsilon == shifted.upsilon
-        assert base.pi_factors == shifted.pi_factors
+        assert base.pi_factors() == shifted.pi_factors()
 
     @given(t=st.integers(0, 39))
     @settings(max_examples=40, deadline=None)

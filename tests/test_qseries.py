@@ -149,6 +149,12 @@ class TestProductSpecs:
         assert registered_spec("A").level == 5
         assert registered_spec("D").level == 25
 
+    def test_level_is_kept_and_leaves_equality_alone(self):
+        spec = ProductSpec(((1, 4, 1), (2, 6, -1)))
+        fresh = ProductSpec(spec.factors)
+        assert spec.level == 12 and vars(spec)["level"] == 12
+        assert spec == fresh and hash(spec) == hash(fresh)
+
 
 def truncated(s, n):
     """The first n + 1 coefficients of s: the expansion to order n of the same product."""
