@@ -6,31 +6,32 @@ spec's modular data (circle method for eta quotients: Rademacher 1937,
 Zuckerman 1939).  The Farey arcs h/k of the Lpos classes with maximal
 Delta/k^2 dominate, with class constants
 c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
-``modular``).  For specs A, B, C and D they sit at k = 5 with Delta = 24:
+``modular``).  With k, Delta and Omega from ``MainTermData``,
 
-    M(n) = (2 pi/5) Re S_r x^{-1/2} I_1((4 pi/5) sqrt(x)),
-    S_r = sum_h c_h e^{-2 pi i r h/5},   r = n mod 5,   x = n + Omega/24,
+    M(n) = a I_1(y) / sqrt(x),   a = (2 pi/k) sqrt(Delta/24) Re S_r,
+    y = (pi/6k) sqrt(24 Delta x),   S_r = sum_h c_h e^{-2 pi i r h/k},
 
-the one-arc form ``circle.lemma_arc_integral`` checks.  For A, B and D the
+r = n mod k, x = n + Omega/24; an S_r not certified real is refused.  All
+registered specs have k = 5, with Delta = 24 (A, B, C, D; the one-arc form
+``circle.lemma_arc_integral`` checks) or 24/5 (c, d).  For A, B and D the
 coefficient is M(n) plus an error of magnitude at most
 
     E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20)
 
-in every residue class, C the paper's explicit constant (a short sum of
-powers of e) in ``ERROR_CONSTANTS``.  Other k or Delta, a spec without a
-stated C, and an S_r not certified real are refused.  Certified verdicts
-compare the enclosure of |M| against that of E: "true" only when the
-intervals separate strictly, "unknown" when they overlap at the working
-precision (callers retry along ``precision_schedule``).
+in every residue class, C the paper's constant in ``ERROR_CONSTANTS``.  E
+is stated only for k = 5, Delta = 24: ``error_bound`` refuses other arcs
+and specs without a C, and so does everything that needs E.  Certified
+verdicts compare the enclosures of |M| and E: "true" only when they
+separate strictly, "unknown" when they overlap at the working precision
+(callers retry along ``precision_schedule``).
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
 bounds (1/10) e^x/sqrt(x) < I_{-1}(x) < sqrt(pi/8) e^x/sqrt(x) for x >= 3
-drive the eventual-dominance certificates: the lower bound turns |M(n)| into
-an elementary function K x^{-3/4} e^{(4 pi/5) sqrt(x)} whose ratio against
-E(n) is provably nondecreasing once sqrt(x) > 25/(4 pi), so a single
-certified comparison at the threshold extends to every larger index in the
-residue class.
+drive the eventual-dominance certificates: with y = (4 pi/5) sqrt(x) the
+lower bound turns |M(n)| into K x^{-3/4} e^y, whose ratio against E(n) is
+provably nondecreasing once sqrt(x) > 25/(4 pi), so a single certified
+comparison at the threshold extends to every larger index in the class.
 """
 
 from __future__ import annotations
@@ -172,17 +173,8 @@ ERROR_CONSTANTS: dict[str, Callable[[], Enclosure]] = {"A": _const_ab, "B": _con
                                                        "D": _const_d}
 
 
-def _route(spec_name: str) -> MainTermData:
-    """The spec's main-term data, refused unless k = 5 and Delta = 24 (where E is stated)."""
-    data = main_term_data(registered_spec(spec_name))
-    if data.k != 5 or data.delta != 24:
-        raise CertificateRefused(f"spec {spec_name}: dominant arcs at k = {data.k} with "
-                                 f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
-    return data
-
-
 def _x_of(spec_name: str, n: int) -> Fraction:
-    x = n + _route(spec_name).omega / 24
+    x = n + main_term_data(registered_spec(spec_name)).omega / 24
     if x <= 0:
         raise UsageError(f"spec {spec_name} needs x = n + Omega/24 > 0, got {x} at n = {n}")
     return x
@@ -190,7 +182,7 @@ def _x_of(spec_name: str, n: int) -> Fraction:
 
 def class_constant(spec_name: str, r: int) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    data = _route(spec_name)
+    data = main_term_data(registered_spec(spec_name))
     s = ComplexHP.from_fractions(0)
     for h, t, pi_factors in data.arcs:
         s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
@@ -199,26 +191,38 @@ def class_constant(spec_name: str, r: int) -> Enclosure:
     return s.re
 
 
+def _bessel_form(spec_name: str, n: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+    """(a, y, sqrt(x)) with M(n) = a I_1(y) / sqrt(x), in the module docstring's notation."""
+    data = main_term_data(registered_spec(spec_name))
+    sx = Enclosure.from_fraction(_x_of(spec_name, n)).sqrt()
+    a = 2 * Enclosure.pi() / data.k * Enclosure.from_fraction(data.delta / 24).sqrt()
+    y = Enclosure.from_fraction(24 * data.delta).sqrt() * Enclosure.pi() / (6 * data.k) * sx
+    return a * class_constant(spec_name, n % data.k), y, sx
+
+
 # ---------------------------------------------------------------------------
 # main term and error bound
 # ---------------------------------------------------------------------------
 
 def main_term(spec_name: str, n: int) -> Enclosure:
-    """Enclosure of M(n) = (2 pi/5) Re S_r x^{-1/2} I_{-1}((4 pi/5) sqrt(x)), r = n mod 5."""
-    sx = Enclosure.from_fraction(_x_of(spec_name, n)).sqrt()
-    bessel = bessel_im1(4 * Enclosure.pi() / 5 * sx)
-    return 2 * Enclosure.pi() / 5 * class_constant(spec_name, n % 5) * bessel / sx
+    """Enclosure of M(n) = a I_1(y) / sqrt(x) at any dominant arc (module docstring)."""
+    a, y, sx = _bessel_form(spec_name, n)
+    return a * bessel_im1(y) / sx
 
 
 def error_bound(spec_name: str, n: int) -> Enclosure:
     """Upper enclosure of E(n) (module docstring); requires n >= 20.
 
-    C is ``ERROR_CONSTANTS[spec_name]``; a spec the paper states no C for is
-    refused.  The finite exact check covers n < 20.
+    Stated for arcs at k = 5 with Delta = 24 and the specs with a C in
+    ``ERROR_CONSTANTS``; others are refused.  Exact checks cover n < 20.
     """
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
     x = _x_of(spec_name, n)
+    data = main_term_data(registered_spec(spec_name))
+    if data.k != 5 or data.delta != 24:
+        raise CertificateRefused(f"spec {spec_name}: dominant arcs at k = {data.k} with "
+                                 f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
     if spec_name not in ERROR_CONSTANTS:
         raise CertificateRefused(f"spec {spec_name}: no explicit error constant; "
                                  f"stated for {', '.join(ERROR_CONSTANTS)}")
@@ -292,14 +296,13 @@ def dominance_with_escalation(spec_name: str, n: int, start_bits: int = 192) -> 
 def wang_main_lower(spec_name: str, n: int) -> Enclosure:
     """Elementary lower bound for |M(n)| via the e^x/sqrt(x) bound.
 
-    |M(n)| >= (2 pi/5) |Re S_r| x^{-1/2} * (1/10) e^y / sqrt(y),
-    y = (4 pi/5) sqrt(x), r = n mod 5; valid when y >= 3.
+    |M(n)| >= |a| x^{-1/2} * (1/10) e^y / sqrt(y) with a and
+    y = (pi/6k) sqrt(24 Delta x) as in ``main_term``; valid when y >= 3.
     """
-    x = Enclosure.from_fraction(_x_of(spec_name, n))
-    y = 4 * Enclosure.pi() / 5 * x.sqrt()
+    a, y, sx = _bessel_form(spec_name, n)
     if y.lo < 3:
-        raise UsageError("lower bound needs (4 pi/5) sqrt(x) >= 3")
-    return 2 * Enclosure.pi() / 5 * abs(class_constant(spec_name, n % 5)) * wang_lower(y) / x.sqrt()
+        raise UsageError("lower bound needs the Bessel argument (pi/6k) sqrt(24 Delta x) >= 3")
+    return abs(a) * wang_lower(y) / sx
 
 
 @dataclass(frozen=True)
@@ -338,8 +341,8 @@ def eventual_dominance_certificate(spec_name: str, residue: int,
     lhs = Enclosure.from_fraction(Fraction(625, 16)) / (Enclosure.pi() * Enclosure.pi())
     if not lhs.strictly_less(Enclosure.from_fraction(x0)):
         raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
-    wang_lo = wang_main_lower(spec_name, first)
     bound = error_bound(spec_name, first)
+    wang_lo = wang_main_lower(spec_name, first)
     if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
             f"Wang-route dominance at index {first} not certified "

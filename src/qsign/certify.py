@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import __version__
-from .analytic import (CertificateRefused, class_constant, eventual_dominance_certificate,
-                       precision_schedule)
+from .analytic import (CertificateRefused, class_constant, error_bound,
+                       eventual_dominance_certificate, precision_schedule)
 from .enclosure import precision
 from .qseries import QSeries, expand_product, registered_spec, sign_exceptions
 
@@ -107,11 +107,12 @@ def _finish(cert: dict) -> dict:
 
 
 def _check_target(target: TargetSpec) -> None:
-    """Refuse a target whose finite range stops short of n0 or whose sign the main term denies."""
+    """Refuse a target whose finite range stops short of n0, with no E(n0) or a sign M denies."""
     if target.finite_last_index < target.threshold_index:
         raise ValueError(f"target {target.key}: finite range ends at "
                          f"{target.finite_last_index}, before the dominance "
                          f"threshold {target.threshold_index}")
+    error_bound(target.spec_name, target.threshold_index)
     const = class_constant(target.spec_name, target.residue)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
         raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
@@ -123,13 +124,13 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     """Build the certificate for one registered target.
 
     A precision outside ``precision_schedule``'s range, a finite range that
-    stops short of the threshold and a claimed sign that is not the sign of
-    the derived class constant are refused before anything is expanded.  Then
-    exact signs on the finite range, then the eventual-dominance certificate
-    at the threshold, retried along ``precision_schedule(precision_bits)``
-    while it is refused.  Any exact sign violation fails loudly with the
-    violating index; a dominance still refused at the last precision is
-    reported via exit code 3.
+    stops short of the threshold, a spec without an error bound and a claimed
+    sign that is not the sign of the derived class constant are refused
+    before anything is expanded.  Then exact signs on the finite range, then
+    the eventual-dominance certificate at the threshold, retried along
+    ``precision_schedule(precision_bits)`` while it is refused.  Any exact
+    sign violation fails loudly with the violating index; a dominance still
+    refused at the last precision is reported via exit code 3.
     """
     try:
         target = TARGETS[target_key]

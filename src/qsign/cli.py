@@ -339,11 +339,14 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int >= low ("invalid integer value" for other text)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
 
 
 @functools.cache
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     add("expand", "stream exact coefficients", cmd_expand,
-        {"--trunc": dict(type=int, required=True),
+        {"--trunc": dict(type=_int_at_least(0), required=True),
          "--format": dict(choices=("csv", "json", "table"), default="csv")},
         "--spec", "--spec-json", "--out")
     add("certify", "build a sign-pattern certificate", cmd_certify,
@@ -391,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
          "--n": dict(type=int, required=True)},
         "--precision", "--out")
     add("xcheck", "randomized identity residual checks", cmd_xcheck,
-        {"--identity": dict(required=True), "--samples": dict(type=_positive_int, default=100),
-         "--workers": dict(type=int, default=os.cpu_count() or 1)},
+        {"--identity": dict(required=True), "--samples": dict(type=_int_at_least(1), default=100),
+         "--workers": dict(type=_int_at_least(1), default=os.cpu_count() or 1)},
         "--precision", "--seed", "--out")
     add("bench", "time the exact expansion engine", cmd_bench,
-        {"--trunc": dict(type=int, default=19501)}, "--spec", "--spec-json")
+        {"--trunc": dict(type=_int_at_least(0), default=19501)}, "--spec", "--spec-json")
 
     return parser
 

@@ -8,9 +8,10 @@ sign decision compares interval endpoints strictly.
 The value is the raw endpoint pair of ``mpmath.libmp`` (``_mpi_``, two mpf
 tuples), and every operation calls the interval kernels ``mpi_add``,
 ``mpi_mul``, ``mpi_div``, ``mpi_exp``, ``mpi_cos_sin`` ... directly, with no
-``mpmath.iv`` object in between.  Ints and Fractions are coerced exactly as
-``iv.mpf`` coerces them (``from_int`` rounded floor and ceiling, then
-``mpi_div`` for a ratio), so every endpoint is bit for bit the one
+``mpmath.iv`` object in between (and no ``Enclosure(value)``: values come
+from the static constructors and arithmetic).  Ints and Fractions are
+coerced exactly as ``iv.mpf`` coerces them (``from_int`` floor and ceiling,
+then ``mpi_div`` for a ratio), so every endpoint is bit for bit the one
 ``mpmath.iv`` returns (``tests/test_enclosure.py`` checks this).
 
 Precision is the ambient interval working precision ``iv.prec`` in bits,
@@ -118,11 +119,6 @@ class Enclosure:
     """Interval [lo, hi] of arbitrary-precision reals, outward rounded."""
 
     __slots__ = ("_mpi_", "bits")
-
-    def __init__(self, value, bits: int | None = None):
-        """From an Enclosure, an ``mpmath.iv`` value, or anything ``iv.mpf`` accepts."""
-        self._mpi_ = value._mpi_ if hasattr(value, "_mpi_") else iv.mpf(value)._mpi_
-        self.bits = bits if bits is not None else iv.prec
 
     # -- constructors ------------------------------------------------------
 

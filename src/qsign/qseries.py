@@ -82,12 +82,6 @@ class QSeries:
             raise IndexError(f"index {n} outside truncation order {self.trunc_order}")
         return self.coeffs[n]
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        return ps_mul(self, other)
-
-    def inverse(self) -> "QSeries":
-        return ps_inv(self)
-
 
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
     """Exact Cauchy product truncated at the common truncation order."""
@@ -341,6 +335,8 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
     factor order (all arithmetic is exact).
     """
     n = trunc_order
+    if n < 0:
+        raise ValueError(f"truncation order {n} is negative")
     mul_passes, div_passes = pass_plan(spec, n)
     coeffs = np.zeros(n + 1, dtype=np.int64)
     coeffs[0] = 1

@@ -11,9 +11,10 @@ from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, besse
                             eventual_dominance_certificate, main_term, main_term_data,
                             majorization_check, precision_schedule, wang_bounds_hold,
                             wang_lower, wang_main_lower, wang_upper)
-from qsign.certify import TARGETS
+from qsign.certify import KNOWN_PATTERNS, RICHMOND_SZEKERES_PATTERNS, TARGETS
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
-from qsign.qseries import expand_pochhammer, ps_inv, ps_mul, QSeries, registered_spec
+from qsign.qseries import (expand_pochhammer, expand_product, ps_inv, ps_mul, QSeries,
+                           registered_spec)
 
 #: the registered claim on each spec that carries one
 CLAIMS = {target.spec_name: target for target in TARGETS.values()}
@@ -223,10 +224,12 @@ class TestDerivedMainTerm:
             assert class_constant(name, r).intersects(-2 * cos_pi(phase(r)))
 
     def test_spec_off_the_certified_route_refused(self):
-        # c = 1/R dominates at k = 5 with Delta = 24/5; E(n) is stated for Delta = 24 only
+        # c = 1/R dominates at k = 5 with Delta = 24/5: it has a main term, but
+        # E(n) is stated for Delta = 24 only
         assert main_term_data(registered_spec("c")).delta == Fraction(24, 5)
-        for call in (lambda: class_constant("c", 0), lambda: main_term("c", 100),
-                     lambda: error_bound("c", 100),
+        assert isinstance(class_constant("c", 0), Enclosure)
+        assert isinstance(main_term("c", 100), Enclosure)
+        for call in (lambda: error_bound("c", 100),
                      lambda: eventual_dominance_certificate("c", 0, 801)):
             with pytest.raises(CertificateRefused, match="Delta = 24/5"):
                 call()
@@ -239,6 +242,28 @@ class TestDerivedMainTerm:
                      lambda: eventual_dominance_certificate("C", 0, 801)):
             with pytest.raises(CertificateRefused, match="no explicit error constant"):
                 call()
+
+
+class TestMainTermWithoutErrorBound:
+    """c, d and C have a derived main term but no stated E(n): check M against a(n)."""
+
+    @pytest.mark.parametrize("name", ["c", "d", "C"])
+    def test_sign_and_ratio_against_the_exact_coefficients(self, name):
+        series = expand_product(registered_spec(name), 1004)
+        for lo, tol in ((200, Fraction(1, 10**2)), (1000, Fraction(1, 10**6))):
+            for n in range(lo, lo + 5):
+                m, a = main_term(name, n), series.coeffs[n]
+                assert m.is_positive() if a > 0 else m.is_negative(), n
+                assert abs(Enclosure.from_fraction(a) / m - 1).strictly_less(tol), n
+
+    @pytest.mark.parametrize("name", ["c", "d", "C"])
+    def test_class_signs_are_the_documented_patterns(self, name):
+        pattern = RICHMOND_SZEKERES_PATTERNS.get(name) or {
+            residue: sign for residue, _, sign in KNOWN_PATTERNS[name]}
+        assert set(pattern) == set(range(5))
+        for r, sign in pattern.items():
+            const = class_constant(name, r)
+            assert const.is_positive() if sign > 0 else const.is_negative(), r
 
 
 def audit_violations(name: str, series: QSeries, indices) -> list[int]:

@@ -232,6 +232,10 @@ def test_unread_flags_are_rejected(argv):
     ["xcheck", "--identity", "psi", "--samples", "-3"],
     ["dominance", "--family", "C", "--n", "805"],
     ["dominance", "--family", "A", "--n", "5"],
+    ["expand", "--spec", "A", "--trunc", "-1"],
+    ["bench", "--spec", "A", "--trunc", "-3"],
+    ["xcheck", "--identity", "psi", "--workers", "0"],
+    ["xcheck", "--identity", "psi", "--workers", "-2"],
 ])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

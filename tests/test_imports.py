@@ -6,7 +6,10 @@ somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
 a class or an assignment target) in the package must be loaded in its own
 module, so a helper that a change leaves without a caller is caught.  No
 module imports a private name from a ``qsign`` module: a name another
-module needs is public.
+module needs is public.  And every public top-level function or class of the
+package is loaded (as a name or an attribute) in ``src/``, ``scripts/`` or
+``bench/`` outside its own definition, or is named in ``TEST_ONLY``: code
+that only tests use is listed, and the list is kept exact both ways.
 """
 
 import ast
@@ -17,6 +20,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qsign").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+CALLERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py")])
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: public package code that only the tests (or docstrings) use
+TEST_ONLY = {
+    "analytic.colored_partition_majorant", "analytic.majorization_check",
+    "analytic.wang_bounds_hold", "circle.lemma_arc_integral", "circle.theta_by_sum",
+    "modular.dedekind_sum_direct", "modular.dedekind_sums_direct_all",
+    "modular.gamma_action_coeffs", "modular.gamma_of", "modular.lambda_pair",
+    "modular.sawtooth", "qseries.expand_pochhammer", "qseries.rr_sum_side",
+}
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -101,3 +115,37 @@ def test_guard_sees_a_private_qsign_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_qsign_imports(path):
     assert private_qsign_imports(path.read_text()) == []
+
+
+def loads_outside_own_definition(source: str) -> set[str]:
+    """Names loaded as a ``Name`` or an attribute, except inside their own top-level def."""
+    out: set[str] = set()
+    for node in ast.parse(source).body:
+        names = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                 if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+        out |= names - {node.name} if isinstance(node, DEFINITIONS) else names
+    return out
+
+
+def uncalled_public_names(package: dict[str, str], callers: list[str]) -> set[str]:
+    """``module.name`` of each public top-level def in `package` that no caller source loads."""
+    loaded = set().union(*map(loads_outside_own_definition, callers))
+    return {f"{module}.{node.name}" for module, source in package.items()
+            for node in ast.parse(source).body
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+            and node.name not in loaded}
+
+
+def test_guard_sees_public_code_nothing_uses():
+    lib = ("def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+           "class Orphan:\n    pass\n\ndef _private():\n    helper()\n\ndef helper():\n"
+           "    return helper\n\ndef via_attribute():\n    pass\n")
+    caller = "import lib\nfrom lib import used\nused()\nlib.via_attribute()\n"
+    assert uncalled_public_names({"lib": lib}, [lib, caller]) == {"lib.recursive", "lib.Orphan"}
+    assert uncalled_public_names({"lib": lib}, [lib]) == {
+        "lib.used", "lib.recursive", "lib.Orphan", "lib.via_attribute"}
+
+
+def test_public_code_has_a_caller_or_is_listed_as_test_only():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert uncalled_public_names(package, [path.read_text() for path in CALLERS]) == TEST_ONLY

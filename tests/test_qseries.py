@@ -96,6 +96,10 @@ class TestProductSpecs:
     def test_constant_term(self):
         assert expand_product(registered_spec("A"), 0).coeffs == (1,)
 
+    def test_negative_truncation_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            expand_product(registered_spec("A"), -1)
+
     def test_first_signs_of_reciprocal_fifth_power(self):
         s = expand_product(registered_spec("A"), 4)
         assert [c > 0 for c in s.coeffs[1:4]] == [True, True, True]
