@@ -17,9 +17,12 @@ Subcommands and their flags (each flag is attached only where it is read):
 * ``xcheck``     randomized residual checks of the transformation identities;
                  a sample whose left side may vanish (sigma drawn as 0) is
                  refused with ``circle.ConvergenceRefused``; --identity,
-                 --samples, --precision, --seed, --workers, --out
-* ``bench``      time the exact expansion engine and report its pass counts
-                 and largest coefficient in bits; --spec, --spec-json, --trunc
+                 --samples, --precision, --seed, --workers (at most one per
+                 sample and per CPU), --out
+* ``bench``      time the exact expansion engine and report its pass counts,
+                 the limb radix, final limb count and division block sizes
+                 (``qseries.limb_plan``) and the largest coefficient in bits;
+                 --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  All randomness is driven by --seed.
@@ -59,8 +62,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 from . import __version__
 from .analytic import ERROR_CONSTANTS, PRECISION_CAP, UsageError, dominance_with_escalation
 from .enclosure import DEFAULT_PRECISION, precision
-from .qseries import (ProductSpec, REGISTERED_SPECS, expand_product, iter_csv_rows,
-                      pass_plan, registered_spec)
+from .qseries import (ProductSpec, REGISTERED_SPECS, expand_limbs, expand_product,
+                      iter_csv_rows, limb_plan, limbs_to_series, registered_spec)
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
@@ -299,8 +302,9 @@ def cmd_xcheck(args) -> int:
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
     t0 = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             residuals = list(pool.map(_xcheck_worker, jobs))
     else:
         residuals = [_xcheck_worker(job) for job in jobs]
@@ -319,13 +323,17 @@ def cmd_xcheck(args) -> int:
 def cmd_bench(args) -> int:
     name, spec = _parse_spec(args)
     t0 = time.perf_counter()
-    series = expand_product(spec, args.trunc)
+    plan = limb_plan(spec, args.trunc)
+    limbs = expand_limbs(plan)
+    limb_count = limbs.shape[0]
+    series = limbs_to_series(limbs, plan.radix_bits)
     dt = time.perf_counter() - t0
     digits = len(str(abs(series.coeffs[-1])))
-    mul_passes, div_passes = pass_plan(spec, args.trunc)
     print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(dt, 3),
                       "last_coefficient_digits": digits,
-                      "mul_passes": len(mul_passes), "div_passes": len(div_passes),
+                      "mul_passes": len(plan.mul_passes), "div_passes": len(plan.div_passes),
+                      "limb_radix_bits": plan.radix_bits, "limbs": limb_count,
+                      "div_blocks": list(plan.div_blocks),
                       "coeff_bits_max": max(abs(c).bit_length() for c in series.coeffs)}))
     return 0
 

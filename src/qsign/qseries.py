@@ -25,22 +25,47 @@ product with r = m and modulus 3m.  A literal factor-by-factor expander is
 kept as ``expand_product_reference`` and the two are required to agree
 exactly.
 
-Each pass is slice arithmetic on one numpy array, one shifted slice per
-term.  Multiplication passes run on int64 while a proven bound holds: every
-term is +-1, so a pass by t terms multiplies the l1 norm by at most t, and
-the array switches to Python ints (dtype object) before the product of the
-term counts would pass 2^63 - 1.  Division passes run on Python ints in
-blocks; a term reaching back a whole block or more subtracts finished values
-as one slice per block, and only the short terms run index by index.
+The expansion runs on one int32 array of limbs, shape (limbs, N + 1):
+coefficient n is sum_l limbs[l, n] 2^{R l}.  After every carry each limb
+lies in [-2^{R-1} - 1, 2^{R-1}], so |limb| <= h = 2^{R-1} + 1 (a balanced
+carry, which leaves small negative values in the low limbs instead of
+running a borrow up the array).  The array gains a limb in place when a
+carry reaches its top.  At the end it becomes Python ints two limbs at a
+time from the top, shrinking in place as the ints grow.
+
+*Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
+before its carry, which adds 2^{R-1} before shifting: a multiplication pass
+sums t shifted copies, and a division pass adds at most one contribution
+per term to an index's own value.  R is the largest radix with
+t h + 2^{R-1} <= 2^31 - 1 for the largest t of the expansion (24 for D to
+19501, with t = 177), so no int32 accumulation overflows; if no R >= 1
+fits, the expansion is refused.
+
+*Division passes* y = x / T walk blocks of b indices.  The terms with
+e < b are one product y_block = M [y_prev; x_block] with M = [-PQ | P]:
+P is the Toeplitz matrix of 1/T mod q^b and Q the near terms' reach into
+the block before.  It runs in float64, and it is exact: with inputs of
+magnitude at most h (y_prev) and t h (x), every row's products and
+partial sums are integers of magnitude at most sum_j |M_ij| (input bound),
+and b halves from 64 until that is at most 2^53 (b = 32 for the moduli 2
+and 3, whose 1/T grow fastest).  The product is carried in int64 with spare
+limbs on top.  A term with e >= b reads only final values: it sits on a
+due-list keyed by block, and when its block comes it subtracts the final
+values [p, lo) from the targets [p + e, lo + e) as one slice of up to e
+indices, then moves to the block of lo + e (the schedule of relaxed
+series arithmetic: J. van der Hoeven, "Relax, but don't be too lazy",
+J. Symb. Comput. 34 (2002)).  Multiplication passes run on the same
+limbs, one shifted slice per term, carried once per pass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate, takewhile
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,13 +242,15 @@ def registered_spec(name: str) -> ProductSpec:
 
 
 # ---------------------------------------------------------------------------
-# sparse triple-product engine
+# sparse triple-product engine on int32 limbs
 # ---------------------------------------------------------------------------
 
-#: block length of a division pass: a divisor term with exponent e >= _BLOCK
-#: reads only finished blocks, so it runs as one slice subtraction per block
-_BLOCK = 512
-_INT64_MAX = int(np.iinfo(np.int64).max)
+#: largest block of a division pass; a pass halves it until its float64
+#: block product is exact
+_MAX_BLOCK = 64
+#: every integer of magnitude at most 2^53 is a float64
+_FLOAT64_EXACT = 1 << 53
+_INT32_MAX = (1 << 31) - 1
 
 Terms = list[tuple[int, int]]
 
@@ -268,88 +295,262 @@ def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Te
     return mul_passes, div_passes
 
 
-def _mul_pass(a: np.ndarray, terms: Terms) -> np.ndarray:
-    """a * sum_t c_t q^{e_t} truncated to len(a), one shifted slice per term."""
-    out = np.zeros_like(a)
-    n1 = len(a)
-    for e, c in terms:
-        if c > 0:
-            out[e:] += a[:n1 - e]
-        else:
-            out[e:] -= a[:n1 - e]
-    return out
+def _limb_bound(radix_bits: int) -> int:
+    """Largest |limb| after a carry: half the radix plus one."""
+    return (1 << (radix_bits - 1)) + 1
 
 
-def _div_pass(out: np.ndarray, terms: Terms) -> None:
-    """Divide the object array `out` in place by sum_t c_t q^{e_t} with c_0 = 1.
+def _carry_steps(bound: int, radix_bits: int) -> int:
+    """Balanced carry steps that bring limbs of magnitude <= bound to _limb_bound.
 
-    out[i] <- out[i] - sum_{t >= 1} c_t out[i - e_t], block by block.  Terms
-    with e >= _BLOCK read out[lo - e:hi - e], which lies wholly before the
-    block [lo, hi) since e >= _BLOCK >= hi - lo: those reads are finished
-    values and never overlap the slice being written.  The remaining terms
-    run the recurrence index by index on a list copy of the block and the
-    _BLOCK values before it (zeros before index 0).
+    One step replaces every limb v by v - c 2^R and adds c = floor((v +
+    2^{R-1}) / 2^R) to the limb above.  The first carry out of a limb of
+    magnitude <= B has magnitude <= (B + 2^{R-1}) >> R.  After a step whose
+    carries are at most C, a limb lies in [-2^{R-1} - C, 2^{R-1} - 1 + C],
+    so the next carries are at most ceil(C / 2^R).  Steps repeat until the
+    carries are at most 1, which leaves every limb in [-2^{R-1} - 1, 2^{R-1}].
+    Each step moves carries one limb up, so a carry runs on an array with
+    `steps` spare limbs on top and none leaves it.
+    """
+    radix = 1 << radix_bits
+    steps, carry = 1, (bound + radix // 2) >> radix_bits
+    while carry > 1:
+        steps, carry = steps + 1, (carry + radix - 1) >> radix_bits
+    return steps
+
+
+def _carry(v: np.ndarray, radix_bits: int, steps: int) -> None:
+    """Balanced carry in place along axis 0 (limbs), `steps` times (see _carry_steps)."""
+    half = 1 << (radix_bits - 1)
+    for _ in range(steps):
+        c = v[:-1] + half
+        c >>= radix_bits
+        v[:-1] -= c << radix_bits
+        v[1:] += c
+
+
+class _DivBlock(NamedTuple):
+    """The exact block product of one division pass (see ``_div_block``)."""
+
+    size: int
+    matrix: np.ndarray
+    carry_steps: int
+
+
+def _div_block(terms: Terms, radix_bits: int) -> _DivBlock:
+    """Block size b, the float64 matrix M^T and the carry steps of one division pass.
+
+    The terms with e < b ("near" terms) form M = [-PQ | P]: P is the lower
+    triangular Toeplitz matrix of u = 1/T mod q^b and Q[k, j] = c_t where
+    j = b + k - e_t < b is the reach of term t from index k of a block into
+    the block before it, so y_block = M [y_prev; x] with x the block's
+    values after the far terms (e >= b).  A final limb has magnitude at most
+    h = _limb_bound(R) and an x limb at most t h (its own value and one
+    contribution per far term), so row i of the product, its terms and every
+    partial sum are integers of magnitude at most
+    sum_j |(PQ)_ij| h + sum_j |P_ij| t h; b halves from _MAX_BLOCK until
+    that is at most 2^53, which makes the float64 product exact in any
+    summation order.  b = 1 has no near terms and M = [0 | 1], so the
+    halving ends.  M depends only on the terms below _MAX_BLOCK, t and R.
     """
     if terms[0] != (0, 1):
         raise ConstantTermError("sparse divisor must have constant term 1")
-    near_plus = [e for e, c in terms[1:] if e < _BLOCK and c > 0]
-    near_minus = [e for e, c in terms[1:] if e < _BLOCK and c < 0]
-    far = [(e, c) for e, c in terms[1:] if e >= _BLOCK]
-    n1 = len(out)
-    for lo in range(0, n1, _BLOCK):
-        hi = min(lo + _BLOCK, n1)
-        for e, c in far:
-            if e >= hi:
+    near = tuple(takewhile(lambda term: term[0] < _MAX_BLOCK, terms[1:]))
+    return _near_block(near, len(terms), radix_bits)
+
+
+@lru_cache(maxsize=16)
+def _near_block(near: tuple[tuple[int, int], ...], term_count: int,
+                radix_bits: int) -> _DivBlock:
+    """``_div_block`` for the terms `near` (0 < e < _MAX_BLOCK) of a pass of term_count terms."""
+    h = _limb_bound(radix_bits)
+    x_bound = term_count * h
+    u = [1] + [0] * (_MAX_BLOCK - 1)
+    for i in range(1, _MAX_BLOCK):
+        s = 0
+        for e, c in near:
+            if e > i:
                 break
-            start = max(lo, e)
-            if c > 0:
-                out[start:hi] -= out[start - e:hi - e]
-            else:
-                out[start:hi] += out[start - e:hi - e]
-        base = lo - _BLOCK
-        w = [0] * max(0, -base) + out[max(0, base):hi].tolist()
-        for k in range(_BLOCK, _BLOCK + hi - lo):
-            s = w[k]
-            for e in near_minus:
-                s += w[k - e]
-            for e in near_plus:
-                s -= w[k - e]
-            w[k] = s
-        out[lo:hi] = np.array(w[_BLOCK:], dtype=object)
+            s -= c * u[i - e]
+        u[i] = s
+    b = _MAX_BLOCK
+    while True:
+        p_rows = list(accumulate(abs(v) for v in u[:b]))
+        if p_rows[-1] * x_bound <= _FLOAT64_EXACT:
+            # every |u_i| <= 2^53, so P and PQ are exact in int64
+            toeplitz = np.subtract.outer(np.arange(b), np.arange(b))
+            p = np.where(toeplitz >= 0, np.array(u[:b], dtype=np.int64)[toeplitz % b], 0)
+            pq = np.zeros((b, b), dtype=np.int64)
+            for e, c in near:
+                if e < b:
+                    pq[:, b - e:] += c * p[:, :e]
+            rows = [q * h + s * x_bound
+                    for q, s in zip(np.abs(pq).sum(axis=1).tolist(), p_rows)]
+            if max(rows) <= _FLOAT64_EXACT:
+                break
+        b //= 2
+    matrix = np.hstack([-pq, p]).T.astype(np.float64)
+    matrix.flags.writeable = False  # cached: shared by every pass that uses it
+    return _DivBlock(b, matrix, _carry_steps(max(rows), radix_bits))
 
 
-def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
-    """Exact expansion of prod_j (q^{r_j}, q^{m_j - r_j}; q^{m_j})_inf^{delta_j}.
+class LimbPlan(NamedTuple):
+    """How ``expand_product`` runs one expansion.
 
-    Runs the passes of ``pass_plan``, multiplications first: they keep the
-    intermediate coefficients small.  Every pass is slice arithmetic on one
-    numpy array.  A multiplication pass by t terms, each +-1, adds t shifted
-    copies of its input, so every partial sum is at most the input's l1
-    norm and the output's l1 norm is at most t times it.  The array is
-    therefore int64 while the product of the term counts of the passes run
-    so far, this one included, is at most 2^63 - 1; the dtype is chosen from
-    this bound before each pass, and the array becomes Python ints (dtype
-    object) before the first pass that would break it.  Division passes,
-    whose coefficients grow without such a bound, run on Python ints in
-    blocks of _BLOCK (see ``_div_pass``).  The result is independent of
-    factor order (all arithmetic is exact).
+    The passes of ``pass_plan``, the limb radix 2^radix_bits and the block
+    size of each division pass.
+    """
+
+    trunc_order: int
+    mul_passes: list[Terms]
+    div_passes: list[Terms]
+    radix_bits: int
+    div_blocks: tuple[int, ...]
+
+
+def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
+    """The passes of `spec` to `trunc_order`, with the radix and blocks that keep them exact.
+
+    A pass by t terms adds at most t limbs of magnitude <= h = 2^{R-1} + 1
+    into one int32, and its carry adds 2^{R-1} before shifting; R is the
+    largest radix with t h + 2^{R-1} <= 2^31 - 1 for the largest t of the
+    plan.  The plan is refused if no R >= 1 fits.
     """
     n = trunc_order
     if n < 0:
         raise ValueError(f"truncation order {n} is negative")
     mul_passes, div_passes = pass_plan(spec, n)
-    coeffs = np.zeros(n + 1, dtype=np.int64)
-    coeffs[0] = 1
-    l1_bound = 1
-    for terms in mul_passes:
-        l1_bound *= len(terms)
-        if l1_bound > _INT64_MAX:
-            coeffs = coeffs.astype(object, copy=False)
-        coeffs = _mul_pass(coeffs, terms)
-    coeffs = coeffs.astype(object, copy=False)
-    for terms in div_passes:
-        _div_pass(coeffs, terms)
-    return QSeries(n, tuple(coeffs.tolist()))
+    t = max(len(terms) for terms in mul_passes + div_passes)
+    radix_bits = next((r for r in range(30, 0, -1)
+                       if t * _limb_bound(r) + (1 << (r - 1)) <= _INT32_MAX), 0)
+    if not radix_bits:
+        raise ValueError(f"a pass of {t} terms leaves no int32 headroom for any radix")
+    blocks = tuple(_div_block(terms, radix_bits).size for terms in div_passes)
+    return LimbPlan(n, mul_passes, div_passes, radix_bits, blocks)
+
+
+def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
+    """Limbs of a * sum_t c_t q^{e_t}, one shifted slice per term, carried and trimmed."""
+    steps = _carry_steps(len(terms) * _limb_bound(radix_bits), radix_bits)
+    limbs, n1 = a.shape
+    out = np.zeros((limbs + steps, n1), dtype=np.int32)
+    for e, c in terms:
+        if c > 0:
+            out[:limbs, e:] += a[:, :n1 - e]
+        else:
+            out[:limbs, e:] -= a[:, :n1 - e]
+    _carry(out, radix_bits, steps)
+    out.resize((int(np.flatnonzero(out.any(axis=1))[-1]) + 1, n1), refcheck=False)
+    return out
+
+
+def _div_pass(out: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
+    """Divide the limbs `out` in place by sum_t c_t q^{e_t} (c_0 = 1), block by block.
+
+    y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far term (e >= b) is due
+    at the block holding the first index it has not yet reached: there it
+    subtracts the final values [p, lo) from [p + e, lo + e) as one slice and
+    becomes due again at the block of lo + e.  Its sources lie before the
+    current block and its targets in it or later, so each slice covers up to
+    e indices and every target gets its far contributions before its block
+    runs.  The near terms are one exact float64 product per block (see
+    ``_div_block``), carried in int64 with spare limbs on top; the array
+    grows in place when a carry reaches them.  Returns the (possibly grown)
+    array.
+    """
+    block = _div_block(terms, radix_bits)
+    b, steps = block.size, block.carry_steps
+    n1 = out.shape[1]
+    due: list[list[tuple[int, int, int]]] = [[] for _ in range(-(-n1 // b))]
+    for e, c in terms:
+        if e >= b:
+            due[e // b].append((e, c, 0))
+    for k, far in enumerate(due):
+        lo, hi = k * b, min(k * b + b, n1)
+        for e, c, p in far:
+            top = min(lo + e, n1)
+            if c > 0:
+                out[:, p + e:top] -= out[:, p:top - e]
+            else:
+                out[:, p + e:top] += out[:, p:top - e]
+            if lo + e < n1:
+                due[(lo + e) // b].append((e, c, lo))
+        y = _block_product(out, lo, hi, block)
+        _carry(y, radix_bits, steps)
+        limbs = out.shape[0]
+        if y[limbs:].any():
+            limbs += int(np.flatnonzero(y[limbs:].any(axis=1))[-1]) + 1
+            out.resize((limbs, n1), refcheck=False)  # no view of `out` is alive here
+        out[:, lo:hi] = y[:limbs]
+    return out
+
+
+def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.ndarray:
+    """int64 limbs of y[lo:hi] = M [y_prev; x], with carry_steps zero limbs on top."""
+    b, w = block.size, hi - lo
+    if lo:
+        v, m = out[:, lo - b:hi], block.matrix[:b + w, :w]
+    else:
+        v, m = out[:, :hi], block.matrix[b:b + w, :w]
+    y = np.zeros((out.shape[0] + block.carry_steps, w), dtype=np.int64)
+    y[:out.shape[0]] = v.astype(np.float64) @ m
+    return y
+
+
+def expand_limbs(plan: LimbPlan) -> np.ndarray:
+    """The expansion of ``plan`` as int32 limbs, shape (limbs, N + 1).
+
+    Coefficient n is sum_l limbs[l, n] 2^{R l} with R = plan.radix_bits,
+    every |limb| <= 2^{R-1} + 1.
+    """
+    out = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
+    out[0, 0] = 1
+    for terms in plan.mul_passes:
+        out = _mul_pass(out, terms, plan.radix_bits)
+    for terms in plan.div_passes:
+        out = _div_pass(out, terms, plan.radix_bits)
+    return out
+
+
+def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:
+    """The QSeries whose coefficient n is sum_l limbs[l, n] 2^{radix_bits l}; consumes `limbs`.
+
+    Horner's rule on Python ints from the top limb down, two limbs at a time
+    (h (1 + 2^R) < 2^63, so a pair is one int64).  Each consumed pair is cut
+    off the end of the array in place, so the limbs shrink as the ints grow
+    and the two are never both held in full.
+    """
+    rows, n1 = limbs.shape
+    if rows % 2:
+        limbs.resize((rows + 1, n1), refcheck=False)
+    acc = np.zeros(n1, dtype=object)
+    for top in range(limbs.shape[0], 0, -2):
+        pair = limbs[top - 2].astype(np.int64)
+        pair += limbs[top - 1].astype(np.int64) << radix_bits
+        acc <<= 2 * radix_bits
+        acc += pair
+        del pair
+        limbs.resize((top - 2, n1), refcheck=False)
+    return QSeries(n1 - 1, tuple(acc.tolist()))
+
+
+def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
+    """Exact expansion of prod_j (q^{r_j}, q^{m_j - r_j}; q^{m_j})_inf^{delta_j}.
+
+    Runs the passes of ``limb_plan``, multiplications first (they keep the
+    intermediate coefficients small), on one int32 array of limbs in radix
+    2^R, each limb at most h = 2^{R-1} + 1 in magnitude after a carry.  R is
+    the largest radix with t h + 2^{R-1} < 2^31 for the largest pass of t
+    terms, so no int32 sum of a pass overflows.  A division pass walks
+    blocks of b <= 64 indices: its terms with e >= b wait on a due-list
+    keyed by block and run as one slice of final values each time their
+    block comes; the others are one float64 block product, exact because b
+    is halved until every partial sum is an integer below 2^53.  The
+    module docstring gives the details.  The result is independent of
+    factor order (all arithmetic is exact).
+    """
+    plan = limb_plan(spec, trunc_order)
+    return limbs_to_series(expand_limbs(plan), plan.radix_bits)
 
 
 def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from qsign import cli
 from qsign.circle import ConvergenceRefused
 from qsign.cli import build_parser, main
-from qsign.qseries import expand_product, registered_spec
+from qsign.qseries import expand_product, limb_plan, registered_spec
 
 
 def run_cli(args, **kw):
@@ -44,6 +45,19 @@ class TestExpand:
         # hand-checked: (1 - q^2 - q^3)(1 + q + q^2 + q^3 + 2 q^4) + O(q^5)
         assert payload == {"spec": "c", "trunc": 4,
                            "coeffs": ["1", "1", "0", "-1", "0"]}
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--spec", "D", "--trunc", "19501"],
+         "c16ebd8194807c97932d0bc64170a7c08c8dbf91ca8192735e37cb874893d941"),
+        (["--spec", "A", "--trunc", "3000", "--format", "json"],
+         "1b45e5798fe75b3192c5fafb16307eea8146380576d33d4c006909afd05043a3"),
+        (["--spec", "C", "--trunc", "2000", "--format", "table"],
+         "ca6fc7990c51d6ee2589865c70a2b82f7973ea3f8bc9c68de917a34077afac3b"),
+    ])
+    def test_stdout_digest_pinned(self, argv, digest, capsys):
+        # sha256 of the whole stdout: exact output, whatever engine expands it
+        assert main(["expand", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "coeffs.csv"
@@ -140,6 +154,30 @@ class TestXcheck:
             main(["xcheck", "--identity", identity, "--samples", "1", "--seed", "636946",
                   "--workers", "1"])
 
+    def test_workers_capped_by_samples_and_cpus(self, monkeypatch, capsys):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["xcheck", "--identity", "quasiperiodicity", "--seed", "3", "--workers", "100000"]
+        assert main([*argv, "--samples", "3"]) == 0
+        assert main([*argv, "--samples", "1"]) == 0
+        capsys.readouterr()
+        assert started == [2]
+
     def test_unknown_identity(self):
         res = run_cli(["xcheck", "--identity", "wat"])
         assert res.returncode != 0
@@ -174,6 +212,11 @@ class TestBench:
         assert payload["mul_passes"] == 1 and payload["div_passes"] == 1
         series = expand_product(registered_spec("c"), 2000)
         assert payload["coeff_bits_max"] == max(abs(c).bit_length() for c in series.coeffs)
+        plan = limb_plan(registered_spec("c"), 2000)
+        assert payload["limb_radix_bits"] == plan.radix_bits == 26
+        assert payload["div_blocks"] == list(plan.div_blocks) == [64]
+        # 63-bit coefficients in limbs of at most 2^25 + 1: three limbs
+        assert payload["limbs"] == 3
         res = run_cli(["bench", "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]', "--trunc", "50"])
         payload = json.loads(res.stdout)
         # psi(1,5)^2: two triple-product multiplications, two eta divisions

@@ -1,15 +1,16 @@
 import random
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from qsign import qseries
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_pochhammer, expand_product,
-                           expand_product_reference, iter_csv_rows, pass_plan, ps_inv, ps_mul,
-                           registered_spec, rr_sum_side, sign_exceptions, slice_indices,
-                           slice_signs)
+                           expand_product_reference, iter_csv_rows, limb_plan, pass_plan,
+                           ps_inv, ps_mul, registered_spec, rr_sum_side, sign_exceptions,
+                           slice_indices, slice_signs)
 
 
 def brute_partitions(n):
@@ -165,31 +166,82 @@ def truncated(s, n):
     return QSeries(n, s.coeffs[:n + 1])
 
 
-#: specs whose multiplication passes at N = 1000 break the int64 bound:
-#: psi(2,5)^12 / psi(1,5) only at its last (twelfth) pass, and psi(2,5)^30,
-#: whose multiplication passes reach 72-bit coefficients, so int64 would wrap
-INT64_BREAKING = [ProductSpec(((2, 5, 12), (1, 5, -1))), ProductSpec(((2, 5, 30),))]
+#: specs with coefficients beyond 2^63 at N = 1000: psi(2,5)^12 / psi(1,5), whose
+#: last multiplication pass breaks the l1 bound 2^63, and psi(2,5)^30, whose
+#: multiplication passes alone reach 72-bit coefficients
+BEYOND_INT64 = [ProductSpec(((2, 5, 12), (1, 5, -1))), ProductSpec(((2, 5, 30),))]
+
+
+def limb_count(spec, n):
+    return qseries.expand_limbs(limb_plan(spec, n)).shape[0]
 
 
 class TestSliceEngine:
-    """The slice passes against the factor-by-factor reference, around the block edges."""
+    """The limb passes against the factor-by-factor reference, around block and limb edges."""
 
     @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
     def test_equals_reference_across_block_edges(self, name):
-        block = qseries._BLOCK
         spec = registered_spec(name)
+        block = max(limb_plan(spec, 200).div_blocks)
+        assert block == qseries._MAX_BLOCK
         top = 2 * block + 7
         ref = expand_product_reference(spec, top)
         for n in (0, 1, 5, block - 1, block, block + 1, top):
             assert expand_product(spec, n) == truncated(ref, n), (name, n)
 
-    @pytest.mark.parametrize("spec", INT64_BREAKING)
-    def test_int64_to_object_switch(self, spec):
+    @pytest.mark.parametrize("spec", BEYOND_INT64)
+    def test_limb_growth_beyond_int64(self, spec):
         mul_passes, _ = pass_plan(spec, 1000)
-        assert prod(len(terms) for terms in mul_passes) > qseries._INT64_MAX
+        assert prod(len(terms) for terms in mul_passes) > 2 ** 63 - 1
         got = expand_product(spec, 1000)
         assert got == expand_product_reference(spec, 1000)
-        assert max(abs(c) for c in got.coeffs) > qseries._INT64_MAX
+        assert max(abs(c) for c in got.coeffs) > 2 ** 63 - 1
+        assert limb_count(spec, 1000) * limb_plan(spec, 1000).radix_bits > 64
+
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_equals_reference_at_limb_growth(self, name):
+        # hi is the smallest N that needs the limb count of N = 1000, so a
+        # division pass grows the array in place at the block holding index hi
+        spec = registered_spec(name)
+        lo, hi = 0, 1000
+        final = limb_count(spec, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if limb_count(spec, mid) < final else (lo, mid)
+        assert limb_count(spec, hi - 1) < limb_count(spec, hi) == final
+        ref = expand_product_reference(spec, hi + 1)
+        for n in (hi - 1, hi, hi + 1):
+            assert expand_product(spec, n) == truncated(ref, n), (name, n)
+
+    @pytest.mark.parametrize("bound", [1, 2 ** 20, 2 ** 31 - 1, 2 ** 53])
+    @pytest.mark.parametrize("radix_bits", [1, 3, 23, 27, 30])
+    def test_carry_keeps_value_and_reaches_limb_bound(self, bound, radix_bits):
+        rng = np.random.default_rng(bound % 1009 + radix_bits)
+        steps = qseries._carry_steps(bound, radix_bits)
+        v = np.zeros((4 + steps, 50), dtype=np.int64)
+        v[:4] = rng.integers(-bound, bound, size=(4, 50), endpoint=True)
+        v[:4, :2] = [[bound, -bound]] * 4
+        value = [sum(int(x) << (radix_bits * l) for l, x in enumerate(col)) for col in v.T]
+        qseries._carry(v, radix_bits, steps)
+        assert [sum(int(x) << (radix_bits * l) for l, x in enumerate(col)) for col in v.T] == value
+        assert np.abs(v).max() <= qseries._limb_bound(radix_bits)
+
+    def test_radix_fits_int32_for_the_largest_pass(self):
+        plan = limb_plan(registered_spec("D"), 19501)
+        t = max(len(terms) for terms in plan.mul_passes + plan.div_passes)
+        r = plan.radix_bits
+        assert (r, t) == (24, 177)
+        assert t * qseries._limb_bound(r) + 2 ** (r - 1) < 2 ** 31
+        assert (t * qseries._limb_bound(r + 1) + 2 ** r) >= 2 ** 31
+
+    def test_plan_without_int32_headroom_is_refused(self, monkeypatch):
+        class Huge(list):
+            def __len__(self):
+                return 2 ** 30
+
+        monkeypatch.setattr(qseries, "pass_plan", lambda spec, n: ([Huge([(0, 1)])], []))
+        with pytest.raises(ValueError, match="no int32 headroom"):
+            limb_plan(registered_spec("A"), 10)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 25])
     def test_eta_passes_are_euler_pentagonal_series(self, m):
@@ -206,6 +258,23 @@ class TestSliceEngine:
     def test_random_inline_specs_match_reference(self, raw):
         spec = ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw))
         assert expand_product(spec, 1100) == expand_product_reference(spec, 1100)
+
+    @seed(20251218)
+    @given(st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 10, 25]), st.integers(1, 24),
+                              st.integers(-5, 5).filter(bool)),
+                    min_size=1, max_size=2))
+    @settings(max_examples=12, deadline=None)
+    def test_small_moduli_narrow_the_block_and_radix(self, raw):
+        # m = 2, 3 leave u = 1/T mod q^64 too large for an exact float64 block product
+        spec = ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw))
+        plan = limb_plan(spec, 400)
+        t, r = max(len(terms) for terms in plan.mul_passes + plan.div_passes), plan.radix_bits
+        assert t * qseries._limb_bound(r) + 2 ** (r - 1) < 2 ** 31
+        assert t * qseries._limb_bound(r + 1) + 2 ** r >= 2 ** 31
+        assert all(b in (1, 2, 4, 8, 16, 32, 64) for b in plan.div_blocks)
+        if any(m <= 3 and d < 0 for _, m, d in spec.factors):
+            assert min(plan.div_blocks) < qseries._MAX_BLOCK
+        assert expand_product(spec, 400) == expand_product_reference(spec, 400)
 
 
 class TestRogersRamanujan:
