@@ -1,6 +1,6 @@
 """Exact and rigorously-enclosed verification of sign patterns of q-series.
 
-Subpackages:
+Modules:
 
 * ``qseries``   -- exact truncated power series over Python ints
 * ``modular``   -- Dedekind sums and the exact transformation data of
@@ -13,6 +13,10 @@ Subpackages:
                    and diagnostic circle-method quadrature
 * ``certify``   -- orchestration into machine-readable certificates
 * ``cli``       -- command line front end
+
+The package holds only what the proof and its diagnostics run: the
+definitional oracles and paper-lemma checks it is tested against live in
+``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from math import gcd
 from typing import Callable, Literal, Union
 
 from .circle import ComplexHP, e_pi_i_half_turns, pi_factor_value
-from .enclosure import Enclosure, one, precision, zero
+from .enclosure import Enclosure, precision
 from .modular import class_deltas, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
@@ -58,15 +58,15 @@ class CertificateRefused(RuntimeError):
     """Eventual-dominance preconditions not met."""
 
 
-class MajorizationRefused(RuntimeError):
-    """Parameters too close to 1 for the certified tail bound."""
-
-
 # ---------------------------------------------------------------------------
 # Bessel I_{-1} = I_1
 # ---------------------------------------------------------------------------
 
-def bessel_im1(x: Enclosure, max_terms: int = 200_000) -> Enclosure:
+#: the most series terms ``bessel_im1`` sums before it adds the tail bound
+_BESSEL_TERM_CAP = 200_000
+
+
+def bessel_im1(x: Enclosure) -> Enclosure:
     """Enclosure of I_{-1}(x) = I_1(x) = sum_{j>=0} (x/2)^{2j+1} / (j! (j+1)!).
 
     The m = 0 term of the order -1 series vanishes (1/Gamma(0) = 0), which is
@@ -85,7 +85,7 @@ def bessel_im1(x: Enclosure, max_terms: int = 200_000) -> Enclosure:
     total = term
     j = 0
     target = Enclosure.from_fraction(Fraction(1, 2 ** (x.bits + 16)))
-    while j < max_terms:
+    while j < _BESSEL_TERM_CAP:
         ratio_hi = half_sq / ((j + 1) * (j + 2))
         if ratio_hi.hi < 0.5 and (term.hi == 0 or term.hi <= target.hi * max(1.0, abs(total.hi))):
             break
@@ -102,24 +102,6 @@ def bessel_im1(x: Enclosure, max_terms: int = 200_000) -> Enclosure:
 def wang_lower(x: Enclosure) -> Enclosure:
     """(1/10) e^x / sqrt(x); a strict lower bound for I_{-1}(x) when x >= 3."""
     return x.exp() / (10 * x.sqrt())
-
-
-def wang_upper(x: Enclosure) -> Enclosure:
-    """sqrt(pi/8) e^x / sqrt(x); a strict upper bound for I_{-1}(x) when x >= 3."""
-    return (Enclosure.pi() / 8).sqrt() * x.exp() / x.sqrt()
-
-
-def wang_bounds_hold(x: Enclosure) -> Verdict:
-    """Certified check that I_{-1}(x) lies strictly inside the two-sided bounds."""
-    if x.lo < 3:
-        raise UsageError("the two-sided bounds require x >= 3")
-    val = bessel_im1(x)
-    lo, hi = wang_lower(x), wang_upper(x)
-    if lo.strictly_less(val) and val.strictly_less(hi):
-        return True
-    if val.strictly_less(lo) or hi.strictly_less(val):
-        return False
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -353,96 +335,3 @@ def eventual_dominance_certificate(spec_name: str, residue: int,
         wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
         precision_bits=wang_lo.bits,
     )
-
-
-# ---------------------------------------------------------------------------
-# majorization of reciprocal double Pochhammer products
-# ---------------------------------------------------------------------------
-
-def majorization_check(alpha: Fraction, beta: Fraction, x: Fraction,
-                       refusal_hi: float = 0.99) -> bool:
-    """Certified check of 1/((a; x)_inf (b; x)_inf) <= exp(a/(1-a) + a x/(1-x)^2 + ...).
-
-    The infinite product is enclosed with the tail bound
-    0 <= -sum_{k>=K} log(1-y x^k) <= y x^K / ((1 - y x^K)(1 - x)); the
-    comparison uses interval endpoints, so True is a certificate.
-    """
-    for v in (alpha, beta, x):
-        if not 0 <= v < 1:
-            raise UsageError("parameters must lie in [0, 1)")
-        if float(v) > refusal_hi:
-            raise MajorizationRefused(f"parameter {v} too close to 1")
-    a, b, xx = map(Enclosure.from_fraction, (alpha, beta, x))
-    prod = one()
-    xk = one()
-    for _ in range(400):
-        prod = prod * (1 - a * xk) * (1 - b * xk)
-        xk = xk * xx
-        if xk.hi == 0:
-            break
-    # tail of -log of the remaining factors
-    tail = zero()
-    if xk.hi != 0:
-        for y in (a, b):
-            yxk = y * xk
-            if not (1 - yxk).is_positive() or not (1 - xx).is_positive():
-                raise MajorizationRefused("tail bound degenerates")
-            tail = tail + yxk / ((1 - yxk) * (1 - xx))
-    lhs = Enclosure.from_endpoints(1, 1) / prod * Enclosure.from_endpoints(0, tail.hi).exp()
-    rhs = (a / (1 - a) + a * xx / ((1 - xx) * (1 - xx))
-           + b / (1 - b) + b * xx / ((1 - xx) * (1 - xx))).exp()
-    return bool(lhs.hi <= rhs.lo)
-
-
-# ---------------------------------------------------------------------------
-# colored partition counts
-# ---------------------------------------------------------------------------
-
-def colored_partition_majorant(eta: int, s: int, t: int, n: int,
-                               max_n: int = 60) -> tuple[int, int]:
-    """(p*, |d*|) for the doubly-colored partition counts at (s, t, n).
-
-    p*_eta(s, t; n) counts pairs (R, B) where R is a multiset of s parts
-    (value >= 0, one of eta shades) and B a multiset of t parts in eta blue
-    shades, all values summing to n -- the coefficient of z^s w^t q^n in
-    (1/((z; q)_inf (w; q)_inf))^eta.  d*_eta is the signed analogue from
-    ((z; q)_inf (w; q)_inf)^eta, whose coefficient is (-1)^{s+t} times the
-    count of pairs of *sets* of distinct (value, shade) parts, so
-    |d*| <= p* holds term by term.  Both counts come from the exact
-    power-series recurrence of ``_colored_counts``; nothing is kept between
-    calls.
-    """
-    if eta < 1:
-        raise UsageError("eta must be a positive integer")
-    if n > max_n or min(s, t, n) < 0:
-        raise UsageError("parameter outside the enumeration guard")
-    p = _colored_pairs(eta, s, t, n, distinct=False)
-    d = _colored_pairs(eta, s, t, n, distinct=True)
-    return p, d
-
-
-def _colored_pairs(eta: int, s: int, t: int, n: int, distinct: bool) -> int:
-    counts = _colored_counts(eta, max(s, t), n, distinct)
-    return sum(counts[s][j] * counts[t][n - j] for j in range(n + 1))
-
-
-def _colored_counts(eta: int, slots: int, n: int, distinct: bool) -> list[list[int]]:
-    """F[c][m]: multisets (sets if `distinct`) of c pairs (value, shade) with value sum m.
-
-    sum_c F_c z^c is prod_{v>=0} (1 - z q^v)^{-eta}, or (1 + z q^v)^eta for
-    sets, which is exp(sum_k g_k z^k / k) with g_k = +-eta/(1 - q^k) (minus
-    for even k in the set case).  So c F_c = sum_{k=1..c} g_k F_{c-k}, where
-    dividing by 1 - q^k is a running sum along each residue class mod k; the
-    division by c is exact.
-    """
-    rows = [[1] + [0] * n]
-    for c in range(1, slots + 1):
-        acc = [0] * (n + 1)
-        for k in range(1, c + 1):
-            part = list(rows[c - k])
-            for m in range(k, n + 1):
-                part[m] += part[m - k]
-            sign = -1 if distinct and k % 2 == 0 else 1
-            acc = [a + sign * b for a, b in zip(acc, part)]
-        rows.append([eta * a // c for a in acc])
-    return rows

@@ -25,8 +25,9 @@ Two numeric regimes live here.
 
 The theta product form multiplies the three Pochhammer symbols
 (xi; q)(xi^{-1} q; q)(q; q); dropping the (q; q) factor would break the
-relation psi = i e^{-pi i tau/6} e^{pi i sigma} theta/eta, and the series
-definition over half-integers is kept as an independent oracle.
+relation psi = i e^{-pi i tau/6} e^{pi i sigma} theta/eta.  The tests check
+it against the series definition over half-integers (``theta_by_sum`` in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -156,13 +157,10 @@ def _tail_padding(prod: ComplexHP, t_hi) -> ComplexHP:
     """
     if not t_hi <= 0.5:
         raise ConvergenceRefused(f"tail bound {mpmath.nstr(t_hi, 8)} exceeds 1/2")
-    d = _symmetric_box(mpmath.ldexp(t_hi, 1))
+    two_t = mpmath.ldexp(t_hi, 1)
+    # [-2t, 2t], the lower endpoint 2t negated exactly, not rounded
+    d = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(two_t._mpf_)), two_t)
     return prod * ComplexHP(1 + d, d)
-
-
-def _symmetric_box(t: mpmath.mpf) -> Enclosure:
-    """[-t, t] for an mpf t >= 0; the lower endpoint is t negated exactly, not rounded."""
-    return Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t)
 
 
 def _scaled(x: tuple, shift: int, up: bool) -> int:
@@ -290,23 +288,24 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     return _tail_padding(rect, t)
 
 
+#: the most factors of one Pochhammer product behind eta, theta and psi
 _FACTOR_BUDGET = 400_000
 
 
-def eta(tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -> ComplexHP:
+def eta(tau: ComplexHP) -> ComplexHP:
     """Dedekind eta: q^{1/24} prod (1 - q^k), q = e^{2 pi i tau}, Im(tau) > 0."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("eta needs Im(tau) > 0")
-    return _eta(tau, e_two_pi_i(tau), max_factors)
+    return _eta(tau, e_two_pi_i(tau))
 
 
-def _eta(tau: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
+def _eta(tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     """eta(tau) given its nome q = e^{2 pi i tau}."""
     head = cexp(ComplexHP(-(Enclosure.pi() * tau.im / 12), Enclosure.pi() * tau.re / 12))
-    return head * pochhammer_product(q, q, max_factors)
+    return head * pochhammer_product(q, q, _FACTOR_BUDGET)
 
 
-def theta(sigma: ComplexHP, tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -> ComplexHP:
+def theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """Odd Jacobi theta via the triple product.
 
     theta(sigma; tau) = -i q^{1/8} xi^{-1/2} (xi; q)(xi^{-1} q; q)(q; q)
@@ -315,10 +314,10 @@ def theta(sigma: ComplexHP, tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -
     """
     if not tau.im.is_positive():
         raise ConvergenceRefused("theta needs Im(tau) > 0")
-    return _theta(sigma, tau, e_two_pi_i(tau), max_factors)
+    return _theta(sigma, tau, e_two_pi_i(tau))
 
 
-def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
+def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     """theta(sigma; tau) given the nome q = e^{2 pi i tau}."""
     xi = e_two_pi_i(sigma)
     pi_e = Enclosure.pi()
@@ -326,54 +325,20 @@ def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP, max_factors: int) -> 
     head = cexp(ComplexHP(-(pi_e * tau.im / 4) + pi_e * sigma.im,
                           pi_e * tau.re / 4 - pi_e * sigma.re))
     head = ComplexHP(head.im, -head.re)  # multiply by -i
-    prod = pochhammer_product(xi, q, max_factors)
-    prod = prod * pochhammer_product(ComplexHP.one() / xi * q, q, max_factors)
-    prod = prod * pochhammer_product(q, q, max_factors)
+    prod = pochhammer_product(xi, q, _FACTOR_BUDGET)
+    prod = prod * pochhammer_product(ComplexHP.one() / xi * q, q, _FACTOR_BUDGET)
+    prod = prod * pochhammer_product(q, q, _FACTOR_BUDGET)
     return head * prod
 
 
-def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> ComplexHP:
-    """Defining series over half-integers nu, with a certified tail bound.
-
-    theta(sigma; tau) = sum_{nu in Z + 1/2} e^{2 pi i nu (sigma + 1/2) + pi i nu^2 tau}.
-    Independent oracle for the product form.
-    """
-    if not tau.im.is_positive():
-        raise ConvergenceRefused("theta needs Im(tau) > 0")
-    if terms is None:
-        # |term| ~ e^{-pi Im(tau) nu^2 + 2 pi |Im sigma| |nu|}; size the cutoff crudely
-        im_t = float(tau.im.lo)
-        im_s = max(abs(float(sigma.im.hi)), abs(float(sigma.im.lo)))
-        need = (iv.prec + 32) * 0.6931 / 3.1416
-        v = (2 * im_s + (4 * im_s * im_s + 4 * im_t * need) ** 0.5) / (2 * im_t)
-        terms = max(8, int(v) + 3)
-    total = ComplexHP(zero(), zero())
-    pi_e = Enclosure.pi()
-    for k in range(-terms, terms):
-        nu = Enclosure.from_fraction(Fraction(2 * k + 1, 2))
-        # exponent E = 2 pi i nu (sigma + 1/2) + pi i nu^2 tau
-        re_e = -(pi_e * nu * (nu * tau.im + 2 * sigma.im))
-        im_e = pi_e * nu * (nu * tau.re + 2 * sigma.re + 1)
-        total = total + cexp(ComplexHP(re_e, im_e))
-    # two-sided tail, geometric once the term ratio is certified < 1/2
-    nu_edge = Enclosure.from_fraction(Fraction(2 * terms + 1, 2))
-    im_s_abs = abs(sigma.im)
-    edge = (-(Enclosure.pi() * nu_edge * (nu_edge * tau.im - 2 * im_s_abs))).exp()
-    ratio = (-(Enclosure.pi() * (2 * nu_edge * tau.im - 2 * im_s_abs))).exp()
-    if not ratio.hi < 0.5:
-        raise ConvergenceRefused("theta series needs more terms for a tail bound")
-    box = _symmetric_box((2 * edge / (1 - ratio)).hi)
-    return total + ComplexHP(box, box)
-
-
-def psi(sigma: ComplexHP, tau: ComplexHP, max_factors: int = _FACTOR_BUDGET) -> ComplexHP:
+def psi(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """psi(sigma; tau) = (xi; q)_inf (xi^{-1} q; q)_inf, the two-symbol product."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("psi needs Im(tau) > 0")
     q = e_two_pi_i(tau)
     xi = e_two_pi_i(sigma)
-    return (pochhammer_product(xi, q, max_factors)
-            * pochhammer_product(ComplexHP.one() / xi * q, q, max_factors))
+    return (pochhammer_product(xi, q, _FACTOR_BUDGET)
+            * pochhammer_product(ComplexHP.one() / xi * q, q, _FACTOR_BUDGET))
 
 
 def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
@@ -385,7 +350,7 @@ def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
                           -(pi_e * tau.re / 6) + pi_e * sigma.re))
     head = ComplexHP(-head.im, head.re)  # multiply by i
     q = e_two_pi_i(tau)
-    return head * _theta(sigma, tau, q, _FACTOR_BUDGET) / _eta(tau, q, _FACTOR_BUDGET)
+    return head * _theta(sigma, tau, q) / _eta(tau, q)
 
 
 # ---------------------------------------------------------------------------

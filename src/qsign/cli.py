@@ -62,8 +62,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 from . import __version__
 from .analytic import ERROR_CONSTANTS, PRECISION_CAP, UsageError, dominance_with_escalation
 from .enclosure import DEFAULT_PRECISION, precision
-from .qseries import (ProductSpec, REGISTERED_SPECS, expand_limbs, expand_product,
-                      iter_csv_rows, limb_plan, limbs_to_series, registered_spec)
+from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, limb_plan,
+                      limbs_to_series, registered_spec)
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
@@ -76,10 +76,10 @@ def _parse_spec(args) -> tuple[str, ProductSpec]:
     name = args.spec
     if name is None:
         raise SystemExit("error: provide --spec NAME or --spec-json JSON")
-    if name not in REGISTERED_SPECS:
-        known = ", ".join(sorted(REGISTERED_SPECS))
-        raise SystemExit(f"error: unknown spec {name!r}; registered specs: {known}")
-    return name, REGISTERED_SPECS[name]
+    try:
+        return name, registered_spec(name)
+    except KeyError as exc:
+        raise SystemExit(f"error: {exc.args[0]}") from None
 
 
 @contextmanager

@@ -1,10 +1,10 @@
 """Exact modular-transformation bookkeeping for psi-product expansions.
 
 All quantities here are exact rationals (``fractions.Fraction``) or integers:
-sawtooth values, Dedekind sums, the SL2(Z) matrices attached to a Farey
-fraction h/k and a factor modulus m, the ceiling data (lambda, lambda*), the
-growth exponents Omega and Delta, the root-of-unity phases omega, Upsilon and
-the finite product Pi over factors with lambda* = 0.
+Dedekind sums, the SL2(Z) matrices attached to a Farey fraction h/k and a
+factor modulus m, the ceiling data (lambda, lambda*), the growth exponents
+Omega and Delta, the root-of-unity phases omega, Upsilon and the finite
+product Pi over factors with lambda* = 0.
 
 The layer computes in integers and builds one ``Fraction`` per output, from
 an integer numerator over a known denominator: a Dedekind sum is 6c s(d, c)
@@ -16,8 +16,8 @@ factors use the common denominator L k (L the level) or 6k.  Per factor,
     omega:    -delta s(m'h, k')  = -delta (6k' s(m'h, k')) d/(6k),
     Delta:    -delta (2 d^2 + 12 u (u - d))/m.
 
-The definitional ``Fraction`` forms (``lambda_pair`` and the formulas in the
-docstrings) are kept as the test oracle.
+The definitional ``Fraction`` forms (the formulas in the docstrings) are the
+test oracle, in ``tests/oracles.py``.
 
 Each quantity has one function: ``omega_exact`` (Omega), ``delta_at``
 (Delta at h/k), ``class_representative`` (a coprime h/k in a class (aleph,
@@ -44,9 +44,9 @@ linear expressions in w = i/z)
     r tau gamma*(m tau) + lambda gamma(m tau)
                           = r d/(m k) + lambda hbar d / k + lambda* (d^2/(m k)) w.
 
-Note the d^2: it comes from 1/(m'k') = d^2/(mk).  ``gamma_action_coeffs``
-recomputes both lines by generic symbolic Moebius evaluation, and the two
-routes are required to agree exactly.
+Note the d^2: it comes from 1/(m'k') = d^2/(mk).  The tests recompute both
+lines by generic symbolic Moebius evaluation (``gamma_action_coeffs`` in
+``tests/oracles.py``) and require the two routes to agree exactly.
 """
 
 from __future__ import annotations
@@ -56,21 +56,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-import numpy as np
-
 from .qseries import ProductSpec
 
 
 class NotCoprimeError(ValueError):
     pass
-
-
-def sawtooth(x: Fraction | int) -> Fraction:
-    """((x)) = x - floor(x) - 1/2 for non-integer x, 0 for integer x."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
 def dedekind_sum(d: int, c: int) -> Fraction:
@@ -80,7 +70,7 @@ def dedekind_sum(d: int, c: int) -> Fraction:
 
         s(d, c) = -1/4 + (d^2 + c^2 + 1)/(12dc) - s(c mod d, d),
 
-    which agrees with the direct definitional sum (see
+    which agrees with the direct definitional sum (the test oracle
     ``dedekind_sum_direct``).  The sum is odd and c-periodic in d.
     """
     if c < 1:
@@ -105,43 +95,6 @@ def _dedekind_6c(d: int, c: int) -> int:
     out, rem = divmod(6 * c0 * num, den)
     if rem:
         raise ArithmeticError(f"6c s(d, c) is not an integer at c = {c0}")
-    return out
-
-
-def dedekind_sum_direct(d: int, c: int) -> Fraction:
-    """Definitional O(c) evaluation of s(d, c) in integer arithmetic.
-
-    For 0 < a < c the sawtooth ((a/c)) equals (2a - c)/(2c), so
-
-        s(d, c) = [ sum_{n=1}^{c-1} (2 (dn mod c) - c)(2n - c) ] / (4 c^2),
-
-    where the terms with c | dn vanish automatically since gcd(d, c) = 1.
-    """
-    if c < 1:
-        raise ValueError("modulus c must be positive")
-    if gcd(d % c if c > 1 else 1, c) != 1 and c > 1:
-        raise NotCoprimeError(f"gcd({d}, {c}) != 1")
-    total = 0
-    for n in range(1, c):
-        total += (2 * ((d * n) % c) - c) * (2 * n - c)
-    return Fraction(total, 4 * c * c)
-
-
-def dedekind_sums_direct_all(c: int) -> dict[int, Fraction]:
-    """Definitional sums s(d, c) for every 1 <= d < c with gcd(d, c) = 1.
-
-    Same formula as ``dedekind_sum_direct``, vectorized over n for the
-    full-range verification sweeps.
-    """
-    if c == 1:
-        return {0: Fraction(0)}
-    n = np.arange(1, c, dtype=np.int64)
-    w = 2 * n - c
-    out: dict[int, Fraction] = {}
-    for d in range(1, c):
-        if gcd(d, c) == 1:
-            total = int((((d * n) % c) * 2 - c).dot(w))
-            out[d] = Fraction(total, 4 * c * c)
     return out
 
 
@@ -173,37 +126,6 @@ def _check_fraction(h: int, k: int) -> None:
         raise ValueError("need 0 <= h < k")
     if gcd(h, k) != 1:
         raise NotCoprimeError(f"gcd({h}, {k}) != 1")
-
-
-def _hbar(mp: int, h: int, kp: int) -> int:
-    return 0 if kp == 1 else -pow(mp * h % kp, -1, kp) % kp
-
-
-def hbar_of(m: int, h: int, k: int) -> int:
-    """Smallest nonnegative hbar with hbar * m'h = -1 (mod k'); 0 when k' = 1."""
-    _check_fraction(h, k)
-    d = gcd(m, k)
-    return _hbar(m // d, h, k // d)
-
-
-def gamma_of(m: int, h: int, k: int) -> GammaMatrix:
-    """Matrix (hbar, -b; k', -m'h) attached to modulus m and Farey fraction h/k."""
-    d = gcd(m, k)
-    mp, kp = m // d, k // d
-    hb = hbar_of(m, h, k)
-    b = (hb * mp * h + 1) // kp
-    return GammaMatrix(hb, -b, kp, -mp * h)
-
-
-def lambda_pair(m: int, r: int, h: int, k: int) -> tuple[int, Fraction]:
-    """(lambda, lambda*) = (ceil(rh/d), lambda - rh/d) with d = gcd(m, k)."""
-    if not 1 <= r < m:
-        raise ValueError("need 1 <= r < m")
-    if not (0 <= h < k) or gcd(h, k) != 1:
-        raise ValueError("need 0 <= h < k coprime")
-    d = gcd(m, k)
-    lam = -((-r * h) // d)
-    return lam, Fraction(lam) - Fraction(r * h, d)
 
 
 @dataclass(frozen=True)
@@ -243,7 +165,8 @@ def factor_transform(r: int, m: int, delta: int, h: int, k: int,
     _check_fraction(h, k)
     d = gcd(m, k)
     mp, kp = m // d, k // d
-    hb = _hbar(mp, h, kp) + hbar_offset * kp
+    # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1, then shifted
+    hb = -pow(mp * h, -1, kp) % kp + hbar_offset * kp
     lam = -(-r * h // d)
     u = lam * d - r * h
     mk = m * k
@@ -255,34 +178,6 @@ def factor_transform(r: int, m: int, delta: int, h: int, k: int,
         tau_const=Fraction(hb * d, k),
         tau_wcoef=Fraction(d * d, mk),
     )
-
-
-def gamma_action_coeffs(m: int, h: int, k: int, r: int,
-                        hbar_offset: int = 0) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(tau_const, tau_wcoef, sigma-part-const, sigma-part-wcoef) by raw Moebius algebra.
-
-    Evaluates gamma(m tau) and r tau gamma*(m tau) at tau = (h + iz)/k
-    symbolically: numerator and denominator are linear in iz, the denominator
-    has zero constant term, and (A + B iz)/(D iz) = B/D + (A/D)(1/(iz)) with
-    1/(iz) = -i/z.  Returns coefficients of 1 and of w = i/z.
-    """
-    d = gcd(m, k)
-    mp, kp = m // d, k // d
-    hb = hbar_of(m, h, k) + hbar_offset * kp
-    b = (hb * mp * h + 1) // kp
-    # gamma(m tau): numerator hbar*m*tau - b, denominator k'*m*tau - m'h
-    num_const = Fraction(hb * m * h, k) - b
-    num_iz = Fraction(hb * m, k)
-    den_const = Fraction(kp * m * h, k) - mp * h
-    den_iz = Fraction(kp * m, k)
-    if den_const != 0:
-        raise ArithmeticError("denominator constant term should vanish identically")
-    tau_const = num_iz / den_iz
-    tau_wcoef = -(num_const / den_iz)  # (A/D) / (iz) = -(A/D) (i/z)
-    # r tau gamma*(m tau) = r (h + iz)/k / (k' m tau - m'h) = (rh/k + (r/k) iz)/(den_iz iz)
-    sig_const = Fraction(r, k) / den_iz
-    sig_wcoef = -(Fraction(r * h, k) / den_iz)
-    return tau_const, tau_wcoef, sig_const, sig_wcoef
 
 
 # ---------------------------------------------------------------------------

@@ -145,42 +145,6 @@ def ps_inv(a: QSeries) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# dense in-place passes for single binomial factors (1 - q^c)
-# ---------------------------------------------------------------------------
-
-def _mul_one_minus_qc(coeffs: list[int], c: int) -> list[int]:
-    n = len(coeffs) - 1
-    out = coeffs[:]
-    for i in range(n, c - 1, -1):
-        out[i] -= coeffs[i - c]
-    return out
-
-
-def _div_one_minus_qc(coeffs: list[int], c: int) -> list[int]:
-    out = coeffs[:]
-    for i in range(c, len(out)):
-        out[i] += out[i - c]
-    return out
-
-
-def expand_pochhammer(a: int, m: int, trunc_order: int) -> QSeries:
-    """Expansion of (q^a; q^m)_inf = prod_{k>=0}(1 - q^{a+km}) to the given order.
-
-    Factors with a + km beyond the truncation order cannot affect the result
-    and are skipped.
-    """
-    if a < 1:
-        raise ValueError("offset a must be >= 1")
-    if m < 1:
-        raise ValueError("modulus m must be >= 1")
-    coeffs = [0] * (trunc_order + 1)
-    coeffs[0] = 1
-    for c in range(a, trunc_order + 1, m):
-        coeffs = _mul_one_minus_qc(coeffs, c)
-    return QSeries(trunc_order, tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
 # product specifications
 # ---------------------------------------------------------------------------
 
@@ -206,9 +170,6 @@ class ProductSpec:
         for _, m, _ in self.factors:
             out = out * m // gcd(out, m)
         return out
-
-    def reciprocal(self) -> "ProductSpec":
-        return ProductSpec(tuple((r, m, -d) for r, m, d in self.factors))
 
     def to_json(self) -> str:
         return json.dumps([{"r": r, "m": m, "delta": d} for r, m, d in self.factors])
@@ -568,44 +529,12 @@ def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:
         for _ in range(abs(delta)):
             for a in (r, m - r):
                 for c in range(a, n + 1, m):
-                    target2 = _mul_one_minus_qc(target, c)
-                    target[:] = target2
+                    # times (1 - q^c) in place, descending so each i reads the old i - c
+                    for i in range(n, c - 1, -1):
+                        target[i] -= target[i - c]
     positive = QSeries(n, tuple(pos))
     negative = QSeries(n, tuple(neg))
     return ps_mul(positive, ps_inv(negative))
-
-
-# ---------------------------------------------------------------------------
-# Rogers-Ramanujan sum sides
-# ---------------------------------------------------------------------------
-
-def rr_sum_side(variant: str, trunc_order: int) -> QSeries:
-    """Truncation of sum_n q^{n^2}/(q; q)_n ("G") or sum_n q^{n^2+n}/(q; q)_n ("H").
-
-    Terms with leading exponent beyond the truncation order vanish, so the
-    sum is finite.  The classical identities say G equals the reciprocal of
-    (q, q^4; q^5)_inf and H the reciprocal of (q^2, q^3; q^5)_inf.
-    """
-    if variant not in ("G", "H"):
-        raise ValueError("variant must be 'G' or 'H'")
-    n = trunc_order
-    total = [0] * (n + 1)
-    total[0] = 1
-    term = [0] * (n + 1)
-    term[0] = 1
-    k = 1
-    while True:
-        lead = k * k if variant == "G" else k * k + k
-        if lead > n:
-            break
-        # term_k = term_{k-1} * q^{lead_k - lead_{k-1}} / (1 - q^k)
-        shift = lead - ((k - 1) ** 2 if variant == "G" else (k - 1) ** 2 + (k - 1))
-        term = [0] * shift + term[: n + 1 - shift]
-        term = _div_one_minus_qc(term, k)
-        for i in range(lead, n + 1):
-            total[i] += term[i]
-        k += 1
-    return QSeries(n, tuple(total))
 
 
 # ---------------------------------------------------------------------------

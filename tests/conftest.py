@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from qsign.certify import cached_expansion
+
+# pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI and
+# script tests start child processes, which get it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

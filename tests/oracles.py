@@ -1,0 +1,366 @@
+"""Definitional oracles and paper-lemma checks that the package is tested against.
+
+None of this is on the proof's path: each function recomputes a quantity of
+``qsign`` by its definition (a direct sum, a literal product, a symbolic
+Moebius evaluation, a defining series) or checks a lemma of the paper, so
+that the tests can compare the engine with an independent route.  Only
+public ``qsign`` names are used here.
+
+* analytic: the upper Bessel bound and its two-sided check, the
+  majorization of reciprocal double Pochhammer products, and the
+  doubly-colored partition counts;
+* modular: sawtooth, direct Dedekind sums, the matrix gamma and hbar, the
+  pair (lambda, lambda*) and the Moebius action by raw algebra;
+* circle: theta by its defining series over half-integers;
+* qseries: single Pochhammer symbols factor by factor and the
+  Rogers-Ramanujan sum sides.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+from mpmath import iv, mp
+from mpmath.libmp import mpf_neg
+
+from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
+from qsign.circle import ComplexHP, ConvergenceRefused, cexp
+from qsign.enclosure import Enclosure, one, zero
+from qsign.modular import GammaMatrix, NotCoprimeError
+from qsign.qseries import QSeries
+
+
+# ---------------------------------------------------------------------------
+# analytic: Bessel bounds
+# ---------------------------------------------------------------------------
+
+def wang_upper(x: Enclosure) -> Enclosure:
+    """sqrt(pi/8) e^x / sqrt(x); a strict upper bound for I_{-1}(x) when x >= 3."""
+    return (Enclosure.pi() / 8).sqrt() * x.exp() / x.sqrt()
+
+
+def wang_bounds_hold(x: Enclosure) -> Verdict:
+    """Certified check that I_{-1}(x) lies strictly inside the two-sided bounds."""
+    if x.lo < 3:
+        raise UsageError("the two-sided bounds require x >= 3")
+    val = bessel_im1(x)
+    lo, hi = wang_lower(x), wang_upper(x)
+    if lo.strictly_less(val) and val.strictly_less(hi):
+        return True
+    if val.strictly_less(lo) or hi.strictly_less(val):
+        return False
+    return "unknown"
+
+
+# ---------------------------------------------------------------------------
+# analytic: majorization of reciprocal double Pochhammer products
+# ---------------------------------------------------------------------------
+
+class MajorizationRefused(RuntimeError):
+    """Parameters too close to 1 for the certified tail bound."""
+
+
+def majorization_check(alpha: Fraction, beta: Fraction, x: Fraction,
+                       refusal_hi: float = 0.99) -> bool:
+    """Certified check of 1/((a; x)_inf (b; x)_inf) <= exp(a/(1-a) + a x/(1-x)^2 + ...).
+
+    The infinite product is enclosed with the tail bound
+    0 <= -sum_{k>=K} log(1-y x^k) <= y x^K / ((1 - y x^K)(1 - x)); the
+    comparison uses interval endpoints, so True is a certificate.
+    """
+    for v in (alpha, beta, x):
+        if not 0 <= v < 1:
+            raise UsageError("parameters must lie in [0, 1)")
+        if float(v) > refusal_hi:
+            raise MajorizationRefused(f"parameter {v} too close to 1")
+    a, b, xx = map(Enclosure.from_fraction, (alpha, beta, x))
+    prod = one()
+    xk = one()
+    for _ in range(400):
+        prod = prod * (1 - a * xk) * (1 - b * xk)
+        xk = xk * xx
+        if xk.hi == 0:
+            break
+    # tail of -log of the remaining factors
+    tail = zero()
+    if xk.hi != 0:
+        for y in (a, b):
+            yxk = y * xk
+            if not (1 - yxk).is_positive() or not (1 - xx).is_positive():
+                raise MajorizationRefused("tail bound degenerates")
+            tail = tail + yxk / ((1 - yxk) * (1 - xx))
+    lhs = Enclosure.from_endpoints(1, 1) / prod * Enclosure.from_endpoints(0, tail.hi).exp()
+    rhs = (a / (1 - a) + a * xx / ((1 - xx) * (1 - xx))
+           + b / (1 - b) + b * xx / ((1 - xx) * (1 - xx))).exp()
+    return bool(lhs.hi <= rhs.lo)
+
+
+# ---------------------------------------------------------------------------
+# analytic: colored partition counts
+# ---------------------------------------------------------------------------
+
+def colored_partition_majorant(eta: int, s: int, t: int, n: int,
+                               max_n: int = 60) -> tuple[int, int]:
+    """(p*, |d*|) for the doubly-colored partition counts at (s, t, n).
+
+    p*_eta(s, t; n) counts pairs (R, B) where R is a multiset of s parts
+    (value >= 0, one of eta shades) and B a multiset of t parts in eta blue
+    shades, all values summing to n -- the coefficient of z^s w^t q^n in
+    (1/((z; q)_inf (w; q)_inf))^eta.  d*_eta is the signed analogue from
+    ((z; q)_inf (w; q)_inf)^eta, whose coefficient is (-1)^{s+t} times the
+    count of pairs of *sets* of distinct (value, shade) parts, so
+    |d*| <= p* holds term by term.  Both counts come from the exact
+    power-series recurrence of ``_colored_counts``; nothing is kept between
+    calls.
+    """
+    if eta < 1:
+        raise UsageError("eta must be a positive integer")
+    if n > max_n or min(s, t, n) < 0:
+        raise UsageError("parameter outside the enumeration guard")
+    p = _colored_pairs(eta, s, t, n, distinct=False)
+    d = _colored_pairs(eta, s, t, n, distinct=True)
+    return p, d
+
+
+def _colored_pairs(eta: int, s: int, t: int, n: int, distinct: bool) -> int:
+    counts = _colored_counts(eta, max(s, t), n, distinct)
+    return sum(counts[s][j] * counts[t][n - j] for j in range(n + 1))
+
+
+def _colored_counts(eta: int, slots: int, n: int, distinct: bool) -> list[list[int]]:
+    """F[c][m]: multisets (sets if `distinct`) of c pairs (value, shade) with value sum m.
+
+    sum_c F_c z^c is prod_{v>=0} (1 - z q^v)^{-eta}, or (1 + z q^v)^eta for
+    sets, which is exp(sum_k g_k z^k / k) with g_k = +-eta/(1 - q^k) (minus
+    for even k in the set case).  So c F_c = sum_{k=1..c} g_k F_{c-k}, where
+    dividing by 1 - q^k is a running sum along each residue class mod k; the
+    division by c is exact.
+    """
+    rows = [[1] + [0] * n]
+    for c in range(1, slots + 1):
+        acc = [0] * (n + 1)
+        for k in range(1, c + 1):
+            part = list(rows[c - k])
+            for m in range(k, n + 1):
+                part[m] += part[m - k]
+            sign = -1 if distinct and k % 2 == 0 else 1
+            acc = [a + sign * b for a, b in zip(acc, part)]
+        rows.append([eta * a // c for a in acc])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# modular: sawtooth and direct Dedekind sums
+# ---------------------------------------------------------------------------
+
+def sawtooth(x: Fraction | int) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 for non-integer x, 0 for integer x."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - (x.numerator // x.denominator) - Fraction(1, 2)
+
+
+def dedekind_sum_direct(d: int, c: int) -> Fraction:
+    """Definitional O(c) evaluation of s(d, c) in integer arithmetic.
+
+    For 0 < a < c the sawtooth ((a/c)) equals (2a - c)/(2c), so
+
+        s(d, c) = [ sum_{n=1}^{c-1} (2 (dn mod c) - c)(2n - c) ] / (4 c^2),
+
+    where the terms with c | dn vanish automatically since gcd(d, c) = 1.
+    """
+    if c < 1:
+        raise ValueError("modulus c must be positive")
+    if gcd(d % c if c > 1 else 1, c) != 1 and c > 1:
+        raise NotCoprimeError(f"gcd({d}, {c}) != 1")
+    total = 0
+    for n in range(1, c):
+        total += (2 * ((d * n) % c) - c) * (2 * n - c)
+    return Fraction(total, 4 * c * c)
+
+
+def dedekind_sums_direct_all(c: int) -> dict[int, Fraction]:
+    """Definitional sums s(d, c) for every 1 <= d < c with gcd(d, c) = 1.
+
+    Same formula as ``dedekind_sum_direct``, vectorized over n for the
+    full-range verification sweeps.
+    """
+    if c == 1:
+        return {0: Fraction(0)}
+    n = np.arange(1, c, dtype=np.int64)
+    w = 2 * n - c
+    out: dict[int, Fraction] = {}
+    for d in range(1, c):
+        if gcd(d, c) == 1:
+            total = int((((d * n) % c) * 2 - c).dot(w))
+            out[d] = Fraction(total, 4 * c * c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# modular: matrices, (lambda, lambda*) and the Moebius action
+# ---------------------------------------------------------------------------
+
+def hbar_of(m: int, h: int, k: int) -> int:
+    """Smallest nonnegative hbar with hbar * m'h = -1 (mod k'); 0 when k' = 1.
+
+    Found by search over [0, k'), independently of the package's inverse.
+    """
+    if not 0 <= h < k:
+        raise ValueError("need 0 <= h < k")
+    if gcd(h, k) != 1:
+        raise NotCoprimeError(f"gcd({h}, {k}) != 1")
+    d = gcd(m, k)
+    mp_, kp = m // d, k // d
+    return next(hb for hb in range(kp) if (hb * mp_ * h + 1) % kp == 0)
+
+
+def gamma_of(m: int, h: int, k: int) -> GammaMatrix:
+    """Matrix (hbar, -b; k', -m'h) attached to modulus m and Farey fraction h/k."""
+    d = gcd(m, k)
+    mp_, kp = m // d, k // d
+    hb = hbar_of(m, h, k)
+    b = (hb * mp_ * h + 1) // kp
+    return GammaMatrix(hb, -b, kp, -mp_ * h)
+
+
+def lambda_pair(m: int, r: int, h: int, k: int) -> tuple[int, Fraction]:
+    """(lambda, lambda*) = (ceil(rh/d), lambda - rh/d) with d = gcd(m, k)."""
+    if not 1 <= r < m:
+        raise ValueError("need 1 <= r < m")
+    if not (0 <= h < k) or gcd(h, k) != 1:
+        raise ValueError("need 0 <= h < k coprime")
+    d = gcd(m, k)
+    lam = -((-r * h) // d)
+    return lam, Fraction(lam) - Fraction(r * h, d)
+
+
+def gamma_action_coeffs(m: int, h: int, k: int, r: int,
+                        hbar_offset: int = 0) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(tau_const, tau_wcoef, sigma-part-const, sigma-part-wcoef) by raw Moebius algebra.
+
+    Evaluates gamma(m tau) and r tau gamma*(m tau) at tau = (h + iz)/k
+    symbolically: numerator and denominator are linear in iz, the denominator
+    has zero constant term, and (A + B iz)/(D iz) = B/D + (A/D)(1/(iz)) with
+    1/(iz) = -i/z.  Returns coefficients of 1 and of w = i/z; the closed
+    forms of ``modular.factor_transform`` must agree exactly.
+    """
+    d = gcd(m, k)
+    mp_, kp = m // d, k // d
+    hb = hbar_of(m, h, k) + hbar_offset * kp
+    b = (hb * mp_ * h + 1) // kp
+    # gamma(m tau): numerator hbar*m*tau - b, denominator k'*m*tau - m'h
+    num_const = Fraction(hb * m * h, k) - b
+    num_iz = Fraction(hb * m, k)
+    den_const = Fraction(kp * m * h, k) - mp_ * h
+    den_iz = Fraction(kp * m, k)
+    if den_const != 0:
+        raise ArithmeticError("denominator constant term should vanish identically")
+    tau_const = num_iz / den_iz
+    tau_wcoef = -(num_const / den_iz)  # (A/D) / (iz) = -(A/D) (i/z)
+    # r tau gamma*(m tau) = r (h + iz)/k / (k' m tau - m'h) = (rh/k + (r/k) iz)/(den_iz iz)
+    sig_const = Fraction(r, k) / den_iz
+    sig_wcoef = -(Fraction(r * h, k) / den_iz)
+    return tau_const, tau_wcoef, sig_const, sig_wcoef
+
+
+# ---------------------------------------------------------------------------
+# circle: theta by its defining series
+# ---------------------------------------------------------------------------
+
+def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> ComplexHP:
+    """Defining series over half-integers nu, with a certified tail bound.
+
+    theta(sigma; tau) = sum_{nu in Z + 1/2} e^{2 pi i nu (sigma + 1/2) + pi i nu^2 tau}.
+    Independent oracle for the product form ``circle.theta``.
+    """
+    if not tau.im.is_positive():
+        raise ConvergenceRefused("theta needs Im(tau) > 0")
+    if terms is None:
+        # |term| ~ e^{-pi Im(tau) nu^2 + 2 pi |Im sigma| |nu|}; size the cutoff crudely
+        im_t = float(tau.im.lo)
+        im_s = max(abs(float(sigma.im.hi)), abs(float(sigma.im.lo)))
+        need = (iv.prec + 32) * 0.6931 / 3.1416
+        v = (2 * im_s + (4 * im_s * im_s + 4 * im_t * need) ** 0.5) / (2 * im_t)
+        terms = max(8, int(v) + 3)
+    total = ComplexHP(zero(), zero())
+    pi_e = Enclosure.pi()
+    for k in range(-terms, terms):
+        nu = Enclosure.from_fraction(Fraction(2 * k + 1, 2))
+        # exponent E = 2 pi i nu (sigma + 1/2) + pi i nu^2 tau
+        re_e = -(pi_e * nu * (nu * tau.im + 2 * sigma.im))
+        im_e = pi_e * nu * (nu * tau.re + 2 * sigma.re + 1)
+        total = total + cexp(ComplexHP(re_e, im_e))
+    # two-sided tail, geometric once the term ratio is certified < 1/2
+    nu_edge = Enclosure.from_fraction(Fraction(2 * terms + 1, 2))
+    im_s_abs = abs(sigma.im)
+    edge = (-(Enclosure.pi() * nu_edge * (nu_edge * tau.im - 2 * im_s_abs))).exp()
+    ratio = (-(Enclosure.pi() * (2 * nu_edge * tau.im - 2 * im_s_abs))).exp()
+    if not ratio.hi < 0.5:
+        raise ConvergenceRefused("theta series needs more terms for a tail bound")
+    t = (2 * edge / (1 - ratio)).hi
+    # [-t, t] with the lower endpoint t negated exactly, not rounded
+    box = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t)
+    return total + ComplexHP(box, box)
+
+
+# ---------------------------------------------------------------------------
+# qseries: single Pochhammer symbols and the Rogers-Ramanujan sum sides
+# ---------------------------------------------------------------------------
+
+def expand_pochhammer(a: int, m: int, trunc_order: int) -> QSeries:
+    """Expansion of (q^a; q^m)_inf = prod_{k>=0}(1 - q^{a+km}) to the given order.
+
+    One dense pass per factor (1 - q^c), descending so each pass reads the
+    coefficients before it.  Factors with a + km beyond the truncation order
+    cannot affect the result and are skipped.
+    """
+    if a < 1:
+        raise ValueError("offset a must be >= 1")
+    if m < 1:
+        raise ValueError("modulus m must be >= 1")
+    coeffs = [0] * (trunc_order + 1)
+    coeffs[0] = 1
+    for c in range(a, trunc_order + 1, m):
+        for i in range(trunc_order, c - 1, -1):
+            coeffs[i] -= coeffs[i - c]
+    return QSeries(trunc_order, tuple(coeffs))
+
+
+def div_one_minus_qc(coeffs: list[int], c: int) -> list[int]:
+    out = coeffs[:]
+    for i in range(c, len(out)):
+        out[i] += out[i - c]
+    return out
+
+
+def rr_sum_side(variant: str, trunc_order: int) -> QSeries:
+    """Truncation of sum_n q^{n^2}/(q; q)_n ("G") or sum_n q^{n^2+n}/(q; q)_n ("H").
+
+    Terms with leading exponent beyond the truncation order vanish, so the
+    sum is finite.  The classical identities say G equals the reciprocal of
+    (q, q^4; q^5)_inf and H the reciprocal of (q^2, q^3; q^5)_inf.
+    """
+    if variant not in ("G", "H"):
+        raise ValueError("variant must be 'G' or 'H'")
+    n = trunc_order
+    total = [0] * (n + 1)
+    total[0] = 1
+    term = [0] * (n + 1)
+    term[0] = 1
+    k = 1
+    while True:
+        lead = k * k if variant == "G" else k * k + k
+        if lead > n:
+            break
+        # term_k = term_{k-1} * q^{lead_k - lead_{k-1}} / (1 - q^k)
+        shift = lead - ((k - 1) ** 2 if variant == "G" else (k - 1) ** 2 + (k - 1))
+        term = [0] * shift + term[: n + 1 - shift]
+        term = div_one_minus_qc(term, k)
+        for i in range(lead, n + 1):
+            total[i] += term[i]
+        k += 1
+    return QSeries(n, tuple(total))

@@ -5,16 +5,15 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (colored_partition_majorant, expand_pochhammer, majorization_check,
+                     wang_bounds_hold, wang_upper)
 from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
-                            class_constant, colored_partition_majorant, dominance,
-                            dominance_with_escalation, error_bound,
+                            class_constant, dominance, dominance_with_escalation, error_bound,
                             eventual_dominance_certificate, main_term, main_term_data,
-                            majorization_check, precision_schedule, wang_bounds_hold,
-                            wang_lower, wang_main_lower, wang_upper)
+                            precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import KNOWN_PATTERNS, RICHMOND_SZEKERES_PATTERNS, TARGETS
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
-from qsign.qseries import (expand_pochhammer, expand_product, ps_inv, ps_mul, QSeries,
-                           registered_spec)
+from qsign.qseries import expand_product, ps_inv, ps_mul, QSeries, registered_spec
 
 #: the registered claim on each spec that carries one
 CLAIMS = {target.spec_name: target for target in TARGETS.values()}
@@ -378,7 +377,7 @@ class TestMajorization:
         assert majorization_check(Fraction(a, 100), Fraction(b, 100), Fraction(x, 100))
 
     def test_refusal_near_one(self):
-        from qsign.analytic import MajorizationRefused
+        from oracles import MajorizationRefused
 
         with pytest.raises(MajorizationRefused):
             majorization_check(Fraction(999, 1000), Fraction(0), Fraction(0))
@@ -424,12 +423,12 @@ class TestColoredPartitions:
 
     def test_single_color_counts_against_partitions(self):
         # eta=1, t=0: p*(s, 0; n) counts partitions of n into at most s parts
-        from qsign.qseries import _div_one_minus_qc
+        from oracles import div_one_minus_qc
 
         for s in (1, 2, 3):
             gen = [1] + [0] * 12
             for c in range(1, s + 1):
-                gen = _div_one_minus_qc(gen, c)
+                gen = div_one_minus_qc(gen, c)
             for n in range(13):
                 p, _ = colored_partition_majorant(1, s, 0, n)
                 assert p == gen[n]

@@ -6,12 +6,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import theta_by_sum
 from qsign import circle
 from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
                           check_product_transform, csqrt_upper, e_two_pi_i, eta, farey_arcs,
                           farey_fractions, lemma_arc_integral, numeric_coefficients,
                           pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
-                          theta_by_sum, transformed_arguments)
+                          transformed_arguments)
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
 from qsign.modular import transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
@@ -89,7 +90,8 @@ class TestBasicEvaluations:
         # (q^2, q^3; q^5) summed at q = e^{-pi}, up to a certified tail
         tau = c_hp(0, Fraction(1, 2))
         val = psi(tau.scale(2), tau.scale(5))
-        from qsign.qseries import expand_pochhammer, ps_mul
+        from oracles import expand_pochhammer
+        from qsign.qseries import ps_mul
 
         sym = ps_mul(expand_pochhammer(2, 5, 120), expand_pochhammer(3, 5, 120))
         q = (-Enclosure.pi()).exp()
@@ -320,7 +322,7 @@ class TestMoebiusClosedFormAgainstEvaluation:
         z = c_hp(Fraction(rng.randint(2, 9), 7), Fraction(rng.randint(-3, 3), 5))
         tau = ComplexHP((Enclosure.from_fraction(h) - z.im) / k, z.re / k)
         for (r, m, _), (sig, ta) in zip(spec.factors, transformed_arguments(td, z)):
-            from qsign.modular import gamma_of
+            from oracles import gamma_of
 
             g = gamma_of(m, h, k)
             mtau = tau.scale(m)

@@ -6,10 +6,13 @@ somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
 a class or an assignment target) in the package must be loaded in its own
 module, so a helper that a change leaves without a caller is caught.  No
 module imports a private name from a ``qsign`` module: a name another
-module needs is public.  And every public top-level function or class of the
-package is loaded (as a name or an attribute) in ``src/``, ``scripts/`` or
-``bench/`` outside its own definition, or is named in ``TEST_ONLY``: code
-that only tests use is listed, and the list is kept exact both ways.
+module needs is public.  The test oracles (``tests/oracles.py``) are held to
+the unused-import and private-import guards as well, so they stay
+independent of the package's internals.  And every public top-level function
+or class of the package is loaded (as a name or an attribute) in ``src/``,
+``scripts/`` or ``bench/`` outside its own definition, or is named in
+``TEST_ONLY``: code that only tests use is listed, and the list is kept
+exact both ways.
 """
 
 import ast
@@ -21,16 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qsign").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 CALLERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py")])
+#: the modules whose imports are guarded: the package, the scripts and the test oracles
+IMPORTERS = [*MODULES, ROOT / "tests" / "oracles.py"]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-#: public package code that only the tests (or docstrings) use
-TEST_ONLY = {
-    "analytic.colored_partition_majorant", "analytic.majorization_check",
-    "analytic.wang_bounds_hold", "circle.lemma_arc_integral", "circle.theta_by_sum",
-    "modular.dedekind_sum_direct", "modular.dedekind_sums_direct_all",
-    "modular.gamma_action_coeffs", "modular.gamma_of", "modular.lambda_pair",
-    "modular.sawtooth", "qseries.expand_pochhammer", "qseries.rr_sum_side",
-}
+#: public package code that only the tests use.  Oracles and lemma checks
+#: live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in ``circle``
+#: because the Farey dissection it integrates over, ``circle.farey_arcs``,
+#: is a span of the benchmark (``bench/spans.py::TRACED``).
+TEST_ONLY = {"circle.lemma_arc_integral"}
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -87,7 +89,7 @@ def test_guard_sees_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport mpmath\nmpmath.iv\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -112,7 +114,7 @@ def test_guard_sees_a_private_qsign_import():
     assert private_qsign_imports(source) == ["line 1: _class_deltas", "line 3: _tail_padding"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_qsign_imports(path):
     assert private_qsign_imports(path.read_text()) == []
 

@@ -5,11 +5,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (dedekind_sum_direct, dedekind_sums_direct_all, gamma_action_coeffs,
+                     gamma_of, hbar_of, lambda_pair, sawtooth)
 from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, UnitPhase,
-                           class_deltas, class_representative, dedekind_sum,
-                           dedekind_sum_direct, dedekind_sums_direct_all, delta_at,
-                           delta_table_rows, factor_transform, gamma_action_coeffs, gamma_of,
-                           hbar_of, lambda_pair, lpos_set, omega_exact, sawtooth,
+                           class_deltas, class_representative, dedekind_sum, delta_at,
+                           delta_table_rows, factor_transform, lpos_set, omega_exact,
                            transform_data)
 from qsign.qseries import ProductSpec, registered_spec
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from qsign import qseries
+from oracles import expand_pochhammer, rr_sum_side
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
-                           TruncationMismatchError, expand_pochhammer, expand_product,
-                           expand_product_reference, iter_csv_rows, limb_plan, pass_plan,
-                           ps_inv, ps_mul, registered_spec, rr_sum_side, sign_exceptions,
-                           slice_indices, slice_signs)
+                           TruncationMismatchError, expand_product, expand_product_reference,
+                           iter_csv_rows, limb_plan, pass_plan, ps_inv, ps_mul,
+                           registered_spec, sign_exceptions, slice_indices, slice_signs)
 
 
 def brute_partitions(n):
