@@ -1,16 +1,17 @@
 """Exact and rigorously-enclosed verification of sign patterns of q-series.
 
-Modules:
+Modules, each importing only those listed above it:
 
 * ``qseries``   -- exact truncated power series over Python ints
 * ``modular``   -- Dedekind sums and the exact transformation data of
                    two-variable Pochhammer products under Farey fractions
 * ``enclosure`` -- directed-rounded interval arithmetic (mpmath.libmp interval
                    kernels, bit-identical to mpmath.iv)
-* ``analytic``  -- Bessel main terms, explicit error bounds, certified
-                   dominance and eventual-dominance certificates
 * ``circle``    -- high-precision eta/theta/psi evaluation, Farey dissection
                    and diagnostic circle-method quadrature
+* ``analytic``  -- Bessel main terms, explicit error bounds, certified
+                   dominance, eventual-dominance certificates and the
+                   diagnostic one-arc integral
 * ``certify``   -- orchestration into machine-readable certificates
 * ``cli``       -- command line front end
 

@@ -20,8 +20,8 @@ Two numeric regimes live here.
    trapezoid rule on equispaced nodes converges geometrically; it carries a
    stated, not certified, tolerance, cross-checks the exact engine and never
    feeds a certificate.  The Farey dissection of order N is kept for the
-   single-arc spot checks of the Bessel main term (tanh-sinh on one arc,
-   whose integrand is not periodic, refusing past its stated tolerance).
+   single-arc spot check of the Bessel main term,
+   ``analytic.lemma_arc_integral``.
 
 The theta product form multiplies the three Pochhammer symbols
 (xi; q)(xi^{-1} q; q)(q; q); dropping the (q; q) factor would break the
@@ -115,11 +115,8 @@ def cexp(z: ComplexHP) -> ComplexHP:
     return ComplexHP(r * c, r * s)
 
 
-def e_two_pi_i(t: ComplexHP | Fraction) -> ComplexHP:
-    """e^{2 pi i t}; for exact rational t the angle is formed exactly first."""
-    if isinstance(t, Fraction):
-        ang = Enclosure.pi() * Enclosure.from_fraction(2 * (t % 1))
-        return ComplexHP(*ang.cos_sin())
+def e_two_pi_i(t: ComplexHP) -> ComplexHP:
+    """e^{2 pi i t}; for exact rational t use ``e_pi_i_half_turns(2 t)``."""
     two_pi = Enclosure.pi() * 2
     return cexp(ComplexHP(-(two_pi * t.im), two_pi * t.re))
 
@@ -382,7 +379,7 @@ def transformed_side(td: TransformData, z: ComplexHP) -> ComplexHP:
     i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon
     exp(pi/(12k) (Omega z + Delta / z)) prod_j psi(sigma_j; tau_j)^{delta_j}.
     """
-    pref = e_pi_i_half_turns(td.prefactor_phase().t)
+    pref = e_pi_i_half_turns(td.prefactor_phase())
     invz = ComplexHP.one() / z
     scale = Enclosure.pi() / (12 * td.k)
     om = Enclosure.from_fraction(td.omega_exponent)
@@ -423,7 +420,7 @@ def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]]) -> ComplexHP:
     """Exact-to-precision value of prod (1 - e^{2 pi i x})^{delta}."""
     out = ComplexHP.one()
     for x, delta in pi_factors:
-        out = out * (ComplexHP.one() - e_two_pi_i(x)).pow_int(delta)
+        out = out * (ComplexHP.one() - e_pi_i_half_turns(2 * x)).pow_int(delta)
     return out
 
 
@@ -550,72 +547,3 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
                 return est
             prev = est
     raise ConvergenceRefused(f"trapezoid estimates still moving at {_MAX_NODES} nodes")
-
-
-def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: int,
-                       h: int | None = None, dps: int = 40) -> dict:
-    """Spot check of the single-arc Bessel evaluation used for main terms.
-
-    Numerically integrates
-        I = int_arc e^{(pi/12k)(b z + a/z)} e^{-2 pi i n phi} e^{2 pi n rho} dphi,
-    z = k(rho - i phi), rho = 1/order^2, over the arc at h/k of the given
-    Farey order, and compares with
-
-        main = (2 pi / k) ((24 n + b)/a)^{-1/2} I_{-1}((pi/6k) sqrt(a (24 n + b)))
-
-    against the stated bound |I - main| <= e^{pi a/3} e^{2 pi rho (n + b/24)} / (pi (n + b/24)).
-    Requires n > b/24.  The integral is tanh-sinh quadrature split at the
-    Farey point; `ConvergenceRefused` when ``quadrature_err`` exceeds
-    10^-(dps - 12).  That is mpmath's difference of the last two tanh-sinh
-    levels: an estimate, not a bound (it can read below the working precision).
-    """
-    if a_par <= 0:
-        raise ValueError("a must be positive")
-    if Fraction(n) <= b_par / 24:
-        raise ValueError("need n > b/24")
-    if h is None:
-        h = 1 if k > 1 else 0
-    arcs = [arc for arc in farey_arcs(order) if arc.k == k and arc.h == h]
-    if not arcs:
-        raise ValueError(f"{h}/{k} is not an order-{order} Farey fraction")
-    arc = arcs[0]
-    rho = Fraction(1, order * order)
-    from .analytic import bessel_im1
-
-    with mp.workdps(dps):
-        rr = mpmath.mpf(rho.numerator) / rho.denominator
-        aa = mpmath.mpf(a_par.numerator) / a_par.denominator
-        bb = mpmath.mpf(b_par.numerator) / b_par.denominator
-
-        def g(phi):
-            zz = k * (rr - 1j * phi)
-            return (mpmath.exp(mpmath.pi / (12 * k) * (bb * zz + aa / zz))
-                    * mpmath.exp(-2j * mpmath.pi * n * phi)
-                    * mpmath.exp(2 * mpmath.pi * n * rr))
-
-        lo = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
-        hi = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
-        tol = mpmath.mpf(10) ** (-(dps - 12))
-        # tanh-sinh on both sides of the Farey point, where the integrand peaks
-        val, err = mpmath.quad(g, [lo, 0, hi], error=True)
-        if err > tol:
-            raise ConvergenceRefused(
-                f"arc quadrature error estimate {mpmath.nstr(err, 3)} exceeds {mpmath.nstr(tol, 3)}")
-        m = 24 * n + b_par
-        bessel_arg = (Enclosure.pi() / (6 * k)) * Enclosure.from_fraction(a_par * m).sqrt()
-        main = (2 * Enclosure.pi() / k) * bessel_im1(bessel_arg) \
-            * Enclosure.from_fraction(a_par / m).sqrt()
-        bound = ((Enclosure.pi() * Enclosure.from_fraction(a_par) / 3).exp()
-                 * (2 * Enclosure.pi() * Enclosure.from_fraction(rho * (n + b_par / 24))).exp()
-                 / (Enclosure.pi() * Enclosure.from_fraction(n + b_par / 24)))
-        diff = abs(val - mpmath.mpf(main.mid))
-        report = {
-            "a": str(a_par), "b": str(b_par), "k": k, "n": n, "order": order, "h": h,
-            "integral_re": float(mpmath.re(val)), "integral_im": float(mpmath.im(val)),
-            "quadrature_err": float(err),
-            "main": float(main.mid),
-            "abs_error": float(diff),
-            "bound": float(bound.lo),
-            "ok": bool(diff < bound.lo),
-        }
-    return report

@@ -57,11 +57,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .analytic import ERROR_CONSTANTS, PRECISION_CAP, UsageError, dominance_with_escalation
-from .enclosure import DEFAULT_PRECISION, precision
+from .certify import certify
+from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
+                     eta, psi, psi_by_theta, relative_residual, theta)
+from .enclosure import DEFAULT_PRECISION, Enclosure, precision
+from .modular import GammaMatrix, delta_table_rows, omega_exact
 from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, limb_plan,
                       limbs_to_series, registered_spec)
 
@@ -126,8 +131,6 @@ def cmd_expand(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .certify import certify
-
     result = certify(args.target, precision_bits=args.precision)
     _write_json(args, result.certificate)
     if result.ok:
@@ -138,8 +141,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    from .modular import delta_table_rows, omega_exact
-
     name, spec = _parse_spec(args)
     rows = list(delta_table_rows(name, spec))
     with _output(args) as out:
@@ -168,7 +169,7 @@ def cmd_dominance(args) -> int:
         "main_hi": res.main.str_hi(25),
         "bound_hi": res.bound.str_hi(25),
         "verdict": res.verdict if isinstance(res.verdict, str) else bool(res.verdict),
-        "precision_bits": res.precision_bits,
+        "precision_bits": res.main.bits,
     }
     _write_json(args, payload)
     return 0 if res.verdict is True else 1
@@ -176,10 +177,8 @@ def cmd_dominance(args) -> int:
 
 # -- xcheck ------------------------------------------------------------------
 
-def _sample_gamma(rng: random.Random, cmax: int = 20) -> tuple[int, int, int, int]:
-    from math import gcd
-
-    c = rng.randint(1, cmax)
+def _sample_gamma(rng: random.Random) -> tuple[int, int, int, int]:
+    c = rng.randint(1, 20)
     choices = [d for d in range(1, c + 1) if gcd(d, c) == 1]
     d = rng.choice(choices)
     if c == 1:
@@ -194,9 +193,6 @@ def _sample_tau(rng: random.Random):
 
 
 def _residual_eta(seed: int) -> float:
-    from .circle import ComplexHP, csqrt_upper, e_pi_i_half_turns, eta, relative_residual
-    from .modular import GammaMatrix
-
     rng = random.Random(seed)
     a, b, c, d = _sample_gamma(rng)
     tre, tim = _sample_tau(rng)
@@ -210,11 +206,6 @@ def _residual_eta(seed: int) -> float:
 
 
 def _residual_theta(seed: int) -> float:
-    from .circle import (ComplexHP, cexp, csqrt_upper, e_pi_i_half_turns, relative_residual,
-                         theta)
-    from .enclosure import Enclosure
-    from .modular import GammaMatrix
-
     rng = random.Random(seed)
     a, b, c, d = _sample_gamma(rng)
     tre, tim = _sample_tau(rng)
@@ -232,9 +223,6 @@ def _residual_theta(seed: int) -> float:
 
 
 def _residual_quasi(seed: int) -> float:
-    from .circle import ComplexHP, cexp, relative_residual, theta
-    from .enclosure import Enclosure
-
     rng = random.Random(seed)
     tre, tim = _sample_tau(rng)
     tau = ComplexHP.from_fractions(tre, tim)
@@ -251,8 +239,6 @@ def _residual_quasi(seed: int) -> float:
 
 
 def _residual_psi(seed: int) -> float:
-    from .circle import ComplexHP, psi, psi_by_theta, relative_residual
-
     rng = random.Random(seed)
     tre, tim = _sample_tau(rng)
     tau = ComplexHP.from_fractions(tre, tim)
@@ -265,9 +251,6 @@ def _residual_psi(seed: int) -> float:
 
 
 def _residual_product(seed: int) -> float:
-    from .circle import ComplexHP, check_product_transform
-    from math import gcd
-
     rng = random.Random(seed)
     name = rng.choice(["A", "B", "D", "c", "d"])
     spec = registered_spec(name)

@@ -4,11 +4,12 @@ All quantities here are exact rationals (``fractions.Fraction``) or integers:
 Dedekind sums, the SL2(Z) matrices attached to a Farey fraction h/k and a
 factor modulus m, the ceiling data (lambda, lambda*), the growth exponents
 Omega and Delta, the root-of-unity phases omega, Upsilon and the finite
-product Pi over factors with lambda* = 0.
+product Pi over factors with lambda* = 0.  A phase is kept as its exponent:
+the ``Fraction`` t of e^{pi i t}, reduced mod 2.
 
 The layer computes in integers and builds one ``Fraction`` per output, from
 an integer numerator over a known denominator: a Dedekind sum is 6c s(d, c)
-over 6c, the per-factor fields come from d, m', k', hbar, b, lambda and
+over 6c, the per-factor fields come from d, m', k', hbar, lambda and
 u = lambda d - r h (so lambda* = u/d), and the exponents summed over the
 factors use the common denominator L k (L the level) or 6k.  Per factor,
 
@@ -33,9 +34,10 @@ d = gcd(m, k), m = d m', k = d k'.  The attached matrix is
     gamma = ( hbar  -b ; k'  -m'h ),   hbar m'h = -1 (mod k'),
     b = (hbar m'h + 1)/k',
 
-with hbar chosen canonically as the smallest nonnegative solution (hbar = 0
-when k' = 1); any other choice shifts hbar by a multiple of k' and leaves all
-derived phases unchanged, which is covered by a property test.
+with hbar the smallest nonnegative solution (hbar = 0 when k' = 1), the only
+one computed here.  Any other choice shifts hbar by a multiple of k' and
+leaves all derived phases unchanged; the tests check the phases against the
+definitional formulas at shifted hbar.
 
 With tau = (h + iz)/k the Moebius action gives the closed forms (as exact
 linear expressions in w = i/z)
@@ -143,7 +145,6 @@ class FactorTransform:
     m_prime: int
     k_prime: int
     hbar: int
-    b: int
     lam: int
     lam_star: Fraction
     sigma_const: Fraction
@@ -152,8 +153,7 @@ class FactorTransform:
     tau_wcoef: Fraction
 
 
-def factor_transform(r: int, m: int, delta: int, h: int, k: int,
-                     hbar_offset: int = 0) -> FactorTransform:
+def factor_transform(r: int, m: int, delta: int, h: int, k: int) -> FactorTransform:
     """The factor's data in integers, each Fraction field built once.
 
     With u = lambda d - r h (so lambda* = u/d, lambda = ceil(rh/d)):
@@ -165,14 +165,14 @@ def factor_transform(r: int, m: int, delta: int, h: int, k: int,
     _check_fraction(h, k)
     d = gcd(m, k)
     mp, kp = m // d, k // d
-    # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1, then shifted
-    hb = -pow(mp * h, -1, kp) % kp + hbar_offset * kp
+    # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
+    hb = -pow(mp * h, -1, kp) % kp
     lam = -(-r * h // d)
     u = lam * d - r * h
     mk = m * k
     return FactorTransform(
         r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
-        b=(hb * mp * h + 1) // kp, lam=lam, lam_star=Fraction(u, d),
+        lam=lam, lam_star=Fraction(u, d),
         sigma_const=Fraction(r * d + lam * hb * d * m, mk),
         sigma_wcoef=Fraction(u * d, mk),
         tau_const=Fraction(hb * d, k),
@@ -265,40 +265,23 @@ def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitPhase:
-    """Exact unit complex number e^{pi i t} with t a rational reduced mod 2."""
-
-    t: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", self.t % 2)
-
-    def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase(self.t + other.t)
-
-    def __pow__(self, e: int) -> "UnitPhase":
-        return UnitPhase(self.t * e)
-
-
-@dataclass(frozen=True)
 class TransformData:
     """Everything needed to evaluate the product transformation at h/k."""
 
-    spec: ProductSpec
     h: int
     k: int
     factors: tuple[FactorTransform, ...]
-    omega: UnitPhase
-    upsilon: UnitPhase
+    omega: Fraction       # the phases omega and Upsilon as exponents t of e^{pi i t}, in [0, 2)
+    upsilon: Fraction
     omega_exponent: Fraction
     delta_exponent: Fraction
     sum_delta: int
     sum_delta_lambda: int
 
-    def prefactor_phase(self) -> UnitPhase:
-        """i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon as one phase."""
-        t = Fraction(self.sum_delta, 2) + self.sum_delta_lambda
-        return UnitPhase(t) * (self.omega ** 2) * self.upsilon
+    def prefactor_phase(self) -> Fraction:
+        """t in [0, 2) with e^{pi i t} = i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon."""
+        t = Fraction(self.sum_delta, 2) + self.sum_delta_lambda + 2 * self.omega + self.upsilon
+        return t % 2
 
     def pi_factors(self) -> tuple[tuple[Fraction, int], ...]:
         """(x_j, delta_j) for the factors with lam*_j = 0: Pi = prod (1 - e^{2 pi i x_j})^{delta_j}.
@@ -318,7 +301,7 @@ class TransformData:
         return tuple(out)
 
 
-def transform_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> TransformData:
+def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
     """Assemble the exact data of the product transformation at h/k.
 
     The per-factor building blocks: matrix data, (lambda, lambda*), the
@@ -329,15 +312,15 @@ def transform_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> T
                   + 2 r_j d_j lam*_j/(m_j k) + hbar_j d_j (lam_j^2 - lam_j)/k ]).
 
     The two exponents are summed as integer numerators over L k and 6k (see
-    the module docstring) and each becomes one Fraction at the end, as do
-    Omega and Delta.
+    the module docstring), reduced mod 2 as integers, and each becomes one
+    Fraction at the end, as do Omega and Delta.
     """
     _check_fraction(h, k)
     big_l = spec.level
     facs = []
     omega_num = ups_num = sum_delta = sum_dl = 0
     for r, m, delta in spec.factors:
-        ft = factor_transform(r, m, delta, h, k, hbar_offset=hbar_offset)
+        ft = factor_transform(r, m, delta, h, k)
         facs.append(ft)
         d, lam, hb = ft.d, ft.lam, ft.hbar
         u = lam * d - r * h
@@ -347,9 +330,9 @@ def transform_data(spec: ProductSpec, h: int, k: int, hbar_offset: int = 0) -> T
         sum_delta += delta
         sum_dl += delta * lam
     return TransformData(
-        spec=spec, h=h, k=k, factors=tuple(facs),
-        omega=UnitPhase(Fraction(omega_num, 6 * k)),
-        upsilon=UnitPhase(Fraction(ups_num, big_l * k)),
+        h=h, k=k, factors=tuple(facs),
+        omega=Fraction(omega_num % (12 * k), 6 * k),
+        upsilon=Fraction(ups_num % (2 * big_l * k), big_l * k),
         omega_exponent=omega_exact(spec), delta_exponent=delta_at(spec, h, k),
         sum_delta=sum_delta, sum_delta_lambda=sum_dl,
     )

@@ -9,9 +9,10 @@ from oracles import (colored_partition_majorant, expand_pochhammer, majorization
                      wang_bounds_hold, wang_upper)
 from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
                             class_constant, dominance, dominance_with_escalation, error_bound,
-                            eventual_dominance_certificate, main_term, main_term_data,
-                            precision_schedule, wang_lower, wang_main_lower)
+                            eventual_dominance_certificate, lemma_arc_integral, main_term,
+                            main_term_data, precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import KNOWN_PATTERNS, RICHMOND_SZEKERES_PATTERNS, TARGETS
+from qsign.circle import ConvergenceRefused
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
 from qsign.qseries import expand_product, ps_inv, ps_mul, QSeries, registered_spec
 
@@ -301,7 +302,7 @@ class TestDominance:
     def test_level25_family_at_19006(self):
         res = dominance_with_escalation("D", 19006)
         assert res.verdict is True
-        assert res.precision_bits <= PRECISION_CAP
+        assert res.main.bits <= PRECISION_CAP
 
     def test_unclaimed_residue_class(self, series_a_1000):
         # E(n) bounds |a(n) - M(n)| in every class, so dominance has the sign of a(n)
@@ -362,6 +363,24 @@ class TestEventualDominance:
         assert lhs.strictly_less(rhs)
         margin = (rhs / lhs).log()
         assert margin.lo > 1  # over a full e-power of slack
+
+
+class TestLemmaSpotChecks:
+    @pytest.mark.parametrize("a,b", [(24, -24), (24, 24), (24, 0)])
+    def test_bessel_main_term_bound(self, a, b):
+        rep = lemma_arc_integral(Fraction(a), Fraction(b), 5, 30, 13)
+        assert rep["ok"]
+        assert rep["abs_error"] <= rep["bound"]
+
+    def test_refuses_unconverged_quadrature(self):
+        # e^{-2 pi i n phi} turns 80 times over the arc of width 3/112 at n = 3000
+        with pytest.raises(ConvergenceRefused, match="error estimate"):
+            lemma_arc_integral(Fraction(24), Fraction(0), 5, 3000, 13)
+
+    def test_requires_index_above_shift(self):
+        # hypothesis n > b/24 violated: b = 980 gives b/24 > 30
+        with pytest.raises(ValueError):
+            lemma_arc_integral(Fraction(24), Fraction(980), 5, 30, 13)
 
 
 class TestMajorization:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import theta_by_sum
 from qsign import circle
 from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
-                          check_product_transform, csqrt_upper, e_two_pi_i, eta, farey_arcs,
-                          farey_fractions, lemma_arc_integral, numeric_coefficients,
+                          check_product_transform, csqrt_upper, e_pi_i_half_turns, e_two_pi_i,
+                          eta, farey_arcs, farey_fractions, numeric_coefficients,
                           pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
                           transformed_arguments)
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
@@ -38,7 +38,7 @@ class TestBasicEvaluations:
 
     def test_eta_inversion_selfconsistent_at_i(self):
         # chi * i^{1/2} = 1 for the order-2 element at its fixed point
-        chi = e_two_pi_i(Fraction(-1, 8))       # e^{-pi i/4}
+        chi = e_pi_i_half_turns(Fraction(-1, 4))  # e^{-pi i/4}
         root = csqrt_upper(c_hp(0, 1))          # i^{1/2}
         prod = chi * root
         assert prod.re.contains(1) and prod.im.contains(0)
@@ -46,7 +46,6 @@ class TestBasicEvaluations:
     def test_eta_transformation_at_half_plus_i(self):
         tau = c_hp(Fraction(1, 2), 1)
         from qsign.modular import GammaMatrix
-        from qsign.circle import e_pi_i_half_turns
 
         g = GammaMatrix(0, -1, 1, 0)
         gt = (ComplexHP.from_fractions(-1, 0)) / tau
@@ -364,21 +363,3 @@ class TestNumericCoefficients:
         monkeypatch.setattr(circle, "_MAX_NODES", 2 ** 4)
         with pytest.raises(ConvergenceRefused):
             numeric_coefficients(registered_spec("A"), [20], order=4, dps=30, tol=1e-9)
-
-
-class TestLemmaSpotChecks:
-    @pytest.mark.parametrize("a,b", [(24, -24), (24, 24), (24, 0)])
-    def test_bessel_main_term_bound(self, a, b):
-        rep = lemma_arc_integral(Fraction(a), Fraction(b), 5, 30, 13)
-        assert rep["ok"]
-        assert rep["abs_error"] <= rep["bound"]
-
-    def test_refuses_unconverged_quadrature(self):
-        # e^{-2 pi i n phi} turns 80 times over the arc of width 3/112 at n = 3000
-        with pytest.raises(ConvergenceRefused, match="error estimate"):
-            lemma_arc_integral(Fraction(24), Fraction(0), 5, 3000, 13)
-
-    def test_requires_index_above_shift(self):
-        # hypothesis n > b/24 violated: b = 980 gives b/24 > 30
-        with pytest.raises(ValueError):
-            lemma_arc_integral(Fraction(24), Fraction(980), 5, 30, 13)

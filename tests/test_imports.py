@@ -1,4 +1,4 @@
-"""Unused-import, dead-private-name and private-import guards for the package and the scripts.
+"""Unused-import, dead-private-name, private-import and layering guards for the package and the scripts.
 
 Every name a module imports (``from __future__`` excluded) must be loaded
 somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
@@ -12,7 +12,8 @@ independent of the package's internals.  And every public top-level function
 or class of the package is loaded (as a name or an attribute) in ``src/``,
 ``scripts/`` or ``bench/`` outside its own definition, or is named in
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
-exact both ways.
+exact both ways.  Imports sit at module top, never in a function body, and
+a package module imports only the ``qsign`` modules below it in ``LAYERS``.
 """
 
 import ast
@@ -28,11 +29,13 @@ CALLERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py")])
 IMPORTERS = [*MODULES, ROOT / "tests" / "oracles.py"]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-#: public package code that only the tests use.  Oracles and lemma checks
-#: live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in ``circle``
-#: because the Farey dissection it integrates over, ``circle.farey_arcs``,
-#: is a span of the benchmark (``bench/spans.py::TRACED``).
-TEST_ONLY = {"circle.lemma_arc_integral"}
+#: public package code that only the tests use.  Oracles and paper-lemma
+#: checks live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in the
+#: package, next to the main-term formula it reads (``analytic._arc_bessel``).
+TEST_ONLY = {"analytic.lemma_arc_integral"}
+
+#: the package's modules, lowest first ("__init__" is the package itself)
+LAYERS = ("__init__", "qseries", "modular", "enclosure", "circle", "analytic", "certify", "cli")
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -151,3 +154,62 @@ def test_guard_sees_public_code_nothing_uses():
 def test_public_code_has_a_caller_or_is_listed_as_test_only():
     package = {path.stem: path.read_text() for path in PACKAGE}
     assert uncalled_public_names(package, [path.read_text() for path in CALLERS]) == TEST_ONLY
+
+
+def qsign_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The ``qsign`` modules an import statement loads, relatively or as ``qsign.*``."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name.split(".") for alias in node.names]
+        return [(path[1:] or ["__init__"])[0] for path in paths if path[0] == "qsign"]
+    path = node.module.split(".") if node.module else []
+    if node.level == 0:
+        if not path or path[0] != "qsign":
+            return []
+        path = path[1:]
+    if path:
+        return [path[0]]
+    return [alias.name if alias.name in LAYERS else "__init__" for alias in node.names]
+
+
+def layering_violations(source: str, module: str | None) -> list[str]:
+    """Imports inside a function body, and imports of a qsign module not below `module`.
+
+    `module` is a package module's name in ``LAYERS``; None (a script) skips the second rule.
+    """
+    tree = ast.parse(source)
+    imports = (ast.Import, ast.ImportFrom)
+    nested = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for sub in ast.walk(node) if isinstance(sub, imports)}
+    below = LAYERS[:LAYERS.index(module)] if module is not None else None
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, imports):
+            continue
+        if id(node) in nested:
+            found.append((node.lineno, "import inside a function"))
+        if below is not None:
+            found += [(node.lineno, f"imports {target}") for target in qsign_modules(node)
+                      if target not in below]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_guard_sees_a_layering_violation():
+    source = ("from . import __version__\nfrom .qseries import ProductSpec\n"
+              "from .analytic import bessel_im1\nfrom qsign.cli import main\n"
+              "from . import certify\nimport qsign.circle\nimport os\n\n"
+              "def f():\n    def g():\n        from math import gcd\n    import os\n")
+    assert layering_violations(source, "circle") == [
+        "line 3: imports analytic", "line 4: imports cli", "line 5: imports certify",
+        "line 6: imports circle", "line 11: import inside a function",
+        "line 12: import inside a function"]
+    assert layering_violations(source, None) == ["line 11: import inside a function",
+                                                 "line 12: import inside a function"]
+    assert layering_violations("from . import __version__\n", "__init__") == [
+        "line 1: imports __init__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_follow_the_layers(path):
+    module = path.stem if path.parent.name == "qsign" else None
+    assert layering_violations(path.read_text(), module) == []
