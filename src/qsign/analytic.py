@@ -45,7 +45,7 @@ from math import gcd
 from typing import Callable, Literal, Union
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from .circle import (ComplexHP, ConvergenceRefused, e_pi_i_half_turns, farey_arcs,
                      pi_factor_value)
@@ -170,13 +170,20 @@ def _x_of(spec_name: str, n: int) -> Fraction:
 
 def class_constant(spec_name: str, r: int) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    data = main_term_data(registered_spec(spec_name))
-    s = ComplexHP.from_fractions(0)
-    for h, t, pi_factors in data.arcs:
-        s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
+    s = _class_sum(registered_spec(spec_name), r, iv.prec)
     if not s.im.contains(0):
         raise CertificateRefused(f"spec {spec_name}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
+
+
+@lru_cache(maxsize=64)
+def _class_sum(spec: ProductSpec, r: int, prec: int) -> ComplexHP:
+    """S_r at the interval precision `prec`, which must be the ambient ``iv.prec``."""
+    data = main_term_data(spec)
+    s = ComplexHP.from_fractions(0)
+    for h, t, pi_factors in data.arcs:
+        s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
+    return s
 
 
 def _arc_bessel(k: int, delta: Fraction, x: Fraction) -> tuple[Enclosure, Enclosure, Enclosure]:

@@ -11,16 +11,19 @@ Two numeric regimes live here.
    fraction bits, one ulp of radius per truncating shift) and convert back
    to enclosures through outward-rounded endpoints.
 
-*  Diagnostic: plain multiprecision quadrature that recovers power-series
-   coefficients from the contour integral over the full circle
+*  Diagnostic: a quadrature that recovers power-series coefficients from
+   the contour integral over the full circle
 
        alpha(n) = e^{2 pi n rho} int_0^1 f(e^{2 pi i (x + i rho)}) e^{-2 pi i n x} dx
 
    with rho = 1/N^2.  The integrand is periodic and analytic, so the plain
-   trapezoid rule on equispaced nodes converges geometrically; it carries a
-   stated, not certified, tolerance, cross-checks the exact engine and never
-   feeds a certificate.  The Farey dissection of order N is kept for the
-   single-arc spot check of the Bessel main term,
+   trapezoid rule on equispaced nodes converges geometrically.  Nodes and
+   the DFT run in Python-int fixed point with W = ceil(dps log2 10) + 32
+   fraction bits and no exp per node: each nome is a radius computed once
+   per call times a unit root from one table per level.  Its error is
+   stated, not certified; it cross-checks the exact engine, uses nothing
+   from it and never feeds a certificate.  The Farey dissection of order N
+   is kept for the single-arc spot check of the Bessel main term,
    ``analytic.lemma_arc_integral``.
 
 The theta product form multiplies the three Pochhammer symbols
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt, log2
 from typing import Sequence
 
 import mpmath
@@ -213,8 +216,10 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
       every shift adds one whole ulp of radius;
     * every modulus that multiplies a radius is an integer upper bound of
       the true modulus, never a 1-norm, which would compound over the loop:
-      isqrt(x^2 + y^2) + 1 for q and for each factor 1 - z0 q^k, carried as
-      (|x| |y| >> F) + 3 through the products z0 q^k and the running product;
+      isqrt(x^2 + y^2) + 1 for q, the same on the top 60 bits for each
+      factor 1 - z0 q^k ((isqrt(a^2 + b^2) + 1) << s with a = (|x| >> s) + 1,
+      b = (|y| >> s) + 1), carried as (|x| |y| >> F) + 3 through the
+      products z0 q^k and the running product;
     * z0 q^k and the running product keep their leading bit near F by
       shifting centre and radius together: left shifts are exact, right
       shifts (the product grows when |z0| > 1) add an ulp per part.
@@ -238,6 +243,8 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     ez, stop = 0, 1 << (fb - (prec + 24))
     # running product at scale 2^-(F + ep)
     pr, pi_, prad, pm, ep = one_, 0, 0, one_, 0
+    # |1 - zk| is bounded at 60 bits below 2^F: sound at any size, tight while |1 - zk| ~ 1
+    um_shift = max(fb - 60, 0)
     # each "+ 3" after a right shift: 1 because the shifted bound rounds
     # down, 2 because both centre parts round down (|error| < sqrt(2))
     k = 0
@@ -245,7 +252,8 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
         # u = 1 - zk at scale 2^-F
         ur, ui = one_ - (zr >> ez), -(zi >> ez)
         urad = (zrad >> ez) + 3
-        um = isqrt(ur * ur + ui * ui) + 1
+        a, b = (abs(ur) >> um_shift) + 1, (abs(ui) >> um_shift) + 1
+        um = (isqrt(a * a + b * b) + 1) << um_shift
         # prod *= u
         prad = ((pm * urad + (um + urad) * prad) >> fb) + 3
         pm = ((pm * um) >> fb) + 3
@@ -485,27 +493,101 @@ def farey_arcs(order: int) -> list[FareyArc]:
 
 
 # ---------------------------------------------------------------------------
-# diagnostic quadrature (plain multiprecision, stated tolerance)
+# diagnostic quadrature (Python-int fixed point, stated tolerance)
 # ---------------------------------------------------------------------------
 
 #: node cap of the full-circle trapezoid rule in `numeric_coefficients`
 _MAX_NODES = 2 ** 13
 
+#: per factor (r, m, delta) of a spec: delta, the nome's index m and radius
+#: R_m, and per Pochhammer symbol (xi; q) and (q/xi; q) its index a, radius
+#: R_a and factor count, all radii R_a = e^{-2 pi a rho} at scale 2^W
+_NodePlan = tuple[tuple[int, int, int, tuple[tuple[int, int, int], ...]], ...]
 
-def _psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath.mpc:
-    out = mpmath.mpc(1)
-    floor = mpmath.mpf(10) ** (-(prec_dps + 8))
-    for r, m, delta in spec.factors:
-        q = mpmath.exp(2j * mpmath.pi * (m * tau))
-        xi = mpmath.exp(2j * mpmath.pi * (r * tau))
-        val = mpmath.mpc(1)
-        for z0 in (xi, q / xi):
-            zk = z0
-            while abs(zk) > floor:
-                val *= (1 - zk)
-                zk *= q
-        out *= val ** delta
+
+def _fixed(x: mpmath.mpf, bits: int) -> int:
+    """x at scale 2^bits, truncated toward zero."""
+    return int(mpmath.ldexp(x, bits))
+
+
+def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]:
+    """W = ceil(dps log2 10) + 32 and the radii and factor counts of every node.
+
+    |z0 q^k| = R_a R_m^k at every node, so the count of factors with
+    |z0 q^k| > 10^-(dps + 8) is the same at every node and is found here once.
+    """
+    bits = ceil(dps * log2(10)) + 32
+    floor = (1 << bits) // 10 ** (dps + 8)
+    radius = {}
+    plan = []
+    with mp.workprec(bits + 16):
+        rho = mpmath.mpf(1) / (order * order)
+        for r, m, delta in spec.factors:
+            for a in (r, m - r, m):
+                if a not in radius:
+                    radius[a] = _fixed(mpmath.exp(-2 * mpmath.pi * a * rho), bits)
+            symbols = []
+            for a in (r, m - r):
+                count, z = 0, radius[a]
+                while z > floor:
+                    count, z = count + 1, z * radius[m] >> bits
+                symbols.append((a, radius[a], count))
+            plan.append((delta, m, radius[m], tuple(symbols)))
+    return bits, tuple(plan)
+
+
+def _refine_roots(roots: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
+    """e^{2 pi i t/M}, t < M, at scale 2^bits from the M/2 roots before them.
+
+    Even entries are copied, odd ones are the previous root times
+    e^{2 pi i/M}: about one ulp of error per doubling.
+    """
+    m = 2 * len(roots)
+    with mp.workprec(bits + 16):
+        wr = _fixed(mpmath.cospi(mpmath.mpf(2) / m), bits)
+        wi = _fixed(mpmath.sinpi(mpmath.mpf(2) / m), bits)
+    out = []
+    for xr, xi in roots:
+        out += [(xr, xi), ((xr * wr - xi * wi) >> bits, (xr * wi + xi * wr) >> bits)]
     return out
+
+
+def _cmul(ar: int, ai: int, br: int, bi: int, bits: int) -> tuple[int, int]:
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
+def _node_value(plan: _NodePlan, roots: list[tuple[int, int]], j: int,
+                bits: int) -> tuple[int, int]:
+    """f(tau_j) at scale 2^bits, tau_j = j/M + i rho with M = len(roots).
+
+    Each nome and xi is R_a e^{2 pi i a j/M}, read from the root table.
+    """
+    one_ = 1 << bits
+    n_roots = len(roots)
+    out_r, out_i = one_, 0
+    for delta, m, rm, symbols in plan:
+        cr, ci = roots[m * j % n_roots]
+        qr, qi = rm * cr >> bits, rm * ci >> bits
+        vr, vi = one_, 0
+        for a, ra, count in symbols:
+            cr, ci = roots[a * j % n_roots]
+            zr, zi = ra * cr >> bits, ra * ci >> bits
+            for _ in range(count):
+                # v *= 1 - z, then z *= q
+                ur = one_ - zr
+                vr, vi = (vr * ur + vi * zi) >> bits, (vi * ur - vr * zi) >> bits
+                zr, zi = (zr * qr - zi * qi) >> bits, (zr * qi + zi * qr) >> bits
+        if delta < 0:
+            # 1/v = conj(v)/|v|^2
+            den = vr * vr + vi * vi
+            vr, vi = (vr << 2 * bits) // den, (-vi << 2 * bits) // den
+        pr, pi_ = one_, 0
+        for bit in bin(abs(delta))[2:]:
+            pr, pi_ = _cmul(pr, pi_, pr, pi_, bits)
+            if bit == "1":
+                pr, pi_ = _cmul(pr, pi_, vr, vi, bits)
+        out_r, out_i = _cmul(out_r, out_i, pr, pi_, bits)
+    return out_r, out_i
 
 
 def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
@@ -523,26 +605,51 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
     and the first level whose estimates all moved by less than `tol`
     (absolute) is returned: that move is the odd-k part of the previous
     level's error.  `ConvergenceRefused` past `_MAX_NODES` nodes.
+
+    Nodes are evaluated in Python-int fixed point with
+    W = ceil(dps log2 10) + 32 fraction bits, with no exp per node: every
+    nome and xi is a radius e^{-2 pi a rho}, computed once per call, times a
+    unit root from the level's table e^{2 pi i t/M}, which the DFT reads as
+    well.  Each Pochhammer symbol stops at the first factor with
+    |z0 q^k| <= 10^-(dps + 8).  Every truncating shift costs at most one
+    ulp 2^-W, so a node's error is a few ulps per factor, relative to its
+    partial products; the 32 guard bits keep it below 10^-dps there.  The
+    sum over j is exact in ints and becomes an mpf at `dps` digits once,
+    when scaled by e^{2 pi n rho}/M.  The error is stated, not certified;
+    nothing here feeds a certificate.  `ValueError` before any node is
+    sampled when `tol` is not positive or an index is not a nonnegative int.
     """
     if order < 2:
         raise ValueError("need order >= 2")
+    if not tol > 0:
+        raise ValueError(f"need tol > 0, got {tol}")
+    for n in ns:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"indices must be nonnegative ints, got {n!r}")
     if not ns:
         return {}
+    bits, plan = _node_plan(spec, order, dps)
+    roots = [(1 << bits, 0)]
+    values = [_node_value(plan, roots, 0, bits)]
+    prev, m = None, 1
     with mp.workdps(dps):
         rho = mpmath.mpf(1) / (order * order)
-        values = [_psi_product_mpc(spec, mpmath.mpc(0, rho), dps)]
-        prev, m = None, 1
+        growth = {n: mpmath.exp(2 * mpmath.pi * n * rho) for n in ns}
         while m < _MAX_NODES:
             m *= 2
-            odd = [_psi_product_mpc(spec, mpmath.mpc(mpmath.mpf(j) / m, rho), dps)
-                   for j in range(1, m, 2)]
+            roots = _refine_roots(roots, bits)
+            odd = [_node_value(plan, roots, j, bits) for j in range(1, m, 2)]
             values = [v for pair in zip(values, odd) for v in pair]
             if m <= max(ns):
                 continue
-            roots = [mpmath.expjpi(mpmath.mpf(-2 * j) / m) for j in range(m)]
-            est = {n: mpmath.exp(2 * mpmath.pi * n * rho) / m
-                   * mpmath.re(mpmath.fdot((v, roots[n * j % m]) for j, v in enumerate(values)))
-                   for n in ns}
+            est = {}
+            for n in ns:
+                # Re(f e^{-2 pi i t/M}) = Re f cos + Im f sin, at scale 2^{2W}
+                total = 0
+                for j, (fr, fi) in enumerate(values):
+                    cr, ci = roots[n * j % m]
+                    total += fr * cr + fi * ci
+                est[n] = mpmath.ldexp(total, -2 * bits) * growth[n] / m
             if prev is not None and all(abs(est[n] - prev[n]) < tol for n in ns):
                 return est
             prev = est

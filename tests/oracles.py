@@ -11,7 +11,8 @@ public ``qsign`` names are used here.
   doubly-colored partition counts;
 * modular: sawtooth, direct Dedekind sums, the matrix gamma and hbar, the
   pair (lambda, lambda*) and the Moebius action by raw algebra;
-* circle: theta by its defining series over half-integers;
+* circle: theta by its defining series over half-integers, and the node
+  values of the diagnostic quadrature by plain mpmath complex arithmetic;
 * qseries: single Pochhammer symbols factor by factor and the
   Rogers-Ramanujan sum sides.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import numpy as np
 from mpmath import iv, mp
 from mpmath.libmp import mpf_neg
@@ -29,7 +31,7 @@ from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
 from qsign.circle import ComplexHP, ConvergenceRefused, cexp
 from qsign.enclosure import Enclosure, one, zero
 from qsign.modular import GammaMatrix, NotCoprimeError
-from qsign.qseries import QSeries
+from qsign.qseries import ProductSpec, QSeries
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def gamma_action_coeffs(m: int, h: int, k: int, r: int,
 
 
 # ---------------------------------------------------------------------------
-# circle: theta by its defining series
+# circle: theta by its defining series, quadrature nodes by mpmath
 # ---------------------------------------------------------------------------
 
 def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> ComplexHP:
@@ -305,6 +307,28 @@ def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> 
     # [-t, t] with the lower endpoint t negated exactly, not rounded
     box = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t)
     return total + ComplexHP(box, box)
+
+
+def psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath.mpc:
+    """prod_j psi(r_j tau; m_j tau)^{delta_j} by mpmath complex arithmetic.
+
+    The node evaluator of ``circle.numeric_coefficients`` before it moved to
+    fixed point: both nomes by complex exp, each Pochhammer symbol cut once
+    |z0 q^k| <= 10^-(prec_dps + 8).  Call it under ``mp.workdps(prec_dps)``.
+    """
+    out = mpmath.mpc(1)
+    floor = mpmath.mpf(10) ** (-(prec_dps + 8))
+    for r, m, delta in spec.factors:
+        q = mpmath.exp(2j * mpmath.pi * (m * tau))
+        xi = mpmath.exp(2j * mpmath.pi * (r * tau))
+        val = mpmath.mpc(1)
+        for z0 in (xi, q / xi):
+            zk = z0
+            while abs(zk) > floor:
+                val *= (1 - zk)
+                zk *= q
+        out *= val ** delta
+    return out
 
 
 # ---------------------------------------------------------------------------

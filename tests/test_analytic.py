@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (colored_partition_majorant, expand_pochhammer, majorization_check,
                      wang_bounds_hold, wang_upper)
+from qsign import analytic
 from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
                             class_constant, dominance, dominance_with_escalation, error_bound,
                             eventual_dominance_certificate, lemma_arc_integral, main_term,
@@ -222,6 +223,16 @@ class TestDerivedMainTerm:
         # the level-5 families: Re S_r = -2 cos(pi phase(r)) in every class
         for r in range(5):
             assert class_constant(name, r).intersects(-2 * cos_pi(phase(r)))
+
+    def test_class_constant_cached_per_precision(self):
+        with precision(192):
+            low = class_constant("D", 1)
+            assert class_constant("D", 1) is low
+        with precision(256):
+            high = class_constant("D", 1)
+        assert (low.bits, high.bits) == (192, 256)
+        assert low.contains(high.lo) and low.contains(high.hi)
+        assert analytic._class_sum.cache_info().maxsize is not None
 
     def test_spec_off_the_certified_route_refused(self):
         # c = 1/R dominates at k = 5 with Delta = 24/5: it has a main term, but

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import theta_by_sum
-from qsign import circle
+from oracles import psi_product_mpc, theta_by_sum
+from qsign import circle, qseries
 from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
                           check_product_transform, csqrt_upper, e_pi_i_half_turns, e_two_pi_i,
                           eta, farey_arcs, farey_fractions, numeric_coefficients,
@@ -363,3 +363,48 @@ class TestNumericCoefficients:
         monkeypatch.setattr(circle, "_MAX_NODES", 2 ** 4)
         with pytest.raises(ConvergenceRefused):
             numeric_coefficients(registered_spec("A"), [20], order=4, dps=30, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [0, -1e-9, float("nan")])
+    def test_refuses_nonpositive_tol_before_sampling(self, monkeypatch, tol):
+        monkeypatch.setattr(circle, "_node_value", must_not_run)
+        with pytest.raises(ValueError, match="tol"):
+            numeric_coefficients(registered_spec("A"), [3], order=4, dps=30, tol=tol)
+
+    @pytest.mark.parametrize("ns", [[1.0], [2, -1], ["3"]])
+    def test_refuses_bad_indices_before_sampling(self, monkeypatch, ns):
+        monkeypatch.setattr(circle, "_node_value", must_not_run)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            numeric_coefficients(registered_spec("A"), ns, order=4, dps=30, tol=1e-9)
+
+    @pytest.mark.parametrize("dps", [30, 35])
+    @pytest.mark.parametrize("name", ["A", "B", "D", "c", "d"])
+    def test_fixed_point_nodes_match_the_mpmath_oracle(self, name, dps):
+        spec = registered_spec(name)
+        bits, plan = circle._node_plan(spec, 4, dps)
+        roots = [(1 << bits, 0)]
+        worst = mpmath.mpf(0)
+        while len(roots) < 64:
+            roots = circle._refine_roots(roots, bits)
+            m = len(roots)
+            for j in range(1, m, max(2, m // 4)):
+                fr, fi = circle._node_value(plan, roots, j, bits)
+                with mpmath.mp.workdps(dps):
+                    got = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
+                    tau = mpmath.mpc(mpmath.mpf(j) / m, mpmath.mpf(1) / 16)
+                    ref = psi_product_mpc(spec, tau, dps)
+                    worst = max(worst, abs(got - ref) / abs(ref))
+        assert worst < mpmath.mpf(10) ** (3 - dps)
+
+    def test_independent_of_the_exact_engine(self, monkeypatch):
+        spec = registered_spec("A")
+        ns = [0, 3, 7]
+        exact = expand_product(spec, max(ns))
+        for name in ("expand_product", "expand_limbs", "expand_product_reference"):
+            monkeypatch.setattr(qseries, name, must_not_run)
+        got = numeric_coefficients(spec, ns, order=4, dps=30, tol=1e-9)
+        for n in ns:
+            assert abs(float(got[n]) - exact.coeff(n)) < 1e-9
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("must not be called")
