@@ -6,10 +6,12 @@ Two numeric regimes live here.
    modular transformation identities (eta and theta under SL2(Z), theta
    quasi-periodicity, and the full psi-product transformation) with relative
    residuals far below 1e-25 at 192-bit precision.  The Pochhammer products
-   behind eta, theta and psi, thousands of factors near the cusps, run in
-   fixed-point midpoint-radius balls over Python ints (F = prec + 32
-   fraction bits, one ulp of radius per truncating shift) and convert back
-   to enclosures through outward-rounded endpoints.
+   behind eta, theta and psi run in fixed-point midpoint-radius balls over
+   Python ints (F = prec + 32 fraction bits, one ulp of radius per
+   truncating shift) and convert back to enclosures through outward-rounded
+   endpoints.  Near the cusps, where a product would take thousands of
+   factors, a short product is closed by the certified log series of its
+   tail.
 
 *  Diagnostic: a quadrature that recovers power-series coefficients from
    the contour integral over the full circle
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, log2
+from math import ceil, isqrt, log, log1p, log2, sqrt
 from typing import Sequence
 
 import mpmath
@@ -193,13 +195,93 @@ def _outward(man: int, exp: int, up: bool) -> mpmath.mpf:
     return mp.make_mpf(from_man_exp(man, exp, iv.prec, round_ceiling if up else round_floor))
 
 
+def _box(lo: int, hi: int, exp: int) -> Enclosure:
+    """[lo 2^exp, hi 2^exp] with outward-rounded endpoints."""
+    return Enclosure.from_endpoints(_outward(lo, exp, False), _outward(hi, exp, True))
+
+
+def _log_series(zr: int, zi: int, rz: int, qr: int, qi: int, rq: int, fb: int,
+                stop: int) -> tuple[int, int, int]:
+    """S = sum_{n>=1} z^n / (n (1 - q^n)) = -log (z; q)_inf at scale 2^-F, F = fb.
+
+    z and q are balls (centre, radius) at scale 2^-F.  The caller ensures
+    |z| + r_z < 1 and (1 - |q| - r_q)^2 >= 3 2^-F.  Returns the centre
+    series (sr, si), summed in fixed point at the exact centres, and err, a
+    bound in ulps u = 2^-F of |S(z, q) - (sr + i si) u| over both balls.
+    With g_z <= 1 - |z| and g_q <= 1 - |q| over the balls:
+
+    * truncation after M terms, once |z|^(M+1) <= wb u < stop u:
+      |z|^(M+1) / ((M+1)(1 - |q|)(1 - |z|)), by |1 - q^n| >= 1 - |q|^n;
+    * rounding: z^n and q^n, one truncating product per step, are off by
+      at most sqrt(2)/(1 - |z|) <= ew and sqrt(2) min(n - 1, 1/g_q) ulps;
+      the precondition puts the latter below g_q/2 in value, so the
+      computed |1 - q^n| is at least g_q/2.  Each term's floor division adds
+      sqrt(2) ulps.  Over M terms that is at most
+      u (sqrt(2) M + 2 ew M / g_q + 2 sqrt(2) / (g_q^2 g_z));
+    * input radii: |dS/dz| <= 1/((1 - |z|)(1 - |q|)) and
+      |dS/dq| <= |z| / ((1 - |z|)(1 - |q|)^2) over the balls, times r_z, r_q.
+    """
+    one_ = 1 << fb
+    za = isqrt(zr * zr + zi * zi) + 1 + rz  # |z| over the ball, upper bound
+    gz = one_ - za
+    gq = one_ - (isqrt(qr * qr + qi * qi) + 1 + rq)
+    ew = 3 * one_ // (2 * gz) + 1
+    sr = si = 0
+    wr, wi, pr, pi_ = zr, zi, qr, qi  # z^n and q^n
+    n = 0
+    while True:
+        n += 1
+        # z^n / (n (1 - q^n)) = z^n conj(d) / (n |d|^2), d = 1 - q^n
+        dr, di = one_ - pr, -pi_
+        den = n * (dr * dr + di * di)
+        sr += ((wr * dr + wi * di) << fb) // den
+        si += ((wi * dr - wr * di) << fb) // den
+        wr, wi = (wr * zr - wi * zi) >> fb, (wr * zi + wi * zr) >> fb
+        wb = abs(wr) + abs(wi) + ew  # >= |z|^(n+1)
+        if wb < stop:
+            break
+        pr, pi_ = (pr * qr - pi_ * qi) >> fb, (pr * qi + pi_ * qr) >> fb
+    sq = one_ * one_
+    trunc = -(-wb * sq // ((n + 1) * gq * gz))
+    rnd = 2 * n - (-(2 * ew * one_ * n * gq * gz + 3 * sq * one_) // (gq * gq * gz))
+    inputs = -(-(rz * gq + rq * za) * sq // (gz * gq * gq))
+    return sr, si, trunc + rnd + inputs
+
+
 def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
     """(z0; q)_inf = prod_{k>=0} (1 - z0 q^k) with a certified tail factor.
 
-    The partial product stops once |z0 q^k| < 2^-(prec + 24), far below one
-    ulp at the working precision (tested on |Re| + |Im| + radius, an upper
-    bound of the modulus); the remaining factors contribute a multiplicative
-    e^{[-t, t] + i[-t, t]} with t bounding the tail of sum |log(1 - z0 q^k)|.
+    A short product of K factors, then the tail (z_K; q)_inf, z_K = z0 q^K,
+    closed in one of two ways:
+
+    * by its log series (`_log_series`): log (z; q)_inf = -S with
+      S = sum_{n>=1} z^n / (n (1 - q^n)), valid for |z| < 1, summed at
+      z = z_K until |z_K|^(M+1) < 2^-(prec + 24).  Its truncation, rounding
+      and input-radius errors add up to t, and e^{-S} is taken once, by
+      `cexp` over the box around the computed S with half-widths t;
+    * or, when that does not pay, by running the product on until
+      |z_K| < 2^-(prec + 24), far below one ulp at the working precision;
+      the rest of sum |log(1 - z0 q^k)| is at most
+      t = |z_K| / ((1 - |q|)(1 - |z_K|)), and the product is multiplied
+      by a box containing e^{[-t, t] + i[-t, t]} (`_tail_padding`).
+
+    |z_K| is tested on |Re| + |Im| + radius, an upper bound of the modulus
+    over the ball.
+
+    Switch rule, fixed once per call from the nome's integer bound: with
+    P = prec + 24 and l = -log2|q|, the series at |z_K| ~ 2^-L needs about
+    P/L terms, each costing about one factor, while the product still has
+    (P - L)/l factors to go.  One more factor saves P l/L^2 terms, so the
+    product runs to |z_K| < 2^-L, L = max(1, round(sqrt(P l))), and
+    switches there when (P - L)/l > P/L + 40.  The 40 charges the series'
+    set-up: `cexp` and the conversions cost about 20 factors, and the rest
+    keeps short products (at 192 bits: l >= 3.95, so Im tau >= 0.44 and at
+    most about 55 factors when |z0| <= 1) on the product path, bit for bit
+    what they were before the series existed.  Near |q| = 1 a product of
+    thousands of factors becomes one of tens plus a series of tens of
+    terms.  `max_factors` bounds K, the factors of the product part.  The
+    series is also ruled out when 1 - |q| < ~2^-(F/2), too close to 0 for
+    its rounding bound.
 
     The loop runs in midpoint-radius (ball) form, not on rectangles:
     rectangle multiplication wraps (radius grows ~sqrt(2) per rotating
@@ -224,11 +306,10 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
       shifting centre and radius together: left shifts are exact, right
       shifts (the product grows when |z0| > 1) add an ulp per part.
 
+    The series runs on the same scale, at the exact centres of z_K and q;
+    the balls' radii enter through derivative bounds (see `_log_series`).
     The result converts back through outward-rounded endpoints.
     """
-    aq = q.abs_enclosure()
-    if not aq.hi < 1:
-        raise ConvergenceRefused("the nome satisfies |q| >= 1 at this precision")
     prec = iv.prec
     fb = prec + 32  # F, the fraction bits of every ball
     one_ = 1 << fb
@@ -236,11 +317,21 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     qr, qi, qrad = _ball(q, fb)
     qm = isqrt(qr * qr + qi * qi) + 1
     qmr = qm + qrad
+    if qmr >= one_:
+        raise ConvergenceRefused("the nome satisfies |q| >= 1 at this precision")
     # zk = z0 q^k at scale 2^-(F + ez), ez raised as zk shrinks; the loop
-    # stops once |zk| < 2^-(prec + 24), which is `stop` at that scale
+    # stops once |zk| < 2^-lz, which is `stop` at that scale: lz = prec + 24
+    # for the whole product, lz = L where the log series takes over
     zr, zi, zrad = _ball(z0, fb)
     zm = isqrt(zr * zr + zi * zi) + 1
-    ez, stop = 0, 1 << (fb - (prec + 24))
+    lz = full = prec + 24
+    if (one_ - qmr) ** 2 >= 3 * one_:
+        # l = -log2|q|, by log1p near |q| = 1, where log2(qm) would cancel
+        ell = -log1p((qm - one_) / one_) / log(2) if 2 * qm > one_ else fb - log2(qm)
+        switch = max(1, round(sqrt(full * ell)))
+        if (full - switch) / ell > full / switch + 40:
+            lz = switch
+    ez, stop = 0, 1 << (fb - lz)
     # running product at scale 2^-(F + ep)
     pr, pi_, prad, pm, ep = one_, 0, 0, one_, 0
     # |1 - zk| is bounded at 60 bits below 2^F: sound at any size, tight while |1 - zk| ~ 1
@@ -280,14 +371,20 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
         if k >= max_factors:
             raise ConvergenceRefused(
                 f"needs more than {max_factors} factors "
-                f"(|q| ~ {mpmath.nstr(aq.hi, 8)}); increase the factor budget "
+                f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, True), 8)}); increase the factor budget "
                 f"or move the argument"
             )
     exp = -(fb + ep)
-    rect = ComplexHP(
-        Enclosure.from_endpoints(_outward(pr - prad, exp, False), _outward(pr + prad, exp, True)),
-        Enclosure.from_endpoints(_outward(pi_ - prad, exp, False), _outward(pi_ + prad, exp, True)))
+    rect = ComplexHP(_box(pr - prad, pr + prad, exp), _box(pi_ - prad, pi_ + prad, exp))
+    if lz < full:
+        # zk at scale 2^-F: each floor shift moves a centre part by < 1 ulp
+        sr, si, err = _log_series(zr >> ez, zi >> ez, (zrad >> ez) + 3, qr, qi, qrad, fb,
+                                  1 << (fb - full))
+        # e^{-S} over the box -(sr + i si) + [-err, err] + i[-err, err]
+        return rect * cexp(ComplexHP(_box(-sr - err, -sr + err, -fb),
+                                     _box(-si - err, -si + err, -fb)))
     # tail: sum_{j >= k} |log(1 - z0 q^j)| <= |zk| / ((1 - |q|)(1 - |zk|))
+    aq = q.abs_enclosure()
     az_e = Enclosure.from_endpoints(0, _outward(zk_bound, -(fb + ez), True))
     t = (az_e / ((1 - aq) * (1 - az_e))).hi
     return _tail_padding(rect, t)
@@ -604,7 +701,9 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
     start).  M doubles from 2, each level evaluating only its new odd nodes,
     and the first level whose estimates all moved by less than `tol`
     (absolute) is returned: that move is the odd-k part of the previous
-    level's error.  `ConvergenceRefused` past `_MAX_NODES` nodes.
+    level's error.  `ConvergenceRefused` past `_MAX_NODES` nodes, and
+    before any node is sampled when no two levels within that cap exceed
+    max(ns).
 
     Nodes are evaluated in Python-int fixed point with
     W = ceil(dps log2 10) + 32 fraction bits, with no exp per node: every
@@ -628,6 +727,10 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
             raise ValueError(f"indices must be nonnegative ints, got {n!r}")
     if not ns:
         return {}
+    # estimates start at the first power of two above max(ns), and one
+    # more level is needed to compare them
+    if 2 << max(ns).bit_length() > _MAX_NODES:
+        raise ConvergenceRefused(f"index {max(ns)} needs more than {_MAX_NODES} nodes")
     bits, plan = _node_plan(spec, order, dps)
     roots = [(1 << bits, 0)]
     values = [_node_value(plan, roots, 0, bits)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -133,7 +134,7 @@ def _kernel_and_reference(sigma, tau):
         turn = 2j * mpmath.pi
         mq = mpmath.exp(turn * (_mp(tau[0]) + 1j * _mp(tau[1])))
         mz = mq if sigma is None else mpmath.exp(turn * (_mp(sigma[0]) + 1j * _mp(sigma[1])))
-        ref = mpmath.qp(mz, mq)
+        ref = mpmath.qp(mz, mq, maxterms=10**6)
     return got, ref
 
 
@@ -166,20 +167,84 @@ class TestPochhammerKernel:
             assert abs(ref) > mpmath.mpf(2) ** 17
 
     def test_radius_does_not_compound_on_rotating_factors(self):
-        # 4769 factors 1 - q^k that turn around the circle: with true moduli
-        # the relative width is 2^-179.4 at 192 bits, a 1-norm gives 2^-160.5
+        # 69 factors 1 - q^k that turn around the circle, then the log
+        # series: with true moduli the relative width is 2^-179.1 at 192
+        # bits, a 1-norm gives 2^-164.0 (2^-179.4 and 2^-160.5 when the
+        # product ran all 4769 factors)
         with precision(192):
             got, ref = _kernel_and_reference(None, (Fraction(1, 10), Fraction(1, 200)))
             assert got.re.contains(ref.real) and got.im.contains(ref.imag)
             assert _relative_width(got, ref) < mpmath.mpf(2) ** -176
 
+    # seeded points across the switch to the log series: 1 - |q| log-uniform
+    # in [0.01, 0.5], z0 = q, |z0| > 1 or xi = e^{2 pi i sigma} near 1,
+    # the zero of theta.  By hand: |q| = 0.995 with z0 = q and with
+    # |z0| = 6.6, xi near 1 at |q| = 0.5, and Im tau = 2/5, about the
+    # shortest product that still switches (Im tau = 1/2 does not)
+    SPREAD = [(None, (Fraction(3, 10), Fraction(8, 10_000))),
+              ((Fraction(1, 5), Fraction(-3, 10)), (Fraction(1, 7), Fraction(8, 10_000))),
+              ((Fraction(1, 1000), Fraction(-1, 10_000)), (Fraction(-1, 3), Fraction(11, 100))),
+              ((Fraction(1, 3), Fraction(-1, 5)), (Fraction(1, 5), Fraction(2, 5)))]
+
+    @staticmethod
+    def _seeded_point(seed):
+        rng = random.Random(seed)
+        one_minus_q = 0.5 ** rng.uniform(1, 6.6)
+        im_tau = Fraction(-math.log1p(-one_minus_q) / (2 * math.pi)).limit_denominator(10 ** 6)
+        tau = (Fraction(rng.randint(-500, 500), 1000), im_tau)
+        kind = seed % 3
+        if kind == 0:
+            return None, tau
+        if kind == 1:  # |z0| = e^{-2 pi Im sigma} > 1
+            sigma = (Fraction(rng.randint(-500, 500), 1000), Fraction(-rng.randint(1, 300), 1000))
+        else:  # xi near 1
+            sigma = (Fraction(rng.randint(-9, 9), 10_000), Fraction(rng.randint(-9, 9), 100_000))
+        return sigma, tau
+
+    @pytest.mark.parametrize("point", [f"seed{s}" for s in range(9)]
+                             + [f"edge{e}" for e in range(len(SPREAD))])
+    def test_spread_contains_qp_reference(self, point):
+        if point.startswith("seed"):
+            sigma, tau = self._seeded_point(int(point[4:]))
+        else:
+            sigma, tau = self.SPREAD[int(point[4:])]
+        got, ref = _kernel_and_reference(sigma, tau)
+        assert got.re.lo <= ref.real <= got.re.hi
+        assert got.im.lo <= ref.imag <= got.im.hi
+        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - mpmath.iv.prec)
+
+    def test_contains_the_value_at_the_corners_of_wide_inputs(self):
+        # inputs 2^-60 wide and z0 = e^-pi small, so the product part is one
+        # factor and the log series carries the dependence on the radii of
+        # z0 and q, through its derivative bounds; real positive z0 and q,
+        # where |1 - q^n| = 1 - |q|^n, make those bounds nearly attained
+        pad = Enclosure.from_endpoints(-mpmath.mpf(2) ** -61, mpmath.mpf(2) ** -61)
+        q = e_two_pi_i(c_hp(0, Fraction(1, 200)))
+        z0 = e_two_pi_i(c_hp(0, Fraction(1, 2)))
+        q, z0 = (ComplexHP(v.re + pad, v.im + pad) for v in (q, z0))
+        got = pochhammer_product(z0, q, 100_000)
+
+        def corners(v):
+            return [mpmath.mpc(a, b) for a in (v.re.lo, v.re.hi) for b in (v.im.lo, v.im.hi)]
+
+        with mpmath.mp.workprec(2 * mpmath.iv.prec + 64):
+            # z0 and q at the same corner: S grows with real z and q
+            for zc, qc in zip(corners(z0), corners(q)):
+                ref = mpmath.qp(zc, qc, maxterms=10**6)
+                assert got.re.lo <= ref.real <= got.re.hi
+                assert got.im.lo <= ref.imag <= got.im.hi
+
     @pytest.mark.parametrize("sigma,tau,count", [
         ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 48),
-        (None, (Fraction(1, 10), Fraction(1, 200)), 4769),
+        (None, (Fraction(1, 10), Fraction(1, 200)), 69),
     ])
     def test_stopping_rule_pins_the_factor_count(self, sigma, tau, count):
-        # the loop stops once |z0 q^k| < 2^-(prec + 24); bench/draws.py
-        # predicts factor counts from that rule
+        # the budget bounds the factors of the product part.  At Im tau = 1/2
+        # the series never pays and the loop stops once |z0 q^k| <
+        # 2^-(prec + 24) (48 factors).  At tau = 1/10 + i/200 it switches to
+        # the log series at |z0 q^k| < 2^-L, L = round(sqrt(216 l)) = 3 with
+        # l = -log2|q| = 0.0453: 69 factors, not the 4769 the product alone
+        # takes, so a budget of 200 suffices
         with precision(192):
             q = e_two_pi_i(c_hp(*tau))
             z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
@@ -187,6 +252,7 @@ class TestPochhammerKernel:
                 pochhammer_product(z0, q, count - 1)
             pochhammer_product(z0, q, count)
             pochhammer_product(z0, q, count + 1)
+            pochhammer_product(z0, q, 200)
 
     @pytest.mark.parametrize("t", [mpmath.mpf(2) ** -200, mpmath.mpf(2) ** -10,
                                    mpmath.mpf(1) / 4, mpmath.mpf(1) / 2])
@@ -212,6 +278,50 @@ class TestPochhammerKernel:
     def test_tail_padding_refuses_past_half(self, t):
         with pytest.raises(ConvergenceRefused):
             _tail_padding(ComplexHP.one(), t)
+
+
+def _ball_points(re, im, rad, fb):
+    """The centre of an integer ball at scale 2^-fb and two opposite points on its rim."""
+    c = mpmath.mpc(mpmath.ldexp(re, -fb), mpmath.ldexp(im, -fb))
+    r = mpmath.ldexp(rad, -fb) * mpmath.expjpi(mpmath.mpf(1) / 3)
+    return [c, c + r, c - r]
+
+
+def _log_series_reference(z, q, eps):
+    """sum z^n / (n (1 - q^n)) at the working precision, to terms below eps."""
+    total, zn, qn, n = 0, z, q, 1
+    while abs(zn) > eps:
+        total += zn / (n * (1 - qn))
+        zn, qn, n = zn * z, qn * q, n + 1
+    return total
+
+
+class TestLogSeries:
+    """`_log_series` against S = sum z^n / (n (1 - q^n)) summed at twice F."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cut", [8, 48, 216])
+    def test_error_bound_covers_a_double_precision_sum(self, seed, cut):
+        # stop = 2^(F - cut): at cut = 8 the sum stops after a few terms and
+        # the remainder bound is nearly all of err; radii of 2^40 ulps make
+        # the input-radius terms count as well
+        fb = 224
+        rng = random.Random(seed)
+        z = mpmath.mpf(rng.uniform(0.05, 0.5)) * mpmath.expjpi(rng.uniform(-1, 1))
+        q = mpmath.mpf(rng.uniform(0.5, 0.99)) * mpmath.expjpi(rng.uniform(-1, 1))
+        zr, zi, qr, qi = (int(mpmath.ldexp(x, fb)) for x in (z.real, z.imag, q.real, q.imag))
+        rz, rq = 2 ** 40, 2 ** 40
+        sr, si, err = circle._log_series(zr, zi, rz, qr, qi, rq, fb, 1 << (fb - cut))
+        one_minus = (1 - (abs(z) + 2 ** -180)) * (1 - (abs(q) + 2 ** -180))
+        with mpmath.workprec(2 * fb):
+            got = mpmath.mpc(mpmath.ldexp(sr, -fb), mpmath.ldexp(si, -fb))
+            bound = mpmath.ldexp(err, -fb)
+            eps = mpmath.mpf(2) ** (-2 * fb)
+            for zp in _ball_points(zr, zi, rz, fb):
+                for qp in _ball_points(qr, qi, rq, fb):
+                    assert abs(_log_series_reference(zp, qp, eps) - got) <= bound
+        # and err is of the size of the remainder and the radii, not vacuous
+        assert bound <= (mpmath.mpf(2) ** (8 - cut) + mpmath.mpf(2) ** -180) / one_minus ** 2
 
 
 class TestProductTransformation:
@@ -363,6 +473,20 @@ class TestNumericCoefficients:
         monkeypatch.setattr(circle, "_MAX_NODES", 2 ** 4)
         with pytest.raises(ConvergenceRefused):
             numeric_coefficients(registered_spec("A"), [20], order=4, dps=30, tol=1e-9)
+
+    def test_refuses_an_index_past_the_node_cap_before_sampling(self, monkeypatch):
+        # 9000 needs estimates at 16384 nodes and 32768 to compare them
+        calls = []
+        real = circle._node_value
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(circle, "_node_value", counting)
+        with pytest.raises(ConvergenceRefused):
+            numeric_coefficients(registered_spec("A"), [9000], order=4, dps=30, tol=1e-9)
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("tol", [0, -1e-9, float("nan")])
     def test_refuses_nonpositive_tol_before_sampling(self, monkeypatch, tol):
