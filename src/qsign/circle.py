@@ -9,9 +9,9 @@ Two numeric regimes live here.
    behind eta, theta and psi run in fixed-point midpoint-radius balls over
    Python ints (F = prec + 32 fraction bits, one ulp of radius per
    truncating shift) and convert back to enclosures through outward-rounded
-   endpoints.  Near the cusps, where a product would take thousands of
-   factors, a short product is closed by the certified log series of its
-   tail.
+   endpoints.  Every product stops once |z0 q^K| is small, at a point
+   chosen from |q| alone, and is closed by the certified log series of its
+   tail; near the cusps that turns thousands of factors into tens.
 
 *  Diagnostic: a quadrature that recovers power-series coefficients from
    the contour integral over the full circle
@@ -44,7 +44,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .enclosure import Enclosure, one, zero
 from .modular import TransformData, transform_data
@@ -151,20 +151,6 @@ def csqrt_upper(z: ComplexHP) -> ComplexHP:
 # Pochhammer products with certified tails
 # ---------------------------------------------------------------------------
 
-def _tail_padding(prod: ComplexHP, t_hi) -> ComplexHP:
-    """Multiply by a box containing e^w for all |Re w|, |Im w| <= t_hi <= 1/2.
-
-    On 0 <= t <= 1/2: e^t <= 1 + 2t, e^-t cos t >= 1 - 2t and e^t sin t <= 2t,
-    so e^w lies in [1 - 2t, 1 + 2t] + i[-2t, 2t].
-    """
-    if not t_hi <= 0.5:
-        raise ConvergenceRefused(f"tail bound {mpmath.nstr(t_hi, 8)} exceeds 1/2")
-    two_t = mpmath.ldexp(t_hi, 1)
-    # [-2t, 2t], the lower endpoint 2t negated exactly, not rounded
-    d = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(two_t._mpf_)), two_t)
-    return prod * ComplexHP(1 + d, d)
-
-
 def _scaled(x: tuple, shift: int, up: bool) -> int:
     """floor(x 2^shift) for a raw mpf tuple x, or the ceiling when `up`."""
     sign, man, exp, _ = x
@@ -251,37 +237,24 @@ def _log_series(zr: int, zi: int, rz: int, qr: int, qi: int, rq: int, fb: int,
 def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
     """(z0; q)_inf = prod_{k>=0} (1 - z0 q^k) with a certified tail factor.
 
-    A short product of K factors, then the tail (z_K; q)_inf, z_K = z0 q^K,
-    closed in one of two ways:
+    A product of K factors, then the tail (z_K; q)_inf, z_K = z0 q^K,
+    closed by its log series (`_log_series`): log (z; q)_inf = -S with
+    S = sum_{n>=1} z^n / (n (1 - q^n)), valid for |z| < 1, summed at
+    z = z_K until |z_K|^(M+1) < 2^-(prec + 24).  Its truncation, rounding
+    and input-radius errors add up to t, and e^{-S} is taken once, by `cexp`
+    over the box around the computed S with half-widths t.
 
-    * by its log series (`_log_series`): log (z; q)_inf = -S with
-      S = sum_{n>=1} z^n / (n (1 - q^n)), valid for |z| < 1, summed at
-      z = z_K until |z_K|^(M+1) < 2^-(prec + 24).  Its truncation, rounding
-      and input-radius errors add up to t, and e^{-S} is taken once, by
-      `cexp` over the box around the computed S with half-widths t;
-    * or, when that does not pay, by running the product on until
-      |z_K| < 2^-(prec + 24), far below one ulp at the working precision;
-      the rest of sum |log(1 - z0 q^k)| is at most
-      t = |z_K| / ((1 - |q|)(1 - |z_K|)), and the product is multiplied
-      by a box containing e^{[-t, t] + i[-t, t]} (`_tail_padding`).
-
-    |z_K| is tested on |Re| + |Im| + radius, an upper bound of the modulus
-    over the ball.
-
-    Switch rule, fixed once per call from the nome's integer bound: with
+    Stopping rule, fixed once per call from the nome's integer bound: with
     P = prec + 24 and l = -log2|q|, the series at |z_K| ~ 2^-L needs about
     P/L terms, each costing about one factor, while the product still has
     (P - L)/l factors to go.  One more factor saves P l/L^2 terms, so the
-    product runs to |z_K| < 2^-L, L = max(1, round(sqrt(P l))), and
-    switches there when (P - L)/l > P/L + 40.  The 40 charges the series'
-    set-up: `cexp` and the conversions cost about 20 factors, and the rest
-    keeps short products (at 192 bits: l >= 3.95, so Im tau >= 0.44 and at
-    most about 55 factors when |z0| <= 1) on the product path, bit for bit
-    what they were before the series existed.  Near |q| = 1 a product of
-    thousands of factors becomes one of tens plus a series of tens of
-    terms.  `max_factors` bounds K, the factors of the product part.  The
-    series is also ruled out when 1 - |q| < ~2^-(F/2), too close to 0 for
-    its rounding bound.
+    product runs to |z_K| < 2^-L, L = min(P, max(1, round(sqrt(P l)))),
+    tested on |Re| + |Im| + radius, an upper bound of the modulus over the
+    ball.  Near |q| = 1 a product of thousands of factors becomes one of
+    tens plus a series of tens of terms; for small |q| (L = P) the series
+    is a single term.  `max_factors` bounds K.  A nome with
+    1 - |q| < ~2^-(F/2), too close to 1 for the series' rounding bound, is
+    refused up front; it would need far more factors than any budget.
 
     The loop runs in midpoint-radius (ball) form, not on rectangles:
     rectangle multiplication wraps (radius grows ~sqrt(2) per rotating
@@ -319,18 +292,19 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     qmr = qm + qrad
     if qmr >= one_:
         raise ConvergenceRefused("the nome satisfies |q| >= 1 at this precision")
+    if (one_ - qmr) ** 2 < 3 * one_:
+        raise ConvergenceRefused(
+            f"the nome is too close to |q| = 1 for the tail series at {prec} bits "
+            f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, True), 8)})"
+        )
+    full = prec + 24
+    # l = -log2|q|, by log1p near |q| = 1, where log2(qm) would cancel
+    ell = -log1p((qm - one_) / one_) / log(2) if 2 * qm > one_ else fb - log2(qm)
+    lz = min(full, max(1, round(sqrt(full * ell))))
     # zk = z0 q^k at scale 2^-(F + ez), ez raised as zk shrinks; the loop
-    # stops once |zk| < 2^-lz, which is `stop` at that scale: lz = prec + 24
-    # for the whole product, lz = L where the log series takes over
+    # stops once |zk| < 2^-lz, which is `stop` at that scale
     zr, zi, zrad = _ball(z0, fb)
     zm = isqrt(zr * zr + zi * zi) + 1
-    lz = full = prec + 24
-    if (one_ - qmr) ** 2 >= 3 * one_:
-        # l = -log2|q|, by log1p near |q| = 1, where log2(qm) would cancel
-        ell = -log1p((qm - one_) / one_) / log(2) if 2 * qm > one_ else fb - log2(qm)
-        switch = max(1, round(sqrt(full * ell)))
-        if (full - switch) / ell > full / switch + 40:
-            lz = switch
     ez, stop = 0, 1 << (fb - lz)
     # running product at scale 2^-(F + ep)
     pr, pi_, prad, pm, ep = one_, 0, 0, one_, 0
@@ -365,8 +339,7 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
             s = fb - zm.bit_length()
             zr, zi, zm, zrad, ez, stop = zr << s, zi << s, zm << s, zrad << s, ez + s, stop << s
         k += 1
-        zk_bound = abs(zr) + abs(zi) + zrad
-        if zk_bound < stop:
+        if abs(zr) + abs(zi) + zrad < stop:
             break
         if k >= max_factors:
             raise ConvergenceRefused(
@@ -376,18 +349,12 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
             )
     exp = -(fb + ep)
     rect = ComplexHP(_box(pr - prad, pr + prad, exp), _box(pi_ - prad, pi_ + prad, exp))
-    if lz < full:
-        # zk at scale 2^-F: each floor shift moves a centre part by < 1 ulp
-        sr, si, err = _log_series(zr >> ez, zi >> ez, (zrad >> ez) + 3, qr, qi, qrad, fb,
-                                  1 << (fb - full))
-        # e^{-S} over the box -(sr + i si) + [-err, err] + i[-err, err]
-        return rect * cexp(ComplexHP(_box(-sr - err, -sr + err, -fb),
-                                     _box(-si - err, -si + err, -fb)))
-    # tail: sum_{j >= k} |log(1 - z0 q^j)| <= |zk| / ((1 - |q|)(1 - |zk|))
-    aq = q.abs_enclosure()
-    az_e = Enclosure.from_endpoints(0, _outward(zk_bound, -(fb + ez), True))
-    t = (az_e / ((1 - aq) * (1 - az_e))).hi
-    return _tail_padding(rect, t)
+    # zk at scale 2^-F: each floor shift moves a centre part by < 1 ulp
+    sr, si, err = _log_series(zr >> ez, zi >> ez, (zrad >> ez) + 3, qr, qi, qrad, fb,
+                              1 << (fb - full))
+    # e^{-S} over the box -(sr + i si) + [-err, err] + i[-err, err]
+    return rect * cexp(ComplexHP(_box(-sr - err, -sr + err, -fb),
+                                 _box(-si - err, -si + err, -fb)))
 
 
 #: the most factors of one Pochhammer product behind eta, theta and psi
@@ -446,7 +413,7 @@ def psi(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
 def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """psi via i e^{-pi i tau/6} e^{pi i sigma} theta(sigma; tau)/eta(tau), one nome."""
     if not tau.im.is_positive():
-        raise ConvergenceRefused("theta needs Im(tau) > 0")
+        raise ConvergenceRefused("psi_by_theta needs Im(tau) > 0")
     pi_e = Enclosure.pi()
     head = cexp(ComplexHP(pi_e * tau.im / 6 - pi_e * sigma.im,
                           -(pi_e * tau.re / 6) + pi_e * sigma.re))

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import psi_product_mpc, theta_by_sum
 from qsign import circle, qseries
-from qsign.circle import (ComplexHP, ConvergenceRefused, _tail_padding,
-                          check_product_transform, csqrt_upper, e_pi_i_half_turns, e_two_pi_i,
-                          eta, farey_arcs, farey_fractions, numeric_coefficients,
-                          pi_factor_value, pochhammer_product, psi, psi_by_theta, theta,
-                          transformed_arguments)
-from qsign.enclosure import Enclosure, mpf_to_fraction, precision
+from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform, csqrt_upper,
+                          e_pi_i_half_turns, e_two_pi_i, eta, farey_arcs, farey_fractions,
+                          numeric_coefficients, pi_factor_value, pochhammer_product, psi,
+                          psi_by_theta, theta, transformed_arguments)
+from qsign.enclosure import Enclosure, precision
 from qsign.modular import transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
 
@@ -117,6 +116,14 @@ class TestBasicEvaluations:
             pochhammer_product(ComplexHP(whole_line, Enclosure.from_fraction(0)),
                                c_hp(0, Fraction(1, 2)), 10)
 
+    @pytest.mark.parametrize("im_tau", [Fraction(0), Fraction(-1, 2)])
+    @pytest.mark.parametrize("name", ["eta", "theta", "psi", "psi_by_theta"])
+    def test_lower_half_plane_refused_by_name(self, name, im_tau):
+        tau, sigma = c_hp(Fraction(1, 4), im_tau), c_hp(Fraction(1, 10), Fraction(1, 10))
+        args = (tau,) if name == "eta" else (sigma, tau)
+        with pytest.raises(ConvergenceRefused, match=rf"^{name} needs Im\(tau\) > 0"):
+            getattr(circle, name)(*args)
+
 
 def _mp(x: Fraction) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator
@@ -176,11 +183,11 @@ class TestPochhammerKernel:
             assert got.re.contains(ref.real) and got.im.contains(ref.imag)
             assert _relative_width(got, ref) < mpmath.mpf(2) ** -176
 
-    # seeded points across the switch to the log series: 1 - |q| log-uniform
+    # seeded points over a range of stopping points L: 1 - |q| log-uniform
     # in [0.01, 0.5], z0 = q, |z0| > 1 or xi = e^{2 pi i sigma} near 1,
     # the zero of theta.  By hand: |q| = 0.995 with z0 = q and with
-    # |z0| = 6.6, xi near 1 at |q| = 0.5, and Im tau = 2/5, about the
-    # shortest product that still switches (Im tau = 1/2 does not)
+    # |z0| = 6.6, xi near 1 at |q| = 0.5, and a short product at
+    # Im tau = 2/5 with |z0| = 3.5
     SPREAD = [(None, (Fraction(3, 10), Fraction(8, 10_000))),
               ((Fraction(1, 5), Fraction(-3, 10)), (Fraction(1, 7), Fraction(8, 10_000))),
               ((Fraction(1, 1000), Fraction(-1, 10_000)), (Fraction(-1, 3), Fraction(11, 100))),
@@ -234,17 +241,48 @@ class TestPochhammerKernel:
                 assert got.re.lo <= ref.real <= got.re.hi
                 assert got.im.lo <= ref.imag <= got.im.hi
 
+    def test_nome_too_close_to_one_for_the_series_is_refused_up_front(self):
+        # (1 - |q|)^2 = 2^-240 is below the series' rounding floor 3 2^-F,
+        # F = 224; the product alone would need ~2^127 factors
+        with precision(192):
+            q = c_hp(1 - Fraction(1, 2 ** 120), 0)
+            with pytest.raises(ConvergenceRefused, match="too close to [|]q[|] = 1"):
+                pochhammer_product(q, q, 10 ** 12)
+
+    @pytest.mark.parametrize("kind", ["psi", "eta"])
+    def test_every_product_closes_with_one_log_series(self, kind, monkeypatch):
+        calls = {"products": 0, "series": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(circle, "pochhammer_product",
+                            counted("products", circle.pochhammer_product))
+        monkeypatch.setattr(circle, "_log_series", counted("series", circle._log_series))
+        with precision(192):
+            if kind == "psi":  # a short product at Im tau = 1/2
+                psi(c_hp(Fraction(1, 10), Fraction(1, 10)), c_hp(Fraction(1, 4), Fraction(1, 2)))
+            else:  # near the cusp 0
+                eta(c_hp(Fraction(1, 10), Fraction(1, 200)))
+        n = 2 if kind == "psi" else 1
+        assert calls == {"products": n, "series": n}
+
     @pytest.mark.parametrize("sigma,tau,count", [
-        ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 48),
+        ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 7),
         (None, (Fraction(1, 10), Fraction(1, 200)), 69),
+        ((Fraction(1, 10), Fraction(-10)), (Fraction(1, 4), Fraction(30)), 2),
     ])
     def test_stopping_rule_pins_the_factor_count(self, sigma, tau, count):
-        # the budget bounds the factors of the product part.  At Im tau = 1/2
-        # the series never pays and the loop stops once |z0 q^k| <
-        # 2^-(prec + 24) (48 factors).  At tau = 1/10 + i/200 it switches to
-        # the log series at |z0 q^k| < 2^-L, L = round(sqrt(216 l)) = 3 with
-        # l = -log2|q| = 0.0453: 69 factors, not the 4769 the product alone
-        # takes, so a budget of 200 suffices
+        # the budget bounds the factors of the product part, which runs to
+        # |z0 q^k| < 2^-L, L = min(216, max(1, round(sqrt(216 l)))) at 192
+        # bits with l = -log2|q|, and the log series closes the rest.  At
+        # tau = 1/4 + i/2 (l = 4.53) L = 31: 7 factors.  At tau = 1/10 +
+        # i/200 (l = 0.0453) L = 3: 69 factors, not the 4769 of a product
+        # alone.  At Im tau = 30 (l = 272) L = 216, and |z0| = e^{20 pi}
+        # takes 2 factors to get below it
         with precision(192):
             q = e_two_pi_i(c_hp(*tau))
             z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
@@ -253,31 +291,6 @@ class TestPochhammerKernel:
             pochhammer_product(z0, q, count)
             pochhammer_product(z0, q, count + 1)
             pochhammer_product(z0, q, 200)
-
-    @pytest.mark.parametrize("t", [mpmath.mpf(2) ** -200, mpmath.mpf(2) ** -10,
-                                   mpmath.mpf(1) / 4, mpmath.mpf(1) / 2])
-    def test_tail_padding_box_contains_exp(self, t):
-        with precision(192):
-            box = _tail_padding(ComplexHP.one(), t)
-        with mpmath.workprec(2 * 192):
-            for w in (mpmath.mpc(t, t), mpmath.mpc(t, -t), mpmath.mpc(-t, t),
-                      mpmath.mpc(-t, -t), mpmath.mpc(t, 0), mpmath.mpc(-t, 0)):
-                v = mpmath.exp(w)
-                assert box.re.lo <= v.real <= box.re.hi
-                assert box.im.lo <= v.imag <= box.im.hi
-
-    def test_tail_padding_box_rounds_outward(self):
-        with precision(192):
-            t = Enclosure.from_fraction(Fraction(1, 3 * 10**30)).hi
-            box = _tail_padding(ComplexHP.one(), t)
-        two_t = 2 * mpf_to_fraction(t)
-        assert mpf_to_fraction(box.im.lo) <= -two_t and mpf_to_fraction(box.im.hi) >= two_t
-        assert mpf_to_fraction(box.re.lo) <= 1 - two_t and mpf_to_fraction(box.re.hi) >= 1 + two_t
-
-    @pytest.mark.parametrize("t", [mpmath.mpf(3) / 4, mpmath.inf])
-    def test_tail_padding_refuses_past_half(self, t):
-        with pytest.raises(ConvergenceRefused):
-            _tail_padding(ComplexHP.one(), t)
 
 
 def _ball_points(re, im, rad, fb):
