@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -24,7 +25,7 @@ from . import __version__
 from .analytic import (CertificateRefused, class_constant, error_bound,
                        eventual_dominance_certificate, precision_schedule)
 from .enclosure import precision
-from .qseries import QSeries, expand_product, registered_spec, sign_exceptions
+from .qseries import ProductSpec, QSeries, expand_product, registered_spec, sign_exceptions
 
 SCHEMA_VERSION = 1
 
@@ -71,22 +72,35 @@ TARGETS: dict[str, TargetSpec] = {
 }
 
 
-_EXPANSION_CACHE: dict[tuple[str, int], QSeries] = {}
+#: the most expansions ``cached_expansion`` keeps
+_CACHE_ENTRIES = 8
+_EXPANSION_CACHE: OrderedDict[tuple[ProductSpec, int], QSeries] = OrderedDict()
 
 
 def cached_expansion(spec_name: str, trunc_order: int) -> QSeries:
-    """Expansion memo shared by certification and verification.
+    """Expansion memo shared by certification and verification, keyed by spec content.
 
-    An exact (name, N) entry wins, then the prefix of the spec's shortest
-    longer expansion; only a miss expands, and only a miss is stored.
+    An exact (spec, N) entry wins, then the prefix of the spec's shortest
+    longer expansion; only a miss expands, and only a miss is stored, in
+    place of the spec's shorter entries, which are its prefixes.  Two names
+    for one spec share its entries.  The memo keeps the _CACHE_ENTRIES most
+    recently used entries.
     """
-    key = (spec_name, trunc_order)
+    spec = registered_spec(spec_name)
+    key = (spec, trunc_order)
     if key not in _EXPANSION_CACHE:
-        longer = [n for name, n in _EXPANSION_CACHE if name == spec_name and n > trunc_order]
+        cached = [n for s, n in _EXPANSION_CACHE if s == spec]
+        longer = [n for n in cached if n > trunc_order]
         if longer:
-            coeffs = _EXPANSION_CACHE[(spec_name, min(longer))].coeffs
-            return QSeries(trunc_order, coeffs[:trunc_order + 1])
-        _EXPANSION_CACHE[key] = expand_product(registered_spec(spec_name), trunc_order)
+            key = (spec, min(longer))
+            _EXPANSION_CACHE.move_to_end(key)
+            return QSeries(trunc_order, _EXPANSION_CACHE[key].coeffs[:trunc_order + 1])
+        for n in cached:
+            del _EXPANSION_CACHE[(spec, n)]
+        _EXPANSION_CACHE[key] = expand_product(spec, trunc_order)
+        if len(_EXPANSION_CACHE) > _CACHE_ENTRIES:
+            _EXPANSION_CACHE.popitem(last=False)
+    _EXPANSION_CACHE.move_to_end(key)
     return _EXPANSION_CACHE[key]
 
 

@@ -252,7 +252,7 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     tested on |Re| + |Im| + radius, an upper bound of the modulus over the
     ball.  Near |q| = 1 a product of thousands of factors becomes one of
     tens plus a series of tens of terms; for small |q| (L = P) the series
-    is a single term.  `max_factors` bounds K.  A nome with
+    is a single term.  `max_factors` >= 1 bounds K.  A nome with
     1 - |q| < ~2^-(F/2), too close to 1 for the series' rounding bound, is
     refused up front; it would need far more factors than any budget.
 
@@ -283,6 +283,8 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     the balls' radii enter through derivative bounds (see `_log_series`).
     The result converts back through outward-rounded endpoints.
     """
+    if max_factors < 1:
+        raise ConvergenceRefused(f"a budget of {max_factors} factors admits no product")
     prec = iv.prec
     fb = prec + 32  # F, the fraction bits of every ball
     one_ = 1 << fb

@@ -19,10 +19,11 @@ Subcommands and their flags (each flag is attached only where it is read):
                  refused with ``circle.ConvergenceRefused``; --identity,
                  --samples, --precision, --seed, --workers (at most one per
                  sample and per CPU), --out
-* ``bench``      time the exact expansion engine and report its pass counts,
-                 the limb radix, final limb count and division block sizes
-                 (``qseries.limb_plan``) and the largest coefficient in bits;
-                 --spec, --spec-json, --trunc
+* ``bench``      time the exact expansion engine, in all and split into the
+                 limb expansion and the conversion to ints, and report its
+                 pass counts, the limb radix, final limb count and division
+                 block sizes (``qseries.limb_plan``) and the largest
+                 coefficient in bits; --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  All randomness is driven by --seed.
@@ -308,11 +309,13 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     plan = limb_plan(spec, args.trunc)
     limbs = expand_limbs(plan)
-    limb_count = limbs.shape[0]
+    limb_count = limbs.shape[1]
+    t1 = time.perf_counter()
     series = limbs_to_series(limbs, plan.radix_bits)
-    dt = time.perf_counter() - t0
+    t2 = time.perf_counter()
     digits = len(str(abs(series.coeffs[-1])))
-    print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(dt, 3),
+    print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(t2 - t0, 3),
+                      "expand_s": round(t1 - t0, 3), "convert_s": round(t2 - t1, 3),
                       "last_coefficient_digits": digits,
                       "mul_passes": len(plan.mul_passes), "div_passes": len(plan.div_passes),
                       "limb_radix_bits": plan.radix_bits, "limbs": limb_count,

@@ -25,13 +25,16 @@ product with r = m and modulus 3m.  A literal factor-by-factor expander is
 kept as ``expand_product_reference`` and the two are required to agree
 exactly.
 
-The expansion runs on one int32 array of limbs, shape (limbs, N + 1):
-coefficient n is sum_l limbs[l, n] 2^{R l}.  After every carry each limb
-lies in [-2^{R-1} - 1, 2^{R-1}], so |limb| <= h = 2^{R-1} + 1 (a balanced
-carry, which leaves small negative values in the low limbs instead of
-running a borrow up the array).  The array gains a limb in place when a
-carry reaches its top.  At the end it becomes Python ints two limbs at a
-time from the top, shrinking in place as the ints grow.
+The expansion runs on one int32 array of limbs, index-major: shape
+(N + 1, limbs) in C order, so coefficient n is sum_l limbs[n, l] 2^{R l}
+and its limbs are adjacent.  After every carry each limb lies in
+[-2^{R-1} - 1, 2^{R-1}], so |limb| <= h = 2^{R-1} + 1 (a balanced carry,
+which leaves small negative values in the low limbs instead of running a
+borrow up the array).  When a carry reaches the top limb the array widens
+in place: its buffer is resized and the rows move up to the new stride a
+chunk at a time, last chunk first.  At the end it becomes Python ints a
+chunk of indices at a time from the highest down, two limbs at a time,
+shrinking in place as the ints grow.
 
 *Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
 before its carry, which adds 2^{R-1} before shifting: a multiplication pass
@@ -42,20 +45,22 @@ t h + 2^{R-1} <= 2^31 - 1 for the largest t of the expansion (24 for D to
 fits, the expansion is refused.
 
 *Division passes* y = x / T walk blocks of b indices.  The terms with
-e < b are one product y_block = M [y_prev; x_block] with M = [-PQ | P]:
-P is the Toeplitz matrix of 1/T mod q^b and Q the near terms' reach into
-the block before.  It runs in float64, and it is exact: with inputs of
-magnitude at most h (y_prev) and t h (x), every row's products and
-partial sums are integers of magnitude at most sum_j |M_ij| (input bound),
-and b halves from 64 until that is at most 2^53 (b = 32 for the moduli 2
-and 3, whose 1/T grow fastest).  The product is carried in int64 with spare
-limbs on top.  A term with e >= b reads only final values: it sits on a
+e < W = 2b are one product y_block = M [y_hist; x_block] with
+M = [-PF | P]: P is the Toeplitz matrix of 1/T mod q^b and F the near
+terms' reach into the W indices before the block.  It runs in float64, and
+it is exact: with inputs of magnitude at most h (y_hist) and t h (x), every
+row's products and partial sums are integers of magnitude at most
+sum_j |M_ij| (input bound), and b halves from 64 until that is at most
+2^53 (b = 32 for the moduli 2 and 3, whose 1/T grow fastest).  The product
+is formed limb-major, carried in int64 with spare limbs on top and written
+back transposed.  A term with e >= W reads only final values: it sits on a
 due-list keyed by block, and when its block comes it subtracts the final
-values [p, lo) from the targets [p + e, lo + e) as one slice of up to e
-indices, then moves to the block of lo + e (the schedule of relaxed
+values [p, lo) from the targets [p + e, lo + e) as one contiguous run of
+up to e rows, then moves to the block of lo + e (the schedule of relaxed
 series arithmetic: J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symb. Comput. 34 (2002)).  Multiplication passes run on the same
-limbs, one shifted slice per term, carried once per pass.
+J. Symb. Comput. 34 (2002)).  Multiplication passes run first, on a
+limb-major copy, one shifted slice per term, carried once per pass; the
+result is transposed once.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, takewhile
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -209,6 +214,11 @@ def registered_spec(name: str) -> ProductSpec:
 #: largest block of a division pass; a pass halves it until its float64
 #: block product is exact
 _MAX_BLOCK = 64
+#: blocks of history a division block product reads: its terms with
+#: e < _HISTORY b join the block matrix, the longer ones stay slices
+_HISTORY = 2
+#: rows moved or converted at a time when the limbs are reshaped in place
+_CHUNK_ROWS = 2048
 #: every integer of magnitude at most 2^53 is a float64
 _FLOAT64_EXACT = 1 << 53
 _INT32_MAX = (1 << 31) - 1
@@ -301,29 +311,33 @@ class _DivBlock(NamedTuple):
 def _div_block(terms: Terms, radix_bits: int) -> _DivBlock:
     """Block size b, the float64 matrix M^T and the carry steps of one division pass.
 
-    The terms with e < b ("near" terms) form M = [-PQ | P]: P is the lower
-    triangular Toeplitz matrix of u = 1/T mod q^b and Q[k, j] = c_t where
-    j = b + k - e_t < b is the reach of term t from index k of a block into
-    the block before it, so y_block = M [y_prev; x] with x the block's
-    values after the far terms (e >= b).  A final limb has magnitude at most
-    h = _limb_bound(R) and an x limb at most t h (its own value and one
-    contribution per far term), so row i of the product, its terms and every
-    partial sum are integers of magnitude at most
-    sum_j |(PQ)_ij| h + sum_j |P_ij| t h; b halves from _MAX_BLOCK until
-    that is at most 2^53, which makes the float64 product exact in any
-    summation order.  b = 1 has no near terms and M = [0 | 1], so the
-    halving ends.  M depends only on the terms below _MAX_BLOCK, t and R.
+    The terms with e < W = _HISTORY b ("near" terms) form M = [-PF | P]: P
+    is the lower triangular Toeplitz matrix of u = 1/T mod q^b and
+    F[k, j] = c_t where j = W + k - e_t < W is the reach of term t from
+    index k of a block into the W indices before it, so
+    y_block = M [y_hist; x] with x the block's values after the far terms
+    (e >= W).  A final limb has magnitude at most h = _limb_bound(R) and an
+    x limb at most t h (its own value and one contribution per far term),
+    so row i of the product, its terms and every partial sum are integers
+    of magnitude at most sum_j |(PF)_ij| h + sum_j |P_ij| t h; b halves
+    from _MAX_BLOCK until that is at most 2^53, which makes the float64
+    product exact in any summation order.  At b = 1, P = [1] and F holds
+    at most the term e = 1, so the halving ends.  M depends only on the
+    terms below _HISTORY _MAX_BLOCK, t and R.
     """
     if terms[0] != (0, 1):
         raise ConstantTermError("sparse divisor must have constant term 1")
-    near = tuple(takewhile(lambda term: term[0] < _MAX_BLOCK, terms[1:]))
+    near = tuple(takewhile(lambda term: term[0] < _HISTORY * _MAX_BLOCK, terms[1:]))
     return _near_block(near, len(terms), radix_bits)
 
 
 @lru_cache(maxsize=16)
 def _near_block(near: tuple[tuple[int, int], ...], term_count: int,
                 radix_bits: int) -> _DivBlock:
-    """``_div_block`` for the terms `near` (0 < e < _MAX_BLOCK) of a pass of term_count terms."""
+    """``_div_block`` for the terms `near` of a pass of term_count terms.
+
+    `near` holds the pass's terms with 0 < e < _HISTORY _MAX_BLOCK.
+    """
     h = _limb_bound(radix_bits)
     x_bound = term_count * h
     u = [1] + [0] * (_MAX_BLOCK - 1)
@@ -336,21 +350,23 @@ def _near_block(near: tuple[tuple[int, int], ...], term_count: int,
         u[i] = s
     b = _MAX_BLOCK
     while True:
+        history = _HISTORY * b
         p_rows = list(accumulate(abs(v) for v in u[:b]))
         if p_rows[-1] * x_bound <= _FLOAT64_EXACT:
-            # every |u_i| <= 2^53, so P and PQ are exact in int64
+            # every |u_i| <= 2^53, so P and PF are exact in int64
             toeplitz = np.subtract.outer(np.arange(b), np.arange(b))
             p = np.where(toeplitz >= 0, np.array(u[:b], dtype=np.int64)[toeplitz % b], 0)
-            pq = np.zeros((b, b), dtype=np.int64)
+            pf = np.zeros((b, history), dtype=np.int64)
             for e, c in near:
-                if e < b:
-                    pq[:, b - e:] += c * p[:, :e]
-            rows = [q * h + s * x_bound
-                    for q, s in zip(np.abs(pq).sum(axis=1).tolist(), p_rows)]
+                if e < history:
+                    reach = min(e, b)
+                    pf[:, history - e:history - e + reach] += c * p[:, :reach]
+            rows = [f * h + s * x_bound
+                    for f, s in zip(np.abs(pf).sum(axis=1).tolist(), p_rows)]
             if max(rows) <= _FLOAT64_EXACT:
                 break
         b //= 2
-    matrix = np.hstack([-pq, p]).T.astype(np.float64)
+    matrix = np.hstack([-pf, p]).T.astype(np.float64)
     matrix.flags.writeable = False  # cached: shared by every pass that uses it
     return _DivBlock(b, matrix, _carry_steps(max(rows), radix_bits))
 
@@ -391,7 +407,11 @@ def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
 
 
 def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
-    """Limbs of a * sum_t c_t q^{e_t}, one shifted slice per term, carried and trimmed."""
+    """Limbs of a * sum_t c_t q^{e_t}, one shifted slice per term, carried and trimmed.
+
+    Limb-major, shape (limbs, N + 1): each term adds one contiguous run per
+    limb.  ``expand_limbs`` transposes the result once, after the last pass.
+    """
     steps = _carry_steps(len(terms) * _limb_bound(radix_bits), radix_bits)
     limbs, n1 = a.shape
     out = np.zeros((limbs + steps, n1), dtype=np.int32)
@@ -405,94 +425,128 @@ def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
     return out
 
 
-def _div_pass(out: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
-    """Divide the limbs `out` in place by sum_t c_t q^{e_t} (c_0 = 1), block by block.
+def _div_pass(out: np.ndarray, terms: Terms, radix_bits: int) -> None:
+    """Divide the index-major limbs `out` in place by sum_t c_t q^{e_t} (c_0 = 1), by blocks.
 
-    y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far term (e >= b) is due
-    at the block holding the first index it has not yet reached: there it
-    subtracts the final values [p, lo) from [p + e, lo + e) as one slice and
-    becomes due again at the block of lo + e.  Its sources lie before the
-    current block and its targets in it or later, so each slice covers up to
-    e indices and every target gets its far contributions before its block
-    runs.  The near terms are one exact float64 product per block (see
-    ``_div_block``), carried in int64 with spare limbs on top; the array
-    grows in place when a carry reaches them.  Returns the (possibly grown)
-    array.
+    y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far term (e >= W =
+    _HISTORY b) is due at the block holding the first index it has not yet
+    reached: there it subtracts the final values [p, lo) from
+    [p + e, lo + e), one contiguous run of rows, and becomes due again at
+    the block of lo + e.  Its sources lie before the current block and its
+    targets in it or later, so each slice covers up to e indices and every
+    target gets its far contributions before its block runs.  The near
+    terms are one exact float64 product per block over the W indices before
+    it and the block itself (see ``_div_block``), carried in int64 with
+    spare limbs on top; ``_widen`` adds limbs in place when a carry reaches
+    them.
     """
     block = _div_block(terms, radix_bits)
     b, steps = block.size, block.carry_steps
-    n1 = out.shape[1]
+    history = _HISTORY * b
+    n1 = out.shape[0]
     due: list[list[tuple[int, int, int]]] = [[] for _ in range(-(-n1 // b))]
     for e, c in terms:
-        if e >= b:
+        if e >= history:
             due[e // b].append((e, c, 0))
     for k, far in enumerate(due):
         lo, hi = k * b, min(k * b + b, n1)
         for e, c, p in far:
             top = min(lo + e, n1)
             if c > 0:
-                out[:, p + e:top] -= out[:, p:top - e]
+                out[p + e:top] -= out[p:top - e]
             else:
-                out[:, p + e:top] += out[:, p:top - e]
+                out[p + e:top] += out[p:top - e]
             if lo + e < n1:
                 due[(lo + e) // b].append((e, c, lo))
         y = _block_product(out, lo, hi, block)
         _carry(y, radix_bits, steps)
-        limbs = out.shape[0]
+        limbs = out.shape[1]
         if y[limbs:].any():
             limbs += int(np.flatnonzero(y[limbs:].any(axis=1))[-1]) + 1
-            out.resize((limbs, n1), refcheck=False)  # no view of `out` is alive here
-        out[:, lo:hi] = y[:limbs]
-    return out
+            _widen(out, limbs)
+        out[lo:hi] = y[:limbs].T
 
 
 def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.ndarray:
-    """int64 limbs of y[lo:hi] = M [y_prev; x], with carry_steps zero limbs on top."""
-    b, w = block.size, hi - lo
-    if lo:
-        v, m = out[:, lo - b:hi], block.matrix[:b + w, :w]
-    else:
-        v, m = out[:, :hi], block.matrix[b:b + w, :w]
-    y = np.zeros((out.shape[0] + block.carry_steps, w), dtype=np.int64)
-    y[:out.shape[0]] = v.astype(np.float64) @ m
+    """Limb-major int64 y[lo:hi] = M [y_hist; x], with carry_steps zero limbs on top.
+
+    The history is the W = _HISTORY b indices before lo, fewer near the
+    start of the series, where the missing ones are zero.
+    """
+    w, history = hi - lo, _HISTORY * block.size
+    start = max(lo - history, 0)
+    m = block.matrix[history - (lo - start):history + w, :w]
+    limbs = out.shape[1]
+    y = np.zeros((limbs + block.carry_steps, w), dtype=np.int64)
+    y[:limbs] = out[start:hi].T.astype(np.float64) @ m
     return y
 
 
-def expand_limbs(plan: LimbPlan) -> np.ndarray:
-    """The expansion of ``plan`` as int32 limbs, shape (limbs, N + 1).
+def _widen(out: np.ndarray, limbs: int) -> None:
+    """Give every index of the index-major array `out` `limbs` limbs, in place.
 
-    Coefficient n is sum_l limbs[l, n] 2^{R l} with R = plan.radix_bits,
-    every |limb| <= 2^{R-1} + 1.
+    The owning buffer is resized to rows x limbs; its old rows, still at
+    the old stride at its start, move up to the new stride a chunk of rows
+    at a time, last chunk first, so no row is overwritten before it moves,
+    and the new limbs are zeroed.  `out` must own its buffer, and no view
+    of it may be alive.
     """
-    out = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
-    out[0, 0] = 1
+    rows, old = out.shape
+    out.resize((rows, limbs), refcheck=False)
+    packed = out.reshape(-1)[:rows * old].reshape(rows, old)
+    for lo in reversed(range(0, rows, _CHUNK_ROWS)):
+        hi = min(lo + _CHUNK_ROWS, rows)
+        out[lo:hi, :old] = packed[lo:hi]  # numpy copies an overlapping source first
+        out[lo:hi, old:] = 0
+
+
+def expand_limbs(plan: LimbPlan) -> np.ndarray:
+    """The expansion of ``plan`` as int32 limbs, index-major: shape (N + 1, limbs), C order.
+
+    Coefficient n is sum_l limbs[n, l] 2^{R l} with R = plan.radix_bits,
+    every |limb| <= 2^{R-1} + 1, so one coefficient's limbs are adjacent.
+    The multiplication passes run limb-major and are transposed once; the
+    division passes then work on the array in place.
+    """
+    acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
+    acc[0, 0] = 1
     for terms in plan.mul_passes:
-        out = _mul_pass(out, terms, plan.radix_bits)
+        acc = _mul_pass(acc, terms, plan.radix_bits)
+    out = acc.T.copy()  # owns its buffer, so _widen can resize it
+    del acc
     for terms in plan.div_passes:
-        out = _div_pass(out, terms, plan.radix_bits)
+        _div_pass(out, terms, plan.radix_bits)
     return out
 
 
 def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:
-    """The QSeries whose coefficient n is sum_l limbs[l, n] 2^{radix_bits l}; consumes `limbs`.
+    """The QSeries whose coefficient n is sum_l limbs[n, l] 2^{radix_bits l}; consumes `limbs`.
 
-    Horner's rule on Python ints from the top limb down, two limbs at a time
-    (h (1 + 2^R) < 2^63, so a pair is one int64).  Each consumed pair is cut
-    off the end of the array in place, so the limbs shrink as the ints grow
-    and the two are never both held in full.
+    Works through the index-major `limbs` a chunk of rows at a time from the
+    highest index down: Horner's rule on Python ints from the top limb
+    down, two limbs at a time (h (1 + 2^R) < 2^63, so a pair is one int64).
+    After each chunk the array is cut to the rows below it in place, so the
+    limbs shrink as the ints grow and the two are never both held in full.
+    `limbs` is left with 0 rows.
     """
-    rows, n1 = limbs.shape
-    if rows % 2:
-        limbs.resize((rows + 1, n1), refcheck=False)
-    acc = np.zeros(n1, dtype=object)
-    for top in range(limbs.shape[0], 0, -2):
-        pair = limbs[top - 2].astype(np.int64)
-        pair += limbs[top - 1].astype(np.int64) << radix_bits
-        acc <<= 2 * radix_bits
-        acc += pair
-        del pair
-        limbs.resize((top - 2, n1), refcheck=False)
-    return QSeries(n1 - 1, tuple(acc.tolist()))
+    rows, cols = limbs.shape
+    chunks = []
+    for lo in reversed(range(0, rows, _CHUNK_ROWS)):
+        hi = min(lo + _CHUNK_ROWS, rows)
+        chunk = limbs[lo:hi]
+        acc = np.zeros(hi - lo, dtype=object)
+        for top in range(cols, 1, -2):
+            pair = chunk[:, top - 1].astype(np.int64) << radix_bits
+            pair += chunk[:, top - 2]
+            acc <<= 2 * radix_bits
+            acc += pair
+        if cols % 2:
+            acc <<= radix_bits
+            acc += chunk[:, 0]
+        del chunk
+        limbs.resize((lo, cols), refcheck=False)
+        chunks.append(acc.tolist())
+    return QSeries(rows - 1, tuple(chain.from_iterable(reversed(chunks))))
 
 
 def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
@@ -503,12 +557,13 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
     2^R, each limb at most h = 2^{R-1} + 1 in magnitude after a carry.  R is
     the largest radix with t h + 2^{R-1} < 2^31 for the largest pass of t
     terms, so no int32 sum of a pass overflows.  A division pass walks
-    blocks of b <= 64 indices: its terms with e >= b wait on a due-list
+    blocks of b <= 64 indices: its terms with e >= 2b wait on a due-list
     keyed by block and run as one slice of final values each time their
-    block comes; the others are one float64 block product, exact because b
-    is halved until every partial sum is an integer below 2^53.  The
-    module docstring gives the details.  The result is independent of
-    factor order (all arithmetic is exact).
+    block comes; the others are one float64 block product over the block
+    and the 2b indices before it, exact because b is halved until every
+    partial sum is an integer below 2^53.  The module docstring gives the
+    details.  The result is independent of factor order (all arithmetic is
+    exact).
     """
     plan = limb_plan(spec, trunc_order)
     return limbs_to_series(expand_limbs(plan), plan.radix_bits)

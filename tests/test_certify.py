@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from qsign import certify as certify_mod
 from qsign.analytic import CertificateRefused, UsageError
 from qsign.certify import (KNOWN_PATTERNS, TARGETS, SignViolation, certify,
                            richmond_szekeres_scan, verify_known_theorems)
-from qsign.qseries import QSeries, expand_product, registered_spec, slice_indices
+from qsign.qseries import (REGISTERED_SPECS, ProductSpec, QSeries, expand_product,
+                           registered_spec, slice_indices)
 
 
 def no_expansion(*args):
@@ -87,7 +89,7 @@ class TestCertify:
         coeffs = list(real.coeffs)
         coeffs[505] = 1
         fake = QSeries(1000, tuple(coeffs))
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, ("A", 1000), fake)
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 1000), fake)
         result = certify("A5n")
         assert not result.ok and result.exit_code == 2
         assert result.certificate["finite"]["exceptions"] == [505]
@@ -131,17 +133,44 @@ class TestExpansionCache:
             raise AssertionError("expanded although a longer expansion is cached")
 
         # without an exact (A, 800) entry the (A, 1000) expansion serves it
-        monkeypatch.delitem(certify_mod._EXPANSION_CACHE, ("A", 800), raising=False)
+        monkeypatch.delitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800),
+                            raising=False)
         monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
         got = certify_mod.cached_expansion("A", 800)
-        assert ("A", 800) not in certify_mod._EXPANSION_CACHE
+        assert (registered_spec("A"), 800) not in certify_mod._EXPANSION_CACHE
         monkeypatch.undo()
         assert got == expand_product(registered_spec("A"), 800)
 
     def test_exact_entry_wins_over_a_longer_one(self, series_a_1000, monkeypatch):
         fake = QSeries.one(800)
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, ("A", 800), fake)
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800), fake)
         assert certify_mod.cached_expansion("A", 800) is fake
+
+    def test_two_names_for_one_spec_share_an_entry(self, monkeypatch):
+        series = certify_mod.cached_expansion("A", 1000)
+        # an equal spec built anew: the memo is keyed by content, not by name or identity
+        monkeypatch.setitem(REGISTERED_SPECS, "A-alias", ProductSpec(registered_spec("A").factors))
+        monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
+        assert certify_mod.cached_expansion("A-alias", 1000) is series
+        assert certify_mod.cached_expansion("A-alias", 900).coeffs == series.coeffs[:901]
+
+    def test_least_recently_used_spec_is_evicted_and_longer_replaces_shorter(self, monkeypatch):
+        monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
+        monkeypatch.setattr(certify_mod, "expand_product", lambda spec, n: QSeries.one(n))
+        bound = certify_mod._CACHE_ENTRIES
+        names = [f"psi(1,{m})" for m in range(2, bound + 3)]
+        for name, m in zip(names, range(2, bound + 3)):
+            monkeypatch.setitem(REGISTERED_SPECS, name, ProductSpec(((1, m, 1),)))
+        for name in names[:bound]:
+            certify_mod.cached_expansion(name, 10)
+        certify_mod.cached_expansion(names[0], 5)  # a prefix: a use of (names[0], 10)
+        certify_mod.cached_expansion(names[bound], 10)
+        order = [*names[2:bound], names[0], names[bound]]
+        assert list(certify_mod._EXPANSION_CACHE) == [(registered_spec(n), 10) for n in order]
+        certify_mod.cached_expansion(names[0], 20)
+        assert list(certify_mod._EXPANSION_CACHE)[-2:] == [(registered_spec(names[bound]), 10),
+                                                           (registered_spec(names[0]), 20)]
+        assert len(certify_mod._EXPANSION_CACHE) == bound
 
 
 class TestKnownTheorems:
@@ -169,7 +198,7 @@ class TestKnownTheorems:
         real = certify_mod.cached_expansion("C", 800)
         coeffs = list(real.coeffs)
         coeffs[11] = -coeffs[11]
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, ("C", 800),
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("C"), 800),
                             QSeries(800, tuple(coeffs)))
         with pytest.raises(SignViolation, match="index 11"):
             verify_known_theorems(800)

@@ -274,6 +274,7 @@ class TestPochhammerKernel:
         ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 7),
         (None, (Fraction(1, 10), Fraction(1, 200)), 69),
         ((Fraction(1, 10), Fraction(-10)), (Fraction(1, 4), Fraction(30)), 2),
+        ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(30)), 1),
     ])
     def test_stopping_rule_pins_the_factor_count(self, sigma, tau, count):
         # the budget bounds the factors of the product part, which runs to
@@ -282,7 +283,8 @@ class TestPochhammerKernel:
         # tau = 1/4 + i/2 (l = 4.53) L = 31: 7 factors.  At tau = 1/10 +
         # i/200 (l = 0.0453) L = 3: 69 factors, not the 4769 of a product
         # alone.  At Im tau = 30 (l = 272) L = 216, and |z0| = e^{20 pi}
-        # takes 2 factors to get below it
+        # takes 2 factors to get below it; |z0| = e^{-pi/5} takes 1, and a
+        # budget of 0 factors is refused although that one factor would do
         with precision(192):
             q = e_two_pi_i(c_hp(*tau))
             z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))

@@ -222,6 +222,12 @@ class TestBench:
         # psi(1,5)^2: two triple-product multiplications, two eta divisions
         assert payload["mul_passes"] == 2 and payload["div_passes"] == 2
 
+    def test_bench_times_expansion_and_conversion_apart(self):
+        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)
+        assert payload["expand_s"] >= 0 and payload["convert_s"] >= 0
+        # each of the three is rounded to the millisecond
+        assert abs(payload["expand_s"] + payload["convert_s"] - payload["seconds"]) <= 0.002
+
 
 def test_parser_covers_documented_flags():
     parser = build_parser()

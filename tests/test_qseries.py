@@ -173,7 +173,28 @@ BEYOND_INT64 = [ProductSpec(((2, 5, 12), (1, 5, -1))), ProductSpec(((2, 5, 30),)
 
 
 def limb_count(spec, n):
-    return qseries.expand_limbs(limb_plan(spec, n)).shape[0]
+    return qseries.expand_limbs(limb_plan(spec, n)).shape[1]
+
+
+def block_matrix_by_ints(terms, b, radix_bits):
+    """[-PF | P] of a division block of b indices and its largest row bound, in Python ints.
+
+    P is the Toeplitz matrix of u = 1/T mod q^b and F[k, j] = c_t at
+    j = W + k - e_t for the terms with e_t < W = _HISTORY b.  Row i is
+    bounded by sum_j |(PF)_ij| h + sum_j |P_ij| t h.
+    """
+    h, t, w = qseries._limb_bound(radix_bits), len(terms), qseries._HISTORY * b
+    u = [1]
+    for i in range(1, b):
+        u.append(-sum(c * u[i - e] for e, c in terms[1:] if e <= i))
+    p = [[u[i - k] if k <= i else 0 for k in range(b)] for i in range(b)]
+    pf = [[0] * w for _ in range(b)]
+    for e, c in terms[1:]:
+        for k in range(min(e, b) if e < w else 0):
+            for i in range(b):
+                pf[i][w + k - e] += p[i][k] * c
+    bound = max(sum(map(abs, pf[i])) * h + sum(map(abs, p[i])) * t * h for i in range(b))
+    return [[-v for v in pf[i]] + p[i] for i in range(b)], bound
 
 
 class TestSliceEngine:
@@ -212,6 +233,51 @@ class TestSliceEngine:
         ref = expand_product_reference(spec, hi + 1)
         for n in (hi - 1, hi, hi + 1):
             assert expand_product(spec, n) == truncated(ref, n), (name, n)
+
+    def test_widening_and_conversion_across_a_chunk_boundary(self):
+        # c = 1/R gains its fourth limb at an index past the first chunk of
+        # rows, so the in-place widening moves rows on both sides of the
+        # chunk boundary, and the conversion takes the series in two chunks
+        spec = registered_spec("c")
+        lo, hi = 2600, 3000
+        final = limb_count(spec, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if limb_count(spec, mid) < final else (lo, mid)
+        assert limb_count(spec, hi - 1) < limb_count(spec, hi) == final
+        assert hi > qseries._CHUNK_ROWS
+        plan = limb_plan(spec, hi + 1)
+        limbs = qseries.expand_limbs(plan)
+        assert limbs.shape == (hi + 2, final) and limbs.flags.c_contiguous
+        got = qseries.limbs_to_series(limbs, plan.radix_bits)
+        assert limbs.shape[0] == 0
+        ref = expand_product_reference(spec, hi + 1)
+        boundary = qseries._CHUNK_ROWS
+        for n in (boundary - 1, boundary, hi - 1, hi, hi + 1):
+            assert got.coeffs[n] == ref.coeffs[n], n
+        assert got == ref
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_block_matrix_rows_fit_float64_at_the_largest_block(self, name):
+        # R = 24 at N = 19501: b stays 64 with the two-block history
+        plan = limb_plan(registered_spec(name), 19501)
+        for terms in plan.div_passes:
+            block = qseries._div_block(terms, plan.radix_bits)
+            assert block.size == qseries._MAX_BLOCK
+            matrix, bound = block_matrix_by_ints(terms, block.size, plan.radix_bits)
+            assert bound <= 2 ** 53
+            assert np.array_equal(block.matrix, np.array(matrix, dtype=np.float64).T)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_small_moduli_halve_the_block_until_its_rows_fit(self, m):
+        plan = limb_plan(ProductSpec(((1, m, -1),)), 2000)
+        terms = plan.div_passes[0]
+        block = qseries._div_block(terms, plan.radix_bits)
+        assert block.size < qseries._MAX_BLOCK
+        matrix, bound = block_matrix_by_ints(terms, block.size, plan.radix_bits)
+        assert bound <= 2 ** 53
+        assert block_matrix_by_ints(terms, 2 * block.size, plan.radix_bits)[1] > 2 ** 53
+        assert np.array_equal(block.matrix, np.array(matrix, dtype=np.float64).T)
 
     @pytest.mark.parametrize("bound", [1, 2 ** 20, 2 ** 31 - 1, 2 ** 53])
     @pytest.mark.parametrize("radix_bits", [1, 3, 23, 27, 30])
