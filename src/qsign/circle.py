@@ -8,10 +8,11 @@ Two numeric regimes live here.
    residuals far below 1e-25 at 192-bit precision.  The Pochhammer products
    behind eta, theta and psi run in fixed-point midpoint-radius balls over
    Python ints (F = prec + 32 fraction bits, one ulp of radius per
-   truncating shift) and convert back to enclosures through outward-rounded
-   endpoints.  Every product stops once |z0 q^K| is small, at a point
-   chosen from |q| alone, and is closed by the certified log series of its
-   tail; near the cusps that turns thousands of factors into tens.
+   truncating shift).  Every product stops once |z0 q^K| is small, at a
+   point chosen from |q| alone, and is closed by the certified log series
+   S of its tail; near the cusps that turns thousands of factors into
+   tens.  e^{-S} is a ball too, so each product converts to an enclosure
+   once, through outward-rounded endpoints.
 
 *  Diagnostic: a quadrature that recovers power-series coefficients from
    the contour integral over the full circle
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, isqrt, log, log1p, log2, sqrt
 from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpf_ln2, round_ceiling, round_floor
 
 from .enclosure import Enclosure, one, zero
 from .modular import TransformData, transform_data
@@ -234,6 +236,71 @@ def _log_series(zr: int, zi: int, rz: int, qr: int, qi: int, rq: int, fb: int,
     return sr, si, trunc + rnd + inputs
 
 
+#: guard bits of `_exp_ball` below F, and its halving target |y| < 2^-H
+_EXP_GUARD, _EXP_HALVE = 8, 12
+
+
+@cache
+def _ln2_fixed(bits: int) -> int:
+    """floor(ln 2 * 2^bits): a `bits`-bit floor mpf of ln 2 is an exact multiple of 2^-bits."""
+    return _scaled(mpf_ln2(bits, round_floor), bits, False)
+
+
+def _exp_ball(wr: int, wi: int, rw: int, fb: int) -> tuple[int, int, int, int]:
+    """A ball (er + i ei, rad) 2^e containing e^w for every w in the ball (wr + i wi, rw) 2^-F.
+
+    F = fb.  With G = F + g (g = `_EXP_GUARD`) and ln2 ~ L 2^-G, L the floor:
+
+    * reduction: k = round(wr / ln 2) and x = (wr + i wi) 2^g - k L at
+      scale 2^-G, so e^w = 2^k e^x; 2^k goes into the exponent e;
+    * halving: j = max(0, bitlen(|Re x| + |Im x|) - G + H) makes
+      |y| < 2^-H, H = `_EXP_HALVE`, for y = x 2^-j, and y is exact: the
+      same integers at scale 2^-T, T = G + j;
+    * Taylor series at scale 2^-T, terms t_n = (t_(n-1) y >> T) // n until
+      |Re t_N| + |Im t_N| <= 2.  Each term's product and division truncate
+      both parts by < 1 ulp, so |error of t_n| <= (|error of t_(n-1)| / 2 +
+      sqrt(2)) / n + sqrt(2) <= 4 ulps, and the remainder after t_N is at
+      most |t_N| <= 6 ulps because |y| / (N + 1) <= 1/2: a radius of
+      4 N + 6 ulps around the sum;
+    * squaring j times: a ball (c, r) squares to (c^2 >> T, ((2 m + r) r >>
+      T) + 3) with m >= |c|, by |c^2 - v^2| <= r (2 |c| + r), one ulp for
+      the shifted radius rounding down and two for the truncated centre;
+      m becomes ((m m) >> T) + 3.  The radius roughly doubles per squaring,
+      against 2^j more fraction bits;
+    * the input radius and the ln 2 truncation: the true reduced argument
+      is x 2^-G + d with |d| <= D = (rw 2^g + |k|) 2^-G, as |k ln 2 - k L
+      2^-G| < |k| 2^-G.  e^(x 2^-G + d) = e^(x 2^-G) (1 + theta) with
+      |theta| <= e^D - 1 <= D / (1 - D), adding (m + r) D / (1 - D) to the
+      radius.  D < 1 is required, and refused otherwise.
+    """
+    g = _EXP_GUARD
+    gb = fb + g  # G
+    ln2 = _ln2_fixed(gb)
+    xr, xi = wr << g, wi << g
+    k = (2 * xr + ln2) // (2 * ln2)
+    xr -= k * ln2
+    j = max(0, (abs(xr) + abs(xi)).bit_length() - gb + _EXP_HALVE)
+    tb = gb + j  # T
+    one_ = 1 << tb
+    dev = ((rw << g) + abs(k)) << j  # D at scale 2^-T
+    if dev >= one_:
+        raise ConvergenceRefused("the argument of a ball exponential is wider than 1")
+    sr, si, tr, ti = one_, 0, one_, 0  # the sum and the term t_n
+    n = 0
+    while abs(tr) + abs(ti) > 2:
+        n += 1
+        tr, ti = ((tr * xr - ti * xi) >> tb) // n, ((tr * xi + ti * xr) >> tb) // n
+        sr, si = sr + tr, si + ti
+    rad = 4 * n + 6
+    m = isqrt(sr * sr + si * si) + 1
+    for _ in range(j):
+        rad = (((2 * m + rad) * rad) >> tb) + 3
+        m = ((m * m) >> tb) + 3
+        sr, si = (sr * sr - si * si) >> tb, (2 * sr * si) >> tb
+    rad += -(-(m + rad) * dev // (one_ - dev))
+    return sr, si, rad, k - tb
+
+
 def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
     """(z0; q)_inf = prod_{k>=0} (1 - z0 q^k) with a certified tail factor.
 
@@ -241,8 +308,8 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     closed by its log series (`_log_series`): log (z; q)_inf = -S with
     S = sum_{n>=1} z^n / (n (1 - q^n)), valid for |z| < 1, summed at
     z = z_K until |z_K|^(M+1) < 2^-(prec + 24).  Its truncation, rounding
-    and input-radius errors add up to t, and e^{-S} is taken once, by `cexp`
-    over the box around the computed S with half-widths t.
+    and input-radius errors add up to t, and e^{-S} is taken once, by
+    `_exp_ball` over the disc of radius t around the computed S.
 
     Stopping rule, fixed once per call from the nome's integer bound: with
     P = prec + 24 and l = -log2|q|, the series at |z_K| ~ 2^-L needs about
@@ -281,7 +348,9 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
 
     The series runs on the same scale, at the exact centres of z_K and q;
     the balls' radii enter through derivative bounds (see `_log_series`).
-    The result converts back through outward-rounded endpoints.
+    Its ball exponential (see `_exp_ball`) multiplies into the running
+    product by the same ball rule, without the shift, so exactly; the
+    result converts back once, through outward-rounded endpoints.
     """
     if max_factors < 1:
         raise ConvergenceRefused(f"a budget of {max_factors} factors admits no product")
@@ -349,14 +418,16 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
                 f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, True), 8)}); increase the factor budget "
                 f"or move the argument"
             )
-    exp = -(fb + ep)
-    rect = ComplexHP(_box(pr - prad, pr + prad, exp), _box(pi_ - prad, pi_ + prad, exp))
     # zk at scale 2^-F: each floor shift moves a centre part by < 1 ulp
     sr, si, err = _log_series(zr >> ez, zi >> ez, (zrad >> ez) + 3, qr, qi, qrad, fb,
                               1 << (fb - full))
-    # e^{-S} over the box -(sr + i si) + [-err, err] + i[-err, err]
-    return rect * cexp(ComplexHP(_box(-sr - err, -sr + err, -fb),
-                                 _box(-si - err, -si + err, -fb)))
+    # prod *= e^{-S}, exactly: the ball product without the shift
+    er, ei, erad, ee = _exp_ball(-sr, -si, err, fb)
+    em = isqrt(er * er + ei * ei) + 1
+    prad = pm * erad + (em + erad) * prad
+    pr, pi_ = pr * er - pi_ * ei, pr * ei + pi_ * er
+    exp = ee - (fb + ep)
+    return ComplexHP(_box(pr - prad, pr + prad, exp), _box(pi_ - prad, pi_ + prad, exp))
 
 
 #: the most factors of one Pochhammer product behind eta, theta and psi

@@ -149,6 +149,14 @@ def _relative_width(got: ComplexHP, ref: mpmath.mpc) -> mpmath.mpf:
     return max(got.re.width, got.im.width) / abs(ref)
 
 
+def _counting(calls: dict, name: str, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 class TestPochhammerKernel:
     """The fixed-point ball loop against mpmath.qp at twice the working precision."""
 
@@ -252,16 +260,9 @@ class TestPochhammerKernel:
     @pytest.mark.parametrize("kind", ["psi", "eta"])
     def test_every_product_closes_with_one_log_series(self, kind, monkeypatch):
         calls = {"products": 0, "series": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
         monkeypatch.setattr(circle, "pochhammer_product",
-                            counted("products", circle.pochhammer_product))
-        monkeypatch.setattr(circle, "_log_series", counted("series", circle._log_series))
+                            _counting(calls, "products", circle.pochhammer_product))
+        monkeypatch.setattr(circle, "_log_series", _counting(calls, "series", circle._log_series))
         with precision(192):
             if kind == "psi":  # a short product at Im tau = 1/2
                 psi(c_hp(Fraction(1, 10), Fraction(1, 10)), c_hp(Fraction(1, 4), Fraction(1, 2)))
@@ -269,6 +270,41 @@ class TestPochhammerKernel:
                 eta(c_hp(Fraction(1, 10), Fraction(1, 200)))
         n = 2 if kind == "psi" else 1
         assert calls == {"products": n, "series": n}
+
+    def test_a_product_closes_without_cexp(self, monkeypatch):
+        # e^{-S} stays a fixed-point ball: one log series, no interval exponential
+        with precision(192):
+            q = e_two_pi_i(c_hp(Fraction(1, 4), Fraction(1, 2)))
+            z0 = e_two_pi_i(c_hp(Fraction(1, 10), Fraction(1, 10)))
+            calls = {"cexp": 0, "series": 0}
+            monkeypatch.setattr(circle, "cexp", _counting(calls, "cexp", circle.cexp))
+            monkeypatch.setattr(circle, "_log_series",
+                                _counting(calls, "series", circle._log_series))
+            pochhammer_product(z0, q, 100)
+        assert calls == {"cexp": 0, "series": 1}
+
+    @pytest.mark.parametrize("sigma,tau,large", [(*POINTS["near_cusp"][:2], True),
+                                                 (*SPREAD[0], False)],
+                             ids=["near_cusp", "spread0"])
+    def test_a_large_tail_is_halved_and_squared(self, sigma, tau, large, monkeypatch):
+        # near the cusp 0 the tail has |S| ~ 4, so e^{-S} takes the ln 2
+        # reduction (k = -6); at |q| = 0.995 with L = 1 (SPREAD[0]) |S| ~
+        # 0.36.  Both halve the argument and square the series j > 0 times
+        seen, exp_ball = [], circle._exp_ball
+
+        def recorded(*args):
+            seen.append((args, exp_ball(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(circle, "_exp_ball", recorded)
+        got, ref = _kernel_and_reference(sigma, tau)
+        assert got.re.contains(ref.real) and got.im.contains(ref.imag)
+        [((wr, wi, _, fb), (_, _, _, e))] = seen
+        k = round(mpmath.ldexp(wr, -fb) / mpmath.ln(2))
+        # the series ran at T = F + guard + j fraction bits, and e = k - T
+        assert k - e - fb - circle._EXP_GUARD >= 1
+        if large:
+            assert k != 0 and abs(mpmath.mpc(wr, wi)) >= 2 ** fb
 
     @pytest.mark.parametrize("sigma,tau,count", [
         ((Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 2)), 7),
@@ -337,6 +373,37 @@ class TestLogSeries:
                     assert abs(_log_series_reference(zp, qp, eps) - got) <= bound
         # and err is of the size of the remainder and the radii, not vacuous
         assert bound <= (mpmath.mpf(2) ** (8 - cut) + mpmath.mpf(2) ** -180) / one_minus ** 2
+
+
+class TestExpBall:
+    """`_exp_ball` against mpmath.exp at 2F + 64 bits, over the input ball."""
+
+    # w = 0, a tail-sized w, and |Re w|, |Im w| up to 2^10: large negative
+    # and positive real parts take the ln 2 reduction, large imaginary
+    # parts the halving and squaring
+    POINTS = [(0, 0), (2 ** -200, -(2 ** -201)), (-0.7, 3.3), (-1000, 1000), (1000, -7),
+              (0.5, 1024), (-700, -0.25)]
+
+    @pytest.mark.parametrize("rad", [0, 2 ** 40])
+    @pytest.mark.parametrize("point", range(len(POINTS)))
+    def test_contains_exp_over_the_ball(self, point, rad):
+        fb = 224
+        re, im = self.POINTS[point]
+        wr, wi = (int(mpmath.ldexp(mpmath.mpf(x), fb)) for x in (re, im))
+        er, ei, erad, e = circle._exp_ball(wr, wi, rad, fb)
+        with mpmath.workprec(2 * fb + 64):
+            got = mpmath.mpc(mpmath.ldexp(er, e), mpmath.ldexp(ei, e))
+            bound = mpmath.ldexp(erad, e)
+            centre, *rim = (mpmath.exp(w) for w in _ball_points(wr, wi, rad, fb))
+            for ref in [centre, *rim]:
+                assert abs(ref - got) <= bound
+            if rad == 0:
+                # not vacuous: relative width within 2^(8 - prec), prec = F - 32
+                assert 2 * bound / abs(centre) <= mpmath.mpf(2) ** (8 - (fb - 32))
+
+    def test_refuses_an_argument_wider_than_one(self):
+        with pytest.raises(ConvergenceRefused, match="wider than 1"):
+            circle._exp_ball(0, 0, 1 << 224, 224)
 
 
 class TestProductTransformation:
