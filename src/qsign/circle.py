@@ -46,7 +46,8 @@ from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, mpf_ln2, round_ceiling, round_floor
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_ln2, mpf_mul, mpf_sqrt, mpi_abs,
+                          round_ceiling, round_floor)
 
 from .enclosure import Enclosure, one, zero
 from .modular import TransformData, transform_data
@@ -553,12 +554,21 @@ def check_product_transform(spec: ProductSpec, h: int, k: int,
     return relative_residual(lhs, rhs), lhs, rhs
 
 
+def _abs_end(z: ComplexHP, up: bool) -> mpmath.mpf:
+    """One endpoint of ``z.abs_enclosure()``, the upper if `up`, bit for bit, without the other."""
+    prec = iv.prec
+    rnd = round_ceiling if up else round_floor
+    re, im = (mpi_abs(part._mpi_, prec)[up] for part in (z.re, z.im))
+    return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(re, re, prec, rnd), mpf_mul(im, im, prec, rnd),
+                                        prec, rnd), prec, rnd))
+
+
 def relative_residual(lhs: ComplexHP, rhs: ComplexHP) -> mpmath.mpf:
     """Upper bound of |lhs - rhs| / |lhs|; refused when the enclosure of |lhs| touches 0."""
-    den = lhs.abs_enclosure().lo
+    den = _abs_end(lhs, False)
     if den <= 0:
         raise ConvergenceRefused("left side enclosure touches zero")
-    return (lhs - rhs).abs_enclosure().hi / den
+    return _abs_end(lhs - rhs, True) / den
 
 
 def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]]) -> ComplexHP:

@@ -217,8 +217,8 @@ def _residual_theta(seed: int) -> float:
     gt = (tau.scale(a) + ComplexHP.from_fractions(b, 0)) / ctd
     chi3 = e_pi_i_half_turns(GammaMatrix(a, b, c, d).chi_exponent() * 3)
     lhs = theta(sig / ctd, gt)
-    quad = cexp(ComplexHP(-(Enclosure.pi() * ((sig * sig).scale(c) / ctd).im),
-                          Enclosure.pi() * ((sig * sig).scale(c) / ctd).re))
+    w = (sig * sig).scale(c) / ctd  # quad = e^{pi i c sigma^2 / (c tau + d)}
+    quad = cexp(ComplexHP(-(Enclosure.pi() * w.im), Enclosure.pi() * w.re))
     rhs = chi3 * csqrt_upper(ctd) * quad * theta(sig, tau)
     return float(relative_residual(lhs, rhs))
 
@@ -286,7 +286,9 @@ def cmd_xcheck(args) -> int:
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
     t0 = time.perf_counter()
-    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
+    workers = min(args.workers, len(jobs))
+    if workers > 1:  # os.cpu_count() reads /sys on Linux; one worker never needs it
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             residuals = list(pool.map(_xcheck_worker, jobs))

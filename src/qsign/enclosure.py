@@ -94,6 +94,8 @@ def _mpi_of(x: Number, prec: int) -> tuple:
     if isinstance(x, int):
         return _int_mpi(x, prec)
     if isinstance(x, Fraction):
+        if x.denominator == 1:  # the same pair as the division by 1, without it
+            return _int_mpi(x.numerator, prec)
         return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
     raise TypeError(f"cannot coerce {type(x).__name__} to Enclosure")
 

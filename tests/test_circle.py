@@ -448,6 +448,23 @@ class TestProductTransformation:
                              * pp(ComplexHP.one() / xi * q, q, 10000)).pow_int(ft.delta)
         assert rel_residual(lhs, rhs) < 1e-25
 
+    @pytest.mark.parametrize("bits", (53, 192))
+    def test_residual_reads_the_modulus_endpoints_bit_for_bit(self, bits):
+        rng = random.Random(bits)
+
+        def part():
+            lo = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            hi = lo + rng.choice((0, Fraction(1, 10**rng.randint(1, 60)), abs(lo) * 3))
+            return Enclosure.from_endpoints(Enclosure.from_fraction(lo).lo,
+                                            Enclosure.from_fraction(hi).hi)
+
+        with precision(bits):
+            for _ in range(200):  # widths up to 3|lo| put 0 inside some parts
+                z = ComplexHP(part(), part())
+                box = z.abs_enclosure()
+                assert circle._abs_end(z, False)._mpf_ == box._mpi_[0]
+                assert circle._abs_end(z, True)._mpf_ == box._mpi_[1]
+
     def test_pi_value_matches_level25_amplitude(self):
         pi_factors = td_of(registered_spec("D"), 1, 5).pi_factors()
         val = pi_factor_value(pi_factors).abs_enclosure()

@@ -96,6 +96,10 @@ class TestKernelsMatchMpmathIv:
                 _same(f * x, fi * ix, bits)
                 _same(x / f, ix / fi, bits)
                 _same(f / x, fi / ix, bits)
+                g = Fraction(n)  # an integral Fraction coerces as its int does
+                _same(x * g, ix * n, bits)
+                _same(g - x, n - ix, bits)
+                _same(Enclosure.from_fraction(g), iv.mpf(n), bits)
 
     def test_abs_and_square(self, bits):
         rng = random.Random(bits + 2)
