@@ -1,10 +1,10 @@
 """Certified Bessel main terms, explicit error bounds and dominance checks.
 
-Every function here takes a registered spec name; the claims (which residue
-class, which sign) live in ``certify.TARGETS``.  Main terms come from the
-spec's modular data (circle method for eta quotients: Rademacher 1937,
-Zuckerman 1939).  The Farey arcs h/k of the Lpos classes with maximal
-Delta/k^2 dominate, with class constants
+Every function here takes a ``ProductSpec``; names are resolved in ``certify``
+and ``cli``, and the claims (which residue class, which sign) live in
+``certify.TARGETS``.  Main terms come from the spec's modular data (circle
+method for eta quotients: Rademacher 1937, Zuckerman 1939).  The Farey arcs
+h/k of the Lpos classes with maximal Delta/k^2 dominate, with class constants
 c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
 ``modular``).  With k, Delta and Omega from ``MainTermData``,
 
@@ -20,12 +20,13 @@ M(n) plus an error of magnitude at most
 
     E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20)
 
-in every residue class, C the paper's constant in ``ERROR_CONSTANTS``.  E
-is stated only for k = 5, Delta = 24: ``error_bound`` refuses other arcs
-and specs without a C, and so does everything that needs E.  Certified
-verdicts compare the enclosures of |M| and E: "true" only when they
-separate strictly, "unknown" when they overlap at the working precision
-(callers retry along ``precision_schedule``).
+in every residue class, C the paper's constant in ``ERROR_CONSTANTS``, keyed
+by spec content (an inline spec equal to A, B or D has it too).  E is stated
+only for k = 5, Delta = 24: ``error_bound`` refuses other arcs and specs
+without a C, and so does everything that needs E.  Certified verdicts
+compare the enclosures of |M| and E: "true" only when they separate
+strictly, "unknown" when they still overlap at the end of
+``precision_schedule``.
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
@@ -156,23 +157,24 @@ def _const_d() -> Enclosure:
     return Enclosure.exp_of(332) + Enclosure.exp_of(272) + (8 * Enclosure.pi() + 2).exp()
 
 
-#: the paper's constant C of E(n) per spec, built per call at the working precision
-ERROR_CONSTANTS: dict[str, Callable[[], Enclosure]] = {"A": _const_ab, "B": _const_ab,
-                                                       "D": _const_d}
+#: the paper's constant C of E(n) per spec content, built per call at the working precision
+ERROR_CONSTANTS: dict[ProductSpec, Callable[[], Enclosure]] = {
+    registered_spec(name): const for name, const in (("A", _const_ab), ("B", _const_ab),
+                                                     ("D", _const_d))}
 
 
-def _x_of(spec_name: str, n: int) -> Fraction:
-    x = n + main_term_data(registered_spec(spec_name)).omega / 24
+def _x_of(spec: ProductSpec, n: int) -> Fraction:
+    x = n + main_term_data(spec).omega / 24
     if x <= 0:
-        raise UsageError(f"spec {spec_name} needs x = n + Omega/24 > 0, got {x} at n = {n}")
+        raise UsageError(f"spec {spec.factors} needs x = n + Omega/24 > 0, got {x} at n = {n}")
     return x
 
 
-def class_constant(spec_name: str, r: int) -> Enclosure:
+def class_constant(spec: ProductSpec, r: int) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    s = _class_sum(registered_spec(spec_name), r, iv.prec)
+    s = _class_sum(spec, r, iv.prec)
     if not s.im.contains(0):
-        raise CertificateRefused(f"spec {spec_name}: Im S_{r} = {s.im!r} excludes 0")
+        raise CertificateRefused(f"spec {spec.factors}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
 
 
@@ -194,24 +196,24 @@ def _arc_bessel(k: int, delta: Fraction, x: Fraction) -> tuple[Enclosure, Enclos
     return a, y, sx
 
 
-def _bessel_form(spec_name: str, n: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+def _bessel_form(spec: ProductSpec, n: int) -> tuple[Enclosure, Enclosure, Enclosure]:
     """(a Re S_r, y, sqrt(x)) with M(n) = a Re S_r I_1(y) / sqrt(x) (module docstring)."""
-    data = main_term_data(registered_spec(spec_name))
-    a, y, sx = _arc_bessel(data.k, data.delta, _x_of(spec_name, n))
-    return a * class_constant(spec_name, n % data.k), y, sx
+    data = main_term_data(spec)
+    a, y, sx = _arc_bessel(data.k, data.delta, _x_of(spec, n))
+    return a * class_constant(spec, n % data.k), y, sx
 
 
 # ---------------------------------------------------------------------------
 # main term and error bound
 # ---------------------------------------------------------------------------
 
-def main_term(spec_name: str, n: int) -> Enclosure:
+def main_term(spec: ProductSpec, n: int) -> Enclosure:
     """Enclosure of M(n) = a I_1(y) / sqrt(x) at any dominant arc (module docstring)."""
-    a, y, sx = _bessel_form(spec_name, n)
+    a, y, sx = _bessel_form(spec, n)
     return a * bessel_im1(y) / sx
 
 
-def error_bound(spec_name: str, n: int) -> Enclosure:
+def error_bound(spec: ProductSpec, n: int) -> Enclosure:
     """Upper enclosure of E(n) (module docstring); requires n >= 20.
 
     Stated for arcs at k = 5 with Delta = 24 and the specs with a C in
@@ -219,15 +221,15 @@ def error_bound(spec_name: str, n: int) -> Enclosure:
     """
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
-    x = _x_of(spec_name, n)
-    data = main_term_data(registered_spec(spec_name))
+    x = _x_of(spec, n)
+    data = main_term_data(spec)
     if data.k != 5 or data.delta != 24:
-        raise CertificateRefused(f"spec {spec_name}: dominant arcs at k = {data.k} with "
+        raise CertificateRefused(f"spec {spec.factors}: dominant arcs at k = {data.k} with "
                                  f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
-    if spec_name not in ERROR_CONSTANTS:
-        raise CertificateRefused(f"spec {spec_name}: no explicit error constant; "
-                                 f"stated for {', '.join(ERROR_CONSTANTS)}")
-    return ERROR_CONSTANTS[spec_name]() + _error_growth(Enclosure.from_fraction(x))
+    if spec not in ERROR_CONSTANTS:
+        raise CertificateRefused(f"spec {spec.factors}: no explicit error constant; "
+                                 f"the paper states one for A, B and D")
+    return ERROR_CONSTANTS[spec]() + _error_growth(Enclosure.from_fraction(x))
 
 
 def _error_growth(x: Enclosure) -> Enclosure:
@@ -237,29 +239,9 @@ def _error_growth(x: Enclosure) -> Enclosure:
 
 @dataclass(frozen=True)
 class DominanceResult:
-    spec: str
-    n: int
     verdict: Verdict
     main: Enclosure
     bound: Enclosure
-
-
-def dominance(spec_name: str, n: int) -> DominanceResult:
-    """Certified comparison |M(n)| > E(n) at index n, in any residue class.
-
-    True/False only when the enclosures separate strictly; "unknown" when
-    they overlap at the current working precision.
-    """
-    m = main_term(spec_name, n)
-    e = error_bound(spec_name, n)
-    am = abs(m)
-    if am.strictly_greater(e):
-        verdict: Verdict = True
-    elif am.strictly_less(e):
-        verdict = False
-    else:
-        verdict = "unknown"
-    return DominanceResult(spec_name, n, verdict, m, e)
 
 
 #: the highest precision any escalation reaches
@@ -279,27 +261,36 @@ def precision_schedule(start_bits: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def dominance_with_escalation(spec_name: str, n: int, start_bits: int = 192) -> DominanceResult:
-    """``dominance`` along ``precision_schedule(start_bits)`` until the verdict is not "unknown"."""
+def dominance(spec: ProductSpec, n: int, start_bits: int = 192) -> DominanceResult:
+    """Certified comparison |M(n)| > E(n) at index n, in any residue class.
+
+    Tried along ``precision_schedule(start_bits)``: True/False at the first
+    precision where the enclosures separate strictly, "unknown" when they
+    still overlap at PRECISION_CAP.
+    """
     for bits in precision_schedule(start_bits):
         with precision(bits):
-            res = dominance(spec_name, n)
-        if res.verdict != "unknown":
-            break
-    return res
+            m = main_term(spec, n)
+            e = error_bound(spec, n)
+            am = abs(m)
+        if am.strictly_greater(e):
+            return DominanceResult(True, m, e)
+        if am.strictly_less(e):
+            return DominanceResult(False, m, e)
+    return DominanceResult("unknown", m, e)
 
 
 # ---------------------------------------------------------------------------
 # eventual dominance
 # ---------------------------------------------------------------------------
 
-def wang_main_lower(spec_name: str, n: int) -> Enclosure:
+def wang_main_lower(spec: ProductSpec, n: int) -> Enclosure:
     """Elementary lower bound for |M(n)| via the e^x/sqrt(x) bound.
 
     |M(n)| >= |a| x^{-1/2} * (1/10) e^y / sqrt(y) with a and
     y = (pi/6k) sqrt(24 Delta x) as in ``main_term``; valid when y >= 3.
     """
-    a, y, sx = _bessel_form(spec_name, n)
+    a, y, sx = _bessel_form(spec, n)
     if y.lo < 3:
         raise UsageError("lower bound needs the Bessel argument (pi/6k) sqrt(24 Delta x) >= 3")
     return abs(a) * wang_lower(y) / sx
@@ -309,19 +300,18 @@ def wang_main_lower(spec_name: str, n: int) -> Enclosure:
 class EventualDominanceCertificate:
     """Machine-checkable record: dominance at a threshold plus monotone extension.
 
-    The claim is |M(n)| > E(n) for every n >= n0 in one residue class mod 5
-    (Re S_r is constant there).  ``first_index`` is the smallest such n; the
-    certified Wang-route comparison runs at x0 = x(first_index).  A
-    certificate is only issued once sqrt(x0) > 25/(4 pi) is certified (which
-    implies the weaker 15/(8 pi) condition); under it both
-    x^{-3/4} e^{(4 pi/5) sqrt(x)} / const and x^{-5/4} e^{(2 pi/5) sqrt(x)}
-    have positive log-derivative, the sum of their nonincreasing reciprocals
-    is nonincreasing, so the ratio (Wang lower bound of |M|) / E is
-    nondecreasing in x and the strict comparison at x0 extends to every
-    later index in the class.
+    The claim is |M(n)| > E(n) for every n >= n0 in one residue class mod k,
+    k of ``main_term_data`` (Re S_r is constant there).  ``first_index`` is
+    the smallest such n; the certified Wang-route comparison runs at
+    x0 = x(first_index).  A certificate is only issued once
+    sqrt(x0) > 25/(4 pi) is certified (which implies the weaker 15/(8 pi)
+    condition); under it both x^{-3/4} e^{(4 pi/5) sqrt(x)} / const and
+    x^{-5/4} e^{(2 pi/5) sqrt(x)} have positive log-derivative, the sum of
+    their nonincreasing reciprocals is nonincreasing, so the ratio (Wang
+    lower bound of |M|) / E is nondecreasing in x and the strict comparison
+    at x0 extends to every later index in the class.
     """
 
-    spec: str
     n0: int
     first_index: int
     x0: Fraction
@@ -330,26 +320,26 @@ class EventualDominanceCertificate:
     precision_bits: int   # the bits of the enclosures behind wang_main_lo and bound_hi
 
 
-def eventual_dominance_certificate(spec_name: str, residue: int,
+def eventual_dominance_certificate(spec: ProductSpec, residue: int,
                                    n0: int) -> EventualDominanceCertificate:
-    """Certify |M(n)| > E(n) for every n >= n0 with n = residue (mod 5), or refuse."""
+    """Certify |M(n)| > E(n) for every n >= n0 with n = residue (mod k), or refuse."""
     if n0 < 20:
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
-    first = n0 + (residue - n0) % 5
-    x0 = _x_of(spec_name, first)
+    first = n0 + (residue - n0) % main_term_data(spec).k
+    x0 = _x_of(spec, first)
     # monotonicity precondition sqrt(x0) > 25/(4 pi), certified strictly
     lhs = Enclosure.from_fraction(Fraction(625, 16)) / (Enclosure.pi() * Enclosure.pi())
     if not lhs.strictly_less(Enclosure.from_fraction(x0)):
         raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
-    bound = error_bound(spec_name, first)
-    wang_lo = wang_main_lower(spec_name, first)
+    bound = error_bound(spec, first)
+    wang_lo = wang_main_lower(spec, first)
     if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
             f"Wang-route dominance at index {first} not certified "
             f"(lower {wang_lo!r} vs bound {bound!r})"
         )
     return EventualDominanceCertificate(
-        spec=spec_name, n0=n0, first_index=first, x0=x0,
+        n0=n0, first_index=first, x0=x0,
         wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
         precision_bits=wang_lo.bits,
     )

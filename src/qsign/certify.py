@@ -23,7 +23,7 @@ from typing import ClassVar
 
 from . import __version__
 from .analytic import (CertificateRefused, class_constant, error_bound,
-                       eventual_dominance_certificate, precision_schedule)
+                       eventual_dominance_certificate, main_term_data, precision_schedule)
 from .enclosure import precision
 from .qseries import ProductSpec, QSeries, expand_product, registered_spec, sign_exceptions
 
@@ -39,7 +39,8 @@ class TargetSpec:
     """One claim: the sign of a spec's coefficients on a residue class mod 5.
 
     The analytic layer is keyed by the spec; this record is the only place a
-    claim's residue class and sign are written down.
+    claim's residue class and sign are written down.  The modulus must be the
+    k of the spec's main term (``_check_target``).
     """
 
     modulus: ClassVar[int] = 5
@@ -77,16 +78,15 @@ _CACHE_ENTRIES = 8
 _EXPANSION_CACHE: OrderedDict[tuple[ProductSpec, int], QSeries] = OrderedDict()
 
 
-def cached_expansion(spec_name: str, trunc_order: int) -> QSeries:
+def cached_expansion(spec: ProductSpec, trunc_order: int) -> QSeries:
     """Expansion memo shared by certification and verification, keyed by spec content.
 
     An exact (spec, N) entry wins, then the prefix of the spec's shortest
     longer expansion; only a miss expands, and only a miss is stored, in
-    place of the spec's shorter entries, which are its prefixes.  Two names
-    for one spec share its entries.  The memo keeps the _CACHE_ENTRIES most
+    place of the spec's shorter entries, which are its prefixes.  Two equal
+    specs share their entries.  The memo keeps the _CACHE_ENTRIES most
     recently used entries.
     """
-    spec = registered_spec(spec_name)
     key = (spec, trunc_order)
     if key not in _EXPANSION_CACHE:
         cached = [n for s, n in _EXPANSION_CACHE if s == spec]
@@ -120,14 +120,18 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
-def _check_target(target: TargetSpec) -> None:
-    """Refuse a target whose finite range stops short of n0, with no E(n0) or a sign M denies."""
+def _check_target(target: TargetSpec, spec: ProductSpec) -> None:
+    """Refuse a target with a gap before n0, a modulus other than k, no E(n0) or a sign M denies."""
     if target.finite_last_index < target.threshold_index:
         raise ValueError(f"target {target.key}: finite range ends at "
                          f"{target.finite_last_index}, before the dominance "
                          f"threshold {target.threshold_index}")
-    error_bound(target.spec_name, target.threshold_index)
-    const = class_constant(target.spec_name, target.residue)
+    k = main_term_data(spec).k
+    if target.modulus != k:
+        raise ValueError(f"target {target.key}: classes mod {target.modulus}, but the "
+                         f"main term of {target.spec_name} has k = {k}")
+    error_bound(spec, target.threshold_index)
+    const = class_constant(spec, target.residue)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
         raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
                          f"{target.sign} is not the sign of the derived class constant "
@@ -138,10 +142,11 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     """Build the certificate for one registered target.
 
     A precision outside ``precision_schedule``'s range, a finite range that
-    stops short of the threshold, a spec without an error bound and a claimed
-    sign that is not the sign of the derived class constant are refused
-    before anything is expanded.  Then exact signs on the finite range, then
-    the eventual-dominance certificate at the threshold, retried along
+    stops short of the threshold, a modulus other than the main term's k, a
+    spec without an error bound and a claimed sign that is not the sign of
+    the derived class constant are refused before anything is expanded.
+    Then exact signs on the finite range, then the eventual-dominance
+    certificate at the threshold, retried along
     ``precision_schedule(precision_bits)`` while it is refused.  Any exact
     sign violation fails loudly with the violating index; a dominance still
     refused at the last precision is reported via exit code 3.
@@ -152,9 +157,9 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown target {target_key!r}; registered: {known}") from None
     schedule = precision_schedule(precision_bits)
-    _check_target(target)
     spec = registered_spec(target.spec_name)
-    series = cached_expansion(target.spec_name, target.finite_last_index)
+    _check_target(target, spec)
+    series = cached_expansion(spec, target.finite_last_index)
     exceptions = sign_exceptions(series, target.residue, target.modulus,
                                  target.start_index, target.finite_last_index, target.sign)
 
@@ -190,7 +195,7 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     for bits in schedule:
         try:
             with precision(bits):
-                eventual = eventual_dominance_certificate(target.spec_name, target.residue,
+                eventual = eventual_dominance_certificate(spec, target.residue,
                                                           target.threshold_index)
             break
         except CertificateRefused as exc:
@@ -246,7 +251,7 @@ def verify_known_theorems(trunc_order: int = 800) -> dict[str, SignTable]:
     """
     out: dict[str, SignTable] = {}
     for name, patterns in KNOWN_PATTERNS.items():
-        series = cached_expansion(name, trunc_order)
+        series = cached_expansion(registered_spec(name), trunc_order)
         bad = [idx for residue, start, sign in patterns
                for idx in sign_exceptions(series, residue, 5, start, trunc_order, sign)]
         if bad:
@@ -282,7 +287,7 @@ def richmond_szekeres_scan(trunc_order: int = 2000) -> dict[str, EventualPattern
     """
     out: dict[str, EventualPatternScan] = {}
     for name, pattern in RICHMOND_SZEKERES_PATTERNS.items():
-        series = cached_expansion(name, trunc_order)
+        series = cached_expansion(registered_spec(name), trunc_order)
         bad = sorted(idx for residue, sign in pattern.items()
                      for idx in sign_exceptions(series, residue, 5, 0, trunc_order, sign))
         cutoff = (max(bad) + 1) if bad else 0

@@ -10,10 +10,11 @@ Subcommands and their flags (each flag is attached only where it is read):
                  Omega as an exact fraction string (``modular.omega_exact``,
                  "-24/5" for c) and the Lpos classes;
                  --spec, --spec-json, --format (csv/json), --out
-* ``dominance``  certified main-term vs error-bound comparison at one index;
-                 --family (a spec with an explicit error constant, the keys of
-                 ``analytic.ERROR_CONSTANTS``), --n (outside the error bound's
-                 range: a usage error, exit 2), --precision, --out
+* ``dominance``  certified main-term vs error-bound comparison at one index
+                 (exit 0 main term above, 1 below, 3 still undecided at
+                 ``analytic.PRECISION_CAP``); --spec (one without an explicit
+                 error constant: a usage error, exit 2), --n (outside the
+                 error bound's range: exit 2), --precision, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
                  a sample whose left side may vanish (sigma drawn as 0) is
                  refused with ``circle.ConvergenceRefused``; --identity,
@@ -26,12 +27,14 @@ Subcommands and their flags (each flag is attached only where it is read):
                  coefficient in bits; --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
-output stays machine-clean.  All randomness is driven by --seed.
+output stays machine-clean.  A malformed --spec-json (or its @file), an
+unknown --spec or neither is a usage error on that flag (exit 2).  All
+randomness is driven by --seed.
 ``--precision`` defaults to ``enclosure.DEFAULT_PRECISION``, which the
 QSIGN_PRECISION environment variable overrides; a value outside
 [8, ``analytic.PRECISION_CAP``] is a usage error (exit 2).  ``certify`` and
 ``dominance`` start there and double up to the cap while undecided.
-Precision is scoped per call (``certify``, ``dominance_with_escalation`` and
+Precision is scoped per call (``certify``, ``analytic.dominance`` and
 each xcheck sample set their own); ``main`` sets none, and expand, delta and
 bench are exact.
 
@@ -62,7 +65,7 @@ from math import gcd
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .analytic import ERROR_CONSTANTS, PRECISION_CAP, UsageError, dominance_with_escalation
+from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
 from .certify import certify
 from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
                      eta, psi, psi_by_theta, relative_residual, theta)
@@ -73,19 +76,21 @@ from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, 
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
-    if args.spec_json:
-        text = args.spec_json
-        if text.startswith("@"):
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return "inline", ProductSpec.from_json(text)
-    name = args.spec
-    if name is None:
-        raise SystemExit("error: provide --spec NAME or --spec-json JSON")
+    """(display name, spec) of --spec-json or --spec; bad input is a usage error on its flag."""
+    text = getattr(args, "spec_json", None)  # ``dominance`` takes --spec only
     try:
-        return name, registered_spec(name)
+        if text:
+            if text.startswith("@"):
+                with open(text[1:], "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            return "inline", ProductSpec.from_json(text)
+        if args.spec is None:
+            raise ValueError("provide --spec NAME or --spec-json JSON")
+        return args.spec, registered_spec(args.spec)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise argparse.ArgumentError(None, f"argument --spec-json: {exc}") from None
     except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
+        raise argparse.ArgumentError(None, f"argument --spec: {exc.args[0]}") from None
 
 
 @contextmanager
@@ -159,13 +164,16 @@ def cmd_delta(args) -> int:
 
 
 def cmd_dominance(args) -> int:
+    _, spec = _parse_spec(args)
     try:
-        res = dominance_with_escalation(args.family, args.n, start_bits=args.precision)
+        res = dominance(spec, args.n, start_bits=args.precision)
     except UsageError as exc:  # n outside the bound's range (argparse has checked --precision)
         raise argparse.ArgumentError(None, f"argument --n: {exc}") from None
+    except CertificateRefused as exc:  # no error bound for this spec
+        raise argparse.ArgumentError(None, f"argument --spec: {exc}") from None
     payload = {
-        "family": res.spec,
-        "n": res.n,
+        "spec": args.spec,
+        "n": args.n,
         "main_lo": res.main.str_lo(25),
         "main_hi": res.main.str_hi(25),
         "bound_hi": res.bound.str_hi(25),
@@ -173,34 +181,36 @@ def cmd_dominance(args) -> int:
         "precision_bits": res.main.bits,
     }
     _write_json(args, payload)
-    return 0 if res.verdict is True else 1
+    return {True: 0, False: 1, "unknown": 3}[res.verdict]  # "unknown": undecided at the cap
 
 
 # -- xcheck ------------------------------------------------------------------
 
-def _sample_gamma(rng: random.Random) -> tuple[int, int, int, int]:
+def _sample_tau(rng: random.Random) -> ComplexHP:
+    return ComplexHP.from_fractions(Fraction(rng.randint(-500, 500), 1000),
+                                    Fraction(rng.randint(500, 2000), 1000))
+
+
+def _sample_sigma(rng: random.Random) -> ComplexHP:
+    return ComplexHP.from_fractions(Fraction(rng.randint(-300, 300), 1000),
+                                    Fraction(rng.randint(-200, 200), 1000))
+
+
+def _sample_transform(rng: random.Random) -> tuple[GammaMatrix, ComplexHP, ComplexHP, ComplexHP]:
+    """gamma = (a b; c d) with 1 <= c <= 20, then tau; also c tau + d and gamma tau."""
     c = rng.randint(1, 20)
-    choices = [d for d in range(1, c + 1) if gcd(d, c) == 1]
-    d = rng.choice(choices)
-    if c == 1:
-        return 1, d - 1, 1, d
-    a = pow(d % c, -1, c)
-    return a, (a * d - 1) // c, c, d
-
-
-def _sample_tau(rng: random.Random):
-    return (Fraction(rng.randint(-500, 500), 1000),
-            Fraction(rng.randint(500, 2000), 1000))
+    d = rng.choice([d for d in range(1, c + 1) if gcd(d, c) == 1])
+    a = pow(d % c, -1, c) if c > 1 else 1
+    gamma = GammaMatrix(a, (a * d - 1) // c, c, d)
+    tau = _sample_tau(rng)
+    ctd = tau.scale(c) + ComplexHP.from_fractions(d, 0)
+    gt = (tau.scale(a) + ComplexHP.from_fractions(gamma.b, 0)) / ctd
+    return gamma, tau, ctd, gt
 
 
 def _residual_eta(seed: int) -> float:
-    rng = random.Random(seed)
-    a, b, c, d = _sample_gamma(rng)
-    tre, tim = _sample_tau(rng)
-    tau = ComplexHP.from_fractions(tre, tim)
-    ctd = tau.scale(c) + ComplexHP.from_fractions(d, 0)
-    gt = (tau.scale(a) + ComplexHP.from_fractions(b, 0)) / ctd
-    chi = e_pi_i_half_turns(GammaMatrix(a, b, c, d).chi_exponent())
+    gamma, tau, ctd, gt = _sample_transform(random.Random(seed))
+    chi = e_pi_i_half_turns(gamma.chi_exponent())
     lhs = eta(gt)
     rhs = chi * csqrt_upper(ctd) * eta(tau)
     return float(relative_residual(lhs, rhs))
@@ -208,16 +218,11 @@ def _residual_eta(seed: int) -> float:
 
 def _residual_theta(seed: int) -> float:
     rng = random.Random(seed)
-    a, b, c, d = _sample_gamma(rng)
-    tre, tim = _sample_tau(rng)
-    tau = ComplexHP.from_fractions(tre, tim)
-    sig = ComplexHP.from_fractions(Fraction(rng.randint(-300, 300), 1000),
-                                   Fraction(rng.randint(-200, 200), 1000))
-    ctd = tau.scale(c) + ComplexHP.from_fractions(d, 0)
-    gt = (tau.scale(a) + ComplexHP.from_fractions(b, 0)) / ctd
-    chi3 = e_pi_i_half_turns(GammaMatrix(a, b, c, d).chi_exponent() * 3)
+    gamma, tau, ctd, gt = _sample_transform(rng)
+    sig = _sample_sigma(rng)
+    chi3 = e_pi_i_half_turns(gamma.chi_exponent() * 3)
     lhs = theta(sig / ctd, gt)
-    w = (sig * sig).scale(c) / ctd  # quad = e^{pi i c sigma^2 / (c tau + d)}
+    w = (sig * sig).scale(gamma.c) / ctd  # quad = e^{pi i c sigma^2 / (c tau + d)}
     quad = cexp(ComplexHP(-(Enclosure.pi() * w.im), Enclosure.pi() * w.re))
     rhs = chi3 * csqrt_upper(ctd) * quad * theta(sig, tau)
     return float(relative_residual(lhs, rhs))
@@ -225,10 +230,8 @@ def _residual_theta(seed: int) -> float:
 
 def _residual_quasi(seed: int) -> float:
     rng = random.Random(seed)
-    tre, tim = _sample_tau(rng)
-    tau = ComplexHP.from_fractions(tre, tim)
-    sig = ComplexHP.from_fractions(Fraction(rng.randint(-300, 300), 1000),
-                                   Fraction(rng.randint(-200, 200), 1000))
+    tau = _sample_tau(rng)
+    sig = _sample_sigma(rng)
     aa, bb = rng.randint(-2, 2), rng.randint(-2, 2)
     lhs = theta(sig + tau.scale(aa) + ComplexHP.from_fractions(bb, 0), tau)
     # (-1)^{A+B} e^{-pi i A^2 tau} e^{-2 pi i A sigma}
@@ -241,10 +244,8 @@ def _residual_quasi(seed: int) -> float:
 
 def _residual_psi(seed: int) -> float:
     rng = random.Random(seed)
-    tre, tim = _sample_tau(rng)
-    tau = ComplexHP.from_fractions(tre, tim)
-    sig = ComplexHP.from_fractions(Fraction(rng.randint(-300, 300), 1000),
-                                   Fraction(rng.randint(-200, 200), 1000))
+    tau = _sample_tau(rng)
+    sig = _sample_sigma(rng)
     direct = psi(sig, tau)
     via = psi_by_theta(sig, tau)
     mirrored = psi(tau - sig, tau)
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         {"--format": dict(choices=("csv", "json"), default="csv")},
         "--spec", "--spec-json", "--out")
     add("dominance", "main term vs error bound at one index", cmd_dominance,
-        {"--family": dict(required=True, choices=tuple(ERROR_CONSTANTS)),
+        {"--spec": dict(required=True, help="registered spec name"),
          "--n": dict(type=int, required=True)},
         "--precision", "--out")
     add("xcheck", "randomized identity residual checks", cmd_xcheck,

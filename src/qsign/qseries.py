@@ -184,7 +184,11 @@ class ProductSpec:
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("spec literal must be a JSON array")
-        return ProductSpec(tuple((int(f["r"]), int(f["m"]), int(f["delta"])) for f in data))
+        keys = ("r", "m", "delta")
+        for f in data:  # type(...) is int: no floats, strings or booleans
+            if not (isinstance(f, dict) and all(type(f.get(key)) is int for key in keys)):
+                raise ValueError(f"each factor needs integer r, m and delta, got {f!r}")
+        return ProductSpec(tuple(tuple(f[key] for key in keys) for f in data))
 
 
 #: 1/R^5, R^5, R^5/R(q^5), R(q^5)/R^5, 1/R, R -- R the Rogers-Ramanujan

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qsign.certify import cached_expansion
+from qsign.qseries import registered_spec
 
 # pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI and
 # script tests start child processes, which get it through PYTHONPATH
@@ -14,19 +15,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture(scope="session")
 def series_800():
     """Exact expansions of all six registered products to order 800."""
-    return {name: cached_expansion(name, 800) for name in ("A", "B", "C", "D", "c", "d")}
+    return {name: cached_expansion(registered_spec(name), 800) for name in "ABCDcd"}
 
 
 @pytest.fixture(scope="session")
 def series_a_1000():
-    return cached_expansion("A", 1000)
+    return cached_expansion(registered_spec("A"), 1000)
 
 
 @pytest.fixture(scope="session")
 def series_b_1000():
-    return cached_expansion("B", 1000)
+    return cached_expansion(registered_spec("B"), 1000)
 
 
 @pytest.fixture(scope="session")
 def series_d_19501():
-    return cached_expansion("D", 19501)
+    return cached_expansion(registered_spec("D"), 19501)

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from qsign.analytic import dominance_with_escalation, eventual_dominance_certificate
+from qsign.analytic import dominance, eventual_dominance_certificate
 from qsign.certify import richmond_szekeres_scan, verify_known_theorems
 from qsign.analytic import lemma_arc_integral
 from qsign.circle import numeric_coefficients
@@ -87,13 +87,13 @@ def test_criterion_06_dominance_and_eventual_certificates():
     t0 = time.perf_counter()
     verdicts = {}
     for fam, n in (("A", 805), ("B", 805), ("D", 19006)):
-        res = dominance_with_escalation(fam, n, start_bits=192)
+        res = dominance(registered_spec(fam), n, start_bits=192)
         verdicts[(fam, n)] = res.verdict
     certs = {}
     for fam, residue, n0 in (("A", 0, 801), ("B", 0, 801), ("D", 1, 19001)):
         with precision(192):
             # issued only once dominance at the threshold and monotonicity are certified
-            certs[(fam, n0)] = eventual_dominance_certificate(fam, residue, n0)
+            certs[(fam, n0)] = eventual_dominance_certificate(registered_spec(fam), residue, n0)
     elapsed = time.perf_counter() - t0
     ok = (all(v is True for v in verdicts.values())
           and all(c.n0 == n0 for (_, n0), c in certs.items())

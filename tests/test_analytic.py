@@ -9,13 +9,14 @@ from oracles import (colored_partition_majorant, expand_pochhammer, majorization
                      wang_bounds_hold, wang_upper)
 from qsign import analytic
 from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
-                            class_constant, dominance, dominance_with_escalation, error_bound,
+                            class_constant, dominance, error_bound,
                             eventual_dominance_certificate, lemma_arc_integral, main_term,
                             main_term_data, precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import KNOWN_PATTERNS, RICHMOND_SZEKERES_PATTERNS, TARGETS
 from qsign.circle import ConvergenceRefused
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
-from qsign.qseries import expand_product, ps_inv, ps_mul, QSeries, registered_spec
+from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
+                           ps_inv, ps_mul, registered_spec)
 
 #: the registered claim on each spec that carries one
 CLAIMS = {target.spec_name: target for target in TARGETS.values()}
@@ -129,14 +130,14 @@ class TestDirectedDecimalStrings:
     @pytest.mark.parametrize("fam,n0", [("A", 801), ("B", 801), ("D", 19001)])
     def test_certificate_endpoints(self, fam, n0):
         with precision(192):
-            first = eventual_dominance_certificate(fam, CLAIMS[fam].residue, n0).first_index
-            for e in (wang_main_lower(fam, first), error_bound(fam, first)):
+            first = eventual_dominance_certificate(SPECS[fam], CLAIMS[fam].residue, n0).first_index
+            for e in (wang_main_lower(SPECS[fam], first), error_bound(SPECS[fam], first)):
                 self.assert_outward(e, 30)
 
     def test_certificate_strings_round_outward(self):
         # round-to-nearest gives ...707681e+144 for the bound here
         with precision(192):
-            cert = eventual_dominance_certificate("D", 1, 19001)
+            cert = eventual_dominance_certificate(SPECS["D"], 1, 19001)
         assert cert.wang_main_lo.endswith("132685e+145")
         assert cert.bound_hi.endswith("707682e+144")
 
@@ -155,15 +156,15 @@ class TestDirectedDecimalStrings:
 class TestMainTermAndBound:
     def test_reciprocal_family_negative_on_class(self):
         for n in (10, 105, 800, 2005):
-            assert main_term("A", n).is_negative()
+            assert main_term(SPECS["A"], n).is_negative()
 
     def test_fifth_power_family_negative_on_class(self):
         for n in (10, 105, 800):
-            assert main_term("B", n).is_negative()
+            assert main_term(SPECS["B"], n).is_negative()
 
     def test_level25_family_positive_on_class(self):
         for n in (11, 106, 1001):
-            assert main_term("D", n).is_positive()
+            assert main_term(SPECS["D"], n).is_positive()
 
     @pytest.mark.parametrize("name", ["A", "B", "D"])
     def test_class_sign_is_claimed_sign(self, name):
@@ -173,7 +174,7 @@ class TestMainTermAndBound:
                   "B": lambda: -2 * cos_pi(Fraction(2, 5)),
                   "D": lambda: cos_pi(Fraction(2, 5)) / cos_pi(Fraction(1, 5))}[name]
         claim = CLAIMS[name]
-        const = class_constant(name, claim.residue)
+        const = class_constant(SPECS[name], claim.residue)
         assert isinstance(const, Enclosure) and const.intersects(closed())
         assert const.is_positive() if claim.sign > 0 else const.is_negative()
 
@@ -182,29 +183,29 @@ class TestMainTermAndBound:
         # algebra, so Re S_r(D) = Re S_r(A) / (2 cos(pi/5)) in every class
         inv = 1 / (2 * cos_pi(Fraction(1, 5)))
         for r in range(5):
-            assert (class_constant("D", r) / class_constant("A", r)).intersects(inv)
+            assert (class_constant(SPECS["D"], r) / class_constant(SPECS["A"], r)).intersects(inv)
 
     def test_min_n_guard(self):
         with pytest.raises(UsageError):
-            main_term("A", 1)
+            main_term(SPECS["A"], 1)
 
     def test_error_bound_requires_twenty(self):
         with pytest.raises(UsageError):
-            error_bound("A", 19)
+            error_bound(SPECS["A"], 19)
 
     def test_error_constant_parts(self):
         e = Enclosure
         const_ab = (2 * e.exp_of(54) + (8 * e.pi()).exp() + 185) * e.exp_of(2)
-        assert error_bound("A", 801).strictly_greater(const_ab - 1)
+        assert error_bound(SPECS["A"], 801).strictly_greater(const_ab - 1)
         # resolving the growth term next to e^332 needs ~350 bits of range
         with precision(512):
             const_d = e.exp_of(332) + e.exp_of(272) + (8 * e.pi() + 2).exp()
-            assert error_bound("D", 19001).strictly_greater(const_d - 1)
+            assert error_bound(SPECS["D"], 19001).strictly_greater(const_d - 1)
 
     def test_bound_growth_term(self):
         # at large n the growth term dominates the constant for families A/B
-        small = error_bound("A", 805)
-        large = error_bound("A", 100000)
+        small = error_bound(SPECS["A"], 805)
+        large = error_bound(SPECS["A"], 100000)
         assert large.strictly_greater(small)
 
 
@@ -222,14 +223,14 @@ class TestDerivedMainTerm:
     def test_class_constants_match_the_closed_form(self, name, phase):
         # the level-5 families: Re S_r = -2 cos(pi phase(r)) in every class
         for r in range(5):
-            assert class_constant(name, r).intersects(-2 * cos_pi(phase(r)))
+            assert class_constant(SPECS[name], r).intersects(-2 * cos_pi(phase(r)))
 
     def test_class_constant_cached_per_precision(self):
         with precision(192):
-            low = class_constant("D", 1)
-            assert class_constant("D", 1) is low
+            low = class_constant(SPECS["D"], 1)
+            assert class_constant(SPECS["D"], 1) is low
         with precision(256):
-            high = class_constant("D", 1)
+            high = class_constant(SPECS["D"], 1)
         assert (low.bits, high.bits) == (192, 256)
         assert low.contains(high.lo) and low.contains(high.hi)
         assert analytic._class_sum.cache_info().maxsize is not None
@@ -238,19 +239,19 @@ class TestDerivedMainTerm:
         # c = 1/R dominates at k = 5 with Delta = 24/5: it has a main term, but
         # E(n) is stated for Delta = 24 only
         assert main_term_data(registered_spec("c")).delta == Fraction(24, 5)
-        assert isinstance(class_constant("c", 0), Enclosure)
-        assert isinstance(main_term("c", 100), Enclosure)
-        for call in (lambda: error_bound("c", 100),
-                     lambda: eventual_dominance_certificate("c", 0, 801)):
+        assert isinstance(class_constant(SPECS["c"], 0), Enclosure)
+        assert isinstance(main_term(SPECS["c"], 100), Enclosure)
+        for call in (lambda: error_bound(SPECS["c"], 100),
+                     lambda: eventual_dominance_certificate(SPECS["c"], 0, 801)):
             with pytest.raises(CertificateRefused, match="Delta = 24/5"):
                 call()
 
     def test_spec_without_an_error_constant_refused(self):
         # C is on the route (k = 5, Delta = 24) but the paper states no E(n) for it
         assert main_term_data(registered_spec("C")).delta == 24
-        assert isinstance(main_term("C", 100), Enclosure)
-        for call in (lambda: error_bound("C", 100), lambda: dominance("C", 100),
-                     lambda: eventual_dominance_certificate("C", 0, 801)):
+        assert isinstance(main_term(SPECS["C"], 100), Enclosure)
+        for call in (lambda: error_bound(SPECS["C"], 100), lambda: dominance(SPECS["C"], 100),
+                     lambda: eventual_dominance_certificate(SPECS["C"], 0, 801)):
             with pytest.raises(CertificateRefused, match="no explicit error constant"):
                 call()
 
@@ -263,7 +264,7 @@ class TestMainTermWithoutErrorBound:
         series = expand_product(registered_spec(name), 1004)
         for lo, tol in ((200, Fraction(1, 10**2)), (1000, Fraction(1, 10**6))):
             for n in range(lo, lo + 5):
-                m, a = main_term(name, n), series.coeffs[n]
+                m, a = main_term(SPECS[name], n), series.coeffs[n]
                 assert m.is_positive() if a > 0 else m.is_negative(), n
                 assert abs(Enclosure.from_fraction(a) / m - 1).strictly_less(tol), n
 
@@ -273,7 +274,7 @@ class TestMainTermWithoutErrorBound:
             residue: sign for residue, _, sign in KNOWN_PATTERNS[name]}
         assert set(pattern) == set(range(5))
         for r, sign in pattern.items():
-            const = class_constant(name, r)
+            const = class_constant(SPECS[name], r)
             assert const.is_positive() if sign > 0 else const.is_negative(), r
 
 
@@ -281,8 +282,8 @@ def audit_violations(name: str, series: QSeries, indices) -> list[int]:
     """Indices n where |a(n) - M(n)| < E(n) is not certified against the exact a(n)."""
     bad = []
     for n in indices:
-        diff = abs(Enclosure.from_fraction(series.coeffs[n]) - main_term(name, n))
-        if not diff.strictly_less(error_bound(name, n)):
+        diff = abs(Enclosure.from_fraction(series.coeffs[n]) - main_term(SPECS[name], n))
+        if not diff.strictly_less(error_bound(SPECS[name], n)):
             bad.append(n)
     return bad
 
@@ -303,27 +304,27 @@ class TestAnalyticVsExact:
 
 class TestDominance:
     def test_reciprocal_family_at_805(self):
-        res = dominance("A", 805)
+        res = dominance(SPECS["A"], 805)
         assert res.verdict is True
 
     def test_fifth_power_family_at_805(self):
-        res = dominance("B", 805)
+        res = dominance(SPECS["B"], 805)
         assert res.verdict is True
 
     def test_level25_family_at_19006(self):
-        res = dominance_with_escalation("D", 19006)
+        res = dominance(SPECS["D"], 19006)
         assert res.verdict is True
         assert res.main.bits <= PRECISION_CAP
 
     def test_unclaimed_residue_class(self, series_a_1000):
         # E(n) bounds |a(n) - M(n)| in every class, so dominance has the sign of a(n)
-        res = dominance("A", 803)
-        assert res.verdict is True and res.spec == "A"
+        res = dominance(SPECS["A"], 803)
+        assert res.verdict is True
         assert res.main.is_positive() and series_a_1000.coeffs[803] > 0
 
     def test_small_indices_not_dominant(self):
         # far below the threshold the bound exceeds the main term
-        res = dominance("A", 30)
+        res = dominance(SPECS["A"], 30)
         assert res.verdict is False
 
 
@@ -338,32 +339,53 @@ class TestPrecisionSchedule:
         with pytest.raises(UsageError, match="outside"):
             precision_schedule(bits)
         with pytest.raises(UsageError, match="outside"):
-            dominance_with_escalation("A", 805, start_bits=bits)
+            dominance(SPECS["A"], 805, start_bits=bits)
 
 
 class TestEventualDominance:
     def test_certificates_issue_at_documented_thresholds(self):
         for fam, n0 in (("A", 801), ("B", 801), ("D", 19001)):
-            cert = eventual_dominance_certificate(fam, CLAIMS[fam].residue, n0)
-            assert cert.spec == fam and cert.n0 == n0
-            assert cert.first_index % 5 == CLAIMS[fam].residue
+            cert = eventual_dominance_certificate(SPECS[fam], CLAIMS[fam].residue, n0)
+            assert cert.n0 == n0
+            assert cert.first_index % main_term_data(SPECS[fam]).k == CLAIMS[fam].residue
 
     def test_first_index_alignment(self):
-        assert eventual_dominance_certificate("A", 0, 801).first_index == 805
-        assert eventual_dominance_certificate("A", 3, 801).first_index == 803
+        assert eventual_dominance_certificate(SPECS["A"], 0, 801).first_index == 805
+        assert eventual_dominance_certificate(SPECS["A"], 3, 801).first_index == 803
 
     def test_wang_route_weaker_than_sharp_enclosure(self):
-        lo = wang_main_lower("A", 805)
-        sharp = abs(main_term("A", 805))
+        lo = wang_main_lower(SPECS["A"], 805)
+        sharp = abs(main_term(SPECS["A"], 805))
         assert lo.hi < sharp.lo
 
     def test_refusal_below_validity(self):
         with pytest.raises(CertificateRefused):
-            eventual_dominance_certificate("A", 0, 15)
+            eventual_dominance_certificate(SPECS["A"], 0, 15)
 
     def test_refusal_when_not_dominant(self):
         with pytest.raises(CertificateRefused):
-            eventual_dominance_certificate("A", 0, 100)
+            eventual_dominance_certificate(SPECS["A"], 0, 100)
+
+    def test_inline_copy_of_a_registered_spec_gets_its_results(self):
+        # the analytic layer is keyed by spec content, never by name or identity
+        inline = ProductSpec.from_json(SPECS["D"].to_json())
+        assert inline is not SPECS["D"] and inline == SPECS["D"]
+        with precision(192):
+            cert = eventual_dominance_certificate(inline, 1, 19001)
+            assert cert == eventual_dominance_certificate(SPECS["D"], 1, 19001)
+        got, want = dominance(inline, 19006), dominance(SPECS["D"], 19006)
+        assert got.verdict is want.verdict is True
+        assert [(e.lo, e.hi) for e in (got.main, got.bound)] == [
+            (e.lo, e.hi) for e in (want.main, want.bound)]
+
+    def test_unregistered_spec_gets_a_main_term_but_no_error_bound(self):
+        # c's factors in the other order: a spec no table holds
+        inline = ProductSpec.from_json(
+            '[{"r": 1, "m": 5, "delta": -1}, {"r": 2, "m": 5, "delta": 1}]')
+        assert inline != SPECS["c"]
+        assert main_term(inline, 100).intersects(main_term(SPECS["c"], 100))
+        with pytest.raises(CertificateRefused, match="Delta = 24/5"):
+            error_bound(inline, 100)
 
     def test_constant_chain_margin(self):
         # e^50 * 2^5 / |1 - e^{2 pi i/5}|^5 < e^54, the shortcut constant:

@@ -85,7 +85,7 @@ class TestCertify:
         from qsign import certify as certify_mod
         from qsign.qseries import QSeries
 
-        real = certify_mod.cached_expansion("A", 1000)
+        real = certify_mod.cached_expansion(registered_spec("A"), 1000)
         coeffs = list(real.coeffs)
         coeffs[505] = 1
         fake = QSeries(1000, tuple(coeffs))
@@ -120,6 +120,15 @@ class TestTargetBinding:
         with pytest.raises(CertificateRefused, match="Delta = 24/5"):
             certify("c5n")
 
+    def test_modulus_other_than_the_main_terms_k_refused(self, monkeypatch):
+        # psi(2,7)/psi(1,7) dominates at k = 7; TargetSpec claims classes mod 5
+        monkeypatch.setitem(REGISTERED_SPECS, "r7", ProductSpec(((1, 7, -1), (2, 7, 1))))
+        monkeypatch.setitem(TARGETS, "r7", dataclasses.replace(
+            TARGETS["A5n"], key="r7", spec_name="r7"))
+        monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
+        with pytest.raises(ValueError, match="classes mod 5, but the main term of r7 has k = 7"):
+            certify("r7")
+
     @pytest.mark.parametrize("bits", [7, 2048])
     def test_precision_outside_the_schedule_refused(self, monkeypatch, bits):
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
@@ -136,7 +145,7 @@ class TestExpansionCache:
         monkeypatch.delitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800),
                             raising=False)
         monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
-        got = certify_mod.cached_expansion("A", 800)
+        got = certify_mod.cached_expansion(registered_spec("A"), 800)
         assert (registered_spec("A"), 800) not in certify_mod._EXPANSION_CACHE
         monkeypatch.undo()
         assert got == expand_product(registered_spec("A"), 800)
@@ -144,32 +153,30 @@ class TestExpansionCache:
     def test_exact_entry_wins_over_a_longer_one(self, series_a_1000, monkeypatch):
         fake = QSeries.one(800)
         monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800), fake)
-        assert certify_mod.cached_expansion("A", 800) is fake
+        assert certify_mod.cached_expansion(registered_spec("A"), 800) is fake
 
     def test_two_names_for_one_spec_share_an_entry(self, monkeypatch):
-        series = certify_mod.cached_expansion("A", 1000)
+        series = certify_mod.cached_expansion(registered_spec("A"), 1000)
         # an equal spec built anew: the memo is keyed by content, not by name or identity
         monkeypatch.setitem(REGISTERED_SPECS, "A-alias", ProductSpec(registered_spec("A").factors))
         monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
-        assert certify_mod.cached_expansion("A-alias", 1000) is series
-        assert certify_mod.cached_expansion("A-alias", 900).coeffs == series.coeffs[:901]
+        alias = registered_spec("A-alias")
+        assert certify_mod.cached_expansion(alias, 1000) is series
+        assert certify_mod.cached_expansion(alias, 900).coeffs == series.coeffs[:901]
 
     def test_least_recently_used_spec_is_evicted_and_longer_replaces_shorter(self, monkeypatch):
         monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
         monkeypatch.setattr(certify_mod, "expand_product", lambda spec, n: QSeries.one(n))
         bound = certify_mod._CACHE_ENTRIES
-        names = [f"psi(1,{m})" for m in range(2, bound + 3)]
-        for name, m in zip(names, range(2, bound + 3)):
-            monkeypatch.setitem(REGISTERED_SPECS, name, ProductSpec(((1, m, 1),)))
-        for name in names[:bound]:
-            certify_mod.cached_expansion(name, 10)
-        certify_mod.cached_expansion(names[0], 5)  # a prefix: a use of (names[0], 10)
-        certify_mod.cached_expansion(names[bound], 10)
-        order = [*names[2:bound], names[0], names[bound]]
-        assert list(certify_mod._EXPANSION_CACHE) == [(registered_spec(n), 10) for n in order]
-        certify_mod.cached_expansion(names[0], 20)
-        assert list(certify_mod._EXPANSION_CACHE)[-2:] == [(registered_spec(names[bound]), 10),
-                                                           (registered_spec(names[0]), 20)]
+        specs = [ProductSpec(((1, m, 1),)) for m in range(2, bound + 3)]
+        for spec in specs[:bound]:
+            certify_mod.cached_expansion(spec, 10)
+        certify_mod.cached_expansion(specs[0], 5)  # a prefix: a use of (specs[0], 10)
+        certify_mod.cached_expansion(specs[bound], 10)
+        order = [*specs[2:bound], specs[0], specs[bound]]
+        assert list(certify_mod._EXPANSION_CACHE) == [(spec, 10) for spec in order]
+        certify_mod.cached_expansion(specs[0], 20)
+        assert list(certify_mod._EXPANSION_CACHE)[-2:] == [(specs[bound], 10), (specs[0], 20)]
         assert len(certify_mod._EXPANSION_CACHE) == bound
 
 
@@ -195,7 +202,7 @@ class TestKnownTheorems:
         from qsign import certify as certify_mod
         from qsign.qseries import QSeries
 
-        real = certify_mod.cached_expansion("C", 800)
+        real = certify_mod.cached_expansion(registered_spec("C"), 800)
         coeffs = list(real.coeffs)
         coeffs[11] = -coeffs[11]
         monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("C"), 800),
@@ -222,7 +229,7 @@ class TestEventualPatternScan:
 
         scans = richmond_szekeres_scan(400)
         for name, scan in scans.items():
-            series = cached_expansion(name, 400)
+            series = cached_expansion(registered_spec(name), 400)
             pattern = RICHMOND_SZEKERES_PATTERNS[name]
             for e in scan.exceptions:
                 c = series.coeffs[e]

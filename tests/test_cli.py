@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from qsign import cli
+from qsign.analytic import DominanceResult
 from qsign.circle import ConvergenceRefused
 from qsign.cli import build_parser, main
+from qsign.enclosure import Enclosure
 from qsign.qseries import expand_product, limb_plan, registered_spec
 
 
@@ -112,13 +114,24 @@ class TestTables:
 
 class TestDominanceCommand:
     def test_verdict_true_at_805(self):
-        res = run_cli(["dominance", "--family", "A", "--n", "805"])
+        res = run_cli(["dominance", "--spec", "A", "--n", "805"])
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["verdict"] is True
         assert payload["precision_bits"] >= 192
-        assert set(payload) == {"family", "n", "main_lo", "main_hi", "bound_hi",
+        assert set(payload) == {"spec", "n", "main_lo", "main_hi", "bound_hi",
                                 "verdict", "precision_bits"}
+        assert payload["spec"] == "A"
+
+    @pytest.mark.parametrize("verdict,code", [("unknown", 3), (False, 1)])
+    def test_undecided_and_refuted_verdicts_exit_nonzero(self, verdict, code, monkeypatch,
+                                                         capsys):
+        # "unknown" is what dominance returns when the enclosures still overlap at the cap
+        one = Enclosure.from_fraction(1)
+        monkeypatch.setattr(cli, "dominance",
+                            lambda spec, n, start_bits: DominanceResult(verdict, one, one))
+        assert main(["dominance", "--spec", "A", "--n", "805"]) == code
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
 class TestXcheck:
@@ -188,15 +201,15 @@ class TestPrecisionControls:
         import os
 
         env = dict(os.environ, QSIGN_PRECISION="96")
-        res = run_cli(["dominance", "--family", "A", "--n", "805"], env=env)
+        res = run_cli(["dominance", "--spec", "A", "--n", "805"], env=env)
         payload = json.loads(res.stdout)
         assert payload["precision_bits"] == 96
         env["QSIGN_PRECISION"] = "2048"
-        res = run_cli(["dominance", "--family", "A", "--n", "805"], env=env)
+        res = run_cli(["dominance", "--spec", "A", "--n", "805"], env=env)
         assert res.returncode == 2 and "2048 bits is outside [8, 1024]" in res.stderr
 
     def test_flag_beats_default(self):
-        res = run_cli(["dominance", "--family", "A", "--n", "805",
+        res = run_cli(["dominance", "--spec", "A", "--n", "805",
                        "--precision", "256"])
         payload = json.loads(res.stdout)
         assert payload["precision_bits"] == 256
@@ -241,7 +254,7 @@ SUBCOMMAND_FLAGS = {
     "expand": {"--spec", "--spec-json", "--trunc", "--format", "--out"},
     "certify": {"--target", "--precision", "--out"},
     "delta": {"--spec", "--spec-json", "--format", "--out"},
-    "dominance": {"--family", "--n", "--precision", "--out"},
+    "dominance": {"--spec", "--n", "--precision", "--out"},
     "xcheck": {"--identity", "--samples", "--precision", "--seed", "--workers", "--out"},
     "bench": {"--spec", "--spec-json", "--trunc"},
 }
@@ -275,12 +288,12 @@ def test_unread_flags_are_rejected(argv):
 @pytest.mark.parametrize("argv", [
     ["certify", "--target", "A5n", "--precision", "2048"],
     ["certify", "--target", "A5n", "--precision", "7"],
-    ["dominance", "--family", "A", "--n", "805", "--precision", "1025"],
+    ["dominance", "--spec", "A", "--n", "805", "--precision", "1025"],
     ["xcheck", "--identity", "psi", "--precision", "4"],
     ["xcheck", "--identity", "psi", "--samples", "0"],
     ["xcheck", "--identity", "psi", "--samples", "-3"],
-    ["dominance", "--family", "C", "--n", "805"],
-    ["dominance", "--family", "A", "--n", "5"],
+    ["dominance", "--spec", "C", "--n", "805"],
+    ["dominance", "--spec", "A", "--n", "5"],
     ["expand", "--spec", "A", "--trunc", "-1"],
     ["bench", "--spec", "A", "--trunc", "-3"],
     ["xcheck", "--identity", "psi", "--workers", "0"],
@@ -291,6 +304,29 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--spec-json", "{not json"], "--spec-json: Expecting property name"),
+    (["--spec-json", '{"r": 1, "m": 5, "delta": 1}'], "--spec-json: spec literal must be a JSON"),
+    (["--spec-json", '[{"r": 1, "m": 5}]'],
+     "--spec-json: each factor needs integer r, m and delta, got {'r': 1, 'm': 5}"),
+    (["--spec-json", '[{"r": 1, "m": 5, "delta": 1.5}]'], "--spec-json: each factor needs integer"),
+    (["--spec-json", '[{"r": 1, "m": 5, "delta": "2"}]'], "--spec-json: each factor needs integer"),
+    (["--spec-json", "[[1, 5, 1]]"], "--spec-json: each factor needs integer r, m and delta, got"),
+    (["--spec-json", '[{"r": 5, "m": 5, "delta": 1}]'], "--spec-json: need 1 <= r < m, got (r, m)"),
+    (["--spec-json", '[{"r": 1, "m": 5, "delta": 0}]'], "--spec-json: delta must be nonzero"),
+    (["--spec-json", "[]"], "--spec-json: product spec needs at least one factor"),
+    (["--spec-json", "@missing-spec.json"], "--spec-json: [Errno 2] No such file or directory"),
+    (["--spec", "bogus"], "--spec: unknown spec 'bogus'; registered specs: A, B, C, D, c, d"),
+    ([], "--spec-json: provide --spec NAME or --spec-json JSON"),
+])
+def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where missing-spec.json does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--trunc", "5", *argv])
+    assert exc.value.code == 2
+    assert f"error: argument {message}" in capsys.readouterr().err
 
 
 class TestParserReuse:
@@ -306,7 +342,7 @@ class TestParserReuse:
     def test_usage_error_on_every_call(self, capsys):
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
-                main(["dominance", "--family", "A", "--n", "5"])
+                main(["dominance", "--spec", "A", "--n", "5"])
             assert exc.value.code == 2
             assert "error: argument --n" in capsys.readouterr().err
         assert build_parser() is build_parser()

@@ -14,6 +14,7 @@ or class of the package is loaded (as a name or an attribute) in ``src/``,
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
 exact both ways.  Imports sit at module top, never in a function body, and
 a package module imports only the ``qsign`` modules below it in ``LAYERS``.
+No function of ``analytic`` takes a spec by name.
 """
 
 import ast
@@ -213,3 +214,28 @@ def test_guard_sees_a_layering_violation():
 def test_imports_follow_the_layers(path):
     module = path.stem if path.parent.name == "qsign" else None
     assert layering_violations(path.read_text(), module) == []
+
+
+def spec_name_parameters(source: str) -> list[str]:
+    """Function parameters that take a spec by name: ``spec_name``, or a spec annotated ``str``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            found += [f"line {node.lineno}: {node.name}({arg.arg})" for arg in params
+                      if arg.arg == "spec_name" or ("spec" in arg.arg and arg.annotation is not None
+                                                    and ast.unparse(arg.annotation) == "str")]
+    return found
+
+
+def test_guard_sees_a_spec_taken_by_name():
+    source = ("def by_name(spec_name, n):\n    pass\n\ndef annotated(spec: str, n: int):\n"
+              "    pass\n\ndef keyed(spec: ProductSpec, name: str):\n    pass\n\n"
+              "class Holder:\n    def method(self, *, base_spec: str):\n        pass\n")
+    assert spec_name_parameters(source) == [
+        "line 1: by_name(spec_name)", "line 4: annotated(spec)", "line 11: method(base_spec)"]
+
+
+def test_analytic_takes_a_product_spec_never_a_name():
+    # names are resolved in certify and cli; the analytic layer is keyed by spec content
+    assert spec_name_parameters((ROOT / "src" / "qsign" / "analytic.py").read_text()) == []
