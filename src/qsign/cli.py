@@ -5,7 +5,8 @@ Subcommands and their flags (each flag is attached only where it is read):
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
 * ``certify``    build a sign-pattern certificate (exit 0/2/3);
-                 --target, --precision, --out
+                 --target (one of ``certify.TARGETS``; another name is a
+                 usage error, exit 2), --precision, --out
 * ``delta``      growth-exponent table per residue class; the json form adds
                  Omega as an exact fraction string (``modular.omega_exact``,
                  "-24/5" for c) and the Lpos classes;
@@ -17,9 +18,10 @@ Subcommands and their flags (each flag is attached only where it is read):
                  error bound's range: exit 2), --precision, --out
 * ``xcheck``     randomized residual checks of the transformation identities;
                  a sample whose left side may vanish (sigma drawn as 0) is
-                 refused with ``circle.ConvergenceRefused``; --identity,
-                 --samples, --precision, --seed, --workers (at most one per
-                 sample and per CPU), --out
+                 refused with ``circle.ConvergenceRefused``; --identity
+                 (eta, theta, quasiperiodicity, psi or product; another name
+                 is a usage error, exit 2), --samples, --precision, --seed,
+                 --workers (at most one per sample and per CPU), --out
 * ``bench``      time the exact expansion engine, in all and split into the
                  limb expansion and the conversion to ints, and report its
                  pass counts, the limb radix, final limb count and division
@@ -66,7 +68,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
-from .certify import certify
+from .certify import TARGETS, certify
 from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
                      eta, psi, psi_by_theta, relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION, Enclosure, precision
@@ -281,9 +283,6 @@ def _xcheck_worker(kind_seed_bits: tuple[str, int, int]) -> float:
 
 
 def cmd_xcheck(args) -> int:
-    if args.identity not in _XCHECK_KINDS:
-        known = ", ".join(sorted(_XCHECK_KINDS))
-        raise SystemExit(f"error: unknown identity {args.identity!r}; known: {known}")
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
     t0 = time.perf_counter()
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
          "--format": dict(choices=("csv", "json", "table"), default="csv")},
         "--spec", "--spec-json", "--out")
     add("certify", "build a sign-pattern certificate", cmd_certify,
-        {"--target": dict(required=True, help="A5n, B5n or D5n1")},
+        {"--target": dict(required=True, choices=sorted(TARGETS))},
         "--precision", "--out")
     add("delta", "growth exponent table per residue class", cmd_delta,
         {"--format": dict(choices=("csv", "json"), default="csv")},
@@ -391,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
          "--n": dict(type=int, required=True)},
         "--precision", "--out")
     add("xcheck", "randomized identity residual checks", cmd_xcheck,
-        {"--identity": dict(required=True), "--samples": dict(type=_int_at_least(1), default=100),
+        {"--identity": dict(required=True, choices=sorted(_XCHECK_KINDS)),
+         "--samples": dict(type=_int_at_least(1), default=100),
          "--workers": dict(type=_int_at_least(1), default=os.cpu_count() or 1)},
         "--precision", "--seed", "--out")
     add("bench", "time the exact expansion engine", cmd_bench,

@@ -7,11 +7,14 @@ Omega and Delta, the root-of-unity phases omega, Upsilon and the finite
 product Pi over factors with lambda* = 0.  A phase is kept as its exponent:
 the ``Fraction`` t of e^{pi i t}, reduced mod 2.
 
-The layer computes in integers and builds one ``Fraction`` per output, from
-an integer numerator over a known denominator: a Dedekind sum is 6c s(d, c)
-over 6c, the per-factor fields come from d, m', k', hbar, lambda and
-u = lambda d - r h (so lambda* = u/d), and the exponents summed over the
-factors use the common denominator L k (L the level) or 6k.  Per factor,
+The layer computes in integers.  The records ``FactorTransform`` and
+``TransformData`` hold only integers, and each rational output is a
+read-only property that builds one ``Fraction`` from an integer numerator
+over a known denominator every time it is read; nothing is cached.  A
+Dedekind sum is 6c s(d, c) over 6c, the per-factor fields come from d, m',
+k', hbar, lambda and u = lambda d - r h (so lambda* = u/d), and the
+exponents summed over the factors use the common denominator L k (L the
+level), 6k or L.  Per factor,
 
     Upsilon:  delta [r h m - r d + 2 r u + hbar d m (lambda^2 - lambda)]/(m k),
     omega:    -delta s(m'h, k')  = -delta (6k' s(m'h, k')) d/(6k),
@@ -25,7 +28,9 @@ Each quantity has one function: ``omega_exact`` (Omega), ``delta_at``
 l)), ``class_deltas`` (the one class scan, shared by ``lpos_set``,
 ``delta_table_rows`` and ``analytic.main_term_data``) and ``transform_data``
 (matrices, omega, Upsilon, and Pi through ``TransformData.pi_factors``).
-The level L is ``ProductSpec.level``, computed once per spec, so none of
+``transform_data`` also sums Omega and Delta in its own factor loop, from
+the d and u it already has, so its records equal ``omega_exact`` and
+``delta_at`` (tested) without calling them.  The level L is ``ProductSpec.level``, computed once per spec, so none of
 them needs it passed in.
 
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
@@ -56,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .qseries import ProductSpec
 
@@ -118,9 +123,14 @@ class GammaMatrix:
             raise ValueError("lower-left entry must be positive")
 
     def chi_exponent(self) -> Fraction:
-        """t with eta multiplier chi(gamma) = e^{pi i t}, reduced mod 2."""
-        t = Fraction(self.a + self.d, 12 * self.c) - dedekind_sum(self.d, self.c) - Fraction(1, 4)
-        return t % 2
+        """t with eta multiplier chi(gamma) = e^{pi i t}, reduced mod 2.
+
+        t = (a + d)/(12c) - s(d, c) - 1/4, as one numerator over 12c:
+        (a + d) - 2 (6c s(d, c)) - 3c, reduced mod 24c.
+        """
+        c = self.c
+        num = self.a + self.d - 2 * _dedekind_6c(self.d, c) - 3 * c
+        return Fraction(num % (24 * c), 12 * c)
 
 
 def _check_fraction(h: int, k: int) -> None:
@@ -130,12 +140,14 @@ def _check_fraction(h: int, k: int) -> None:
         raise NotCoprimeError(f"gcd({h}, {k}) != 1")
 
 
-@dataclass(frozen=True)
-class FactorTransform:
-    """Exact transformation data of one factor psi(r, m)^delta at h/k.
+class FactorTransform(NamedTuple):
+    """Exact transformation data of one factor psi(r, m)^delta at h/k, in integers.
 
-    sigma_const/sigma_wcoef and tau_const/tau_wcoef give the transformed
-    arguments as const + wcoef * (i/z).
+    The transformed arguments are const + wcoef * (i/z): sigma_const =
+    (r d + lambda hbar d m)/(m k), sigma_wcoef = u d/(m k), tau_const =
+    hbar d/k and tau_wcoef = d^2/(m k), with u = lambda d - r h, so that
+    lambda* = u/d.  Each of these five is a property that builds its
+    reduced ``Fraction`` on every read.
     """
 
     r: int
@@ -146,38 +158,28 @@ class FactorTransform:
     k_prime: int
     hbar: int
     lam: int
-    lam_star: Fraction
-    sigma_const: Fraction
-    sigma_wcoef: Fraction
-    tau_const: Fraction
-    tau_wcoef: Fraction
+    u: int
+    k: int
 
+    @property
+    def lam_star(self) -> Fraction:
+        return Fraction(self.u, self.d)
 
-def factor_transform(r: int, m: int, delta: int, h: int, k: int) -> FactorTransform:
-    """The factor's data in integers, each Fraction field built once.
+    @property
+    def sigma_const(self) -> Fraction:
+        return Fraction(self.d * (self.r + self.lam * self.hbar * self.m), self.m * self.k)
 
-    With u = lambda d - r h (so lambda* = u/d, lambda = ceil(rh/d)):
-    sigma_const = (r d + lambda hbar d m)/(m k), sigma_wcoef = u d/(m k),
-    tau_const = hbar d/k and tau_wcoef = d^2/(m k).
-    """
-    if not 1 <= r < m:
-        raise ValueError("need 1 <= r < m")
-    _check_fraction(h, k)
-    d = gcd(m, k)
-    mp, kp = m // d, k // d
-    # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
-    hb = -pow(mp * h, -1, kp) % kp
-    lam = -(-r * h // d)
-    u = lam * d - r * h
-    mk = m * k
-    return FactorTransform(
-        r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
-        lam=lam, lam_star=Fraction(u, d),
-        sigma_const=Fraction(r * d + lam * hb * d * m, mk),
-        sigma_wcoef=Fraction(u * d, mk),
-        tau_const=Fraction(hb * d, k),
-        tau_wcoef=Fraction(d * d, mk),
-    )
+    @property
+    def sigma_wcoef(self) -> Fraction:
+        return Fraction(self.u * self.d, self.m * self.k)
+
+    @property
+    def tau_const(self) -> Fraction:
+        return Fraction(self.hbar * self.d, self.k)
+
+    @property
+    def tau_wcoef(self) -> Fraction:
+        return Fraction(self.d * self.d, self.m * self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +266,54 @@ def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
 # phases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformData:
-    """Everything needed to evaluate the product transformation at h/k."""
+class TransformData(NamedTuple):
+    """Everything needed to evaluate the product transformation at h/k, in integers.
+
+    The exponents are kept as integer numerators over known denominators:
+    omega_num over 6k (reduced mod 12k), upsilon_num over L k (reduced mod
+    2 L k), big_omega_num and delta_num over L, L the level.  The phases
+    ``omega`` and ``upsilon`` (exponents t of e^{pi i t}, in [0, 2)) and the
+    growth exponents ``omega_exponent`` and ``delta_exponent`` are properties
+    that build one reduced ``Fraction`` on every read.
+    """
 
     h: int
     k: int
     factors: tuple[FactorTransform, ...]
-    omega: Fraction       # the phases omega and Upsilon as exponents t of e^{pi i t}, in [0, 2)
-    upsilon: Fraction
-    omega_exponent: Fraction
-    delta_exponent: Fraction
+    level: int
     sum_delta: int
     sum_delta_lambda: int
+    omega_num: int
+    upsilon_num: int
+    big_omega_num: int
+    delta_num: int
+
+    @property
+    def omega(self) -> Fraction:
+        return Fraction(self.omega_num, 6 * self.k)
+
+    @property
+    def upsilon(self) -> Fraction:
+        return Fraction(self.upsilon_num, self.level * self.k)
+
+    @property
+    def omega_exponent(self) -> Fraction:
+        return Fraction(self.big_omega_num, self.level)
+
+    @property
+    def delta_exponent(self) -> Fraction:
+        return Fraction(self.delta_num, self.level)
 
     def prefactor_phase(self) -> Fraction:
-        """t in [0, 2) with e^{pi i t} = i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon."""
-        t = Fraction(self.sum_delta, 2) + self.sum_delta_lambda + 2 * self.omega + self.upsilon
-        return t % 2
+        """t in [0, 2) with e^{pi i t} = i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon.
+
+        t = sum delta/2 + sum delta lambda + 2 omega + Upsilon, as one
+        numerator over 6 L k reduced mod 12 L k.
+        """
+        big_l, k = self.level, self.k
+        num = (3 * big_l * k * self.sum_delta + 6 * big_l * k * self.sum_delta_lambda
+               + 2 * big_l * self.omega_num + 6 * self.upsilon_num)
+        return Fraction(num % (12 * big_l * k), 6 * big_l * k)
 
     def pi_factors(self) -> tuple[tuple[Fraction, int], ...]:
         """(x_j, delta_j) for the factors with lam*_j = 0: Pi = prod (1 - e^{2 pi i x_j})^{delta_j}.
@@ -292,7 +324,7 @@ class TransformData:
         """
         out = []
         for ft in self.factors:
-            if ft.lam_star == 0:
+            if ft.u == 0:
                 x = ft.sigma_const % 1
                 if x == 0:
                     raise ArithmeticError(f"vanishing Pi factor at (h, k) = ({self.h}, {self.k}), "
@@ -302,37 +334,39 @@ class TransformData:
 
 
 def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
-    """Assemble the exact data of the product transformation at h/k.
+    """Assemble the exact data of the product transformation at h/k, in integers.
 
-    The per-factor building blocks: matrix data, (lambda, lambda*), the
-    transformed arguments (``factor_transform``), the Dedekind-sum phase
+    The per-factor building blocks: matrix data, lambda = ceil(r h/d) and
+    u = lambda d - r h (``FactorTransform``), the Dedekind-sum phase
     omega = exp(-pi i sum_j delta_j s(m'_j h, k'_j)) and the correction phase
 
         Upsilon = exp(pi i sum_j delta_j [ r_j h/k - r_j d_j/(m_j k)
                   + 2 r_j d_j lam*_j/(m_j k) + hbar_j d_j (lam_j^2 - lam_j)/k ]).
 
     The two exponents are summed as integer numerators over L k and 6k (see
-    the module docstring), reduced mod 2 as integers, and each becomes one
-    Fraction at the end, as do Omega and Delta.
+    the module docstring) and reduced mod 2 as integers.  Omega and Delta
+    (the values of ``omega_exact`` and ``delta_at``) are summed over L in
+    the same loop, from the same d and u.  No ``Fraction`` is built here.
     """
     _check_fraction(h, k)
     big_l = spec.level
     facs = []
-    omega_num = ups_num = sum_delta = sum_dl = 0
+    omega_num = ups_num = big_omega_num = delta_num = sum_delta = sum_dl = 0
     for r, m, delta in spec.factors:
-        ft = factor_transform(r, m, delta, h, k)
-        facs.append(ft)
-        d, lam, hb = ft.d, ft.lam, ft.hbar
+        d = gcd(m, k)
+        mp, kp = m // d, k // d
+        # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
+        hb = -pow(mp * h, -1, kp) % kp
+        lam = -(-r * h // d)
         u = lam * d - r * h
-        omega_num -= delta * _dedekind_6c(ft.m_prime * h, ft.k_prime) * d
-        ups_num += (delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam))
-                    * (big_l // m))
+        facs.append(FactorTransform(r, m, delta, d, mp, kp, hb, lam, u, k))
+        lm = big_l // m
+        omega_num -= delta * _dedekind_6c(mp * h, kp) * d
+        ups_num += delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam)) * lm
+        big_omega_num += delta * (2 * m * m - 12 * r * m + 12 * r * r) * lm
+        delta_num -= delta * (2 * d * d + 12 * u * (u - d)) * lm
         sum_delta += delta
         sum_dl += delta * lam
-    return TransformData(
-        h=h, k=k, factors=tuple(facs),
-        omega=Fraction(omega_num % (12 * k), 6 * k),
-        upsilon=Fraction(ups_num % (2 * big_l * k), big_l * k),
-        omega_exponent=omega_exact(spec), delta_exponent=delta_at(spec, h, k),
-        sum_delta=sum_delta, sum_delta_lambda=sum_dl,
-    )
+    return TransformData(h, k, tuple(facs), big_l, sum_delta, sum_dl,
+                         omega_num % (12 * k), ups_num % (2 * big_l * k),
+                         big_omega_num, delta_num)

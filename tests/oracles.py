@@ -248,7 +248,7 @@ def gamma_action_coeffs(m: int, h: int, k: int, r: int,
     symbolically: numerator and denominator are linear in iz, the denominator
     has zero constant term, and (A + B iz)/(D iz) = B/D + (A/D)(1/(iz)) with
     1/(iz) = -i/z.  Returns coefficients of 1 and of w = i/z; the closed
-    forms of ``modular.factor_transform`` must agree exactly.
+    forms of ``modular.FactorTransform`` must agree exactly.
     """
     d = gcd(m, k)
     mp_, kp = m // d, k // d

@@ -80,7 +80,9 @@ class TestCertifyCommand:
 
     def test_unknown_target(self):
         res = run_cli(["certify", "--target", "nope"])
-        assert res.returncode != 0
+        assert res.returncode == 2 and "Traceback" not in res.stderr
+        assert ("error: argument --target: invalid choice: 'nope' "
+                "(choose from 'A5n', 'B5n', 'D5n1')") in res.stderr
 
 
 class TestTables:
@@ -193,7 +195,9 @@ class TestXcheck:
 
     def test_unknown_identity(self):
         res = run_cli(["xcheck", "--identity", "wat"])
-        assert res.returncode != 0
+        assert res.returncode == 2 and "Traceback" not in res.stderr
+        assert ("error: argument --identity: invalid choice: 'wat' "
+                "(choose from 'eta', 'product', 'psi', 'quasiperiodicity', 'theta')") in res.stderr
 
 
 class TestPrecisionControls:

@@ -33,7 +33,9 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: public package code that only the tests use.  Oracles and paper-lemma
 #: checks live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in the
 #: package, next to the main-term formula it reads (``analytic._arc_bessel``).
-TEST_ONLY = {"analytic.lemma_arc_integral"}
+#: ``dedekind_sum`` is the checked Fraction form of s(d, c), which the bench
+#: traces by name; the package itself reads 6c s(d, c) as an integer.
+TEST_ONLY = {"analytic.lemma_arc_integral", "modular.dedekind_sum"}
 
 #: the package's modules, lowest first ("__init__" is the package itself)
 LAYERS = ("__init__", "qseries", "modular", "enclosure", "circle", "analytic", "certify", "cli")

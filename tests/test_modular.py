@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_all, gamma_action_coeffs,
                      gamma_of, hbar_of, lambda_pair, sawtooth)
+from qsign import modular
 from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, class_deltas,
                            class_representative, dedekind_sum, delta_at, delta_table_rows,
-                           factor_transform, lpos_set, omega_exact, transform_data)
+                           lpos_set, omega_exact, transform_data)
 from qsign.qseries import ProductSpec, registered_spec
 
 
@@ -29,9 +31,16 @@ def delta_by_lambda_star(spec: ProductSpec, h: int, k: int) -> Fraction:
     return total
 
 
+def public_fields(record: type) -> tuple[str, ...]:
+    """The stored fields of a record, then its read-only properties."""
+    return record._fields + tuple(name for name, v in vars(record).items()
+                                  if isinstance(v, property))
+
+
 def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
-                               hbar_offset: int = 0) -> FactorTransform:
-    """The five Fraction fields by the definitional formulas, via hbar_of and lambda_pair.
+                               hbar_offset: int = 0) -> SimpleNamespace:
+    """Every public field of ``FactorTransform`` by name, the five Fractions by the
+    definitional formulas, via hbar_of and lambda_pair.
 
     hbar is the package's smallest nonnegative choice shifted by hbar_offset k'.
     """
@@ -39,9 +48,9 @@ def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
     mp, kp = m // d, k // d
     hb = hbar_of(m, h, k) + hbar_offset * kp
     lam, lam_star = lambda_pair(m, r, h, k)
-    return FactorTransform(
+    return SimpleNamespace(
         r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
-        lam=lam, lam_star=lam_star,
+        lam=lam, u=lam_star * d, k=k, lam_star=lam_star,
         sigma_const=Fraction(r * d, m * k) + Fraction(lam * hb * d, k),
         sigma_wcoef=lam_star * Fraction(d * d, m * k),
         tau_const=Fraction(hb * d, k),
@@ -49,7 +58,15 @@ def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
     )
 
 
-def upsilon_reference(factors: list[FactorTransform], h: int, k: int) -> Fraction:
+def assert_fields_match(ft: FactorTransform, ref: SimpleNamespace, where) -> None:
+    """Field by field: the record against the reference, on every public name."""
+    names = public_fields(FactorTransform)
+    assert set(vars(ref)) == set(names)
+    for name in names:
+        assert getattr(ft, name) == getattr(ref, name), (name, where)
+
+
+def upsilon_reference(factors: list[SimpleNamespace], h: int, k: int) -> Fraction:
     """The Upsilon exponent as the four-term Fraction sum per factor."""
     total = Fraction(0)
     for ft in factors:
@@ -60,12 +77,12 @@ def upsilon_reference(factors: list[FactorTransform], h: int, k: int) -> Fractio
     return total
 
 
-def omega_reference(factors: list[FactorTransform], h: int) -> Fraction:
+def omega_reference(factors: list[SimpleNamespace], h: int) -> Fraction:
     """The omega exponent -sum_j delta_j s(m'_j h, k'_j)."""
     return -sum(ft.delta * dedekind_sum(ft.m_prime * h, ft.k_prime) for ft in factors)
 
 
-def pi_factors_reference(factors: list[FactorTransform], h: int, k: int) -> tuple:
+def pi_factors_reference(factors: list[SimpleNamespace], h: int, k: int) -> tuple:
     """(x_j, delta_j) with x_j = (r d + r hbar m h)/(m k) mod 1 for the factors with lam* = 0."""
     return tuple((Fraction(ft.r * ft.d + ft.r * ft.hbar * ft.m * h, ft.m * k) % 1, ft.delta)
                  for ft in factors if ft.lam_star == 0)
@@ -200,8 +217,10 @@ class TestMoebiusClosedForms:
             return
         tau_c, tau_w, sig_c, sig_w = gamma_action_coeffs(m, h, k, r, hbar_offset=off)
         # the package computes hbar at offset 0 only; the reference covers the others
-        ft = (factor_transform(r, m, 1, h, k) if off == 0
-              else factor_transform_reference(r, m, 1, h, k, off))
+        ft = factor_transform_reference(r, m, 1, h, k, off)
+        if off == 0:
+            package = transform_data(ProductSpec(((r, m, 1),)), h, k).factors[0]
+            assert_fields_match(package, ft, (m, h, k, r))
         assert (tau_c, tau_w) == (ft.tau_const, ft.tau_wcoef)
         assert sig_c + ft.lam * tau_c == ft.sigma_const
         assert sig_w + ft.lam * tau_w == ft.sigma_wcoef
@@ -352,7 +371,86 @@ class TestPhases:
                         facs = [factor_transform_reference(r, m, delta, h, k, off)
                                 for r, m, delta in spec.factors]
                         if off == 0:
-                            assert td.factors == tuple(facs), where
+                            assert len(td.factors) == len(facs), where
+                            for ft, ref in zip(td.factors, facs):
+                                assert_fields_match(ft, ref, where)
                         assert td.upsilon == upsilon_reference(facs, h, k) % 2, where
                         assert td.omega == omega_reference(facs, h) % 2, where
                         assert td.pi_factors() == pi_factors_reference(facs, h, k), where
+
+
+class TestIntegerRecords:
+    """The records hold integers; each Fraction is built when a property is read."""
+
+    @pytest.fixture
+    def fraction_count(self, monkeypatch):
+        """Every Fraction built while the test runs, arithmetic results included."""
+        calls = []
+        real_new = modular.Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(modular.Fraction, "__new__", staticmethod(counting_new))
+        return calls
+
+    SPECS = [registered_spec("A"), registered_spec("D"),
+             ProductSpec(((1, 10, 2), (3, 5, -1), (7, 10, 1)))]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["A", "D", "level10"])
+    def test_transform_data_builds_no_fraction(self, spec, fraction_count):
+        for k in range(1, 21):
+            for h in range(k):
+                if gcd(h, k) == 1:
+                    transform_data(spec, h, k)
+        assert fraction_count == []
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["A", "D", "level10"])
+    def test_prefactor_phase_builds_one_fraction(self, spec, fraction_count):
+        tds = [transform_data(spec, h, 12) for h in (1, 5, 7, 11)]
+        for td in tds:
+            before = len(fraction_count)
+            td.prefactor_phase()
+            assert len(fraction_count) == before + 1
+
+    def test_prefactor_phase_matches_the_fraction_sum(self):
+        for spec in self.SPECS:
+            for k in range(1, 31):
+                for h in range(k):
+                    if gcd(h, k) == 1:
+                        td = transform_data(spec, h, k)
+                        t = (Fraction(td.sum_delta, 2) + td.sum_delta_lambda
+                             + 2 * td.omega + td.upsilon)
+                        assert td.prefactor_phase() == t % 2, (spec, h, k)
+
+    def test_properties_build_a_fresh_fraction_on_every_read(self, fraction_count):
+        td = transform_data(registered_spec("D"), 3, 10)
+        ft = td.factors[2]
+        reads = [td.omega, td.upsilon, ft.lam_star, td.omega, td.upsilon, ft.lam_star]
+        assert reads[:3] == reads[3:] and len(fraction_count) == 6
+
+    def test_fields_cannot_be_assigned(self):
+        td = transform_data(registered_spec("D"), 3, 10)
+        for obj in (td, td.factors[0]):
+            for name in (*public_fields(type(obj)), "cached"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 0)
+
+
+class TestChiExponent:
+    @staticmethod
+    def chi_by_fractions(g: GammaMatrix) -> Fraction:
+        """t = (a + d)/(12c) - s(d, c) - 1/4 mod 2, with the definitional Dedekind sum."""
+        t = Fraction(g.a + g.d, 12 * g.c) - dedekind_sum_direct(g.d % g.c, g.c) - Fraction(1, 4)
+        return t % 2
+
+    def test_integer_numerator_matches_the_fraction_formula(self):
+        for c in range(1, 41):
+            for d in range(-c, 2 * c):
+                if gcd(d, c) != 1:
+                    continue
+                a0 = pow(d, -1, c)
+                for a in (a0, a0 - c):
+                    g = GammaMatrix(a, (a * d - 1) // c, c, d)
+                    assert g.chi_exponent() == self.chi_by_fractions(g), (a, c, d)
