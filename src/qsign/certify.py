@@ -1,12 +1,13 @@
-"""Certificates combining exact finite sign checks with certified dominance.
+"""The sign claims, ``TARGETS``, and their certificates: exact checks plus dominance.
 
-A certificate for one sign-pattern target does exactly what a careful desk
-verification would: expand the product exactly to a truncation past the
-asymptotic threshold, check every claimed sign on the finite range, and
-attach an eventual-dominance certificate showing the Bessel main term beats
-the explicit error bound for every index of the residue class at and beyond
-the threshold.  The finite range always reaches the threshold, so the two
-parts overlap and the combined claim covers all indices.
+A certificate for one claim does exactly what a careful desk verification
+would: expand the product exactly to a truncation past the asymptotic
+threshold, check every claimed sign on the finite range, and attach an
+eventual-dominance certificate showing the Bessel main term beats the
+explicit error bound for every index of the residue class at and beyond the
+threshold.  The finite range always reaches the threshold, so the two parts
+overlap and the combined claim covers all indices.  A claim without a
+threshold is finite-only: checked exactly, never certified.
 
 Certificates serialize to JSON with a fixed field order and carry a sha256
 content hash; rebuilding a certificate from the same parameters is
@@ -40,7 +41,8 @@ class TargetSpec:
 
     The analytic layer is keyed by the spec; this record is the only place a
     claim's residue class and sign are written down.  The modulus must be the
-    k of the spec's main term (``_check_target``).
+    k of the spec's main term and the sign that of its class constant
+    (``_check_target``).  An ``eventual`` claim's start is an observed cutoff.
     """
 
     modulus: ClassVar[int] = 5
@@ -50,27 +52,47 @@ class TargetSpec:
     sign: int                  # +1 or -1
     start_index: int           # first index carrying the claim
     finite_last_index: int     # last exactly-checked index, also the truncation
-    threshold_index: int       # certified dominance for class indices >= this
-    statement: str
+    threshold_index: int | None = None  # dominance certified from here; None: finite-only
+    eventual: bool = False     # scanned by richmond_szekeres_scan, else verify_known_theorems
 
 
-TARGETS: dict[str, TargetSpec] = {
-    "A5n": TargetSpec(
-        key="A5n", spec_name="A", residue=0, sign=-1,
-        start_index=5, finite_last_index=1000, threshold_index=801,
-        statement="coefficients of 1/R^5 at indices 5n are negative for n >= 1",
-    ),
-    "B5n": TargetSpec(
-        key="B5n", spec_name="B", residue=0, sign=-1,
-        start_index=5, finite_last_index=1000, threshold_index=801,
-        statement="coefficients of R^5 at indices 5n are negative for n >= 1",
-    ),
-    "D5n1": TargetSpec(
-        key="D5n1", spec_name="D", residue=1, sign=1,
-        start_index=1, finite_last_index=19501, threshold_index=19001,
-        statement="coefficients of R(q^5)/R^5(q) at indices 5n+1 are positive for n >= 0",
-    ),
-}
+#: every claim: key, spec, residue, sign, start, last checked index, dominance threshold
+TARGETS: dict[str, TargetSpec] = {target.key: target for target in (
+    # A = 1/R^5 and B = R^5: the paper proves A(5n) < 0 and B(5n) < 0 for n >= 1
+    TargetSpec("A5n", "A", 0, -1, 5, 1000, 801),
+    TargetSpec("A5n1", "A", 1, 1, 1, 1000, 801),
+    TargetSpec("A5n2", "A", 2, 1, 2, 1000, 801),
+    TargetSpec("A5n3", "A", 3, 1, 3, 1000, 801),
+    TargetSpec("A5n4", "A", 4, -1, 4, 1000, 801),
+    TargetSpec("B5n", "B", 0, -1, 5, 1000, 801),
+    TargetSpec("B5n1", "B", 1, -1, 1, 1000, 801),
+    TargetSpec("B5n2", "B", 2, 1, 2, 1000, 801),
+    TargetSpec("B5n3", "B", 3, -1, 3, 1000, 801),
+    TargetSpec("B5n4", "B", 4, 1, 4, 1000, 801),
+    # D = R(q^5)/R^5(q): the paper proves D(5n+1) > 0 for n >= 0
+    TargetSpec("D5n", "D", 0, -1, 5, 19501, 19001),
+    TargetSpec("D5n1", "D", 1, 1, 1, 19501, 19001),
+    TargetSpec("D5n2", "D", 2, 1, 2, 19501, 19001),
+    TargetSpec("D5n3", "D", 3, 1, 3, 19501, 19001),
+    TargetSpec("D5n4", "D", 4, -1, 4, 19501, 19001),
+    # C = R^5(q)/R(q^5): Baruah and Sarma's pattern, no stated E(n)
+    TargetSpec("C5n", "C", 0, -1, 5, 800),
+    TargetSpec("C5n1", "C", 1, -1, 1, 800),
+    TargetSpec("C5n2", "C", 2, 1, 2, 800),
+    TargetSpec("C5n3", "C", 3, -1, 3, 800),
+    TargetSpec("C5n4", "C", 4, 1, 4, 800),
+    # c = 1/R and d = R: Richmond and Szekeres's eventual patterns
+    TargetSpec("c5n", "c", 0, 1, 10, 2000, eventual=True),
+    TargetSpec("c5n1", "c", 1, 1, 10, 2000, eventual=True),
+    TargetSpec("c5n2", "c", 2, -1, 10, 2000, eventual=True),
+    TargetSpec("c5n3", "c", 3, -1, 10, 2000, eventual=True),
+    TargetSpec("c5n4", "c", 4, -1, 10, 2000, eventual=True),
+    TargetSpec("d5n", "d", 0, 1, 24, 2000, eventual=True),
+    TargetSpec("d5n1", "d", 1, -1, 24, 2000, eventual=True),
+    TargetSpec("d5n2", "d", 2, 1, 24, 2000, eventual=True),
+    TargetSpec("d5n3", "d", 3, -1, 24, 2000, eventual=True),
+    TargetSpec("d5n4", "d", 4, -1, 24, 2000, eventual=True),
+)}
 
 
 #: the most expansions ``cached_expansion`` keeps
@@ -108,29 +130,27 @@ def cached_expansion(spec: ProductSpec, trunc_order: int) -> QSeries:
 class CertifyResult:
     certificate: dict
     ok: bool
-    exit_code: int             # 0 certified, 2 sign violation, 3 dominance unknown
-
-
-def _canonical_json(cert: dict) -> str:
-    return json.dumps(cert, separators=(",", ":"), sort_keys=False)
+    exit_code: int             # 0 certified, 2 sign violation, 3 asymptotic part not certified
 
 
 def _finish(cert: dict) -> dict:
-    cert["meta"]["hash"] = hashlib.sha256(_canonical_json(cert).encode()).hexdigest()
+    body = json.dumps(cert, separators=(",", ":")).encode()  # with meta.hash still ""
+    cert["meta"]["hash"] = hashlib.sha256(body).hexdigest()
     return cert
 
 
 def _check_target(target: TargetSpec, spec: ProductSpec) -> None:
-    """Refuse a target with a gap before n0, a modulus other than k, no E(n0) or a sign M denies."""
-    if target.finite_last_index < target.threshold_index:
-        raise ValueError(f"target {target.key}: finite range ends at "
-                         f"{target.finite_last_index}, before the dominance "
-                         f"threshold {target.threshold_index}")
+    """Refuse a target with a modulus other than k, a gap before n0, no E(n0) or a sign M denies."""
     k = main_term_data(spec).k
     if target.modulus != k:
         raise ValueError(f"target {target.key}: classes mod {target.modulus}, but the "
                          f"main term of {target.spec_name} has k = {k}")
-    error_bound(spec, target.threshold_index)
+    n0 = target.threshold_index
+    if n0 is not None:
+        if target.finite_last_index < n0:
+            raise ValueError(f"target {target.key}: finite range ends at "
+                             f"{target.finite_last_index}, before the dominance threshold {n0}")
+        error_bound(spec, n0)
     const = class_constant(spec, target.residue)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
         raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
@@ -147,9 +167,9 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     the derived class constant are refused before anything is expanded.
     Then exact signs on the finite range, then the eventual-dominance
     certificate at the threshold, retried along
-    ``precision_schedule(precision_bits)`` while it is refused.  Any exact
-    sign violation fails loudly with the violating index; a dominance still
-    refused at the last precision is reported via exit code 3.
+    ``precision_schedule(precision_bits)`` while it is refused.  Exit code 2
+    names the first violating index; 3 reports a finite-only target or a
+    dominance still refused at the last precision.
     """
     try:
         target = TARGETS[target_key]
@@ -178,19 +198,17 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
             "all_ok": not exceptions,
             "exceptions": exceptions[:64],
         },
-        "asymptotic": {
-            "n0": target.threshold_index,
-            "precision_bits": None,
-            "main_lo": None,
-            "bound_hi": None,
-            "monotone_ok": None,
-        },
+        "asymptotic": {"n0": target.threshold_index, **dict.fromkeys(
+            ("precision_bits", "main_lo", "bound_hi", "monotone_ok"))},
         "meta": {"version": __version__, "hash": ""},
     }
 
     if exceptions:
         cert["meta"]["invalid"] = f"sign violation at index {exceptions[0]}"
         return CertifyResult(_finish(cert), ok=False, exit_code=2)
+    if target.threshold_index is None:
+        cert["meta"]["invalid"] = "finite-only target: no dominance threshold, not certified"
+        return CertifyResult(_finish(cert), ok=False, exit_code=3)
 
     for bits in schedule:
         try:
@@ -214,82 +232,60 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     return CertifyResult(_finish(cert), ok=True, exit_code=0)
 
 
-# ---------------------------------------------------------------------------
-# desk-scale verification of the documented sign patterns
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class SignTable:
-    """Verdicts of one spec's residue patterns over an exactly checked range."""
+class PatternScan:
+    """Exact signs of one spec's claimed residue classes on [0, checked_hi]."""
 
     spec_name: str
     modulus: int
     checked_hi: int
     patterns: tuple[tuple[int, int, int], ...]  # (residue, start_index, sign)
-    exceptions: tuple[int, ...]
+    exceptions: tuple[int, ...]  # every index from 0 off its class's sign, ascending
+
+    @property
+    def cutoff(self) -> int:
+        """The least index from which every claimed class has its sign."""
+        return self.exceptions[-1] + 1 if self.exceptions else 0
+
+    @property
+    def violations(self) -> tuple[int, ...]:
+        """The exceptions at or past their class's start index."""
+        starts = {residue: start for residue, start, _ in self.patterns}
+        return tuple(e for e in self.exceptions if e >= starts[e % self.modulus])
 
     @property
     def ok(self) -> bool:
-        return not self.exceptions
+        return not self.violations
 
 
-#: residue -> (first index carrying the claim, sign); the residue-0 rows are
-#: stated as 5n+5, so they start at index 5.
-KNOWN_PATTERNS: dict[str, tuple[tuple[int, int, int], ...]] = {
-    "A": ((1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, -1)),
-    "B": ((1, 1, -1), (2, 2, 1), (3, 3, -1), (4, 4, 1)),
-    "C": ((1, 1, -1), (2, 2, 1), (3, 3, -1), (4, 4, 1), (0, 5, -1)),
-    "D": ((2, 2, 1), (3, 3, 1), (4, 4, -1), (0, 5, -1)),
-}
+def _scan(eventual: bool, trunc_order: int) -> dict[str, PatternScan]:
+    """Scan the ``TARGETS`` rows with this ``eventual`` flag from index 0, one expansion per spec.
 
-
-def verify_known_theorems(trunc_order: int = 800) -> dict[str, SignTable]:
-    """Exact check of every established residue pattern for A, B, C, D.
-
-    Any violation is a hard failure naming the index; on success the sign
-    tables are returned for reporting.
+    A violated claim is a hard failure naming the first violating index.
     """
-    out: dict[str, SignTable] = {}
-    for name, patterns in KNOWN_PATTERNS.items():
-        series = cached_expansion(registered_spec(name), trunc_order)
-        bad = [idx for residue, start, sign in patterns
-               for idx in sign_exceptions(series, residue, 5, start, trunc_order, sign)]
-        if bad:
-            raise SignViolation(
-                f"documented pattern for {name} fails at index {min(bad)} "
-                f"(checked to {trunc_order})"
-            )
-        out[name] = SignTable(name, 5, trunc_order, patterns, tuple(bad))
+    claims: dict[str, list[TargetSpec]] = {}
+    for t in TARGETS.values():
+        if t.eventual == eventual:
+            claims.setdefault(t.spec_name, []).append(t)
+    out: dict[str, PatternScan] = {}
+    for name, rows in claims.items():
+        s = cached_expansion(registered_spec(name), trunc_order)
+        bad = sorted(i for t in rows
+                     for i in sign_exceptions(s, t.residue, t.modulus, 0, trunc_order, t.sign))
+        scan = PatternScan(name, rows[0].modulus, trunc_order,
+                           tuple((t.residue, t.start_index, t.sign) for t in rows), tuple(bad))
+        if scan.violations:
+            raise SignViolation(f"claimed pattern for {name} fails at index "
+                                f"{scan.violations[0]} (checked to {trunc_order})")
+        out[name] = scan
     return out
 
 
-#: eventual residue signs of 1/R and R
-RICHMOND_SZEKERES_PATTERNS: dict[str, dict[int, int]] = {
-    "c": {0: 1, 1: 1, 2: -1, 3: -1, 4: -1},
-    "d": {0: 1, 1: -1, 2: 1, 3: -1, 4: -1},
-}
+def verify_known_theorems(trunc_order: int = 800) -> dict[str, PatternScan]:
+    """Exact check of every claim that holds from its first index: A, B, C and D."""
+    return _scan(False, trunc_order)
 
 
-@dataclass(frozen=True)
-class EventualPatternScan:
-    spec_name: str
-    checked_hi: int
-    cutoff: int                 # minimal index past which the pattern holds
-    exceptions: tuple[int, ...]  # all violations, necessarily below cutoff
-
-
-def richmond_szekeres_scan(trunc_order: int = 2000) -> dict[str, EventualPatternScan]:
-    """Empirical cutoff scan for the eventual sign patterns of 1/R and R.
-
-    The patterns hold only for sufficiently large index with no explicit
-    constant on record, so this reports the minimal cutoff observed in the
-    exact expansion together with every exception below it.
-    """
-    out: dict[str, EventualPatternScan] = {}
-    for name, pattern in RICHMOND_SZEKERES_PATTERNS.items():
-        series = cached_expansion(registered_spec(name), trunc_order)
-        bad = sorted(idx for residue, sign in pattern.items()
-                     for idx in sign_exceptions(series, residue, 5, 0, trunc_order, sign))
-        cutoff = (max(bad) + 1) if bad else 0
-        out[name] = EventualPatternScan(name, trunc_order, cutoff, tuple(bad))
-    return out
+def richmond_szekeres_scan(trunc_order: int = 2000) -> dict[str, PatternScan]:
+    """Exact scan of the eventual patterns of 1/R and R (no explicit cutoff on record)."""
+    return _scan(True, trunc_order)

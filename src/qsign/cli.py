@@ -4,9 +4,9 @@ Subcommands and their flags (each flag is attached only where it is read):
 
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
-* ``certify``    build a sign-pattern certificate (exit 0/2/3);
-                 --target (one of ``certify.TARGETS``; another name is a
-                 usage error, exit 2), --precision, --out
+* ``certify``    build a sign-pattern certificate (exit 0/2/3, 3 for a finite-only
+                 target); --target (one of ``certify.TARGETS``; another name
+                 is a usage error, exit 2), --precision, --out
 * ``delta``      growth-exponent table per residue class; the json form adds
                  Omega as an exact fraction string (``modular.omega_exact``,
                  "-24/5" for c) and the Lpos classes;
@@ -33,12 +33,12 @@ output stays machine-clean.  A malformed --spec-json (or its @file), an
 unknown --spec or neither is a usage error on that flag (exit 2).  All
 randomness is driven by --seed.
 ``--precision`` defaults to ``enclosure.DEFAULT_PRECISION``, which the
-QSIGN_PRECISION environment variable overrides; a value outside
-[8, ``analytic.PRECISION_CAP``] is a usage error (exit 2).  ``certify`` and
-``dominance`` start there and double up to the cap while undecided.
-Precision is scoped per call (``certify``, ``analytic.dominance`` and
-each xcheck sample set their own); ``main`` sets none, and expand, delta and
-bench are exact.
+QSIGN_PRECISION environment variable overrides (a non-integer or a value below
+8 is a ValueError at import; one above ``analytic.PRECISION_CAP`` is a usage
+error, exit 2).  ``certify`` and ``dominance`` start there and double up to
+the cap while undecided.  Precision is scoped per call (``certify``,
+``analytic.dominance`` and each xcheck sample set their own); ``main`` sets
+none, and expand, delta and bench are exact.
 
 The delta tables are one call per spec::
 

@@ -17,8 +17,8 @@ then ``mpi_div`` for a ratio), so every endpoint is bit for bit the one
 Precision is the ambient interval working precision ``iv.prec`` in bits,
 read once per operation and recorded in the result's ``bits``; use the
 ``precision`` context manager to change it locally.  ``QSIGN_PRECISION``
-sets its value at import.  Escalating precision tightens enclosures but
-never invalidates them.
+sets its value at import (an integer >= 8, or a ValueError).  Escalating
+precision tightens enclosures but never invalidates them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, fzero, mpf_gt, mpf_
                           mpi_log, mpi_mul, mpi_neg, mpi_sqrt, mpi_sub, round_ceiling,
                           round_floor)
 
-DEFAULT_PRECISION = int(os.environ.get("QSIGN_PRECISION", "192"))
+_ENV_BITS = os.environ.get("QSIGN_PRECISION", "192")
+if not (_ENV_BITS.strip().isdecimal() and int(_ENV_BITS) >= 8):
+    raise ValueError(f"QSIGN_PRECISION={_ENV_BITS!r} is not an integer number of bits >= 8")
+DEFAULT_PRECISION = int(_ENV_BITS)
 iv.prec = DEFAULT_PRECISION
 
 Number = Union["Enclosure", int, Fraction]

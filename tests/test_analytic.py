@@ -12,14 +12,14 @@ from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, besse
                             class_constant, dominance, error_bound,
                             eventual_dominance_certificate, lemma_arc_integral, main_term,
                             main_term_data, precision_schedule, wang_lower, wang_main_lower)
-from qsign.certify import KNOWN_PATTERNS, RICHMOND_SZEKERES_PATTERNS, TARGETS
+from qsign.certify import TARGETS
 from qsign.circle import ConvergenceRefused
 from qsign.enclosure import Enclosure, mpf_to_fraction, precision
 from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
                            ps_inv, ps_mul, registered_spec)
 
-#: the registered claim on each spec that carries one
-CLAIMS = {target.spec_name: target for target in TARGETS.values()}
+#: the paper's claim on each of its three specs
+CLAIMS = {"A": TARGETS["A5n"], "B": TARGETS["B5n"], "D": TARGETS["D5n1"]}
 
 
 def cos_pi(t: Fraction) -> Enclosure:
@@ -178,6 +178,13 @@ class TestMainTermAndBound:
         assert isinstance(const, Enclosure) and const.intersects(closed())
         assert const.is_positive() if claim.sign > 0 else const.is_negative()
 
+    @pytest.mark.parametrize("name", sorted({t.spec_name for t in TARGETS.values()}))
+    def test_every_claim_has_the_sign_of_its_class_constant(self, name):
+        # every row of the claim table on this spec, certified or finite-only
+        for target in (t for t in TARGETS.values() if t.spec_name == name):
+            const = class_constant(SPECS[name], target.residue)
+            assert const.is_positive() if target.sign > 0 else const.is_negative(), target.key
+
     def test_amplitude_constant_of_level25_family(self):
         # |Pi| = cos(pi/5)/(1 + cos(2 pi/5)) = 1/(2 cos(pi/5)) by golden-ratio
         # algebra, so Re S_r(D) = Re S_r(A) / (2 cos(pi/5)) in every class
@@ -267,15 +274,6 @@ class TestMainTermWithoutErrorBound:
                 m, a = main_term(SPECS[name], n), series.coeffs[n]
                 assert m.is_positive() if a > 0 else m.is_negative(), n
                 assert abs(Enclosure.from_fraction(a) / m - 1).strictly_less(tol), n
-
-    @pytest.mark.parametrize("name", ["c", "d", "C"])
-    def test_class_signs_are_the_documented_patterns(self, name):
-        pattern = RICHMOND_SZEKERES_PATTERNS.get(name) or {
-            residue: sign for residue, _, sign in KNOWN_PATTERNS[name]}
-        assert set(pattern) == set(range(5))
-        for r, sign in pattern.items():
-            const = class_constant(SPECS[name], r)
-            assert const.is_positive() if sign > 0 else const.is_negative(), r
 
 
 def audit_violations(name: str, series: QSeries, indices) -> list[int]:

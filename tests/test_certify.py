@@ -10,7 +10,7 @@ import pytest
 
 from qsign import certify as certify_mod
 from qsign.analytic import CertificateRefused, UsageError
-from qsign.certify import (KNOWN_PATTERNS, TARGETS, SignViolation, certify,
+from qsign.certify import (TARGETS, SignViolation, cached_expansion, certify,
                            richmond_szekeres_scan, verify_known_theorems)
 from qsign.qseries import (REGISTERED_SPECS, ProductSpec, QSeries, expand_product,
                            registered_spec, slice_indices)
@@ -20,12 +20,26 @@ def no_expansion(*args):
     raise AssertionError("expanded before the target check")
 
 
-#: certificate hashes of the three registered targets at the default 192 bits
+#: certificate hashes of the targets with a dominance threshold, at the default 192 bits
 CERTIFICATE_HASHES = {
     "A5n": "9dde866ab036695ecc0e19336b4c0d94ab97018145f61516e5cb3656c6122f0f",
     "B5n": "9d94589116c3160086aab4532feb9125c0dfae30cc91e44059c70f1e48dc1c1f",
     "D5n1": "b31b2266748a04247da9a4c8f6aaeb0200e1949ed22b2f83e45a049f4dd1d314",
+    "A5n1": "577761177cbe5117c13a48c3ad732ec1d958cd423e3dca848c85de20705603c8",
+    "A5n2": "6898c790301189fa8ea9b921eb5ebc73a95784ab155e6b662eb772443e6a4077",
+    "A5n3": "5ce82379c1e5dbb10f3ff286e7ebb83c6a31bc8b9dea80e6aaabfc65bffb3a1c",
+    "A5n4": "38627176f16e31954987314be68a9efa50a50dfa0fabf4d5cf9c0067ef5ad43e",
+    "B5n1": "96e1c091930afa541e7e384c04a7a10619ea3408381983ed217ba7f1963640f4",
+    "B5n2": "3f2fa6e4f139d2b2450b12f81ef533c8d04e9ea59d20ccfb2b7432f42eb9e932",
+    "B5n3": "e805e84c4ad1af50a156663ba7d393af1f0c578dd64da8a012365f9872c9a67d",
+    "B5n4": "5be7c0f1c25d099aa9e4c5a6ac8b4662af792690418c088dd2a676a55f3b5c63",
+    "D5n": "4a1b7acd5fb6e8a775d640833a498ae5894379d4b2f78eed65b6dc3c8b02ae81",
+    "D5n2": "57bf1eb5092c8eec15f09da22c76a8f1a2739532a83b6ea4f63104a92605e10c",
+    "D5n3": "5c523050bd3912105c391035a9f4a835352a074ab469976d2aa87465e56119f2",
+    "D5n4": "40edafd4a15825d8e803d9af60b274dd3af172b0809ca249514242d6ec9bbba6",
 }
+#: the claims without a dominance threshold: C to 800, c and d past their cutoffs to 2000
+FINITE_ONLY = sorted(set(TARGETS) - set(CERTIFICATE_HASHES))
 
 
 class TestCertify:
@@ -46,7 +60,8 @@ class TestCertify:
 
     def test_no_gap_between_finite_and_asymptotic(self):
         for key, target in TARGETS.items():
-            assert target.finite_last_index >= target.threshold_index
+            if target.threshold_index is not None:
+                assert target.finite_last_index >= target.threshold_index, key
 
     def test_certificate_hashes_pinned(self, series_a_1000, series_b_1000, series_d_19501):
         for key, digest in CERTIFICATE_HASHES.items():
@@ -75,6 +90,25 @@ class TestCertify:
         assert list(cert["asymptotic"]) == ["n0", "precision_bits", "main_lo",
                                             "bound_hi", "monotone_ok"]
         assert list(cert["meta"]) == ["version", "hash"]
+
+    @pytest.mark.parametrize("key", FINITE_ONLY)
+    def test_finite_only_target_is_checked_but_never_issued(self, key, series_800):
+        result = certify(key)
+        assert not result.ok and result.exit_code == 3
+        cert = result.certificate
+        assert cert["finite"]["all_ok"] and cert["finite"]["hi"] == TARGETS[key].finite_last_index
+        assert cert["asymptotic"] == {"n0": None, "precision_bits": None, "main_lo": None,
+                                      "bound_hi": None, "monotone_ok": None}
+        assert cert["meta"]["invalid"].startswith("finite-only target")
+
+    def test_finite_only_violation_exits_2(self, monkeypatch):
+        real = cached_expansion(registered_spec("c"), 2000)
+        coeffs = list(real.coeffs)
+        coeffs[1500] = -coeffs[1500]  # 1500 = 0 mod 5, a class c claims positive
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("c"), 2000),
+                            QSeries(2000, tuple(coeffs)))
+        result = certify("c5n")
+        assert result.exit_code == 2 and result.certificate["finite"]["exceptions"] == [1500]
 
     def test_unknown_target_lists_registered(self):
         with pytest.raises(KeyError, match="registered"):
@@ -187,8 +221,14 @@ class TestKnownTheorems:
         assert all(t.ok for t in tables.values())
 
     def test_pattern_shapes(self):
-        assert len(KNOWN_PATTERNS["C"]) == 5
-        assert len(KNOWN_PATTERNS["D"]) == 4
+        # every spec claims one sign on each class mod 5, from the class's first index
+        # (5 for the zero class) or, for the eventual patterns of c and d, from a cutoff
+        for name in "ABCDcd":
+            rows = [t for t in TARGETS.values() if t.spec_name == name]
+            assert sorted(t.residue for t in rows) == list(range(5)), name
+            for t in rows:
+                assert t.eventual == (name in "cd"), t.key
+                assert t.start_index == {"c": 10, "d": 24}.get(name, t.residue or 5), t.key
 
     def test_specific_residue_signs(self, series_800):
         a = series_800["A"]
@@ -219,18 +259,25 @@ class TestEventualPatternScan:
             assert scan.cutoff <= 100
             assert all(e < scan.cutoff for e in scan.exceptions)
 
+    def test_violation_past_the_cutoff_raises_with_index(self, monkeypatch):
+        real = cached_expansion(registered_spec("d"), 2000)
+        coeffs = list(real.coeffs)
+        coeffs[26] = -coeffs[26]  # past d's cutoff 24
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("d"), 2000),
+                            QSeries(2000, tuple(coeffs)))
+        with pytest.raises(SignViolation, match="pattern for d fails at index 26"):
+            richmond_szekeres_scan(2000)
+
     def test_no_exceptions_past_hundred(self):
         scans = richmond_szekeres_scan(2000)
         for scan in scans.values():
             assert not [e for e in scan.exceptions if e >= 100]
 
     def test_exception_indices_are_zero_coefficients_or_wrong_sign(self):
-        from qsign.certify import RICHMOND_SZEKERES_PATTERNS, cached_expansion
-
         scans = richmond_szekeres_scan(400)
         for name, scan in scans.items():
             series = cached_expansion(registered_spec(name), 400)
-            pattern = RICHMOND_SZEKERES_PATTERNS[name]
+            pattern = {t.residue: t.sign for t in TARGETS.values() if t.spec_name == name}
             for e in scan.exceptions:
                 c = series.coeffs[e]
                 assert (c > 0) - (c < 0) != pattern[e % 5]
@@ -241,6 +288,8 @@ def test_certification_script_end_to_end(tmp_path):
     res = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    written = {path.name for path in tmp_path.glob("certificate_*.json")}
+    assert written == {f"certificate_{key}.json" for key in CERTIFICATE_HASHES}
     for key, digest in CERTIFICATE_HASHES.items():
         cert = json.loads((tmp_path / f"certificate_{key}.json").read_text())
         assert cert["meta"]["hash"] == digest, key

@@ -7,6 +7,7 @@ import pytest
 
 from qsign import cli
 from qsign.analytic import DominanceResult
+from qsign.certify import TARGETS
 from qsign.circle import ConvergenceRefused
 from qsign.cli import build_parser, main
 from qsign.enclosure import Enclosure
@@ -79,10 +80,20 @@ class TestCertifyCommand:
         assert cert["meta"]["hash"]
 
     def test_unknown_target(self):
+        # the usage error lists every row of the claim table
         res = run_cli(["certify", "--target", "nope"])
         assert res.returncode == 2 and "Traceback" not in res.stderr
-        assert ("error: argument --target: invalid choice: 'nope' "
-                "(choose from 'A5n', 'B5n', 'D5n1')") in res.stderr
+        choices = ", ".join(f"'{key}'" for key in sorted(TARGETS))
+        assert len(TARGETS) == 30
+        assert (f"error: argument --target: invalid choice: 'nope' "
+                f"(choose from {choices})") in res.stderr
+
+    def test_finite_only_target_exits_3(self):
+        res = run_cli(["certify", "--target", "C5n1"])
+        assert res.returncode == 3 and "Traceback" not in res.stderr
+        cert = json.loads(res.stdout)
+        assert cert["target"] == "C5n1" and cert["finite"]["all_ok"] is True
+        assert cert["meta"]["invalid"].startswith("finite-only target")
 
 
 class TestTables:
@@ -211,6 +222,16 @@ class TestPrecisionControls:
         env["QSIGN_PRECISION"] = "2048"
         res = run_cli(["dominance", "--spec", "A", "--n", "805"], env=env)
         assert res.returncode == 2 and "2048 bits is outside [8, 1024]" in res.stderr
+
+    @pytest.mark.parametrize("value", ["abc", "4"])
+    def test_env_value_that_is_not_bits_is_refused_by_name(self, value):
+        import os
+
+        res = run_cli(["dominance", "--spec", "A", "--n", "805"],
+                      env=dict(os.environ, QSIGN_PRECISION=value))
+        assert res.returncode != 0 and not res.stdout
+        assert (f"ValueError: QSIGN_PRECISION='{value}' is not an integer number of bits >= 8"
+                in res.stderr)
 
     def test_flag_beats_default(self):
         res = run_cli(["dominance", "--spec", "A", "--n", "805",

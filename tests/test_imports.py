@@ -14,7 +14,8 @@ or class of the package is loaded (as a name or an attribute) in ``src/``,
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
 exact both ways.  Imports sit at module top, never in a function body, and
 a package module imports only the ``qsign`` modules below it in ``LAYERS``.
-No function of ``analytic`` takes a spec by name.
+No function of ``analytic`` takes a spec by name, and ``certify`` passes no
+literal modulus to a sign scan.
 """
 
 import ast
@@ -241,3 +242,29 @@ def test_guard_sees_a_spec_taken_by_name():
 def test_analytic_takes_a_product_spec_never_a_name():
     # names are resolved in certify and cli; the analytic layer is keyed by spec content
     assert spec_name_parameters((ROOT / "src" / "qsign" / "analytic.py").read_text()) == []
+
+
+def literal_moduli(source: str) -> list[str]:
+    """Calls of ``sign_exceptions`` or ``slice_signs`` whose modulus is an integer literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        if name in ("sign_exceptions", "slice_signs"):
+            moduli = [*node.args[2:3], *(kw.value for kw in node.keywords if kw.arg == "modulus")]
+            found += [f"line {node.lineno}: {name}" for arg in moduli
+                      if isinstance(arg, ast.Constant) and isinstance(arg.value, int)]
+    return found
+
+
+def test_guard_sees_a_literal_modulus():
+    source = ("sign_exceptions(s, 1, 5, 0, 9, 1)\n"
+              "qseries.slice_signs(s, r, modulus=5, lo=0, hi=9)\n"
+              "sign_exceptions(s, t.residue, t.modulus, 0, 9, 1)\nslice_indices(1, 5, 0, 9)\n")
+    assert literal_moduli(source) == ["line 1: sign_exceptions", "line 2: slice_signs"]
+
+
+def test_certify_takes_every_modulus_from_a_target():
+    # the claim table is the one place a residue class is written
+    assert literal_moduli((ROOT / "src" / "qsign" / "certify.py").read_text()) == []
