@@ -7,7 +7,8 @@ eventual-dominance certificate showing the Bessel main term beats the
 explicit error bound for every index of the residue class at and beyond the
 threshold.  The finite range always reaches the threshold, so the two parts
 overlap and the combined claim covers all indices.  A claim without a
-threshold is finite-only: checked exactly, never certified.
+threshold is finite-only: checked exactly, never certified.  A claim's
+residue class is taken mod the k of its spec's main term.
 
 Certificates serialize to JSON with a fixed field order and carry a sha256
 content hash; rebuilding a certificate from the same parameters is
@@ -20,7 +21,6 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import ClassVar
 
 from . import __version__
 from .analytic import (CertificateRefused, class_constant, error_bound,
@@ -37,15 +37,14 @@ class SignViolation(AssertionError):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """One claim: the sign of a spec's coefficients on a residue class mod 5.
+    """One claim: the sign of a spec's coefficients on a residue class mod the main term's k.
 
     The analytic layer is keyed by the spec; this record is the only place a
-    claim's residue class and sign are written down.  The modulus must be the
-    k of the spec's main term and the sign that of its class constant
-    (``_check_target``).  An ``eventual`` claim's start is an observed cutoff.
+    claim's residue class and sign are written down.  The sign must be that
+    of the class constant (``_check_target``).  An ``eventual`` claim's start
+    is an observed cutoff.
     """
 
-    modulus: ClassVar[int] = 5
     key: str
     spec_name: str
     residue: int
@@ -54,6 +53,11 @@ class TargetSpec:
     finite_last_index: int     # last exactly-checked index, also the truncation
     threshold_index: int | None = None  # dominance certified from here; None: finite-only
     eventual: bool = False     # scanned by richmond_szekeres_scan, else verify_known_theorems
+
+    @property
+    def modulus(self) -> int:
+        """The modulus of the residue classes: the k of the spec's main term."""
+        return main_term_data(registered_spec(self.spec_name)).k
 
 
 #: every claim: key, spec, residue, sign, start, last checked index, dominance threshold
@@ -140,11 +144,7 @@ def _finish(cert: dict) -> dict:
 
 
 def _check_target(target: TargetSpec, spec: ProductSpec) -> None:
-    """Refuse a target with a modulus other than k, a gap before n0, no E(n0) or a sign M denies."""
-    k = main_term_data(spec).k
-    if target.modulus != k:
-        raise ValueError(f"target {target.key}: classes mod {target.modulus}, but the "
-                         f"main term of {target.spec_name} has k = {k}")
+    """Refuse a target with a gap before n0, no E(n0) or a sign M denies."""
     n0 = target.threshold_index
     if n0 is not None:
         if target.finite_last_index < n0:
@@ -162,9 +162,9 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     """Build the certificate for one registered target.
 
     A precision outside ``precision_schedule``'s range, a finite range that
-    stops short of the threshold, a modulus other than the main term's k, a
-    spec without an error bound and a claimed sign that is not the sign of
-    the derived class constant are refused before anything is expanded.
+    stops short of the threshold, a spec without an error bound and a
+    claimed sign that is not the sign of the derived class constant are
+    refused before anything is expanded.
     Then exact signs on the finite range, then the eventual-dominance
     certificate at the threshold, retried along
     ``precision_schedule(precision_bits)`` while it is refused.  Exit code 2

@@ -4,9 +4,15 @@ Subcommands and their flags (each flag is attached only where it is read):
 
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
-* ``certify``    build a sign-pattern certificate (exit 0/2/3, 3 for a finite-only
-                 target); --target (one of ``certify.TARGETS``; another name
-                 is a usage error, exit 2), --precision, --out
+* ``certify``    build a sign-pattern certificate; --target (one of
+                 ``certify.TARGETS``; another name is a usage error, exit 2),
+                 --precision, --out.  Without --target, run every claim: one
+                 JSON document with the certificate of each target that has
+                 a dominance threshold ("certificates") and the exact scans
+                 from index 0 ("patterns", "eventual_patterns"; a violated
+                 scan is {"violation": message}).  Exit 0 all certified, 2 a
+                 sign violation, else 3 a finite-only target or a dominance
+                 still refused
 * ``delta``      growth-exponent table per residue class; the json form adds
                  Omega as an exact fraction string (``modular.omega_exact``,
                  "-24/5" for c) and the Lpos classes;
@@ -68,7 +74,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
-from .certify import TARGETS, certify
+from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
+                      verify_known_theorems)
 from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
                      eta, psi, psi_by_theta, relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION, Enclosure, precision
@@ -99,7 +106,11 @@ def _parse_spec(args) -> tuple[str, ProductSpec]:
 def _output(args) -> Iterator[TextIO]:
     """The --out file (closed afterwards), or stdout when it is unset or '-'."""
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise argparse.ArgumentError(None, f"argument --out: {exc}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -139,13 +150,37 @@ def cmd_expand(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    result = certify(args.target, precision_bits=args.precision)
-    _write_json(args, result.certificate)
-    if result.ok:
-        _note(f"target {args.target}: certified")
-    else:
-        _note(f"target {args.target}: FAILED ({result.certificate['meta'].get('invalid')})")
-    return result.exit_code
+    """One target's certificate, or without --target every certificate and both scans."""
+    keys = [args.target] if args.target else [
+        key for key, target in TARGETS.items() if target.threshold_index is not None]
+    certificates, codes = {}, {0}
+    for key in keys:
+        t0 = time.perf_counter()
+        result = certify(key, precision_bits=args.precision)
+        status = "certified" if result.ok else f"FAILED ({result.certificate['meta']['invalid']})"
+        _note(f"target {key}: {status} in {time.perf_counter() - t0:.2f}s")
+        certificates[key] = result.certificate
+        codes.add(result.exit_code)
+    if args.target:
+        _write_json(args, certificates[args.target])
+        return result.exit_code
+    doc = {"certificates": certificates}
+    for section, scan, fields in (
+            ("patterns", verify_known_theorems, ("checked_hi", "exceptions")),
+            ("eventual_patterns", richmond_szekeres_scan, ("checked_hi", "cutoff", "exceptions"))):
+        t0 = time.perf_counter()
+        try:
+            scans = scan()
+        except SignViolation as exc:
+            doc[section] = {"violation": str(exc)}
+            codes.add(2)
+            status = f"FAILED ({exc})"
+        else:
+            doc[section] = {name: {f: getattr(s, f) for f in fields} for name, s in scans.items()}
+            status = "ok"
+        _note(f"{section}: {status} in {time.perf_counter() - t0:.2f}s")
+    _write_json(args, doc)
+    return 2 if 2 in codes else max(codes)  # a violation outranks a refusal (3)
 
 
 def cmd_delta(args) -> int:
@@ -380,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
          "--format": dict(choices=("csv", "json", "table"), default="csv")},
         "--spec", "--spec-json", "--out")
     add("certify", "build a sign-pattern certificate", cmd_certify,
-        {"--target": dict(required=True, choices=sorted(TARGETS))},
+        {"--target": dict(choices=sorted(TARGETS), help="one claim (default: every claim)")},
         "--precision", "--out")
     add("delta", "growth exponent table per residue class", cmd_delta,
         {"--format": dict(choices=("csv", "json"), default="csv")},

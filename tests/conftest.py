@@ -6,8 +6,8 @@ import pytest
 from qsign.certify import cached_expansion
 from qsign.qseries import registered_spec
 
-# pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI and
-# script tests start child processes, which get it through PYTHONPATH
+# pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI tests
+# start child processes, which get it through PYTHONPATH
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 

@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from collections import OrderedDict
-from pathlib import Path
 
 import pytest
 
@@ -12,6 +11,7 @@ from qsign import certify as certify_mod
 from qsign.analytic import CertificateRefused, UsageError
 from qsign.certify import (TARGETS, SignViolation, cached_expansion, certify,
                            richmond_szekeres_scan, verify_known_theorems)
+from qsign.cli import main
 from qsign.qseries import (REGISTERED_SPECS, ProductSpec, QSeries, expand_product,
                            registered_spec, slice_indices)
 
@@ -155,12 +155,13 @@ class TestTargetBinding:
             certify("c5n")
 
     def test_modulus_other_than_the_main_terms_k_refused(self, monkeypatch):
-        # psi(2,7)/psi(1,7) dominates at k = 7; TargetSpec claims classes mod 5
+        # psi(2,7)/psi(1,7) dominates at k = 7: its classes are mod 7, which no bound covers
         monkeypatch.setitem(REGISTERED_SPECS, "r7", ProductSpec(((1, 7, -1), (2, 7, 1))))
         monkeypatch.setitem(TARGETS, "r7", dataclasses.replace(
             TARGETS["A5n"], key="r7", spec_name="r7"))
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
-        with pytest.raises(ValueError, match="classes mod 5, but the main term of r7 has k = 7"):
+        assert TARGETS["r7"].modulus == 7
+        with pytest.raises(CertificateRefused, match="k = 7 .* needs k = 5"):
             certify("r7")
 
     @pytest.mark.parametrize("bits", [7, 2048])
@@ -283,16 +284,35 @@ class TestEventualPatternScan:
                 assert (c > 0) - (c < 0) != pattern[e % 5]
 
 
-def test_certification_script_end_to_end(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_certification.py"
-    res = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    written = {path.name for path in tmp_path.glob("certificate_*.json")}
-    assert written == {f"certificate_{key}.json" for key in CERTIFICATE_HASHES}
+def test_certify_every_claim_end_to_end():
+    # without --target, qsign certify issues every certificate and runs both scans
+    runs = [subprocess.run([sys.executable, "-m", "qsign.cli", "certify"],
+                           capture_output=True, text=True) for _ in range(2)]
+    assert [res.returncode for res in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout  # wall times go to stderr only
+    doc = json.loads(runs[0].stdout)
+    assert list(doc) == ["certificates", "patterns", "eventual_patterns"]
+    assert list(doc["certificates"]) == [key for key in TARGETS if key in CERTIFICATE_HASHES]
     for key, digest in CERTIFICATE_HASHES.items():
-        cert = json.loads((tmp_path / f"certificate_{key}.json").read_text())
-        assert cert["meta"]["hash"] == digest, key
-    patterns = json.loads((tmp_path / "summary.json").read_text())["eventual_patterns"]
-    assert patterns["c"]["exceptions"] == [2, 4, 9]
-    assert patterns["d"]["exceptions"] == [3, 8, 13, 23]
+        assert doc["certificates"][key]["meta"]["hash"] == digest, key
+    assert doc["patterns"] == {name: {"checked_hi": 800, "exceptions": [0]} for name in "ABCD"}
+    assert doc["eventual_patterns"] == {
+        "c": {"checked_hi": 2000, "cutoff": 10, "exceptions": [2, 4, 9]},
+        "d": {"checked_hi": 2000, "cutoff": 24, "exceptions": [3, 8, 13, 23]}}
+
+
+def test_certify_every_claim_reports_a_scan_violation(monkeypatch, capsys):
+    # a violated scan goes into the document, and the later scan still runs
+    real = cached_expansion(registered_spec("C"), 800)
+    coeffs = list(real.coeffs)
+    coeffs[11] = -coeffs[11]
+    monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("C"), 800),
+                        QSeries(800, tuple(coeffs)))
+    assert main(["certify"]) == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    doc = json.loads(out.out)
+    assert set(doc["certificates"]) == set(CERTIFICATE_HASHES)
+    assert doc["patterns"] == {
+        "violation": "claimed pattern for C fails at index 11 (checked to 800)"}
+    assert doc["eventual_patterns"]["c"]["exceptions"] == [2, 4, 9]

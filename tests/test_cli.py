@@ -354,6 +354,17 @@ def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, c
     assert f"error: argument {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--spec", "c", "--trunc", "3"],
+    ["certify", "--target", "C5n1"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "missing" / "out.txt")])
+    assert exc.value.code == 2
+    assert "error: argument --out: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+
 class TestParserReuse:
     """main() builds its parser once per process; each call still parses on its own."""
 

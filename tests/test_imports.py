@@ -1,4 +1,4 @@
-"""Unused-import, dead-private-name, private-import and layering guards for the package and the scripts.
+"""Unused-import, dead-private-name, private-import and layering guards for the package.
 
 Every name a module imports (``from __future__`` excluded) must be loaded
 somewhere in that module as a plain ``Name``; ``mpmath.iv`` loads
@@ -9,8 +9,8 @@ module imports a private name from a ``qsign`` module: a name another
 module needs is public.  The test oracles (``tests/oracles.py``) are held to
 the unused-import and private-import guards as well, so they stay
 independent of the package's internals.  And every public top-level function
-or class of the package is loaded (as a name or an attribute) in ``src/``,
-``scripts/`` or ``bench/`` outside its own definition, or is named in
+or class of the package is loaded (as a name or an attribute) in ``src/``
+or ``bench/`` outside its own definition, or is named in
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
 exact both ways.  Imports sit at module top, never in a function body, and
 a package module imports only the ``qsign`` modules below it in ``LAYERS``.
@@ -25,10 +25,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qsign").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
-CALLERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py")])
-#: the modules whose imports are guarded: the package, the scripts and the test oracles
-IMPORTERS = [*MODULES, ROOT / "tests" / "oracles.py"]
+CALLERS = sorted([*PACKAGE, *(ROOT / "bench").glob("*.py")])
+#: the modules whose imports are guarded: the package and the test oracles
+IMPORTERS = [*PACKAGE, ROOT / "tests" / "oracles.py"]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: public package code that only the tests use.  Oracles and paper-lemma
@@ -175,26 +174,25 @@ def qsign_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [alias.name if alias.name in LAYERS else "__init__" for alias in node.names]
 
 
-def layering_violations(source: str, module: str | None) -> list[str]:
+def layering_violations(source: str, module: str) -> list[str]:
     """Imports inside a function body, and imports of a qsign module not below `module`.
 
-    `module` is a package module's name in ``LAYERS``; None (a script) skips the second rule.
+    `module` is a package module's name in ``LAYERS``.
     """
     tree = ast.parse(source)
     imports = (ast.Import, ast.ImportFrom)
     nested = {id(sub) for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for sub in ast.walk(node) if isinstance(sub, imports)}
-    below = LAYERS[:LAYERS.index(module)] if module is not None else None
+    below = LAYERS[:LAYERS.index(module)]
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, imports):
             continue
         if id(node) in nested:
             found.append((node.lineno, "import inside a function"))
-        if below is not None:
-            found += [(node.lineno, f"imports {target}") for target in qsign_modules(node)
-                      if target not in below]
+        found += [(node.lineno, f"imports {target}") for target in qsign_modules(node)
+                  if target not in below]
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -207,16 +205,13 @@ def test_guard_sees_a_layering_violation():
         "line 3: imports analytic", "line 4: imports cli", "line 5: imports certify",
         "line 6: imports circle", "line 11: import inside a function",
         "line 12: import inside a function"]
-    assert layering_violations(source, None) == ["line 11: import inside a function",
-                                                 "line 12: import inside a function"]
     assert layering_violations("from . import __version__\n", "__init__") == [
         "line 1: imports __init__"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_imports_follow_the_layers(path):
-    module = path.stem if path.parent.name == "qsign" else None
-    assert layering_violations(path.read_text(), module) == []
+    assert layering_violations(path.read_text(), path.stem) == []
 
 
 def spec_name_parameters(source: str) -> list[str]:
