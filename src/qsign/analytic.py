@@ -46,11 +46,11 @@ from math import gcd
 from typing import Callable, Literal, Union
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
 
 from .circle import (ComplexHP, ConvergenceRefused, e_pi_i_half_turns, farey_arcs,
                      pi_factor_value)
-from .enclosure import Enclosure, precision
+from .enclosure import DEFAULT_PRECISION, Enclosure
 from .modular import class_deltas, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
@@ -91,7 +91,7 @@ def bessel_im1(x: Enclosure) -> Enclosure:
     term = half  # u_0
     total = term
     j = 0
-    target = Enclosure.from_fraction(Fraction(1, 2 ** (x.bits + 16)))
+    target = Enclosure.from_fraction(Fraction(1, 2 ** (x.bits + 16)), x.bits)
     while j < _BESSEL_TERM_CAP:
         ratio_hi = half_sq / ((j + 1) * (j + 2))
         if ratio_hi.hi < 0.5 and (term.hi == 0 or term.hi <= target.hi * max(1.0, abs(total.hi))):
@@ -103,7 +103,7 @@ def bessel_im1(x: Enclosure) -> Enclosure:
     if r.hi >= 1:
         raise UsageError("term cap too small for this argument")
     tail_hi = (term * r / (1 - r)).hi
-    return total + Enclosure.from_endpoints(0, max(0, tail_hi))
+    return total + Enclosure.from_endpoints(0, max(0, tail_hi), x.bits)
 
 
 def wang_lower(x: Enclosure) -> Enclosure:
@@ -146,19 +146,20 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
     return MainTermData(k, best * k * k, omega_exact(spec), arcs)
 
 
-def _const_ab() -> Enclosure:
+def _const_ab(bits: int) -> Enclosure:
     # (2 e^54 + e^{8 pi} + 185) e^2
-    c = 2 * Enclosure.exp_of(54) + (8 * Enclosure.pi()).exp() + 185
-    return c * Enclosure.exp_of(2)
+    c = 2 * Enclosure.exp_of(54, bits) + (8 * Enclosure.pi(bits)).exp() + 185
+    return c * Enclosure.exp_of(2, bits)
 
 
-def _const_d() -> Enclosure:
+def _const_d(bits: int) -> Enclosure:
     # e^332 + e^272 + e^{8 pi + 2}
-    return Enclosure.exp_of(332) + Enclosure.exp_of(272) + (8 * Enclosure.pi() + 2).exp()
+    return (Enclosure.exp_of(332, bits) + Enclosure.exp_of(272, bits)
+            + (8 * Enclosure.pi(bits) + 2).exp())
 
 
-#: the paper's constant C of E(n) per spec content, built per call at the working precision
-ERROR_CONSTANTS: dict[ProductSpec, Callable[[], Enclosure]] = {
+#: the paper's constant C of E(n) per spec content, built per call at the given bits
+ERROR_CONSTANTS: dict[ProductSpec, Callable[[int], Enclosure]] = {
     registered_spec(name): const for name, const in (("A", _const_ab), ("B", _const_ab),
                                                      ("D", _const_d))}
 
@@ -170,50 +171,52 @@ def _x_of(spec: ProductSpec, n: int) -> Fraction:
     return x
 
 
-def class_constant(spec: ProductSpec, r: int) -> Enclosure:
+def class_constant(spec: ProductSpec, r: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    s = _class_sum(spec, r, iv.prec)
+    s = _class_sum(spec, r, bits)
     if not s.im.contains(0):
         raise CertificateRefused(f"spec {spec.factors}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
 
 
 @lru_cache(maxsize=64)
-def _class_sum(spec: ProductSpec, r: int, prec: int) -> ComplexHP:
-    """S_r at the interval precision `prec`, which must be the ambient ``iv.prec``."""
+def _class_sum(spec: ProductSpec, r: int, bits: int) -> ComplexHP:
+    """S_r at `bits` bits."""
     data = main_term_data(spec)
-    s = ComplexHP.from_fractions(0)
+    s = ComplexHP.from_fractions(0, 0, bits)
     for h, t, pi_factors in data.arcs:
-        s = s + e_pi_i_half_turns(t - Fraction(2 * r * h, data.k)) * pi_factor_value(pi_factors)
+        s = s + (e_pi_i_half_turns(t - Fraction(2 * r * h, data.k), bits)
+                 * pi_factor_value(pi_factors, bits))
     return s
 
 
-def _arc_bessel(k: int, delta: Fraction, x: Fraction) -> tuple[Enclosure, Enclosure, Enclosure]:
+def _arc_bessel(k: int, delta: Fraction, x: Fraction,
+                bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
     """(a, y, sqrt(x)) of one arc: a = (2 pi/k) sqrt(Delta/24), y = (pi/6k) sqrt(24 Delta x)."""
-    sx = Enclosure.from_fraction(x).sqrt()
-    a = 2 * Enclosure.pi() / k * Enclosure.from_fraction(delta / 24).sqrt()
-    y = Enclosure.from_fraction(24 * delta).sqrt() * Enclosure.pi() / (6 * k) * sx
+    sx = Enclosure.from_fraction(x, bits).sqrt()
+    a = 2 * Enclosure.pi(bits) / k * Enclosure.from_fraction(delta / 24, bits).sqrt()
+    y = Enclosure.from_fraction(24 * delta, bits).sqrt() * Enclosure.pi(bits) / (6 * k) * sx
     return a, y, sx
 
 
-def _bessel_form(spec: ProductSpec, n: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+def _bessel_form(spec: ProductSpec, n: int, bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
     """(a Re S_r, y, sqrt(x)) with M(n) = a Re S_r I_1(y) / sqrt(x) (module docstring)."""
     data = main_term_data(spec)
-    a, y, sx = _arc_bessel(data.k, data.delta, _x_of(spec, n))
-    return a * class_constant(spec, n % data.k), y, sx
+    a, y, sx = _arc_bessel(data.k, data.delta, _x_of(spec, n), bits)
+    return a * class_constant(spec, n % data.k, bits), y, sx
 
 
 # ---------------------------------------------------------------------------
 # main term and error bound
 # ---------------------------------------------------------------------------
 
-def main_term(spec: ProductSpec, n: int) -> Enclosure:
+def main_term(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of M(n) = a I_1(y) / sqrt(x) at any dominant arc (module docstring)."""
-    a, y, sx = _bessel_form(spec, n)
+    a, y, sx = _bessel_form(spec, n, bits)
     return a * bessel_im1(y) / sx
 
 
-def error_bound(spec: ProductSpec, n: int) -> Enclosure:
+def error_bound(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Upper enclosure of E(n) (module docstring); requires n >= 20.
 
     Stated for arcs at k = 5 with Delta = 24 and the specs with a C in
@@ -229,12 +232,12 @@ def error_bound(spec: ProductSpec, n: int) -> Enclosure:
     if spec not in ERROR_CONSTANTS:
         raise CertificateRefused(f"spec {spec.factors}: no explicit error constant; "
                                  f"the paper states one for A, B and D")
-    return ERROR_CONSTANTS[spec]() + _error_growth(Enclosure.from_fraction(x))
+    return ERROR_CONSTANTS[spec](bits) + _error_growth(Enclosure.from_fraction(x, bits))
 
 
 def _error_growth(x: Enclosure) -> Enclosure:
-    coef = 2 * Enclosure.pi().pow_fraction(Fraction(5, 4)) / 5
-    return coef * (2 * Enclosure.pi() / 5 * x.sqrt()).exp() * x.sqrt()
+    coef = 2 * Enclosure.pi(x.bits).pow_fraction(Fraction(5, 4)) / 5
+    return coef * (2 * Enclosure.pi(x.bits) / 5 * x.sqrt()).exp() * x.sqrt()
 
 
 @dataclass(frozen=True)
@@ -269,10 +272,9 @@ def dominance(spec: ProductSpec, n: int, start_bits: int = 192) -> DominanceResu
     still overlap at PRECISION_CAP.
     """
     for bits in precision_schedule(start_bits):
-        with precision(bits):
-            m = main_term(spec, n)
-            e = error_bound(spec, n)
-            am = abs(m)
+        m = main_term(spec, n, bits)
+        e = error_bound(spec, n, bits)
+        am = abs(m)
         if am.strictly_greater(e):
             return DominanceResult(True, m, e)
         if am.strictly_less(e):
@@ -284,13 +286,13 @@ def dominance(spec: ProductSpec, n: int, start_bits: int = 192) -> DominanceResu
 # eventual dominance
 # ---------------------------------------------------------------------------
 
-def wang_main_lower(spec: ProductSpec, n: int) -> Enclosure:
+def wang_main_lower(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Elementary lower bound for |M(n)| via the e^x/sqrt(x) bound.
 
     |M(n)| >= |a| x^{-1/2} * (1/10) e^y / sqrt(y) with a and
     y = (pi/6k) sqrt(24 Delta x) as in ``main_term``; valid when y >= 3.
     """
-    a, y, sx = _bessel_form(spec, n)
+    a, y, sx = _bessel_form(spec, n, bits)
     if y.lo < 3:
         raise UsageError("lower bound needs the Bessel argument (pi/6k) sqrt(24 Delta x) >= 3")
     return abs(a) * wang_lower(y) / sx
@@ -320,19 +322,19 @@ class EventualDominanceCertificate:
     precision_bits: int   # the bits of the enclosures behind wang_main_lo and bound_hi
 
 
-def eventual_dominance_certificate(spec: ProductSpec, residue: int,
-                                   n0: int) -> EventualDominanceCertificate:
-    """Certify |M(n)| > E(n) for every n >= n0 with n = residue (mod k), or refuse."""
+def eventual_dominance_certificate(spec: ProductSpec, residue: int, n0: int,
+                                   bits: int = DEFAULT_PRECISION) -> EventualDominanceCertificate:
+    """Certify |M(n)| > E(n) for every n >= n0 with n = residue (mod k) at `bits`, or refuse."""
     if n0 < 20:
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
     first = n0 + (residue - n0) % main_term_data(spec).k
     x0 = _x_of(spec, first)
     # monotonicity precondition sqrt(x0) > 25/(4 pi), certified strictly
-    lhs = Enclosure.from_fraction(Fraction(625, 16)) / (Enclosure.pi() * Enclosure.pi())
-    if not lhs.strictly_less(Enclosure.from_fraction(x0)):
+    lhs = Enclosure.from_fraction(Fraction(625, 16), bits) / Enclosure.pi(bits).square()
+    if not lhs.strictly_less(Enclosure.from_fraction(x0, bits)):
         raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
-    bound = error_bound(spec, first)
-    wang_lo = wang_main_lower(spec, first)
+    bound = error_bound(spec, first, bits)
+    wang_lo = wang_main_lower(spec, first, bits)
     if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
             f"Wang-route dominance at index {first} not certified "
@@ -350,7 +352,8 @@ def eventual_dominance_certificate(spec: ProductSpec, residue: int,
 # ---------------------------------------------------------------------------
 
 def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: int,
-                       h: int | None = None, dps: int = 40) -> dict:
+                       h: int | None = None, dps: int = 40,
+                       bits: int = DEFAULT_PRECISION) -> dict:
     """Spot check of the single-arc Bessel evaluation used for main terms.
 
     Numerically integrates
@@ -398,11 +401,11 @@ def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: 
         if err > tol:
             raise ConvergenceRefused(
                 f"arc quadrature error estimate {mpmath.nstr(err, 3)} exceeds {mpmath.nstr(tol, 3)}")
-        a, y, sx = _arc_bessel(k, a_par, x)
+        a, y, sx = _arc_bessel(k, a_par, x, bits)
         main = a * bessel_im1(y) / sx
-        bound = ((Enclosure.pi() * Enclosure.from_fraction(a_par) / 3).exp()
-                 * (2 * Enclosure.pi() * Enclosure.from_fraction(rho * x)).exp()
-                 / (Enclosure.pi() * Enclosure.from_fraction(x)))
+        bound = ((Enclosure.pi(bits) * Enclosure.from_fraction(a_par, bits) / 3).exp()
+                 * (2 * Enclosure.pi(bits) * Enclosure.from_fraction(rho * x, bits)).exp()
+                 / (Enclosure.pi(bits) * Enclosure.from_fraction(x, bits)))
         diff = abs(val - mpmath.mpf(main.mid))
         report = {
             "a": str(a_par), "b": str(b_par), "k": k, "n": n, "order": order, "h": h,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import (CertificateRefused, class_constant, error_bound,
                        eventual_dominance_certificate, main_term_data, precision_schedule)
-from .enclosure import precision
 from .qseries import ProductSpec, QSeries, expand_product, registered_spec, sign_exceptions
 
 SCHEMA_VERSION = 1
@@ -143,15 +142,15 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
-def _check_target(target: TargetSpec, spec: ProductSpec) -> None:
-    """Refuse a target with a gap before n0, no E(n0) or a sign M denies."""
+def _check_target(target: TargetSpec, spec: ProductSpec, bits: int) -> None:
+    """Refuse a target with a gap before n0, no E(n0) or a sign M denies at `bits`."""
     n0 = target.threshold_index
     if n0 is not None:
         if target.finite_last_index < n0:
             raise ValueError(f"target {target.key}: finite range ends at "
                              f"{target.finite_last_index}, before the dominance threshold {n0}")
-        error_bound(spec, n0)
-    const = class_constant(spec, target.residue)
+        error_bound(spec, n0, bits)
+    const = class_constant(spec, target.residue, bits)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
         raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
                          f"{target.sign} is not the sign of the derived class constant "
@@ -163,8 +162,8 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
 
     A precision outside ``precision_schedule``'s range, a finite range that
     stops short of the threshold, a spec without an error bound and a
-    claimed sign that is not the sign of the derived class constant are
-    refused before anything is expanded.
+    claimed sign that is not the sign of the derived class constant (at the
+    first scheduled precision) are refused before anything is expanded.
     Then exact signs on the finite range, then the eventual-dominance
     certificate at the threshold, retried along
     ``precision_schedule(precision_bits)`` while it is refused.  Exit code 2
@@ -178,7 +177,7 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
         raise KeyError(f"unknown target {target_key!r}; registered: {known}") from None
     schedule = precision_schedule(precision_bits)
     spec = registered_spec(target.spec_name)
-    _check_target(target, spec)
+    _check_target(target, spec, schedule[0])
     series = cached_expansion(spec, target.finite_last_index)
     exceptions = sign_exceptions(series, target.residue, target.modulus,
                                  target.start_index, target.finite_last_index, target.sign)
@@ -212,9 +211,8 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
 
     for bits in schedule:
         try:
-            with precision(bits):
-                eventual = eventual_dominance_certificate(spec, target.residue,
-                                                          target.threshold_index)
+            eventual = eventual_dominance_certificate(spec, target.residue,
+                                                      target.threshold_index, bits)
             break
         except CertificateRefused as exc:
             refusal = exc

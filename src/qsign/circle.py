@@ -45,11 +45,11 @@ from math import ceil, isqrt, log, log1p, log2, sqrt
 from typing import Sequence
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_ln2, mpf_mul, mpf_sqrt, mpi_abs,
                           round_ceiling, round_floor)
 
-from .enclosure import Enclosure, one, zero
+from .enclosure import DEFAULT_PRECISION, Enclosure, one, zero
 from .modular import TransformData, transform_data
 from .qseries import ProductSpec
 
@@ -70,8 +70,13 @@ class ComplexHP:
     im: Enclosure
 
     @staticmethod
-    def from_fractions(re: Fraction | int, im: Fraction | int = 0) -> "ComplexHP":
-        return ComplexHP(Enclosure.from_fraction(re), Enclosure.from_fraction(im))
+    def from_fractions(re: Fraction | int, im: Fraction | int = 0,
+                       bits: int = DEFAULT_PRECISION) -> "ComplexHP":
+        return ComplexHP(Enclosure.from_fraction(re, bits), Enclosure.from_fraction(im, bits))
+
+    @property
+    def bits(self) -> int:
+        return max(self.re.bits, self.im.bits)
 
     @staticmethod
     def one() -> "ComplexHP":
@@ -97,7 +102,7 @@ class ComplexHP:
 
     def scale(self, c: Enclosure | int | Fraction) -> "ComplexHP":
         if not isinstance(c, Enclosure):
-            c = Enclosure.from_fraction(c)
+            c = Enclosure.from_fraction(c, self.bits)
         return ComplexHP(self.re * c, self.im * c)
 
     def abs_enclosure(self) -> Enclosure:
@@ -125,13 +130,13 @@ def cexp(z: ComplexHP) -> ComplexHP:
 
 def e_two_pi_i(t: ComplexHP) -> ComplexHP:
     """e^{2 pi i t}; for exact rational t use ``e_pi_i_half_turns(2 t)``."""
-    two_pi = Enclosure.pi() * 2
+    two_pi = Enclosure.pi(t.bits) * 2
     return cexp(ComplexHP(-(two_pi * t.im), two_pi * t.re))
 
 
-def e_pi_i_half_turns(t: Fraction) -> ComplexHP:
+def e_pi_i_half_turns(t: Fraction, bits: int = DEFAULT_PRECISION) -> ComplexHP:
     """Exact unit phase e^{pi i t} for rational t."""
-    ang = Enclosure.pi() * Enclosure.from_fraction(t % 2)
+    ang = Enclosure.pi(bits) * Enclosure.from_fraction(t % 2, bits)
     return ComplexHP(*ang.cos_sin())
 
 
@@ -179,14 +184,15 @@ def _ball(z: ComplexHP, shift: int) -> tuple[int, int, int]:
     return re, im, isqrt(rad_re * rad_re + rad_im * rad_im) + 1
 
 
-def _outward(man: int, exp: int, up: bool) -> mpmath.mpf:
-    """man * 2^exp rounded outward to the interval precision."""
-    return mp.make_mpf(from_man_exp(man, exp, iv.prec, round_ceiling if up else round_floor))
+def _outward(man: int, exp: int, prec: int, up: bool) -> mpmath.mpf:
+    """man * 2^exp rounded outward to `prec` bits."""
+    return mp.make_mpf(from_man_exp(man, exp, prec, round_ceiling if up else round_floor))
 
 
-def _box(lo: int, hi: int, exp: int) -> Enclosure:
-    """[lo 2^exp, hi 2^exp] with outward-rounded endpoints."""
-    return Enclosure.from_endpoints(_outward(lo, exp, False), _outward(hi, exp, True))
+def _box(lo: int, hi: int, exp: int, prec: int) -> Enclosure:
+    """[lo 2^exp, hi 2^exp] with endpoints rounded outward to `prec` bits."""
+    return Enclosure.from_endpoints(_outward(lo, exp, prec, False), _outward(hi, exp, prec, True),
+                                    prec)
 
 
 def _log_series(zr: int, zi: int, rz: int, qr: int, qi: int, rq: int, fb: int,
@@ -355,7 +361,7 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     """
     if max_factors < 1:
         raise ConvergenceRefused(f"a budget of {max_factors} factors admits no product")
-    prec = iv.prec
+    prec = q.bits
     fb = prec + 32  # F, the fraction bits of every ball
     one_ = 1 << fb
     low, high = one_ >> 16, one_ << 16  # renormalise outside [2^(F-16), 2^(F+16)]
@@ -367,7 +373,7 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     if (one_ - qmr) ** 2 < 3 * one_:
         raise ConvergenceRefused(
             f"the nome is too close to |q| = 1 for the tail series at {prec} bits "
-            f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, True), 8)})"
+            f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, prec, True), 8)})"
         )
     full = prec + 24
     # l = -log2|q|, by log1p near |q| = 1, where log2(qm) would cancel
@@ -415,8 +421,8 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
             break
         if k >= max_factors:
             raise ConvergenceRefused(
-                f"needs more than {max_factors} factors "
-                f"(|q| ~ {mpmath.nstr(_outward(qmr, -fb, True), 8)}); increase the factor budget "
+                f"needs more than {max_factors} factors (|q| ~ "
+                f"{mpmath.nstr(_outward(qmr, -fb, prec, True), 8)}); increase the factor budget "
                 f"or move the argument"
             )
     # zk at scale 2^-F: each floor shift moves a centre part by < 1 ulp
@@ -428,7 +434,7 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     prad = pm * erad + (em + erad) * prad
     pr, pi_ = pr * er - pi_ * ei, pr * ei + pi_ * er
     exp = ee - (fb + ep)
-    return ComplexHP(_box(pr - prad, pr + prad, exp), _box(pi_ - prad, pi_ + prad, exp))
+    return ComplexHP(_box(pr - prad, pr + prad, exp, prec), _box(pi_ - prad, pi_ + prad, exp, prec))
 
 
 #: the most factors of one Pochhammer product behind eta, theta and psi
@@ -444,7 +450,8 @@ def eta(tau: ComplexHP) -> ComplexHP:
 
 def _eta(tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     """eta(tau) given its nome q = e^{2 pi i tau}."""
-    head = cexp(ComplexHP(-(Enclosure.pi() * tau.im / 12), Enclosure.pi() * tau.re / 12))
+    pi_e = Enclosure.pi(tau.bits)
+    head = cexp(ComplexHP(-(pi_e * tau.im / 12), pi_e * tau.re / 12))
     return head * pochhammer_product(q, q, _FACTOR_BUDGET)
 
 
@@ -463,7 +470,7 @@ def theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
 def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     """theta(sigma; tau) given the nome q = e^{2 pi i tau}."""
     xi = e_two_pi_i(sigma)
-    pi_e = Enclosure.pi()
+    pi_e = Enclosure.pi(max(sigma.bits, tau.bits))
     # -i q^{1/8} xi^{-1/2} = -i e^{pi i tau/4} e^{-pi i sigma}
     head = cexp(ComplexHP(-(pi_e * tau.im / 4) + pi_e * sigma.im,
                           pi_e * tau.re / 4 - pi_e * sigma.re))
@@ -488,7 +495,7 @@ def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """psi via i e^{-pi i tau/6} e^{pi i sigma} theta(sigma; tau)/eta(tau), one nome."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("psi_by_theta needs Im(tau) > 0")
-    pi_e = Enclosure.pi()
+    pi_e = Enclosure.pi(max(sigma.bits, tau.bits))
     head = cexp(ComplexHP(pi_e * tau.im / 6 - pi_e * sigma.im,
                           -(pi_e * tau.re / 6) + pi_e * sigma.re))
     head = ComplexHP(-head.im, head.re)  # multiply by i
@@ -505,8 +512,8 @@ def transformed_arguments(td: TransformData, z: ComplexHP) -> list[tuple[Complex
     w = ComplexHP(zero(), one()) / z  # i/z
     out = []
     for ft in td.factors:
-        sig = ComplexHP.from_fractions(ft.sigma_const) + w.scale(ft.sigma_wcoef)
-        ta = ComplexHP.from_fractions(ft.tau_const) + w.scale(ft.tau_wcoef)
+        sig = ComplexHP.from_fractions(ft.sigma_const, 0, z.bits) + w.scale(ft.sigma_wcoef)
+        ta = ComplexHP.from_fractions(ft.tau_const, 0, z.bits) + w.scale(ft.tau_wcoef)
         out.append((sig, ta))
     return out
 
@@ -525,11 +532,11 @@ def transformed_side(td: TransformData, z: ComplexHP) -> ComplexHP:
     i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon
     exp(pi/(12k) (Omega z + Delta / z)) prod_j psi(sigma_j; tau_j)^{delta_j}.
     """
-    pref = e_pi_i_half_turns(td.prefactor_phase())
+    pref = e_pi_i_half_turns(td.prefactor_phase(), z.bits)
     invz = ComplexHP.one() / z
-    scale = Enclosure.pi() / (12 * td.k)
-    om = Enclosure.from_fraction(td.omega_exponent)
-    de = Enclosure.from_fraction(td.delta_exponent)
+    scale = Enclosure.pi(z.bits) / (12 * td.k)
+    om = Enclosure.from_fraction(td.omega_exponent, z.bits)
+    de = Enclosure.from_fraction(td.delta_exponent, z.bits)
     grow = cexp(ComplexHP(scale * (om * z.re + de * invz.re),
                           scale * (om * z.im + de * invz.im)))
     prod = ComplexHP.one()
@@ -548,7 +555,7 @@ def check_product_transform(spec: ProductSpec, h: int, k: int,
     if not z.re.is_positive():
         raise ConvergenceRefused("need Re(z) > 0")
     td = transform_data(spec, h, k)
-    tau = ComplexHP((Enclosure.from_fraction(h) - z.im) / k, z.re / k)
+    tau = ComplexHP((h - z.im) / k, z.re / k)
     lhs = product_side(spec, tau)
     rhs = transformed_side(td, z)
     return relative_residual(lhs, rhs), lhs, rhs
@@ -556,7 +563,7 @@ def check_product_transform(spec: ProductSpec, h: int, k: int,
 
 def _abs_end(z: ComplexHP, up: bool) -> mpmath.mpf:
     """One endpoint of ``z.abs_enclosure()``, the upper if `up`, bit for bit, without the other."""
-    prec = iv.prec
+    prec = z.bits
     rnd = round_ceiling if up else round_floor
     re, im = (mpi_abs(part._mpi_, prec)[up] for part in (z.re, z.im))
     return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(re, re, prec, rnd), mpf_mul(im, im, prec, rnd),
@@ -571,11 +578,12 @@ def relative_residual(lhs: ComplexHP, rhs: ComplexHP) -> mpmath.mpf:
     return _abs_end(lhs - rhs, True) / den
 
 
-def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]]) -> ComplexHP:
+def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]],
+                    bits: int = DEFAULT_PRECISION) -> ComplexHP:
     """Exact-to-precision value of prod (1 - e^{2 pi i x})^{delta}."""
     out = ComplexHP.one()
     for x, delta in pi_factors:
-        out = out * (ComplexHP.one() - e_pi_i_half_turns(2 * x)).pow_int(delta)
+        out = out * (ComplexHP.one() - e_pi_i_half_turns(2 * x, bits)).pow_int(delta)
     return out
 
 

@@ -38,13 +38,13 @@ Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  A malformed --spec-json (or its @file), an
 unknown --spec or neither is a usage error on that flag (exit 2).  All
 randomness is driven by --seed.
-``--precision`` defaults to ``enclosure.DEFAULT_PRECISION``, which the
-QSIGN_PRECISION environment variable overrides (a non-integer or a value below
-8 is a ValueError at import; one above ``analytic.PRECISION_CAP`` is a usage
-error, exit 2).  ``certify`` and ``dominance`` start there and double up to
-the cap while undecided.  Precision is scoped per call (``certify``,
-``analytic.dominance`` and each xcheck sample set their own); ``main`` sets
-none, and expand, delta and bench are exact.
+``--precision`` defaults to the QSIGN_PRECISION environment variable, read
+only there, else to ``enclosure.DEFAULT_PRECISION`` (192); a value outside
+[8, ``analytic.PRECISION_CAP``] from either is a usage error (exit 2).  The
+bits are passed down, never set process wide: ``certify`` and ``dominance``
+start there and double up to the cap while undecided, and each xcheck
+sample is built at them; expand, delta and bench are exact.  --out is
+opened before any work, so an unwritable path is a usage error (exit 2).
 
 The delta tables are one call per spec::
 
@@ -78,7 +78,7 @@ from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
                       verify_known_theorems)
 from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
                      eta, psi, psi_by_theta, relative_residual, theta)
-from .enclosure import DEFAULT_PRECISION, Enclosure, precision
+from .enclosure import DEFAULT_PRECISION, Enclosure
 from .modular import GammaMatrix, delta_table_rows, omega_exact
 from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, limb_plan,
                       limbs_to_series, registered_spec)
@@ -116,10 +116,9 @@ def _output(args) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _write_json(args, payload: dict) -> None:
-    with _output(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+def _write_json(out: TextIO, payload: dict) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
 
 
 def _note(msg: str) -> None:
@@ -130,26 +129,25 @@ def _note(msg: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_expand(args) -> int:
+def cmd_expand(args, out: TextIO) -> int:
     name, spec = _parse_spec(args)
     t0 = time.perf_counter()
     series = expand_product(spec, args.trunc)
     _note(f"expanded {name} to order {args.trunc} in {time.perf_counter() - t0:.2f}s")
-    with _output(args) as out:
-        if args.format == "csv":
-            for row in iter_csv_rows(series):
-                out.write(row + "\n")
-        elif args.format == "json":
-            json.dump({"spec": name, "trunc": args.trunc,
-                       "coeffs": [str(c) for c in series.coeffs]}, out)
-            out.write("\n")
-        else:
-            for n, c in enumerate(series.coeffs):
-                out.write(f"{n:>8}  {c}\n")
+    if args.format == "csv":
+        for row in iter_csv_rows(series):
+            out.write(row + "\n")
+    elif args.format == "json":
+        json.dump({"spec": name, "trunc": args.trunc,
+                   "coeffs": [str(c) for c in series.coeffs]}, out)
+        out.write("\n")
+    else:
+        for n, c in enumerate(series.coeffs):
+            out.write(f"{n:>8}  {c}\n")
     return 0
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, out: TextIO) -> int:
     """One target's certificate, or without --target every certificate and both scans."""
     keys = [args.target] if args.target else [
         key for key, target in TARGETS.items() if target.threshold_index is not None]
@@ -162,7 +160,7 @@ def cmd_certify(args) -> int:
         certificates[key] = result.certificate
         codes.add(result.exit_code)
     if args.target:
-        _write_json(args, certificates[args.target])
+        _write_json(out, certificates[args.target])
         return result.exit_code
     doc = {"certificates": certificates}
     for section, scan, fields in (
@@ -179,28 +177,27 @@ def cmd_certify(args) -> int:
             doc[section] = {name: {f: getattr(s, f) for f in fields} for name, s in scans.items()}
             status = "ok"
         _note(f"{section}: {status} in {time.perf_counter() - t0:.2f}s")
-    _write_json(args, doc)
+    _write_json(out, doc)
     return 2 if 2 in codes else max(codes)  # a violation outranks a refusal (3)
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args, out: TextIO) -> int:
     name, spec = _parse_spec(args)
     rows = list(delta_table_rows(name, spec))
-    with _output(args) as out:
-        if args.format == "json":
-            json.dump({"spec": name, "omega": str(omega_exact(spec)),
-                       "lpos": sorted((r["aleph"], r["l"]) for r in rows if r["in_Lpos"]),
-                       "rows": rows}, out, default=str)
-            out.write("\n")
-        else:
-            cols = list(rows[0].keys())
-            out.write(",".join(cols) + "\n")
-            for row in rows:
-                out.write(",".join(str(row[c]) for c in cols) + "\n")
+    if args.format == "json":
+        json.dump({"spec": name, "omega": str(omega_exact(spec)),
+                   "lpos": sorted((r["aleph"], r["l"]) for r in rows if r["in_Lpos"]),
+                   "rows": rows}, out, default=str)
+        out.write("\n")
+    else:
+        cols = list(rows[0].keys())
+        out.write(",".join(cols) + "\n")
+        for row in rows:
+            out.write(",".join(str(row[c]) for c in cols) + "\n")
     return 0
 
 
-def cmd_dominance(args) -> int:
+def cmd_dominance(args, out: TextIO) -> int:
     _, spec = _parse_spec(args)
     try:
         res = dominance(spec, args.n, start_bits=args.precision)
@@ -217,79 +214,80 @@ def cmd_dominance(args) -> int:
         "verdict": res.verdict if isinstance(res.verdict, str) else bool(res.verdict),
         "precision_bits": res.main.bits,
     }
-    _write_json(args, payload)
+    _write_json(out, payload)
     return {True: 0, False: 1, "unknown": 3}[res.verdict]  # "unknown": undecided at the cap
 
 
 # -- xcheck ------------------------------------------------------------------
 
-def _sample_tau(rng: random.Random) -> ComplexHP:
+def _sample_tau(rng: random.Random, bits: int) -> ComplexHP:
     return ComplexHP.from_fractions(Fraction(rng.randint(-500, 500), 1000),
-                                    Fraction(rng.randint(500, 2000), 1000))
+                                    Fraction(rng.randint(500, 2000), 1000), bits)
 
 
-def _sample_sigma(rng: random.Random) -> ComplexHP:
+def _sample_sigma(rng: random.Random, bits: int) -> ComplexHP:
     return ComplexHP.from_fractions(Fraction(rng.randint(-300, 300), 1000),
-                                    Fraction(rng.randint(-200, 200), 1000))
+                                    Fraction(rng.randint(-200, 200), 1000), bits)
 
 
-def _sample_transform(rng: random.Random) -> tuple[GammaMatrix, ComplexHP, ComplexHP, ComplexHP]:
+def _sample_transform(rng: random.Random,
+                      bits: int) -> tuple[GammaMatrix, ComplexHP, ComplexHP, ComplexHP]:
     """gamma = (a b; c d) with 1 <= c <= 20, then tau; also c tau + d and gamma tau."""
     c = rng.randint(1, 20)
     d = rng.choice([d for d in range(1, c + 1) if gcd(d, c) == 1])
     a = pow(d % c, -1, c) if c > 1 else 1
     gamma = GammaMatrix(a, (a * d - 1) // c, c, d)
-    tau = _sample_tau(rng)
-    ctd = tau.scale(c) + ComplexHP.from_fractions(d, 0)
-    gt = (tau.scale(a) + ComplexHP.from_fractions(gamma.b, 0)) / ctd
+    tau = _sample_tau(rng, bits)
+    ctd = tau.scale(c) + ComplexHP.from_fractions(d, 0, bits)
+    gt = (tau.scale(a) + ComplexHP.from_fractions(gamma.b, 0, bits)) / ctd
     return gamma, tau, ctd, gt
 
 
-def _residual_eta(seed: int) -> float:
-    gamma, tau, ctd, gt = _sample_transform(random.Random(seed))
-    chi = e_pi_i_half_turns(gamma.chi_exponent())
+def _residual_eta(seed: int, bits: int) -> float:
+    gamma, tau, ctd, gt = _sample_transform(random.Random(seed), bits)
+    chi = e_pi_i_half_turns(gamma.chi_exponent(), bits)
     lhs = eta(gt)
     rhs = chi * csqrt_upper(ctd) * eta(tau)
     return float(relative_residual(lhs, rhs))
 
 
-def _residual_theta(seed: int) -> float:
+def _residual_theta(seed: int, bits: int) -> float:
     rng = random.Random(seed)
-    gamma, tau, ctd, gt = _sample_transform(rng)
-    sig = _sample_sigma(rng)
-    chi3 = e_pi_i_half_turns(gamma.chi_exponent() * 3)
+    gamma, tau, ctd, gt = _sample_transform(rng, bits)
+    sig = _sample_sigma(rng, bits)
+    chi3 = e_pi_i_half_turns(gamma.chi_exponent() * 3, bits)
     lhs = theta(sig / ctd, gt)
     w = (sig * sig).scale(gamma.c) / ctd  # quad = e^{pi i c sigma^2 / (c tau + d)}
-    quad = cexp(ComplexHP(-(Enclosure.pi() * w.im), Enclosure.pi() * w.re))
+    quad = cexp(ComplexHP(-(Enclosure.pi(bits) * w.im), Enclosure.pi(bits) * w.re))
     rhs = chi3 * csqrt_upper(ctd) * quad * theta(sig, tau)
     return float(relative_residual(lhs, rhs))
 
 
-def _residual_quasi(seed: int) -> float:
+def _residual_quasi(seed: int, bits: int) -> float:
     rng = random.Random(seed)
-    tau = _sample_tau(rng)
-    sig = _sample_sigma(rng)
+    tau = _sample_tau(rng, bits)
+    sig = _sample_sigma(rng, bits)
     aa, bb = rng.randint(-2, 2), rng.randint(-2, 2)
-    lhs = theta(sig + tau.scale(aa) + ComplexHP.from_fractions(bb, 0), tau)
+    lhs = theta(sig + tau.scale(aa) + ComplexHP.from_fractions(bb, 0, bits), tau)
     # (-1)^{A+B} e^{-pi i A^2 tau} e^{-2 pi i A sigma}
-    head = cexp(ComplexHP(Enclosure.pi() * (tau.im * (aa * aa) + sig.im * (2 * aa)),
-                          -(Enclosure.pi() * (tau.re * (aa * aa) + sig.re * (2 * aa)))))
+    head = cexp(ComplexHP(Enclosure.pi(bits) * (tau.im * (aa * aa) + sig.im * (2 * aa)),
+                          -(Enclosure.pi(bits) * (tau.re * (aa * aa) + sig.re * (2 * aa)))))
     sgn = -1 if (aa + bb) % 2 else 1
     rhs = (head * theta(sig, tau)).scale(sgn)
     return float(relative_residual(lhs, rhs))
 
 
-def _residual_psi(seed: int) -> float:
+def _residual_psi(seed: int, bits: int) -> float:
     rng = random.Random(seed)
-    tau = _sample_tau(rng)
-    sig = _sample_sigma(rng)
+    tau = _sample_tau(rng, bits)
+    sig = _sample_sigma(rng, bits)
     direct = psi(sig, tau)
     via = psi_by_theta(sig, tau)
     mirrored = psi(tau - sig, tau)
     return float(max(relative_residual(direct, via), relative_residual(direct, mirrored)))
 
 
-def _residual_product(seed: int) -> float:
+def _residual_product(seed: int, bits: int) -> float:
     rng = random.Random(seed)
     name = rng.choice(["A", "B", "D", "c", "d"])
     spec = registered_spec(name)
@@ -297,12 +295,12 @@ def _residual_product(seed: int) -> float:
     hs = [h for h in range(k) if gcd(h, k) == 1] or [0]
     h = rng.choice(hs)
     z = ComplexHP.from_fractions(Fraction(rng.randint(300, 1500), 1000),
-                                 Fraction(rng.randint(-800, 800), 1000))
+                                 Fraction(rng.randint(-800, 800), 1000), bits)
     res, _, _ = check_product_transform(spec, h, k, z)
     return float(res)
 
 
-_XCHECK_KINDS: dict[str, Callable[[int], float]] = {
+_XCHECK_KINDS: dict[str, Callable[[int, int], float]] = {
     "eta": _residual_eta,
     "theta": _residual_theta,
     "quasiperiodicity": _residual_quasi,
@@ -313,11 +311,10 @@ _XCHECK_KINDS: dict[str, Callable[[int], float]] = {
 
 def _xcheck_worker(kind_seed_bits: tuple[str, int, int]) -> float:
     kind, seed, bits = kind_seed_bits
-    with precision(bits):
-        return _XCHECK_KINDS[kind](seed)
+    return _XCHECK_KINDS[kind](seed, bits)
 
 
-def cmd_xcheck(args) -> int:
+def cmd_xcheck(args, out: TextIO) -> int:
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
     t0 = time.perf_counter()
@@ -337,11 +334,11 @@ def cmd_xcheck(args) -> int:
         "seed": args.seed,
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
-    _write_json(args, payload)
+    _write_json(out, payload)
     return 0 if payload["max_residual"] < 1e-25 else 1
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, out: TextIO) -> int:
     name, spec = _parse_spec(args)
     t0 = time.perf_counter()
     plan = limb_plan(spec, args.trunc)
@@ -357,7 +354,7 @@ def cmd_bench(args) -> int:
                       "mul_passes": len(plan.mul_passes), "div_passes": len(plan.div_passes),
                       "limb_radix_bits": plan.radix_bits, "limbs": limb_count,
                       "div_blocks": list(plan.div_blocks),
-                      "coeff_bits_max": max(abs(c).bit_length() for c in series.coeffs)}))
+                      "coeff_bits_max": max(abs(c).bit_length() for c in series.coeffs)}), file=out)
     return 0
 
 
@@ -394,10 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec": dict(default=None, help="registered spec name"),
         "--spec-json": dict(default=None,
                             help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file'),
-        # a string default goes through the type check too, so QSIGN_PRECISION is range-checked
-        "--precision": dict(type=_precision_bits, default=str(DEFAULT_PRECISION),
-                            help=f"working precision in bits (default {DEFAULT_PRECISION}, "
-                                 f"set by QSIGN_PRECISION)"),
+        # a string default goes through the type check too: a bad QSIGN_PRECISION is a usage error
+        "--precision": dict(type=_precision_bits,
+                            default=os.environ.get("QSIGN_PRECISION", str(DEFAULT_PRECISION)),
+                            help="working precision in bits (default %(default)s; "
+                                 "QSIGN_PRECISION sets it)"),
         "--seed": dict(type=int, default=20250810, help="RNG seed"),
         "--out": dict(default=None, help="output path (default stdout)"),
     }
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kw)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, out=None)  # stdout, also for ``bench``, which has no --out
 
     add("expand", "stream exact coefficients", cmd_expand,
         {"--trunc": dict(type=_int_at_least(0), required=True),
@@ -438,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args) as out:  # opened before any work, so a bad --out costs none
+            return args.func(args, out)
     except argparse.ArgumentError as exc:  # a value argparse cannot check on its own
         build_parser().error(str(exc))
 

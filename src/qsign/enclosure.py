@@ -12,18 +12,20 @@ tuples), and every operation calls the interval kernels ``mpi_add``,
 from the static constructors and arithmetic).  Ints and Fractions are
 coerced exactly as ``iv.mpf`` coerces them (``from_int`` floor and ceiling,
 then ``mpi_div`` for a ratio), so every endpoint is bit for bit the one
-``mpmath.iv`` returns (``tests/test_enclosure.py`` checks this).
+``mpmath.iv`` returns at the same precision (``tests/test_enclosure.py``
+checks this).
 
-Precision is the ambient interval working precision ``iv.prec`` in bits,
-read once per operation and recorded in the result's ``bits``; use the
-``precision`` context manager to change it locally.  ``QSIGN_PRECISION``
-sets its value at import (an integer >= 8, or a ValueError).  Escalating
-precision tightens enclosures but never invalidates them.
+Precision travels with the value: an operation runs at the larger ``bits``
+of its operands and coerces ints and Fractions there.  Only the rounding
+constructors take ``bits`` (default ``DEFAULT_PRECISION``); the exact
+``one()`` and ``zero()`` carry the least, 8.  Nothing here reads mpmath's
+process-wide ``iv.prec`` or ``mp.prec`` (``precision`` scopes ``iv.prec``
+for callers of ``mpmath.iv``).  Escalating precision tightens enclosures but
+never invalidates them.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
@@ -32,16 +34,15 @@ from typing import Iterator, Union
 import mpmath
 from mpmath import iv, mp
 from mpmath.ctx_iv import convert_mpf_
-from mpmath.libmp import (finf, fnan, fninf, fone, from_int, fzero, mpf_gt, mpf_le, mpf_lt,
-                          mpf_pi, mpf_sign, mpi_abs, mpi_add, mpi_cos_sin, mpi_div, mpi_exp,
-                          mpi_log, mpi_mul, mpi_neg, mpi_sqrt, mpi_sub, round_ceiling,
-                          round_floor)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, fzero, mpf_add, mpf_gt, mpf_le,
+                          mpf_lt, mpf_pi, mpf_shift, mpf_sign, mpf_sub, mpi_abs, mpi_add,
+                          mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_sqrt,
+                          mpi_sub, round_ceiling, round_floor)
 
-_ENV_BITS = os.environ.get("QSIGN_PRECISION", "192")
-if not (_ENV_BITS.strip().isdecimal() and int(_ENV_BITS) >= 8):
-    raise ValueError(f"QSIGN_PRECISION={_ENV_BITS!r} is not an integer number of bits >= 8")
-DEFAULT_PRECISION = int(_ENV_BITS)
-iv.prec = DEFAULT_PRECISION
+#: the precision of the rounding constructors when a caller names none
+DEFAULT_PRECISION = 192
+#: the ``bits`` of the exact ``one()`` and ``zero()``: the least precision
+_EXACT_BITS = 8
 
 Number = Union["Enclosure", int, Fraction]
 
@@ -90,10 +91,8 @@ def _int_mpi(n: int, prec: int) -> tuple:
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _mpi_of(x: Number, prec: int) -> tuple:
-    """Endpoint pair of an operand, coerced at `prec` the way ``iv.mpf`` does."""
-    if isinstance(x, Enclosure):
-        return x._mpi_
+def _mpi_of(x: int | Fraction, prec: int) -> tuple:
+    """Endpoint pair of an int or Fraction, coerced at `prec` the way ``iv.mpf`` does."""
     if isinstance(x, int):
         return _int_mpi(x, prec)
     if isinstance(x, Fraction):
@@ -101,6 +100,13 @@ def _mpi_of(x: Number, prec: int) -> tuple:
             return _int_mpi(x.numerator, prec)
         return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
     raise TypeError(f"cannot coerce {type(x).__name__} to Enclosure")
+
+
+def _operand(x: "Enclosure", y: Number) -> tuple[tuple, int]:
+    """y's endpoint pair and the precision of an operation on x and y: the larger bits."""
+    if isinstance(y, Enclosure):
+        return y._mpi_, y.bits if y.bits > x.bits else x.bits
+    return _mpi_of(y, x.bits), x.bits
 
 
 _new = object.__new__
@@ -113,45 +119,35 @@ def _make(v: tuple, prec: int) -> "Enclosure":
     return out
 
 
-def _coerce(x: Number) -> "Enclosure":
-    if isinstance(x, Enclosure):
-        return x
-    prec = iv.prec
-    return _make(_mpi_of(x, prec), prec)
-
-
 class Enclosure:
-    """Interval [lo, hi] of arbitrary-precision reals, outward rounded."""
+    """Interval [lo, hi] of arbitrary-precision reals, outward rounded at ``bits`` bits."""
 
     __slots__ = ("_mpi_", "bits")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_fraction(x: Fraction | int) -> "Enclosure":
-        prec = iv.prec
-        return _make(_mpi_of(Fraction(x), prec), prec)
+    def from_fraction(x: Fraction | int, bits: int = DEFAULT_PRECISION) -> "Enclosure":
+        return _make(_mpi_of(Fraction(x), bits), bits)
 
     @staticmethod
-    def from_endpoints(lo, hi) -> "Enclosure":
+    def from_endpoints(lo, hi, bits: int = DEFAULT_PRECISION) -> "Enclosure":
         """[lo, hi]; mpf endpoints are kept as they are, others rounded outward."""
-        prec = iv.prec
-        a = convert_mpf_(lo, prec, round_floor)
-        b = convert_mpf_(hi, prec, round_ceiling)
+        a = convert_mpf_(lo, bits, round_floor)
+        b = convert_mpf_(hi, bits, round_ceiling)
         if a == fnan or b == fnan:
             a, b = fninf, finf
         if not mpf_le(a, b):
             raise ValueError("endpoints must be properly ordered")
-        return _make((a, b), prec)
+        return _make((a, b), bits)
 
     @staticmethod
-    def pi() -> "Enclosure":
-        prec = iv.prec
-        return _make((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
+    def pi(bits: int = DEFAULT_PRECISION) -> "Enclosure":
+        return _make((mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)), bits)
 
     @staticmethod
-    def exp_of(x: Number) -> "Enclosure":
-        return _coerce(x).exp()
+    def exp_of(x: Fraction | int, bits: int = DEFAULT_PRECISION) -> "Enclosure":
+        return Enclosure.from_fraction(x, bits).exp()
 
     # -- endpoint access ---------------------------------------------------
 
@@ -165,11 +161,14 @@ class Enclosure:
 
     @property
     def mid(self) -> mpmath.mpf:
-        return (self.lo + self.hi) / 2
+        """(lo + hi)/2, exactly."""
+        return mp.make_mpf(mpf_shift(mpf_add(*self._mpi_, 0), -1))
 
     @property
     def width(self) -> mpmath.mpf:
-        return self.hi - self.lo
+        """hi - lo, exactly."""
+        lo, hi = self._mpi_
+        return mp.make_mpf(mpf_sub(hi, lo, 0))
 
     def contains(self, x) -> bool:
         if isinstance(x, (Fraction, int)):
@@ -194,46 +193,43 @@ class Enclosure:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_add(self._mpi_, _mpi_of(other, prec), prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_add(self._mpi_, v, prec), prec)
 
     __radd__ = __add__
 
     def __sub__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_sub(self._mpi_, _mpi_of(other, prec), prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_sub(self._mpi_, v, prec), prec)
 
     def __rsub__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_sub(_mpi_of(other, prec), self._mpi_, prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_sub(v, self._mpi_, prec), prec)
 
     def __mul__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_mul(self._mpi_, _mpi_of(other, prec), prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_mul(self._mpi_, v, prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_div(self._mpi_, _mpi_of(other, prec), prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_div(self._mpi_, v, prec), prec)
 
     def __rtruediv__(self, other: Number) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_div(_mpi_of(other, prec), self._mpi_, prec), prec)
+        v, prec = _operand(self, other)
+        return _make(mpi_div(v, self._mpi_, prec), prec)
 
     def __neg__(self) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_neg(self._mpi_, prec), prec)
+        return _make(mpi_neg(self._mpi_, self.bits), self.bits)
 
     def __abs__(self) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_abs(self._mpi_, prec), prec)
+        return _make(mpi_abs(self._mpi_, self.bits), self.bits)
 
     def square(self) -> "Enclosure":
         """Interval square: tighter than self * self when 0 is inside."""
-        prec = iv.prec
-        a = mpi_abs(self._mpi_, prec)
-        return _make(mpi_mul(a, a, prec), prec)
+        a = mpi_abs(self._mpi_, self.bits)
+        return _make(mpi_mul(a, a, self.bits), self.bits)
 
     def clamp_nonneg(self) -> "Enclosure":
         """Intersect with [0, inf); valid when the true value is known >= 0."""
@@ -242,25 +238,21 @@ class Enclosure:
             lo = fzero
         if mpf_sign(hi) < 0:
             hi = fzero
-        return _make((lo, hi), iv.prec)
+        return _make((lo, hi), self.bits)
 
     def sqrt(self) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_sqrt(self._mpi_, prec), prec)
+        return _make(mpi_sqrt(self._mpi_, self.bits), self.bits)
 
     def exp(self) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_exp(self._mpi_, prec), prec)
+        return _make(mpi_exp(self._mpi_, self.bits), self.bits)
 
     def log(self) -> "Enclosure":
-        prec = iv.prec
-        return _make(mpi_log(self._mpi_, prec), prec)
+        return _make(mpi_log(self._mpi_, self.bits), self.bits)
 
     def cos_sin(self) -> tuple["Enclosure", "Enclosure"]:
         """(cos, sin) from one argument reduction; each is what ``cos``/``sin`` return."""
-        prec = iv.prec
-        c, s = mpi_cos_sin(self._mpi_, prec)
-        return _make(c, prec), _make(s, prec)
+        c, s = mpi_cos_sin(self._mpi_, self.bits)
+        return _make(c, self.bits), _make(s, self.bits)
 
     def cos(self) -> "Enclosure":
         return self.cos_sin()[0]
@@ -271,7 +263,7 @@ class Enclosure:
     def pow_int(self, e: int) -> "Enclosure":
         if e < 0:
             return 1 / self.pow_int(-e)
-        out = one()
+        out = _make((fone, fone), self.bits)
         base = self
         while e:
             if e & 1:
@@ -282,16 +274,16 @@ class Enclosure:
 
     def pow_fraction(self, e: Fraction) -> "Enclosure":
         """x^e = exp(e log x) for x > 0."""
-        return (self.log() * _coerce(e)).exp()
+        return (self.log() * e).exp()
 
     # -- certified comparisons --------------------------------------------
 
     def strictly_less(self, other: Number) -> bool:
         """True only if every value of self is below every value of other."""
-        return mpf_lt(self._mpi_[1], _mpi_of(other, iv.prec)[0])
+        return mpf_lt(self._mpi_[1], _operand(self, other)[0][0])
 
     def strictly_greater(self, other: Number) -> bool:
-        return mpf_gt(self._mpi_[0], _mpi_of(other, iv.prec)[1])
+        return mpf_gt(self._mpi_[0], _operand(self, other)[0][1])
 
     def is_positive(self) -> bool:
         return mpf_gt(self._mpi_[0], fzero)
@@ -301,8 +293,8 @@ class Enclosure:
 
 
 def one() -> Enclosure:
-    return _make((fone, fone), iv.prec)
+    return _make((fone, fone), _EXACT_BITS)
 
 
 def zero() -> Enclosure:
-    return _make((fzero, fzero), iv.prec)
+    return _make((fzero, fzero), _EXACT_BITS)

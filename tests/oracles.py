@@ -24,7 +24,7 @@ from math import gcd
 
 import mpmath
 import numpy as np
-from mpmath import iv, mp
+from mpmath import mp
 from mpmath.libmp import mpf_neg
 
 from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
@@ -277,7 +277,7 @@ def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> 
     """Defining series over half-integers nu, with a certified tail bound.
 
     theta(sigma; tau) = sum_{nu in Z + 1/2} e^{2 pi i nu (sigma + 1/2) + pi i nu^2 tau}.
-    Independent oracle for the product form ``circle.theta``.
+    Independent oracle for the product form ``circle.theta``, summed at tau's precision.
     """
     if not tau.im.is_positive():
         raise ConvergenceRefused("theta needs Im(tau) > 0")
@@ -285,27 +285,27 @@ def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> 
         # |term| ~ e^{-pi Im(tau) nu^2 + 2 pi |Im sigma| |nu|}; size the cutoff crudely
         im_t = float(tau.im.lo)
         im_s = max(abs(float(sigma.im.hi)), abs(float(sigma.im.lo)))
-        need = (iv.prec + 32) * 0.6931 / 3.1416
+        need = (tau.bits + 32) * 0.6931 / 3.1416
         v = (2 * im_s + (4 * im_s * im_s + 4 * im_t * need) ** 0.5) / (2 * im_t)
         terms = max(8, int(v) + 3)
     total = ComplexHP(zero(), zero())
-    pi_e = Enclosure.pi()
+    pi_e = Enclosure.pi(tau.bits)
     for k in range(-terms, terms):
-        nu = Enclosure.from_fraction(Fraction(2 * k + 1, 2))
+        nu = Enclosure.from_fraction(Fraction(2 * k + 1, 2), tau.bits)
         # exponent E = 2 pi i nu (sigma + 1/2) + pi i nu^2 tau
         re_e = -(pi_e * nu * (nu * tau.im + 2 * sigma.im))
         im_e = pi_e * nu * (nu * tau.re + 2 * sigma.re + 1)
         total = total + cexp(ComplexHP(re_e, im_e))
     # two-sided tail, geometric once the term ratio is certified < 1/2
-    nu_edge = Enclosure.from_fraction(Fraction(2 * terms + 1, 2))
+    nu_edge = Enclosure.from_fraction(Fraction(2 * terms + 1, 2), tau.bits)
     im_s_abs = abs(sigma.im)
-    edge = (-(Enclosure.pi() * nu_edge * (nu_edge * tau.im - 2 * im_s_abs))).exp()
-    ratio = (-(Enclosure.pi() * (2 * nu_edge * tau.im - 2 * im_s_abs))).exp()
+    edge = (-(pi_e * nu_edge * (nu_edge * tau.im - 2 * im_s_abs))).exp()
+    ratio = (-(pi_e * (2 * nu_edge * tau.im - 2 * im_s_abs))).exp()
     if not ratio.hi < 0.5:
         raise ConvergenceRefused("theta series needs more terms for a tail bound")
     t = (2 * edge / (1 - ratio)).hi
     # [-t, t] with the lower endpoint t negated exactly, not rounded
-    box = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t)
+    box = Enclosure.from_endpoints(mp.make_mpf(mpf_neg(t._mpf_)), t, tau.bits)
     return total + ComplexHP(box, box)
 
 

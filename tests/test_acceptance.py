@@ -17,7 +17,6 @@ from qsign.certify import richmond_szekeres_scan, verify_known_theorems
 from qsign.analytic import lemma_arc_integral
 from qsign.circle import numeric_coefficients
 from qsign.cli import _XCHECK_KINDS, _xcheck_worker
-from qsign.enclosure import precision
 from oracles import dedekind_sums_direct_all, expand_pochhammer, rr_sum_side
 from qsign.modular import dedekind_sum, lpos_set, omega_exact
 from qsign.qseries import expand_product, ps_inv, ps_mul, registered_spec, slice_signs
@@ -91,9 +90,8 @@ def test_criterion_06_dominance_and_eventual_certificates():
         verdicts[(fam, n)] = res.verdict
     certs = {}
     for fam, residue, n0 in (("A", 0, 801), ("B", 0, 801), ("D", 1, 19001)):
-        with precision(192):
-            # issued only once dominance at the threshold and monotonicity are certified
-            certs[(fam, n0)] = eventual_dominance_certificate(registered_spec(fam), residue, n0)
+        # issued only once dominance at the threshold and monotonicity are certified
+        certs[(fam, n0)] = eventual_dominance_certificate(registered_spec(fam), residue, n0)
     elapsed = time.perf_counter() - t0
     ok = (all(v is True for v in verdicts.values())
           and all(c.n0 == n0 for (_, n0), c in certs.items())

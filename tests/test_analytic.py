@@ -14,7 +14,7 @@ from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, besse
                             main_term_data, precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import TARGETS
 from qsign.circle import ConvergenceRefused
-from qsign.enclosure import Enclosure, mpf_to_fraction, precision
+from qsign.enclosure import Enclosure, mpf_to_fraction
 from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
                            ps_inv, ps_mul, registered_spec)
 
@@ -105,17 +105,14 @@ class TestEnclosureSoundness:
     @settings(max_examples=40, deadline=None)
     def test_double_precision_enclosures_intersect(self, a, b):
         x = Fraction(a, b)
-        with precision(96):
-            low = ((Enclosure.from_fraction(x) / 7).cos() + 2).log()
-        with precision(192):
-            high = ((Enclosure.from_fraction(x) / 7).cos() + 2).log()
+        low = ((Enclosure.from_fraction(x, 96) / 7).cos() + 2).log()
+        high = ((Enclosure.from_fraction(x, 192) / 7).cos() + 2).log()
         assert low.intersects(high)
         assert high.width <= low.width
 
     def test_monotone_precision_never_widens(self):
         for bits in (96, 192, 384, 768):
-            with precision(bits):
-                e = bessel_im1(Enclosure.from_fraction(Fraction(71, 7)))
+            e = bessel_im1(Enclosure.from_fraction(Fraction(71, 7), bits))
             if bits > 96:
                 assert e.width <= prev_width
             prev_width = e.width
@@ -129,15 +126,13 @@ class TestDirectedDecimalStrings:
 
     @pytest.mark.parametrize("fam,n0", [("A", 801), ("B", 801), ("D", 19001)])
     def test_certificate_endpoints(self, fam, n0):
-        with precision(192):
-            first = eventual_dominance_certificate(SPECS[fam], CLAIMS[fam].residue, n0).first_index
-            for e in (wang_main_lower(SPECS[fam], first), error_bound(SPECS[fam], first)):
-                self.assert_outward(e, 30)
+        first = eventual_dominance_certificate(SPECS[fam], CLAIMS[fam].residue, n0).first_index
+        for e in (wang_main_lower(SPECS[fam], first), error_bound(SPECS[fam], first)):
+            self.assert_outward(e, 30)
 
     def test_certificate_strings_round_outward(self):
         # round-to-nearest gives ...707681e+144 for the bound here
-        with precision(192):
-            cert = eventual_dominance_certificate(SPECS["D"], 1, 19001)
+        cert = eventual_dominance_certificate(SPECS["D"], 1, 19001)
         assert cert.wang_main_lo.endswith("132685e+145")
         assert cert.bound_hi.endswith("707682e+144")
 
@@ -205,9 +200,8 @@ class TestMainTermAndBound:
         const_ab = (2 * e.exp_of(54) + (8 * e.pi()).exp() + 185) * e.exp_of(2)
         assert error_bound(SPECS["A"], 801).strictly_greater(const_ab - 1)
         # resolving the growth term next to e^332 needs ~350 bits of range
-        with precision(512):
-            const_d = e.exp_of(332) + e.exp_of(272) + (8 * e.pi() + 2).exp()
-            assert error_bound(SPECS["D"], 19001).strictly_greater(const_d - 1)
+        const_d = e.exp_of(332, 512) + e.exp_of(272, 512) + (8 * e.pi(512) + 2).exp()
+        assert error_bound(SPECS["D"], 19001, 512).strictly_greater(const_d - 1)
 
     def test_bound_growth_term(self):
         # at large n the growth term dominates the constant for families A/B
@@ -233,11 +227,9 @@ class TestDerivedMainTerm:
             assert class_constant(SPECS[name], r).intersects(-2 * cos_pi(phase(r)))
 
     def test_class_constant_cached_per_precision(self):
-        with precision(192):
-            low = class_constant(SPECS["D"], 1)
-            assert class_constant(SPECS["D"], 1) is low
-        with precision(256):
-            high = class_constant(SPECS["D"], 1)
+        low = class_constant(SPECS["D"], 1, 192)
+        assert class_constant(SPECS["D"], 1, 192) is low
+        high = class_constant(SPECS["D"], 1, 256)
         assert (low.bits, high.bits) == (192, 256)
         assert low.contains(high.lo) and low.contains(high.hi)
         assert analytic._class_sum.cache_info().maxsize is not None
@@ -368,9 +360,8 @@ class TestEventualDominance:
         # the analytic layer is keyed by spec content, never by name or identity
         inline = ProductSpec.from_json(SPECS["D"].to_json())
         assert inline is not SPECS["D"] and inline == SPECS["D"]
-        with precision(192):
-            cert = eventual_dominance_certificate(inline, 1, 19001)
-            assert cert == eventual_dominance_certificate(SPECS["D"], 1, 19001)
+        cert = eventual_dominance_certificate(inline, 1, 19001)
+        assert cert == eventual_dominance_certificate(SPECS["D"], 1, 19001)
         got, want = dominance(inline, 19006), dominance(SPECS["D"], 19006)
         assert got.verdict is want.verdict is True
         assert [(e.lo, e.hi) for e in (got.main, got.bound)] == [

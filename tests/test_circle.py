@@ -13,7 +13,7 @@ from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform
                           e_pi_i_half_turns, e_two_pi_i, eta, farey_arcs, farey_fractions,
                           numeric_coefficients, pi_factor_value, pochhammer_product, psi,
                           psi_by_theta, theta, transformed_arguments)
-from qsign.enclosure import Enclosure, precision
+from qsign.enclosure import Enclosure
 from qsign.modular import transform_data as td_of
 from qsign.qseries import expand_product, registered_spec
 
@@ -137,7 +137,7 @@ def _kernel_and_reference(sigma, tau):
     # the input balls come from interval exponentials and have width
     assert q.re.width > 0 and z0.re.width > 0
     got = pochhammer_product(z0, q, 100_000)
-    with mpmath.mp.workprec(2 * mpmath.iv.prec + 64):
+    with mpmath.mp.workprec(2 * got.bits + 64):
         turn = 2j * mpmath.pi
         mq = mpmath.exp(turn * (_mp(tau[0]) + 1j * _mp(tau[1])))
         mz = mq if sigma is None else mpmath.exp(turn * (_mp(sigma[0]) + 1j * _mp(sigma[1])))
@@ -175,7 +175,7 @@ class TestPochhammerKernel:
         got, ref = _kernel_and_reference(sigma, tau)
         assert got.re.lo <= ref.real <= got.re.hi
         assert got.im.lo <= ref.imag <= got.im.hi
-        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - mpmath.iv.prec)
+        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - got.bits)
         if size == "tiny":
             assert abs(ref) < mpmath.mpf(2) ** -17
         elif size == "huge":
@@ -186,10 +186,9 @@ class TestPochhammerKernel:
         # series: with true moduli the relative width is 2^-179.1 at 192
         # bits, a 1-norm gives 2^-164.0 (2^-179.4 and 2^-160.5 when the
         # product ran all 4769 factors)
-        with precision(192):
-            got, ref = _kernel_and_reference(None, (Fraction(1, 10), Fraction(1, 200)))
-            assert got.re.contains(ref.real) and got.im.contains(ref.imag)
-            assert _relative_width(got, ref) < mpmath.mpf(2) ** -176
+        got, ref = _kernel_and_reference(None, (Fraction(1, 10), Fraction(1, 200)))
+        assert got.re.contains(ref.real) and got.im.contains(ref.imag)
+        assert _relative_width(got, ref) < mpmath.mpf(2) ** -176
 
     # seeded points over a range of stopping points L: 1 - |q| log-uniform
     # in [0.01, 0.5], z0 = q, |z0| > 1 or xi = e^{2 pi i sigma} near 1,
@@ -226,7 +225,7 @@ class TestPochhammerKernel:
         got, ref = _kernel_and_reference(sigma, tau)
         assert got.re.lo <= ref.real <= got.re.hi
         assert got.im.lo <= ref.imag <= got.im.hi
-        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - mpmath.iv.prec)
+        assert _relative_width(got, ref) <= mpmath.mpf(2) ** (32 - got.bits)
 
     def test_contains_the_value_at_the_corners_of_wide_inputs(self):
         # inputs 2^-60 wide and z0 = e^-pi small, so the product part is one
@@ -242,7 +241,7 @@ class TestPochhammerKernel:
         def corners(v):
             return [mpmath.mpc(a, b) for a in (v.re.lo, v.re.hi) for b in (v.im.lo, v.im.hi)]
 
-        with mpmath.mp.workprec(2 * mpmath.iv.prec + 64):
+        with mpmath.mp.workprec(2 * got.bits + 64):
             # z0 and q at the same corner: S grows with real z and q
             for zc, qc in zip(corners(z0), corners(q)):
                 ref = mpmath.qp(zc, qc, maxterms=10**6)
@@ -252,10 +251,9 @@ class TestPochhammerKernel:
     def test_nome_too_close_to_one_for_the_series_is_refused_up_front(self):
         # (1 - |q|)^2 = 2^-240 is below the series' rounding floor 3 2^-F,
         # F = 224; the product alone would need ~2^127 factors
-        with precision(192):
-            q = c_hp(1 - Fraction(1, 2 ** 120), 0)
-            with pytest.raises(ConvergenceRefused, match="too close to [|]q[|] = 1"):
-                pochhammer_product(q, q, 10 ** 12)
+        q = c_hp(1 - Fraction(1, 2 ** 120), 0)
+        with pytest.raises(ConvergenceRefused, match="too close to [|]q[|] = 1"):
+            pochhammer_product(q, q, 10 ** 12)
 
     @pytest.mark.parametrize("kind", ["psi", "eta"])
     def test_every_product_closes_with_one_log_series(self, kind, monkeypatch):
@@ -263,24 +261,22 @@ class TestPochhammerKernel:
         monkeypatch.setattr(circle, "pochhammer_product",
                             _counting(calls, "products", circle.pochhammer_product))
         monkeypatch.setattr(circle, "_log_series", _counting(calls, "series", circle._log_series))
-        with precision(192):
-            if kind == "psi":  # a short product at Im tau = 1/2
-                psi(c_hp(Fraction(1, 10), Fraction(1, 10)), c_hp(Fraction(1, 4), Fraction(1, 2)))
-            else:  # near the cusp 0
-                eta(c_hp(Fraction(1, 10), Fraction(1, 200)))
+        if kind == "psi":  # a short product at Im tau = 1/2
+            psi(c_hp(Fraction(1, 10), Fraction(1, 10)), c_hp(Fraction(1, 4), Fraction(1, 2)))
+        else:  # near the cusp 0
+            eta(c_hp(Fraction(1, 10), Fraction(1, 200)))
         n = 2 if kind == "psi" else 1
         assert calls == {"products": n, "series": n}
 
     def test_a_product_closes_without_cexp(self, monkeypatch):
         # e^{-S} stays a fixed-point ball: one log series, no interval exponential
-        with precision(192):
-            q = e_two_pi_i(c_hp(Fraction(1, 4), Fraction(1, 2)))
-            z0 = e_two_pi_i(c_hp(Fraction(1, 10), Fraction(1, 10)))
-            calls = {"cexp": 0, "series": 0}
-            monkeypatch.setattr(circle, "cexp", _counting(calls, "cexp", circle.cexp))
-            monkeypatch.setattr(circle, "_log_series",
-                                _counting(calls, "series", circle._log_series))
-            pochhammer_product(z0, q, 100)
+        q = e_two_pi_i(c_hp(Fraction(1, 4), Fraction(1, 2)))
+        z0 = e_two_pi_i(c_hp(Fraction(1, 10), Fraction(1, 10)))
+        calls = {"cexp": 0, "series": 0}
+        monkeypatch.setattr(circle, "cexp", _counting(calls, "cexp", circle.cexp))
+        monkeypatch.setattr(circle, "_log_series",
+                            _counting(calls, "series", circle._log_series))
+        pochhammer_product(z0, q, 100)
         assert calls == {"cexp": 0, "series": 1}
 
     @pytest.mark.parametrize("sigma,tau,large", [(*POINTS["near_cusp"][:2], True),
@@ -321,14 +317,13 @@ class TestPochhammerKernel:
         # alone.  At Im tau = 30 (l = 272) L = 216, and |z0| = e^{20 pi}
         # takes 2 factors to get below it; |z0| = e^{-pi/5} takes 1, and a
         # budget of 0 factors is refused although that one factor would do
-        with precision(192):
-            q = e_two_pi_i(c_hp(*tau))
-            z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
-            with pytest.raises(ConvergenceRefused):
-                pochhammer_product(z0, q, count - 1)
-            pochhammer_product(z0, q, count)
-            pochhammer_product(z0, q, count + 1)
-            pochhammer_product(z0, q, 200)
+        q = e_two_pi_i(c_hp(*tau))
+        z0 = q if sigma is None else e_two_pi_i(c_hp(*sigma))
+        with pytest.raises(ConvergenceRefused):
+            pochhammer_product(z0, q, count - 1)
+        pochhammer_product(z0, q, count)
+        pochhammer_product(z0, q, count + 1)
+        pochhammer_product(z0, q, 200)
 
 
 def _ball_points(re, im, rad, fb):
@@ -455,15 +450,14 @@ class TestProductTransformation:
         def part():
             lo = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
             hi = lo + rng.choice((0, Fraction(1, 10**rng.randint(1, 60)), abs(lo) * 3))
-            return Enclosure.from_endpoints(Enclosure.from_fraction(lo).lo,
-                                            Enclosure.from_fraction(hi).hi)
+            return Enclosure.from_endpoints(Enclosure.from_fraction(lo, bits).lo,
+                                            Enclosure.from_fraction(hi, bits).hi, bits)
 
-        with precision(bits):
-            for _ in range(200):  # widths up to 3|lo| put 0 inside some parts
-                z = ComplexHP(part(), part())
-                box = z.abs_enclosure()
-                assert circle._abs_end(z, False)._mpf_ == box._mpi_[0]
-                assert circle._abs_end(z, True)._mpf_ == box._mpi_[1]
+        for _ in range(200):  # widths up to 3|lo| put 0 inside some parts
+            z = ComplexHP(part(), part())
+            box = z.abs_enclosure()
+            assert circle._abs_end(z, False)._mpf_ == box._mpi_[0]
+            assert circle._abs_end(z, True)._mpf_ == box._mpi_[1]
 
     def test_pi_value_matches_level25_amplitude(self):
         pi_factors = td_of(registered_spec("D"), 1, 5).pi_factors()

@@ -2,15 +2,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
-from qsign import cli
-from qsign.analytic import DominanceResult
+from qsign import analytic, cli
+from qsign.analytic import DominanceResult, class_constant, main_term
 from qsign.certify import TARGETS
-from qsign.circle import ConvergenceRefused
+from qsign.circle import ComplexHP, ConvergenceRefused, eta
 from qsign.cli import build_parser, main
-from qsign.enclosure import Enclosure
+from qsign.enclosure import Enclosure, precision
 from qsign.qseries import expand_product, limb_plan, registered_spec
 
 
@@ -229,15 +231,34 @@ class TestPrecisionControls:
 
         res = run_cli(["dominance", "--spec", "A", "--n", "805"],
                       env=dict(os.environ, QSIGN_PRECISION=value))
-        assert res.returncode != 0 and not res.stdout
-        assert (f"ValueError: QSIGN_PRECISION='{value}' is not an integer number of bits >= 8"
-                in res.stderr)
+        # the variable is only --precision's default, checked as the flag's value is
+        _, _, message = res.stderr.partition("error: argument --precision: ")
+        assert res.returncode == 2 and not res.stdout and value in message
 
     def test_flag_beats_default(self):
         res = run_cli(["dominance", "--spec", "A", "--n", "805",
                        "--precision", "256"])
         payload = json.loads(res.stdout)
         assert payload["precision_bits"] == 256
+
+
+def test_ambient_precision_changes_no_result(capsys):
+    """Results at 192 bits are bit for bit the same whatever ``iv.prec`` a caller leaves."""
+    def results():
+        analytic._class_sum.cache_clear()  # recompute S_r rather than read it back
+        assert main(["xcheck", "--identity", "psi", "--samples", "1", "--seed", "7",
+                     "--workers", "1", "--precision", "192"]) == 0
+        value = eta(ComplexHP.from_fractions(Fraction(1, 7), Fraction(3, 5)))
+        encs = [main_term(registered_spec("A"), 805), class_constant(registered_spec("D"), 1),
+                value.re, value.im]
+        assert [e.bits for e in encs] == [192] * 4
+        return [e._mpi_ for e in encs], json.loads(capsys.readouterr().out)["max_residual"]
+
+    plain = results()
+    with precision(64):
+        assert results() == plain
+        iv.prec = 53  # mpmath's own default; precision() restores the old value
+        assert results() == plain
 
 
 class TestBench:
@@ -357,12 +378,17 @@ def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, c
 @pytest.mark.parametrize("argv", [
     ["expand", "--spec", "c", "--trunc", "3"],
     ["certify", "--target", "C5n1"],
+    ["certify"],
 ])
 def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "missing" / "out.txt")])
     assert exc.value.code == 2
-    assert "error: argument --out: [Errno 2] No such file or directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument --out: [Errno 2] No such file or directory" in err
+    # --out is opened before any work: no expansion note, certificate or scan line
+    progress = ("expanded ", "target ", "patterns:", "eventual_patterns:")
+    assert not [line for line in err.splitlines() if line.startswith(progress)]
 
 
 class TestParserReuse:

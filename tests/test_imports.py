@@ -15,7 +15,9 @@ or ``bench/`` outside its own definition, or is named in
 exact both ways.  Imports sit at module top, never in a function body, and
 a package module imports only the ``qsign`` modules below it in ``LAYERS``.
 No function of ``analytic`` takes a spec by name, and ``certify`` passes no
-literal modulus to a sign scan.
+literal modulus to a sign scan.  No package module loads or assigns
+``iv.prec`` or enters ``precision(...)``, except ``enclosure.precision``
+itself: precision is an argument, never process-wide state.
 """
 
 import ast
@@ -263,3 +265,42 @@ def test_guard_sees_a_literal_modulus():
 def test_certify_takes_every_modulus_from_a_target():
     # the claim table is the one place a residue class is written
     assert literal_moduli((ROOT / "src" / "qsign" / "certify.py").read_text()) == []
+
+
+def ambient_precision_uses(source: str, module: str) -> list[str]:
+    """Loads and stores of ``iv.prec`` and ``with precision(...)``, outside ``enclosure.precision``."""
+    tree = ast.parse(source)
+    exempt = {id(sub) for node in tree.body
+              if module == "enclosure" and isinstance(node, ast.FunctionDef)
+              and node.name == "precision" for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "prec" and (
+                getattr(node.value, "id", None) == "iv" or getattr(node.value, "attr", None) == "iv"):
+            found.append((node.lineno, "iv.prec"))
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            calls = [item.context_expr.func for item in node.items
+                     if isinstance(item.context_expr, ast.Call)]
+            found += [(node.lineno, "precision(...)") for func in calls
+                      if getattr(func, "id", None) == "precision"
+                      or getattr(func, "attr", None) == "precision"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_guard_sees_ambient_precision():
+    source = ("from mpmath import iv\n\n"
+              "def f():\n    old = iv.prec\n    iv.prec = 64\n"
+              "    with open('x'), precision(96):\n        pass\n"
+              "    with enclosure.precision(8):\n        return mpmath.iv.prec\n\n"
+              "def precision(bits):\n    iv.prec = bits\n")
+    found = ["line 4: iv.prec", "line 5: iv.prec", "line 6: precision(...)",
+             "line 8: precision(...)", "line 9: iv.prec"]
+    assert ambient_precision_uses(source, "analytic") == [*found, "line 12: iv.prec"]
+    assert ambient_precision_uses(source, "enclosure") == found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_ambient_precision(path):
+    assert ambient_precision_uses(path.read_text(), path.stem) == []
