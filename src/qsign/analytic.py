@@ -47,6 +47,7 @@ from typing import Callable, Literal, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, mpf_abs, mpf_gt, mpf_le, mpf_shift
 
 from .circle import (ComplexHP, ConvergenceRefused, e_pi_i_half_turns, farey_arcs,
                      pi_factor_value)
@@ -73,6 +74,12 @@ class CertificateRefused(RuntimeError):
 _BESSEL_TERM_CAP = 200_000
 
 
+def _at_most_relative(a: mpmath.mpf, b: mpmath.mpf, bits: int) -> bool:
+    """a <= 2^-bits max(1, |b|), compared exactly, whatever mpmath's ``mp.prec``."""
+    scale = mpf_abs(b._mpf_)
+    return mpf_le(a._mpf_, mpf_shift(scale if mpf_gt(scale, fone) else fone, -bits))
+
+
 def bessel_im1(x: Enclosure) -> Enclosure:
     """Enclosure of I_{-1}(x) = I_1(x) = sum_{j>=0} (x/2)^{2j+1} / (j! (j+1)!).
 
@@ -80,9 +87,10 @@ def bessel_im1(x: Enclosure) -> Enclosure:
     why the order -1 and order +1 series coincide; the series here is indexed
     so that every term is present.  After summing through term M the
     remainder is bounded by the geometric series u_M * r/(1 - r) with
-    r = (x/2)^2 / ((M+1)(M+2)), accepted once r < 1/2.  The tail is always
-    added, so the result is a valid enclosure even when the term cap stops
-    refinement early (the interval just stays wide).
+    r = (x/2)^2 / ((M+1)(M+2)), accepted once r < 1/2 and the upper end of
+    u_M is at most 2^-(bits + 16) max(1, |sum|), a test made exactly.  The
+    tail is always added, so the result is a valid enclosure even when the
+    term cap stops refinement early (the interval just stays wide).
     """
     if x.lo < 0:
         raise UsageError("bessel_im1 needs x >= 0")
@@ -91,10 +99,9 @@ def bessel_im1(x: Enclosure) -> Enclosure:
     term = half  # u_0
     total = term
     j = 0
-    target = Enclosure.from_fraction(Fraction(1, 2 ** (x.bits + 16)), x.bits)
     while j < _BESSEL_TERM_CAP:
         ratio_hi = half_sq / ((j + 1) * (j + 2))
-        if ratio_hi.hi < 0.5 and (term.hi == 0 or term.hi <= target.hi * max(1.0, abs(total.hi))):
+        if ratio_hi.hi < 0.5 and _at_most_relative(term.hi, total.hi, x.bits + 16):
             break
         j += 1
         term = term * half_sq / (j * (j + 1))

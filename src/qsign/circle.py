@@ -20,13 +20,16 @@ Two numeric regimes live here.
        alpha(n) = e^{2 pi n rho} int_0^1 f(e^{2 pi i (x + i rho)}) e^{-2 pi i n x} dx
 
    with rho = 1/N^2.  The integrand is periodic and analytic, so the plain
-   trapezoid rule on equispaced nodes converges geometrically.  Nodes and
-   the DFT run in Python-int fixed point with W = ceil(dps log2 10) + 32
-   fraction bits and no exp per node: each nome is a radius computed once
-   per call times a unit root from one table per level.  Its error is
-   stated, not certified; it cross-checks the exact engine, uses nothing
-   from it and never feeds a certificate.  The Farey dissection of order N
-   is kept for the single-arc spot check of the Bessel main term,
+   trapezoid rule on equispaced nodes converges geometrically.  Each node
+   is a quotient of powers of Jacobi triple-product sums, O(sqrt(t)) terms
+   each for exponents up to t, and nodes and the DFT run in Python-int
+   fixed point: q^t at a node is a radius R^t from a table built once per
+   call times a unit root from one table per level, so a term costs two
+   int products and no exp.  Guard bits sized from a lower bound on each
+   sum keep a node's relative error below 10^-dps at every order.  Its
+   error is stated, not certified; it cross-checks the exact engine, uses
+   nothing from it and never feeds a certificate.  The Farey dissection of
+   order N is kept for the single-arc spot check of the Bessel main term,
    ``analytic.lemma_arc_integral``.
 
 The theta product form multiplies the three Pochhammer symbols
@@ -41,17 +44,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, isqrt, log, log1p, log2, sqrt
+from math import ceil, exp, gcd, isqrt, log, log1p, log2, pi, sqrt
 from typing import Sequence
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_ln2, mpf_mul, mpf_sqrt, mpi_abs,
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_div, mpf_ln2, mpf_mul, mpf_sqrt, mpi_abs,
                           round_ceiling, round_floor)
 
 from .enclosure import DEFAULT_PRECISION, Enclosure, one, zero
 from .modular import TransformData, transform_data
-from .qseries import ProductSpec
+from .qseries import ProductSpec, triple_product_powers, triple_product_terms
 
 
 class ConvergenceRefused(RuntimeError):
@@ -570,12 +573,20 @@ def _abs_end(z: ComplexHP, up: bool) -> mpmath.mpf:
                                         prec, rnd), prec, rnd))
 
 
+#: bits of a residual: a double's, so its float is exact and still an upper bound
+_RESIDUAL_BITS = 53
+
+
 def relative_residual(lhs: ComplexHP, rhs: ComplexHP) -> mpmath.mpf:
-    """Upper bound of |lhs - rhs| / |lhs|; refused when the enclosure of |lhs| touches 0."""
+    """Upper bound of |lhs - rhs| / |lhs|, rounded up to `_RESIDUAL_BITS` bits.
+
+    Refused when the enclosure of |lhs| touches 0.
+    """
     den = _abs_end(lhs, False)
     if den <= 0:
         raise ConvergenceRefused("left side enclosure touches zero")
-    return _abs_end(lhs - rhs, True) / den
+    return mp.make_mpf(mpf_div(_abs_end(lhs - rhs, True)._mpf_, den._mpf_, _RESIDUAL_BITS,
+                               round_ceiling))
 
 
 def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]],
@@ -654,10 +665,11 @@ def farey_arcs(order: int) -> list[FareyArc]:
 #: node cap of the full-circle trapezoid rule in `numeric_coefficients`
 _MAX_NODES = 2 ** 13
 
-#: per factor (r, m, delta) of a spec: delta, the nome's index m and radius
-#: R_m, and per Pochhammer symbol (xi; q) and (q/xi; q) its index a, radius
-#: R_a and factor count, all radii R_a = e^{-2 pi a rho} at scale 2^W
-_NodePlan = tuple[tuple[int, int, int, tuple[tuple[int, int, int], ...]], ...]
+#: the gcd g of a spec's triple-product powers and, per side of
+#: f = (N/D)^g, each triple product T's power over g and its terms
+#: (t, +-R^t) with R^t = e^{-2 pi t rho} at scale 2^W
+_NodePlan = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+                  tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 
 def _fixed(x: mpmath.mpf, bits: int) -> int:
@@ -665,30 +677,56 @@ def _fixed(x: mpmath.mpf, bits: int) -> int:
     return int(mpmath.ldexp(x, bits))
 
 
-def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]:
-    """W = ceil(dps log2 10) + 32 and the radii and factor counts of every node.
+def _log2_bounds(r: int, m: int, step: float) -> tuple[float, float]:
+    """-log2 prod (1 - R^a) and log2 prod (1 + R^a), R = e^{-step}, over T(r, m)'s factors.
 
-    |z0 q^k| = R_a R_m^k at every node, so the count of factors with
-    |z0 q^k| > 10^-(dps + 8) is the same at every node and is found here once.
+    By the Jacobi triple product T(r, m) = prod (1 - q^a) over a = r, m - r
+    and m modulo m, so at |q| = R these bound -log2 |T| and log2 |T|.
     """
-    bits = ceil(dps * log2(10)) + 32
-    floor = (1 << bits) // 10 ** (dps + 8)
-    radius = {}
-    plan = []
+    low = high = 0.0
+    for a in (r, m - r, m):
+        while (x := exp(-step * a)) > 1e-30:
+            low, high, a = low - log1p(-x), high + log1p(x), a + m
+    return low / log(2), high / log(2)
+
+
+def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]:
+    """The fraction bits W, and the triple products T and their powers in f = (N/D)^g.
+
+    f = prod T(r, m)^e over ``qseries.triple_product_powers``; g is the gcd
+    of the powers e, N holds the positive e/g and D the negative (neither is
+    empty: eta powers that do not cancel go to the other side), so
+    quotients come before powers.
+    W = ceil(dps log2 10) + 32 + G, and G = ceil(max(L_N + U_D, L_D)) guard
+    bits, where L_N = sum_{e > 0} e l_T, L_D = sum_{e < 0} |e| l_T and
+    U_D = sum_{e < 0} |e| u_T from the bounds -l_T <= log2 |T| <= u_T of
+    ``_log2_bounds``: every partial product of N is at least 2^-L_N, of D at
+    least 2^-L_D, and |f| >= 2^-(L_N + U_D).  The radius table runs to the
+    first t with R^t <= 2^-W, R = e^{-2 pi rho}, and each T keeps its terms
+    up to that t.
+    """
+    step = 2 * pi / (order * order)
+    powers = triple_product_powers(spec)
+    low_num = low_den = high_den = 0.0
+    for r, m, e in powers:
+        low, high = _log2_bounds(r, m, step)
+        if e > 0:
+            low_num += e * low
+        else:
+            low_den, high_den = low_den - e * low, high_den - e * high
+    bits = ceil(dps * log2(10)) + 32 + ceil(max(low_num + high_den, low_den))
+    top = ceil(bits * log(2) / step)
     with mp.workprec(bits + 16):
-        rho = mpmath.mpf(1) / (order * order)
-        for r, m, delta in spec.factors:
-            for a in (r, m - r, m):
-                if a not in radius:
-                    radius[a] = _fixed(mpmath.exp(-2 * mpmath.pi * a * rho), bits)
-            symbols = []
-            for a in (r, m - r):
-                count, z = 0, radius[a]
-                while z > floor:
-                    count, z = count + 1, z * radius[m] >> bits
-                symbols.append((a, radius[a], count))
-            plan.append((delta, m, radius[m], tuple(symbols)))
-    return bits, tuple(plan)
+        ratio = _fixed(mpmath.exp(-2 * mpmath.pi / (order * order)), bits)
+    radius = [1 << bits]
+    for _ in range(top):
+        radius.append(radius[-1] * ratio >> bits)
+    g = gcd(*(e for _, _, e in powers))
+    num, den = [], []
+    for r, m, e in powers:
+        terms = tuple((t, sign * radius[t]) for t, sign in triple_product_terms(r, m, top))
+        (num if e > 0 else den).append((abs(e) // g, terms))
+    return bits, (g, tuple(num), tuple(den))
 
 
 def _refine_roots(roots: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
@@ -711,38 +749,42 @@ def _cmul(ar: int, ai: int, br: int, bi: int, bits: int) -> tuple[int, int]:
     return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
 
 
+def _cpow(vr: int, vi: int, e: int, bits: int) -> tuple[int, int]:
+    """v^e for e >= 1 by squaring, at scale 2^bits."""
+    pr, pi_ = vr, vi
+    for bit in bin(e)[3:]:
+        pr, pi_ = _cmul(pr, pi_, pr, pi_, bits)
+        if bit == "1":
+            pr, pi_ = _cmul(pr, pi_, vr, vi, bits)
+    return pr, pi_
+
+
 def _node_value(plan: _NodePlan, roots: list[tuple[int, int]], j: int,
                 bits: int) -> tuple[int, int]:
     """f(tau_j) at scale 2^bits, tau_j = j/M + i rho with M = len(roots).
 
-    Each nome and xi is R_a e^{2 pi i a j/M}, read from the root table.
+    Each triple product is sum_t +-R^t e^{2 pi i t j/M}, the unit root read
+    from the table, summed exactly at scale 2^{2 bits} and shifted once; the
+    node is (N conj(D)/|D|^2)^g.
     """
-    one_ = 1 << bits
     n_roots = len(roots)
-    out_r, out_i = one_, 0
-    for delta, m, rm, symbols in plan:
-        cr, ci = roots[m * j % n_roots]
-        qr, qi = rm * cr >> bits, rm * ci >> bits
-        vr, vi = one_, 0
-        for a, ra, count in symbols:
-            cr, ci = roots[a * j % n_roots]
-            zr, zi = ra * cr >> bits, ra * ci >> bits
-            for _ in range(count):
-                # v *= 1 - z, then z *= q
-                ur = one_ - zr
-                vr, vi = (vr * ur + vi * zi) >> bits, (vi * ur - vr * zi) >> bits
-                zr, zi = (zr * qr - zi * qi) >> bits, (zr * qi + zi * qr) >> bits
-        if delta < 0:
-            # 1/v = conj(v)/|v|^2
-            den = vr * vr + vi * vi
-            vr, vi = (vr << 2 * bits) // den, (-vi << 2 * bits) // den
-        pr, pi_ = one_, 0
-        for bit in bin(abs(delta))[2:]:
-            pr, pi_ = _cmul(pr, pi_, pr, pi_, bits)
-            if bit == "1":
-                pr, pi_ = _cmul(pr, pi_, vr, vi, bits)
-        out_r, out_i = _cmul(out_r, out_i, pr, pi_, bits)
-    return out_r, out_i
+    g, *sides = plan
+    values = []
+    for side in sides:
+        out = None
+        for e, terms in side:
+            tr = ti = 0
+            for t, rad in terms:
+                cr, ci = roots[t * j % n_roots]
+                tr += rad * cr
+                ti += rad * ci
+            p = _cpow(tr >> bits, ti >> bits, e, bits)
+            out = _cmul(*out, *p, bits) if out else p
+        values.append(out)
+    (nr, ni), (dr, di) = values
+    den = dr * dr + di * di
+    qr, qi = ((nr * dr + ni * di) << bits) // den, ((ni * dr - nr * di) << bits) // den
+    return _cpow(qr, qi, g, bits)
 
 
 def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
@@ -763,17 +805,31 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
     before any node is sampled when no two levels within that cap exceed
     max(ns).
 
-    Nodes are evaluated in Python-int fixed point with
-    W = ceil(dps log2 10) + 32 fraction bits, with no exp per node: every
-    nome and xi is a radius e^{-2 pi a rho}, computed once per call, times a
-    unit root from the level's table e^{2 pi i t/M}, which the DFT reads as
-    well.  Each Pochhammer symbol stops at the first factor with
-    |z0 q^k| <= 10^-(dps + 8).  Every truncating shift costs at most one
-    ulp 2^-W, so a node's error is a few ulps per factor, relative to its
-    partial products; the 32 guard bits keep it below 10^-dps there.  The
-    sum over j is exact in ints and becomes an mpf at `dps` digits once,
-    when scaled by e^{2 pi n rho}/M.  The error is stated, not certified;
-    nothing here feeds a certificate.  `ValueError` before any node is
+    Each node is f = prod T(r, m)^e over the triple products
+    T(r, m) = sum_j (-1)^j q^{rj + m j(j-1)/2} of
+    ``qseries.triple_product_powers`` (psi(r, m) = T(r, m)/(q^m; q^m) and
+    (q^m; q^m) = T(m, 3m)), evaluated in Python-int fixed point with
+    W = ceil(dps log2 10) + 32 + G fraction bits (``_node_plan``) and no exp
+    per node: q^t at tau_j is R^t, R = e^{-2 pi rho}, from a radius table
+    built once per call, times the unit root e^{2 pi i t j/M} from the
+    level's table, which the DFT reads as well.  A node's error budget, in
+    ulps u = 2^-W:
+
+    * truncation tail: each T drops its terms past the first t with
+      R^t <= u, at most u R/(1 - R) in all;
+    * rounding: each R^t is R^{t-1} R truncated, within 3/(1 - R) ulps, each
+      unit root within a few ulps per doubling of M, each sum is shifted
+      once and each product, quotient and power truncates once per part;
+    * guard bits: |T| >= prod (1 - R^a) over its factors 1 - q^a, and the G
+      guard bits cover the smallest value any partial product, quotient or
+      power can take, so every ulp above is at most 2^-(W - G) relative;
+      the 32 further bits cover the ulp counts, which keeps a node within
+      10^-dps relative at every order (at order 10, dps 30, within 3e-57
+      of an mpmath product at 60 digits on every node of M = 256).
+
+    The sum over j is exact in ints and becomes an mpf at `dps` digits
+    once, when scaled by e^{2 pi n rho}/M.  The error is stated, not
+    certified; nothing here feeds a certificate.  `ValueError` before any node is
     sampled when `tol` is not positive or an index is not a nonnegative int.
     """
     if order < 2:

@@ -230,7 +230,7 @@ _INT32_MAX = (1 << 31) - 1
 Terms = list[tuple[int, int]]
 
 
-def _triple_product_terms(r: int, m: int, trunc_order: int) -> Terms:
+def triple_product_terms(r: int, m: int, trunc_order: int) -> Terms:
     """Sparse terms of sum_j (-1)^j q^{rj + m j(j-1)/2}, exponent <= trunc_order."""
     terms = []
     for step in (1, -1):
@@ -245,28 +245,32 @@ def _triple_product_terms(r: int, m: int, trunc_order: int) -> Terms:
     return terms
 
 
+def triple_product_powers(spec: ProductSpec) -> list[tuple[int, int, int]]:
+    """(r, m, e) with spec = prod T(r, m)^e, T(r, m) = sum_j (-1)^j q^{rj + m j(j-1)/2}.
+
+    Each psi factor is T(r, m) divided by (q^m; q^m)_inf, and (q^m; q^m)_inf
+    is T(m, 3m) (Euler's pentagonal theorem).  The psi factors come first, in
+    spec order, then one (m, 3m, e) per modulus whose eta-type powers do not
+    cancel, ascending in m.
+    """
+    eta_exponents: dict[int, int] = {}
+    for _, m, delta in spec.factors:
+        eta_exponents[m] = eta_exponents.get(m, 0) - delta
+    return [*spec.factors, *((m, 3 * m, e) for m, e in sorted(eta_exponents.items()) if e)]
+
+
 def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Terms]]:
     """The sparse (multiplication, division) passes whose product is `spec`.
 
-    Each psi factor is a triple-product series divided by (q^m; q^m)_inf, and
-    (q^m; q^m)_inf is itself the triple product with r = m and modulus 3m
-    (Euler's pentagonal theorem), so every pass is a list of terms (e, +-1)
-    of one triple product, ascending in e.  Eta-type powers that do not
-    cancel become correction passes after the psi passes.
+    One pass per unit of each power of ``triple_product_powers``, each a list
+    of terms (e, +-1) of one triple product, ascending in e: the psi passes,
+    then the eta-type corrections.
     """
-    n = trunc_order
-    eta_exponents: dict[int, int] = {}
     mul_passes: list[Terms] = []
     div_passes: list[Terms] = []
-    for r, m, delta in spec.factors:
-        terms = _triple_product_terms(r, m, n)
-        (mul_passes if delta > 0 else div_passes).extend([terms] * abs(delta))
-        eta_exponents[m] = eta_exponents.get(m, 0) - delta
-    for m in sorted(eta_exponents):
-        e = eta_exponents[m]
-        if e:
-            terms = _triple_product_terms(m, 3 * m, n)
-            (mul_passes if e > 0 else div_passes).extend([terms] * abs(e))
+    for r, m, e in triple_product_powers(spec):
+        terms = triple_product_terms(r, m, trunc_order)
+        (mul_passes if e > 0 else div_passes).extend([terms] * abs(e))
     return mul_passes, div_passes
 
 

@@ -312,8 +312,9 @@ def theta_by_sum(sigma: ComplexHP, tau: ComplexHP, terms: int | None = None) -> 
 def psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath.mpc:
     """prod_j psi(r_j tau; m_j tau)^{delta_j} by mpmath complex arithmetic.
 
-    The node evaluator of ``circle.numeric_coefficients`` before it moved to
-    fixed point: both nomes by complex exp, each Pochhammer symbol cut once
+    The definitional oracle for the triple-product nodes of
+    ``circle.numeric_coefficients``: both nomes by complex exp, each
+    Pochhammer symbol multiplied out factor by factor and cut once
     |z0 q^k| <= 10^-(prec_dps + 8).  Call it under ``mp.workdps(prec_dps)``.
     """
     out = mpmath.mpc(1)

@@ -15,7 +15,7 @@ from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform
                           psi_by_theta, theta, transformed_arguments)
 from qsign.enclosure import Enclosure
 from qsign.modular import transform_data as td_of
-from qsign.qseries import expand_product, registered_spec
+from qsign.qseries import ProductSpec, expand_product, registered_spec
 
 
 def rel_residual(a: ComplexHP, b: ComplexHP) -> float:
@@ -536,8 +536,16 @@ class TestMoebiusClosedFormAgainstEvaluation:
             assert rel_residual(direct_sig, sig) < 1e-30
 
 
+#: psi(1, 5) alone: its eta power does not cancel, so nodes need (q^5; q^5)
+UNCANCELLED = ProductSpec(((1, 5, 1),))
+
+
+def spec_named(name):
+    return UNCANCELLED if name == "psi15" else registered_spec(name)
+
+
 def assert_small_coefficients_match_exact(name):
-    spec = registered_spec(name)
+    spec = spec_named(name)
     ns = [0, 4, 6, 7]
     exact = expand_product(spec, max(ns))
     got = numeric_coefficients(spec, ns, order=4, dps=35, tol=1e-9)
@@ -553,9 +561,9 @@ class TestNumericCoefficients:
     def test_small_coefficients_match_exact(self):
         assert_small_coefficients_match_exact("A")
 
-    @pytest.mark.parametrize("name", ["B", "D"])
+    @pytest.mark.parametrize("name", ["B", "D", "psi15"])
     def test_small_coefficients_match_exact_higher_level(self, name):
-        # B is level 5; D is level 25
+        # B and psi(1, 5) are level 5; D is level 25
         assert_small_coefficients_match_exact(name)
 
     def test_empty_index_list(self):
@@ -594,23 +602,20 @@ class TestNumericCoefficients:
             numeric_coefficients(registered_spec("A"), ns, order=4, dps=30, tol=1e-9)
 
     @pytest.mark.parametrize("dps", [30, 35])
-    @pytest.mark.parametrize("name", ["A", "B", "D", "c", "d"])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "c", "d", "psi15"])
     def test_fixed_point_nodes_match_the_mpmath_oracle(self, name, dps):
-        spec = registered_spec(name)
-        bits, plan = circle._node_plan(spec, 4, dps)
-        roots = [(1 << bits, 0)]
-        worst = mpmath.mpf(0)
-        while len(roots) < 64:
-            roots = circle._refine_roots(roots, bits)
-            m = len(roots)
-            for j in range(1, m, max(2, m // 4)):
-                fr, fi = circle._node_value(plan, roots, j, bits)
-                with mpmath.mp.workdps(dps):
-                    got = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
-                    tau = mpmath.mpc(mpmath.mpf(j) / m, mpmath.mpf(1) / 16)
-                    ref = psi_product_mpc(spec, tau, dps)
-                    worst = max(worst, abs(got - ref) / abs(ref))
-        assert worst < mpmath.mpf(10) ** (3 - dps)
+        assert worst_node_error(spec_named(name), 4, dps) < mpmath.mpf(10) ** (3 - dps)
+
+    @pytest.mark.parametrize("dps", [30, 35])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "c", "d", "psi15"])
+    @pytest.mark.parametrize("order", [2, 6])
+    def test_fixed_point_nodes_match_the_mpmath_oracle_at_order(self, order, name, dps):
+        assert worst_node_error(spec_named(name), order, dps) < mpmath.mpf(10) ** (3 - dps)
+
+    @pytest.mark.parametrize("name", ["A", "D"])
+    def test_fixed_point_nodes_hold_at_order_8(self, name):
+        # guard bits grow with the order, where |T| can fall to prod (1 - R^a)
+        assert worst_node_error(registered_spec(name), 8, 30) < mpmath.mpf(10) ** -27
 
     def test_independent_of_the_exact_engine(self, monkeypatch):
         spec = registered_spec("A")
@@ -621,6 +626,29 @@ class TestNumericCoefficients:
         got = numeric_coefficients(spec, ns, order=4, dps=30, tol=1e-9)
         for n in ns:
             assert abs(float(got[n]) - exact.coeff(n)) < 1e-9
+
+
+def worst_node_error(spec, order, dps):
+    """Largest relative error of the fixed-point nodes against the product oracle.
+
+    The nodes t/64 + i rho sample every level up to M = 64 and the real
+    axis t = 0, where each triple product meets its lower bound
+    prod (1 - R^a) and the guard bits are needed most.
+    """
+    bits, plan = circle._node_plan(spec, order, dps)
+    roots = [(1 << bits, 0)]
+    while len(roots) < 64:
+        roots = circle._refine_roots(roots, bits)
+    nodes = {0} | {j * 64 // m for m in (2, 4, 8, 16, 32, 64) for j in range(1, m, max(2, m // 4))}
+    worst = mpmath.mpf(0)
+    for t in sorted(nodes):
+        fr, fi = circle._node_value(plan, roots, t, bits)
+        with mpmath.mp.workdps(dps + 10):
+            got = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
+            tau = mpmath.mpc(mpmath.mpf(t) / 64, mpmath.mpf(1) / order ** 2)
+            ref = psi_product_mpc(spec, tau, dps + 10)
+            worst = max(worst, abs(got - ref) / abs(ref))
+    return worst
 
 
 def must_not_run(*args, **kwargs):

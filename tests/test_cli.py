@@ -5,12 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 
 from qsign import analytic, cli
 from qsign.analytic import DominanceResult, class_constant, main_term
-from qsign.certify import TARGETS
-from qsign.circle import ComplexHP, ConvergenceRefused, eta
+from qsign.certify import TARGETS, certify
+from qsign.circle import ComplexHP, ConvergenceRefused, eta, numeric_coefficients
 from qsign.cli import build_parser, main
 from qsign.enclosure import Enclosure, precision
 from qsign.qseries import expand_product, limb_plan, registered_spec
@@ -259,6 +259,25 @@ def test_ambient_precision_changes_no_result(capsys):
         assert results() == plain
         iv.prec = 53  # mpmath's own default; precision() restores the old value
         assert results() == plain
+
+
+def test_results_ignore_mp_prec(capsys):
+    """mpmath's ``mp.prec`` moves no main term, certificate, residual or quadrature estimate."""
+    def results():
+        analytic._class_sum.cache_clear()  # recompute S_r rather than read it back
+        terms = [main_term(registered_spec("A"), 805)._mpi_,
+                 main_term(registered_spec("D"), 19001)._mpi_]
+        hashes = [certify(key).certificate["meta"]["hash"] for key in ("A5n", "B5n", "D5n1")]
+        assert main(["xcheck", "--identity", "psi", "--samples", "1", "--seed", "7",
+                     "--workers", "1", "--precision", "192"]) == 0
+        residual = json.loads(capsys.readouterr().out)["max_residual"]
+        estimates = numeric_coefficients(registered_spec("A"), [3, 5], order=2, dps=30)
+        return terms, hashes, residual, {n: v._mpf_ for n, v in estimates.items()}
+
+    plain = results()
+    for prec in (10, 400):
+        with mp.workprec(prec):
+            assert results() == plain
 
 
 class TestBench:

@@ -313,7 +313,7 @@ class TestSliceEngine:
     def test_eta_passes_are_euler_pentagonal_series(self, m):
         n = 600
         eta = expand_pochhammer(m, m, n).coeffs
-        terms = qseries._triple_product_terms(m, 3 * m, n)
+        terms = qseries.triple_product_terms(m, 3 * m, n)
         assert terms == [(e, c) for e, c in enumerate(eta) if c]
 
     @seed(20251217)
