@@ -53,7 +53,7 @@ from mpmath.libmp import (from_man_exp, mpf_add, mpf_div, mpf_ln2, mpf_mul, mpf_
                           round_ceiling, round_floor)
 
 from .enclosure import DEFAULT_PRECISION, Enclosure, one, zero
-from .modular import TransformData, transform_data
+from .modular import TransformData, delta_at, omega_exact, transform_data
 from .qseries import ProductSpec, triple_product_powers, triple_product_terms
 
 
@@ -478,18 +478,18 @@ def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     head = cexp(ComplexHP(-(pi_e * tau.im / 4) + pi_e * sigma.im,
                           pi_e * tau.re / 4 - pi_e * sigma.re))
     head = ComplexHP(head.im, -head.re)  # multiply by -i
-    prod = pochhammer_product(xi, q, _FACTOR_BUDGET)
-    prod = prod * pochhammer_product(ComplexHP.one() / xi * q, q, _FACTOR_BUDGET)
-    prod = prod * pochhammer_product(q, q, _FACTOR_BUDGET)
-    return head * prod
+    return head * (_psi(xi, q) * pochhammer_product(q, q, _FACTOR_BUDGET))
 
 
 def psi(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """psi(sigma; tau) = (xi; q)_inf (xi^{-1} q; q)_inf, the two-symbol product."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("psi needs Im(tau) > 0")
-    q = e_two_pi_i(tau)
-    xi = e_two_pi_i(sigma)
+    return _psi(e_two_pi_i(sigma), e_two_pi_i(tau))
+
+
+def _psi(xi: ComplexHP, q: ComplexHP) -> ComplexHP:
+    """(xi; q)_inf (xi^{-1} q; q)_inf given xi = e^{2 pi i sigma} and the nome q."""
     return (pochhammer_product(xi, q, _FACTOR_BUDGET)
             * pochhammer_product(ComplexHP.one() / xi * q, q, _FACTOR_BUDGET))
 
@@ -529,17 +529,20 @@ def product_side(spec: ProductSpec, tau: ComplexHP) -> ComplexHP:
     return out
 
 
-def transformed_side(td: TransformData, z: ComplexHP) -> ComplexHP:
+def transformed_side(spec: ProductSpec, h: int, k: int, z: ComplexHP) -> ComplexHP:
     """Right-hand side of the product transformation at tau = (h + iz)/k.
 
     i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon
     exp(pi/(12k) (Omega z + Delta / z)) prod_j psi(sigma_j; tau_j)^{delta_j}.
+    The phases and arguments come from ``transform_data``, Omega from
+    ``omega_exact`` and Delta from ``delta_at``.
     """
+    td = transform_data(spec, h, k)
     pref = e_pi_i_half_turns(td.prefactor_phase(), z.bits)
     invz = ComplexHP.one() / z
-    scale = Enclosure.pi(z.bits) / (12 * td.k)
-    om = Enclosure.from_fraction(td.omega_exponent, z.bits)
-    de = Enclosure.from_fraction(td.delta_exponent, z.bits)
+    scale = Enclosure.pi(z.bits) / (12 * k)
+    om = Enclosure.from_fraction(omega_exact(spec), z.bits)
+    de = Enclosure.from_fraction(delta_at(spec, h, k), z.bits)
     grow = cexp(ComplexHP(scale * (om * z.re + de * invz.re),
                           scale * (om * z.im + de * invz.im)))
     prod = ComplexHP.one()
@@ -557,10 +560,9 @@ def check_product_transform(spec: ProductSpec, h: int, k: int,
     """
     if not z.re.is_positive():
         raise ConvergenceRefused("need Re(z) > 0")
-    td = transform_data(spec, h, k)
     tau = ComplexHP((h - z.im) / k, z.re / k)
     lhs = product_side(spec, tau)
-    rhs = transformed_side(td, z)
+    rhs = transformed_side(spec, h, k, z)
     return relative_residual(lhs, rhs), lhs, rhs
 
 

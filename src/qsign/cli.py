@@ -76,9 +76,9 @@ from . import __version__
 from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
 from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
                       verify_known_theorems)
-from .circle import (ComplexHP, cexp, check_product_transform, csqrt_upper, e_pi_i_half_turns,
-                     eta, psi, psi_by_theta, relative_residual, theta)
-from .enclosure import DEFAULT_PRECISION, Enclosure
+from .circle import (ComplexHP, check_product_transform, csqrt_upper, e_pi_i_half_turns,
+                     e_two_pi_i, eta, psi, psi_by_theta, relative_residual, theta)
+from .enclosure import DEFAULT_PRECISION
 from .modular import GammaMatrix, delta_table_rows, omega_exact
 from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, limb_plan,
                       limbs_to_series, registered_spec)
@@ -258,7 +258,7 @@ def _residual_theta(seed: int, bits: int) -> float:
     chi3 = e_pi_i_half_turns(gamma.chi_exponent() * 3, bits)
     lhs = theta(sig / ctd, gt)
     w = (sig * sig).scale(gamma.c) / ctd  # quad = e^{pi i c sigma^2 / (c tau + d)}
-    quad = cexp(ComplexHP(-(Enclosure.pi(bits) * w.im), Enclosure.pi(bits) * w.re))
+    quad = e_two_pi_i(w.scale(Fraction(1, 2)))
     rhs = chi3 * csqrt_upper(ctd) * quad * theta(sig, tau)
     return float(relative_residual(lhs, rhs))
 
@@ -270,8 +270,7 @@ def _residual_quasi(seed: int, bits: int) -> float:
     aa, bb = rng.randint(-2, 2), rng.randint(-2, 2)
     lhs = theta(sig + tau.scale(aa) + ComplexHP.from_fractions(bb, 0, bits), tau)
     # (-1)^{A+B} e^{-pi i A^2 tau} e^{-2 pi i A sigma}
-    head = cexp(ComplexHP(Enclosure.pi(bits) * (tau.im * (aa * aa) + sig.im * (2 * aa)),
-                          -(Enclosure.pi(bits) * (tau.re * (aa * aa) + sig.re * (2 * aa)))))
+    head = e_two_pi_i(-(tau.scale(Fraction(aa * aa, 2)) + sig.scale(aa)))
     sgn = -1 if (aa + bb) % 2 else 1
     rhs = (head * theta(sig, tau)).scale(sgn)
     return float(relative_residual(lhs, rhs))

@@ -28,9 +28,7 @@ Each quantity has one function: ``omega_exact`` (Omega), ``delta_at``
 l)), ``class_deltas`` (the one class scan, shared by ``lpos_set``,
 ``delta_table_rows`` and ``analytic.main_term_data``) and ``transform_data``
 (matrices, omega, Upsilon, and Pi through ``TransformData.pi_factors``).
-``transform_data`` also sums Omega and Delta in its own factor loop, from
-the d and u it already has, so its records equal ``omega_exact`` and
-``delta_at`` (tested) without calling them.  The level L is ``ProductSpec.level``, computed once per spec, so none of
+The level L is ``ProductSpec.level``, computed once per spec, so none of
 them needs it passed in.
 
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
@@ -269,12 +267,11 @@ def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
 class TransformData(NamedTuple):
     """Everything needed to evaluate the product transformation at h/k, in integers.
 
-    The exponents are kept as integer numerators over known denominators:
-    omega_num over 6k (reduced mod 12k), upsilon_num over L k (reduced mod
-    2 L k), big_omega_num and delta_num over L, L the level.  The phases
-    ``omega`` and ``upsilon`` (exponents t of e^{pi i t}, in [0, 2)) and the
-    growth exponents ``omega_exponent`` and ``delta_exponent`` are properties
-    that build one reduced ``Fraction`` on every read.
+    The phases are kept as integer numerators over known denominators:
+    omega_num over 6k (reduced mod 12k) and upsilon_num over L k (reduced
+    mod 2 L k), L the level.  ``omega`` and ``upsilon`` (exponents t of
+    e^{pi i t}, in [0, 2)) are properties that build one reduced
+    ``Fraction`` on every read.
     """
 
     h: int
@@ -285,8 +282,6 @@ class TransformData(NamedTuple):
     sum_delta_lambda: int
     omega_num: int
     upsilon_num: int
-    big_omega_num: int
-    delta_num: int
 
     @property
     def omega(self) -> Fraction:
@@ -295,14 +290,6 @@ class TransformData(NamedTuple):
     @property
     def upsilon(self) -> Fraction:
         return Fraction(self.upsilon_num, self.level * self.k)
-
-    @property
-    def omega_exponent(self) -> Fraction:
-        return Fraction(self.big_omega_num, self.level)
-
-    @property
-    def delta_exponent(self) -> Fraction:
-        return Fraction(self.delta_num, self.level)
 
     def prefactor_phase(self) -> Fraction:
         """t in [0, 2) with e^{pi i t} = i^{sum delta} (-1)^{sum delta lambda} omega^2 Upsilon.
@@ -344,14 +331,13 @@ def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
                   + 2 r_j d_j lam*_j/(m_j k) + hbar_j d_j (lam_j^2 - lam_j)/k ]).
 
     The two exponents are summed as integer numerators over L k and 6k (see
-    the module docstring) and reduced mod 2 as integers.  Omega and Delta
-    (the values of ``omega_exact`` and ``delta_at``) are summed over L in
-    the same loop, from the same d and u.  No ``Fraction`` is built here.
+    the module docstring) and reduced mod 2 as integers.  No ``Fraction``
+    is built here.
     """
     _check_fraction(h, k)
     big_l = spec.level
     facs = []
-    omega_num = ups_num = big_omega_num = delta_num = sum_delta = sum_dl = 0
+    omega_num = ups_num = sum_delta = sum_dl = 0
     for r, m, delta in spec.factors:
         d = gcd(m, k)
         mp, kp = m // d, k // d
@@ -360,13 +346,10 @@ def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
         lam = -(-r * h // d)
         u = lam * d - r * h
         facs.append(FactorTransform(r, m, delta, d, mp, kp, hb, lam, u, k))
-        lm = big_l // m
         omega_num -= delta * _dedekind_6c(mp * h, kp) * d
-        ups_num += delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam)) * lm
-        big_omega_num += delta * (2 * m * m - 12 * r * m + 12 * r * r) * lm
-        delta_num -= delta * (2 * d * d + 12 * u * (u - d)) * lm
+        ups_num += (delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam))
+                    * (big_l // m))
         sum_delta += delta
         sum_dl += delta * lam
     return TransformData(h, k, tuple(facs), big_l, sum_delta, sum_dl,
-                         omega_num % (12 * k), ups_num % (2 * big_l * k),
-                         big_omega_num, delta_num)
+                         omega_num % (12 * k), ups_num % (2 * big_l * k))

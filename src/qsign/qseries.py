@@ -31,10 +31,9 @@ and its limbs are adjacent.  After every carry each limb lies in
 [-2^{R-1} - 1, 2^{R-1}], so |limb| <= h = 2^{R-1} + 1 (a balanced carry,
 which leaves small negative values in the low limbs instead of running a
 borrow up the array).  When a carry reaches the top limb the array widens
-in place: its buffer is resized and the rows move up to the new stride a
-chunk at a time, last chunk first.  At the end it becomes Python ints a
-chunk of indices at a time from the highest down, two limbs at a time,
-shrinking in place as the ints grow.
+by copying into a wider one.  At the end it becomes Python ints a chunk of
+indices at a time from the highest down, two limbs at a time, shrinking in
+place as the ints grow.
 
 *Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
 before its carry, which adds 2^{R-1} before shifting: a multiplication pass
@@ -221,7 +220,7 @@ _MAX_BLOCK = 64
 #: blocks of history a division block product reads: its terms with
 #: e < _HISTORY b join the block matrix, the longer ones stay slices
 _HISTORY = 2
-#: rows moved or converted at a time when the limbs are reshaped in place
+#: rows converted to Python ints at a time, the limbs shrinking behind them
 _CHUNK_ROWS = 2048
 #: every integer of magnitude at most 2^53 is a float64
 _FLOAT64_EXACT = 1 << 53
@@ -433,46 +432,51 @@ def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
     return out
 
 
-def _div_pass(out: np.ndarray, terms: Terms, radix_bits: int) -> None:
-    """Divide the index-major limbs `out` in place by sum_t c_t q^{e_t} (c_0 = 1), by blocks.
+def _div_passes(out: np.ndarray, passes: list[Terms], radix_bits: int) -> np.ndarray:
+    """Divide the index-major limbs `out` by each sum_t c_t q^{e_t} (c_0 = 1) of `passes`.
 
-    y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far term (e >= W =
-    _HISTORY b) is due at the block holding the first index it has not yet
-    reached: there it subtracts the final values [p, lo) from
+    A pass walks blocks of y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far
+    term (e >= W = _HISTORY b) is due at the block holding the first index
+    it has not yet reached: there it subtracts the final values [p, lo) from
     [p + e, lo + e), one contiguous run of rows, and becomes due again at
     the block of lo + e.  Its sources lie before the current block and its
     targets in it or later, so each slice covers up to e indices and every
     target gets its far contributions before its block runs.  The near
     terms are one exact float64 product per block over the W indices before
     it and the block itself (see ``_div_block``), carried in int64 with
-    spare limbs on top; ``_widen`` adds limbs in place when a carry reaches
-    them.
+    spare limbs on top.  When a carry reaches a spare limb, `out` is copied
+    into a wider array, and the function returns the array it ends with.
+    It runs every pass, so no caller holds a pass's input while it is copied.
     """
-    block = _div_block(terms, radix_bits)
-    b, steps = block.size, block.carry_steps
-    history = _HISTORY * b
     n1 = out.shape[0]
-    due: list[list[tuple[int, int, int]]] = [[] for _ in range(-(-n1 // b))]
-    for e, c in terms:
-        if e >= history:
-            due[e // b].append((e, c, 0))
-    for k, far in enumerate(due):
-        lo, hi = k * b, min(k * b + b, n1)
-        for e, c, p in far:
-            top = min(lo + e, n1)
-            if c > 0:
-                out[p + e:top] -= out[p:top - e]
-            else:
-                out[p + e:top] += out[p:top - e]
-            if lo + e < n1:
-                due[(lo + e) // b].append((e, c, lo))
-        y = _block_product(out, lo, hi, block)
-        _carry(y, radix_bits, steps)
-        limbs = out.shape[1]
-        if y[limbs:].any():
-            limbs += int(np.flatnonzero(y[limbs:].any(axis=1))[-1]) + 1
-            _widen(out, limbs)
-        out[lo:hi] = y[:limbs].T
+    for terms in passes:
+        block = _div_block(terms, radix_bits)
+        b, steps = block.size, block.carry_steps
+        history = _HISTORY * b
+        due: list[list[tuple[int, int, int]]] = [[] for _ in range(-(-n1 // b))]
+        for e, c in terms:
+            if e >= history:
+                due[e // b].append((e, c, 0))
+        for k, far in enumerate(due):
+            lo, hi = k * b, min(k * b + b, n1)
+            for e, c, p in far:
+                top = min(lo + e, n1)
+                if c > 0:
+                    out[p + e:top] -= out[p:top - e]
+                else:
+                    out[p + e:top] += out[p:top - e]
+                if lo + e < n1:
+                    due[(lo + e) // b].append((e, c, lo))
+            y = _block_product(out, lo, hi, block)
+            _carry(y, radix_bits, steps)
+            limbs = out.shape[1]
+            if y[limbs:].any():
+                limbs += int(np.flatnonzero(y[limbs:].any(axis=1))[-1]) + 1
+                wider = np.zeros((n1, limbs), dtype=np.int32)
+                wider[:, :out.shape[1]] = out
+                out = wider
+            out[lo:hi] = y[:limbs].T
+    return out
 
 
 def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.ndarray:
@@ -490,41 +494,21 @@ def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.nd
     return y
 
 
-def _widen(out: np.ndarray, limbs: int) -> None:
-    """Give every index of the index-major array `out` `limbs` limbs, in place.
-
-    The owning buffer is resized to rows x limbs; its old rows, still at
-    the old stride at its start, move up to the new stride a chunk of rows
-    at a time, last chunk first, so no row is overwritten before it moves,
-    and the new limbs are zeroed.  `out` must own its buffer, and no view
-    of it may be alive.
-    """
-    rows, old = out.shape
-    out.resize((rows, limbs), refcheck=False)
-    packed = out.reshape(-1)[:rows * old].reshape(rows, old)
-    for lo in reversed(range(0, rows, _CHUNK_ROWS)):
-        hi = min(lo + _CHUNK_ROWS, rows)
-        out[lo:hi, :old] = packed[lo:hi]  # numpy copies an overlapping source first
-        out[lo:hi, old:] = 0
-
-
 def expand_limbs(plan: LimbPlan) -> np.ndarray:
     """The expansion of ``plan`` as int32 limbs, index-major: shape (N + 1, limbs), C order.
 
     Coefficient n is sum_l limbs[n, l] 2^{R l} with R = plan.radix_bits,
     every |limb| <= 2^{R-1} + 1, so one coefficient's limbs are adjacent.
     The multiplication passes run limb-major and are transposed once; the
-    division passes then work on the array in place.
+    division passes then work on the array, widening it by copies.
     """
     acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
     acc[0, 0] = 1
     for terms in plan.mul_passes:
         acc = _mul_pass(acc, terms, plan.radix_bits)
-    out = acc.T.copy()  # owns its buffer, so _widen can resize it
+    out = acc.T.copy()
     del acc
-    for terms in plan.div_passes:
-        _div_pass(out, terms, plan.radix_bits)
-    return out
+    return _div_passes(out, plan.div_passes, plan.radix_bits)
 
 
 def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:

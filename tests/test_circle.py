@@ -415,6 +415,20 @@ class TestProductTransformation:
         res, _, _ = check_product_transform(registered_spec("D"), 1, 5, c_hp(1, 0))
         assert res < 1e-25
 
+    @pytest.mark.parametrize("k", (3, 7, 10, 12))
+    @pytest.mark.parametrize("factors", (
+        ((1, 10, 1), (2, 5, -1)),               # psi(1,10) psi(2,5)^-1, level 10
+        ((3, 25, 1), (1, 5, 2), (10, 25, -1)),  # psi(3,25) psi(1,5)^2 psi(10,25)^-1, level 25
+    ), ids=("level10", "level25"))
+    def test_inline_spec_with_mixed_moduli(self, factors, k):
+        # specs outside the registry, whose Omega and Delta come from the spec alone
+        spec = ProductSpec(factors)
+        z = c_hp(Fraction(4, 5), Fraction(1, 3))
+        for h in range(k):
+            if gcd(h, k) == 1:
+                res, _, _ = check_product_transform(spec, h, k, z)
+                assert res < 1e-25, (h, k)
+
     def test_rejects_left_half_plane(self):
         with pytest.raises(ConvergenceRefused):
             check_product_transform(registered_spec("A"), 0, 1, c_hp(-1, 0))

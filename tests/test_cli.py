@@ -167,8 +167,11 @@ class TestXcheck:
         del a["elapsed_s"], b["elapsed_s"]
         assert a == b
 
-    @pytest.mark.parametrize("identity,residual", [("psi", 6.869611139302987e-56),
-                                                   ("quasiperiodicity", 7.450343172401411e-56)])
+    @pytest.mark.parametrize("identity,residual", [("eta", 1.0364147226644013e-52),
+                                                   ("theta", 6.262023930006353e-52),
+                                                   ("quasiperiodicity", 7.450343172401411e-56),
+                                                   ("psi", 6.869611139302987e-56),
+                                                   ("product", 4.36303444309427e-53)])
     def test_residuals_pinned(self, identity, residual, capsys):
         # interval endpoints are bit-identical to mpmath.iv's, so the residuals are exact
         assert main(["xcheck", "--identity", identity, "--samples", "3", "--seed", "7",

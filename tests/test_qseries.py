@@ -236,8 +236,8 @@ class TestSliceEngine:
 
     def test_widening_and_conversion_across_a_chunk_boundary(self):
         # c = 1/R gains its fourth limb at an index past the first chunk of
-        # rows, so the in-place widening moves rows on both sides of the
-        # chunk boundary, and the conversion takes the series in two chunks
+        # rows, so the widening copies rows already written on both sides of
+        # the chunk boundary, and the conversion takes the series in two chunks
         spec = registered_spec("c")
         lo, hi = 2600, 3000
         final = limb_count(spec, hi)
