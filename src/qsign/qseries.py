@@ -27,21 +27,23 @@ exactly.
 
 The expansion runs on one int32 array of limbs, index-major: shape
 (N + 1, limbs) in C order, so coefficient n is sum_l limbs[n, l] 2^{R l}
-and its limbs are adjacent.  After every carry each limb lies in
-[-2^{R-1} - 1, 2^{R-1}], so |limb| <= h = 2^{R-1} + 1 (a balanced carry,
-which leaves small negative values in the low limbs instead of running a
-borrow up the array).  When a carry reaches the top limb the array widens
-by copying into a wider one.  At the end it becomes Python ints a chunk of
-indices at a time from the highest down, two limbs at a time, shrinking in
-place as the ints grow.
+and its limbs are adjacent.  A carry is balanced (it leaves small
+negative values in the low limbs instead of running a borrow up the
+array) and stops once its carries are at most 2^{ceil(R/2)}, so after
+every carry |limb| <= h = 2^{R-1} + 2^{ceil(R/2)}; at R = 24 that takes
+one step for a multiplication pass and at most two for a division block.
+When a carry reaches past the array's width, the array is copied into one
+several limbs wider, and at the end it is cut once to the limbs in use.
+It then becomes Python ints a chunk of indices at a time from the highest
+down, two limbs at a time, shrinking in place as the ints grow.
 
 *Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
 before its carry, which adds 2^{R-1} before shifting: a multiplication pass
 sums t shifted copies, and a division pass adds at most one contribution
 per term to an index's own value.  R is the largest radix with
 t h + 2^{R-1} <= 2^31 - 1 for the largest t of the expansion (24 for D to
-19501, with t = 177), so no int32 accumulation overflows; if no R >= 1
-fits, the expansion is refused.
+19501, with t = 177, where h = 2^23 + 2^12), so no int32 accumulation
+overflows; if no R >= 1 fits, the expansion is refused.
 
 *Division passes* y = x / T walk blocks of b indices.  The terms with
 e < W = 2b are one product y_block = M [y_hist; x_block] with
@@ -51,15 +53,15 @@ it is exact: with inputs of magnitude at most h (y_hist) and t h (x), every
 row's products and partial sums are integers of magnitude at most
 sum_j |M_ij| (input bound), and b halves from 64 until that is at most
 2^53 (b = 32 for the moduli 2 and 3, whose 1/T grow fastest).  The product
-is formed limb-major, carried in int64 with spare limbs on top and written
-back transposed.  A term with e >= W reads only final values: it sits on a
-due-list keyed by block, and when its block comes it subtracts the final
-values [p, lo) from the targets [p + e, lo + e) as one contiguous run of
-up to e rows, then moves to the block of lo + e (the schedule of relaxed
-series arithmetic: J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symb. Comput. 34 (2002)).  Multiplication passes run first, on a
-limb-major copy, one shifted slice per term, carried once per pass; the
-result is transposed once.
+is formed limb-major in one int64 buffer per pass, carried there with
+spare limbs on top and written back transposed.  A term with e >= W reads
+only final values: it sits on a due-list keyed by block, and when its
+block comes it subtracts the final values [p, lo) from the targets
+[p + e, lo + e) as one contiguous run of up to e rows, then moves to the
+block of lo + e (the schedule of relaxed series arithmetic: J. van der
+Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 34 (2002)).
+Multiplication passes run first, on a limb-major copy, one shifted slice
+per term, carried once per pass; the result is transposed once.
 """
 
 from __future__ import annotations
@@ -220,6 +222,8 @@ _MAX_BLOCK = 64
 #: blocks of history a division block product reads: its terms with
 #: e < _HISTORY b join the block matrix, the longer ones stay slices
 _HISTORY = 2
+#: limbs a division pass's array grows by per copy, when a carry outgrows it
+_WIDEN_LIMBS = 4
 #: rows converted to Python ints at a time, the limbs shrinking behind them
 _CHUNK_ROWS = 2048
 #: every integer of magnitude at most 2^53 is a float64
@@ -274,8 +278,8 @@ def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Te
 
 
 def _limb_bound(radix_bits: int) -> int:
-    """Largest |limb| after a carry: half the radix plus one."""
-    return (1 << (radix_bits - 1)) + 1
+    """Largest |limb| after a carry: h = 2^{R-1} + 2^{ceil(R/2)} (see _carry_steps)."""
+    return (1 << (radix_bits - 1)) + (1 << -(-radix_bits // 2))
 
 
 def _carry_steps(bound: int, radix_bits: int) -> int:
@@ -286,25 +290,39 @@ def _carry_steps(bound: int, radix_bits: int) -> int:
     magnitude <= B has magnitude <= (B + 2^{R-1}) >> R.  After a step whose
     carries are at most C, a limb lies in [-2^{R-1} - C, 2^{R-1} - 1 + C],
     so the next carries are at most ceil(C / 2^R).  Steps repeat until the
-    carries are at most 1, which leaves every limb in [-2^{R-1} - 1, 2^{R-1}].
-    Each step moves carries one limb up, so a carry runs on an array with
-    `steps` spare limbs on top and none leaves it.
+    carries are at most 2^{ceil(R/2)}, which leaves every limb within
+    h = 2^{R-1} + 2^{ceil(R/2)}: at R = 24 a row bound below 2^{60} takes
+    two steps and one below 2^{36} one.  Each step moves carries one limb
+    up, so a carry runs on an array with `steps` spare limbs on top and
+    none leaves it.
     """
-    radix = 1 << radix_bits
+    radix, most = 1 << radix_bits, 1 << -(-radix_bits // 2)
     steps, carry = 1, (bound + radix // 2) >> radix_bits
-    while carry > 1:
+    while carry > most:
         steps, carry = steps + 1, (carry + radix - 1) >> radix_bits
     return steps
 
 
+@lru_cache(maxsize=8)
+def _carry_constants(scalar: type, radix_bits: int) -> tuple:
+    """2^{R-1}, 2^R - 1 and R as scalars of the limbs' dtype, so no step converts them."""
+    return scalar(1 << (radix_bits - 1)), scalar((1 << radix_bits) - 1), scalar(radix_bits)
+
+
 def _carry(v: np.ndarray, radix_bits: int, steps: int) -> None:
-    """Balanced carry in place along axis 0 (limbs), `steps` times (see _carry_steps)."""
-    half = 1 << (radix_bits - 1)
+    """Balanced carry in place along axis 0 (limbs), `steps` times (see _carry_steps).
+
+    Adding 2^{R-1} first makes the carry a plain shift and the kept limb
+    a mask, both in place; only the carries themselves are a new array.
+    """
+    half, mask, shift = _carry_constants(v.dtype.type, radix_bits)
+    lo, hi = v[:-1], v[1:]
     for _ in range(steps):
-        c = v[:-1] + half
-        c >>= radix_bits
-        v[:-1] -= c << radix_bits
-        v[1:] += c
+        lo += half
+        c = lo >> shift
+        lo &= mask
+        lo -= half
+        hi += c
 
 
 class _DivBlock(NamedTuple):
@@ -395,7 +413,7 @@ class LimbPlan(NamedTuple):
 def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
     """The passes of `spec` to `trunc_order`, with the radix and blocks that keep them exact.
 
-    A pass by t terms adds at most t limbs of magnitude <= h = 2^{R-1} + 1
+    A pass by t terms adds at most t limbs of magnitude <= h = _limb_bound(R)
     into one int32, and its carry adds 2^{R-1} before shifting; R is the
     largest radix with t h + 2^{R-1} <= 2^31 - 1 for the largest t of the
     plan.  The plan is refused if no R >= 1 fits.
@@ -443,44 +461,51 @@ def _div_passes(out: np.ndarray, passes: list[Terms], radix_bits: int) -> np.nda
     targets in it or later, so each slice covers up to e indices and every
     target gets its far contributions before its block runs.  The near
     terms are one exact float64 product per block over the W indices before
-    it and the block itself (see ``_div_block``), carried in int64 with
-    spare limbs on top.  When a carry reaches a spare limb, `out` is copied
-    into a wider array, and the function returns the array it ends with.
-    It runs every pass, so no caller holds a pass's input while it is copied.
+    it and the block itself (see ``_div_block``), carried in one int64
+    buffer per pass with spare limbs on top.  When a carry reaches past the
+    array's width, `out` is copied into one with _WIDEN_LIMBS - 1 zero limbs
+    above the highest the carry reached (D to 19501 copies 5 times on its
+    way to 21 limbs).  It runs every pass, so no caller holds a pass's input
+    while it is copied, and returns the array it ends with, cut to the limbs
+    its carries reached: C-contiguous and owning its data.
     """
-    n1 = out.shape[0]
+    n1, used = out.shape
     for terms in passes:
         block = _div_block(terms, radix_bits)
         b, steps = block.size, block.carry_steps
         history = _HISTORY * b
-        due: list[list[tuple[int, int, int]]] = [[] for _ in range(-(-n1 // b))]
+        buf = np.empty((out.shape[1] + steps, b), dtype=np.int64)
+        due: list[list[tuple[int, np.ufunc, int]]] = [[] for _ in range(-(-n1 // b))]
         for e, c in terms:
             if e >= history:
-                due[e // b].append((e, c, 0))
+                due[e // b].append((e, np.subtract if c > 0 else np.add, 0))
         for k, far in enumerate(due):
             lo, hi = k * b, min(k * b + b, n1)
-            for e, c, p in far:
-                top = min(lo + e, n1)
-                if c > 0:
-                    out[p + e:top] -= out[p:top - e]
-                else:
-                    out[p + e:top] += out[p:top - e]
+            for e, op, p in far:
                 if lo + e < n1:
-                    due[(lo + e) // b].append((e, c, lo))
-            y = _block_product(out, lo, hi, block)
+                    target = out[p + e:lo + e]
+                    op(target, out[p:lo], out=target)
+                    due[(lo + e) // b].append((e, op, lo))
+                else:
+                    target = out[p + e:]
+                    op(target, out[p:n1 - e], out=target)
+            y = buf[:used + steps, :hi - lo]
+            _block_product(out, used, lo, hi, block, y)
             _carry(y, radix_bits, steps)
-            limbs = out.shape[1]
-            if y[limbs:].any():
-                limbs += int(np.flatnonzero(y[limbs:].any(axis=1))[-1]) + 1
-                wider = np.zeros((n1, limbs), dtype=np.int32)
-                wider[:, :out.shape[1]] = out
-                out = wider
-            out[lo:hi] = y[:limbs].T
-    return out
+            if np.count_nonzero(y[used:]):
+                used += int(np.flatnonzero(y[used:].any(axis=1))[-1]) + 1
+                if used > out.shape[1]:
+                    wider = np.zeros((n1, used + _WIDEN_LIMBS - 1), dtype=np.int32)
+                    wider[:, :out.shape[1]] = out
+                    out = wider
+                    buf = np.empty((out.shape[1] + steps, b), dtype=np.int64)
+            out[lo:hi, :used] = y[:used].T
+    return out[:, :used].copy() if used < out.shape[1] else out
 
 
-def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.ndarray:
-    """Limb-major int64 y[lo:hi] = M [y_hist; x], with carry_steps zero limbs on top.
+def _block_product(out: np.ndarray, used: int, lo: int, hi: int, block: _DivBlock,
+                   y: np.ndarray) -> None:
+    """Limb-major y[:used] = M [y_hist; x] over the `used` limbs of `out`, y[used:] = 0.
 
     The history is the W = _HISTORY b indices before lo, fewer near the
     start of the series, where the missing ones are zero.
@@ -488,19 +513,20 @@ def _block_product(out: np.ndarray, lo: int, hi: int, block: _DivBlock) -> np.nd
     w, history = hi - lo, _HISTORY * block.size
     start = max(lo - history, 0)
     m = block.matrix[history - (lo - start):history + w, :w]
-    limbs = out.shape[1]
-    y = np.zeros((limbs + block.carry_steps, w), dtype=np.int64)
-    y[:limbs] = out[start:hi].T.astype(np.float64) @ m
-    return y
+    y[:used] = out[start:hi, :used].T.astype(np.float64) @ m
+    y[used:] = 0
 
 
 def expand_limbs(plan: LimbPlan) -> np.ndarray:
     """The expansion of ``plan`` as int32 limbs, index-major: shape (N + 1, limbs), C order.
 
     Coefficient n is sum_l limbs[n, l] 2^{R l} with R = plan.radix_bits,
-    every |limb| <= 2^{R-1} + 1, so one coefficient's limbs are adjacent.
-    The multiplication passes run limb-major and are transposed once; the
-    division passes then work on the array, widening it by copies.
+    every |limb| <= _limb_bound(R) = 2^{R-1} + 2^{ceil(R/2)}, so one
+    coefficient's limbs are adjacent.  The multiplication passes run
+    limb-major and are transposed once; the division passes then work on
+    the array, widening it several limbs per copy.  The array returned has
+    exactly the limbs the carries reached, none of the spare ones, owns its
+    data and is C-contiguous, so ``limbs_to_series`` can shrink it in place.
     """
     acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
     acc[0, 0] = 1
@@ -516,7 +542,9 @@ def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:
 
     Works through the index-major `limbs` a chunk of rows at a time from the
     highest index down: Horner's rule on Python ints from the top limb
-    down, two limbs at a time (h (1 + 2^R) < 2^63, so a pair is one int64).
+    down, two limbs at a time: |limb| <= h = 2^{R-1} + 2^{ceil(R/2)}, and
+    h (1 + 2^R) < 2^60 for every R <= 30 that ``limb_plan`` picks, so a pair
+    is one int64.  `limbs` must own its data (``expand_limbs``' result does).
     After each chunk the array is cut to the rows below it in place, so the
     limbs shrink as the ints grow and the two are never both held in full.
     `limbs` is left with 0 rows.
@@ -546,9 +574,10 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
 
     Runs the passes of ``limb_plan``, multiplications first (they keep the
     intermediate coefficients small), on one int32 array of limbs in radix
-    2^R, each limb at most h = 2^{R-1} + 1 in magnitude after a carry.  R is
-    the largest radix with t h + 2^{R-1} < 2^31 for the largest pass of t
-    terms, so no int32 sum of a pass overflows.  A division pass walks
+    2^R, each limb at most h = 2^{R-1} + 2^{ceil(R/2)} in magnitude after a
+    carry; the array grows several limbs at a time when a carry needs it.
+    R is the largest radix with t h + 2^{R-1} < 2^31 for the largest pass
+    of t terms, so no int32 sum of a pass overflows.  A division pass walks
     blocks of b <= 64 indices: its terms with e >= 2b wait on a due-list
     keyed by block and run as one slice of final values each time their
     block comes; the others are one float64 block product over the block

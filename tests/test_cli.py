@@ -296,12 +296,18 @@ class TestBench:
         plan = limb_plan(registered_spec("c"), 2000)
         assert payload["limb_radix_bits"] == plan.radix_bits == 26
         assert payload["div_blocks"] == list(plan.div_blocks) == [64]
-        # 63-bit coefficients in limbs of at most 2^25 + 1: three limbs
+        # 63-bit coefficients in limbs of at most 2^25 + 2^13: three limbs
         assert payload["limbs"] == 3
         res = run_cli(["bench", "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]', "--trunc", "50"])
         payload = json.loads(res.stdout)
         # psi(1,5)^2: two triple-product multiplications, two eta divisions
         assert payload["mul_passes"] == 2 and payload["div_passes"] == 2
+
+    def test_bench_reports_the_used_limbs_at_the_threshold(self):
+        # D to 19501 reaches 21 limbs of radix 2^24; the spare limbs its
+        # array grows by never reach the count
+        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "19501"]).stdout)
+        assert payload["limb_radix_bits"] == 24 and payload["limbs"] == 21
 
     def test_bench_times_expansion_and_conversion_apart(self):
         payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)

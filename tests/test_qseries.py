@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import prod
 
 import numpy as np
@@ -222,7 +223,7 @@ class TestSliceEngine:
     @pytest.mark.parametrize("name", ["A", "C"])
     def test_equals_reference_at_limb_growth(self, name):
         # hi is the smallest N that needs the limb count of N = 1000, so a
-        # division pass grows the array in place at the block holding index hi
+        # division block's carry first reaches that limb at the block holding hi
         spec = registered_spec(name)
         lo, hi = 0, 1000
         final = limb_count(spec, hi)
@@ -291,6 +292,70 @@ class TestSliceEngine:
         qseries._carry(v, radix_bits, steps)
         assert [sum(int(x) << (radix_bits * l) for l, x in enumerate(col)) for col in v.T] == value
         assert np.abs(v).max() <= qseries._limb_bound(radix_bits)
+
+    def test_two_steps_carry_a_float64_row_at_radix_24(self):
+        assert qseries._carry_steps(2 ** 53, 24) == 2
+
+    def test_one_step_fewer_leaves_a_limb_above_the_bound(self):
+        radix_bits, bound = 24, 2 ** 53
+        steps = qseries._carry_steps(bound, radix_bits)
+        v = np.zeros((2 + steps, 2), dtype=np.int64)
+        v[0] = [bound, -bound]
+        qseries._carry(v, radix_bits, steps - 1)
+        assert np.abs(v).max() > qseries._limb_bound(radix_bits)
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_carry_steps_at_the_threshold(self, name):
+        # from the exact row bounds at b = 64: T(1,5) up to 2^48.1 and T(2,5)
+        # up to 2^47.5 carry in two steps, the level-25 passes (2^35.4) in one
+        expected = {(1, 5): 2, (2, 5): 2, (5, 25): 1, (10, 25): 1}
+        spec = registered_spec(name)
+        plan = limb_plan(spec, 19501)
+        r = plan.radix_bits
+        divisors = [(a, m) for a, m, e in qseries.triple_product_powers(spec)
+                    for _ in range(-e)]
+        assert len(divisors) == len(plan.div_passes)
+        for divisor, terms in zip(divisors, plan.div_passes):
+            block = qseries._div_block(terms, r)
+            bound = block_matrix_by_ints(terms, block.size, r)[1]
+            assert block.carry_steps == qseries._carry_steps(bound, r) == expected[divisor]
+        for terms in plan.mul_passes:
+            assert qseries._carry_steps(len(terms) * qseries._limb_bound(r), r) == 1
+
+    def test_engine_carries_d_in_the_pinned_steps(self, monkeypatch):
+        # five T(1,5) passes in two steps, T(10,25) and every multiplication in one
+        calls = Counter()
+        carry = qseries._carry
+
+        def counted(v, radix_bits, steps):
+            calls[v.dtype.name, steps] += 1
+            carry(v, radix_bits, steps)
+
+        monkeypatch.setattr(qseries, "_carry", counted)
+        plan = limb_plan(registered_spec("D"), 19501)
+        limbs = qseries.expand_limbs(plan)
+        blocks = -(-19502 // qseries._MAX_BLOCK)
+        assert calls == {("int32", 1): len(plan.mul_passes),
+                         ("int64", 2): 5 * blocks, ("int64", 1): blocks}
+        assert limbs.shape == (19502, 21)
+
+    def test_expanded_limbs_stay_within_the_limb_bound(self):
+        plan = limb_plan(registered_spec("D"), 2000)
+        limbs = qseries.expand_limbs(plan)
+        assert np.abs(limbs).max() <= qseries._limb_bound(plan.radix_bits)
+
+    @pytest.mark.parametrize("name, n, width", [
+        *((name, 1000, 2 if name in "cd" else 5) for name in sorted(REGISTERED_SPECS)),
+        ("D", 19501, 21)])
+    def test_limbs_have_their_used_width_and_own_their_data(self, name, n, width):
+        # the widening leaves spare limbs, which never reach the result:
+        # its top limb is in use, and the conversion can shrink it in place
+        plan = limb_plan(registered_spec(name), n)
+        limbs = qseries.expand_limbs(plan)
+        assert limbs.shape == (n + 1, width) and limbs[:, -1].any()
+        assert limbs.flags.c_contiguous and limbs.flags.owndata
+        series = qseries.limbs_to_series(limbs, plan.radix_bits)
+        assert limbs.shape == (0, width) and series.trunc_order == n
 
     def test_radix_fits_int32_for_the_largest_pass(self):
         plan = limb_plan(registered_spec("D"), 19501)
