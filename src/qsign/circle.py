@@ -674,11 +674,6 @@ _NodePlan = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
                   tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 
-def _fixed(x: mpmath.mpf, bits: int) -> int:
-    """x at scale 2^bits, truncated toward zero."""
-    return int(mpmath.ldexp(x, bits))
-
-
 def _log2_bounds(r: int, m: int, step: float) -> tuple[float, float]:
     """-log2 prod (1 - R^a) and log2 prod (1 + R^a), R = e^{-step}, over T(r, m)'s factors.
 
@@ -719,7 +714,7 @@ def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]
     bits = ceil(dps * log2(10)) + 32 + ceil(max(low_num + high_den, low_den))
     top = ceil(bits * log(2) / step)
     with mp.workprec(bits + 16):
-        ratio = _fixed(mpmath.exp(-2 * mpmath.pi / (order * order)), bits)
+        ratio = int(mpmath.ldexp(mpmath.exp(-2 * mpmath.pi / (order * order)), bits))
     radius = [1 << bits]
     for _ in range(top):
         radius.append(radius[-1] * ratio >> bits)
@@ -734,17 +729,31 @@ def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]
 def _refine_roots(roots: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
     """e^{2 pi i t/M}, t < M, at scale 2^bits from the M/2 roots before them.
 
-    Even entries are copied, odd ones are the previous root times
-    e^{2 pi i/M}: about one ulp of error per doubling.
+    Up to M = 4 the roots are exact.  Past that, w = e^{2 pi i/M} comes from
+    the previous level's root (c, s) = e^{4 pi i/M} by the half-angle
+    formulas cos = isqrt((2^bits + c) 2^(bits - 1)) and
+    sin = s 2^bits/(2 cos), both truncated.  The half angle divides the
+    errors of (c, s) by about 4 and 2, so w's error does not grow with M
+    (under 1.8 ulps up to M = 2^13).  Only the first quarter, t < M/4, is
+    multiplied out: even entries are copied and each odd one is the entry
+    before it times w, which adds w's error and one truncation per part,
+    a few ulps per doubling along an entry's chain.  The other three
+    quarters are exact quarter turns (x, y) -> (-y, x) of the first.  Up
+    to M = 2^13 at 132, 200 or 290 bits no entry is more than 18 ulps from
+    e^{2 pi i t/M}, within the 2 log2 M that the tests pin.
     """
     m = 2 * len(roots)
-    with mp.workprec(bits + 16):
-        wr = _fixed(mpmath.cospi(mpmath.mpf(2) / m), bits)
-        wi = _fixed(mpmath.sinpi(mpmath.mpf(2) / m), bits)
-    out = []
-    for xr, xi in roots:
-        out += [(xr, xi), ((xr * wr - xi * wi) >> bits, (xr * wi + xi * wr) >> bits)]
-    return out
+    if m <= 4:
+        one = 1 << bits
+        return [(one, 0), (0, one), (-one, 0), (0, -one)][::4 // m]
+    c, s = roots[1]
+    wr = isqrt(((1 << bits) + c) << (bits - 1))
+    wi = (s << bits) // (2 * wr)
+    quarter = []
+    for xr, xi in roots[:m // 8]:
+        quarter += [(xr, xi), ((xr * wr - xi * wi) >> bits, (xr * wi + xi * wr) >> bits)]
+    return (quarter + [(-y, x) for x, y in quarter] + [(-x, -y) for x, y in quarter]
+            + [(y, -x) for x, y in quarter])
 
 
 def _cmul(ar: int, ai: int, br: int, bi: int, bits: int) -> tuple[int, int]:
@@ -800,12 +809,19 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
 
     has the aliasing error sum_{k>=1} alpha(n + kM) e^{-2 pi rho k M},
     geometric in M (the k < 0 terms vanish once M > n, where estimates
-    start).  M doubles from 2, each level evaluating only its new odd nodes,
-    and the first level whose estimates all moved by less than `tol`
-    (absolute) is returned: that move is the odd-k part of the previous
-    level's error.  `ConvergenceRefused` past `_MAX_NODES` nodes, and
-    before any node is sampled when no two levels within that cap exceed
-    max(ns).
+    start).  M doubles from 1, and the first level whose estimates all
+    moved by less than `tol` (absolute) is returned: that move is the odd-k
+    part of the previous level's error.  `ConvergenceRefused` past
+    `_MAX_NODES` nodes, and before any node is sampled when no two levels
+    within that cap exceed max(ns).
+
+    The coefficients are real, so f(-x + i rho) = conj f(x + i rho) and
+    node M - j is the conjugate of node j: each level evaluates only its
+    new odd nodes j <= M/2, and a call that ends at M nodes makes M/2 + 1
+    node evaluations.  Each index keeps one running DFT total: entry 2t of
+    a level's root table is a copy of entry t of the level before, so the
+    earlier nodes' terms stand, and each level adds the terms of its new
+    nodes, reading j and M - j from one node value.
 
     Each node is f = prod T(r, m)^e over the triple products
     T(r, m) = sum_j (-1)^j q^{rj + m j(j-1)/2} of
@@ -820,7 +836,7 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
     * truncation tail: each T drops its terms past the first t with
       R^t <= u, at most u R/(1 - R) in all;
     * rounding: each R^t is R^{t-1} R truncated, within 3/(1 - R) ulps, each
-      unit root within a few ulps per doubling of M, each sum is shifted
+      unit root within 2 log2 M ulps (``_refine_roots``), each sum is shifted
       once and each product, quotient and power truncates once per part;
     * guard bits: |T| >= prod (1 - R^a) over its factors 1 - q^a, and the G
       guard bits cover the smallest value any partial product, quotient or
@@ -829,13 +845,16 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
       10^-dps relative at every order (at order 10, dps 30, within 3e-57
       of an mpmath product at 60 digits on every node of M = 256).
 
-    The sum over j is exact in ints and becomes an mpf at `dps` digits
-    once, when scaled by e^{2 pi n rho}/M.  The error is stated, not
-    certified; nothing here feeds a certificate.  `ValueError` before any node is
-    sampled when `tol` is not positive or an index is not a nonnegative int.
+    The totals are exact in ints, and each estimate becomes an mpf at `dps`
+    digits once, when scaled by e^{2 pi n rho}/M.  The error is stated, not
+    certified; nothing here feeds a certificate.  `ValueError` before any
+    node is sampled when `order` is not an int >= 2, `dps` not an int >= 1,
+    `tol` not positive or an index not a nonnegative int.
     """
-    if order < 2:
-        raise ValueError("need order >= 2")
+    if not isinstance(order, int) or order < 2:
+        raise ValueError(f"need an int order >= 2, got {order!r}")
+    if not isinstance(dps, int) or dps < 1:
+        raise ValueError(f"need an int dps >= 1, got {dps!r}")
     if not tol > 0:
         raise ValueError(f"need tol > 0, got {tol}")
     for n in ns:
@@ -849,7 +868,9 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
         raise ConvergenceRefused(f"index {max(ns)} needs more than {_MAX_NODES} nodes")
     bits, plan = _node_plan(spec, order, dps)
     roots = [(1 << bits, 0)]
-    values = [_node_value(plan, roots, 0, bits)]
+    # one running DFT total per index, Re sum_j f(tau_j) e^{-2 pi i n j/M}
+    # at scale 2^{2W}; node 0 reads the root 1
+    totals = dict.fromkeys(ns, _node_value(plan, roots, 0, bits)[0] << bits)
     prev, m = None, 1
     with mp.workdps(dps):
         rho = mpmath.mpf(1) / (order * order)
@@ -857,18 +878,20 @@ def numeric_coefficients(spec: ProductSpec, ns: Sequence[int], order: int = 6,
         while m < _MAX_NODES:
             m *= 2
             roots = _refine_roots(roots, bits)
-            odd = [_node_value(plan, roots, j, bits) for j in range(1, m, 2)]
-            values = [v for pair in zip(values, odd) for v in pair]
+            # the old nodes' terms stand: entry 2t here is entry t before
+            for j in range(1, m // 2 + 1, 2):
+                fr, fi = _node_value(plan, roots, j, bits)
+                for n in totals:
+                    # Re(f e^{-2 pi i t/M}) = Re f cos + Im f sin, and node
+                    # M - j is conj f read against the root at -n j
+                    cr, ci = roots[n * j % m]
+                    if 2 * j < m:
+                        dr, di = roots[-n * j % m]
+                        cr, ci = cr + dr, ci - di
+                    totals[n] += fr * cr + fi * ci
             if m <= max(ns):
                 continue
-            est = {}
-            for n in ns:
-                # Re(f e^{-2 pi i t/M}) = Re f cos + Im f sin, at scale 2^{2W}
-                total = 0
-                for j, (fr, fi) in enumerate(values):
-                    cr, ci = roots[n * j % m]
-                    total += fr * cr + fi * ci
-                est[n] = mpmath.ldexp(total, -2 * bits) * growth[n] / m
+            est = {n: mpmath.ldexp(totals[n], -2 * bits) * growth[n] / m for n in ns}
             if prev is not None and all(abs(est[n] - prev[n]) < tol for n in ns):
                 return est
             prev = est

@@ -33,7 +33,7 @@ array) and stops once its carries are at most 2^{ceil(R/2)}, so after
 every carry |limb| <= h = 2^{R-1} + 2^{ceil(R/2)}; at R = 24 that takes
 one step for a multiplication pass and at most two for a division block.
 When a carry reaches past the array's width, the array is copied into one
-several limbs wider, and at the end it is cut once to the limbs in use.
+several limbs wider, and at the end its all-zero top limbs are cut once.
 It then becomes Python ints a chunk of indices at a time from the highest
 down, two limbs at a time, shrinking in place as the ints grow.
 
@@ -466,8 +466,8 @@ def _div_passes(out: np.ndarray, passes: list[Terms], radix_bits: int) -> np.nda
     array's width, `out` is copied into one with _WIDEN_LIMBS - 1 zero limbs
     above the highest the carry reached (D to 19501 copies 5 times on its
     way to 21 limbs).  It runs every pass, so no caller holds a pass's input
-    while it is copied, and returns the array it ends with, cut to the limbs
-    its carries reached: C-contiguous and owning its data.
+    while it is copied, and returns the array it ends with, spare limbs
+    included.
     """
     n1, used = out.shape
     for terms in passes:
@@ -500,7 +500,7 @@ def _div_passes(out: np.ndarray, passes: list[Terms], radix_bits: int) -> np.nda
                     out = wider
                     buf = np.empty((out.shape[1] + steps, b), dtype=np.int64)
             out[lo:hi, :used] = y[:used].T
-    return out[:, :used].copy() if used < out.shape[1] else out
+    return out
 
 
 def _block_product(out: np.ndarray, used: int, lo: int, hi: int, block: _DivBlock,
@@ -524,9 +524,12 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
     every |limb| <= _limb_bound(R) = 2^{R-1} + 2^{ceil(R/2)}, so one
     coefficient's limbs are adjacent.  The multiplication passes run
     limb-major and are transposed once; the division passes then work on
-    the array, widening it several limbs per copy.  The array returned has
-    exactly the limbs the carries reached, none of the spare ones, owns its
-    data and is C-contiguous, so ``limbs_to_series`` can shrink it in place.
+    the array, widening it several limbs per copy.  After the last pass the
+    all-zero top limbs are cut, the spare ones and any a carry reached but
+    the result does not use, and the array is copied only when that cut
+    takes something: it keeps at least one limb, its top limb is nonzero
+    unless the series is 0, and it owns its data and is C-contiguous, so
+    ``limbs_to_series`` can shrink it in place.
     """
     acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
     acc[0, 0] = 1
@@ -534,7 +537,11 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
         acc = _mul_pass(acc, terms, plan.radix_bits)
     out = acc.T.copy()
     del acc
-    return _div_passes(out, plan.div_passes, plan.radix_bits)
+    out = _div_passes(out, plan.div_passes, plan.radix_bits)
+    width = out.shape[1]
+    while width > 1 and not out[:, width - 1].any():
+        width -= 1
+    return out[:, :width].copy() if width < out.shape[1] else out
 
 
 def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:

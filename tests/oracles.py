@@ -12,7 +12,8 @@ public ``qsign`` names are used here.
 * modular: sawtooth, direct Dedekind sums, the matrix gamma and hbar, the
   pair (lambda, lambda*) and the Moebius action by raw algebra;
 * circle: theta by its defining series over half-integers, and the node
-  values of the diagnostic quadrature by plain mpmath complex arithmetic;
+  values and estimates of the diagnostic quadrature by plain mpmath
+  complex arithmetic;
 * qseries: single Pochhammer symbols factor by factor and the
   Rogers-Ramanujan sum sides.
 """
@@ -330,6 +331,43 @@ def psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath
                 zk *= q
         out *= val ** delta
     return out
+
+
+def trapezoid_coefficients(spec: ProductSpec, ns: list[int], order: int, dps: int,
+                           tol: float, max_nodes: int) -> dict[int, mpmath.mpf]:
+    """The estimates of ``circle.numeric_coefficients`` by a direct trapezoid sum.
+
+    The same doubling and stopping rule (M doubles from 1, estimates start
+    once M > max(ns), the first level whose estimates all moved by less
+    than `tol` is returned), but every node tau_j = j/M + i rho of a level
+    is a ``psi_product_mpc`` value at dps + 10 digits (each node once,
+    shared with the levels above), and each level sums
+    e^{2 pi n rho}/M Re sum_j f(tau_j) e^{-2 pi i n j/M} afresh over all M
+    of them, with no conjugate nodes and no running totals.
+    ``ConvergenceRefused`` past `max_nodes` nodes.
+    """
+    nodes: dict[Fraction, mpmath.mpc] = {}
+    with mp.workdps(dps + 10):
+        rho = mpmath.mpf(1) / (order * order)
+        prev, m = None, 1
+        while m < max_nodes:
+            m *= 2
+            if m <= max(ns):
+                continue
+            for j in range(m):
+                x = Fraction(j, m)
+                if x not in nodes:
+                    nodes[x] = psi_product_mpc(spec, mpmath.mpc(mpmath.mpf(j) / m, rho), dps + 10)
+            values = [nodes[Fraction(j, m)] for j in range(m)]
+            est = {}
+            for n in ns:
+                total = sum(v * mpmath.expjpi(mpmath.mpf(-2 * n * j) / m)
+                            for j, v in enumerate(values))
+                est[n] = (mpmath.exp(2 * mpmath.pi * n * rho) * total / m).real
+            if prev is not None and all(abs(est[n] - prev[n]) < tol for n in ns):
+                return est
+            prev = est
+    raise ConvergenceRefused(f"trapezoid estimates still moving at {max_nodes} nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import psi_product_mpc, theta_by_sum
+from oracles import psi_product_mpc, theta_by_sum, trapezoid_coefficients
 from qsign import circle, qseries
 from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform, csqrt_upper,
                           e_pi_i_half_turns, e_two_pi_i, eta, farey_arcs, farey_fractions,
@@ -615,6 +615,54 @@ class TestNumericCoefficients:
         with pytest.raises(ValueError, match="nonnegative ints"):
             numeric_coefficients(registered_spec("A"), ns, order=4, dps=30, tol=1e-9)
 
+    @pytest.mark.parametrize("dps", [0, -5, 30.0, "30", None])
+    def test_refuses_bad_dps_before_sampling(self, monkeypatch, dps):
+        # dps = 0 and -5 used to return 2.5 and 64 for alpha(3) = 5
+        monkeypatch.setattr(circle, "_node_value", must_not_run)
+        with pytest.raises(ValueError, match="dps"):
+            numeric_coefficients(registered_spec("A"), [3], order=4, dps=dps, tol=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 4.0, "4", None])
+    def test_refuses_bad_order_before_sampling(self, monkeypatch, order):
+        monkeypatch.setattr(circle, "_node_value", must_not_run)
+        with pytest.raises(ValueError, match="order"):
+            numeric_coefficients(registered_spec("A"), [3], order=order, dps=30, tol=1e-9)
+
+    @pytest.mark.parametrize("order, ns, nodes", [(2, [3, 5], 64), (4, [3, 20], 256),
+                                                   (6, [1, 40], 1024)])
+    def test_evaluates_half_the_nodes_and_one(self, monkeypatch, order, ns, nodes):
+        # node M - j is the conjugate of node j: node 0, then the odd nodes
+        # j <= M/2 of each level M = 2, 4, ..., nodes
+        calls = []
+        real = circle._node_value
+
+        def counting(plan, roots, j, bits):
+            calls.append((len(roots), j))
+            return real(plan, roots, j, bits)
+
+        monkeypatch.setattr(circle, "_node_value", counting)
+        numeric_coefficients(registered_spec("A"), ns, order=order, dps=30, tol=1e-9)
+        levels = [2 ** k for k in range(1, nodes.bit_length())]
+        assert calls == [(1, 0)] + [(m, j) for m in levels for j in range(1, m // 2 + 1, 2)]
+        assert len(calls) == nodes // 2 + 1
+
+    def test_makes_no_mpmath_unit_roots(self, monkeypatch):
+        for name in ("cospi", "sinpi", "expjpi", "cos", "sin"):
+            monkeypatch.setattr(mpmath, name, must_not_run)
+        got = numeric_coefficients(registered_spec("A"), [3, 5], order=2, dps=30, tol=1e-9)
+        assert abs(got[3] - 5) < 1e-25 and abs(got[5] + 24) < 1e-25
+
+    @pytest.mark.parametrize("order, tol", [(2, 1e-9), (6, 1e-2)])
+    @pytest.mark.parametrize("name", ["A", "D", "c"])
+    def test_estimates_match_a_direct_trapezoid_sum(self, name, order, tol):
+        # every node by the mpmath product, no mirror and no running totals;
+        # at order 6 both end at M = 512 for A and D, 256 for c
+        spec, ns, dps = registered_spec(name), [1, 7], 30
+        got = numeric_coefficients(spec, ns, order=order, dps=dps, tol=tol)
+        ref = trapezoid_coefficients(spec, ns, order, dps, tol, circle._MAX_NODES)
+        for n in ns:
+            assert abs(got[n] - ref[n]) < mpmath.mpf(10) ** (3 - dps) * max(1, abs(ref[n]))
+
     @pytest.mark.parametrize("dps", [30, 35])
     @pytest.mark.parametrize("name", ["A", "B", "C", "D", "c", "d", "psi15"])
     def test_fixed_point_nodes_match_the_mpmath_oracle(self, name, dps):
@@ -642,12 +690,42 @@ class TestNumericCoefficients:
             assert abs(float(got[n]) - exact.coeff(n)) < 1e-9
 
 
+class TestUnitRoots:
+    def test_small_tables_are_exact(self):
+        one = 1 << 132
+        roots = circle._refine_roots([(one, 0)], 132)
+        assert roots == [(one, 0), (-one, 0)]
+        assert circle._refine_roots(roots, 132) == [(one, 0), (0, one), (-one, 0), (0, -one)]
+
+    @pytest.mark.parametrize("bits", [132, 200, 290])
+    def test_roots_to_the_node_cap(self, bits):
+        # even entries are the level before (the running DFT totals rely on
+        # it), the quarters are exact quarter turns of the first, and no
+        # entry is more than 2 log2 M ulps from e^{2 pi i t/M} at 2W bits
+        roots = [(1 << bits, 0)]
+        while len(roots) < circle._MAX_NODES:
+            before, roots = roots, circle._refine_roots(roots, bits)
+            assert roots[::2] == before
+        m, q = len(roots), len(roots) // 4
+        for t, (x, y) in enumerate(roots[:q]):
+            assert roots[t + q] == (-y, x) and roots[t + 2 * q] == (-x, -y)
+            assert roots[t + 3 * q] == (y, -x)
+        with mpmath.mp.workprec(2 * bits):
+            scale = mpmath.mpf(2) ** bits
+            worst = max(abs(mpmath.mpc(x, y) - scale * mpmath.expjpi(mpmath.mpf(2 * t) / m))
+                        for t, (x, y) in enumerate(roots[:q]))
+        assert worst <= 2 * math.log2(m)
+
+
 def worst_node_error(spec, order, dps):
     """Largest relative error of the fixed-point nodes against the product oracle.
 
     The nodes t/64 + i rho sample every level up to M = 64 and the real
     axis t = 0, where each triple product meets its lower bound
-    prod (1 - R^a) and the guard bits are needed most.
+    prod (1 - R^a) and the guard bits are needed most.  Each node's
+    conjugate is also checked against the oracle at its mirror
+    (64 - t)/64 + i rho, which is how ``numeric_coefficients`` reads the
+    nodes past M/2.
     """
     bits, plan = circle._node_plan(spec, order, dps)
     roots = [(1 << bits, 0)]
@@ -659,9 +737,10 @@ def worst_node_error(spec, order, dps):
         fr, fi = circle._node_value(plan, roots, t, bits)
         with mpmath.mp.workdps(dps + 10):
             got = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
-            tau = mpmath.mpc(mpmath.mpf(t) / 64, mpmath.mpf(1) / order ** 2)
-            ref = psi_product_mpc(spec, tau, dps + 10)
-            worst = max(worst, abs(got - ref) / abs(ref))
+            for x, value in ((t, got), (64 - t, got.conjugate())):
+                tau = mpmath.mpc(mpmath.mpf(x) / 64, mpmath.mpf(1) / order ** 2)
+                ref = psi_product_mpc(spec, tau, dps + 10)
+                worst = max(worst, abs(value - ref) / abs(ref))
     return worst
 
 

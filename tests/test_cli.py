@@ -309,6 +309,13 @@ class TestBench:
         payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "19501"]).stdout)
         assert payload["limb_radix_bits"] == 24 and payload["limbs"] == 21
 
+    def test_bench_counts_no_all_zero_top_limbs(self):
+        # psi(2,5)^30 / psi(3,5)^30 is the series 1: one limb, though the
+        # carries of its passes reach three
+        spec = '[{"r": 2, "m": 5, "delta": 30}, {"r": 3, "m": 5, "delta": -30}]'
+        payload = json.loads(run_cli(["bench", "--spec-json", spec, "--trunc", "1000"]).stdout)
+        assert payload["coeff_bits_max"] == 1 and payload["limbs"] == 1
+
     def test_bench_times_expansion_and_conversion_apart(self):
         payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)
         assert payload["expand_s"] >= 0 and payload["convert_s"] >= 0

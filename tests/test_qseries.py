@@ -357,6 +357,28 @@ class TestSliceEngine:
         series = qseries.limbs_to_series(limbs, plan.radix_bits)
         assert limbs.shape == (0, width) and series.trunc_order == n
 
+    def test_all_zero_top_limbs_are_cut(self):
+        # psi(2,5) = psi(3,5), so this is the series 1: its carries reach
+        # three limbs of 2^26, the top two all zero in the result
+        spec = ProductSpec(((2, 5, 30), (3, 5, -30)))
+        plan = limb_plan(spec, 1000)
+        limbs = qseries.expand_limbs(plan)
+        assert limbs.shape == (1001, 1) and limbs.flags.c_contiguous and limbs.flags.owndata
+        assert qseries.limbs_to_series(limbs, plan.radix_bits) == QSeries(1000, (1,) + (0,) * 1000)
+
+    def test_limbs_are_not_copied_when_nothing_is_cut(self, monkeypatch):
+        # D to 19501 grows to exactly 21 limbs, every one of them in use
+        passed = []
+        div_passes = qseries._div_passes
+
+        def recorded(*args):
+            passed.append(div_passes(*args))
+            return passed[-1]
+
+        monkeypatch.setattr(qseries, "_div_passes", recorded)
+        limbs = qseries.expand_limbs(limb_plan(registered_spec("D"), 19501))
+        assert limbs is passed[0] and limbs.shape == (19502, 21)
+
     def test_radix_fits_int32_for_the_largest_pass(self):
         plan = limb_plan(registered_spec("D"), 19501)
         t = max(len(terms) for terms in plan.mul_passes + plan.div_passes)
