@@ -132,12 +132,20 @@ class MainTermData:
     arcs: tuple[tuple[int, Fraction, tuple[tuple[Fraction, int], ...]], ...]
 
 
-@lru_cache(maxsize=32)
 def main_term_data(spec: ProductSpec) -> MainTermData:
     """Arcs h/k of the Lpos classes with maximal Delta/k^2 (growth I_1((pi/6k) sqrt(24 Delta x))).
 
-    k is the classes' smallest denominator, which they must share.
+    k is the classes' smallest denominator, which they must share.  Memoized
+    by the factors as written, not by spec equality: equal specs written
+    apart share k, Delta and Omega, but their arcs may list Pi factors in
+    another order, and each spec's enclosures stay those of its own factors.
     """
+    return _main_term_data(spec.factors)
+
+
+@lru_cache(maxsize=32)
+def _main_term_data(factors: tuple[tuple[int, int, int], ...]) -> MainTermData:
+    spec = ProductSpec(factors)
     ranked = [(dv / (k * k), k, l, aleph)
               for aleph, l, _, k, dv in class_deltas(spec) if dv > 0]
     if not ranked:
@@ -180,16 +188,16 @@ def _x_of(spec: ProductSpec, n: int) -> Fraction:
 
 def class_constant(spec: ProductSpec, r: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    s = _class_sum(spec, r, bits)
+    s = _class_sum(spec.factors, r, bits)
     if not s.im.contains(0):
         raise CertificateRefused(f"spec {spec.factors}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
 
 
 @lru_cache(maxsize=64)
-def _class_sum(spec: ProductSpec, r: int, bits: int) -> ComplexHP:
-    """S_r at `bits` bits."""
-    data = main_term_data(spec)
+def _class_sum(factors: tuple[tuple[int, int, int], ...], r: int, bits: int) -> ComplexHP:
+    """S_r at `bits` bits, memoized by the written factors (see ``main_term_data``)."""
+    data = _main_term_data(factors)
     s = ComplexHP.from_fractions(0, 0, bits)
     for h, t, pi_factors in data.arcs:
         s = s + (e_pi_i_half_turns(t - Fraction(2 * r * h, data.k), bits)

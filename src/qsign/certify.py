@@ -107,10 +107,12 @@ def cached_expansion(spec: ProductSpec, trunc_order: int) -> QSeries:
     """Expansion memo shared by certification and verification, keyed by spec content.
 
     An exact (spec, N) entry wins, then the prefix of the spec's shortest
-    longer expansion; only a miss expands, and only a miss is stored, in
-    place of the spec's shorter entries, which are its prefixes.  Two equal
-    specs share their entries.  The memo keeps the _CACHE_ENTRIES most
-    recently used entries.
+    longer expansion (``QSeries.prefix``: its limb rows, copied); only a
+    miss expands, and only a miss is stored, in place of the spec's shorter
+    entries, which are its prefixes.  Two equal specs (``ProductSpec``
+    compares canonical factors) share their entries.  The memo keeps the
+    _CACHE_ENTRIES most recently used entries.  Nothing here or in the sign
+    scans reads a coefficient as an int, so a certificate converts none.
     """
     key = (spec, trunc_order)
     if key not in _EXPANSION_CACHE:
@@ -119,7 +121,7 @@ def cached_expansion(spec: ProductSpec, trunc_order: int) -> QSeries:
         if longer:
             key = (spec, min(longer))
             _EXPANSION_CACHE.move_to_end(key)
-            return QSeries(trunc_order, _EXPANSION_CACHE[key].coeffs[:trunc_order + 1])
+            return _EXPANSION_CACHE[key].prefix(trunc_order)
         for n in cached:
             del _EXPANSION_CACHE[(spec, n)]
         _EXPANSION_CACHE[key] = expand_product(spec, trunc_order)

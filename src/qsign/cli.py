@@ -29,10 +29,12 @@ Subcommands and their flags (each flag is attached only where it is read):
                  is a usage error, exit 2), --samples, --precision, --seed,
                  --workers (at most one per sample and per CPU), --out
 * ``bench``      time the exact expansion engine, in all and split into the
-                 limb expansion and the conversion to ints, and report its
-                 pass counts, the limb radix, final limb count and division
-                 block sizes (``qseries.limb_plan``) and the largest
-                 coefficient in bits; --spec, --spec-json, --trunc
+                 limb expansion and the conversion to ints, time apart the
+                 read of every sign off the limbs ("signs_s", not in
+                 "seconds"), and report its pass counts, the limb radix,
+                 final limb count and division block sizes
+                 (``qseries.limb_plan``) and the largest coefficient in
+                 bits; --spec, --spec-json, --trunc
 
 Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  A malformed --spec-json (or its @file), an
@@ -66,7 +68,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -80,8 +81,8 @@ from .circle import (ComplexHP, check_product_transform, csqrt_upper, e_pi_i_hal
                      e_two_pi_i, eta, psi, psi_by_theta, relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION
 from .modular import GammaMatrix, delta_table_rows, omega_exact
-from .qseries import (ProductSpec, expand_limbs, expand_product, iter_csv_rows, limb_plan,
-                      limbs_to_series, registered_spec)
+from .qseries import (ProductSpec, QSeries, expand_limbs, expand_product, iter_csv_rows,
+                      limb_plan, registered_spec)
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
@@ -308,6 +309,16 @@ _XCHECK_KINDS: dict[str, Callable[[int, int], float]] = {
 }
 
 
+def _process_pool_executor() -> type:
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first use.
+
+    Only ``xcheck --workers`` above 1 starts a pool, so no other run pays
+    for importing it (``DEFERRED_IMPORTS`` in ``tests/test_imports.py``).
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _xcheck_worker(kind_seed_bits: tuple[str, int, int]) -> float:
     kind, seed, bits = kind_seed_bits
     return _XCHECK_KINDS[kind](seed, bits)
@@ -321,7 +332,7 @@ def cmd_xcheck(args, out: TextIO) -> int:
     if workers > 1:  # os.cpu_count() reads /sys on Linux; one worker never needs it
         workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool_executor()(max_workers=workers) as pool:
             residuals = list(pool.map(_xcheck_worker, jobs))
     else:
         residuals = [_xcheck_worker(job) for job in jobs]
@@ -344,16 +355,20 @@ def cmd_bench(args, out: TextIO) -> int:
     limbs = expand_limbs(plan)
     limb_count = limbs.shape[1]
     t1 = time.perf_counter()
-    series = limbs_to_series(limbs, plan.radix_bits)
+    series = QSeries.from_limbs(limbs, plan.radix_bits)
+    series.signs  # read off the limbs, before the conversion consumes them
     t2 = time.perf_counter()
-    digits = len(str(abs(series.coeffs[-1])))
-    print(json.dumps({"spec": name, "trunc": args.trunc, "seconds": round(t2 - t0, 3),
-                      "expand_s": round(t1 - t0, 3), "convert_s": round(t2 - t1, 3),
-                      "last_coefficient_digits": digits,
+    coeffs = series.coeffs
+    t3 = time.perf_counter()
+    print(json.dumps({"spec": name, "trunc": args.trunc,
+                      "seconds": round((t1 - t0) + (t3 - t2), 3),
+                      "expand_s": round(t1 - t0, 3), "convert_s": round(t3 - t2, 3),
+                      "signs_s": round(t2 - t1, 4),
+                      "last_coefficient_digits": len(str(abs(coeffs[-1]))),
                       "mul_passes": len(plan.mul_passes), "div_passes": len(plan.div_passes),
                       "limb_radix_bits": plan.radix_bits, "limbs": limb_count,
                       "div_blocks": list(plan.div_blocks),
-                      "coeff_bits_max": max(abs(c).bit_length() for c in series.coeffs)}), file=out)
+                      "coeff_bits_max": max(abs(c).bit_length() for c in coeffs)}), file=out)
     return 0
 
 

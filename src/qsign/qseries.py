@@ -1,8 +1,8 @@
 """Exact truncated power series over arbitrary-precision integers.
 
-Everything here is exact: a series is a list of Python ints giving the
-coefficients of q^0 .. q^N.  The expansion targets are quotients of
-q-Pochhammer symbols
+Everything here is exact: a series is the coefficients of q^0 .. q^N, as
+Python ints or as the engine's limbs (below).  The expansion targets are
+quotients of q-Pochhammer symbols
 
     (q^a; q^m)_inf = prod_{k>=0} (1 - q^{a+km}),
 
@@ -34,8 +34,16 @@ every carry |limb| <= h = 2^{R-1} + 2^{ceil(R/2)}; at R = 24 that takes
 one step for a multiplication pass and at most two for a division block.
 When a carry reaches past the array's width, the array is copied into one
 several limbs wider, and at the end its all-zero top limbs are cut once.
-It then becomes Python ints a chunk of indices at a time from the highest
-down, two limbs at a time, shrinking in place as the ints grow.
+
+*Signs off the limbs.*  A coefficient has the sign of its highest nonzero
+limb: with |limb| <= h <= 2^R - 1, the limbs below the top one, at l < L,
+sum to at most h (2^{R L} - 1)/(2^R - 1) <= 2^{R L} - 1 in magnitude, less
+than one unit of the top limb.  h <= 2^R - 1 holds for every R >= 4, and
+``limb_plan`` refuses smaller radices.  So the series ``expand_product``
+returns keeps its limbs, and every sign scan reads one int8 array computed
+from them in numpy.  Its Python ints are built only when ``coeffs`` or
+``coeff(n)`` is first read: a chunk of indices at a time from the highest
+down, two limbs at a time, the limbs shrinking in place as the ints grow.
 
 *Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
 before its carry, which adds 2^{R-1} before shifting: a multiplication pass
@@ -43,7 +51,7 @@ sums t shifted copies, and a division pass adds at most one contribution
 per term to an index's own value.  R is the largest radix with
 t h + 2^{R-1} <= 2^31 - 1 for the largest t of the expansion (24 for D to
 19501, with t = 177, where h = 2^23 + 2^12), so no int32 accumulation
-overflows; if no R >= 1 fits, the expansion is refused.
+overflows; if no R >= 4 fits, the expansion is refused.
 
 *Division passes* y = x / T walk blocks of b indices.  The terms with
 e < W = 2b are one product y_block = M [y_hist; x_block] with
@@ -84,21 +92,44 @@ class ConstantTermError(ValueError):
     """Series inversion requires constant term exactly 1."""
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """Truncated formal power series sum_{n<=N} coeffs[n] q^n with N = trunc_order."""
+    """Truncated formal power series sum_{n<=N} coeffs[n] q^n with N = trunc_order.
 
-    trunc_order: int
-    coeffs: tuple[int, ...]
+    Built from ints, or by ``from_limbs`` from the engine's index-major limbs
+    (``expand_product`` does), whose ints are built on the first read of
+    ``coeffs`` or ``coeff(n)``: ``signs`` and ``prefix`` read the limbs, so
+    a sign check converts nothing.  Equality and hashing go by the ints.
+    """
 
-    def __post_init__(self) -> None:
-        if self.trunc_order < 0:
+    __slots__ = ("trunc_order", "_coeffs", "_limbs", "_radix_bits", "_signs")
+
+    def __init__(self, trunc_order: int, coeffs: Sequence[int]) -> None:
+        if trunc_order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if len(self.coeffs) != self.trunc_order + 1:
+        if len(coeffs) != trunc_order + 1:
             raise ValueError(
-                f"coefficient list has length {len(self.coeffs)}, "
-                f"expected trunc_order + 1 = {self.trunc_order + 1}"
+                f"coefficient list has length {len(coeffs)}, "
+                f"expected trunc_order + 1 = {trunc_order + 1}"
             )
+        self.trunc_order = trunc_order
+        self._coeffs: tuple[int, ...] | None = tuple(coeffs)
+        self._limbs: np.ndarray | None = None
+        self._radix_bits = 0
+        self._signs: np.ndarray | None = None
+
+    @staticmethod
+    def from_limbs(limbs: np.ndarray, radix_bits: int) -> "QSeries":
+        """The series whose coefficient n is sum_l limbs[n, l] 2^{radix_bits l}; keeps `limbs`.
+
+        `limbs` is index-major with every |limb| <= _limb_bound(radix_bits)
+        and must own its data (``expand_limbs``' result does): the first
+        read of ``coeffs`` converts it by ``limbs_to_ints``, which shrinks it
+        in place, and drops it.
+        """
+        s = QSeries.__new__(QSeries)
+        s.trunc_order = limbs.shape[0] - 1
+        s._coeffs, s._limbs, s._radix_bits, s._signs = None, limbs, radix_bits, None
+        return s
 
     @staticmethod
     def one(trunc_order: int) -> "QSeries":
@@ -108,10 +139,58 @@ class QSeries:
     def from_coeffs(coeffs: Sequence[int]) -> "QSeries":
         return QSeries(len(coeffs) - 1, tuple(coeffs))
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = limbs_to_ints(self._limbs, self._radix_bits)
+            self._limbs = None
+        return self._coeffs
+
     def coeff(self, n: int) -> int:
         if not 0 <= n <= self.trunc_order:
             raise IndexError(f"index {n} outside truncation order {self.trunc_order}")
         return self.coeffs[n]
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The signs (-1/0/+1) of the coefficients, a read-only int8 array.
+
+        Read off the limbs by ``limb_signs`` while the series holds them,
+        else off the ints; computed once.
+        """
+        if self._signs is None:
+            if self._limbs is not None:
+                signs = limb_signs(self._limbs)
+            else:
+                signs = np.fromiter(((c > 0) - (c < 0) for c in self._coeffs), dtype=np.int8,
+                                    count=self.trunc_order + 1)
+            signs.flags.writeable = False
+            self._signs = signs
+        return self._signs
+
+    def prefix(self, trunc_order: int) -> "QSeries":
+        """The series truncated at `trunc_order` <= N, as limbs while this one holds them.
+
+        Limb rows are copied, so the prefix owns them and converts them on
+        its own; ints are sliced.
+        """
+        if not 0 <= trunc_order <= self.trunc_order:
+            raise TruncationMismatchError(
+                f"prefix order {trunc_order} outside [0, {self.trunc_order}]")
+        if self._limbs is not None:
+            return QSeries.from_limbs(self._limbs[:trunc_order + 1].copy(), self._radix_bits)
+        return QSeries(trunc_order, self._coeffs[:trunc_order + 1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self.trunc_order == other.trunc_order and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.trunc_order, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"QSeries(trunc_order={self.trunc_order}, coeffs={self.coeffs!r})"
 
 
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -154,9 +233,14 @@ def ps_inv(a: QSeries) -> QSeries:
 # product specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSpec:
-    """Product prod_j psi(r_j, m_j)^{delta_j} with psi(r, m) = (q^r, q^{m-r}; q^m)_inf."""
+    """Product prod_j psi(r_j, m_j)^{delta_j} with psi(r, m) = (q^r, q^{m-r}; q^m)_inf.
+
+    ``factors`` stays as written (a certificate hashes ``to_json``); specs
+    compare and hash by ``canonical``, so one product written two ways is
+    one key of every memo.
+    """
 
     factors: tuple[tuple[int, int, int], ...]
 
@@ -176,6 +260,27 @@ class ProductSpec:
         for _, m, _ in self.factors:
             out = out * m // gcd(out, m)
         return out
+
+    @cached_property
+    def canonical(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(level, factors) with psi(r, m) written psi(min(r, m - r), m), equal (r, m) merged.
+
+        The merged factors are sorted and those whose deltas cancel dropped;
+        the written level stays, so equal specs have equal class tables.
+        """
+        merged: dict[tuple[int, int], int] = {}
+        for r, m, delta in self.factors:
+            rm = (min(r, m - r), m)
+            merged[rm] = merged.get(rm, 0) + delta
+        return self.level, tuple(sorted((r, m, d) for (r, m), d in merged.items() if d))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProductSpec):
+            return NotImplemented
+        return self.canonical == other.canonical
+
+    def __hash__(self) -> int:
+        return hash(self.canonical)
 
     def to_json(self) -> str:
         return json.dumps([{"r": r, "m": m, "delta": d} for r, m, d in self.factors])
@@ -226,6 +331,8 @@ _HISTORY = 2
 _WIDEN_LIMBS = 4
 #: rows converted to Python ints at a time, the limbs shrinking behind them
 _CHUNK_ROWS = 2048
+#: the smallest radix with h = _limb_bound(R) <= 2^R - 1, where signs read off the top limb
+_MIN_RADIX_BITS = 4
 #: every integer of magnitude at most 2^53 is a float64
 _FLOAT64_EXACT = 1 << 53
 _INT32_MAX = (1 << 31) - 1
@@ -416,17 +523,20 @@ def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
     A pass by t terms adds at most t limbs of magnitude <= h = _limb_bound(R)
     into one int32, and its carry adds 2^{R-1} before shifting; R is the
     largest radix with t h + 2^{R-1} <= 2^31 - 1 for the largest t of the
-    plan.  The plan is refused if no R >= 1 fits.
+    plan.  The plan is refused if no R >= _MIN_RADIX_BITS fits: below it
+    h > 2^R - 1, and a coefficient's sign is no longer that of its top
+    nonzero limb (``limb_signs``).
     """
     n = trunc_order
     if n < 0:
         raise ValueError(f"truncation order {n} is negative")
     mul_passes, div_passes = pass_plan(spec, n)
     t = max(len(terms) for terms in mul_passes + div_passes)
-    radix_bits = next((r for r in range(30, 0, -1)
+    radix_bits = next((r for r in range(30, _MIN_RADIX_BITS - 1, -1)
                        if t * _limb_bound(r) + (1 << (r - 1)) <= _INT32_MAX), 0)
     if not radix_bits:
-        raise ValueError(f"a pass of {t} terms leaves no int32 headroom for any radix")
+        raise ValueError(f"a pass of {t} terms leaves no int32 headroom for a radix "
+                         f"of at least {_MIN_RADIX_BITS} bits")
     blocks = tuple(_div_block(terms, radix_bits).size for terms in div_passes)
     return LimbPlan(n, mul_passes, div_passes, radix_bits, blocks)
 
@@ -529,7 +639,7 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
     the result does not use, and the array is copied only when that cut
     takes something: it keeps at least one limb, its top limb is nonzero
     unless the series is 0, and it owns its data and is C-contiguous, so
-    ``limbs_to_series`` can shrink it in place.
+    ``limbs_to_ints`` can shrink it in place.
     """
     acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
     acc[0, 0] = 1
@@ -544,8 +654,8 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
     return out[:, :width].copy() if width < out.shape[1] else out
 
 
-def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:
-    """The QSeries whose coefficient n is sum_l limbs[n, l] 2^{radix_bits l}; consumes `limbs`.
+def limbs_to_ints(limbs: np.ndarray, radix_bits: int) -> tuple[int, ...]:
+    """The ints sum_l limbs[n, l] 2^{radix_bits l}, n = 0 .. rows - 1; consumes `limbs`.
 
     Works through the index-major `limbs` a chunk of rows at a time from the
     highest index down: Horner's rule on Python ints from the top limb
@@ -573,7 +683,18 @@ def limbs_to_series(limbs: np.ndarray, radix_bits: int) -> QSeries:
         del chunk
         limbs.resize((lo, cols), refcheck=False)
         chunks.append(acc.tolist())
-    return QSeries(rows - 1, tuple(chain.from_iterable(reversed(chunks))))
+    return tuple(chain.from_iterable(reversed(chunks)))
+
+
+def limb_signs(limbs: np.ndarray) -> np.ndarray:
+    """The sign of each row's sum_l limbs[n, l] 2^{R l}: that of its highest nonzero limb, as int8.
+
+    Sound while every |limb| <= _limb_bound(R) <= 2^R - 1, which holds for
+    each R >= _MIN_RADIX_BITS (the module docstring, *Signs off the
+    limbs*).  An all-zero row is 0.
+    """
+    top = limbs.shape[1] - 1 - np.argmax(limbs[:, ::-1] != 0, axis=1)
+    return np.sign(limbs[np.arange(limbs.shape[0]), top]).astype(np.int8)
 
 
 def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
@@ -590,11 +711,12 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
     block comes; the others are one float64 block product over the block
     and the 2b indices before it, exact because b is halved until every
     partial sum is an integer below 2^53.  The module docstring gives the
-    details.  The result is independent of factor order (all arithmetic is
-    exact).
+    details.  The series keeps the limbs (``QSeries.from_limbs``): its
+    signs are read off them, and its ints are built when first read.  The
+    result is independent of factor order (all arithmetic is exact).
     """
     plan = limb_plan(spec, trunc_order)
-    return limbs_to_series(expand_limbs(plan), plan.radix_bits)
+    return QSeries.from_limbs(expand_limbs(plan), plan.radix_bits)
 
 
 def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:
@@ -624,12 +746,12 @@ def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:
 # sign extraction and serialization
 # ---------------------------------------------------------------------------
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+def _class_signs(s: QSeries, residue: int, modulus: int, lo: int,
+                 hi: int) -> tuple[int, np.ndarray]:
+    """(first index, signs) of the indices == residue (mod modulus) in [lo, hi].
 
-
-def slice_signs(s: QSeries, residue: int, modulus: int, lo: int, hi: int) -> list[int]:
-    """Signs (-1/0/+1) of coefficients at indices == residue (mod modulus) in [lo, hi]."""
+    The signs are a strided view of ``s.signs``, after the range checks.
+    """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if hi > s.trunc_order:
@@ -638,7 +760,16 @@ def slice_signs(s: QSeries, residue: int, modulus: int, lo: int, hi: int) -> lis
         )
     if lo < 0 or lo > hi:
         raise ValueError(f"bad index range [{lo}, {hi}]")
-    return [_sign(s.coeffs[i]) for i in slice_indices(residue, modulus, lo, hi)]
+    start = slice_indices(residue, modulus, lo, hi).start
+    return start, s.signs[start:hi + 1:modulus]
+
+
+def slice_signs(s: QSeries, residue: int, modulus: int, lo: int, hi: int) -> list[int]:
+    """Signs (-1/0/+1) of coefficients at indices == residue (mod modulus) in [lo, hi].
+
+    Read from ``QSeries.signs``, so a series that holds limbs converts nothing.
+    """
+    return _class_signs(s, residue, modulus, lo, hi)[1].tolist()
 
 
 def slice_indices(residue: int, modulus: int, lo: int, hi: int) -> range:
@@ -651,10 +782,11 @@ def sign_exceptions(s: QSeries, residue: int, modulus: int, lo: int, hi: int,
     """Ascending indices == residue (mod modulus) in [lo, hi] whose sign is not `sign`.
 
     The one exact sign scan: every finite sign check goes through here, with
-    the range checks of ``slice_signs``.
+    the range checks of ``slice_signs``; one numpy comparison over the
+    class's slice of ``QSeries.signs``.
     """
-    signs = slice_signs(s, residue, modulus, lo, hi)
-    return [i for i, g in zip(slice_indices(residue, modulus, lo, hi), signs) if g != sign]
+    start, signs = _class_signs(s, residue, modulus, lo, hi)
+    return (start + modulus * np.flatnonzero(signs != sign)).tolist()
 
 
 def iter_csv_rows(s: QSeries) -> Iterator[str]:

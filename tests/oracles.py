@@ -12,8 +12,9 @@ public ``qsign`` names are used here.
 * modular: sawtooth, direct Dedekind sums, the matrix gamma and hbar, the
   pair (lambda, lambda*) and the Moebius action by raw algebra;
 * circle: theta by its defining series over half-integers, and the node
-  values and estimates of the diagnostic quadrature by plain mpmath
-  complex arithmetic;
+  values (by Pochhammer products, the definition, and by triple-product
+  sums) and estimates of the diagnostic quadrature by plain mpmath complex
+  arithmetic;
 * qseries: single Pochhammer symbols factor by factor and the
   Rogers-Ramanujan sum sides.
 """
@@ -21,7 +22,7 @@ public ``qsign`` names are used here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log, pi
 
 import mpmath
 import numpy as np
@@ -333,6 +334,49 @@ def psi_product_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath
     return out
 
 
+def triple_product_mpc(r: int, m: int, q: mpmath.mpc, top: float) -> mpmath.mpc:
+    """sum_j (-1)^j q^{r j + m j(j-1)/2} over the terms with exponent at most `top`.
+
+    By the Jacobi triple product the full sum is (q^r, q^{m-r}, q^m; q^m)_inf.
+    From the term j = 0 the exponents climb by r, r + m, r + 2m, ...
+    (j = 1, 2, ...) and by m - r, 2m - r, ... (j = -1, -2, ...), each step
+    multiplying a term by -q^{gap}: O(sqrt(top/m)) terms, by mpmath complex
+    arithmetic at the working precision.
+    """
+    q_m = q ** m
+    total = mpmath.mpc(1)
+    for gap in (r, m - r):
+        term, e, q_gap = mpmath.mpc(1), gap, q ** gap
+        while e <= top:
+            term *= q_gap
+            total -= term
+            term = -term
+            gap += m
+            e += gap
+            q_gap *= q_m
+    return total
+
+
+def psi_product_by_sums_mpc(spec: ProductSpec, tau: mpmath.mpc, prec_dps: int) -> mpmath.mpc:
+    """prod_j psi(r_j tau; m_j tau)^{delta_j} from triple-product sums, by mpmath.
+
+    psi(r, m) = T(r, m) / (q^m; q^m)_inf with T = ``triple_product_mpc``, and
+    (q^m; q^m)_inf = T(m, 3m) is Euler's pentagonal series, so each factor
+    takes O(sqrt) terms where ``psi_product_mpc`` multiplies every
+    Pochhammer factor.  Each sum keeps the terms with |q^e| >= 10^-(prec_dps
+    + 8).  Call it under ``mp.workdps(prec_dps)``.
+    """
+    q = mpmath.exp(2j * mpmath.pi * tau)
+    top = (prec_dps + 8) * log(10) / (2 * pi * float(tau.imag))
+    pentagonal: dict[int, mpmath.mpc] = {}
+    out = mpmath.mpc(1)
+    for r, m, delta in spec.factors:
+        if m not in pentagonal:
+            pentagonal[m] = triple_product_mpc(m, 3 * m, q, top)
+        out *= (triple_product_mpc(r, m, q, top) / pentagonal[m]) ** delta
+    return out
+
+
 def trapezoid_coefficients(spec: ProductSpec, ns: list[int], order: int, dps: int,
                            tol: float, max_nodes: int) -> dict[int, mpmath.mpf]:
     """The estimates of ``circle.numeric_coefficients`` by a direct trapezoid sum.
@@ -340,8 +384,8 @@ def trapezoid_coefficients(spec: ProductSpec, ns: list[int], order: int, dps: in
     The same doubling and stopping rule (M doubles from 1, estimates start
     once M > max(ns), the first level whose estimates all moved by less
     than `tol` is returned), but every node tau_j = j/M + i rho of a level
-    is a ``psi_product_mpc`` value at dps + 10 digits (each node once,
-    shared with the levels above), and each level sums
+    is a ``psi_product_by_sums_mpc`` value at dps + 10 digits (each node
+    once, shared with the levels above), and each level sums
     e^{2 pi n rho}/M Re sum_j f(tau_j) e^{-2 pi i n j/M} afresh over all M
     of them, with no conjugate nodes and no running totals.
     ``ConvergenceRefused`` past `max_nodes` nodes.
@@ -357,7 +401,8 @@ def trapezoid_coefficients(spec: ProductSpec, ns: list[int], order: int, dps: in
             for j in range(m):
                 x = Fraction(j, m)
                 if x not in nodes:
-                    nodes[x] = psi_product_mpc(spec, mpmath.mpc(mpmath.mpf(j) / m, rho), dps + 10)
+                    tau = mpmath.mpc(mpmath.mpf(j) / m, rho)
+                    nodes[x] = psi_product_by_sums_mpc(spec, tau, dps + 10)
             values = [nodes[Fraction(j, m)] for j in range(m)]
             est = {}
             for n in ns:

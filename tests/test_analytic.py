@@ -217,7 +217,7 @@ class TestDerivedMainTerm:
         data = main_term_data(registered_spec(name))
         assert (data.k, data.delta, data.omega) == (5, 24, omega)
         assert tuple(h for h, _, _ in data.arcs) == hs
-        assert main_term_data.cache_info().maxsize is not None
+        assert analytic._main_term_data.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("name,phase", [("A", lambda r: Fraction(2 * r + 1, 5)),
                                             ("B", lambda r: Fraction(2 * (2 * r - 1), 5))])
@@ -368,13 +368,33 @@ class TestEventualDominance:
             (e.lo, e.hi) for e in (want.main, want.bound)]
 
     def test_unregistered_spec_gets_a_main_term_but_no_error_bound(self):
-        # c's factors in the other order: a spec no table holds
+        # c squared: a spec no table holds, dominated at k = 5 with Delta = 48/5
         inline = ProductSpec.from_json(
-            '[{"r": 1, "m": 5, "delta": -1}, {"r": 2, "m": 5, "delta": 1}]')
-        assert inline != SPECS["c"]
-        assert main_term(inline, 100).intersects(main_term(SPECS["c"], 100))
-        with pytest.raises(CertificateRefused, match="Delta = 24/5"):
+            '[{"r": 1, "m": 5, "delta": -2}, {"r": 2, "m": 5, "delta": 2}]')
+        assert inline not in SPECS.values() and inline not in analytic.ERROR_CONSTANTS
+        assert main_term_data(inline).delta == 2 * main_term_data(SPECS["c"]).delta
+        assert isinstance(main_term(inline, 100), Enclosure)
+        with pytest.raises(CertificateRefused, match="Delta = 48/5"):
             error_bound(inline, 100)
+
+    @pytest.mark.parametrize("factors", [((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5))])
+    def test_a_rewritten_spec_is_a_with_its_error_bound(self, factors):
+        # A with its factors swapped, and with psi(2,5)/psi(1,5) written as
+        # psi(3,5)/psi(4,5): A's key of ERROR_CONSTANTS, A's E(n) and main term
+        inline = ProductSpec(factors)
+        assert inline == SPECS["A"] and hash(inline) == hash(SPECS["A"])
+        got, want = error_bound(inline, 805), error_bound(SPECS["A"], 805)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert main_term(inline, 805).intersects(main_term(SPECS["A"], 805))
+
+    def test_main_term_data_is_kept_per_written_spec(self):
+        # D with its factors reversed lists its Pi factors in the other order;
+        # the memo keeps each written form's own data
+        inline = ProductSpec(SPECS["D"].factors[::-1])
+        assert inline == SPECS["D"]
+        got, want = main_term_data(inline), main_term_data(SPECS["D"])
+        assert (got.k, got.delta, got.omega) == (want.k, want.delta, want.omega)
+        assert [pi for _, _, pi in got.arcs] == [pi[::-1] for _, _, pi in want.arcs]
 
     def test_constant_chain_margin(self):
         # e^50 * 2^5 / |1 - e^{2 pi i/5}|^5 < e^54, the shortcut constant:

@@ -8,6 +8,7 @@ from collections import OrderedDict
 import pytest
 
 from qsign import certify as certify_mod
+from qsign import qseries
 from qsign.analytic import CertificateRefused, UsageError
 from qsign.certify import (TARGETS, SignViolation, cached_expansion, certify,
                            richmond_szekeres_scan, verify_known_theorems)
@@ -214,6 +215,23 @@ class TestExpansionCache:
         assert list(certify_mod._EXPANSION_CACHE)[-2:] == [(specs[bound], 10), (specs[0], 20)]
         assert len(certify_mod._EXPANSION_CACHE) == bound
 
+    def test_one_product_written_three_ways_is_expanded_once(self, monkeypatch):
+        # A, A with its factors swapped, and A written psi(3,5)/psi(4,5)
+        expanded = []
+
+        def counted(spec, n):
+            expanded.append((spec.factors, n))
+            return expand_product(spec, n)
+
+        monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
+        monkeypatch.setattr(certify_mod, "expand_product", counted)
+        a = registered_spec("A")
+        first = certify_mod.cached_expansion(a, 300)
+        for factors in (((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5))):
+            assert certify_mod.cached_expansion(ProductSpec(factors), 300) is first
+            assert certify_mod.cached_expansion(ProductSpec(factors), 200) == first.prefix(200)
+        assert expanded == [(a.factors, 300)]
+
 
 class TestKnownTheorems:
     def test_all_patterns_hold_to_800(self, series_800):
@@ -299,6 +317,39 @@ def test_certify_every_claim_end_to_end():
     assert doc["eventual_patterns"] == {
         "c": {"checked_hi": 2000, "cutoff": 10, "exceptions": [2, 4, 9]},
         "d": {"checked_hi": 2000, "cutoff": 24, "exceptions": [3, 8, 13, 23]}}
+
+
+def test_certify_every_claim_converts_no_coefficient(monkeypatch, capsys):
+    # every sign is read off the limbs, the prefixes (A, 800), (B, 800) and
+    # (D, 800) included, so qsign certify never builds an int
+    def no_ints(*args):
+        raise AssertionError("converted a coefficient to an int")
+
+    requested, expanded = [], []
+    cached, expand = certify_mod.cached_expansion, certify_mod.expand_product
+
+    def recorded(spec, n):
+        requested.append((spec, n))
+        return cached(spec, n)
+
+    def counted(spec, n):
+        expanded.append((spec, n))
+        return expand(spec, n)
+
+    monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
+    monkeypatch.setattr(certify_mod, "cached_expansion", recorded)
+    monkeypatch.setattr(certify_mod, "expand_product", counted)
+    monkeypatch.setattr(qseries, "limbs_to_ints", no_ints)
+    assert main(["certify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: cert["meta"]["hash"] for key, cert in doc["certificates"].items()} == (
+        CERTIFICATE_HASHES)
+    assert doc["patterns"] == {name: {"checked_hi": 800, "exceptions": [0]} for name in "ABCD"}
+    assert doc["eventual_patterns"]["d"]["exceptions"] == [3, 8, 13, 23]
+    spec = {name: registered_spec(name) for name in "ABCDcd"}
+    assert {(spec["A"], 800), (spec["B"], 800), (spec["D"], 800)} <= set(requested)
+    assert expanded == [(spec["A"], 1000), (spec["B"], 1000), (spec["D"], 19501),
+                        (spec["C"], 800), (spec["c"], 2000), (spec["d"], 2000)]
 
 
 def test_certify_every_claim_reports_a_scan_violation(monkeypatch, capsys):

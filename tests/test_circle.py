@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import psi_product_mpc, theta_by_sum, trapezoid_coefficients
+from oracles import (psi_product_by_sums_mpc, psi_product_mpc, theta_by_sum,
+                     trapezoid_coefficients)
 from qsign import circle, qseries
 from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform, csqrt_upper,
                           e_pi_i_half_turns, e_two_pi_i, eta, farey_arcs, farey_fractions,
@@ -655,13 +656,26 @@ class TestNumericCoefficients:
     @pytest.mark.parametrize("order, tol", [(2, 1e-9), (6, 1e-2)])
     @pytest.mark.parametrize("name", ["A", "D", "c"])
     def test_estimates_match_a_direct_trapezoid_sum(self, name, order, tol):
-        # every node by the mpmath product, no mirror and no running totals;
+        # every node by mpmath triple-product sums, no mirror and no running totals;
         # at order 6 both end at M = 512 for A and D, 256 for c
         spec, ns, dps = registered_spec(name), [1, 7], 30
         got = numeric_coefficients(spec, ns, order=order, dps=dps, tol=tol)
         ref = trapezoid_coefficients(spec, ns, order, dps, tol, circle._MAX_NODES)
         for n in ns:
             assert abs(got[n] - ref[n]) < mpmath.mpf(10) ** (3 - dps) * max(1, abs(ref[n]))
+
+    @pytest.mark.parametrize("order", [2, 6])
+    @pytest.mark.parametrize("name", ["A", "D"])
+    def test_trapezoid_nodes_match_the_product_oracle(self, name, order):
+        # the direct trapezoid sum's triple-product nodes against the
+        # factor-by-factor products, at the working digits both are called with
+        spec, dps = registered_spec(name), 30
+        with mpmath.mp.workdps(dps + 10):
+            for x in (0, 1, 5, 16, 31):
+                tau = mpmath.mpc(mpmath.mpf(x) / 32, mpmath.mpf(1) / order ** 2)
+                ref = psi_product_mpc(spec, tau, dps + 10)
+                got = psi_product_by_sums_mpc(spec, tau, dps + 10)
+                assert abs(got - ref) < mpmath.mpf(10) ** (3 - dps) * abs(ref), x
 
     @pytest.mark.parametrize("dps", [30, 35])
     @pytest.mark.parametrize("name", ["A", "B", "C", "D", "c", "d", "psi15"])

@@ -201,7 +201,7 @@ class TestXcheck:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_process_pool_executor", lambda: SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["xcheck", "--identity", "quasiperiodicity", "--seed", "3", "--workers", "100000"]
         assert main([*argv, "--samples", "3"]) == 0
@@ -321,6 +321,19 @@ class TestBench:
         assert payload["expand_s"] >= 0 and payload["convert_s"] >= 0
         # each of the three is rounded to the millisecond
         assert abs(payload["expand_s"] + payload["convert_s"] - payload["seconds"]) <= 0.002
+
+    def test_bench_times_the_sign_read_apart(self):
+        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)
+        assert payload["signs_s"] >= 0
+
+
+def test_import_starts_no_process_pool_machinery():
+    # concurrent.futures is imported on first use, by xcheck --workers > 1
+    code = ("import sys, qsign.analytic, qsign.certify, qsign.circle, qsign.cli\n"
+            "print('concurrent.futures' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr
+    assert cli._process_pool_executor().__name__ == "ProcessPoolExecutor"
 
 
 def test_parser_covers_documented_flags():

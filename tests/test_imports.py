@@ -12,10 +12,12 @@ independent of the package's internals.  And every public top-level function
 or class of the package is loaded (as a name or an attribute) in ``src/``
 or ``bench/`` outside its own definition, or is named in
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
-exact both ways.  Imports sit at module top, never in a function body, and
-a package module imports only the ``qsign`` modules below it in ``LAYERS``.
+exact both ways.  Imports sit at module top, never in a function body
+(except the few in ``DEFERRED_IMPORTS``), and a package module imports
+only the ``qsign`` modules below it in ``LAYERS``.
 No function of ``analytic`` takes a spec by name, and ``certify`` passes no
-literal modulus to a sign scan.  No package module loads or assigns
+literal modulus to a sign scan, nor reads a coefficient as an int
+(``.coeffs``, ``.coeff(n)``).  No package module loads or assigns
 ``iv.prec`` or enters ``precision(...)``, except ``enclosure.precision``
 itself: precision is an argument, never process-wide state.
 """
@@ -38,6 +40,11 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: ``dedekind_sum`` is the checked Fraction form of s(d, c), which the bench
 #: traces by name; the package itself reads 6c s(d, c) as an integer.
 TEST_ONLY = {"analytic.lemma_arc_integral", "modular.dedekind_sum"}
+
+#: per package module, the modules a function body may import: each serves
+#: one rarely taken path, and importing it at module top would cost every run
+#: (``concurrent.futures`` only for ``qsign xcheck --workers`` above 1)
+DEFERRED_IMPORTS = {"cli": {"concurrent.futures"}}
 
 #: the package's modules, lowest first ("__init__" is the package itself)
 LAYERS = ("__init__", "qseries", "modular", "enclosure", "circle", "analytic", "certify", "cli")
@@ -179,7 +186,8 @@ def qsign_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
 def layering_violations(source: str, module: str) -> list[str]:
     """Imports inside a function body, and imports of a qsign module not below `module`.
 
-    `module` is a package module's name in ``LAYERS``.
+    `module` is a package module's name in ``LAYERS``; a ``from X import``
+    inside a function is allowed for the X in its ``DEFERRED_IMPORTS``.
     """
     tree = ast.parse(source)
     imports = (ast.Import, ast.ImportFrom)
@@ -191,7 +199,9 @@ def layering_violations(source: str, module: str) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, imports):
             continue
-        if id(node) in nested:
+        deferred = (isinstance(node, ast.ImportFrom)
+                    and node.module in DEFERRED_IMPORTS.get(module, ()))
+        if id(node) in nested and not deferred:
             found.append((node.lineno, "import inside a function"))
         found += [(node.lineno, f"imports {target}") for target in qsign_modules(node)
                   if target not in below]
@@ -209,6 +219,13 @@ def test_guard_sees_a_layering_violation():
         "line 12: import inside a function"]
     assert layering_violations("from . import __version__\n", "__init__") == [
         "line 1: imports __init__"]
+    deferred = ("def pool():\n    from concurrent.futures import ProcessPoolExecutor\n"
+                "    import concurrent.futures\n    from os import cpu_count\n")
+    assert layering_violations(deferred, "cli") == [
+        "line 3: import inside a function", "line 4: import inside a function"]
+    assert layering_violations(deferred, "circle") == [
+        "line 2: import inside a function", "line 3: import inside a function",
+        "line 4: import inside a function"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -265,6 +282,30 @@ def test_guard_sees_a_literal_modulus():
 def test_certify_takes_every_modulus_from_a_target():
     # the claim table is the one place a residue class is written
     assert literal_moduli((ROOT / "src" / "qsign" / "certify.py").read_text()) == []
+
+
+def int_coefficient_reads(source: str) -> list[str]:
+    """Loads of a ``.coeffs`` attribute and calls of a ``.coeff(...)`` method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+            found.append((node.lineno, ".coeffs"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "coeff"):
+            found.append((node.lineno, ".coeff("))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_guard_sees_an_int_coefficient_read():
+    source = ("a = s.coeffs[3]\nb = cache[key].coeff(7)\nc = s.signs[3]\n"
+              "d = coeff(s, 1)\ne = s.coefficient\n")
+    assert int_coefficient_reads(source) == ["line 1: .coeffs", "line 2: .coeff("]
+
+
+def test_certify_reads_signs_never_int_coefficients():
+    # the certificate path reads signs off the limbs; an int read would
+    # convert every coefficient of D to 19501
+    assert int_coefficient_reads((ROOT / "src" / "qsign" / "certify.py").read_text()) == []
 
 
 def ambient_precision_uses(source: str, module: str) -> list[str]:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from qsign import qseries
 from oracles import expand_pochhammer, rr_sum_side
+from qsign.certify import TARGETS
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_product, expand_product_reference,
                            iter_csv_rows, limb_plan, pass_plan, ps_inv, ps_mul,
@@ -161,6 +163,27 @@ class TestProductSpecs:
         assert spec.level == 12 and vars(spec)["level"] == 12
         assert spec == fresh and hash(spec) == hash(fresh)
 
+    @pytest.mark.parametrize("factors", [((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5)),
+                                         ((2, 5, 2), (1, 5, -5), (3, 5, 3))])
+    def test_a_rewritten_equals_a_and_keeps_its_factors(self, factors):
+        # swapped factors, psi(2,5)/psi(1,5) written psi(3,5)/psi(4,5), and
+        # psi(2,5)^5 split into psi(2,5)^2 psi(3,5)^3
+        a, inline = registered_spec("A"), ProductSpec(factors)
+        assert inline == a and hash(inline) == hash(a) and inline.canonical == a.canonical
+        assert inline.factors == factors and inline.to_json() != a.to_json()
+
+    def test_canonical_form_merges_and_keeps_the_written_level(self):
+        one_at_25 = ProductSpec(((1, 5, 1), (1, 25, 2), (24, 25, -2)))
+        assert one_at_25.canonical == (25, ((1, 5, 1),))
+        assert one_at_25 != ProductSpec(((1, 5, 1),)) and one_at_25.level == 25
+        assert ProductSpec(((2, 5, 1),)) != ProductSpec(((2, 5, -1),))
+        assert ProductSpec(((2, 5, 1),)) != registered_spec("c")
+
+    def test_equal_specs_expand_alike(self):
+        a = expand_product(registered_spec("A"), 300)
+        for factors in (((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5))):
+            assert expand_product(ProductSpec(factors), 300) == a
+
 
 def truncated(s, n):
     """The first n + 1 coefficients of s: the expansion to order n of the same product."""
@@ -250,8 +273,8 @@ class TestSliceEngine:
         plan = limb_plan(spec, hi + 1)
         limbs = qseries.expand_limbs(plan)
         assert limbs.shape == (hi + 2, final) and limbs.flags.c_contiguous
-        got = qseries.limbs_to_series(limbs, plan.radix_bits)
-        assert limbs.shape[0] == 0
+        got = QSeries.from_limbs(limbs, plan.radix_bits)
+        assert len(got.coeffs) == hi + 2 and limbs.shape[0] == 0
         ref = expand_product_reference(spec, hi + 1)
         boundary = qseries._CHUNK_ROWS
         for n in (boundary - 1, boundary, hi - 1, hi, hi + 1):
@@ -354,8 +377,9 @@ class TestSliceEngine:
         limbs = qseries.expand_limbs(plan)
         assert limbs.shape == (n + 1, width) and limbs[:, -1].any()
         assert limbs.flags.c_contiguous and limbs.flags.owndata
-        series = qseries.limbs_to_series(limbs, plan.radix_bits)
-        assert limbs.shape == (0, width) and series.trunc_order == n
+        series = QSeries.from_limbs(limbs, plan.radix_bits)
+        assert len(series.coeffs) == n + 1 and series.trunc_order == n
+        assert limbs.shape == (0, width)
 
     def test_all_zero_top_limbs_are_cut(self):
         # psi(2,5) = psi(3,5), so this is the series 1: its carries reach
@@ -364,7 +388,7 @@ class TestSliceEngine:
         plan = limb_plan(spec, 1000)
         limbs = qseries.expand_limbs(plan)
         assert limbs.shape == (1001, 1) and limbs.flags.c_contiguous and limbs.flags.owndata
-        assert qseries.limbs_to_series(limbs, plan.radix_bits) == QSeries(1000, (1,) + (0,) * 1000)
+        assert QSeries.from_limbs(limbs, plan.radix_bits) == QSeries(1000, (1,) + (0,) * 1000)
 
     def test_limbs_are_not_copied_when_nothing_is_cut(self, monkeypatch):
         # D to 19501 grows to exactly 21 limbs, every one of them in use
@@ -445,6 +469,108 @@ class TestRogersRamanujan:
         lhs = rr_sum_side("H", n)
         rhs = ps_inv(ps_mul(expand_pochhammer(2, 5, n), expand_pochhammer(3, 5, n)))
         assert lhs == rhs
+
+
+#: the longest finite range each registered spec is checked to
+FINITE_RANGES = {name: max(t.finite_last_index for t in TARGETS.values() if t.spec_name == name)
+                 for name in REGISTERED_SPECS}
+
+
+def int_signs(coeffs):
+    return [(c > 0) - (c < 0) for c in coeffs]
+
+
+class TestLimbSigns:
+    """The sign of a coefficient is the sign of its highest nonzero limb."""
+
+    @pytest.mark.parametrize("name", sorted(FINITE_RANGES))
+    def test_registered_specs_at_their_finite_range(self, name):
+        plan = limb_plan(registered_spec(name), FINITE_RANGES[name])
+        limbs = qseries.expand_limbs(plan)
+        signs = qseries.limb_signs(limbs)
+        assert signs.dtype == np.int8
+        assert signs.tolist() == int_signs(qseries.limbs_to_ints(limbs, plan.radix_bits))
+
+    @pytest.mark.parametrize("spec", BEYOND_INT64)
+    def test_coefficients_beyond_int64(self, spec):
+        series = expand_product(spec, 1000)
+        signs = series.signs.tolist()  # off the limbs: the ints are not built yet
+        assert signs == int_signs(series.coeffs)
+        assert max(abs(c) for c in series.coeffs) > 2 ** 63 - 1
+
+    @pytest.mark.parametrize("radix_bits", [4, 5, 24, 30])
+    def test_a_unit_top_limb_outweighs_every_lower_limb_at_the_bound(self, radix_bits):
+        # rows of L limbs: top limb +-1, each lower limb +-h, zero limbs above
+        h = qseries._limb_bound(radix_bits)
+        assert h <= 2 ** radix_bits - 1
+        rows = []
+        for width in range(1, 5):
+            for top in (1, -1):
+                for lower in product((h, -h), repeat=width - 1):
+                    rows.append([*lower, top] + [0] * (4 - width))
+        rows.append([0, 0, 0, 0])
+        limbs = np.array(rows, dtype=np.int32)
+        values = [sum(v << (radix_bits * l) for l, v in enumerate(row)) for row in rows]
+        assert qseries.limb_signs(limbs).tolist() == int_signs(values)
+        assert all(v != 0 for v in values[:-1])
+
+    def test_the_rule_fails_below_the_smallest_radix(self):
+        # at R = 3, h = 8 > 2^3 - 1: the row (-8, 1) is -8 + 8 = 0, its top limb +1
+        assert qseries._limb_bound(3) == 8
+        assert qseries.limb_signs(np.array([[-8, 1]], dtype=np.int32)).tolist() == [1]
+
+    @pytest.mark.parametrize("t, radix_bits", [(178956969, 4), (178956970, None)])
+    def test_plan_refuses_radices_below_four(self, monkeypatch, t, radix_bits):
+        # t h + 2^{R-1} <= 2^31 - 1 allows R = 4 up to t = 178956969 and R = 3
+        # up to t = 268435455, which the sign rule cannot use
+        class Huge(list):
+            def __len__(self):
+                return t
+
+        assert t * qseries._limb_bound(3) + 4 <= 2 ** 31 - 1
+        monkeypatch.setattr(qseries, "pass_plan", lambda spec, n: ([Huge([(0, 1)])], []))
+        if radix_bits is None:
+            with pytest.raises(ValueError, match="at least 4 bits"):
+                limb_plan(registered_spec("A"), 10)
+        else:
+            assert limb_plan(registered_spec("A"), 10).radix_bits == radix_bits
+
+
+class TestLazySeries:
+    """``expand_product`` keeps the limbs and builds its ints on the first read."""
+
+    def test_signs_and_prefixes_build_no_ints(self, monkeypatch):
+        series = expand_product(registered_spec("D"), 3000)
+        want = expand_product_reference(registered_spec("D"), 200)
+
+        def no_ints(*args):
+            raise AssertionError("converted a coefficient to an int")
+
+        monkeypatch.setattr(qseries, "limbs_to_ints", no_ints)
+        head = series.prefix(200)
+        assert head.signs.tolist() == int_signs(want.coeffs)
+        assert sign_exceptions(series, 1, 5, 1, 3000, 1) == []
+        assert slice_signs(series, 0, 5, 5, 3000) == [-1] * 600
+        monkeypatch.undo()
+        assert head == want and head.coeff(200) == want.coeff(200)
+        assert series.coeffs[:201] == want.coeffs
+
+    def test_a_prefix_owns_its_limbs(self):
+        series = expand_product(registered_spec("c"), 2500)
+        head = series.prefix(2100)
+        assert head.trunc_order == 2100
+        assert head.coeffs == series.coeffs[:2101]  # the prefix's conversion first
+        assert series.prefix(2100) == head and series.prefix(2500) == series
+
+    def test_signs_are_read_only(self):
+        for s in (expand_product(registered_spec("A"), 50), QSeries.from_coeffs([1, -2, 0])):
+            with pytest.raises(ValueError):
+                s.signs[0] = 0
+        assert QSeries.from_coeffs([1, -2, 0]).signs.tolist() == [1, -1, 0]
+
+    def test_prefix_past_the_truncation_is_refused(self):
+        with pytest.raises(TruncationMismatchError):
+            expand_product(registered_spec("A"), 10).prefix(11)
 
 
 class TestSliceSigns:
