@@ -98,44 +98,40 @@ TARGETS: dict[str, TargetSpec] = {target.key: target for target in (
 )}
 
 
-#: the most expansions ``cached_expansion`` keeps
+#: the most specs ``cached_expansion`` keeps an expansion of
 _CACHE_ENTRIES = 8
-_EXPANSION_CACHE: OrderedDict[tuple[ProductSpec, int], QSeries] = OrderedDict()
+_EXPANSION_CACHE: OrderedDict[ProductSpec, QSeries] = OrderedDict()
 
 
 def cached_expansion(spec: ProductSpec, trunc_order: int) -> QSeries:
-    """Expansion memo shared by certification and verification, keyed by spec content.
+    """An expansion of `spec` to at least `trunc_order`, memoized per spec content.
 
-    An exact (spec, N) entry wins, then the prefix of the spec's shortest
-    longer expansion (``QSeries.prefix``: its limb rows, copied); only a
-    miss expands, and only a miss is stored, in place of the spec's shorter
-    entries, which are its prefixes.  Two equal specs (``ProductSpec``
-    compares canonical factors) share their entries.  The memo keeps the
-    _CACHE_ENTRIES most recently used entries.  Nothing here or in the sign
-    scans reads a coefficient as an int, so a certificate converts none.
+    The memo holds one series per spec, the longest expanded so far: a
+    request it reaches is served by that series as it is, and a longer one
+    expands and replaces it.  Callers pass their index range to the sign
+    scans, so a longer series reads the same signs.  Two equal specs
+    (``ProductSpec`` compares canonical factors) share their entry.  The
+    memo keeps the _CACHE_ENTRIES most recently used specs.  Nothing here or
+    in the sign scans reads a coefficient as an int, so a certificate
+    converts none.
     """
-    key = (spec, trunc_order)
-    if key not in _EXPANSION_CACHE:
-        cached = [n for s, n in _EXPANSION_CACHE if s == spec]
-        longer = [n for n in cached if n > trunc_order]
-        if longer:
-            key = (spec, min(longer))
-            _EXPANSION_CACHE.move_to_end(key)
-            return _EXPANSION_CACHE[key].prefix(trunc_order)
-        for n in cached:
-            del _EXPANSION_CACHE[(spec, n)]
-        _EXPANSION_CACHE[key] = expand_product(spec, trunc_order)
-        if len(_EXPANSION_CACHE) > _CACHE_ENTRIES:
-            _EXPANSION_CACHE.popitem(last=False)
-    _EXPANSION_CACHE.move_to_end(key)
-    return _EXPANSION_CACHE[key]
+    series = _EXPANSION_CACHE.get(spec)
+    if series is None or series.trunc_order < trunc_order:
+        series = _EXPANSION_CACHE[spec] = expand_product(spec, trunc_order)
+    _EXPANSION_CACHE.move_to_end(spec)
+    if len(_EXPANSION_CACHE) > _CACHE_ENTRIES:
+        _EXPANSION_CACHE.popitem(last=False)
+    return series
 
 
 @dataclass(frozen=True)
 class CertifyResult:
     certificate: dict
-    ok: bool
     exit_code: int             # 0 certified, 2 sign violation, 3 asymptotic part not certified
+
+    @property
+    def ok(self) -> bool:
+        return self.exit_code == 0
 
 
 def _finish(cert: dict) -> dict:
@@ -206,10 +202,10 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
 
     if exceptions:
         cert["meta"]["invalid"] = f"sign violation at index {exceptions[0]}"
-        return CertifyResult(_finish(cert), ok=False, exit_code=2)
+        return CertifyResult(_finish(cert), exit_code=2)
     if target.threshold_index is None:
         cert["meta"]["invalid"] = "finite-only target: no dominance threshold, not certified"
-        return CertifyResult(_finish(cert), ok=False, exit_code=3)
+        return CertifyResult(_finish(cert), exit_code=3)
 
     for bits in schedule:
         try:
@@ -220,7 +216,7 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
             refusal = exc
     else:
         cert["meta"]["invalid"] = f"dominance not certified at {bits} bits: {refusal}"
-        return CertifyResult(_finish(cert), ok=False, exit_code=3)
+        return CertifyResult(_finish(cert), exit_code=3)
 
     # issuing the certificate is what certifies the monotone extension
     cert["asymptotic"].update({
@@ -229,7 +225,7 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
         "bound_hi": eventual.bound_hi,
         "monotone_ok": True,
     })
-    return CertifyResult(_finish(cert), ok=True, exit_code=0)
+    return CertifyResult(_finish(cert), exit_code=0)
 
 
 @dataclass(frozen=True)

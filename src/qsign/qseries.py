@@ -40,10 +40,10 @@ limb: with |limb| <= h <= 2^R - 1, the limbs below the top one, at l < L,
 sum to at most h (2^{R L} - 1)/(2^R - 1) <= 2^{R L} - 1 in magnitude, less
 than one unit of the top limb.  h <= 2^R - 1 holds for every R >= 4, and
 ``limb_plan`` refuses smaller radices.  So the series ``expand_product``
-returns keeps its limbs, and every sign scan reads one int8 array computed
-from them in numpy.  Its Python ints are built only when ``coeffs`` or
-``coeff(n)`` is first read: a chunk of indices at a time from the highest
-down, two limbs at a time, the limbs shrinking in place as the ints grow.
+returns keeps its limbs, read-only, and every sign scan reads one int8
+array computed from them in numpy.  Its Python ints are built only when
+``coeffs`` or ``coeff(n)`` is first read, by one Horner pass over the
+limbs, two at a time; the limbs stay with the series.
 
 *Radix.*  A pass by t terms, each +-1, adds at most t limbs into one int32
 before its carry, which adds 2^{R-1} before shifting: a multiplication pass
@@ -77,7 +77,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, takewhile
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -97,8 +97,8 @@ class QSeries:
 
     Built from ints, or by ``from_limbs`` from the engine's index-major limbs
     (``expand_product`` does), whose ints are built on the first read of
-    ``coeffs`` or ``coeff(n)``: ``signs`` and ``prefix`` read the limbs, so
-    a sign check converts nothing.  Equality and hashing go by the ints.
+    ``coeffs`` or ``coeff(n)``: ``signs`` reads the limbs, so a sign check
+    converts nothing.  Equality and hashing go by the ints.
     """
 
     __slots__ = ("trunc_order", "_coeffs", "_limbs", "_radix_bits", "_signs")
@@ -121,11 +121,11 @@ class QSeries:
     def from_limbs(limbs: np.ndarray, radix_bits: int) -> "QSeries":
         """The series whose coefficient n is sum_l limbs[n, l] 2^{radix_bits l}; keeps `limbs`.
 
-        `limbs` is index-major with every |limb| <= _limb_bound(radix_bits)
-        and must own its data (``expand_limbs``' result does): the first
-        read of ``coeffs`` converts it by ``limbs_to_ints``, which shrinks it
-        in place, and drops it.
+        `limbs` is index-major with every |limb| <= _limb_bound(radix_bits).
+        The series makes it read-only and keeps it after the first read of
+        ``coeffs`` converts it by ``limbs_to_ints``.
         """
+        limbs.flags.writeable = False
         s = QSeries.__new__(QSeries)
         s.trunc_order = limbs.shape[0] - 1
         s._coeffs, s._limbs, s._radix_bits, s._signs = None, limbs, radix_bits, None
@@ -143,7 +143,6 @@ class QSeries:
     def coeffs(self) -> tuple[int, ...]:
         if self._coeffs is None:
             self._coeffs = limbs_to_ints(self._limbs, self._radix_bits)
-            self._limbs = None
         return self._coeffs
 
     def coeff(self, n: int) -> int:
@@ -155,8 +154,8 @@ class QSeries:
     def signs(self) -> np.ndarray:
         """The signs (-1/0/+1) of the coefficients, a read-only int8 array.
 
-        Read off the limbs by ``limb_signs`` while the series holds them,
-        else off the ints; computed once.
+        Read off the limbs by ``limb_signs`` when the series was built from
+        them, else off the ints; computed once.
         """
         if self._signs is None:
             if self._limbs is not None:
@@ -167,19 +166,6 @@ class QSeries:
             signs.flags.writeable = False
             self._signs = signs
         return self._signs
-
-    def prefix(self, trunc_order: int) -> "QSeries":
-        """The series truncated at `trunc_order` <= N, as limbs while this one holds them.
-
-        Limb rows are copied, so the prefix owns them and converts them on
-        its own; ints are sliced.
-        """
-        if not 0 <= trunc_order <= self.trunc_order:
-            raise TruncationMismatchError(
-                f"prefix order {trunc_order} outside [0, {self.trunc_order}]")
-        if self._limbs is not None:
-            return QSeries.from_limbs(self._limbs[:trunc_order + 1].copy(), self._radix_bits)
-        return QSeries(trunc_order, self._coeffs[:trunc_order + 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
@@ -329,8 +315,6 @@ _MAX_BLOCK = 64
 _HISTORY = 2
 #: limbs a division pass's array grows by per copy, when a carry outgrows it
 _WIDEN_LIMBS = 4
-#: rows converted to Python ints at a time, the limbs shrinking behind them
-_CHUNK_ROWS = 2048
 #: the smallest radix with h = _limb_bound(R) <= 2^R - 1, where signs read off the top limb
 _MIN_RADIX_BITS = 4
 #: every integer of magnitude at most 2^53 is a float64
@@ -637,9 +621,9 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
     the array, widening it several limbs per copy.  After the last pass the
     all-zero top limbs are cut, the spare ones and any a carry reached but
     the result does not use, and the array is copied only when that cut
-    takes something: it keeps at least one limb, its top limb is nonzero
-    unless the series is 0, and it owns its data and is C-contiguous, so
-    ``limbs_to_ints`` can shrink it in place.
+    takes something, so a series that keeps the limbs holds no spare ones:
+    it keeps at least one limb, and its top limb is nonzero unless the
+    series is 0.
     """
     acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
     acc[0, 0] = 1
@@ -655,35 +639,24 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
 
 
 def limbs_to_ints(limbs: np.ndarray, radix_bits: int) -> tuple[int, ...]:
-    """The ints sum_l limbs[n, l] 2^{radix_bits l}, n = 0 .. rows - 1; consumes `limbs`.
+    """The ints sum_l limbs[n, l] 2^{radix_bits l}, n = 0 .. rows - 1; reads `limbs` only.
 
-    Works through the index-major `limbs` a chunk of rows at a time from the
-    highest index down: Horner's rule on Python ints from the top limb
-    down, two limbs at a time: |limb| <= h = 2^{R-1} + 2^{ceil(R/2)}, and
-    h (1 + 2^R) < 2^60 for every R <= 30 that ``limb_plan`` picks, so a pair
-    is one int64.  `limbs` must own its data (``expand_limbs``' result does).
-    After each chunk the array is cut to the rows below it in place, so the
-    limbs shrink as the ints grow and the two are never both held in full.
-    `limbs` is left with 0 rows.
+    Horner's rule on Python ints over the index-major `limbs`, every row at
+    once, from the top limb down, two limbs at a time: |limb| <= h =
+    2^{R-1} + 2^{ceil(R/2)}, and h (1 + 2^R) < 2^60 for every R <= 30 that
+    ``limb_plan`` picks, so a pair is one int64.
     """
     rows, cols = limbs.shape
-    chunks = []
-    for lo in reversed(range(0, rows, _CHUNK_ROWS)):
-        hi = min(lo + _CHUNK_ROWS, rows)
-        chunk = limbs[lo:hi]
-        acc = np.zeros(hi - lo, dtype=object)
-        for top in range(cols, 1, -2):
-            pair = chunk[:, top - 1].astype(np.int64) << radix_bits
-            pair += chunk[:, top - 2]
-            acc <<= 2 * radix_bits
-            acc += pair
-        if cols % 2:
-            acc <<= radix_bits
-            acc += chunk[:, 0]
-        del chunk
-        limbs.resize((lo, cols), refcheck=False)
-        chunks.append(acc.tolist())
-    return tuple(chain.from_iterable(reversed(chunks)))
+    acc = np.zeros(rows, dtype=object)
+    for top in range(cols, 1, -2):
+        pair = limbs[:, top - 1].astype(np.int64) << radix_bits
+        pair += limbs[:, top - 2]
+        acc <<= 2 * radix_bits
+        acc += pair
+    if cols % 2:
+        acc <<= radix_bits
+        acc += limbs[:, 0]
+    return tuple(acc.tolist())
 
 
 def limb_signs(limbs: np.ndarray) -> np.ndarray:
@@ -752,15 +725,13 @@ def _class_signs(s: QSeries, residue: int, modulus: int, lo: int,
 
     The signs are a strided view of ``s.signs``, after the range checks.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    start = slice_indices(residue, modulus, lo, hi).start
     if hi > s.trunc_order:
         raise TruncationMismatchError(
             f"range end {hi} exceeds truncation order {s.trunc_order}"
         )
     if lo < 0 or lo > hi:
         raise ValueError(f"bad index range [{lo}, {hi}]")
-    start = slice_indices(residue, modulus, lo, hi).start
     return start, s.signs[start:hi + 1:modulus]
 
 
@@ -773,6 +744,8 @@ def slice_signs(s: QSeries, residue: int, modulus: int, lo: int, hi: int) -> lis
 
 
 def slice_indices(residue: int, modulus: int, lo: int, hi: int) -> range:
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
     start = lo + (residue - lo) % modulus
     return range(start, hi + 1, modulus)
 

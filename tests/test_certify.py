@@ -106,7 +106,7 @@ class TestCertify:
         real = cached_expansion(registered_spec("c"), 2000)
         coeffs = list(real.coeffs)
         coeffs[1500] = -coeffs[1500]  # 1500 = 0 mod 5, a class c claims positive
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("c"), 2000),
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, registered_spec("c"),
                             QSeries(2000, tuple(coeffs)))
         result = certify("c5n")
         assert result.exit_code == 2 and result.certificate["finite"]["exceptions"] == [1500]
@@ -124,7 +124,7 @@ class TestCertify:
         coeffs = list(real.coeffs)
         coeffs[505] = 1
         fake = QSeries(1000, tuple(coeffs))
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 1000), fake)
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, registered_spec("A"), fake)
         result = certify("A5n")
         assert not result.ok and result.exit_code == 2
         assert result.certificate["finite"]["exceptions"] == [505]
@@ -173,23 +173,32 @@ class TestTargetBinding:
 
 
 class TestExpansionCache:
-    def test_shorter_truncation_is_a_prefix_of_a_longer_one(self, series_a_1000, monkeypatch):
+    def test_a_shorter_request_is_served_by_the_cached_series(self, monkeypatch):
         def no_expansion(*args):
             raise AssertionError("expanded although a longer expansion is cached")
 
-        # without an exact (A, 800) entry the (A, 1000) expansion serves it
-        monkeypatch.delitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800),
-                            raising=False)
+        monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
+        series = certify_mod.cached_expansion(registered_spec("A"), 1000)
         monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
-        got = certify_mod.cached_expansion(registered_spec("A"), 800)
-        assert (registered_spec("A"), 800) not in certify_mod._EXPANSION_CACHE
-        monkeypatch.undo()
-        assert got == expand_product(registered_spec("A"), 800)
+        for n in (0, 800, 1000):
+            assert certify_mod.cached_expansion(registered_spec("A"), n) is series
+        assert certify_mod._EXPANSION_CACHE == {registered_spec("A"): series}
 
-    def test_exact_entry_wins_over_a_longer_one(self, series_a_1000, monkeypatch):
-        fake = QSeries.one(800)
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("A"), 800), fake)
-        assert certify_mod.cached_expansion(registered_spec("A"), 800) is fake
+    def test_a_longer_request_replaces_the_entry(self, monkeypatch):
+        expanded = []
+
+        def counted(spec, n):
+            expanded.append(n)
+            return QSeries.one(n)
+
+        monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
+        monkeypatch.setattr(certify_mod, "expand_product", counted)
+        spec = registered_spec("A")
+        short = certify_mod.cached_expansion(spec, 800)
+        long = certify_mod.cached_expansion(spec, 1000)
+        assert short.trunc_order == 800 and long.trunc_order == 1000
+        assert certify_mod.cached_expansion(spec, 900) is long
+        assert certify_mod._EXPANSION_CACHE == {spec: long} and expanded == [800, 1000]
 
     def test_two_names_for_one_spec_share_an_entry(self, monkeypatch):
         series = certify_mod.cached_expansion(registered_spec("A"), 1000)
@@ -198,22 +207,24 @@ class TestExpansionCache:
         monkeypatch.setattr(certify_mod, "expand_product", no_expansion)
         alias = registered_spec("A-alias")
         assert certify_mod.cached_expansion(alias, 1000) is series
-        assert certify_mod.cached_expansion(alias, 900).coeffs == series.coeffs[:901]
+        assert certify_mod.cached_expansion(alias, 900) is series
 
-    def test_least_recently_used_spec_is_evicted_and_longer_replaces_shorter(self, monkeypatch):
+    def test_least_recently_used_spec_is_evicted(self, monkeypatch):
         monkeypatch.setattr(certify_mod, "_EXPANSION_CACHE", OrderedDict())
         monkeypatch.setattr(certify_mod, "expand_product", lambda spec, n: QSeries.one(n))
         bound = certify_mod._CACHE_ENTRIES
         specs = [ProductSpec(((1, m, 1),)) for m in range(2, bound + 3)]
         for spec in specs[:bound]:
             certify_mod.cached_expansion(spec, 10)
-        certify_mod.cached_expansion(specs[0], 5)  # a prefix: a use of (specs[0], 10)
+        certify_mod.cached_expansion(specs[0], 5)  # served by (specs[0], 10): a use of it
         certify_mod.cached_expansion(specs[bound], 10)
-        order = [*specs[2:bound], specs[0], specs[bound]]
-        assert list(certify_mod._EXPANSION_CACHE) == [(spec, 10) for spec in order]
-        certify_mod.cached_expansion(specs[0], 20)
-        assert list(certify_mod._EXPANSION_CACHE)[-2:] == [(specs[bound], 10), (specs[0], 20)]
-        assert len(certify_mod._EXPANSION_CACHE) == bound
+        assert list(certify_mod._EXPANSION_CACHE) == [*specs[2:bound], specs[0], specs[bound]]
+        certify_mod.cached_expansion(specs[0], 20)  # replaces its entry, evicting nothing
+        certify_mod.cached_expansion(specs[1], 10)  # evicted above: expanded anew
+        assert list(certify_mod._EXPANSION_CACHE) == [
+            *specs[3:bound], specs[bound], specs[0], specs[1]]
+        assert [s.trunc_order for s in certify_mod._EXPANSION_CACHE.values()] == [
+            *[10] * (bound - 2), 20, 10]
 
     def test_one_product_written_three_ways_is_expanded_once(self, monkeypatch):
         # A, A with its factors swapped, and A written psi(3,5)/psi(4,5)
@@ -229,8 +240,9 @@ class TestExpansionCache:
         first = certify_mod.cached_expansion(a, 300)
         for factors in (((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5))):
             assert certify_mod.cached_expansion(ProductSpec(factors), 300) is first
-            assert certify_mod.cached_expansion(ProductSpec(factors), 200) == first.prefix(200)
+            assert certify_mod.cached_expansion(ProductSpec(factors), 200) is first
         assert expanded == [(a.factors, 300)]
+        assert list(certify_mod._EXPANSION_CACHE) == [a]
 
 
 class TestKnownTheorems:
@@ -264,7 +276,7 @@ class TestKnownTheorems:
         real = certify_mod.cached_expansion(registered_spec("C"), 800)
         coeffs = list(real.coeffs)
         coeffs[11] = -coeffs[11]
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("C"), 800),
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, registered_spec("C"),
                             QSeries(800, tuple(coeffs)))
         with pytest.raises(SignViolation, match="index 11"):
             verify_known_theorems(800)
@@ -282,7 +294,7 @@ class TestEventualPatternScan:
         real = cached_expansion(registered_spec("d"), 2000)
         coeffs = list(real.coeffs)
         coeffs[26] = -coeffs[26]  # past d's cutoff 24
-        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("d"), 2000),
+        monkeypatch.setitem(certify_mod._EXPANSION_CACHE, registered_spec("d"),
                             QSeries(2000, tuple(coeffs)))
         with pytest.raises(SignViolation, match="pattern for d fails at index 26"):
             richmond_szekeres_scan(2000)
@@ -320,8 +332,8 @@ def test_certify_every_claim_end_to_end():
 
 
 def test_certify_every_claim_converts_no_coefficient(monkeypatch, capsys):
-    # every sign is read off the limbs, the prefixes (A, 800), (B, 800) and
-    # (D, 800) included, so qsign certify never builds an int
+    # every sign is read off the limbs, and (A, 800), (B, 800) and (D, 800)
+    # are served by the longer expansions, so qsign certify never builds an int
     def no_ints(*args):
         raise AssertionError("converted a coefficient to an int")
 
@@ -357,7 +369,7 @@ def test_certify_every_claim_reports_a_scan_violation(monkeypatch, capsys):
     real = cached_expansion(registered_spec("C"), 800)
     coeffs = list(real.coeffs)
     coeffs[11] = -coeffs[11]
-    monkeypatch.setitem(certify_mod._EXPANSION_CACHE, (registered_spec("C"), 800),
+    monkeypatch.setitem(certify_mod._EXPANSION_CACHE, registered_spec("C"),
                         QSeries(800, tuple(coeffs)))
     assert main(["certify"]) == 2
     out = capsys.readouterr()

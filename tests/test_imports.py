@@ -12,7 +12,11 @@ independent of the package's internals.  And every public top-level function
 or class of the package is loaded (as a name or an attribute) in ``src/``
 or ``bench/`` outside its own definition, or is named in
 ``TEST_ONLY``: code that only tests use is listed, and the list is kept
-exact both ways.  Imports sit at module top, never in a function body
+exact both ways.  The same holds one level down: every method and property
+of a top-level package class (dunders excluded) is read as an attribute in
+``src/`` or ``bench/`` outside its own body, or is listed, exactly, in
+``MEMBER_TEST_ONLY`` or, when a module reads it by a name string, in
+``MEMBER_READ_BY_NAME``.  Imports sit at module top, never in a function body
 (except the few in ``DEFERRED_IMPORTS``), and a package module imports
 only the ``qsign`` modules below it in ``LAYERS``.
 No function of ``analytic`` takes a spec by name, and ``certify`` passes no
@@ -32,7 +36,8 @@ PACKAGE = sorted((ROOT / "src" / "qsign").glob("*.py"))
 CALLERS = sorted([*PACKAGE, *(ROOT / "bench").glob("*.py")])
 #: the modules whose imports are guarded: the package and the test oracles
 IMPORTERS = [*PACKAGE, ROOT / "tests" / "oracles.py"]
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 #: public package code that only the tests use.  Oracles and paper-lemma
 #: checks live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in the
@@ -40,6 +45,17 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: ``dedekind_sum`` is the checked Fraction form of s(d, c), which the bench
 #: traces by name; the package itself reads 6c s(d, c) as an integer.
 TEST_ONLY = {"analytic.lemma_arc_integral", "modular.dedekind_sum"}
+
+#: methods and properties of package classes that only the tests read: the
+#: interval helpers and transform fields the checks compare against, and the
+#: ints-in constructor of a series
+MEMBER_TEST_ONLY = {
+    "circle.FareyArc.width", "enclosure.Enclosure.width", "enclosure.Enclosure.intersects",
+    "enclosure.Enclosure.cos", "enclosure.Enclosure.sin", "modular.FactorTransform.lam_star",
+    "modular.TransformData.upsilon", "qseries.QSeries.from_coeffs"}
+#: members a module reads by a field-name string (``getattr``), which no
+#: attribute scan sees: ``cli.cmd_certify`` writes each scan's fields by name
+MEMBER_READ_BY_NAME = {"certify.PatternScan.cutoff": "cli"}
 
 #: per package module, the modules a function body may import: each serves
 #: one rarely taken path, and importing it at module top would cost every run
@@ -166,6 +182,52 @@ def test_guard_sees_public_code_nothing_uses():
 def test_public_code_has_a_caller_or_is_listed_as_test_only():
     package = {path.stem: path.read_text() for path in PACKAGE}
     assert uncalled_public_names(package, [path.read_text() for path in CALLERS]) == TEST_ONLY
+
+
+def attribute_loads(source: str) -> set[str]:
+    """Attribute names loaded in `source`, except a top-level class member's name in its own body."""
+    tree = ast.parse(source)
+    own = {id(sub): item.name for node in tree.body if isinstance(node, ast.ClassDef)
+           for item in node.body if isinstance(item, FUNCTIONS) for sub in ast.walk(item)}
+    return {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load) and own.get(id(sub)) != sub.attr}
+
+
+def unread_public_members(package: dict[str, str], callers: list[str]) -> set[str]:
+    """``module.Class.name`` of each non-dunder method or property no caller reads as an attribute."""
+    loaded = set().union(*map(attribute_loads, callers))
+    return {f"{module}.{node.name}.{item.name}" for module, source in package.items()
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, FUNCTIONS)
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+            and item.name not in loaded}
+
+
+def test_guard_sees_a_member_nothing_reads():
+    lib = ("class Box:\n    def __len__(self):\n        return 0\n\n"
+           "    def used(self):\n        return self.helper()\n\n"
+           "    def helper(self):\n        return 1\n\n"
+           "    @property\n    def unread(self):\n        return 2\n\n"
+           "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n"
+           "    @staticmethod\n    def make():\n        return Box()\n\n"
+           "    def _private(self):\n        pass\n\n"
+           "def free():\n    pass\n")
+    caller = "from lib import Box\nBox.make().used\nprint(getattr(Box(), 'unread'))\n"
+    assert unread_public_members({"lib": lib}, [lib, caller]) == {
+        "lib.Box.unread", "lib.Box.recursive", "lib.Box._private"}
+    assert unread_public_members({"lib": lib}, [lib]) == {
+        "lib.Box.used", "lib.Box.unread", "lib.Box.recursive", "lib.Box.make",
+        "lib.Box._private"}
+
+
+def test_members_have_a_reader_or_are_listed():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    unread = unread_public_members(package, [path.read_text() for path in CALLERS])
+    assert unread == MEMBER_TEST_ONLY | set(MEMBER_READ_BY_NAME)
+    for member, reader in MEMBER_READ_BY_NAME.items():
+        name = member.rsplit(".", 1)[1]
+        assert any(isinstance(node, ast.Constant) and node.value == name
+                   for node in ast.walk(ast.parse(package[reader]))), member
 
 
 def qsign_modules(node: ast.Import | ast.ImportFrom) -> list[str]:

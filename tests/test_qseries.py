@@ -258,10 +258,9 @@ class TestSliceEngine:
         for n in (hi - 1, hi, hi + 1):
             assert expand_product(spec, n) == truncated(ref, n), (name, n)
 
-    def test_widening_and_conversion_across_a_chunk_boundary(self):
-        # c = 1/R gains its fourth limb at an index past the first chunk of
-        # rows, so the widening copies rows already written on both sides of
-        # the chunk boundary, and the conversion takes the series in two chunks
+    def test_widening_late_in_the_series_and_conversion(self):
+        # c = 1/R gains its fourth limb past index 2600, so the widening
+        # copies thousands of rows already written
         spec = registered_spec("c")
         lo, hi = 2600, 3000
         final = limb_count(spec, hi)
@@ -269,15 +268,13 @@ class TestSliceEngine:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if limb_count(spec, mid) < final else (lo, mid)
         assert limb_count(spec, hi - 1) < limb_count(spec, hi) == final
-        assert hi > qseries._CHUNK_ROWS
         plan = limb_plan(spec, hi + 1)
         limbs = qseries.expand_limbs(plan)
         assert limbs.shape == (hi + 2, final) and limbs.flags.c_contiguous
         got = QSeries.from_limbs(limbs, plan.radix_bits)
-        assert len(got.coeffs) == hi + 2 and limbs.shape[0] == 0
+        assert len(got.coeffs) == hi + 2
         ref = expand_product_reference(spec, hi + 1)
-        boundary = qseries._CHUNK_ROWS
-        for n in (boundary - 1, boundary, hi - 1, hi, hi + 1):
+        for n in (hi - 1, hi, hi + 1):
             assert got.coeffs[n] == ref.coeffs[n], n
         assert got == ref
 
@@ -370,16 +367,15 @@ class TestSliceEngine:
     @pytest.mark.parametrize("name, n, width", [
         *((name, 1000, 2 if name in "cd" else 5) for name in sorted(REGISTERED_SPECS)),
         ("D", 19501, 21)])
-    def test_limbs_have_their_used_width_and_own_their_data(self, name, n, width):
-        # the widening leaves spare limbs, which never reach the result:
-        # its top limb is in use, and the conversion can shrink it in place
+    def test_limbs_have_their_used_width(self, name, n, width):
+        # the widening leaves spare limbs, which never reach the result: its
+        # top limb is in use
         plan = limb_plan(registered_spec(name), n)
         limbs = qseries.expand_limbs(plan)
         assert limbs.shape == (n + 1, width) and limbs[:, -1].any()
-        assert limbs.flags.c_contiguous and limbs.flags.owndata
+        assert limbs.flags.c_contiguous
         series = QSeries.from_limbs(limbs, plan.radix_bits)
         assert len(series.coeffs) == n + 1 and series.trunc_order == n
-        assert limbs.shape == (0, width)
 
     def test_all_zero_top_limbs_are_cut(self):
         # psi(2,5) = psi(3,5), so this is the series 1: its carries reach
@@ -491,6 +487,16 @@ class TestLimbSigns:
         assert signs.dtype == np.int8
         assert signs.tolist() == int_signs(qseries.limbs_to_ints(limbs, plan.radix_bits))
 
+    @pytest.mark.parametrize("name, n", [("D", 3000), ("c", 1000)])
+    def test_conversion_leaves_the_limbs_as_they_were(self, name, n):
+        # D has an odd limb count at 3000 and c an even one at 1000
+        plan = limb_plan(registered_spec(name), n)
+        limbs = qseries.expand_limbs(plan)
+        before = limbs.copy()
+        got = qseries.limbs_to_ints(limbs, plan.radix_bits)
+        assert np.array_equal(limbs, before) and limbs.shape == before.shape
+        assert QSeries(n, got) == expand_product_reference(registered_spec(name), n)
+
     @pytest.mark.parametrize("spec", BEYOND_INT64)
     def test_coefficients_beyond_int64(self, spec):
         series = expand_product(spec, 1000)
@@ -539,7 +545,7 @@ class TestLimbSigns:
 class TestLazySeries:
     """``expand_product`` keeps the limbs and builds its ints on the first read."""
 
-    def test_signs_and_prefixes_build_no_ints(self, monkeypatch):
+    def test_signs_build_no_ints(self, monkeypatch):
         series = expand_product(registered_spec("D"), 3000)
         want = expand_product_reference(registered_spec("D"), 200)
 
@@ -547,30 +553,37 @@ class TestLazySeries:
             raise AssertionError("converted a coefficient to an int")
 
         monkeypatch.setattr(qseries, "limbs_to_ints", no_ints)
-        head = series.prefix(200)
-        assert head.signs.tolist() == int_signs(want.coeffs)
+        assert series.signs[:201].tolist() == int_signs(want.coeffs)
         assert sign_exceptions(series, 1, 5, 1, 3000, 1) == []
         assert slice_signs(series, 0, 5, 5, 3000) == [-1] * 600
         monkeypatch.undo()
-        assert head == want and head.coeff(200) == want.coeff(200)
+        assert series.coeff(200) == want.coeff(200)
         assert series.coeffs[:201] == want.coeffs
 
-    def test_a_prefix_owns_its_limbs(self):
-        series = expand_product(registered_spec("c"), 2500)
-        head = series.prefix(2100)
-        assert head.trunc_order == 2100
-        assert head.coeffs == series.coeffs[:2101]  # the prefix's conversion first
-        assert series.prefix(2100) == head and series.prefix(2500) == series
+    def test_the_limbs_are_read_only_and_kept(self, monkeypatch):
+        # the series keeps the engine's array itself, and converting reads it only
+        made = []
+        expand_limbs = qseries.expand_limbs
+
+        def recorded(plan):
+            made.append(expand_limbs(plan))
+            return made[-1]
+
+        monkeypatch.setattr(qseries, "expand_limbs", recorded)
+        series = expand_product(registered_spec("D"), 1000)
+        limbs = made[0]
+        assert not limbs.flags.writeable
+        with pytest.raises(ValueError):
+            limbs[0, 0] = 0
+        before = limbs.copy()
+        assert series == expand_product_reference(registered_spec("D"), 1000)
+        assert np.array_equal(limbs, before) and not limbs.flags.writeable
 
     def test_signs_are_read_only(self):
         for s in (expand_product(registered_spec("A"), 50), QSeries.from_coeffs([1, -2, 0])):
             with pytest.raises(ValueError):
                 s.signs[0] = 0
         assert QSeries.from_coeffs([1, -2, 0]).signs.tolist() == [1, -1, 0]
-
-    def test_prefix_past_the_truncation_is_refused(self):
-        with pytest.raises(TruncationMismatchError):
-            expand_product(registered_spec("A"), 10).prefix(11)
 
 
 class TestSliceSigns:
@@ -614,6 +627,14 @@ class TestSignExceptions:
     def test_range_must_fit_truncation(self):
         with pytest.raises(TruncationMismatchError):
             sign_exceptions(QSeries.one(10), 0, 5, 0, 11, 1)
+
+
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_a_modulus_below_one_is_refused(modulus):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        slice_indices(0, modulus, 0, 20)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        sign_exceptions(QSeries.one(20), 0, modulus, 0, 20, 1)
 
 
 class TestSerialization:
