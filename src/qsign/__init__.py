@@ -6,12 +6,12 @@ Modules, each importing only those listed above it:
 * ``modular``   -- Dedekind sums and the exact transformation data of
                    two-variable Pochhammer products under Farey fractions
 * ``enclosure`` -- directed-rounded interval arithmetic (mpmath.libmp interval
-                   kernels, bit-identical to mpmath.iv)
-* ``circle``    -- high-precision eta/theta/psi evaluation, Farey dissection
-                   and diagnostic circle-method quadrature
+                   kernels, bit-identical to mpmath.iv) and its complex
+                   rectangles
 * ``analytic``  -- Bessel main terms, explicit error bounds, certified
-                   dominance, eventual-dominance certificates and the
-                   diagnostic one-arc integral
+                   dominance and eventual-dominance certificates
+* ``circle``    -- high-precision eta/theta/psi evaluation, Farey dissection,
+                   the diagnostic one-arc integral and circle-method quadrature
 * ``certify``   -- orchestration into machine-readable certificates
 * ``cli``       -- command line front end
 

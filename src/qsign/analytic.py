@@ -13,10 +13,10 @@ c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
 
 r = n mod k, x = n + Omega/24; an S_r not certified real is refused.  The
 factors of one arc (a / Re S_r, y and sqrt(x)) have one formula,
-``_arc_bessel``, shared with the diagnostic ``lemma_arc_integral``, which
-integrates one Farey arc numerically.  All registered specs have k = 5, with
-Delta = 24 (A, B, C, D) or 24/5 (c, d).  For A, B and D the coefficient is
-M(n) plus an error of magnitude at most
+``arc_bessel``, shared with ``circle.lemma_arc_integral``, the diagnostic
+that integrates one Farey arc numerically.  All registered specs have
+k = 5, with Delta = 24 (A, B, C, D) or 24/5 (c, d).  For A, B and D the
+coefficient is M(n) plus an error of magnitude at most
 
     E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20)
 
@@ -46,12 +46,9 @@ from math import gcd
 from typing import Callable, Literal, Union
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import fone, mpf_abs, mpf_gt, mpf_le, mpf_shift
 
-from .circle import (ComplexHP, ConvergenceRefused, e_pi_i_half_turns, farey_arcs,
-                     pi_factor_value)
-from .enclosure import DEFAULT_PRECISION, Enclosure
+from .enclosure import DEFAULT_PRECISION, ComplexHP, Enclosure, e_pi_i_half_turns, pi_factor_value
 from .modular import class_deltas, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
@@ -205,8 +202,8 @@ def _class_sum(factors: tuple[tuple[int, int, int], ...], r: int, bits: int) -> 
     return s
 
 
-def _arc_bessel(k: int, delta: Fraction, x: Fraction,
-                bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+def arc_bessel(k: int, delta: Fraction, x: Fraction,
+               bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
     """(a, y, sqrt(x)) of one arc: a = (2 pi/k) sqrt(Delta/24), y = (pi/6k) sqrt(24 Delta x)."""
     sx = Enclosure.from_fraction(x, bits).sqrt()
     a = 2 * Enclosure.pi(bits) / k * Enclosure.from_fraction(delta / 24, bits).sqrt()
@@ -217,7 +214,7 @@ def _arc_bessel(k: int, delta: Fraction, x: Fraction,
 def _bessel_form(spec: ProductSpec, n: int, bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
     """(a Re S_r, y, sqrt(x)) with M(n) = a Re S_r I_1(y) / sqrt(x) (module docstring)."""
     data = main_term_data(spec)
-    a, y, sx = _arc_bessel(data.k, data.delta, _x_of(spec, n), bits)
+    a, y, sx = arc_bessel(data.k, data.delta, _x_of(spec, n), bits)
     return a * class_constant(spec, n % data.k, bits), y, sx
 
 
@@ -360,75 +357,3 @@ def eventual_dominance_certificate(spec: ProductSpec, residue: int, n0: int,
         wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
         precision_bits=wang_lo.bits,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic: one Farey arc integrated numerically (stated tolerance)
-# ---------------------------------------------------------------------------
-
-def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: int,
-                       h: int | None = None, dps: int = 40,
-                       bits: int = DEFAULT_PRECISION) -> dict:
-    """Spot check of the single-arc Bessel evaluation used for main terms.
-
-    Numerically integrates
-        I = int_arc e^{(pi/12k)(b z + a/z)} e^{-2 pi i n phi} e^{2 pi n rho} dphi,
-    z = k(rho - i phi), rho = 1/order^2, over the arc at h/k of the given
-    Farey order (``circle.farey_arcs``), and compares with the main term of
-    one arc, read from ``_arc_bessel`` with Delta = a and x = n + b/24,
-
-        main = (2 pi/k) sqrt(Delta/24) I_1((pi/6k) sqrt(24 Delta x)) / sqrt(x),
-
-    against the stated bound |I - main| <= e^{pi a/3} e^{2 pi rho x} / (pi x).
-    Requires n > b/24.  The integral is tanh-sinh quadrature split at the
-    Farey point; `ConvergenceRefused` when ``quadrature_err`` exceeds
-    10^-(dps - 12).  That is mpmath's difference of the last two tanh-sinh
-    levels: an estimate, not a bound (it can read below the working precision).
-    """
-    if a_par <= 0:
-        raise ValueError("a must be positive")
-    if Fraction(n) <= b_par / 24:
-        raise ValueError("need n > b/24")
-    if h is None:
-        h = 1 if k > 1 else 0
-    arcs = [arc for arc in farey_arcs(order) if arc.k == k and arc.h == h]
-    if not arcs:
-        raise ValueError(f"{h}/{k} is not an order-{order} Farey fraction")
-    arc = arcs[0]
-    rho = Fraction(1, order * order)
-    x = n + b_par / 24
-    with mp.workdps(dps):
-        rr = mpmath.mpf(rho.numerator) / rho.denominator
-        aa = mpmath.mpf(a_par.numerator) / a_par.denominator
-        bb = mpmath.mpf(b_par.numerator) / b_par.denominator
-
-        def g(phi):
-            zz = k * (rr - 1j * phi)
-            return (mpmath.exp(mpmath.pi / (12 * k) * (bb * zz + aa / zz))
-                    * mpmath.exp(-2j * mpmath.pi * n * phi)
-                    * mpmath.exp(2 * mpmath.pi * n * rr))
-
-        lo = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
-        hi = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
-        tol = mpmath.mpf(10) ** (-(dps - 12))
-        # tanh-sinh on both sides of the Farey point, where the integrand peaks
-        val, err = mpmath.quad(g, [lo, 0, hi], error=True)
-        if err > tol:
-            raise ConvergenceRefused(
-                f"arc quadrature error estimate {mpmath.nstr(err, 3)} exceeds {mpmath.nstr(tol, 3)}")
-        a, y, sx = _arc_bessel(k, a_par, x, bits)
-        main = a * bessel_im1(y) / sx
-        bound = ((Enclosure.pi(bits) * Enclosure.from_fraction(a_par, bits) / 3).exp()
-                 * (2 * Enclosure.pi(bits) * Enclosure.from_fraction(rho * x, bits)).exp()
-                 / (Enclosure.pi(bits) * Enclosure.from_fraction(x, bits)))
-        diff = abs(val - mpmath.mpf(main.mid))
-        report = {
-            "a": str(a_par), "b": str(b_par), "k": k, "n": n, "order": order, "h": h,
-            "integral_re": float(mpmath.re(val)), "integral_im": float(mpmath.im(val)),
-            "quadrature_err": float(err),
-            "main": float(main.mid),
-            "abs_error": float(diff),
-            "bound": float(bound.lo),
-            "ok": bool(diff < bound.lo),
-        }
-    return report

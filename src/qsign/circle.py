@@ -2,17 +2,18 @@
 
 Two numeric regimes live here.
 
-*  Certified: ``ComplexHP`` pairs of interval enclosures, used to verify the
-   modular transformation identities (eta and theta under SL2(Z), theta
-   quasi-periodicity, and the full psi-product transformation) with relative
-   residuals far below 1e-25 at 192-bit precision.  The Pochhammer products
-   behind eta, theta and psi run in fixed-point midpoint-radius balls over
-   Python ints (F = prec + 32 fraction bits, one ulp of radius per
-   truncating shift).  Every product stops once |z0 q^K| is small, at a
-   point chosen from |q| alone, and is closed by the certified log series
-   S of its tail; near the cusps that turns thousands of factors into
-   tens.  e^{-S} is a ball too, so each product converts to an enclosure
-   once, through outward-rounded endpoints.
+*  Certified: eta, theta and psi on the complex rectangles of ``enclosure``,
+   used to verify the modular transformation identities (eta and theta
+   under SL2(Z), theta quasi-periodicity, and the full psi-product
+   transformation) with relative residuals far below 1e-25 at 192-bit
+   precision.  The Pochhammer products behind eta, theta and psi run in
+   fixed-point midpoint-radius balls over Python ints (F = prec + 32
+   fraction bits, one ulp of radius per truncating shift).  Every product
+   stops once |z0 q^K| is small, at a point chosen from |q| alone, and is
+   closed by the certified log series S of its tail; near the cusps that
+   turns thousands of factors into tens.  e^{-S} is a ball too, so each
+   product converts to an enclosure once, through outward-rounded
+   endpoints.
 
 *  Diagnostic: a quadrature that recovers power-series coefficients from
    the contour integral over the full circle
@@ -28,9 +29,10 @@ Two numeric regimes live here.
    int products and no exp.  Guard bits sized from a lower bound on each
    sum keep a node's relative error below 10^-dps at every order.  Its
    error is stated, not certified; it cross-checks the exact engine, uses
-   nothing from it and never feeds a certificate.  The Farey dissection of
-   order N is kept for the single-arc spot check of the Bessel main term,
-   ``analytic.lemma_arc_integral``.
+   nothing from it and never feeds a certificate.  The single-arc spot
+   check of the Bessel main term, ``lemma_arc_integral``, lives here too:
+   mpmath tanh-sinh quadrature over one arc of the order-N Farey
+   dissection, against the one-arc formula ``analytic.arc_bessel``.
 
 The theta product form multiplies the three Pochhammer symbols
 (xi; q)(xi^{-1} q; q)(q; q); dropping the (q; q) factor would break the
@@ -52,95 +54,15 @@ from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_div, mpf_ln2, mpf_mul, mpf_sqrt, mpi_abs,
                           round_ceiling, round_floor)
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, one, zero
+from .analytic import arc_bessel, bessel_im1
+from .enclosure import (DEFAULT_PRECISION, ComplexHP, Enclosure, cexp, e_pi_i_half_turns,
+                        e_two_pi_i, one, zero)
 from .modular import TransformData, delta_at, omega_exact, transform_data
 from .qseries import ProductSpec, triple_product_powers, triple_product_terms
 
 
 class ConvergenceRefused(RuntimeError):
     """The requested evaluation cannot reach the target accuracy."""
-
-
-# ---------------------------------------------------------------------------
-# complex enclosures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexHP:
-    """Rectangle enclosure re + i*im with directed-rounded components."""
-
-    re: Enclosure
-    im: Enclosure
-
-    @staticmethod
-    def from_fractions(re: Fraction | int, im: Fraction | int = 0,
-                       bits: int = DEFAULT_PRECISION) -> "ComplexHP":
-        return ComplexHP(Enclosure.from_fraction(re, bits), Enclosure.from_fraction(im, bits))
-
-    @property
-    def bits(self) -> int:
-        return max(self.re.bits, self.im.bits)
-
-    @staticmethod
-    def one() -> "ComplexHP":
-        return ComplexHP(one(), zero())
-
-    def __add__(self, other: "ComplexHP") -> "ComplexHP":
-        return ComplexHP(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexHP") -> "ComplexHP":
-        return ComplexHP(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexHP") -> "ComplexHP":
-        return ComplexHP(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "ComplexHP") -> "ComplexHP":
-        den = other.re.square() + other.im.square()
-        return ComplexHP((self.re * other.re + self.im * other.im) / den,
-                         (self.im * other.re - self.re * other.im) / den)
-
-    def __neg__(self) -> "ComplexHP":
-        return ComplexHP(-self.re, -self.im)
-
-    def scale(self, c: Enclosure | int | Fraction) -> "ComplexHP":
-        if not isinstance(c, Enclosure):
-            c = Enclosure.from_fraction(c, self.bits)
-        return ComplexHP(self.re * c, self.im * c)
-
-    def abs_enclosure(self) -> Enclosure:
-        return (self.re.square() + self.im.square()).sqrt()
-
-    def pow_int(self, e: int) -> "ComplexHP":
-        if e < 0:
-            return ComplexHP.one() / self.pow_int(-e)
-        out = ComplexHP.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-
-def cexp(z: ComplexHP) -> ComplexHP:
-    """exp(z) as a rectangle: e^re (cos im + i sin im), interval-sound."""
-    r = z.re.exp()
-    c, s = z.im.cos_sin()
-    return ComplexHP(r * c, r * s)
-
-
-def e_two_pi_i(t: ComplexHP) -> ComplexHP:
-    """e^{2 pi i t}; for exact rational t use ``e_pi_i_half_turns(2 t)``."""
-    two_pi = Enclosure.pi(t.bits) * 2
-    return cexp(ComplexHP(-(two_pi * t.im), two_pi * t.re))
-
-
-def e_pi_i_half_turns(t: Fraction, bits: int = DEFAULT_PRECISION) -> ComplexHP:
-    """Exact unit phase e^{pi i t} for rational t."""
-    ang = Enclosure.pi(bits) * Enclosure.from_fraction(t % 2, bits)
-    return ComplexHP(*ang.cos_sin())
 
 
 def csqrt_upper(z: ComplexHP) -> ComplexHP:
@@ -591,15 +513,6 @@ def relative_residual(lhs: ComplexHP, rhs: ComplexHP) -> mpmath.mpf:
                                round_ceiling))
 
 
-def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]],
-                    bits: int = DEFAULT_PRECISION) -> ComplexHP:
-    """Exact-to-precision value of prod (1 - e^{2 pi i x})^{delta}."""
-    out = ComplexHP.one()
-    for x, delta in pi_factors:
-        out = out * (ComplexHP.one() - e_pi_i_half_turns(2 * x, bits)).pow_int(delta)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Farey dissection
 # ---------------------------------------------------------------------------
@@ -619,10 +532,6 @@ class FareyArc:
         for t in (self.theta_left, self.theta_right):
             if not Fraction(1, 2 * k * n) <= t <= Fraction(1, k * n):
                 raise ValueError(f"mediant distance {t} violates the arc bounds at h/k={self.h}/{self.k}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.theta_left + self.theta_right
 
 
 def farey_fractions(order: int) -> list[tuple[int, int]]:
@@ -658,6 +567,78 @@ def farey_arcs(order: int) -> list[FareyArc]:
             order=order,
         ))
     return arcs
+
+
+def lemma_arc_integral(a_par: Fraction, b_par: Fraction, k: int, n: int, order: int,
+                       h: int | None = None, dps: int = 40,
+                       bits: int = DEFAULT_PRECISION) -> dict:
+    """Spot check of the single-arc Bessel evaluation used for main terms.
+
+    Numerically integrates
+        I = int_arc e^{(pi/12k)(b z + a/z)} e^{-2 pi i n phi} e^{2 pi n rho} dphi,
+    z = k(rho - i phi), rho = 1/order^2, over the arc at h/k of the given
+    Farey order (``farey_arcs``), and compares with the main term of one
+    arc, read from ``analytic.arc_bessel`` with Delta = a and x = n + b/24,
+
+        main = (2 pi/k) sqrt(Delta/24) I_1((pi/6k) sqrt(24 Delta x)) / sqrt(x),
+
+    against the stated bound |I - main| <= e^{pi a/3} e^{2 pi rho x} / (pi x).
+    Requires n > b/24.  The integral is tanh-sinh quadrature split at the
+    Farey point; `ConvergenceRefused` when ``quadrature_err`` exceeds
+    10^-(dps - 12).  That is mpmath's difference of the last two tanh-sinh
+    levels: an estimate, not a bound (it can read below the working precision).
+    `ValueError` before any quadrature when `dps` is not an int >= 13: below
+    that the tolerance is at least 1 and would accept any quadrature.
+    """
+    if not isinstance(dps, int) or dps < 13:
+        raise ValueError(f"need an int dps >= 13, got {dps!r}")
+    if a_par <= 0:
+        raise ValueError("a must be positive")
+    if Fraction(n) <= b_par / 24:
+        raise ValueError("need n > b/24")
+    if h is None:
+        h = 1 if k > 1 else 0
+    arcs = [arc for arc in farey_arcs(order) if arc.k == k and arc.h == h]
+    if not arcs:
+        raise ValueError(f"{h}/{k} is not an order-{order} Farey fraction")
+    arc = arcs[0]
+    rho = Fraction(1, order * order)
+    x = n + b_par / 24
+    with mp.workdps(dps):
+        rr = mpmath.mpf(rho.numerator) / rho.denominator
+        aa = mpmath.mpf(a_par.numerator) / a_par.denominator
+        bb = mpmath.mpf(b_par.numerator) / b_par.denominator
+
+        def g(phi):
+            zz = k * (rr - 1j * phi)
+            return (mpmath.exp(mpmath.pi / (12 * k) * (bb * zz + aa / zz))
+                    * mpmath.exp(-2j * mpmath.pi * n * phi)
+                    * mpmath.exp(2 * mpmath.pi * n * rr))
+
+        lo = -mpmath.mpf(arc.theta_left.numerator) / arc.theta_left.denominator
+        hi = mpmath.mpf(arc.theta_right.numerator) / arc.theta_right.denominator
+        tol = mpmath.mpf(10) ** (-(dps - 12))
+        # tanh-sinh on both sides of the Farey point, where the integrand peaks
+        val, err = mpmath.quad(g, [lo, 0, hi], error=True)
+        if err > tol:
+            raise ConvergenceRefused(
+                f"arc quadrature error estimate {mpmath.nstr(err, 3)} exceeds {mpmath.nstr(tol, 3)}")
+        a, y, sx = arc_bessel(k, a_par, x, bits)
+        main = a * bessel_im1(y) / sx
+        bound = ((Enclosure.pi(bits) * Enclosure.from_fraction(a_par, bits) / 3).exp()
+                 * (2 * Enclosure.pi(bits) * Enclosure.from_fraction(rho * x, bits)).exp()
+                 / (Enclosure.pi(bits) * Enclosure.from_fraction(x, bits)))
+        diff = abs(val - mpmath.mpf(main.mid))
+        report = {
+            "a": str(a_par), "b": str(b_par), "k": k, "n": n, "order": order, "h": h,
+            "integral_re": float(mpmath.re(val)), "integral_im": float(mpmath.im(val)),
+            "quadrature_err": float(err),
+            "main": float(main.mid),
+            "abs_error": float(diff),
+            "bound": float(bound.lo),
+            "ok": bool(diff < bound.lo),
+        }
+    return report
 
 
 # ---------------------------------------------------------------------------

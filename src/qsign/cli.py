@@ -77,9 +77,9 @@ from . import __version__
 from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
 from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
                       verify_known_theorems)
-from .circle import (ComplexHP, check_product_transform, csqrt_upper, e_pi_i_half_turns,
-                     e_two_pi_i, eta, psi, psi_by_theta, relative_residual, theta)
-from .enclosure import DEFAULT_PRECISION
+from .circle import (check_product_transform, csqrt_upper, eta, psi, psi_by_theta,
+                     relative_residual, theta)
+from .enclosure import DEFAULT_PRECISION, ComplexHP, e_pi_i_half_turns, e_two_pi_i
 from .modular import GammaMatrix, delta_table_rows, omega_exact
 from .qseries import (ProductSpec, QSeries, expand_limbs, expand_product, iter_csv_rows,
                       limb_plan, registered_spec)

@@ -22,14 +22,21 @@ constructors take ``bits`` (default ``DEFAULT_PRECISION``); the exact
 process-wide ``iv.prec`` or ``mp.prec`` (``precision`` scopes ``iv.prec``
 for callers of ``mpmath.iv``).  Escalating precision tightens enclosures but
 never invalidates them.
+
+The complex rectangle re + i im, ``ComplexHP``, is two such enclosures and
+belongs to the same certified layer: ``cexp``, ``e_two_pi_i``,
+``e_pi_i_half_turns`` and ``pi_factor_value`` build its exponentials and
+phases, each angle from one ``cos_sin``.  ``analytic`` sums its class
+constants on it and ``circle`` checks the modular identities on it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
@@ -250,15 +257,9 @@ class Enclosure:
         return _make(mpi_log(self._mpi_, self.bits), self.bits)
 
     def cos_sin(self) -> tuple["Enclosure", "Enclosure"]:
-        """(cos, sin) from one argument reduction; each is what ``cos``/``sin`` return."""
+        """(cos, sin) from one argument reduction, each bit for bit ``iv.cos``/``iv.sin``'s."""
         c, s = mpi_cos_sin(self._mpi_, self.bits)
         return _make(c, self.bits), _make(s, self.bits)
-
-    def cos(self) -> "Enclosure":
-        return self.cos_sin()[0]
-
-    def sin(self) -> "Enclosure":
-        return self.cos_sin()[1]
 
     def pow_int(self, e: int) -> "Enclosure":
         if e < 0:
@@ -298,3 +299,94 @@ def one() -> Enclosure:
 
 def zero() -> Enclosure:
     return _make((fzero, fzero), _EXACT_BITS)
+
+
+# ---------------------------------------------------------------------------
+# complex enclosures
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ComplexHP:
+    """Rectangle enclosure re + i*im with directed-rounded components."""
+
+    re: Enclosure
+    im: Enclosure
+
+    @staticmethod
+    def from_fractions(re: Fraction | int, im: Fraction | int = 0,
+                       bits: int = DEFAULT_PRECISION) -> "ComplexHP":
+        return ComplexHP(Enclosure.from_fraction(re, bits), Enclosure.from_fraction(im, bits))
+
+    @property
+    def bits(self) -> int:
+        return max(self.re.bits, self.im.bits)
+
+    @staticmethod
+    def one() -> "ComplexHP":
+        return ComplexHP(one(), zero())
+
+    def __add__(self, other: "ComplexHP") -> "ComplexHP":
+        return ComplexHP(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "ComplexHP") -> "ComplexHP":
+        return ComplexHP(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "ComplexHP") -> "ComplexHP":
+        return ComplexHP(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: "ComplexHP") -> "ComplexHP":
+        den = other.re.square() + other.im.square()
+        return ComplexHP((self.re * other.re + self.im * other.im) / den,
+                         (self.im * other.re - self.re * other.im) / den)
+
+    def __neg__(self) -> "ComplexHP":
+        return ComplexHP(-self.re, -self.im)
+
+    def scale(self, c: Enclosure | int | Fraction) -> "ComplexHP":
+        if not isinstance(c, Enclosure):
+            c = Enclosure.from_fraction(c, self.bits)
+        return ComplexHP(self.re * c, self.im * c)
+
+    def abs_enclosure(self) -> Enclosure:
+        return (self.re.square() + self.im.square()).sqrt()
+
+    def pow_int(self, e: int) -> "ComplexHP":
+        if e < 0:
+            return ComplexHP.one() / self.pow_int(-e)
+        out = ComplexHP.one()
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+
+def cexp(z: ComplexHP) -> ComplexHP:
+    """exp(z) as a rectangle: e^re (cos im + i sin im), interval-sound."""
+    r = z.re.exp()
+    c, s = z.im.cos_sin()
+    return ComplexHP(r * c, r * s)
+
+
+def e_two_pi_i(t: ComplexHP) -> ComplexHP:
+    """e^{2 pi i t}; for exact rational t use ``e_pi_i_half_turns(2 t)``."""
+    two_pi = Enclosure.pi(t.bits) * 2
+    return cexp(ComplexHP(-(two_pi * t.im), two_pi * t.re))
+
+
+def e_pi_i_half_turns(t: Fraction, bits: int = DEFAULT_PRECISION) -> ComplexHP:
+    """Exact unit phase e^{pi i t} for rational t."""
+    ang = Enclosure.pi(bits) * Enclosure.from_fraction(t % 2, bits)
+    return ComplexHP(*ang.cos_sin())
+
+
+def pi_factor_value(pi_factors: Sequence[tuple[Fraction, int]],
+                    bits: int = DEFAULT_PRECISION) -> ComplexHP:
+    """Exact-to-precision value of prod (1 - e^{2 pi i x})^{delta}."""
+    out = ComplexHP.one()
+    for x, delta in pi_factors:
+        out = out * (ComplexHP.one() - e_pi_i_half_turns(2 * x, bits)).pow_int(delta)
+    return out

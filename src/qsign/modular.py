@@ -144,7 +144,7 @@ class FactorTransform(NamedTuple):
     The transformed arguments are const + wcoef * (i/z): sigma_const =
     (r d + lambda hbar d m)/(m k), sigma_wcoef = u d/(m k), tau_const =
     hbar d/k and tau_wcoef = d^2/(m k), with u = lambda d - r h, so that
-    lambda* = u/d.  Each of these five is a property that builds its
+    lambda* = u/d.  Each of these four is a property that builds its
     reduced ``Fraction`` on every read.
     """
 
@@ -158,10 +158,6 @@ class FactorTransform(NamedTuple):
     lam: int
     u: int
     k: int
-
-    @property
-    def lam_star(self) -> Fraction:
-        return Fraction(self.u, self.d)
 
     @property
     def sigma_const(self) -> Fraction:

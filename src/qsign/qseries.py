@@ -135,10 +135,6 @@ class QSeries:
     def one(trunc_order: int) -> "QSeries":
         return QSeries(trunc_order, (1,) + (0,) * trunc_order)
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[int]) -> "QSeries":
-        return QSeries(len(coeffs) - 1, tuple(coeffs))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         if self._coeffs is None:

@@ -30,8 +30,8 @@ from mpmath import mp
 from mpmath.libmp import mpf_neg
 
 from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
-from qsign.circle import ComplexHP, ConvergenceRefused, cexp
-from qsign.enclosure import Enclosure, one, zero
+from qsign.circle import ConvergenceRefused
+from qsign.enclosure import ComplexHP, Enclosure, cexp, one, zero
 from qsign.modular import GammaMatrix, NotCoprimeError
 from qsign.qseries import ProductSpec, QSeries
 

@@ -14,8 +14,7 @@ import pytest
 
 from qsign.analytic import dominance, eventual_dominance_certificate
 from qsign.certify import richmond_szekeres_scan, verify_known_theorems
-from qsign.analytic import lemma_arc_integral
-from qsign.circle import numeric_coefficients
+from qsign.circle import lemma_arc_integral, numeric_coefficients
 from qsign.cli import _XCHECK_KINDS, _xcheck_worker
 from oracles import dedekind_sums_direct_all, expand_pochhammer, rr_sum_side
 from qsign.modular import dedekind_sum, lpos_set, omega_exact

@@ -10,10 +10,10 @@ from oracles import (colored_partition_majorant, expand_pochhammer, majorization
 from qsign import analytic
 from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
                             class_constant, dominance, error_bound,
-                            eventual_dominance_certificate, lemma_arc_integral, main_term,
-                            main_term_data, precision_schedule, wang_lower, wang_main_lower)
+                            eventual_dominance_certificate, main_term, main_term_data,
+                            precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import TARGETS
-from qsign.circle import ConvergenceRefused
+from qsign.circle import ConvergenceRefused, lemma_arc_integral
 from qsign.enclosure import Enclosure, mpf_to_fraction
 from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
                            ps_inv, ps_mul, registered_spec)
@@ -24,7 +24,7 @@ CLAIMS = {"A": TARGETS["A5n"], "B": TARGETS["B5n"], "D": TARGETS["D5n1"]}
 
 def cos_pi(t: Fraction) -> Enclosure:
     """cos(pi t) for exact rational t."""
-    return (Enclosure.pi() * Enclosure.from_fraction(t)).cos()
+    return (Enclosure.pi() * Enclosure.from_fraction(t)).cos_sin()[0]
 
 
 def bessel_partial_sum_oracle(x: Fraction, terms: int = 80) -> tuple[Fraction, Fraction]:
@@ -95,7 +95,7 @@ class TestEnclosureSoundness:
     def test_compositions_contain_float_reference(self, a, b, c):
         x = Fraction(a, b)
         e = Enclosure.from_fraction(x)
-        expr = (e * c + 1).exp() if x * c < 30 else (e / b + c).sin()
+        expr = (e * c + 1).exp() if x * c < 30 else (e / b + c).cos_sin()[1]
         ref = (math.exp(float(x * c + 1)) if x * c < 30
                else math.sin(float(x) / b + c))
         tol = 1e-9 * max(1.0, abs(ref))
@@ -105,8 +105,8 @@ class TestEnclosureSoundness:
     @settings(max_examples=40, deadline=None)
     def test_double_precision_enclosures_intersect(self, a, b):
         x = Fraction(a, b)
-        low = ((Enclosure.from_fraction(x, 96) / 7).cos() + 2).log()
-        high = ((Enclosure.from_fraction(x, 192) / 7).cos() + 2).log()
+        low = ((Enclosure.from_fraction(x, 96) / 7).cos_sin()[0] + 2).log()
+        high = ((Enclosure.from_fraction(x, 192) / 7).cos_sin()[0] + 2).log()
         assert low.intersects(high)
         assert high.width <= low.width
 
@@ -399,7 +399,7 @@ class TestEventualDominance:
     def test_constant_chain_margin(self):
         # e^50 * 2^5 / |1 - e^{2 pi i/5}|^5 < e^54, the shortcut constant:
         # record the certified margin rather than trusting it
-        gap = 2 * (Enclosure.pi() / 5).sin()  # |1 - e^{2 pi i/5}| = 2 sin(pi/5)
+        gap = 2 * (Enclosure.pi() / 5).cos_sin()[1]  # |1 - e^{2 pi i/5}| = 2 sin(pi/5)
         lhs = Enclosure.exp_of(50) * 32 / gap.pow_int(5)
         rhs = Enclosure.exp_of(54)
         assert lhs.strictly_less(rhs)
@@ -423,6 +423,14 @@ class TestLemmaSpotChecks:
         # hypothesis n > b/24 violated: b = 980 gives b/24 > 30
         with pytest.raises(ValueError):
             lemma_arc_integral(Fraction(24), Fraction(980), 5, 30, 13)
+
+    @pytest.mark.parametrize("dps", [5, 12, 0, 20.0, "40"])
+    def test_refuses_a_tolerance_of_one_or_more(self, dps, monkeypatch):
+        # the tolerance 10^-(dps - 12) is at least 1 for dps <= 12, which
+        # accepted any quadrature (dps 5 gave ok with an error estimate of 2)
+        monkeypatch.setattr(mpmath, "quad", None)  # refused before any quadrature
+        with pytest.raises(ValueError, match="dps >= 13"):
+            lemma_arc_integral(Fraction(24), Fraction(0), 5, 30, 13, dps=dps)
 
 
 class TestMajorization:

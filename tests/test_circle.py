@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (psi_product_by_sums_mpc, psi_product_mpc, theta_by_sum,
                      trapezoid_coefficients)
 from qsign import circle, qseries
-from qsign.circle import (ComplexHP, ConvergenceRefused, check_product_transform, csqrt_upper,
-                          e_pi_i_half_turns, e_two_pi_i, eta, farey_arcs, farey_fractions,
-                          numeric_coefficients, pi_factor_value, pochhammer_product, psi,
-                          psi_by_theta, theta, transformed_arguments)
-from qsign.enclosure import Enclosure
+from qsign.circle import (ConvergenceRefused, check_product_transform, csqrt_upper, eta,
+                          farey_arcs, farey_fractions, numeric_coefficients, pochhammer_product,
+                          psi, psi_by_theta, theta, transformed_arguments)
+from qsign.enclosure import (ComplexHP, Enclosure, cexp, e_pi_i_half_turns, e_two_pi_i,
+                             pi_factor_value)
 from qsign.modular import transform_data as td_of
 from qsign.qseries import ProductSpec, expand_product, registered_spec
 
@@ -67,8 +67,6 @@ class TestBasicEvaluations:
         s = c_hp(Fraction(3, 10), Fraction(1, 10))
         tau = c_hp(Fraction(1, 5), Fraction(11, 10))
         lhs = theta(s + tau + ComplexHP.from_fractions(1, 0), tau)
-        from qsign.circle import cexp
-
         pi_e = Enclosure.pi()
         head = cexp(ComplexHP(pi_e * (tau.im + s.im * 2),
                               -(pi_e * (tau.re + s.re * 2))))
@@ -444,12 +442,11 @@ class TestProductTransformation:
         for ft, (sig, ta) in zip(td.factors, transformed_arguments(td, z)):
             lhs = lhs * psi(sig, ta).pow_int(ft.delta)
         rhs = ComplexHP.one()
-        from qsign.circle import pochhammer_product as pp, e_two_pi_i as e2
-
+        pp, e2 = pochhammer_product, e_two_pi_i
         for ft, (sig, ta) in zip(td.factors, transformed_arguments(td, z)):
             q = e2(ta)
             xi = e2(sig)
-            if ft.lam_star == 0:
+            if ft.u == 0:  # lam* = u/d
                 head = ComplexHP.one() - xi
                 body = (pp(xi * q, q, 10000) * pp(ComplexHP.one() / xi * q, q, 10000))
                 rhs = rhs * (head * body).pow_int(ft.delta)
@@ -477,7 +474,8 @@ class TestProductTransformation:
     def test_pi_value_matches_level25_amplitude(self):
         pi_factors = td_of(registered_spec("D"), 1, 5).pi_factors()
         val = pi_factor_value(pi_factors).abs_enclosure()
-        closed = (Enclosure.pi() / 5).cos() / (1 + (2 * Enclosure.pi() / 5).cos())
+        closed = ((Enclosure.pi() / 5).cos_sin()[0]
+                  / (1 + (2 * Enclosure.pi() / 5).cos_sin()[0]))
         assert val.intersects(closed)
 
 
@@ -486,12 +484,12 @@ class TestFareyDissection:
         arcs = farey_arcs(1)
         assert len(arcs) == 1
         assert arcs[0].theta_left == arcs[0].theta_right == Fraction(1, 2)
-        assert arcs[0].width == 1
+        assert arcs[0].theta_left + arcs[0].theta_right == 1
 
     def test_order_three(self):
         arcs = farey_arcs(3)
         assert [(a.h, a.k) for a in arcs] == [(0, 1), (1, 3), (1, 2), (2, 3)]
-        assert sum(a.width for a in arcs) == 1
+        assert sum(a.theta_left + a.theta_right for a in arcs) == 1
 
     def test_order_ten_bounds(self):
         for arc in farey_arcs(10):
@@ -503,7 +501,7 @@ class TestFareyDissection:
     @settings(max_examples=20, deadline=None)
     def test_tiling(self, order):
         arcs = farey_arcs(order)
-        assert sum(a.width for a in arcs) == 1
+        assert sum(a.theta_left + a.theta_right for a in arcs) == 1
         # consecutive arcs share their mediant endpoint
         for left, right in zip(arcs, arcs[1:]):
             assert Fraction(left.h, left.k) + left.theta_right == \

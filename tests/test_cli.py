@@ -10,9 +10,9 @@ from mpmath import iv, mp
 from qsign import analytic, cli
 from qsign.analytic import DominanceResult, class_constant, main_term
 from qsign.certify import TARGETS, certify
-from qsign.circle import ComplexHP, ConvergenceRefused, eta, numeric_coefficients
+from qsign.circle import ConvergenceRefused, eta, numeric_coefficients
 from qsign.cli import build_parser, main
-from qsign.enclosure import Enclosure, precision
+from qsign.enclosure import ComplexHP, Enclosure, precision
 from qsign.qseries import expand_product, limb_plan, registered_spec
 
 
@@ -334,6 +334,13 @@ def test_import_starts_no_process_pool_machinery():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr
     assert cli._process_pool_executor().__name__ == "ProcessPoolExecutor"
+
+
+def test_certify_loads_no_diagnostic_module():
+    # the certificate path imports no circle: a fresh `import qsign.certify`
+    code = "import sys, qsign.certify\nprint('qsign.circle' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr
 
 
 def test_parser_covers_documented_flags():

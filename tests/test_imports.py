@@ -18,7 +18,12 @@ of a top-level package class (dunders excluded) is read as an attribute in
 ``MEMBER_TEST_ONLY`` or, when a module reads it by a name string, in
 ``MEMBER_READ_BY_NAME``.  Imports sit at module top, never in a function body
 (except the few in ``DEFERRED_IMPORTS``), and a package module imports
-only the ``qsign`` modules below it in ``LAYERS``.
+only the ``qsign`` modules below it in ``LAYERS``.  The certified layer
+(``enclosure``, with its complex rectangles, and ``analytic``) sits below
+the diagnostic ``circle``: the transitive ``qsign`` imports of ``certify``
+never reach ``circle``, and no module among them reads mpmath's float
+context (``mp`` beyond ``mp.make_mpf``, or an mpmath function whose result
+rounds at ``mp.prec``).
 No function of ``analytic`` takes a spec by name, and ``certify`` passes no
 literal modulus to a sign scan, nor reads a coefficient as an int
 (``.coeffs``, ``.coeff(n)``).  No package module loads or assigns
@@ -40,19 +45,22 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 #: public package code that only the tests use.  Oracles and paper-lemma
-#: checks live in ``tests/oracles.py``; ``lemma_arc_integral`` stays in the
-#: package, next to the main-term formula it reads (``analytic._arc_bessel``).
+#: checks live in ``tests/oracles.py``; ``circle.lemma_arc_integral`` stays in
+#: the package, a diagnostic next to the Farey arcs it integrates over, and
+#: reads the main-term formula of one arc from ``analytic.arc_bessel``.
 #: ``dedekind_sum`` is the checked Fraction form of s(d, c), which the bench
 #: traces by name; the package itself reads 6c s(d, c) as an integer.
-TEST_ONLY = {"analytic.lemma_arc_integral", "modular.dedekind_sum"}
+TEST_ONLY = {"circle.lemma_arc_integral", "modular.dedekind_sum"}
 
-#: methods and properties of package classes that only the tests read: the
-#: interval helpers and transform fields the checks compare against, and the
-#: ints-in constructor of a series
+#: methods and properties of package classes that only the tests read:
+#: ``Enclosure.width`` is how the tests measure that precision tightens an
+#: enclosure; ``Enclosure.intersects`` is how they compare two enclosures of
+#: one value that neither contains; ``TransformData.upsilon`` is the Upsilon
+#: exponent that ``prefactor_phase`` folds into one numerator, read apart so
+#: the tests can check it against its Fraction sum
 MEMBER_TEST_ONLY = {
-    "circle.FareyArc.width", "enclosure.Enclosure.width", "enclosure.Enclosure.intersects",
-    "enclosure.Enclosure.cos", "enclosure.Enclosure.sin", "modular.FactorTransform.lam_star",
-    "modular.TransformData.upsilon", "qseries.QSeries.from_coeffs"}
+    "enclosure.Enclosure.width", "enclosure.Enclosure.intersects",
+    "modular.TransformData.upsilon"}
 #: members a module reads by a field-name string (``getattr``), which no
 #: attribute scan sees: ``cli.cmd_certify`` writes each scan's fields by name
 MEMBER_READ_BY_NAME = {"certify.PatternScan.cutoff": "cli"}
@@ -63,7 +71,7 @@ MEMBER_READ_BY_NAME = {"certify.PatternScan.cutoff": "cli"}
 DEFERRED_IMPORTS = {"cli": {"concurrent.futures"}}
 
 #: the package's modules, lowest first ("__init__" is the package itself)
-LAYERS = ("__init__", "qseries", "modular", "enclosure", "circle", "analytic", "certify", "cli")
+LAYERS = ("__init__", "qseries", "modular", "enclosure", "analytic", "circle", "certify", "cli")
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -272,12 +280,12 @@ def layering_violations(source: str, module: str) -> list[str]:
 
 def test_guard_sees_a_layering_violation():
     source = ("from . import __version__\nfrom .qseries import ProductSpec\n"
-              "from .analytic import bessel_im1\nfrom qsign.cli import main\n"
-              "from . import certify\nimport qsign.circle\nimport os\n\n"
+              "from .circle import farey_arcs\nfrom qsign.cli import main\n"
+              "from . import certify\nimport qsign.analytic\nimport os\n\n"
               "def f():\n    def g():\n        from math import gcd\n    import os\n")
-    assert layering_violations(source, "circle") == [
-        "line 3: imports analytic", "line 4: imports cli", "line 5: imports certify",
-        "line 6: imports circle", "line 11: import inside a function",
+    assert layering_violations(source, "analytic") == [
+        "line 3: imports circle", "line 4: imports cli", "line 5: imports certify",
+        "line 6: imports analytic", "line 11: import inside a function",
         "line 12: import inside a function"]
     assert layering_violations("from . import __version__\n", "__init__") == [
         "line 1: imports __init__"]
@@ -293,6 +301,90 @@ def test_guard_sees_a_layering_violation():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_imports_follow_the_layers(path):
     assert layering_violations(path.read_text(), path.stem) == []
+
+
+def import_closure(sources: dict[str, str], root: str) -> set[str]:
+    """The qsign modules `root` loads, itself included, following every import transitively."""
+    seen, todo = set(), [root]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo += [target for node in ast.walk(ast.parse(sources[module]))
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     for target in qsign_modules(node)]
+    return seen
+
+
+#: what a certified module may take from mpmath beyond the ``mpmath.libmp``
+#: and ``mpmath.ctx_iv`` kernels, which take their precision as an argument:
+#: ``mp.make_mpf`` wraps an exact endpoint, ``nstr`` and ``isfinite`` read one,
+#: ``mpf`` is a type for annotations, and ``iv`` is the interval context,
+#: whose precision only ``enclosure.precision`` sets (``ambient_precision_uses``)
+MPMATH_IMPORTS = {"mp", "iv", "nstr", "isfinite"}
+MPMATH_ATTRIBUTES = {"nstr", "isfinite", "libmp", "ctx_iv"}
+
+
+def float_context_uses(source: str) -> list[str]:
+    """Reads of mpmath's float context: a name from ``mp`` other than ``make_mpf``,
+    a ``from mpmath import`` or ``mpmath.`` name outside the lists above, and
+    ``mpmath.mpf`` outside an annotation (as a constructor it rounds at ``mp.prec``)."""
+    tree = ast.parse(source)
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, FUNCTIONS) and node.returns]
+    in_annotation = {id(sub) for node in annotations for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found += [(node.lineno, f"mpmath.{alias.name}") for alias in node.names
+                      if alias.name not in MPMATH_IMPORTS]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner, name = node.value.id, node.attr
+            if (owner == "mp" and name != "make_mpf") or (
+                    owner == "mpmath" and name not in MPMATH_ATTRIBUTES
+                    and not (name == "mpf" and id(node) in in_annotation)):
+                found.append((node.lineno, f"{owner}.{name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def certified_closure_violations(sources: dict[str, str], root: str) -> list[str]:
+    """``circle`` in the import closure of `root`, and every float-context read in that closure."""
+    closure = import_closure(sources, root)
+    found = [f"{root} loads circle"] if "circle" in closure else []
+    return found + [f"{module} {use}" for module in sorted(closure)
+                    for use in float_context_uses(sources[module])]
+
+
+def test_guard_sees_a_float_context_read():
+    source = ("import mpmath\nfrom mpmath import iv, mp, quad\n"
+              "def f(x: mpmath.mpf) -> mpmath.mpf:\n"
+              "    with mp.workdps(30):\n        return mpmath.mpf(1) + mp.make_mpf(x)\n"
+              "y = mpmath.nstr(mpmath.mp.prec, 5)\nz = mpmath.libmp.fone\n")
+    assert float_context_uses(source) == [
+        "line 2: mpmath.quad", "line 4: mp.workdps", "line 5: mpmath.mpf", "line 6: mpmath.mp"]
+
+
+def test_guard_sees_a_diagnostic_in_the_certified_closure():
+    sources = {"certify": "from . import __version__\nfrom .analytic import main_term\n",
+               "__init__": "", "enclosure": "from mpmath import mp\nmp.make_mpf\n",
+               "analytic": "from .enclosure import Enclosure\nfrom .circle import farey_arcs\n",
+               "circle": "from .enclosure import Enclosure\n"}
+    assert certified_closure_violations(sources, "certify") == ["certify loads circle"]
+    sources["analytic"] = ("from mpmath import mp\nfrom .enclosure import Enclosure\n\n"
+                           "def spot_check():\n    with mp.workdps(40):\n        pass\n")
+    assert certified_closure_violations(sources, "certify") == [
+        "analytic line 5: mp.workdps"]
+
+
+def test_certify_loads_no_diagnostic_and_no_float_context():
+    # the certificate path is exact and interval arithmetic only: the
+    # diagnostic quadrature and its mpmath float context stay in circle
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert import_closure(sources, "certify") == {
+        "__init__", "qseries", "modular", "enclosure", "analytic", "certify"}
+    assert certified_closure_violations(sources, "certify") == []
 
 
 def spec_name_parameters(source: str) -> list[str]:

@@ -39,7 +39,7 @@ def public_fields(record: type) -> tuple[str, ...]:
 
 def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
                                hbar_offset: int = 0) -> SimpleNamespace:
-    """Every public field of ``FactorTransform`` by name, the five Fractions by the
+    """Every public field of ``FactorTransform`` by name, the four Fractions by the
     definitional formulas, via hbar_of and lambda_pair.
 
     hbar is the package's smallest nonnegative choice shifted by hbar_offset k'.
@@ -50,7 +50,7 @@ def factor_transform_reference(r: int, m: int, delta: int, h: int, k: int,
     lam, lam_star = lambda_pair(m, r, h, k)
     return SimpleNamespace(
         r=r, m=m, delta=delta, d=d, m_prime=mp, k_prime=kp, hbar=hb,
-        lam=lam, u=lam_star * d, k=k, lam_star=lam_star,
+        lam=lam, u=lam_star * d, k=k,
         sigma_const=Fraction(r * d, m * k) + Fraction(lam * hb * d, k),
         sigma_wcoef=lam_star * Fraction(d * d, m * k),
         tau_const=Fraction(hb * d, k),
@@ -72,7 +72,7 @@ def upsilon_reference(factors: list[SimpleNamespace], h: int, k: int) -> Fractio
     for ft in factors:
         r, m, d, lam = ft.r, ft.m, ft.d, ft.lam
         total += ft.delta * (Fraction(r * h, k) - Fraction(r * d, m * k)
-                             + 2 * Fraction(r * d, m * k) * ft.lam_star
+                             + 2 * Fraction(r * d, m * k) * Fraction(ft.u, d)
                              + Fraction(ft.hbar * d, k) * (lam * lam - lam))
     return total
 
@@ -85,7 +85,7 @@ def omega_reference(factors: list[SimpleNamespace], h: int) -> Fraction:
 def pi_factors_reference(factors: list[SimpleNamespace], h: int, k: int) -> tuple:
     """(x_j, delta_j) with x_j = (r d + r hbar m h)/(m k) mod 1 for the factors with lam* = 0."""
     return tuple((Fraction(ft.r * ft.d + ft.r * ft.hbar * ft.m * h, ft.m * k) % 1, ft.delta)
-                 for ft in factors if ft.lam_star == 0)
+                 for ft in factors if ft.u == 0)
 
 
 def omega_exponent_reference(spec: ProductSpec) -> Fraction:
@@ -345,7 +345,7 @@ class TestPhases:
         h = rng.choice(hs)
         td = transform_data(spec, h, k)
         for ft in td.factors:
-            if ft.lam_star == 0:
+            if ft.u == 0:  # lam* = u/d
                 assert ft.sigma_const % 1 != 0
 
     def test_chi_exponent_of_inversion(self):
@@ -426,7 +426,7 @@ class TestIntegerRecords:
     def test_properties_build_a_fresh_fraction_on_every_read(self, fraction_count):
         td = transform_data(registered_spec("D"), 3, 10)
         ft = td.factors[2]
-        reads = [td.omega, td.upsilon, ft.lam_star, td.omega, td.upsilon, ft.lam_star]
+        reads = [td.omega, td.upsilon, ft.sigma_wcoef, td.omega, td.upsilon, ft.sigma_wcoef]
         assert reads[:3] == reads[3:] and len(fraction_count) == 6
 
     def test_fields_cannot_be_assigned(self):

@@ -39,10 +39,15 @@ def naive_poly_product(factor_exponents, trunc):
     return tuple(coeffs)
 
 
+def series_of(coeffs: list[int]) -> QSeries:
+    """The series with exactly these coefficients, truncated after the last."""
+    return QSeries(len(coeffs) - 1, coeffs)
+
+
 class TestPsMulInv:
     def test_difference_of_squares(self):
-        a = QSeries.from_coeffs([1, 1, 0])
-        b = QSeries.from_coeffs([1, -1, 0])
+        a = series_of([1, 1, 0])
+        b = series_of([1, -1, 0])
         assert ps_mul(a, b).coeffs == (1, 0, -1)
 
     def test_identity(self):
@@ -58,7 +63,7 @@ class TestPsMulInv:
             ps_mul(QSeries.one(3), QSeries.one(4))
 
     def test_geometric_series(self):
-        s = QSeries.from_coeffs([1, -1, 0, 0])
+        s = series_of([1, -1, 0, 0])
         assert ps_inv(s).coeffs == (1, 1, 1, 1)
 
     def test_inv_involution(self):
@@ -67,7 +72,7 @@ class TestPsMulInv:
 
     def test_inv_requires_unit_constant_term(self):
         with pytest.raises(ConstantTermError):
-            ps_inv(QSeries.from_coeffs([2, 1]))
+            ps_inv(series_of([2, 1]))
 
     def test_partition_numbers_against_enumeration(self):
         inv = ps_inv(expand_pochhammer(1, 1, 12))
@@ -580,10 +585,10 @@ class TestLazySeries:
         assert np.array_equal(limbs, before) and not limbs.flags.writeable
 
     def test_signs_are_read_only(self):
-        for s in (expand_product(registered_spec("A"), 50), QSeries.from_coeffs([1, -2, 0])):
+        for s in (expand_product(registered_spec("A"), 50), series_of([1, -2, 0])):
             with pytest.raises(ValueError):
                 s.signs[0] = 0
-        assert QSeries.from_coeffs([1, -2, 0]).signs.tolist() == [1, -1, 0]
+        assert series_of([1, -2, 0]).signs.tolist() == [1, -1, 0]
 
 
 class TestSliceSigns:
@@ -609,7 +614,7 @@ class TestSignExceptions:
         # 1, -1, 2, -2, ...: negate the positive entry at 6, zero the one at 20
         coeffs = [(n // 2 + 1) * (-1) ** n for n in range(30)]
         coeffs[6], coeffs[20] = -coeffs[6], 0
-        s = QSeries.from_coeffs(coeffs)
+        s = series_of(coeffs)
         assert sign_exceptions(s, 0, 2, 0, 29, 1) == [6, 20]
         assert sign_exceptions(s, 0, 2, 8, 19, 1) == []
         assert sign_exceptions(s, 1, 2, 0, 29, -1) == []
@@ -639,7 +644,7 @@ def test_a_modulus_below_one_is_refused(modulus):
 
 class TestSerialization:
     def test_csv_dump(self):
-        rows = iter_csv_rows(QSeries.from_coeffs([1, -2, 0]))
+        rows = iter_csv_rows(series_of([1, -2, 0]))
         assert "".join(row + "\n" for row in rows) == "index,coefficient\n0,1\n1,-2\n2,0\n"
 
     def test_csv_rows_match_series(self):
