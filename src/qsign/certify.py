@@ -1,14 +1,15 @@
-"""The sign claims, ``TARGETS``, and their certificates: exact checks plus dominance.
+"""The sign patterns, ``PATTERNS``, their classes, ``TARGETS``, and the certificates.
 
-A certificate for one claim does exactly what a careful desk verification
+A claim is one ``Pattern`` per product: a sign per residue class mod the k
+of the spec's main term.  A certificate for one class (a ``TARGETS`` key,
+"A5n1" for A's class 1 mod 5) does exactly what a careful desk verification
 would: expand the product exactly to a truncation past the asymptotic
 threshold, check every claimed sign on the finite range, and attach an
 eventual-dominance certificate showing the Bessel main term beats the
 explicit error bound for every index of the residue class at and beyond the
 threshold.  The finite range always reaches the threshold, so the two parts
-overlap and the combined claim covers all indices.  A claim without a
-threshold is finite-only: checked exactly, never certified.  A claim's
-residue class is taken mod the k of its spec's main term.
+overlap and the combined claim covers all indices.  A pattern without a
+threshold is finite-only: checked exactly, never certified.
 
 Certificates serialize to JSON with a fixed field order and carry a sha256
 content hash; rebuilding a certificate from the same parameters is
@@ -35,67 +36,69 @@ class SignViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class TargetSpec:
-    """One claim: the sign of a spec's coefficients on a residue class mod the main term's k.
+class Pattern:
+    """One product's claim: the sign signs[r] at every n >= start with n = r mod len(signs).
 
-    The analytic layer is keyed by the spec; this record is the only place a
-    claim's residue class and sign are written down.  The sign must be that
-    of the class constant (``_check_target``).  An ``eventual`` claim's start
-    is an observed cutoff.
+    The only place a claim is written; each sign must be that of its class
+    constant (``_check_target``).  Past start 1 it is eventual, from a cutoff.
     """
 
-    key: str
     spec_name: str
-    residue: int
-    sign: int                  # +1 or -1
-    start_index: int           # first index carrying the claim
+    signs: tuple[int, ...]     # by residue, each +1 or -1
     finite_last_index: int     # last exactly-checked index, also the truncation
     threshold_index: int | None = None  # dominance certified from here; None: finite-only
-    eventual: bool = False     # scanned by richmond_szekeres_scan, else verify_known_theorems
+    start: int = 1             # first claimed index
+
+    def __post_init__(self):
+        name, hi, n0 = self.spec_name, self.finite_last_index, self.threshold_index
+        if not self.signs or set(self.signs) - {1, -1}:
+            raise ValueError(f"pattern for {name}: signs {self.signs} are not +1 or -1")
+        if not 1 <= self.start <= hi:
+            raise ValueError(f"pattern for {name}: start {self.start} outside [1, {hi}]")
+        if n0 is not None and hi < n0:
+            raise ValueError(f"pattern for {name}: finite range ends at {hi}, "
+                             f"before the dominance threshold {n0}")
 
     @property
-    def modulus(self) -> int:
-        """The modulus of the residue classes: the k of the spec's main term."""
-        return main_term_data(registered_spec(self.spec_name)).k
+    def eventual(self) -> bool:
+        """Scanned by richmond_szekeres_scan, else by verify_known_theorems."""
+        return self.start > 1
+
+    @property
+    def classes(self) -> tuple[TargetSpec, ...]:
+        k = len(self.signs)  # a class's first index: at least start, and never 0
+        return tuple(TargetSpec(self, r, sign, k, max(self.start, r or k), self.finite_last_index)
+                     for r, sign in enumerate(self.signs))
 
 
-#: every claim: key, spec, residue, sign, start, last checked index, dominance threshold
-TARGETS: dict[str, TargetSpec] = {target.key: target for target in (
+@dataclass(frozen=True)
+class TargetSpec:
+    """One residue class of a pattern, the claim ``certify`` certifies; built, never typed."""
+
+    pattern: Pattern
+    residue: int
+    sign: int
+    modulus: int
+    start_index: int
+    finite_last_index: int
+
+
+#: every claim: spec, signs by residue, last checked index, dominance threshold, start
+PATTERNS = (
     # A = 1/R^5 and B = R^5: the paper proves A(5n) < 0 and B(5n) < 0 for n >= 1
-    TargetSpec("A5n", "A", 0, -1, 5, 1000, 801),
-    TargetSpec("A5n1", "A", 1, 1, 1, 1000, 801),
-    TargetSpec("A5n2", "A", 2, 1, 2, 1000, 801),
-    TargetSpec("A5n3", "A", 3, 1, 3, 1000, 801),
-    TargetSpec("A5n4", "A", 4, -1, 4, 1000, 801),
-    TargetSpec("B5n", "B", 0, -1, 5, 1000, 801),
-    TargetSpec("B5n1", "B", 1, -1, 1, 1000, 801),
-    TargetSpec("B5n2", "B", 2, 1, 2, 1000, 801),
-    TargetSpec("B5n3", "B", 3, -1, 3, 1000, 801),
-    TargetSpec("B5n4", "B", 4, 1, 4, 1000, 801),
+    Pattern("A", (-1, 1, 1, 1, -1), 1000, 801),
+    Pattern("B", (-1, -1, 1, -1, 1), 1000, 801),
     # D = R(q^5)/R^5(q): the paper proves D(5n+1) > 0 for n >= 0
-    TargetSpec("D5n", "D", 0, -1, 5, 19501, 19001),
-    TargetSpec("D5n1", "D", 1, 1, 1, 19501, 19001),
-    TargetSpec("D5n2", "D", 2, 1, 2, 19501, 19001),
-    TargetSpec("D5n3", "D", 3, 1, 3, 19501, 19001),
-    TargetSpec("D5n4", "D", 4, -1, 4, 19501, 19001),
+    Pattern("D", (-1, 1, 1, 1, -1), 19501, 19001),
     # C = R^5(q)/R(q^5): Baruah and Sarma's pattern, no stated E(n)
-    TargetSpec("C5n", "C", 0, -1, 5, 800),
-    TargetSpec("C5n1", "C", 1, -1, 1, 800),
-    TargetSpec("C5n2", "C", 2, 1, 2, 800),
-    TargetSpec("C5n3", "C", 3, -1, 3, 800),
-    TargetSpec("C5n4", "C", 4, 1, 4, 800),
+    Pattern("C", (-1, -1, 1, -1, 1), 800),
     # c = 1/R and d = R: Richmond and Szekeres's eventual patterns
-    TargetSpec("c5n", "c", 0, 1, 10, 2000, eventual=True),
-    TargetSpec("c5n1", "c", 1, 1, 10, 2000, eventual=True),
-    TargetSpec("c5n2", "c", 2, -1, 10, 2000, eventual=True),
-    TargetSpec("c5n3", "c", 3, -1, 10, 2000, eventual=True),
-    TargetSpec("c5n4", "c", 4, -1, 10, 2000, eventual=True),
-    TargetSpec("d5n", "d", 0, 1, 24, 2000, eventual=True),
-    TargetSpec("d5n1", "d", 1, -1, 24, 2000, eventual=True),
-    TargetSpec("d5n2", "d", 2, 1, 24, 2000, eventual=True),
-    TargetSpec("d5n3", "d", 3, -1, 24, 2000, eventual=True),
-    TargetSpec("d5n4", "d", 4, -1, 24, 2000, eventual=True),
-)}
+    Pattern("c", (1, 1, -1, -1, -1), 2000, start=10),
+    Pattern("d", (1, -1, 1, -1, -1), 2000, start=24),
+)
+#: the classes of every pattern, keyed "A5n", "A5n1", ..., "A5n4", "B5n", ...
+TARGETS: dict[str, TargetSpec] = {f"{p.spec_name}{t.modulus}n{t.residue or ''}": t
+                                  for p in PATTERNS for t in p.classes}
 
 
 #: the most specs ``cached_expansion`` keeps an expansion of
@@ -140,17 +143,17 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
-def _check_target(target: TargetSpec, spec: ProductSpec, bits: int) -> None:
-    """Refuse a target with a gap before n0, no E(n0) or a sign M denies at `bits`."""
-    n0 = target.threshold_index
+def _check_target(key: str, target: TargetSpec, spec: ProductSpec, bits: int) -> None:
+    """Refuse a target off its main term's k, with no E(n0) or with a sign M denies at `bits`."""
+    if target.modulus != (k := main_term_data(spec).k):
+        raise ValueError(f"target {key}: a pattern of {target.modulus} classes on "
+                         f"{target.pattern.spec_name}, whose main term has k = {k}")
+    n0 = target.pattern.threshold_index
     if n0 is not None:
-        if target.finite_last_index < n0:
-            raise ValueError(f"target {target.key}: finite range ends at "
-                             f"{target.finite_last_index}, before the dominance threshold {n0}")
         error_bound(spec, n0, bits)
     const = class_constant(spec, target.residue, bits)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
-        raise ValueError(f"target {target.key}: residue {target.residue}, claimed sign "
+        raise ValueError(f"target {key}: residue {target.residue}, claimed sign "
                          f"{target.sign} is not the sign of the derived class constant "
                          f"Re S = {const!r}")
 
@@ -158,12 +161,12 @@ def _check_target(target: TargetSpec, spec: ProductSpec, bits: int) -> None:
 def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     """Build the certificate for one registered target.
 
-    A precision outside ``precision_schedule``'s range, a finite range that
-    stops short of the threshold, a spec without an error bound and a
-    claimed sign that is not the sign of the derived class constant (at the
-    first scheduled precision) are refused before anything is expanded.
-    Then exact signs on the finite range, then the eventual-dominance
-    certificate at the threshold, retried along
+    A precision outside ``precision_schedule``'s range, a pattern whose
+    length is not the k of its spec's main term, a spec without an error
+    bound and a claimed sign that is not the sign of the derived class
+    constant (at the first scheduled precision) are refused before anything
+    is expanded.  Then exact signs on the finite range, then the
+    eventual-dominance certificate at the threshold, retried along
     ``precision_schedule(precision_bits)`` while it is refused.  Exit code 2
     names the first violating index; 3 reports a finite-only target or a
     dominance still refused at the last precision.
@@ -174,17 +177,17 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown target {target_key!r}; registered: {known}") from None
     schedule = precision_schedule(precision_bits)
-    spec = registered_spec(target.spec_name)
-    _check_target(target, spec, schedule[0])
+    spec = registered_spec(target.pattern.spec_name)
+    _check_target(target_key, target, spec, schedule[0])
     series = cached_expansion(spec, target.finite_last_index)
     exceptions = sign_exceptions(series, target.residue, target.modulus,
                                  target.start_index, target.finite_last_index, target.sign)
 
     cert: dict = {
         "schema_version": SCHEMA_VERSION,
-        "target": target.key,
+        "target": target_key,
         "spec": {
-            "name": target.spec_name,
+            "name": target.pattern.spec_name,
             "factors": [{"r": r, "m": m, "delta": d} for r, m, d in spec.factors],
             "digest": hashlib.sha256(spec.to_json().encode()).hexdigest()[:16],
         },
@@ -195,7 +198,7 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
             "all_ok": not exceptions,
             "exceptions": exceptions[:64],
         },
-        "asymptotic": {"n0": target.threshold_index, **dict.fromkeys(
+        "asymptotic": {"n0": target.pattern.threshold_index, **dict.fromkeys(
             ("precision_bits", "main_lo", "bound_hi", "monotone_ok"))},
         "meta": {"version": __version__, "hash": ""},
     }
@@ -203,14 +206,14 @@ def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
     if exceptions:
         cert["meta"]["invalid"] = f"sign violation at index {exceptions[0]}"
         return CertifyResult(_finish(cert), exit_code=2)
-    if target.threshold_index is None:
+    if target.pattern.threshold_index is None:
         cert["meta"]["invalid"] = "finite-only target: no dominance threshold, not certified"
         return CertifyResult(_finish(cert), exit_code=3)
 
     for bits in schedule:
         try:
             eventual = eventual_dominance_certificate(spec, target.residue,
-                                                      target.threshold_index, bits)
+                                                      target.pattern.threshold_index, bits)
             break
         except CertificateRefused as exc:
             refusal = exc
@@ -255,25 +258,21 @@ class PatternScan:
 
 
 def _scan(eventual: bool, trunc_order: int) -> dict[str, PatternScan]:
-    """Scan the ``TARGETS`` rows with this ``eventual`` flag from index 0, one expansion per spec.
+    """Scan the patterns with this ``eventual`` flag from index 0, one expansion per spec.
 
     A violated claim is a hard failure naming the first violating index.
     """
-    claims: dict[str, list[TargetSpec]] = {}
-    for t in TARGETS.values():
-        if t.eventual == eventual:
-            claims.setdefault(t.spec_name, []).append(t)
     out: dict[str, PatternScan] = {}
-    for name, rows in claims.items():
-        s = cached_expansion(registered_spec(name), trunc_order)
-        bad = sorted(i for t in rows
+    for p in [p for p in PATTERNS if p.eventual == eventual]:
+        s = cached_expansion(registered_spec(p.spec_name), trunc_order)
+        bad = sorted(i for t in p.classes
                      for i in sign_exceptions(s, t.residue, t.modulus, 0, trunc_order, t.sign))
-        scan = PatternScan(name, rows[0].modulus, trunc_order,
-                           tuple((t.residue, t.start_index, t.sign) for t in rows), tuple(bad))
+        scan = PatternScan(p.spec_name, len(p.signs), trunc_order,
+                           tuple((t.residue, t.start_index, t.sign) for t in p.classes), tuple(bad))
         if scan.violations:
-            raise SignViolation(f"claimed pattern for {name} fails at index "
+            raise SignViolation(f"claimed pattern for {p.spec_name} fails at index "
                                 f"{scan.violations[0]} (checked to {trunc_order})")
-        out[name] = scan
+        out[p.spec_name] = scan
     return out
 
 

@@ -4,15 +4,15 @@ Subcommands and their flags (each flag is attached only where it is read):
 
 * ``expand``     stream exact coefficients of a registered or inline product;
                  --spec, --spec-json, --trunc, --format (csv/json/table), --out
-* ``certify``    build a sign-pattern certificate; --target (one of
-                 ``certify.TARGETS``; another name is a usage error, exit 2),
-                 --precision, --out.  Without --target, run every claim: one
-                 JSON document with the certificate of each target that has
-                 a dominance threshold ("certificates") and the exact scans
-                 from index 0 ("patterns", "eventual_patterns"; a violated
-                 scan is {"violation": message}).  Exit 0 all certified, 2 a
-                 sign violation, else 3 a finite-only target or a dominance
-                 still refused
+* ``certify``    build a sign-pattern certificate; --target (a class of a
+                 pattern, one of ``certify.TARGETS``; another name is a
+                 usage error, exit 2), --precision, --out.  Without --target,
+                 one JSON document: the certificate of each class whose
+                 pattern has a dominance threshold ("certificates") and the
+                 exact scans from index 0 ("patterns", "eventual_patterns";
+                 a violated scan is {"violation": message}).  Exit 0 all
+                 certified, 2 a sign violation, else 3 a finite-only target
+                 or a dominance still refused
 * ``delta``      growth-exponent table per residue class; the json form adds
                  Omega as an exact fraction string (``modular.omega_exact``,
                  "-24/5" for c) and the Lpos classes;
@@ -40,10 +40,10 @@ Data output goes to stdout (or --out); progress notes go to stderr so piped
 output stays machine-clean.  A malformed --spec-json (or its @file), an
 unknown --spec or neither is a usage error on that flag (exit 2).  All
 randomness is driven by --seed.
-``--precision`` defaults to the QSIGN_PRECISION environment variable, read
-only there, else to ``enclosure.DEFAULT_PRECISION`` (192); a value outside
-[8, ``analytic.PRECISION_CAP``] from either is a usage error (exit 2).  The
-bits are passed down, never set process wide: ``certify`` and ``dominance``
+Only ``--precision`` sets the bits, default ``enclosure.DEFAULT_PRECISION``
+(192); one that ``analytic.precision_schedule`` refuses (outside [8,
+``analytic.PRECISION_CAP``]) is a usage error (exit 2).  The bits are
+passed down, never set process wide: ``certify`` and ``dominance``
 start there and double up to the cap while undecided, and each xcheck
 sample is built at them; expand, delta and bench are exact.  --out is
 opened before any work, so an unwritable path is a usage error (exit 2).
@@ -74,7 +74,7 @@ from math import gcd
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .analytic import PRECISION_CAP, CertificateRefused, UsageError, dominance
+from .analytic import CertificateRefused, UsageError, dominance, precision_schedule
 from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
                       verify_known_theorems)
 from .circle import (check_product_transform, csqrt_upper, eta, psi, psi_by_theta,
@@ -151,7 +151,7 @@ def cmd_expand(args, out: TextIO) -> int:
 def cmd_certify(args, out: TextIO) -> int:
     """One target's certificate, or without --target every certificate and both scans."""
     keys = [args.target] if args.target else [
-        key for key, target in TARGETS.items() if target.threshold_index is not None]
+        key for key, target in TARGETS.items() if target.pattern.threshold_index is not None]
     certificates, codes = {}, {0}
     for key in keys:
         t0 = time.perf_counter()
@@ -164,9 +164,11 @@ def cmd_certify(args, out: TextIO) -> int:
         _write_json(out, certificates[args.target])
         return result.exit_code
     doc = {"certificates": certificates}
-    for section, scan, fields in (
-            ("patterns", verify_known_theorems, ("checked_hi", "exceptions")),
-            ("eventual_patterns", richmond_szekeres_scan, ("checked_hi", "cutoff", "exceptions"))):
+    for section, scan, row in (
+            ("patterns", verify_known_theorems,
+             lambda s: {"checked_hi": s.checked_hi, "exceptions": s.exceptions}),
+            ("eventual_patterns", richmond_szekeres_scan, lambda s: {
+                "checked_hi": s.checked_hi, "cutoff": s.cutoff, "exceptions": s.exceptions})):
         t0 = time.perf_counter()
         try:
             scans = scan()
@@ -175,7 +177,7 @@ def cmd_certify(args, out: TextIO) -> int:
             codes.add(2)
             status = f"FAILED ({exc})"
         else:
-            doc[section] = {name: {f: getattr(s, f) for f in fields} for name, s in scans.items()}
+            doc[section] = {name: row(s) for name, s in scans.items()}
             status = "ok"
         _note(f"{section}: {status} in {time.perf_counter() - t0:.2f}s")
     _write_json(out, doc)
@@ -374,10 +376,11 @@ def cmd_bench(args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 def _precision_bits(text: str) -> int:
-    bits = int(text)
-    if not 8 <= bits <= PRECISION_CAP:
-        raise argparse.ArgumentTypeError(f"{bits} bits is outside [8, {PRECISION_CAP}]")
-    return bits
+    """An argparse type: bits that ``precision_schedule`` accepts, which names its range."""
+    try:
+        return precision_schedule(int(text))[0]
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -404,11 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec": dict(default=None, help="registered spec name"),
         "--spec-json": dict(default=None,
                             help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file'),
-        # a string default goes through the type check too: a bad QSIGN_PRECISION is a usage error
-        "--precision": dict(type=_precision_bits,
-                            default=os.environ.get("QSIGN_PRECISION", str(DEFAULT_PRECISION)),
-                            help="working precision in bits (default %(default)s; "
-                                 "QSIGN_PRECISION sets it)"),
+        "--precision": dict(type=_precision_bits, default=DEFAULT_PRECISION,
+                            help="working precision in bits (default %(default)s)"),
         "--seed": dict(type=int, default=20250810, help="RNG seed"),
         "--out": dict(default=None, help="output path (default stdout)"),
     }

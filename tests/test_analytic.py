@@ -12,7 +12,7 @@ from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, besse
                             class_constant, dominance, error_bound,
                             eventual_dominance_certificate, main_term, main_term_data,
                             precision_schedule, wang_lower, wang_main_lower)
-from qsign.certify import TARGETS
+from qsign.certify import PATTERNS, TARGETS
 from qsign.circle import ConvergenceRefused, lemma_arc_integral
 from qsign.enclosure import Enclosure, mpf_to_fraction
 from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
@@ -173,12 +173,12 @@ class TestMainTermAndBound:
         assert isinstance(const, Enclosure) and const.intersects(closed())
         assert const.is_positive() if claim.sign > 0 else const.is_negative()
 
-    @pytest.mark.parametrize("name", sorted({t.spec_name for t in TARGETS.values()}))
-    def test_every_claim_has_the_sign_of_its_class_constant(self, name):
-        # every row of the claim table on this spec, certified or finite-only
-        for target in (t for t in TARGETS.values() if t.spec_name == name):
-            const = class_constant(SPECS[name], target.residue)
-            assert const.is_positive() if target.sign > 0 else const.is_negative(), target.key
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.spec_name)
+    def test_every_claim_has_the_sign_of_its_class_constant(self, pattern):
+        # every class of the spec's pattern, certified or finite-only
+        for r, sign in enumerate(pattern.signs):
+            const = class_constant(SPECS[pattern.spec_name], r)
+            assert const.is_positive() if sign > 0 else const.is_negative(), r
 
     def test_amplitude_constant_of_level25_family(self):
         # |Pi| = cos(pi/5)/(1 + cos(2 pi/5)) = 1/(2 cos(pi/5)) by golden-ratio

@@ -9,9 +9,9 @@ import pytest
 
 from qsign import certify as certify_mod
 from qsign import qseries
-from qsign.analytic import CertificateRefused, UsageError
-from qsign.certify import (TARGETS, SignViolation, cached_expansion, certify,
-                           richmond_szekeres_scan, verify_known_theorems)
+from qsign.analytic import CertificateRefused, UsageError, main_term_data
+from qsign.certify import (PATTERNS, TARGETS, Pattern, SignViolation, cached_expansion,
+                           certify, richmond_szekeres_scan, verify_known_theorems)
 from qsign.cli import main
 from qsign.qseries import (REGISTERED_SPECS, ProductSpec, QSeries, expand_product,
                            registered_spec, slice_indices)
@@ -21,26 +21,45 @@ def no_expansion(*args):
     raise AssertionError("expanded before the target check")
 
 
-#: certificate hashes of the targets with a dominance threshold, at the default 192 bits
+#: certificate hashes of every target at the default 192 bits; the finite-only ones
+#: (C to 800, c and d past their cutoffs to 2000) are invalid, but pinned all the same
 CERTIFICATE_HASHES = {
     "A5n": "9dde866ab036695ecc0e19336b4c0d94ab97018145f61516e5cb3656c6122f0f",
-    "B5n": "9d94589116c3160086aab4532feb9125c0dfae30cc91e44059c70f1e48dc1c1f",
-    "D5n1": "b31b2266748a04247da9a4c8f6aaeb0200e1949ed22b2f83e45a049f4dd1d314",
     "A5n1": "577761177cbe5117c13a48c3ad732ec1d958cd423e3dca848c85de20705603c8",
     "A5n2": "6898c790301189fa8ea9b921eb5ebc73a95784ab155e6b662eb772443e6a4077",
     "A5n3": "5ce82379c1e5dbb10f3ff286e7ebb83c6a31bc8b9dea80e6aaabfc65bffb3a1c",
     "A5n4": "38627176f16e31954987314be68a9efa50a50dfa0fabf4d5cf9c0067ef5ad43e",
+    "B5n": "9d94589116c3160086aab4532feb9125c0dfae30cc91e44059c70f1e48dc1c1f",
     "B5n1": "96e1c091930afa541e7e384c04a7a10619ea3408381983ed217ba7f1963640f4",
     "B5n2": "3f2fa6e4f139d2b2450b12f81ef533c8d04e9ea59d20ccfb2b7432f42eb9e932",
     "B5n3": "e805e84c4ad1af50a156663ba7d393af1f0c578dd64da8a012365f9872c9a67d",
     "B5n4": "5be7c0f1c25d099aa9e4c5a6ac8b4662af792690418c088dd2a676a55f3b5c63",
     "D5n": "4a1b7acd5fb6e8a775d640833a498ae5894379d4b2f78eed65b6dc3c8b02ae81",
+    "D5n1": "b31b2266748a04247da9a4c8f6aaeb0200e1949ed22b2f83e45a049f4dd1d314",
     "D5n2": "57bf1eb5092c8eec15f09da22c76a8f1a2739532a83b6ea4f63104a92605e10c",
     "D5n3": "5c523050bd3912105c391035a9f4a835352a074ab469976d2aa87465e56119f2",
     "D5n4": "40edafd4a15825d8e803d9af60b274dd3af172b0809ca249514242d6ec9bbba6",
+    "C5n": "6597748338d5969fe0850cd4135ed670399d3da1430d35313b609a228e394778",
+    "C5n1": "e31e01b6b07681f818b48cc846fb8cb3e68134db5f8811cc9f41aa5d2269a574",
+    "C5n2": "c0110f49178c875b67416b10f5395c702b4e41bedec9be35b2046e8f5af28e47",
+    "C5n3": "f3525de568e6fa8cbad259bbcb7b66947a5b39d1778d95bc1081dabaae5b2fc6",
+    "C5n4": "261b11d8a833d21bab239ccfdd34aa8a4277c4b85e835eb395185a4ba77a2060",
+    "c5n": "79a7b4a5a8ee7c9f24a682f8b47092d6d5f2fff094a61a093dad47851623cfd4",
+    "c5n1": "1df7756c8eaaadd7f7a1f8dd28121df03ef93904d57686c4ddf284af323d2943",
+    "c5n2": "f920285e172761488a31574c9fdd4b4525ab9e139f602fb20096db1f0b669244",
+    "c5n3": "c7273298f2aeec18b900befd1cffbf0e44d083df19844f7512b1697987f55fe1",
+    "c5n4": "862b84ccc3c259d1f214bc92371bf361c2ccc446e58679dfd0d210532748ba18",
+    "d5n": "d27ad30cd88ac44db9f88e229bac890c0e5cf5d0078684e93aaa75b628b26bfb",
+    "d5n1": "227f358144446fb6c7421148ceb7089206d5bde4128bb319235997cbbbf9bb31",
+    "d5n2": "ab1a8a43907185838312009cd10e5cf715a96f4a3e130cee52115f938b334058",
+    "d5n3": "fe541fece04b5edf3f69dbd021859fec24388accb69a96d372372d27c6c5ab73",
+    "d5n4": "e101f4954068b12f91e69c699340e9d85431f02596466c3a4fe823865b42cc26",
 }
-#: the claims without a dominance threshold: C to 800, c and d past their cutoffs to 2000
-FINITE_ONLY = sorted(set(TARGETS) - set(CERTIFICATE_HASHES))
+#: the targets whose certificates issue: every class of A, B and D
+CERTIFIED = [key for key in TARGETS if key[0] in "ABD"]
+FINITE_ONLY = [key for key in TARGETS if key not in CERTIFIED]
+#: sha256 of the stdout of ``qsign certify`` without --target
+CERTIFY_STDOUT_SHA256 = "1f57aa9bb207846f2d2f0a6461ada93564202b5ede8da93a878d7a50d9dedb0b"
 
 
 class TestCertify:
@@ -60,11 +79,13 @@ class TestCertify:
         assert result.certificate["finite"]["hi"] == 19501
 
     def test_no_gap_between_finite_and_asymptotic(self):
-        for key, target in TARGETS.items():
-            if target.threshold_index is not None:
-                assert target.finite_last_index >= target.threshold_index, key
+        for p in PATTERNS:
+            if p.threshold_index is not None:
+                assert p.finite_last_index >= p.threshold_index, p.spec_name
 
     def test_certificate_hashes_pinned(self, series_a_1000, series_b_1000, series_d_19501):
+        # every target: the issued certificates and the finite-only ones marked invalid
+        assert list(CERTIFICATE_HASHES) == list(TARGETS)
         for key, digest in CERTIFICATE_HASHES.items():
             assert certify(key).certificate["meta"]["hash"] == digest, key
 
@@ -98,6 +119,7 @@ class TestCertify:
         assert not result.ok and result.exit_code == 3
         cert = result.certificate
         assert cert["finite"]["all_ok"] and cert["finite"]["hi"] == TARGETS[key].finite_last_index
+        assert TARGETS[key].pattern.threshold_index is None
         assert cert["asymptotic"] == {"n0": None, "precision_bits": None, "main_lo": None,
                                       "bound_hi": None, "monotone_ok": None}
         assert cert["meta"]["invalid"].startswith("finite-only target")
@@ -133,36 +155,55 @@ class TestCertify:
 
 
 class TestTargetBinding:
-    @pytest.mark.parametrize("change,match", [
-        pytest.param({"residue": 1}, "residue 1, claimed sign -1 is not the sign of the derived "
-                     "class constant", id="change1-residue 1"),
-        pytest.param({"sign": 1}, "claimed sign 1 is not the sign of the derived class constant",
-                     id="change2-claimed sign 1"),
-        pytest.param({"finite_last_index": 800}, "before the dominance threshold 801",
-                     id="change3-before the dominance threshold 801"),
+    @pytest.mark.parametrize("key,signs,match", [
+        pytest.param("A5n1", (-1, -1, 1, 1, -1), "residue 1, claimed sign -1 is not the sign "
+                     "of the derived class constant", id="change1-residue 1"),
+        pytest.param("A5n", (1, 1, 1, 1, -1), "claimed sign 1 is not the sign of the derived "
+                     "class constant", id="change2-claimed sign 1"),
     ])
-    def test_mismatched_target_refused_before_expansion(self, monkeypatch, change, match):
-        monkeypatch.setitem(TARGETS, "A5n", dataclasses.replace(TARGETS["A5n"], **change))
+    def test_mismatched_target_refused_before_expansion(self, monkeypatch, key, signs, match):
+        target = TARGETS[key]
+        pattern = dataclasses.replace(target.pattern, signs=signs)
+        monkeypatch.setitem(TARGETS, key, pattern.classes[target.residue])
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
         with pytest.raises(ValueError, match=match):
-            certify("A5n")
+            certify(key)
+
+    @pytest.mark.parametrize("change,match", [
+        pytest.param({"finite_last_index": 800}, "before the dominance threshold 801",
+                     id="change3-before the dominance threshold 801"),
+        pytest.param({"signs": (-1, 1, 0, 1, -1)}, "are not \\+1 or -1", id="sign 0"),
+        pytest.param({"signs": ()}, "are not \\+1 or -1", id="no signs"),
+        pytest.param({"start": 0}, "start 0 outside \\[1, 1000\\]", id="start 0"),
+        pytest.param({"start": 1001}, "start 1001 outside", id="start past the finite range"),
+    ])
+    def test_malformed_record_refused_when_built(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(TARGETS["A5n"].pattern, **change)
 
     def test_spec_off_the_certified_route_refused(self, monkeypatch):
         # c = 1/R dominates at k = 5 with Delta = 24/5, where no error bound is stated
-        monkeypatch.setitem(TARGETS, "c5n", dataclasses.replace(
-            TARGETS["A5n"], key="c5n", spec_name="c", sign=1))
+        pattern = dataclasses.replace(TARGETS["A5n"].pattern, spec_name="c",
+                                      signs=(1, 1, -1, -1, -1))
+        monkeypatch.setitem(TARGETS, "c5n", pattern.classes[0])
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
         with pytest.raises(CertificateRefused, match="Delta = 24/5"):
             certify("c5n")
 
-    def test_modulus_other_than_the_main_terms_k_refused(self, monkeypatch):
-        # psi(2,7)/psi(1,7) dominates at k = 7: its classes are mod 7, which no bound covers
+    @pytest.mark.parametrize("signs,error,match", [
+        # A's five classes: not the k = 7 of the main term, refused before any bound is read
+        pytest.param((-1, 1, 1, 1, -1), ValueError,
+                     "a pattern of 5 classes on r7, whose main term has k = 7", id="length 5"),
+        # seven classes match the main term, which no error bound covers
+        pytest.param((1,) * 7, CertificateRefused, "k = 7 .* needs k = 5", id="length 7"),
+    ])
+    def test_modulus_other_than_the_main_terms_k_refused(self, monkeypatch, signs, error, match):
+        # psi(2,7)/psi(1,7) dominates at k = 7: its classes are mod 7
         monkeypatch.setitem(REGISTERED_SPECS, "r7", ProductSpec(((1, 7, -1), (2, 7, 1))))
-        monkeypatch.setitem(TARGETS, "r7", dataclasses.replace(
-            TARGETS["A5n"], key="r7", spec_name="r7"))
+        monkeypatch.setitem(TARGETS, "r7", Pattern("r7", signs, 1000, 801).classes[0])
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
-        assert TARGETS["r7"].modulus == 7
-        with pytest.raises(CertificateRefused, match="k = 7 .* needs k = 5"):
+        assert main_term_data(registered_spec("r7")).k == 7
+        with pytest.raises(error, match=match):
             certify("r7")
 
     @pytest.mark.parametrize("bits", [7, 2048])
@@ -254,12 +295,29 @@ class TestKnownTheorems:
     def test_pattern_shapes(self):
         # every spec claims one sign on each class mod 5, from the class's first index
         # (5 for the zero class) or, for the eventual patterns of c and d, from a cutoff
-        for name in "ABCDcd":
-            rows = [t for t in TARGETS.values() if t.spec_name == name]
-            assert sorted(t.residue for t in rows) == list(range(5)), name
-            for t in rows:
-                assert t.eventual == (name in "cd"), t.key
-                assert t.start_index == {"c": 10, "d": 24}.get(name, t.residue or 5), t.key
+        assert [p.spec_name for p in PATTERNS] == list("ABDCcd")
+        assert list(TARGETS) == [f"{p.spec_name}5n{r or ''}" for p in PATTERNS for r in range(5)]
+        for p in PATTERNS:
+            assert len(p.signs) == 5 and p.eventual == (p.spec_name in "cd"), p.spec_name
+        for key, t in TARGETS.items():
+            assert t == t.pattern.classes[t.residue] and t.modulus == 5, key
+            assert t.start_index == {"c": 10, "d": 24}.get(t.pattern.spec_name, t.residue or 5), key
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.spec_name)
+    def test_pattern_length_is_the_main_terms_k(self, pattern):
+        # the scans take the modulus from the record, so it must be the k certify checks
+        assert len(pattern.signs) == main_term_data(registered_spec(pattern.spec_name)).k
+
+    def test_import_and_scans_compute_no_main_term(self):
+        code = ("from qsign import analytic\n"
+                "def no_main_term(*args):\n"
+                "    raise AssertionError('computed a main term')\n"
+                "analytic._main_term_data = no_main_term\n"
+                "from qsign.certify import richmond_szekeres_scan, verify_known_theorems\n"
+                "assert all(s.ok for s in verify_known_theorems(200).values())\n"
+                "assert all(s.ok for s in richmond_szekeres_scan(200).values())\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
     def test_specific_residue_signs(self, series_800):
         a = series_800["A"]
@@ -308,10 +366,10 @@ class TestEventualPatternScan:
         scans = richmond_szekeres_scan(400)
         for name, scan in scans.items():
             series = cached_expansion(registered_spec(name), 400)
-            pattern = {t.residue: t.sign for t in TARGETS.values() if t.spec_name == name}
+            signs = next(p.signs for p in PATTERNS if p.spec_name == name)
             for e in scan.exceptions:
                 c = series.coeffs[e]
-                assert (c > 0) - (c < 0) != pattern[e % 5]
+                assert (c > 0) - (c < 0) != signs[e % 5]
 
 
 def test_certify_every_claim_end_to_end():
@@ -322,13 +380,14 @@ def test_certify_every_claim_end_to_end():
     assert runs[0].stdout == runs[1].stdout  # wall times go to stderr only
     doc = json.loads(runs[0].stdout)
     assert list(doc) == ["certificates", "patterns", "eventual_patterns"]
-    assert list(doc["certificates"]) == [key for key in TARGETS if key in CERTIFICATE_HASHES]
-    for key, digest in CERTIFICATE_HASHES.items():
-        assert doc["certificates"][key]["meta"]["hash"] == digest, key
+    assert list(doc["certificates"]) == CERTIFIED
+    for key in CERTIFIED:
+        assert doc["certificates"][key]["meta"]["hash"] == CERTIFICATE_HASHES[key], key
     assert doc["patterns"] == {name: {"checked_hi": 800, "exceptions": [0]} for name in "ABCD"}
     assert doc["eventual_patterns"] == {
         "c": {"checked_hi": 2000, "cutoff": 10, "exceptions": [2, 4, 9]},
         "d": {"checked_hi": 2000, "cutoff": 24, "exceptions": [3, 8, 13, 23]}}
+    assert hashlib.sha256(runs[0].stdout.encode()).hexdigest() == CERTIFY_STDOUT_SHA256
 
 
 def test_certify_every_claim_converts_no_coefficient(monkeypatch, capsys):
@@ -354,8 +413,8 @@ def test_certify_every_claim_converts_no_coefficient(monkeypatch, capsys):
     monkeypatch.setattr(qseries, "limbs_to_ints", no_ints)
     assert main(["certify"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert {key: cert["meta"]["hash"] for key, cert in doc["certificates"].items()} == (
-        CERTIFICATE_HASHES)
+    assert {key: cert["meta"]["hash"] for key, cert in doc["certificates"].items()} == {
+        key: CERTIFICATE_HASHES[key] for key in CERTIFIED}
     assert doc["patterns"] == {name: {"checked_hi": 800, "exceptions": [0]} for name in "ABCD"}
     assert doc["eventual_patterns"]["d"]["exceptions"] == [3, 8, 13, 23]
     spec = {name: registered_spec(name) for name in "ABCDcd"}
@@ -375,7 +434,7 @@ def test_certify_every_claim_reports_a_scan_violation(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     doc = json.loads(out.out)
-    assert set(doc["certificates"]) == set(CERTIFICATE_HASHES)
+    assert list(doc["certificates"]) == CERTIFIED
     assert doc["patterns"] == {
         "violation": "claimed pattern for C fails at index 11 (checked to 800)"}
     assert doc["eventual_patterns"]["c"]["exceptions"] == [2, 4, 9]

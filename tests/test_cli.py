@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -82,7 +83,7 @@ class TestCertifyCommand:
         assert cert["meta"]["hash"]
 
     def test_unknown_target(self):
-        # the usage error lists every row of the claim table
+        # the usage error lists every class of every pattern
         res = run_cli(["certify", "--target", "nope"])
         assert res.returncode == 2 and "Traceback" not in res.stderr
         choices = ", ".join(f"'{key}'" for key in sorted(TARGETS))
@@ -217,32 +218,26 @@ class TestXcheck:
 
 
 class TestPrecisionControls:
-    def test_env_override(self):
-        import os
-
-        env = dict(os.environ, QSIGN_PRECISION="96")
-        res = run_cli(["dominance", "--spec", "A", "--n", "805"], env=env)
-        payload = json.loads(res.stdout)
-        assert payload["precision_bits"] == 96
-        env["QSIGN_PRECISION"] = "2048"
-        res = run_cli(["dominance", "--spec", "A", "--n", "805"], env=env)
-        assert res.returncode == 2 and "2048 bits is outside [8, 1024]" in res.stderr
-
-    @pytest.mark.parametrize("value", ["abc", "4"])
-    def test_env_value_that_is_not_bits_is_refused_by_name(self, value):
-        import os
-
-        res = run_cli(["dominance", "--spec", "A", "--n", "805"],
-                      env=dict(os.environ, QSIGN_PRECISION=value))
-        # the variable is only --precision's default, checked as the flag's value is
-        _, _, message = res.stderr.partition("error: argument --precision: ")
-        assert res.returncode == 2 and not res.stdout and value in message
-
     def test_flag_beats_default(self):
         res = run_cli(["dominance", "--spec", "A", "--n", "805",
                        "--precision", "256"])
         payload = json.loads(res.stdout)
         assert payload["precision_bits"] == 256
+
+    def test_out_of_range_flag_names_the_range(self, capsys):
+        # the range is precision_schedule's, and so is the message
+        with pytest.raises(SystemExit) as exc:
+            main(["dominance", "--spec", "A", "--n", "805", "--precision", "2048"])
+        assert exc.value.code == 2
+        assert ("error: argument --precision: precision 2048 bits outside [8, 1024]"
+                in capsys.readouterr().err)
+
+
+def test_environment_sets_no_precision():
+    """--precision is the only way to set the bits: no environment variable moves them."""
+    res = run_cli(["dominance", "--spec", "A", "--n", "805"],
+                  env=dict(os.environ, QSIGN_PRECISION="96"))
+    assert res.returncode == 0 and json.loads(res.stdout)["precision_bits"] == 192
 
 
 def test_ambient_precision_changes_no_result(capsys):
@@ -391,6 +386,7 @@ def test_unread_flags_are_rejected(argv):
     ["certify", "--target", "A5n", "--precision", "7"],
     ["dominance", "--spec", "A", "--n", "805", "--precision", "1025"],
     ["xcheck", "--identity", "psi", "--precision", "4"],
+    ["dominance", "--spec", "A", "--n", "805", "--precision", "abc"],
     ["xcheck", "--identity", "psi", "--samples", "0"],
     ["xcheck", "--identity", "psi", "--samples", "-3"],
     ["dominance", "--spec", "C", "--n", "805"],

@@ -15,8 +15,8 @@ or ``bench/`` outside its own definition, or is named in
 exact both ways.  The same holds one level down: every method and property
 of a top-level package class (dunders excluded) is read as an attribute in
 ``src/`` or ``bench/`` outside its own body, or is listed, exactly, in
-``MEMBER_TEST_ONLY`` or, when a module reads it by a name string, in
-``MEMBER_READ_BY_NAME``.  Imports sit at module top, never in a function body
+``MEMBER_TEST_ONLY``; a member read only by a name string (``getattr``)
+counts as unread.  Imports sit at module top, never in a function body
 (except the few in ``DEFERRED_IMPORTS``), and a package module imports
 only the ``qsign`` modules below it in ``LAYERS``.  The certified layer
 (``enclosure``, with its complex rectangles, and ``analytic``) sits below
@@ -61,9 +61,6 @@ TEST_ONLY = {"circle.lemma_arc_integral", "modular.dedekind_sum"}
 MEMBER_TEST_ONLY = {
     "enclosure.Enclosure.width", "enclosure.Enclosure.intersects",
     "modular.TransformData.upsilon"}
-#: members a module reads by a field-name string (``getattr``), which no
-#: attribute scan sees: ``cli.cmd_certify`` writes each scan's fields by name
-MEMBER_READ_BY_NAME = {"certify.PatternScan.cutoff": "cli"}
 
 #: per package module, the modules a function body may import: each serves
 #: one rarely taken path, and importing it at module top would cost every run
@@ -231,11 +228,7 @@ def test_guard_sees_a_member_nothing_reads():
 def test_members_have_a_reader_or_are_listed():
     package = {path.stem: path.read_text() for path in PACKAGE}
     unread = unread_public_members(package, [path.read_text() for path in CALLERS])
-    assert unread == MEMBER_TEST_ONLY | set(MEMBER_READ_BY_NAME)
-    for member, reader in MEMBER_READ_BY_NAME.items():
-        name = member.rsplit(".", 1)[1]
-        assert any(isinstance(node, ast.Constant) and node.value == name
-                   for node in ast.walk(ast.parse(package[reader]))), member
+    assert unread == MEMBER_TEST_ONLY
 
 
 def qsign_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -434,7 +427,7 @@ def test_guard_sees_a_literal_modulus():
 
 
 def test_certify_takes_every_modulus_from_a_target():
-    # the claim table is the one place a residue class is written
+    # a class's modulus is the length of its pattern, never typed
     assert literal_moduli((ROOT / "src" / "qsign" / "certify.py").read_text()) == []
 
 

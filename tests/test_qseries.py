@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from qsign import qseries
 from oracles import expand_pochhammer, rr_sum_side
-from qsign.certify import TARGETS
+from qsign.certify import PATTERNS
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_product, expand_product_reference,
                            iter_csv_rows, limb_plan, pass_plan, ps_inv, ps_mul,
@@ -473,8 +473,7 @@ class TestRogersRamanujan:
 
 
 #: the longest finite range each registered spec is checked to
-FINITE_RANGES = {name: max(t.finite_last_index for t in TARGETS.values() if t.spec_name == name)
-                 for name in REGISTERED_SPECS}
+FINITE_RANGES = {p.spec_name: p.finite_last_index for p in PATTERNS}
 
 
 def int_signs(coeffs):
