@@ -49,7 +49,7 @@ import mpmath
 from mpmath.libmp import fone, mpf_abs, mpf_gt, mpf_le, mpf_shift
 
 from .enclosure import DEFAULT_PRECISION, ComplexHP, Enclosure, e_pi_i_half_turns, pi_factor_value
-from .modular import class_deltas, omega_exact, transform_data
+from .modular import class_deltas, class_representative, omega_exact, transform_data
 from .qseries import ProductSpec, registered_spec
 
 Verdict = Union[bool, Literal["unknown"]]
@@ -143,8 +143,11 @@ def main_term_data(spec: ProductSpec) -> MainTermData:
 @lru_cache(maxsize=32)
 def _main_term_data(factors: tuple[tuple[int, int, int], ...]) -> MainTermData:
     spec = ProductSpec(factors)
-    ranked = [(dv / (k * k), k, l, aleph)
-              for aleph, l, _, k, dv in class_deltas(spec) if dv > 0]
+    ranked = []  # (Delta/k^2, k, l, aleph), k the class's smallest denominator
+    for aleph, l, level_delta in class_deltas(spec):
+        if level_delta > 0:
+            _, k = class_representative(spec, aleph, l)
+            ranked.append((Fraction(level_delta, spec.level * k * k), k, l, aleph))
     if not ranked:
         raise CertificateRefused("no class with Delta > 0: the coefficients do not grow")
     best = max(ranked)[0]

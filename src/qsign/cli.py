@@ -376,9 +376,17 @@ def cmd_bench(args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 def _precision_bits(text: str) -> int:
-    """An argparse type: bits that ``precision_schedule`` accepts, which names its range."""
+    """An argparse type: bits that ``precision_schedule`` accepts, which names its range.
+
+    Every failure is an ``ArgumentTypeError`` with its own message, so
+    argparse never prints this function's name.
+    """
     try:
-        return precision_schedule(int(text))[0]
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+    try:
+        return precision_schedule(bits)[0]
     except UsageError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

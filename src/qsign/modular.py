@@ -24,12 +24,28 @@ The definitional ``Fraction`` forms (the formulas in the docstrings) are the
 test oracle, in ``tests/oracles.py``.
 
 Each quantity has one function: ``omega_exact`` (Omega), ``delta_at``
-(Delta at h/k), ``class_representative`` (a coprime h/k in a class (aleph,
-l)), ``class_deltas`` (the one class scan, shared by ``lpos_set``,
-``delta_table_rows`` and ``analytic.main_term_data``) and ``transform_data``
-(matrices, omega, Upsilon, and Pi through ``TransformData.pi_factors``).
-The level L is ``ProductSpec.level``, computed once per spec, so none of
-them needs it passed in.
+(Delta at h/k), ``class_deltas`` (the one class scan, shared by
+``lpos_set``, ``delta_table_rows`` and ``analytic.main_term_data``),
+``class_representative`` (the smallest coprime h/k of a class (aleph, l),
+which only ``main_term_data`` asks for, for its Lpos classes) and
+``transform_data`` (matrices, omega, Upsilon, and Pi through
+``TransformData.pi_factors``).  The level L is ``ProductSpec.level``,
+computed once per spec, so none of them needs it passed in.
+
+Delta by class.  For any h/k in the class (aleph, l), i.e. h = aleph
+(mod l) and k = l (mod L), and any factor modulus m | L,
+
+    d = gcd(m, k) = gcd(m, l),   u = (-r h) mod d = (-r aleph) mod d   (d | l),
+
+so L Delta = -sum_j delta_j (L/m_j) (2 d^2 + 12 u (u - d)) is one integer
+read off (aleph, l) alone.  ``delta_at`` and ``class_deltas`` share that
+kernel, evaluated at (h, k) and at (aleph, l) respectively.  A class has a
+coprime representative exactly when gcd(aleph, l, L) = 1: a common factor
+of aleph, l and L divides every h and k of the class; conversely, with
+G = gcd(l, L), take k = G P for a prime P > 2l with P = l/G (mod L/G)
+(Dirichlet), so k = l (mod L), and h = aleph or aleph + l, whichever P does
+not divide (h = l when aleph = 0, where G = 1): gcd(h, G) = gcd(aleph, G) =
+1.  So the scan tests one gcd per class and searches for nothing.
 
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
 d = gcd(m, k), m = d m', k = d k'.  The attached matrix is
@@ -58,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -189,25 +206,45 @@ def omega_exact(spec: ProductSpec) -> Fraction:
 
 
 def class_representative(spec: ProductSpec, aleph: int, l: int) -> tuple[int, int] | None:
-    """Some (h, k) with h = aleph (mod l), k = l (mod L), gcd(h, k) = 1, 0 <= h < k.
+    """The coprime h/k of the class (aleph, l) with the smallest k, then the smallest h.
 
-    Returns None when no coprime representative exists: at once when
-    g = gcd(aleph, l, L) > 1, since g divides every such h and k (e.g. class
-    (0, 5) at level 5), else after the 40 denominators k = l + t L, 0 <= t < 40
-    (for the levels in scope every class with g = 1 has a representative
-    among them; tested).
+    That is h = aleph (mod l), k = l (mod L), gcd(h, k) = 1 and 0 <= h < k.
+
+    Returns None exactly when g = gcd(aleph, l, L) > 1 (e.g. class (0, 5) at
+    level 5): g divides every such h and k.  When g = 1 a representative
+    exists (see the module docstring), so the search over k = l, l + L, ...
+    ends; it only chooses the representative, and with it the k that
+    ``analytic.main_term_data`` ranks an Lpos class by.  No class scan calls
+    it.
     """
     big_l = spec.level
     if not 1 <= l <= big_l or not 0 <= aleph < l:
         raise ValueError("need 1 <= l <= level and 0 <= aleph < l")
     if gcd(aleph, l, big_l) > 1:
         return None
-    for t in range(40):
-        k = l + t * big_l
+    for k in count(l, big_l):
         for h in range(aleph, k, l):
             if gcd(h, k) == 1:
                 return h, k
-    return None
+
+
+def _delta_terms(spec: ProductSpec, k: int) -> list[tuple[int, int, int]]:
+    """(delta_j L/m_j, r_j, d_j) per factor, d_j = gcd(m_j, k): the part of L Delta fixed by k."""
+    big_l = spec.level
+    return [(delta * (big_l // m), r, gcd(m, k)) for r, m, delta in spec.factors]
+
+
+def _level_delta(terms: list[tuple[int, int, int]], h: int) -> int:
+    """L Delta = -sum_j delta_j (L/m_j) (2 d_j^2 + 12 u (u - d_j)), u = (-r_j h) mod d_j.
+
+    The one kernel: ``terms`` is ``_delta_terms`` at k, and (h, k) is a
+    fraction or a class (aleph, l), which give the same value (module docstring).
+    """
+    num = 0
+    for w, r, d in terms:
+        u = -r * h % d
+        num -= w * (2 * d * d + 12 * u * (u - d))
+    return num
 
 
 def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
@@ -216,43 +253,45 @@ def delta_at(spec: ProductSpec, h: int, k: int) -> Fraction:
     This is -sum_j delta_j (2 d_j^2/m_j + 12 d_j^2/m_j (lam*^2 - lam*)) with
     d_j = gcd(m_j, k); u = lam d - r h = (-r h) mod d is the integer with
     lam* = u/d, so that d^2 (lam*^2 - lam*) = u (u - d).  The sum is one
-    Fraction over the level.  d_j and lam* depend only on the class of
-    (h, k) modulo (l, L), so every coprime representative of a class gives
-    the same value (tested).
+    Fraction over the level, from the kernel the class scan uses.
+    """
+    return Fraction(_level_delta(_delta_terms(spec, k), h), spec.level)
+
+
+def class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int]]:
+    """(aleph, l, L Delta) per class with a coprime representative, by (l, aleph).
+
+    Each class is read off (aleph, l) itself: no representative, no Fraction.
     """
     big_l = spec.level
-    num = 0
-    for r, m, delta in spec.factors:
-        d = gcd(m, k)
-        u = -r * h % d
-        num -= delta * (2 * d * d + 12 * u * (u - d)) * (big_l // m)
-    return Fraction(num, big_l)
-
-
-def class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int, int, Fraction]]:
-    """(aleph, l, h, k, Delta) per class with a coprime representative h/k, by (l, aleph)."""
-    for l in range(1, spec.level + 1):
+    for l in range(1, big_l + 1):
+        terms = _delta_terms(spec, l)
+        g = gcd(l, big_l)
         for aleph in range(l):
-            rep = class_representative(spec, aleph, l)
-            if rep is not None:
-                yield aleph, l, *rep, delta_at(spec, *rep)
+            if gcd(aleph, g) == 1:
+                yield aleph, l, _level_delta(terms, aleph)
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
     """Classes (aleph, l) with a coprime representative and Delta(aleph, l) > 0."""
-    return {(aleph, l) for aleph, l, _, _, dv in class_deltas(spec) if dv > 0}
+    return {(aleph, l) for aleph, l, level_delta in class_deltas(spec) if level_delta > 0}
 
 
 def delta_table_rows(spec_name: str, spec: ProductSpec) -> Iterator[dict]:
-    """Rows for the delta-table dump, sorted by (l, aleph); in_Lpos is Delta > 0."""
-    for aleph, l, _, _, dv in class_deltas(spec):
+    """Rows for the delta-table dump, sorted by (l, aleph); in_Lpos is Delta > 0.
+
+    delta_num/delta_den is Delta in lowest terms, L Delta over L cut by one gcd.
+    """
+    big_l = spec.level
+    for aleph, l, level_delta in class_deltas(spec):
+        g = gcd(level_delta, big_l)
         yield {
             "spec": spec_name,
             "aleph": aleph,
             "l": l,
-            "delta_num": dv.numerator,
-            "delta_den": dv.denominator,
-            "in_Lpos": dv > 0,
+            "delta_num": level_delta // g,
+            "delta_den": big_l // g,
+            "in_Lpos": level_delta > 0,
         }
 
 
@@ -334,17 +373,23 @@ def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
     big_l = spec.level
     facs = []
     omega_num = ups_num = sum_delta = sum_dl = 0
+    # d, m', k', hbar, the omega term (6k' s(m'h, k')) d and L/m depend on m alone
+    by_modulus = {}
     for r, m, delta in spec.factors:
-        d = gcd(m, k)
-        mp, kp = m // d, k // d
-        # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
-        hb = -pow(mp * h, -1, kp) % kp
+        per_m = by_modulus.get(m)
+        if per_m is None:
+            d = gcd(m, k)
+            mp, kp = m // d, k // d
+            # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
+            hb = -pow(mp * h, -1, kp) % kp
+            per_m = by_modulus[m] = (d, mp, kp, hb, _dedekind_6c(mp * h, kp) * d, big_l // m)
+        d, mp, kp, hb, omega_term, l_over_m = per_m
         lam = -(-r * h // d)
         u = lam * d - r * h
         facs.append(FactorTransform(r, m, delta, d, mp, kp, hb, lam, u, k))
-        omega_num -= delta * _dedekind_6c(mp * h, kp) * d
+        omega_num -= delta * omega_term
         ups_num += (delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam))
-                    * (big_l // m))
+                    * l_over_m)
         sum_delta += delta
         sum_dl += delta * lam
     return TransformData(h, k, tuple(facs), big_l, sum_delta, sum_dl,

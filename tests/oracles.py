@@ -10,7 +10,8 @@ public ``qsign`` names are used here.
   majorization of reciprocal double Pochhammer products, and the
   doubly-colored partition counts;
 * modular: sawtooth, direct Dedekind sums, the matrix gamma and hbar, the
-  pair (lambda, lambda*) and the Moebius action by raw algebra;
+  pair (lambda, lambda*), the Moebius action by raw algebra and the whole
+  transformation record from the Fraction formulas;
 * circle: theta by its defining series over half-integers, and the node
   values (by Pochhammer products, the definition, and by triple-product
   sums) and estimates of the diagnostic quadrature by plain mpmath complex
@@ -32,7 +33,7 @@ from mpmath.libmp import mpf_neg
 from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
 from qsign.circle import ConvergenceRefused
 from qsign.enclosure import ComplexHP, Enclosure, cexp, one, zero
-from qsign.modular import GammaMatrix, NotCoprimeError
+from qsign.modular import FactorTransform, GammaMatrix, NotCoprimeError, TransformData
 from qsign.qseries import ProductSpec, QSeries
 
 
@@ -269,6 +270,35 @@ def gamma_action_coeffs(m: int, h: int, k: int, r: int,
     sig_const = Fraction(r, k) / den_iz
     sig_wcoef = -(Fraction(r * h, k) / den_iz)
     return tau_const, tau_wcoef, sig_const, sig_wcoef
+
+
+def transform_data_by_definition(spec: ProductSpec, h: int, k: int) -> TransformData:
+    """``modular.transform_data`` rebuilt factor by factor from the definitions.
+
+    hbar by search (``hbar_of``), (lambda, lambda*) by ``lambda_pair``, the
+    omega exponent -sum_j delta_j s(m'_j h, k'_j) by direct Dedekind sums and
+    the Upsilon exponent as the four-term Fraction sum; each exponent is then
+    written over its denominator (6k, L k) and reduced mod 2.
+    """
+    big_l = spec.level
+    facs, omega, upsilon = [], Fraction(0), Fraction(0)
+    for r, m, delta in spec.factors:
+        d = gcd(m, k)
+        mp_, kp = m // d, k // d
+        hb = hbar_of(m, h, k)
+        lam, lam_star = lambda_pair(m, r, h, k)
+        u = lam_star * d
+        assert u.denominator == 1, (spec, h, k)
+        facs.append(FactorTransform(r, m, delta, d, mp_, kp, hb, lam, int(u), k))
+        omega -= delta * dedekind_sum_direct(mp_ * h, kp)
+        upsilon += delta * (Fraction(r * h, k) - Fraction(r * d, m * k)
+                            + 2 * Fraction(r * d, m * k) * lam_star
+                            + Fraction(hb * d, k) * (lam * lam - lam))
+    omega_num, upsilon_num = omega * 6 * k, upsilon * big_l * k
+    assert omega_num.denominator == upsilon_num.denominator == 1, (spec, h, k)
+    return TransformData(h, k, tuple(facs), big_l, sum(f.delta for f in facs),
+                         sum(f.delta * f.lam for f in facs),
+                         int(omega_num) % (12 * k), int(upsilon_num) % (2 * big_l * k))
 
 
 # ---------------------------------------------------------------------------

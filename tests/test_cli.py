@@ -122,6 +122,25 @@ class TestTables:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest[:16] == prefix
 
+    LEVEL25_JSON = ('[{"r": 3, "m": 25, "delta": 2}, {"r": 7, "m": 25, "delta": -1}, '
+                    '{"r": 2, "m": 5, "delta": 1}]')
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--spec", "A"], "18a7f422630af06581cb14174ed349274a5a4dd99bff2cef8e641a21d6ce5d42"),
+        (["--spec", "D"], "d13496c6b95511131123db6f79727246cf435fcf129ace1f5f5361e414fc6db8"),
+        (["--spec-json", LEVEL25_JSON],
+         "e21ebf7bd00ef1e4559750b700cdcbe68d10f25c83a2e455f0e31925c5bdda7b"),
+        (["--spec", "A", "--format", "json"],
+         "c3f5e9617009c3bb5d4df22443887bb9db165ba89144e2f558676c05f4fb1ff7"),
+        (["--spec", "D", "--format", "json"],
+         "343edef4691b8a4ad4284430f330b25d8bf5158aeb0bf1b2281cce7a29c6025e"),
+        (["--spec-json", LEVEL25_JSON, "--format", "json"],
+         "1cf8dd729e735cfb32268a601aeab4f6d63387ef874450e2e5f07cdc8b4ea481"),
+    ])
+    def test_delta_stdout_digest_pinned(self, argv, digest, capsys):
+        assert main(["delta", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_delta_json_omega_is_exact_and_quiet(self):
         res = run_cli(["delta", "--spec", "c", "--format", "json"])
         assert res.returncode == 0 and res.stderr == ""
@@ -231,6 +250,15 @@ class TestPrecisionControls:
         assert exc.value.code == 2
         assert ("error: argument --precision: precision 2048 bits outside [8, 1024]"
                 in capsys.readouterr().err)
+
+
+    def test_non_integer_flag_names_no_private_function(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dominance", "--spec", "A", "--n", "805", "--precision", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --precision: invalid integer value: 'abc'" in err
+        assert "_precision_bits" not in err
 
 
 def test_environment_sets_no_precision():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_all, gamma_action_coeffs,
-                     gamma_of, hbar_of, lambda_pair, sawtooth)
+                     gamma_of, hbar_of, lambda_pair, sawtooth, transform_data_by_definition)
 from qsign import modular
 from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, class_deltas,
                            class_representative, dedekind_sum, delta_at, delta_table_rows,
@@ -101,6 +101,17 @@ def random_level_spec(rng: random.Random, level: int) -> ProductSpec:
     moduli = [level] + [rng.choice((5, level)) for _ in range(rng.randint(0, 2))]
     return ProductSpec(tuple((rng.randint(1, m - 1), m, rng.choice((-3, -2, -1, 1, 2, 3)))
                              for m in moduli))
+
+
+def oracle_specs(seed: int) -> list[ProductSpec]:
+    """The six registered specs, then twelve seeded inline ones, four each at levels 5, 10, 25."""
+    rng = random.Random(seed)
+    specs = [registered_spec(name) for name in ("A", "B", "C", "D", "c", "d")]
+    return specs + [random_level_spec(rng, level) for level in (5, 10, 25) for _ in range(4)]
+
+
+#: a level-25 inline spec (the one ``qsign delta`` is pinned on in test_cli.py)
+LEVEL25 = ProductSpec(((3, 25, 2), (7, 25, -1), (2, 5, 1)))
 
 
 class TestSawtooth:
@@ -256,7 +267,7 @@ class TestGrowthExponents:
         assert class_representative(registered_spec("A"), 0, 5) is None
         assert (0, 5) not in {(aleph, l) for aleph, l, *_ in class_deltas(registered_spec("A"))}
 
-    @pytest.mark.parametrize("big_l", [5, 10, 12, 25, 30])
+    @pytest.mark.parametrize("big_l", range(2, 61))
     def test_representative_missing_exactly_on_a_common_factor(self, big_l):
         spec = ProductSpec(((1, big_l, 1),))
         for l in range(1, big_l + 1):
@@ -299,6 +310,30 @@ class TestGrowthExponents:
                 for h in range(k):
                     if gcd(h, k) == 1:
                         assert delta_at(spec, h, k) == delta_by_lambda_star(spec, h, k), (spec, h, k)
+
+    def test_class_deltas_agree_with_delta_at_the_representative(self):
+        for spec in [*oracle_specs(20261020), LEVEL25]:
+            big_l = spec.level
+            scanned = {(aleph, l): level_delta for aleph, l, level_delta in class_deltas(spec)}
+            with_rep = {(aleph, l): class_representative(spec, aleph, l)
+                        for l in range(1, big_l + 1) for aleph in range(l)}
+            assert set(scanned) == {c for c, rep in with_rep.items() if rep is not None}, spec
+            for (aleph, l), level_delta in scanned.items():
+                assert Fraction(level_delta, big_l) == delta_at(spec, *with_rep[aleph, l]), \
+                    (spec, aleph, l)
+
+    @pytest.mark.parametrize("spec", [registered_spec("A"), registered_spec("D"), LEVEL25],
+                             ids=["A", "D", "level25"])
+    def test_scans_search_no_representative_and_build_no_fraction(self, spec, monkeypatch):
+        rows, lpos = list(delta_table_rows("x", spec)), lpos_set(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class scan asked for a representative or a Fraction")
+
+        monkeypatch.setattr(modular, "class_representative", refuse)
+        monkeypatch.setattr(modular, "Fraction", refuse)
+        assert list(delta_table_rows("x", spec)) == rows
+        assert lpos_set(spec) == lpos
 
     def test_table_rows_sorted_and_flagged(self):
         rows = list(delta_table_rows("A", registered_spec("A")))
@@ -348,16 +383,36 @@ class TestPhases:
             if ft.u == 0:  # lam* = u/d
                 assert ft.sigma_const % 1 != 0
 
+    def test_transform_data_equals_the_definitional_record(self):
+        for spec in oracle_specs(20261021):
+            for k in range(1, 21):
+                for h in range(k):
+                    if gcd(h, k) == 1:
+                        assert transform_data(spec, h, k) == transform_data_by_definition(
+                            spec, h, k), (spec, h, k)
+
+    def test_one_dedekind_sum_per_distinct_modulus(self, monkeypatch):
+        calls = []
+        real = modular._dedekind_6c
+
+        def counting(d, c):
+            calls.append((d, c))
+            return real(d, c)
+
+        monkeypatch.setattr(modular, "_dedekind_6c", counting)
+        d_spec = registered_spec("D")  # moduli 5, 5, 25, 25
+        for h, k in ((1, 5), (3, 10), (7, 12), (4, 25)):
+            calls.clear()
+            transform_data(d_spec, h, k)
+            assert len(calls) == 2, (h, k, calls)
+
     def test_chi_exponent_of_inversion(self):
         # the order-2 element: chi = e^{-pi i/4}
         g = GammaMatrix(0, -1, 1, 0)
         assert g.chi_exponent() % 2 == Fraction(-1, 4) % 2
 
     def test_integer_transform_data_matches_the_fraction_formulas(self):
-        rng = random.Random(20251108)
-        specs = [registered_spec(name) for name in ("A", "B", "C", "D", "c", "d")]
-        specs += [random_level_spec(rng, level) for level in (5, 10, 25) for _ in range(4)]
-        for spec in specs:
+        for spec in oracle_specs(20251108):
             assert omega_exact(spec) == omega_exponent_reference(spec), spec
             for k in range(1, 31):
                 for h in range(k):
