@@ -279,7 +279,7 @@ def precision_schedule(start_bits: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def dominance(spec: ProductSpec, n: int, start_bits: int = 192) -> DominanceResult:
+def dominance(spec: ProductSpec, n: int, start_bits: int = DEFAULT_PRECISION) -> DominanceResult:
     """Certified comparison |M(n)| > E(n) at index n, in any residue class.
 
     Tried along ``precision_schedule(start_bits)``: True/False at the first

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import (CertificateRefused, class_constant, error_bound,
                        eventual_dominance_certificate, main_term_data, precision_schedule)
+from .enclosure import DEFAULT_PRECISION
 from .qseries import ProductSpec, QSeries, expand_product, registered_spec, sign_exceptions
 
 SCHEMA_VERSION = 1
@@ -158,7 +159,7 @@ def _check_target(key: str, target: TargetSpec, spec: ProductSpec, bits: int) ->
                          f"Re S = {const!r}")
 
 
-def certify(target_key: str, precision_bits: int = 192) -> CertifyResult:
+def certify(target_key: str, precision_bits: int = DEFAULT_PRECISION) -> CertifyResult:
     """Build the certificate for one registered target.
 
     A precision outside ``precision_schedule``'s range, a pattern whose

@@ -21,9 +21,11 @@ triple product,
 so multiplying or dividing by a psi factor is a sparse pass with O(sqrt(N/m))
 terms instead of a dense O(N^2/m) factor sweep.  Residual (q^m; q^m)_inf
 powers are handled with Euler's pentagonal series, which is the triple
-product with r = m and modulus 3m.  A literal factor-by-factor expander is
-kept as ``expand_product_reference`` and the two are required to agree
-exactly.
+product with r = m and modulus 3m.  The reference expander,
+``expand_product_reference``, shares nothing with it: it runs Euler's
+recurrence for the logarithmic derivative over Python ints, and the two
+are required to agree exactly.  The tests check the reference in turn
+against the literal factor-by-factor product.
 
 The expansion runs on one int32 array of limbs, index-major: shape
 (N + 1, limbs) in C order, so coefficient n is sum_l limbs[n, l] 2^{R l}
@@ -79,17 +81,25 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, takewhile
 from math import gcd
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 
 class TruncationMismatchError(ValueError):
-    """Arithmetic on series with different truncation orders is refused."""
+    """An index range, or a second operand, beyond a series' truncation order is refused.
+
+    Raised by the sign scans, and by the dense ``ps_mul`` of the tests' oracles.
+    """
 
 
 class ConstantTermError(ValueError):
-    """Series inversion requires constant term exactly 1."""
+    """A divisor series needs constant term exactly 1.
+
+    Raised by ``_div_block`` for a sparse division pass, and by the dense
+    ``ps_inv`` of the tests' oracles.
+    """
 
 
 class QSeries:
@@ -173,42 +183,6 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries(trunc_order={self.trunc_order}, coeffs={self.coeffs!r})"
-
-
-def ps_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Exact Cauchy product truncated at the common truncation order."""
-    if a.trunc_order != b.trunc_order:
-        raise TruncationMismatchError(
-            f"truncation orders differ: {a.trunc_order} != {b.trunc_order}"
-        )
-    n = a.trunc_order
-    ca, cb = a.coeffs, b.coeffs
-    out = [0] * (n + 1)
-    for i, ai in enumerate(ca):
-        if ai:
-            for j in range(n + 1 - i):
-                bj = cb[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return QSeries(n, tuple(out))
-
-
-def ps_inv(a: QSeries) -> QSeries:
-    """Multiplicative inverse via b[n] = -sum_{k=1..n} a[k] b[n-k]; needs a[0] == 1."""
-    if a.coeffs[0] != 1:
-        raise ConstantTermError(f"constant term is {a.coeffs[0]}, must be 1")
-    n = a.trunc_order
-    ca = a.coeffs
-    b = [0] * (n + 1)
-    b[0] = 1
-    for i in range(1, n + 1):
-        s = 0
-        for k in range(1, i + 1):
-            ak = ca[k]
-            if ak:
-                s += ak * b[i - k]
-        b[i] = -s
-    return QSeries(n, tuple(b))
 
 
 # ---------------------------------------------------------------------------
@@ -689,26 +663,39 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
 
 
 def expand_product_reference(spec: ProductSpec, trunc_order: int) -> QSeries:
-    """Literal factor-by-factor expansion; negative exponents via ps_inv.
+    """Exact expansion of ``spec`` by Euler's recurrence over Python ints; the engine's reference.
 
-    O(N^2/m) per Pochhammer symbol plus one dense inversion/multiplication.
-    Slow but independent of the sparse engine; the two must agree exactly.
+    Written as prod_{d>=1} (1 - q^d)^{c_d}, where each factor (r, m, delta)
+    adds delta to c_d at every d == r and every d == m - r (mod m), twice
+    when r = m - r, the series has logarithmic derivative
+    q F'/F = sum_j b(j) q^j with b(j) = -sum_{d | j} d c_d, so a(0) = 1 and
+    n a(n) = sum_{j=1..n} b(j) a(n - j) (Apostol, *Introduction to Analytic
+    Number Theory*, section 14.8).  O(N log N) for the divisor sieve and
+    O(N^2) products of big ints for the recurrence; it shares nothing with
+    the limb engine, and the two must agree exactly.  Each division by n
+    is checked: a remainder raises ``ArithmeticError``.
     """
     n = trunc_order
-    pos = [0] * (n + 1)
-    pos[0] = 1
-    neg = pos[:]
+    if n < 0:
+        raise ValueError(f"truncation order {n} is negative")
+    b = [0] * (n + 1)
     for r, m, delta in spec.factors:
-        target = pos if delta > 0 else neg
-        for _ in range(abs(delta)):
-            for a in (r, m - r):
-                for c in range(a, n + 1, m):
-                    # times (1 - q^c) in place, descending so each i reads the old i - c
-                    for i in range(n, c - 1, -1):
-                        target[i] -= target[i - c]
-    positive = QSeries(n, tuple(pos))
-    negative = QSeries(n, tuple(neg))
-    return ps_mul(positive, ps_inv(negative))
+        for a in (r, m - r):
+            for d in range(a, n + 1, m):
+                b[d] += delta
+    # c_d becomes b(d) in place, d descending: b[d] still holds c_d when d is reached
+    for d in range(n, 0, -1):
+        w = d * b[d]
+        b[d] = -w
+        if w:
+            for j in range(2 * d, n + 1, d):
+                b[j] -= w
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        coeffs[k], rem = divmod(sum(map(mul, b[1:k + 1], coeffs[k - 1::-1])), k)
+        if rem:
+            raise ArithmeticError(f"coefficient {k} of the recurrence is not an integer")
+    return QSeries(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ public ``qsign`` names are used here.
   values (by Pochhammer products, the definition, and by triple-product
   sums) and estimates of the diagnostic quadrature by plain mpmath complex
   arithmetic;
-* qseries: single Pochhammer symbols factor by factor and the
+* qseries: the dense Cauchy product and inverse, single Pochhammer
+  symbols and whole products factor by factor (the literal product is the
+  check of ``expand_product_reference``, Euler's recurrence), and the
   Rogers-Ramanujan sum sides.
 """
 
@@ -34,7 +36,7 @@ from qsign.analytic import UsageError, Verdict, bessel_im1, wang_lower
 from qsign.circle import ConvergenceRefused
 from qsign.enclosure import ComplexHP, Enclosure, cexp, one, zero
 from qsign.modular import FactorTransform, GammaMatrix, NotCoprimeError, TransformData
-from qsign.qseries import ProductSpec, QSeries
+from qsign.qseries import ConstantTermError, ProductSpec, QSeries, TruncationMismatchError
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +448,69 @@ def trapezoid_coefficients(spec: ProductSpec, ns: list[int], order: int, dps: in
 
 
 # ---------------------------------------------------------------------------
-# qseries: single Pochhammer symbols and the Rogers-Ramanujan sum sides
+# qseries: dense series algebra, literal products and the Rogers-Ramanujan sum sides
 # ---------------------------------------------------------------------------
+
+def ps_mul(a: QSeries, b: QSeries) -> QSeries:
+    """Exact Cauchy product truncated at the common truncation order."""
+    if a.trunc_order != b.trunc_order:
+        raise TruncationMismatchError(
+            f"truncation orders differ: {a.trunc_order} != {b.trunc_order}"
+        )
+    n = a.trunc_order
+    ca, cb = a.coeffs, b.coeffs
+    out = [0] * (n + 1)
+    for i, ai in enumerate(ca):
+        if ai:
+            for j in range(n + 1 - i):
+                bj = cb[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return QSeries(n, tuple(out))
+
+
+def ps_inv(a: QSeries) -> QSeries:
+    """Multiplicative inverse via b[n] = -sum_{k=1..n} a[k] b[n-k]; needs a[0] == 1."""
+    if a.coeffs[0] != 1:
+        raise ConstantTermError(f"constant term is {a.coeffs[0]}, must be 1")
+    n = a.trunc_order
+    ca = a.coeffs
+    b = [0] * (n + 1)
+    b[0] = 1
+    for i in range(1, n + 1):
+        s = 0
+        for k in range(1, i + 1):
+            ak = ca[k]
+            if ak:
+                s += ak * b[i - k]
+        b[i] = -s
+    return QSeries(n, tuple(b))
+
+
+def expand_product_literal(spec: ProductSpec, trunc_order: int) -> QSeries:
+    """prod_j psi(r_j, m_j)^{delta_j} to `trunc_order`, one factor (1 - q^c) at a time.
+
+    psi(r, m) is the product of (1 - q^c) over c == r and c == m - r
+    (mod m); each such c <= trunc_order is applied |delta| times in place,
+    descending to multiply (each i reads the old i - c, as in
+    ``expand_pochhammer``) and ascending to divide (each i reads the new
+    i - c, as in ``div_one_minus_qc``).  It checks
+    ``qseries.expand_product_reference``.
+    """
+    n = trunc_order
+    coeffs = [1] + [0] * n
+    for r, m, delta in spec.factors:
+        for a in (r, m - r):
+            for c in range(a, n + 1, m):
+                for _ in range(abs(delta)):
+                    if delta > 0:
+                        for i in range(n, c - 1, -1):
+                            coeffs[i] -= coeffs[i - c]
+                    else:
+                        for i in range(c, n + 1):
+                            coeffs[i] += coeffs[i - c]
+    return QSeries(n, tuple(coeffs))
+
 
 def expand_pochhammer(a: int, m: int, trunc_order: int) -> QSeries:
     """Expansion of (q^a; q^m)_inf = prod_{k>=0}(1 - q^{a+km}) to the given order.

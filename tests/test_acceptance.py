@@ -16,9 +16,9 @@ from qsign.analytic import dominance, eventual_dominance_certificate
 from qsign.certify import richmond_szekeres_scan, verify_known_theorems
 from qsign.circle import lemma_arc_integral, numeric_coefficients
 from qsign.cli import _XCHECK_KINDS, _xcheck_worker
-from oracles import dedekind_sums_direct_all, expand_pochhammer, rr_sum_side
+from oracles import dedekind_sums_direct_all, expand_pochhammer, ps_inv, ps_mul, rr_sum_side
 from qsign.modular import dedekind_sum, lpos_set, omega_exact
-from qsign.qseries import expand_product, ps_inv, ps_mul, registered_spec, slice_signs
+from qsign.qseries import expand_product, registered_spec, slice_signs
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -16,7 +16,7 @@ from qsign.certify import PATTERNS, TARGETS
 from qsign.circle import ConvergenceRefused, lemma_arc_integral
 from qsign.enclosure import Enclosure, mpf_to_fraction
 from qsign.qseries import (REGISTERED_SPECS as SPECS, ProductSpec, QSeries, expand_product,
-                           ps_inv, ps_mul, registered_spec)
+                           registered_spec)
 
 #: the paper's claim on each of its three specs
 CLAIMS = {"A": TARGETS["A5n"], "B": TARGETS["B5n"], "D": TARGETS["D5n1"]}

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import pytest
 
 from qsign import certify as certify_mod
 from qsign import qseries
-from qsign.analytic import CertificateRefused, UsageError, main_term_data
+from qsign.analytic import CertificateRefused, UsageError, dominance, main_term_data
 from qsign.certify import (PATTERNS, TARGETS, Pattern, SignViolation, cached_expansion,
                            certify, richmond_szekeres_scan, verify_known_theorems)
 from qsign.cli import main
+from qsign.enclosure import DEFAULT_PRECISION
 from qsign.qseries import (REGISTERED_SPECS, ProductSpec, QSeries, expand_product,
                            registered_spec, slice_indices)
 
@@ -211,6 +213,12 @@ class TestTargetBinding:
         monkeypatch.setattr(certify_mod, "cached_expansion", no_expansion)
         with pytest.raises(UsageError, match="outside"):
             certify("A5n", bits)
+
+    def test_default_precision_is_the_enclosure_constant(self):
+        # the constant the CLI's --precision and every other bits parameter default to
+        defaults = (inspect.signature(certify).parameters["precision_bits"].default,
+                    inspect.signature(dominance).parameters["start_bits"].default)
+        assert defaults == (DEFAULT_PRECISION, DEFAULT_PRECISION)
 
 
 class TestExpansionCache:

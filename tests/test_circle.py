@@ -88,8 +88,7 @@ class TestBasicEvaluations:
         # (q^2, q^3; q^5) summed at q = e^{-pi}, up to a certified tail
         tau = c_hp(0, Fraction(1, 2))
         val = psi(tau.scale(2), tau.scale(5))
-        from oracles import expand_pochhammer
-        from qsign.qseries import ps_mul
+        from oracles import expand_pochhammer, ps_mul
 
         sym = ps_mul(expand_pochhammer(2, 5, 120), expand_pochhammer(3, 5, 120))
         q = (-Enclosure.pi()).exp()

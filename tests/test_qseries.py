@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from qsign import qseries
-from oracles import expand_pochhammer, rr_sum_side
+from oracles import expand_pochhammer, expand_product_literal, ps_inv, ps_mul, rr_sum_side
 from qsign.certify import PATTERNS
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_product, expand_product_reference,
-                           iter_csv_rows, limb_plan, pass_plan, ps_inv, ps_mul,
-                           registered_spec, sign_exceptions, slice_indices, slice_signs)
+                           iter_csv_rows, limb_plan, pass_plan, registered_spec,
+                           sign_exceptions, slice_indices, slice_signs)
 
 
 def brute_partitions(n):
@@ -105,9 +105,11 @@ class TestProductSpecs:
     def test_constant_term(self):
         assert expand_product(registered_spec("A"), 0).coeffs == (1,)
 
-    def test_negative_truncation_refused(self):
-        with pytest.raises(ValueError, match="negative"):
-            expand_product(registered_spec("A"), -1)
+    @pytest.mark.parametrize("expand", [expand_product, expand_product_reference],
+                             ids=lambda f: f.__name__)
+    def test_negative_truncation_refused(self, expand):
+        with pytest.raises(ValueError, match="truncation order -1 is negative"):
+            expand(registered_spec("A"), -1)
 
     def test_first_signs_of_reciprocal_fifth_power(self):
         s = expand_product(registered_spec("A"), 4)
@@ -453,6 +455,46 @@ class TestSliceEngine:
         if any(m <= 3 and d < 0 for _, m, d in spec.factors):
             assert min(plan.div_blocks) < qseries._MAX_BLOCK
         assert expand_product(spec, 400) == expand_product_reference(spec, 400)
+
+
+#: products at the moduli 3, 5, 6, 7, 8, 11 and 13: the Borwein product psi(1,3)
+#: and its square, (q;q)/(q^p;q^p) = prod_{r<p/2} psi(r,p), and quotients of
+#: level 6, 8 and 7; psi(3,6) = (q^3;q^6)^2 has r = m - r
+OTHER_MODULI = {
+    "psi(1,3)": ((1, 3, 1),),
+    "psi(1,3)^2": ((1, 3, 2),),
+    **{f"(q;q)/(q^{p};q^{p})": tuple((r, p, 1) for r in range(1, (p + 1) // 2))
+       for p in (5, 7, 11, 13)},
+    "psi(1,6)/psi(3,6)": ((1, 6, 1), (3, 6, -1)),
+    "psi(3,6)/psi(1,6)": ((1, 6, -1), (3, 6, 1)),
+    "psi(1,8)/psi(3,8)": ((1, 8, 1), (3, 8, -1)),
+    "psi(1,8)^4/psi(3,8)^4": ((1, 8, 4), (3, 8, -4)),
+    "psi(1,7)/psi(2,7)": ((1, 7, 1), (2, 7, -1)),
+    "psi(1,7)^2/(psi(2,7)psi(3,7))": ((1, 7, 2), (2, 7, -1), (3, 7, -1)),
+}
+
+
+class TestEulerReference:
+    """The recurrence against the engine at other moduli, and against the literal product."""
+
+    @pytest.mark.parametrize("name", OTHER_MODULI)
+    def test_engine_equals_reference_at_other_moduli(self, name):
+        spec = ProductSpec(OTHER_MODULI[name])
+        assert expand_product(spec, 1000) == expand_product_reference(spec, 1000)
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_reference_equals_literal_product(self, name):
+        spec = registered_spec(name)
+        assert expand_product_reference(spec, 600) == expand_product_literal(spec, 600)
+
+    @seed(20251219)
+    @given(st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 6, 10, 25]), st.integers(1, 24),
+                              st.integers(-5, 5).filter(bool)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_random_inline_specs_equal_literal_product(self, raw):
+        spec = ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw))
+        assert expand_product_reference(spec, 300) == expand_product_literal(spec, 300)
 
 
 class TestRogersRamanujan:
