@@ -39,15 +39,26 @@ The theta product form multiplies the three Pochhammer symbols
 relation psi = i e^{-pi i tau/6} e^{pi i sigma} theta/eta.  The tests check
 it against the series definition over half-integers (``theta_by_sum`` in
 ``tests/oracles.py``).
+
+One sample of an identity check evaluates some exact inputs twice: the
+psi check reads (xi; q), (q/xi; q) and e^{2 pi i tau} in ``psi`` and again
+in ``psi_by_theta``, the quasi-periodicity check the nome and (q; q) on
+both sides.  Inside a ``one_sample()`` scope each Pochhammer product and
+each nome or phase that eta, theta and psi build is computed once per
+exact input (raw endpoints and bits, and the factor budget) and handed
+out again, bit for bit.  The memo lives for one sample only, so no result
+depends on what ran before; outside every scope each call computes afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, exp, gcd, isqrt, log, log1p, log2, pi, sqrt
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 from mpmath import mp
@@ -78,6 +89,52 @@ def csqrt_upper(z: ComplexHP) -> ComplexHP:
     re2 = ((r + z.re) / 2).clamp_nonneg()
     im2 = ((r - z.re) / 2).clamp_nonneg()
     return ComplexHP(re2.sqrt(), im2.sqrt())
+
+
+# ---------------------------------------------------------------------------
+# one sample's memo
+# ---------------------------------------------------------------------------
+
+#: the memo of the innermost open `one_sample` scope; None outside every scope
+_SAMPLE_MEMO: ContextVar[dict | None] = ContextVar("circle_sample_memo", default=None)
+
+
+@contextmanager
+def one_sample() -> Iterator[None]:
+    """A scope in which each Pochhammer product and nome is evaluated once.
+
+    While it is open, ``pochhammer_product`` and the e^{2 pi i t} of eta,
+    theta and psi return the value computed for the same exact inputs
+    earlier in the scope.  The values are those a fresh call computes, bit
+    for bit; the memo is dropped when the scope closes, also on an
+    exception.  A nested scope starts empty and the outer one resumes after it.
+    """
+    token = _SAMPLE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SAMPLE_MEMO.reset(token)
+
+
+def _exact(z: ComplexHP) -> tuple:
+    """What z is, exactly: each part's raw endpoints and bits."""
+    return z.re._mpi_, z.re.bits, z.im._mpi_, z.im.bits
+
+
+def _once(key: tuple, compute: Callable[[], ComplexHP]) -> ComplexHP:
+    """compute(), or inside `one_sample` the value it gave for `key` there before."""
+    memo = _SAMPLE_MEMO.get()
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
+def _e_two_pi_i(t: ComplexHP) -> ComplexHP:
+    """``enclosure.e_two_pi_i``, once per distinct t inside `one_sample`."""
+    return _once(("e_two_pi_i", _exact(t)), lambda: e_two_pi_i(t))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +340,17 @@ def pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> Complex
     Its ball exponential (see `_exp_ball`) multiplies into the running
     product by the same ball rule, without the shift, so exactly; the
     result converts back once, through outward-rounded endpoints.
+
+    Inside `one_sample` the loop (`_pochhammer_product`) runs once per
+    distinct (z0, q, max_factors), compared by their exact endpoints and
+    bits; every call still goes through this function.
     """
+    return _once(("pochhammer", _exact(z0), _exact(q), max_factors),
+                 lambda: _pochhammer_product(z0, q, max_factors))
+
+
+def _pochhammer_product(z0: ComplexHP, q: ComplexHP, max_factors: int) -> ComplexHP:
+    """The product loop and certified tail of ``pochhammer_product``, run afresh."""
     if max_factors < 1:
         raise ConvergenceRefused(f"a budget of {max_factors} factors admits no product")
     prec = q.bits
@@ -370,7 +437,7 @@ def eta(tau: ComplexHP) -> ComplexHP:
     """Dedekind eta: q^{1/24} prod (1 - q^k), q = e^{2 pi i tau}, Im(tau) > 0."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("eta needs Im(tau) > 0")
-    return _eta(tau, e_two_pi_i(tau))
+    return _eta(tau, _e_two_pi_i(tau))
 
 
 def _eta(tau: ComplexHP, q: ComplexHP) -> ComplexHP:
@@ -389,12 +456,12 @@ def theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """
     if not tau.im.is_positive():
         raise ConvergenceRefused("theta needs Im(tau) > 0")
-    return _theta(sigma, tau, e_two_pi_i(tau))
+    return _theta(sigma, tau, _e_two_pi_i(tau))
 
 
 def _theta(sigma: ComplexHP, tau: ComplexHP, q: ComplexHP) -> ComplexHP:
     """theta(sigma; tau) given the nome q = e^{2 pi i tau}."""
-    xi = e_two_pi_i(sigma)
+    xi = _e_two_pi_i(sigma)
     pi_e = Enclosure.pi(max(sigma.bits, tau.bits))
     # -i q^{1/8} xi^{-1/2} = -i e^{pi i tau/4} e^{-pi i sigma}
     head = cexp(ComplexHP(-(pi_e * tau.im / 4) + pi_e * sigma.im,
@@ -407,7 +474,7 @@ def psi(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     """psi(sigma; tau) = (xi; q)_inf (xi^{-1} q; q)_inf, the two-symbol product."""
     if not tau.im.is_positive():
         raise ConvergenceRefused("psi needs Im(tau) > 0")
-    return _psi(e_two_pi_i(sigma), e_two_pi_i(tau))
+    return _psi(_e_two_pi_i(sigma), _e_two_pi_i(tau))
 
 
 def _psi(xi: ComplexHP, q: ComplexHP) -> ComplexHP:
@@ -424,7 +491,7 @@ def psi_by_theta(sigma: ComplexHP, tau: ComplexHP) -> ComplexHP:
     head = cexp(ComplexHP(pi_e * tau.im / 6 - pi_e * sigma.im,
                           -(pi_e * tau.re / 6) + pi_e * sigma.re))
     head = ComplexHP(-head.im, head.re)  # multiply by i
-    q = e_two_pi_i(tau)
+    q = _e_two_pi_i(tau)
     return head * _theta(sigma, tau, q) / _eta(tau, q)
 
 
@@ -672,9 +739,11 @@ def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]
     """The fraction bits W, and the triple products T and their powers in f = (N/D)^g.
 
     f = prod T(r, m)^e over ``qseries.triple_product_powers``; g is the gcd
-    of the powers e, N holds the positive e/g and D the negative (neither is
-    empty: eta powers that do not cancel go to the other side), so
-    quotients come before powers.
+    of the powers e (1 when there are none), N holds the positive e/g and
+    D the negative, so quotients come before powers.  A side with no
+    powers is the constant 1, one triple product of the single term q^0:
+    eta powers that do not cancel go to the other side, so only a product
+    that reduces to 1 has one.
     W = ceil(dps log2 10) + 32 + G, and G = ceil(max(L_N + U_D, L_D)) guard
     bits, where L_N = sum_{e > 0} e l_T, L_D = sum_{e < 0} |e| l_T and
     U_D = sum_{e < 0} |e| u_T from the bounds -l_T <= log2 |T| <= u_T of
@@ -699,12 +768,13 @@ def _node_plan(spec: ProductSpec, order: int, dps: int) -> tuple[int, _NodePlan]
     radius = [1 << bits]
     for _ in range(top):
         radius.append(radius[-1] * ratio >> bits)
-    g = gcd(*(e for _, _, e in powers))
+    g = gcd(*(e for _, _, e in powers)) or 1
     num, den = [], []
     for r, m, e in powers:
         terms = tuple((t, sign * radius[t]) for t, sign in triple_product_terms(r, m, top))
         (num if e > 0 else den).append((abs(e) // g, terms))
-    return bits, (g, tuple(num), tuple(den))
+    one_ = ((1, ((0, radius[0]),)),)
+    return bits, (g, tuple(num) or one_, tuple(den) or one_)
 
 
 def _refine_roots(roots: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:

@@ -27,7 +27,11 @@ Subcommands and their flags (each flag is attached only where it is read):
                  refused with ``circle.ConvergenceRefused``; --identity
                  (eta, theta, quasiperiodicity, psi or product; another name
                  is a usage error, exit 2), --samples, --precision, --seed,
-                 --workers (at most one per sample and per CPU), --out
+                 --workers (at most one per sample and per CPU), --out.
+                 Each sample runs in its own ``circle.one_sample()`` scope,
+                 in-process or in a pool worker: it evaluates each of its
+                 Pochhammer products and nomes once, and nothing carries
+                 over to the next sample, which may repeat its inputs
 * ``bench``      time the exact expansion engine, in all and split into the
                  limb expansion and the conversion to ints, time apart the
                  read of every sign off the limbs ("signs_s", not in
@@ -77,7 +81,7 @@ from . import __version__
 from .analytic import CertificateRefused, UsageError, dominance, precision_schedule
 from .certify import (TARGETS, SignViolation, certify, richmond_szekeres_scan,
                       verify_known_theorems)
-from .circle import (check_product_transform, csqrt_upper, eta, psi, psi_by_theta,
+from .circle import (check_product_transform, csqrt_upper, eta, one_sample, psi, psi_by_theta,
                      relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION, ComplexHP, e_pi_i_half_turns, e_two_pi_i
 from .modular import GammaMatrix, delta_table_rows, omega_exact
@@ -323,7 +327,8 @@ def _process_pool_executor() -> type:
 
 def _xcheck_worker(kind_seed_bits: tuple[str, int, int]) -> float:
     kind, seed, bits = kind_seed_bits
-    return _XCHECK_KINDS[kind](seed, bits)
+    with one_sample():
+        return _XCHECK_KINDS[kind](seed, bits)
 
 
 def cmd_xcheck(args, out: TextIO) -> int:

@@ -313,14 +313,18 @@ def triple_product_powers(spec: ProductSpec) -> list[tuple[int, int, int]]:
     """(r, m, e) with spec = prod T(r, m)^e, T(r, m) = sum_j (-1)^j q^{rj + m j(j-1)/2}.
 
     Each psi factor is T(r, m) divided by (q^m; q^m)_inf, and (q^m; q^m)_inf
-    is T(m, 3m) (Euler's pentagonal theorem).  The psi factors come first, in
-    spec order, then one (m, 3m, e) per modulus whose eta-type powers do not
-    cancel, ascending in m.
+    is T(m, 3m) (Euler's pentagonal theorem).  The factors are the reduced
+    ones of ``ProductSpec.canonical``, since T(r, m) = T(m - r, m): a factor
+    written twice, or as psi(r, m) and psi(m - r, m), is one power, and
+    powers that cancel give none.  The psi factors come first, sorted, then
+    one (m, 3m, e) per modulus whose eta-type powers do not cancel,
+    ascending in m.  A product that reduces to 1 has no powers.
     """
+    factors = spec.canonical[1]
     eta_exponents: dict[int, int] = {}
-    for _, m, delta in spec.factors:
+    for _, m, delta in factors:
         eta_exponents[m] = eta_exponents.get(m, 0) - delta
-    return [*spec.factors, *((m, 3 * m, e) for m, e in sorted(eta_exponents.items()) if e)]
+    return [*factors, *((m, 3 * m, e) for m, e in sorted(eta_exponents.items()) if e)]
 
 
 def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Terms]]:
@@ -328,7 +332,7 @@ def pass_plan(spec: ProductSpec, trunc_order: int) -> tuple[list[Terms], list[Te
 
     One pass per unit of each power of ``triple_product_powers``, each a list
     of terms (e, +-1) of one triple product, ascending in e: the psi passes,
-    then the eta-type corrections.
+    then the eta-type corrections.  A product that reduces to 1 has none.
     """
     mul_passes: list[Terms] = []
     div_passes: list[Terms] = []
@@ -479,13 +483,14 @@ def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
     largest radix with t h + 2^{R-1} <= 2^31 - 1 for the largest t of the
     plan.  The plan is refused if no R >= _MIN_RADIX_BITS fits: below it
     h > 2^R - 1, and a coefficient's sign is no longer that of its top
-    nonzero limb (``limb_signs``).
+    nonzero limb (``limb_signs``).  A product that reduces to 1 has no
+    passes (t = 0, R = 30), and ``expand_limbs`` returns the series 1.
     """
     n = trunc_order
     if n < 0:
         raise ValueError(f"truncation order {n} is negative")
     mul_passes, div_passes = pass_plan(spec, n)
-    t = max(len(terms) for terms in mul_passes + div_passes)
+    t = max((len(terms) for terms in mul_passes + div_passes), default=0)
     radix_bits = next((r for r in range(30, _MIN_RADIX_BITS - 1, -1)
                        if t * _limb_bound(r) + (1 << (r - 1)) <= _INT32_MAX), 0)
     if not radix_bits:

@@ -31,3 +31,17 @@ def series_b_1000():
 @pytest.fixture(scope="session")
 def series_d_19501():
     return cached_expansion(registered_spec("D"), 19501)
+
+
+@pytest.fixture
+def evaluation_counts(monkeypatch):
+    """Calls into the evaluators behind ``circle.one_sample``'s memo, counted by name."""
+    from qsign import circle
+
+    calls = {"_pochhammer_product": 0, "e_two_pi_i": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(circle, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(circle, name, counted)
+    return calls

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -340,6 +341,34 @@ def _log_series_reference(z, q, eps):
     return total
 
 
+class TestOneSample:
+    """``circle.one_sample``: each product and nome once inside the scope, every time outside."""
+
+    SIGMA, TAU = c_hp(Fraction(1, 10), Fraction(1, 10)), c_hp(Fraction(1, 4), Fraction(1, 2))
+
+    def test_outside_a_scope_every_call_runs_the_kernel(self, evaluation_counts):
+        calls = evaluation_counts
+        psi(self.SIGMA, self.TAU)
+        psi(self.SIGMA, self.TAU)
+        assert calls == {"_pochhammer_product": 4, "e_two_pi_i": 4}
+
+    def test_inside_a_scope_a_repeated_call_reads_the_first_value(self, evaluation_counts):
+        calls = evaluation_counts
+        with circle.one_sample():
+            first = psi(self.SIGMA, self.TAU)
+            second = psi(self.SIGMA, self.TAU)
+            assert calls == {"_pochhammer_product": 2, "e_two_pi_i": 2}
+            with circle.one_sample():  # a nested scope starts empty
+                psi(self.SIGMA, self.TAU)
+            assert calls == {"_pochhammer_product": 4, "e_two_pi_i": 4}
+            psi(self.SIGMA, self.TAU)  # and the outer one resumes
+            assert calls == {"_pochhammer_product": 4, "e_two_pi_i": 4}
+        assert circle._SAMPLE_MEMO.get() is None
+        fresh = psi(self.SIGMA, self.TAU)
+        assert calls == {"_pochhammer_product": 6, "e_two_pi_i": 6}
+        assert circle._exact(first) == circle._exact(second) == circle._exact(fresh)
+
+
 class TestLogSeries:
     """`_log_series` against S = sum z^n / (n (1 - q^n)) summed at twice F."""
 
@@ -578,6 +607,12 @@ class TestNumericCoefficients:
         # B and psi(1, 5) are level 5; D is level 25
         assert_small_coefficients_match_exact(name)
 
+    def test_the_product_one_has_no_powers_on_either_side(self):
+        # psi(1,5)/psi(4,5) reduces to 1: both sides of every node are the constant 1
+        spec = ProductSpec(((1, 5, 1), (4, 5, -1)))
+        got = numeric_coefficients(spec, [0, 1, 5], order=4, dps=30, tol=1e-9)
+        assert got == {0: 1, 1: 0, 5: 0}
+
     def test_empty_index_list(self):
         assert numeric_coefficients(registered_spec("A"), [], order=4, dps=30, tol=1e-9) == {}
 
@@ -728,6 +763,22 @@ class TestUnitRoots:
         assert worst <= 2 * math.log2(m)
 
 
+#: digits of the node oracle: 10 above the largest dps `worst_node_error` is asked for (35)
+NODE_ORACLE_DPS = 45
+
+
+@functools.cache
+def node_oracle(spec, order, x):
+    """``psi_product_mpc`` at x/64 + i/order^2 and NODE_ORACLE_DPS digits, once per test run.
+
+    Every dps a test asks for is compared against this one value; an
+    oracle at more digits than the dps + 10 it needs is no weaker.
+    """
+    with mpmath.mp.workdps(NODE_ORACLE_DPS):
+        tau = mpmath.mpc(mpmath.mpf(x) / 64, mpmath.mpf(1) / order ** 2)
+        return psi_product_mpc(spec, tau, NODE_ORACLE_DPS)
+
+
 def worst_node_error(spec, order, dps):
     """Largest relative error of the fixed-point nodes against the product oracle.
 
@@ -738,6 +789,7 @@ def worst_node_error(spec, order, dps):
     (64 - t)/64 + i rho, which is how ``numeric_coefficients`` reads the
     nodes past M/2.
     """
+    assert dps + 10 <= NODE_ORACLE_DPS
     bits, plan = circle._node_plan(spec, order, dps)
     roots = [(1 << bits, 0)]
     while len(roots) < 64:
@@ -749,8 +801,7 @@ def worst_node_error(spec, order, dps):
         with mpmath.mp.workdps(dps + 10):
             got = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
             for x, value in ((t, got), (64 - t, got.conjugate())):
-                tau = mpmath.mpc(mpmath.mpf(x) / 64, mpmath.mpf(1) / order ** 2)
-                ref = psi_product_mpc(spec, tau, dps + 10)
+                ref = node_oracle(spec, order, x)
                 worst = max(worst, abs(value - ref) / abs(ref))
     return worst
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import iv, mp
 
-from qsign import analytic, cli
+from qsign import analytic, circle, cli
 from qsign.analytic import DominanceResult, class_constant, main_term
 from qsign.certify import TARGETS, certify
 from qsign.circle import ConvergenceRefused, eta, numeric_coefficients
@@ -204,6 +204,35 @@ class TestXcheck:
         with pytest.raises(ConvergenceRefused, match="touches zero"):
             main(["xcheck", "--identity", identity, "--samples", "1", "--seed", "636946",
                   "--workers", "1"])
+
+    @pytest.mark.parametrize("identity,products,nomes", [("eta", 2, 2), ("theta", 6, 4),
+                                                          ("quasiperiodicity", 5, 3),
+                                                          ("psi", 5, 3)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_sample_evaluates_each_product_and_nome_once(self, identity, products, nomes,
+                                                           seed, evaluation_counts, capsys):
+        # without the per-sample scope psi runs the product loop 8 times and
+        # builds 6 nomes, quasiperiodicity 6 and 4; a second run of the same
+        # sample reuses nothing from the first
+        calls = evaluation_counts
+        argv = ["xcheck", "--identity", identity, "--samples", "1", "--seed", str(seed),
+                "--workers", "1", "--precision", "192"]
+        for run in (1, 2):
+            assert main(argv) == 0
+            assert calls == {"_pochhammer_product": run * products, "e_two_pi_i": run * nomes}
+        capsys.readouterr()
+
+    def test_a_refused_sample_leaves_no_memo(self, evaluation_counts):
+        # seed 636946 draws sigma = 0, so the mirrored point tau - sigma is tau:
+        # 3 distinct products and 2 nomes; the next sample starts with an empty memo
+        calls = evaluation_counts
+        argv = ["xcheck", "--identity", "psi", "--samples", "1", "--seed", "636946",
+                "--workers", "1"]
+        for run in (1, 2):
+            with pytest.raises(ConvergenceRefused, match="touches zero"):
+                main(argv)
+            assert circle._SAMPLE_MEMO.get() is None
+            assert calls == {"_pochhammer_product": run * 3, "e_two_pi_i": run * 2}
 
     def test_workers_capped_by_samples_and_cpus(self, monkeypatch, capsys):
         started = []

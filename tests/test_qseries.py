@@ -448,13 +448,56 @@ class TestSliceEngine:
         # m = 2, 3 leave u = 1/T mod q^64 too large for an exact float64 block product
         spec = ProductSpec(tuple((1 + (r - 1) % (m - 1), m, d) for m, r, d in raw))
         plan = limb_plan(spec, 400)
-        t, r = max(len(terms) for terms in plan.mul_passes + plan.div_passes), plan.radix_bits
-        assert t * qseries._limb_bound(r) + 2 ** (r - 1) < 2 ** 31
-        assert t * qseries._limb_bound(r + 1) + 2 ** r >= 2 ** 31
+        # passes come from the reduced factors; the product 1 has none (TestReducedPlan)
+        reduced = spec.canonical[1]
+        if reduced:
+            t = max(len(terms) for terms in plan.mul_passes + plan.div_passes)
+            r = plan.radix_bits
+            assert t * qseries._limb_bound(r) + 2 ** (r - 1) < 2 ** 31
+            assert t * qseries._limb_bound(r + 1) + 2 ** r >= 2 ** 31
         assert all(b in (1, 2, 4, 8, 16, 32, 64) for b in plan.div_blocks)
-        if any(m <= 3 and d < 0 for _, m, d in spec.factors):
+        if any(m <= 3 and d < 0 for _, m, d in reduced):
             assert min(plan.div_blocks) < qseries._MAX_BLOCK
         assert expand_product(spec, 400) == expand_product_reference(spec, 400)
+
+
+def written_pass_plan(spec, n):
+    """One pass per written unit of each factor, then the eta corrections: the plan by the spec as typed."""
+    eta = Counter()
+    for _, m, delta in spec.factors:
+        eta[m] -= delta
+    mul, div = [], []
+    for r, m, e in [*spec.factors, *((m, 3 * m, e) for m, e in sorted(eta.items()) if e)]:
+        (mul if e > 0 else div).extend([qseries.triple_product_terms(r, m, n)] * abs(e))
+    return mul, div
+
+
+class TestReducedPlan:
+    """Passes are planned from ``ProductSpec.canonical``, not from the factors as written."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_registered_specs_keep_their_written_passes(self, name):
+        spec = registered_spec(name)
+        assert pass_plan(spec, 300) == written_pass_plan(spec, 300)
+
+    def test_repeated_and_mirrored_factors_run_the_reduced_passes(self):
+        # psi(4,5)^-2 psi(4,5)^2 psi(4,5)^-1 = psi(1,5)^-1: two passes where
+        # the written factors give six
+        spec = ProductSpec(((4, 5, -2), (4, 5, 2), (4, 5, -1)))
+        mul, div = pass_plan(spec, 500)
+        assert (mul, div) == pass_plan(ProductSpec(((1, 5, -1),)), 500)
+        assert (len(mul), len(div)) == (1, 1)
+        assert sum(map(len, written_pass_plan(spec, 500))) == 6
+        assert expand_product(spec, 500) == expand_product_reference(spec, 500)
+
+    def test_a_product_that_reduces_to_one_expands_to_one(self):
+        spec = ProductSpec(((1, 5, 1), (4, 5, -1)))
+        plan = limb_plan(spec, 300)
+        assert (plan.mul_passes, plan.div_passes, plan.div_blocks) == ([], [], ())
+        one = QSeries(300, (1,) + (0,) * 300)
+        got = expand_product(spec, 300)
+        assert got == one == expand_product_reference(spec, 300)
+        assert got.signs.tolist() == [1] + [0] * 300
 
 
 #: products at the moduli 3, 5, 6, 7, 8, 11 and 13: the Borwein product psi(1,3)
