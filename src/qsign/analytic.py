@@ -18,23 +18,21 @@ that integrates one Farey arc numerically.  All registered specs have
 k = 5, with Delta = 24 (A, B, C, D) or 24/5 (c, d).  For A, B and D the
 coefficient is M(n) plus an error of magnitude at most
 
-    E(n) = C + (2 pi^{5/4} / 5) * e^{(2 pi/5) sqrt(x)} * sqrt(x)      (n >= 20)
+    E(n) = C + (2 pi^{5/4} / 5) e^{y/2} sqrt(x)      (n >= 20)
 
-in every residue class, C the paper's constant in ``ERROR_CONSTANTS``, keyed
-by spec content (an inline spec equal to A, B or D has it too).  E is stated
-only for k = 5, Delta = 24: ``error_bound`` refuses other arcs and specs
-without a C, and so does everything that needs E.  Certified verdicts
-compare the enclosures of |M| and E: "true" only when they separate
-strictly, "unknown" when they still overlap at the end of
+in every residue class, on M's own y = (4 pi/5) sqrt(x) and sqrt(x), with C
+the paper's constant in ``ERROR_CONSTANTS``, keyed by spec content (an
+inline spec equal to A, B or D has it too).  ``error_constant`` is the one
+lookup of C, and refuses a spec without one for everything that needs E.
+Certified verdicts compare the enclosures of |M| and E: "true" only when
+they separate strictly, "unknown" when they still overlap at the end of
 ``precision_schedule``.
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
-bounds (1/10) e^x/sqrt(x) < I_{-1}(x) < sqrt(pi/8) e^x/sqrt(x) for x >= 3
-drive the eventual-dominance certificates: with y = (4 pi/5) sqrt(x) the
-lower bound turns |M(n)| into K x^{-3/4} e^y, whose ratio against E(n) is
-provably nondecreasing once sqrt(x) > 25/(4 pi), so a single certified
-comparison at the threshold extends to every larger index in the class.
+bounds (1/10) e^y/sqrt(y) < I_{-1}(y) < sqrt(pi/8) e^y/sqrt(y) for y >= 3
+drive the eventual-dominance certificates, whose monotone extension
+(``EventualDominanceCertificate``) needs only y > 5 at the threshold.
 """
 
 from __future__ import annotations
@@ -179,6 +177,17 @@ ERROR_CONSTANTS: dict[ProductSpec, Callable[[int], Enclosure]] = {
                                                      ("D", _const_d))}
 
 
+def error_constant(spec: ProductSpec) -> Callable[[int], Enclosure]:
+    """The C of the spec's E(n) from ``ERROR_CONSTANTS``; a spec without one is refused."""
+    const = ERROR_CONSTANTS.get(spec)
+    if const is None:
+        data = main_term_data(spec)
+        raise CertificateRefused(f"spec {spec.factors}: no explicit error constant for arcs at "
+                                 f"k = {data.k} with Delta = {data.delta}; the paper's E(n) "
+                                 f"needs k = 5, Delta = 24 and states C for A, B and D")
+    return const
+
+
 def _x_of(spec: ProductSpec, n: int) -> Fraction:
     x = n + main_term_data(spec).omega / 24
     if x <= 0:
@@ -214,8 +223,11 @@ def arc_bessel(k: int, delta: Fraction, x: Fraction,
     return a, y, sx
 
 
-def _bessel_form(spec: ProductSpec, n: int, bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
-    """(a Re S_r, y, sqrt(x)) with M(n) = a Re S_r I_1(y) / sqrt(x) (module docstring)."""
+@lru_cache(maxsize=16)
+def _bessel_form(factors: tuple[tuple[int, int, int], ...], n: int,
+                 bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+    """(a Re S_r, y, sqrt(x)) of M(n) = a Re S_r I_1(y) / sqrt(x), memoized by written factors."""
+    spec = ProductSpec(factors)
     data = main_term_data(spec)
     a, y, sx = arc_bessel(data.k, data.delta, _x_of(spec, n), bits)
     return a * class_constant(spec, n % data.k, bits), y, sx
@@ -227,32 +239,21 @@ def _bessel_form(spec: ProductSpec, n: int, bits: int) -> tuple[Enclosure, Enclo
 
 def main_term(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of M(n) = a I_1(y) / sqrt(x) at any dominant arc (module docstring)."""
-    a, y, sx = _bessel_form(spec, n, bits)
+    a, y, sx = _bessel_form(spec.factors, n, bits)
     return a * bessel_im1(y) / sx
 
 
 def error_bound(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
-    """Upper enclosure of E(n) (module docstring); requires n >= 20.
+    """Upper enclosure of E(n) on the main term's y and sqrt(x) (module docstring).
 
-    Stated for arcs at k = 5 with Delta = 24 and the specs with a C in
-    ``ERROR_CONSTANTS``; others are refused.  Exact checks cover n < 20.
+    Requires n >= 20 (exact checks cover n < 20) and a C (``error_constant``).
     """
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
-    x = _x_of(spec, n)
-    data = main_term_data(spec)
-    if data.k != 5 or data.delta != 24:
-        raise CertificateRefused(f"spec {spec.factors}: dominant arcs at k = {data.k} with "
-                                 f"Delta = {data.delta}; the error bound needs k = 5, Delta = 24")
-    if spec not in ERROR_CONSTANTS:
-        raise CertificateRefused(f"spec {spec.factors}: no explicit error constant; "
-                                 f"the paper states one for A, B and D")
-    return ERROR_CONSTANTS[spec](bits) + _error_growth(Enclosure.from_fraction(x, bits))
-
-
-def _error_growth(x: Enclosure) -> Enclosure:
-    coef = 2 * Enclosure.pi(x.bits).pow_fraction(Fraction(5, 4)) / 5
-    return coef * (2 * Enclosure.pi(x.bits) / 5 * x.sqrt()).exp() * x.sqrt()
+    const = error_constant(spec)
+    _, y, sx = _bessel_form(spec.factors, n, bits)
+    coef = 2 * Enclosure.pi(bits).pow_fraction(Fraction(5, 4)) / 5
+    return const(bits) + coef * (y / 2).exp() * sx
 
 
 @dataclass(frozen=True)
@@ -287,8 +288,8 @@ def dominance(spec: ProductSpec, n: int, start_bits: int = DEFAULT_PRECISION) ->
     still overlap at PRECISION_CAP.
     """
     for bits in precision_schedule(start_bits):
-        m = main_term(spec, n, bits)
         e = error_bound(spec, n, bits)
+        m = main_term(spec, n, bits)
         am = abs(m)
         if am.strictly_greater(e):
             return DominanceResult(True, m, e)
@@ -307,7 +308,7 @@ def wang_main_lower(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) ->
     |M(n)| >= |a| x^{-1/2} * (1/10) e^y / sqrt(y) with a and
     y = (pi/6k) sqrt(24 Delta x) as in ``main_term``; valid when y >= 3.
     """
-    a, y, sx = _bessel_form(spec, n, bits)
+    a, y, sx = _bessel_form(spec.factors, n, bits)
     if y.lo < 3:
         raise UsageError("lower bound needs the Bessel argument (pi/6k) sqrt(24 Delta x) >= 3")
     return abs(a) * wang_lower(y) / sx
@@ -319,14 +320,17 @@ class EventualDominanceCertificate:
 
     The claim is |M(n)| > E(n) for every n >= n0 in one residue class mod k,
     k of ``main_term_data`` (Re S_r is constant there).  ``first_index`` is
-    the smallest such n; the certified Wang-route comparison runs at
-    x0 = x(first_index).  A certificate is only issued once
-    sqrt(x0) > 25/(4 pi) is certified (which implies the weaker 15/(8 pi)
-    condition); under it both x^{-3/4} e^{(4 pi/5) sqrt(x)} / const and
-    x^{-5/4} e^{(2 pi/5) sqrt(x)} have positive log-derivative, the sum of
-    their nonincreasing reciprocals is nonincreasing, so the ratio (Wang
-    lower bound of |M|) / E is nondecreasing in x and the strict comparison
-    at x0 extends to every later index in the class.
+    the smallest such n; the certified comparison at x0 = x(first_index) is
+    against L, ``wang_main_lower``.  With y = c sqrt(x), c = (pi/6k) sqrt(24 Delta),
+
+        L = |a| (1/10) e^y y^{-1/2} / sqrt(x) = K y^{-3/2} e^y,   K = |a| c / 10,
+        E / L = (C/K) y^{3/2} e^{-y} + (2 pi^{5/4} / (5 K c)) y^{5/2} e^{-y/2}.
+
+    With C >= 0 the terms have log-derivatives 3/(2y) - 1 and 5/(2y) - 1/2 in
+    y, both negative once y > 5 (so y > 3/2, and the Wang bound's y >= 3).
+    So once y0 = y(x0) > 5 is certified, E / L decreases along the class and
+    L > E at x0 extends to every later index.  This holds for any k and
+    Delta; at k = 5, Delta = 24 it reads sqrt(x0) > 25/(4 pi).
     """
 
     n0: int
@@ -343,12 +347,11 @@ def eventual_dominance_certificate(spec: ProductSpec, residue: int, n0: int,
     if n0 < 20:
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
     first = n0 + (residue - n0) % main_term_data(spec).k
-    x0 = _x_of(spec, first)
-    # monotonicity precondition sqrt(x0) > 25/(4 pi), certified strictly
-    lhs = Enclosure.from_fraction(Fraction(625, 16), bits) / Enclosure.pi(bits).square()
-    if not lhs.strictly_less(Enclosure.from_fraction(x0, bits)):
-        raise CertificateRefused("monotonicity precondition sqrt(x0) > 25/(4 pi) fails")
     bound = error_bound(spec, first, bits)
+    _, y0, _ = _bessel_form(spec.factors, first, bits)
+    if not y0.strictly_greater(5):
+        raise CertificateRefused(f"monotonicity precondition y0 > 5 fails at index {first}: "
+                                 f"y0 = {y0!r}")
     wang_lo = wang_main_lower(spec, first, bits)
     if not wang_lo.strictly_greater(bound):
         raise CertificateRefused(
@@ -356,7 +359,7 @@ def eventual_dominance_certificate(spec: ProductSpec, residue: int, n0: int,
             f"(lower {wang_lo!r} vs bound {bound!r})"
         )
     return EventualDominanceCertificate(
-        n0=n0, first_index=first, x0=x0,
+        n0=n0, first_index=first, x0=_x_of(spec, first),
         wang_main_lo=wang_lo.str_lo(30), bound_hi=bound.str_hi(30),
         precision_bits=wang_lo.bits,
     )

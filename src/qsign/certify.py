@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import __version__
-from .analytic import (CertificateRefused, class_constant, error_bound,
+from .analytic import (CertificateRefused, class_constant, error_constant,
                        eventual_dominance_certificate, main_term_data, precision_schedule)
 from .enclosure import DEFAULT_PRECISION
 from .qseries import ProductSpec, QSeries, expand_product, registered_spec, sign_exceptions
@@ -145,13 +145,12 @@ def _finish(cert: dict) -> dict:
 
 
 def _check_target(key: str, target: TargetSpec, spec: ProductSpec, bits: int) -> None:
-    """Refuse a target off its main term's k, with no E(n0) or with a sign M denies at `bits`."""
+    """Refuse a target off its main term's k, without ``error_constant`` or with a sign M denies."""
     if target.modulus != (k := main_term_data(spec).k):
         raise ValueError(f"target {key}: a pattern of {target.modulus} classes on "
                          f"{target.pattern.spec_name}, whose main term has k = {k}")
-    n0 = target.pattern.threshold_index
-    if n0 is not None:
-        error_bound(spec, n0, bits)
+    if target.pattern.threshold_index is not None:
+        error_constant(spec)
     const = class_constant(spec, target.residue, bits)
     if not (const.is_positive() if target.sign > 0 else const.is_negative()):
         raise ValueError(f"target {key}: residue {target.residue}, claimed sign "

@@ -126,6 +126,20 @@ def _make(v: tuple, prec: int) -> "Enclosure":
     return out
 
 
+def _pow_int(base: "Enclosure | ComplexHP", e: int,
+             unit: "Enclosure | ComplexHP") -> "Enclosure | ComplexHP":
+    """base^e by square-and-multiply from `unit`, its 1 (``Enclosure`` and ``ComplexHP``)."""
+    if e < 0:
+        return unit / _pow_int(base, -e, unit)
+    out = unit
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
 class Enclosure:
     """Interval [lo, hi] of arbitrary-precision reals, outward rounded at ``bits`` bits."""
 
@@ -262,16 +276,7 @@ class Enclosure:
         return _make(c, self.bits), _make(s, self.bits)
 
     def pow_int(self, e: int) -> "Enclosure":
-        if e < 0:
-            return 1 / self.pow_int(-e)
-        out = _make((fone, fone), self.bits)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _pow_int(self, e, _make((fone, fone), self.bits))
 
     def pow_fraction(self, e: Fraction) -> "Enclosure":
         """x^e = exp(e log x) for x > 0."""
@@ -352,16 +357,7 @@ class ComplexHP:
         return (self.re.square() + self.im.square()).sqrt()
 
     def pow_int(self, e: int) -> "ComplexHP":
-        if e < 0:
-            return ComplexHP.one() / self.pow_int(-e)
-        out = ComplexHP.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _pow_int(self, e, ComplexHP.one())
 
 
 def cexp(z: ComplexHP) -> ComplexHP:

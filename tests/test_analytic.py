@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (colored_partition_majorant, expand_pochhammer, majorization_check,
                      wang_bounds_hold, wang_upper)
 from qsign import analytic
-from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, bessel_im1,
-                            class_constant, dominance, error_bound,
+from qsign.analytic import (PRECISION_CAP, CertificateRefused, UsageError, arc_bessel,
+                            bessel_im1, class_constant, dominance, error_bound,
                             eventual_dominance_certificate, main_term, main_term_data,
                             precision_schedule, wang_lower, wang_main_lower)
 from qsign.certify import PATTERNS, TARGETS
@@ -377,7 +377,9 @@ class TestEventualDominance:
         with pytest.raises(CertificateRefused, match="Delta = 48/5"):
             error_bound(inline, 100)
 
-    @pytest.mark.parametrize("factors", [((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5))])
+    @pytest.mark.parametrize("factors", [((1, 5, -5), (2, 5, 5)), ((3, 5, 5), (4, 5, -5)),
+                                         ((4, 5, -5), (3, 5, 5)), ((1, 5, -5), (3, 5, 5)),
+                                         ((4, 5, -5), (2, 5, 5))])
     def test_a_rewritten_spec_is_a_with_its_error_bound(self, factors):
         # A with its factors swapped, and with psi(2,5)/psi(1,5) written as
         # psi(3,5)/psi(4,5): A's key of ERROR_CONSTANTS, A's E(n) and main term
@@ -386,6 +388,13 @@ class TestEventualDominance:
         got, want = error_bound(inline, 805), error_bound(SPECS["A"], 805)
         assert (got.lo, got.hi) == (want.lo, want.hi)
         assert main_term(inline, 805).intersects(main_term(SPECS["A"], 805))
+        # E is built on the main term's own y and sqrt(x), which only k, Delta
+        # and Omega fix, and A's arcs have no Pi factors to order: dominance
+        # reads the same enclosures however A is written
+        got, want = dominance(inline, 805), dominance(SPECS["A"], 805)
+        assert got.verdict is want.verdict is True
+        assert [(e.lo, e.hi) for e in (got.main, got.bound)] == [
+            (e.lo, e.hi) for e in (want.main, want.bound)]
 
     def test_main_term_data_is_kept_per_written_spec(self):
         # D with its factors reversed lists its Pi factors in the other order;
@@ -395,6 +404,56 @@ class TestEventualDominance:
         got, want = main_term_data(inline), main_term_data(SPECS["D"])
         assert (got.k, got.delta, got.omega) == (want.k, want.delta, want.omega)
         assert [pi for _, _, pi in got.arcs] == [pi[::-1] for _, _, pi in want.arcs]
+
+    @pytest.mark.parametrize("name", ["A", "B", "D"])
+    def test_the_monotone_condition_on_y_is_the_papers_on_sqrt_x(self, name):
+        # y = (pi/6k) sqrt(24 Delta x) = (4 pi/5) sqrt(x) at k = 5, Delta = 24, so the
+        # certificate's y0 > 5 is sqrt(x0) > 25/(4 pi), and y0 > 3/2 is sqrt(x0) > 15/(8 pi)
+        data = main_term_data(SPECS[name])
+        assert 24 * data.delta == 24 ** 2 and Fraction(24, 6 * data.k) == Fraction(4, 5)
+        inv_pi_sq = 1 / Enclosure.pi().square()
+        for x, y_bound, sqrt_x_bound in ((Fraction(395, 100), 5, Fraction(25, 4)),
+                                         (Fraction(396, 100), 5, Fraction(25, 4)),
+                                         (Fraction(356, 1000), Fraction(3, 2), Fraction(15, 8)),
+                                         (Fraction(357, 1000), Fraction(3, 2), Fraction(15, 8))):
+            _, y, _ = arc_bessel(data.k, data.delta, x, 192)
+            above = (sqrt_x_bound ** 2 * inv_pi_sq).strictly_less(Enclosure.from_fraction(x))
+            assert y.strictly_greater(y_bound) if above else y.strictly_less(y_bound), x
+
+    def test_monotone_precondition_is_on_the_specs_own_y(self, monkeypatch):
+        # psi(2,7)/psi(1,7) dominates at k = 7 with a slower y: given a C, its
+        # certificate at n0 = 20 is refused on y0 > 5, where the level-5
+        # condition sqrt(x0) > 25/(4 pi) would have let it through
+        spec = ProductSpec(((1, 7, -1), (2, 7, 1)))
+        data = main_term_data(spec)
+        x0 = 20 + data.omega / 24
+        _, y0, _ = arc_bessel(data.k, data.delta, x0, 192)
+        assert data.k == 7 and y0.strictly_less(5) and y0.strictly_greater(4)
+        assert (Fraction(625, 16) / Enclosure.pi().square()).strictly_less(
+            Enclosure.from_fraction(x0))
+        monkeypatch.setitem(analytic.ERROR_CONSTANTS, spec, lambda bits: Enclosure.exp_of(2, bits))
+        with pytest.raises(CertificateRefused, match="y0 > 5 fails at index 20"):
+            eventual_dominance_certificate(spec, 20 % 7, 20)
+        assert isinstance(error_bound(spec, 20), Enclosure)
+
+    def test_one_form_per_index_and_precision(self, monkeypatch):
+        # M, E, the Wang bound and the monotone precondition at one index read
+        # one (a Re S_r, y, sqrt(x)): a certificate builds it once, and
+        # dominance once per precision it tries
+        built = []
+
+        def counted(k, delta, x, bits):
+            built.append((x, bits))
+            return arc_bessel(k, delta, x, bits)
+
+        monkeypatch.setattr(analytic, "arc_bessel", counted)
+        analytic._bessel_form.cache_clear()
+        eventual_dominance_certificate(SPECS["A"], 0, 801)
+        assert built == [(804, 192)]
+        built.clear()
+        assert dominance(SPECS["D"], 19006, start_bits=8).main.bits == 16
+        assert built == [(19006, 8), (19006, 16)]
+        assert analytic._bessel_form.cache_info().maxsize is not None
 
     def test_constant_chain_margin(self):
         # e^50 * 2^5 / |1 - e^{2 pi i/5}|^5 < e^54, the shortcut constant:
