@@ -1,9 +1,15 @@
 """Command line front end.
 
-Subcommands and their flags (each flag is attached only where it is read):
+The five subcommands and their flags (each flag is attached only where it is read):
 
-* ``expand``     stream exact coefficients of a registered or inline product;
-                 --spec, --spec-json, --trunc, --format (csv/json/table), --out
+* ``expand``     stream exact coefficients of a registered or inline product,
+                 and report on stderr the engine's pass counts, limb radix,
+                 final limb count and division block sizes
+                 (``qseries.limb_plan``), the largest coefficient in bits and
+                 the times of the limb expansion, the conversion to ints and
+                 apart the read of every sign off the limbs ("signs_s", not
+                 in "seconds"); --spec, --spec-json, --trunc, --format
+                 (csv/json/table), --out
 * ``certify``    build a sign-pattern certificate; --target (a class of a
                  pattern, one of ``certify.TARGETS``; another name is a
                  usage error, exit 2), --precision, --out.  Without --target,
@@ -32,31 +38,28 @@ Subcommands and their flags (each flag is attached only where it is read):
                  in-process or in a pool worker: it evaluates each of its
                  Pochhammer products and nomes once, and nothing carries
                  over to the next sample, which may repeat its inputs
-* ``bench``      time the exact expansion engine, in all and split into the
-                 limb expansion and the conversion to ints, time apart the
-                 read of every sign off the limbs ("signs_s", not in
-                 "seconds"), and report its pass counts, the limb radix,
-                 final limb count and division block sizes
-                 (``qseries.limb_plan``) and the largest coefficient in
-                 bits; --spec, --spec-json, --trunc
 
-Data output goes to stdout (or --out); progress notes go to stderr so piped
-output stays machine-clean.  A malformed --spec-json (or its @file), an
-unknown --spec or neither is a usage error on that flag (exit 2).  All
-randomness is driven by --seed.
+Data output goes to stdout (or --out); progress goes to stderr as one JSON
+object per line, each with an "event" key ("expand"; "target" per certify
+target; "scan" per certify scan), so piped output stays machine-clean.
+delta, dominance and xcheck write no progress.  A malformed --spec-json (or
+its @file), an unknown --spec, both or neither is a usage error on that flag
+(exit 2).  All randomness is driven by --seed.
 Only ``--precision`` sets the bits, default ``enclosure.DEFAULT_PRECISION``
 (192); one that ``analytic.precision_schedule`` refuses (outside [8,
 ``analytic.PRECISION_CAP``]) is a usage error (exit 2).  The bits are
 passed down, never set process wide: ``certify`` and ``dominance``
 start there and double up to the cap while undecided, and each xcheck
-sample is built at them; expand, delta and bench are exact.  --out is
+sample is built at them; expand and delta are exact.  --out is
 opened before any work, so an unwritable path is a usage error (exit 2).
 
 The delta tables are one call per spec::
 
     qsign delta --spec A --out delta_A.csv
 
-and the identity sweep is a shell loop::
+and the identity sweep is a shell loop.  Exit 1 there is a residual above
+1e-25, and also, until refusals get an exit code of their own, a sample
+refused with ``circle.ConvergenceRefused`` (its traceback on stderr)::
 
     for k in eta theta quasiperiodicity psi product; do
         qsign xcheck --identity $k --samples 100 --workers 2 || echo "$k failed"
@@ -85,13 +88,15 @@ from .circle import (check_product_transform, csqrt_upper, eta, one_sample, psi,
                      relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION, ComplexHP, e_pi_i_half_turns, e_two_pi_i
 from .modular import GammaMatrix, delta_table_rows, omega_exact
-from .qseries import (ProductSpec, QSeries, expand_limbs, expand_product, iter_csv_rows,
-                      limb_plan, registered_spec)
+from .qseries import (ProductSpec, QSeries, expand_limbs, iter_csv_rows, limb_plan,
+                      registered_spec)
 
 
 def _parse_spec(args) -> tuple[str, ProductSpec]:
     """(display name, spec) of --spec-json or --spec; bad input is a usage error on its flag."""
     text = getattr(args, "spec_json", None)  # ``dominance`` takes --spec only
+    if text is not None and args.spec is not None:
+        raise argparse.ArgumentError(None, "argument --spec-json: not allowed with --spec")
     try:
         if text:
             if text.startswith("@"):
@@ -126,8 +131,9 @@ def _write_json(out: TextIO, payload: dict) -> None:
     out.write("\n")
 
 
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)
+def _emit(event: str, **fields) -> None:
+    """One progress event: a JSON object on its own stderr line."""
+    print(json.dumps({"event": event, **fields}), file=sys.stderr, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +143,31 @@ def _note(msg: str) -> None:
 def cmd_expand(args, out: TextIO) -> int:
     name, spec = _parse_spec(args)
     t0 = time.perf_counter()
-    series = expand_product(spec, args.trunc)
-    _note(f"expanded {name} to order {args.trunc} in {time.perf_counter() - t0:.2f}s")
+    plan = limb_plan(spec, args.trunc)
+    limbs = expand_limbs(plan)
+    t1 = time.perf_counter()
+    series = QSeries.from_limbs(limbs, plan.radix_bits)
+    series.signs  # read off the limbs, timed apart from the conversion
+    t2 = time.perf_counter()
+    coeffs = series.coeffs
+    t3 = time.perf_counter()
+    _emit("expand", spec=name, trunc=args.trunc,
+          seconds=round((t1 - t0) + (t3 - t2), 3),
+          expand_s=round(t1 - t0, 3), convert_s=round(t3 - t2, 3), signs_s=round(t2 - t1, 4),
+          last_coefficient_digits=len(str(abs(coeffs[-1]))),
+          mul_passes=len(plan.mul_passes), div_passes=len(plan.div_passes),
+          limb_radix_bits=plan.radix_bits, limbs=limbs.shape[1],
+          div_blocks=list(plan.div_blocks),
+          coeff_bits_max=max(abs(c).bit_length() for c in coeffs))
     if args.format == "csv":
         for row in iter_csv_rows(series):
             out.write(row + "\n")
     elif args.format == "json":
         json.dump({"spec": name, "trunc": args.trunc,
-                   "coeffs": [str(c) for c in series.coeffs]}, out)
+                   "coeffs": [str(c) for c in coeffs]}, out)
         out.write("\n")
     else:
-        for n, c in enumerate(series.coeffs):
+        for n, c in enumerate(coeffs):
             out.write(f"{n:>8}  {c}\n")
     return 0
 
@@ -160,8 +180,9 @@ def cmd_certify(args, out: TextIO) -> int:
     for key in keys:
         t0 = time.perf_counter()
         result = certify(key, precision_bits=args.precision)
-        status = "certified" if result.ok else f"FAILED ({result.certificate['meta']['invalid']})"
-        _note(f"target {key}: {status} in {time.perf_counter() - t0:.2f}s")
+        invalid = {} if result.ok else {"invalid": result.certificate["meta"]["invalid"]}
+        _emit("target", key=key, exit_code=result.exit_code,
+              seconds=round(time.perf_counter() - t0, 3), **invalid)
         certificates[key] = result.certificate
         codes.add(result.exit_code)
     if args.target:
@@ -177,13 +198,12 @@ def cmd_certify(args, out: TextIO) -> int:
         try:
             scans = scan()
         except SignViolation as exc:
-            doc[section] = {"violation": str(exc)}
+            doc[section] = status = {"violation": str(exc)}
             codes.add(2)
-            status = f"FAILED ({exc})"
         else:
             doc[section] = {name: row(s) for name, s in scans.items()}
-            status = "ok"
-        _note(f"{section}: {status} in {time.perf_counter() - t0:.2f}s")
+            status = {"ok": True}
+        _emit("scan", section=section, **status, seconds=round(time.perf_counter() - t0, 3))
     _write_json(out, doc)
     return 2 if 2 in codes else max(codes)  # a violation outranks a refusal (3)
 
@@ -355,29 +375,6 @@ def cmd_xcheck(args, out: TextIO) -> int:
     return 0 if payload["max_residual"] < 1e-25 else 1
 
 
-def cmd_bench(args, out: TextIO) -> int:
-    name, spec = _parse_spec(args)
-    t0 = time.perf_counter()
-    plan = limb_plan(spec, args.trunc)
-    limbs = expand_limbs(plan)
-    t1 = time.perf_counter()
-    series = QSeries.from_limbs(limbs, plan.radix_bits)
-    series.signs  # read off the limbs, timed apart from the conversion
-    t2 = time.perf_counter()
-    coeffs = series.coeffs
-    t3 = time.perf_counter()
-    print(json.dumps({"spec": name, "trunc": args.trunc,
-                      "seconds": round((t1 - t0) + (t3 - t2), 3),
-                      "expand_s": round(t1 - t0, 3), "convert_s": round(t3 - t2, 3),
-                      "signs_s": round(t2 - t1, 4),
-                      "last_coefficient_digits": len(str(abs(coeffs[-1]))),
-                      "mul_passes": len(plan.mul_passes), "div_passes": len(plan.div_passes),
-                      "limb_radix_bits": plan.radix_bits, "limbs": limbs.shape[1],
-                      "div_blocks": list(plan.div_blocks),
-                      "coeff_bits_max": max(abs(c).bit_length() for c in coeffs)}), file=out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def _precision_bits(text: str) -> int:
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kw)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func, out=None)  # stdout, also for ``bench``, which has no --out
+        p.set_defaults(func=func)
 
     add("expand", "stream exact coefficients", cmd_expand,
         {"--trunc": dict(type=_int_at_least(0), required=True),
@@ -453,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
          "--samples": dict(type=_int_at_least(1), default=100),
          "--workers": dict(type=_int_at_least(1), default=os.cpu_count() or 1)},
         "--precision", "--seed", "--out")
-    add("bench", "time the exact expansion engine", cmd_bench,
-        {"--trunc": dict(type=_int_at_least(0), default=19501)}, "--spec", "--spec-json")
 
     return parser
 

@@ -22,6 +22,19 @@ def run_cli(args, **kw):
                           capture_output=True, text=True, **kw)
 
 
+def stderr_events(err):
+    """The lines of `err` that parse as a JSON object with an "event" key."""
+    events = []
+    for line in err.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and "event" in record:
+            events.append(record)
+    return events
+
+
 class TestExpand:
     def test_csv_row_count(self):
         res = run_cli(["expand", "--spec", "A", "--trunc", "20", "--format", "csv"])
@@ -335,10 +348,24 @@ def test_results_ignore_mp_prec(capsys):
             assert results() == plain
 
 
-class TestBench:
-    def test_bench_reports_timing(self):
-        res = run_cli(["bench", "--spec", "c", "--trunc", "2000"])
-        payload = json.loads(res.stdout)
+class TestExpandEvent:
+    """``qsign expand``'s one stderr event: the engine's passes, radix, limbs and times."""
+
+    @staticmethod
+    def event(tmp_path, capsys, *argv):
+        # the coefficients go to a file, so no test pipes D's 3 MB of rows
+        assert main(["expand", *argv, "--out", str(tmp_path / "coeffs.csv")]) == 0
+        err = capsys.readouterr().err
+        (event,) = stderr_events(err)
+        assert event["event"] == "expand" and err.count("\n") == 1
+        return event
+
+    def test_expand_reports_the_engine(self, tmp_path, capsys):
+        payload = self.event(tmp_path, capsys, "--spec", "c", "--trunc", "2000")
+        assert set(payload) == {"event", "spec", "trunc", "seconds", "expand_s", "convert_s",
+                                "signs_s", "last_coefficient_digits", "mul_passes",
+                                "div_passes", "limb_radix_bits", "limbs", "div_blocks",
+                                "coeff_bits_max"}
         assert payload["spec"] == "c" and payload["trunc"] == 2000
         assert payload["seconds"] >= 0
         # psi(2,5)/psi(1,5): one triple-product pass each way, the eta powers cancel
@@ -350,32 +377,32 @@ class TestBench:
         assert payload["div_blocks"] == list(plan.div_blocks) == [64]
         # 63-bit coefficients in limbs of at most 2^25 + 2^13: three limbs
         assert payload["limbs"] == 3
-        res = run_cli(["bench", "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]', "--trunc", "50"])
-        payload = json.loads(res.stdout)
+        payload = self.event(tmp_path, capsys, "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]',
+                             "--trunc", "50")
         # psi(1,5)^2: two triple-product multiplications, two eta divisions
         assert payload["mul_passes"] == 2 and payload["div_passes"] == 2
 
-    def test_bench_reports_the_used_limbs_at_the_threshold(self):
+    def test_expand_reports_the_used_limbs_at_the_threshold(self, tmp_path, capsys):
         # D to 19501 reaches 21 limbs of radix 2^24; the spare limbs its
         # array grows by never reach the count
-        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "19501"]).stdout)
+        payload = self.event(tmp_path, capsys, "--spec", "D", "--trunc", "19501")
         assert payload["limb_radix_bits"] == 24 and payload["limbs"] == 21
 
-    def test_bench_counts_no_all_zero_top_limbs(self):
+    def test_expand_counts_no_all_zero_top_limbs(self, tmp_path, capsys):
         # psi(2,5)^30 / psi(3,5)^30 is the series 1: one limb, though the
         # carries of its passes reach three
         spec = '[{"r": 2, "m": 5, "delta": 30}, {"r": 3, "m": 5, "delta": -30}]'
-        payload = json.loads(run_cli(["bench", "--spec-json", spec, "--trunc", "1000"]).stdout)
+        payload = self.event(tmp_path, capsys, "--spec-json", spec, "--trunc", "1000")
         assert payload["coeff_bits_max"] == 1 and payload["limbs"] == 1
 
-    def test_bench_times_expansion_and_conversion_apart(self):
-        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)
+    def test_expand_times_expansion_and_conversion_apart(self, tmp_path, capsys):
+        payload = self.event(tmp_path, capsys, "--spec", "D", "--trunc", "300")
         assert payload["expand_s"] >= 0 and payload["convert_s"] >= 0
         # each of the three is rounded to the millisecond
         assert abs(payload["expand_s"] + payload["convert_s"] - payload["seconds"]) <= 0.002
 
-    def test_bench_times_the_sign_read_apart(self):
-        payload = json.loads(run_cli(["bench", "--spec", "D", "--trunc", "300"]).stdout)
+    def test_expand_times_the_sign_read_apart(self, tmp_path, capsys):
+        payload = self.event(tmp_path, capsys, "--spec", "D", "--trunc", "300")
         assert payload["signs_s"] >= 0
 
 
@@ -398,7 +425,7 @@ def test_certify_loads_no_diagnostic_module():
 def test_parser_covers_documented_flags():
     parser = build_parser()
     text = parser.format_help()
-    for sub in ("expand", "certify", "delta", "dominance", "xcheck", "bench"):
+    for sub in ("expand", "certify", "delta", "dominance", "xcheck"):
         assert sub in text
 
 
@@ -409,7 +436,6 @@ SUBCOMMAND_FLAGS = {
     "delta": {"--spec", "--spec-json", "--format", "--out"},
     "dominance": {"--spec", "--n", "--precision", "--out"},
     "xcheck": {"--identity", "--samples", "--precision", "--seed", "--workers", "--out"},
-    "bench": {"--spec", "--spec-json", "--trunc"},
 }
 
 
@@ -449,7 +475,6 @@ def test_unread_flags_are_rejected(argv):
     ["dominance", "--spec", "C", "--n", "805"],
     ["dominance", "--spec", "A", "--n", "5"],
     ["expand", "--spec", "A", "--trunc", "-1"],
-    ["bench", "--spec", "A", "--trunc", "-3"],
     ["xcheck", "--identity", "psi", "--workers", "0"],
     ["xcheck", "--identity", "psi", "--workers", "-2"],
 ])
@@ -474,6 +499,8 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     (["--spec-json", "@missing-spec.json"], "--spec-json: [Errno 2] No such file or directory"),
     (["--spec", "bogus"], "--spec: unknown spec 'bogus'; registered specs: A, B, C, D, c, d"),
     ([], "--spec-json: provide --spec NAME or --spec-json JSON"),
+    (["--spec", "A", "--spec-json", '[{"r": 1, "m": 5, "delta": 1}]'],
+     "--spec-json: not allowed with --spec"),
 ])
 def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where missing-spec.json does not exist
@@ -494,9 +521,35 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --out: [Errno 2] No such file or directory" in err
-    # --out is opened before any work: no expansion note, certificate or scan line
-    progress = ("expanded ", "target ", "patterns:", "eventual_patterns:")
-    assert not [line for line in err.splitlines() if line.startswith(progress)]
+    # --out is opened before any work: no expand, target or scan event
+    assert stderr_events(err) == []
+
+
+CERTIFIED_KEYS = [key for key, target in TARGETS.items()
+                  if target.pattern.threshold_index is not None]
+
+
+@pytest.mark.parametrize("argv,code,events", [
+    (["expand", "--spec", "c", "--trunc", "50"], 0, ["expand"]),
+    (["certify", "--target", "A5n"], 0, ["target"]),
+    (["certify", "--target", "C5n1"], 3, ["target"]),
+    (["certify"], 0, ["target"] * len(CERTIFIED_KEYS) + ["scan", "scan"]),
+    (["delta", "--spec", "A"], 0, []),
+    (["dominance", "--spec", "A", "--n", "805"], 0, []),
+    (["xcheck", "--identity", "psi", "--samples", "1", "--workers", "1"], 0, []),
+])
+def test_stderr_is_json_lines(argv, code, events, capsys):
+    """Progress is one JSON object per stderr line; delta, dominance and xcheck write none."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    records = stderr_events(err)
+    assert len(records) == len(err.splitlines())  # every line is an event
+    assert [r["event"] for r in records] == events
+    targets = [r for r in records if r["event"] == "target"]
+    if argv[0] == "certify":
+        assert [r["key"] for r in targets] == (argv[2:] or CERTIFIED_KEYS)
+    assert all(r["exit_code"] == code and ("invalid" in r) == (code != 0) for r in targets)
+    assert all(r["ok"] is True for r in records if r["event"] == "scan")
 
 
 class TestParserReuse:
