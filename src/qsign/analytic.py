@@ -2,7 +2,10 @@
 
 Every function here takes a ``ProductSpec``; names are resolved in ``certify``
 and ``cli``, and the claims (which residue class, which sign) live in
-``certify.TARGETS``.  Main terms come from the spec's modular data (circle
+``certify.TARGETS``.  A spec is read by content: ``main_term_data`` works
+from its reduced factors (``ProductSpec.canonical``) and every memo here is
+keyed by the spec, so one product written two ways reads bit-identical
+enclosures.  Main terms come from the spec's modular data (circle
 method for eta quotients: Rademacher 1937, Zuckerman 1939).  The Farey arcs
 h/k of the Lpos classes with maximal Delta/k^2 dominate, with class constants
 c_h = e^{pi i t_h} prod (1 - e^{2 pi i x})^delta (t_h and the Pi factors from
@@ -127,25 +130,22 @@ class MainTermData:
     arcs: tuple[tuple[int, Fraction, tuple[tuple[Fraction, int], ...]], ...]
 
 
+@lru_cache(maxsize=32)
 def main_term_data(spec: ProductSpec) -> MainTermData:
     """Arcs h/k of the Lpos classes with maximal Delta/k^2 (growth I_1((pi/6k) sqrt(24 Delta x))).
 
-    k is the classes' smallest denominator, which they must share.  Memoized
-    by the factors as written, not by spec equality: equal specs written
-    apart share k, Delta and Omega, but their arcs may list Pi factors in
-    another order, and each spec's enclosures stay those of its own factors.
+    k is the classes' smallest denominator, which they must share.  Computed
+    from the reduced factors ``spec.canonical[1]`` (their level is lower when
+    a modulus cancels) and memoized by the spec, so every spelling of one
+    product reads the same data; a product that reduces to 1 does not grow.
     """
-    return _main_term_data(spec.factors)
-
-
-@lru_cache(maxsize=32)
-def _main_term_data(factors: tuple[tuple[int, int, int], ...]) -> MainTermData:
-    spec = ProductSpec(factors)
     ranked = []  # (Delta/k^2, k, l, aleph), k the class's smallest denominator
-    for aleph, l, level_delta in class_deltas(spec):
-        if level_delta > 0:
-            _, k = class_representative(spec, aleph, l)
-            ranked.append((Fraction(level_delta, spec.level * k * k), k, l, aleph))
+    if spec.canonical[1]:
+        spec = ProductSpec(spec.canonical[1])
+        for aleph, l, level_delta in class_deltas(spec):
+            if level_delta > 0:
+                _, k = class_representative(spec, aleph, l)
+                ranked.append((Fraction(level_delta, spec.level * k * k), k, l, aleph))
     if not ranked:
         raise CertificateRefused("no class with Delta > 0: the coefficients do not grow")
     best = max(ranked)[0]
@@ -197,16 +197,16 @@ def _x_of(spec: ProductSpec, n: int) -> Fraction:
 
 def class_constant(spec: ProductSpec, r: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Re S_r, S_r = sum_h c_h e^{-2 pi i r h/k}; refused unless Im S_r contains 0."""
-    s = _class_sum(spec.factors, r, bits)
+    s = _class_sum(spec, r, bits)
     if not s.im.contains(0):
         raise CertificateRefused(f"spec {spec.factors}: Im S_{r} = {s.im!r} excludes 0")
     return s.re
 
 
 @lru_cache(maxsize=64)
-def _class_sum(factors: tuple[tuple[int, int, int], ...], r: int, bits: int) -> ComplexHP:
-    """S_r at `bits` bits, memoized by the written factors (see ``main_term_data``)."""
-    data = _main_term_data(factors)
+def _class_sum(spec: ProductSpec, r: int, bits: int) -> ComplexHP:
+    """S_r at `bits` bits over the arcs of ``main_term_data``, memoized by the spec."""
+    data = main_term_data(spec)
     s = ComplexHP.from_fractions(0, 0, bits)
     for h, t, pi_factors in data.arcs:
         s = s + (e_pi_i_half_turns(t - Fraction(2 * r * h, data.k), bits)
@@ -224,10 +224,8 @@ def arc_bessel(k: int, delta: Fraction, x: Fraction,
 
 
 @lru_cache(maxsize=16)
-def _bessel_form(factors: tuple[tuple[int, int, int], ...], n: int,
-                 bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
-    """(a Re S_r, y, sqrt(x)) of M(n) = a Re S_r I_1(y) / sqrt(x), memoized by written factors."""
-    spec = ProductSpec(factors)
+def _bessel_form(spec: ProductSpec, n: int, bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+    """(a Re S_r, y, sqrt(x)) of M(n) = a Re S_r I_1(y) / sqrt(x), memoized by the spec."""
     data = main_term_data(spec)
     a, y, sx = arc_bessel(data.k, data.delta, _x_of(spec, n), bits)
     return a * class_constant(spec, n % data.k, bits), y, sx
@@ -239,7 +237,7 @@ def _bessel_form(factors: tuple[tuple[int, int, int], ...], n: int,
 
 def main_term(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of M(n) = a I_1(y) / sqrt(x) at any dominant arc (module docstring)."""
-    a, y, sx = _bessel_form(spec.factors, n, bits)
+    a, y, sx = _bessel_form(spec, n, bits)
     return a * bessel_im1(y) / sx
 
 
@@ -251,7 +249,7 @@ def error_bound(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) -> Enc
     if n < 20:
         raise UsageError("error bound stated only for n >= 20")
     const = error_constant(spec)
-    _, y, sx = _bessel_form(spec.factors, n, bits)
+    _, y, sx = _bessel_form(spec, n, bits)
     coef = 2 * Enclosure.pi(bits).pow_fraction(Fraction(5, 4)) / 5
     return const(bits) + coef * (y / 2).exp() * sx
 
@@ -308,7 +306,7 @@ def wang_main_lower(spec: ProductSpec, n: int, bits: int = DEFAULT_PRECISION) ->
     |M(n)| >= |a| x^{-1/2} * (1/10) e^y / sqrt(y) with a and
     y = (pi/6k) sqrt(24 Delta x) as in ``main_term``; valid when y >= 3.
     """
-    a, y, sx = _bessel_form(spec.factors, n, bits)
+    a, y, sx = _bessel_form(spec, n, bits)
     if y.lo < 3:
         raise UsageError("lower bound needs the Bessel argument (pi/6k) sqrt(24 Delta x) >= 3")
     return abs(a) * wang_lower(y) / sx
@@ -348,7 +346,7 @@ def eventual_dominance_certificate(spec: ProductSpec, residue: int, n0: int,
         raise CertificateRefused("threshold below the error bound's validity (n >= 20)")
     first = n0 + (residue - n0) % main_term_data(spec).k
     bound = error_bound(spec, first, bits)
-    _, y0, _ = _bessel_form(spec.factors, first, bits)
+    _, y0, _ = _bessel_form(spec, first, bits)
     if not y0.strictly_greater(5):
         raise CertificateRefused(f"monotonicity precondition y0 > 5 fails at index {first}: "
                                  f"y0 = {y0!r}")

@@ -42,16 +42,19 @@ The five subcommands and their flags (each flag is attached only where it is rea
 Data output goes to stdout (or --out); progress goes to stderr as one JSON
 object per line, each with an "event" key ("expand"; "target" per certify
 target; "scan" per certify scan), so piped output stays machine-clean.
-delta, dominance and xcheck write no progress.  A malformed --spec-json (or
-its @file), an unknown --spec, both or neither is a usage error on that flag
-(exit 2).  All randomness is driven by --seed.
+delta, dominance and xcheck write no progress.  expand and delta take one
+of --spec and --spec-json: argparse refuses both ("not allowed with") and
+neither ("one of the arguments ... is required"), and an unknown --spec or
+a malformed --spec-json (or its @file) is a usage error on that flag.  Each
+usage error exits 2 under its subcommand's usage line, also one found after
+parsing: an unwritable --out (opened before any work), or dominance's --n
+or --spec.  All randomness is driven by --seed.
 Only ``--precision`` sets the bits, default ``enclosure.DEFAULT_PRECISION``
 (192); one that ``analytic.precision_schedule`` refuses (outside [8,
 ``analytic.PRECISION_CAP``]) is a usage error (exit 2).  The bits are
 passed down, never set process wide: ``certify`` and ``dominance``
 start there and double up to the cap while undecided, and each xcheck
-sample is built at them; expand and delta are exact.  --out is
-opened before any work, so an unwritable path is a usage error (exit 2).
+sample is built at them; expand and delta are exact.
 
 The delta tables are one call per spec::
 
@@ -88,28 +91,7 @@ from .circle import (check_product_transform, csqrt_upper, eta, one_sample, psi,
                      relative_residual, theta)
 from .enclosure import DEFAULT_PRECISION, ComplexHP, e_pi_i_half_turns, e_two_pi_i
 from .modular import GammaMatrix, delta_table_rows, omega_exact
-from .qseries import (ProductSpec, QSeries, expand_limbs, iter_csv_rows, limb_plan,
-                      registered_spec)
-
-
-def _parse_spec(args) -> tuple[str, ProductSpec]:
-    """(display name, spec) of --spec-json or --spec; bad input is a usage error on its flag."""
-    text = getattr(args, "spec_json", None)  # ``dominance`` takes --spec only
-    if text is not None and args.spec is not None:
-        raise argparse.ArgumentError(None, "argument --spec-json: not allowed with --spec")
-    try:
-        if text:
-            if text.startswith("@"):
-                with open(text[1:], "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            return "inline", ProductSpec.from_json(text)
-        if args.spec is None:
-            raise ValueError("provide --spec NAME or --spec-json JSON")
-        return args.spec, registered_spec(args.spec)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise argparse.ArgumentError(None, f"argument --spec-json: {exc}") from None
-    except KeyError as exc:
-        raise argparse.ArgumentError(None, f"argument --spec: {exc.args[0]}") from None
+from .qseries import ProductSpec, QSeries, expand_limbs, limb_plan, registered_spec
 
 
 @contextmanager
@@ -141,7 +123,7 @@ def _emit(event: str, **fields) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_expand(args, out: TextIO) -> int:
-    name, spec = _parse_spec(args)
+    name, spec = args.spec
     t0 = time.perf_counter()
     plan = limb_plan(spec, args.trunc)
     limbs = expand_limbs(plan)
@@ -160,8 +142,9 @@ def cmd_expand(args, out: TextIO) -> int:
           div_blocks=list(plan.div_blocks),
           coeff_bits_max=max(abs(c).bit_length() for c in coeffs))
     if args.format == "csv":
-        for row in iter_csv_rows(series):
-            out.write(row + "\n")
+        out.write("index,coefficient\n")
+        for n, c in enumerate(coeffs):
+            out.write(f"{n},{c}\n")
     elif args.format == "json":
         json.dump({"spec": name, "trunc": args.trunc,
                    "coeffs": [str(c) for c in coeffs]}, out)
@@ -209,7 +192,7 @@ def cmd_certify(args, out: TextIO) -> int:
 
 
 def cmd_delta(args, out: TextIO) -> int:
-    name, spec = _parse_spec(args)
+    name, spec = args.spec
     rows = list(delta_table_rows(name, spec))
     if args.format == "json":
         json.dump({"spec": name, "omega": str(omega_exact(spec)),
@@ -225,7 +208,7 @@ def cmd_delta(args, out: TextIO) -> int:
 
 
 def cmd_dominance(args, out: TextIO) -> int:
-    _, spec = _parse_spec(args)
+    name, spec = args.spec
     try:
         res = dominance(spec, args.n, start_bits=args.precision)
     except UsageError as exc:  # n outside the bound's range (argparse has checked --precision)
@@ -233,7 +216,7 @@ def cmd_dominance(args, out: TextIO) -> int:
     except CertificateRefused as exc:  # no error bound for this spec
         raise argparse.ArgumentError(None, f"argument --spec: {exc}") from None
     payload = {
-        "spec": args.spec,
+        "spec": name,
         "n": args.n,
         "main_lo": res.main.str_lo(25),
         "main_hi": res.main.str_hi(25),
@@ -355,7 +338,7 @@ def cmd_xcheck(args, out: TextIO) -> int:
     jobs = [(args.identity, args.seed * 100_000 + i, args.precision)
             for i in range(args.samples)]
     t0 = time.perf_counter()
-    workers = min(args.workers, len(jobs))
+    workers = min(args.workers or len(jobs), len(jobs))
     if workers > 1:  # os.cpu_count() reads /sys on Linux; one worker never needs it
         workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
@@ -393,6 +376,25 @@ def _precision_bits(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _spec_name(name: str) -> tuple[str, ProductSpec]:
+    """An argparse type: (name, spec) of a registered spec; an unknown name lists them."""
+    try:
+        return name, registered_spec(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _spec_json(text: str) -> tuple[str, ProductSpec]:
+    """An argparse type: ("inline", spec) of a JSON spec literal, or of the file after '@'."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return "inline", ProductSpec.from_json(text)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_at_least(low: int) -> Callable[[str], int]:
     """An argparse type: an int >= low ("invalid integer value" for other text)."""
     def integer(text: str) -> int:
@@ -414,41 +416,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--spec": dict(default=None, help="registered spec name"),
-        "--spec-json": dict(default=None,
-                            help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file'),
         "--precision": dict(type=_precision_bits, default=DEFAULT_PRECISION,
                             help="working precision in bits (default %(default)s)"),
         "--seed": dict(type=int, default=20250810, help="RNG seed"),
         "--out": dict(default=None, help="output path (default stdout)"),
     }
+    spec_name = dict(type=_spec_name, help="registered spec name")
 
-    def add(name: str, summary: str, func, own: dict, *flags: str) -> None:
+    def add(name: str, summary: str, func, own: dict, *flags: str,
+            spec_json: bool = False) -> None:
         p = sub.add_parser(name, help=summary)
         for flag, kw in own.items():
             p.add_argument(flag, **kw)
+        if spec_json:  # the product is named exactly once, either way, into one dest
+            one = p.add_mutually_exclusive_group(required=True)
+            one.add_argument("--spec", **spec_name)
+            one.add_argument("--spec-json", type=_spec_json, dest="spec", metavar="SPEC_JSON",
+                             help='inline JSON [{"r":..,"m":..,"delta":..}, ...] or @file')
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
 
     add("expand", "stream exact coefficients", cmd_expand,
         {"--trunc": dict(type=_int_at_least(0), required=True),
          "--format": dict(choices=("csv", "json", "table"), default="csv")},
-        "--spec", "--spec-json", "--out")
+        "--out", spec_json=True)
     add("certify", "build a sign-pattern certificate", cmd_certify,
         {"--target": dict(choices=sorted(TARGETS), help="one claim (default: every claim)")},
         "--precision", "--out")
     add("delta", "growth exponent table per residue class", cmd_delta,
         {"--format": dict(choices=("csv", "json"), default="csv")},
-        "--spec", "--spec-json", "--out")
+        "--out", spec_json=True)
     add("dominance", "main term vs error bound at one index", cmd_dominance,
-        {"--spec": dict(required=True, help="registered spec name"),
-         "--n": dict(type=int, required=True)},
+        {"--spec": dict(spec_name, required=True), "--n": dict(type=int, required=True)},
         "--precision", "--out")
     add("xcheck", "randomized identity residual checks", cmd_xcheck,
         {"--identity": dict(required=True, choices=sorted(_XCHECK_KINDS)),
          "--samples": dict(type=_int_at_least(1), default=100),
-         "--workers": dict(type=_int_at_least(1), default=os.cpu_count() or 1)},
+         "--workers": dict(type=_int_at_least(1),
+                           help="pool size (default: one per sample and per CPU)")},
         "--precision", "--seed", "--out")
 
     return parser
@@ -460,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with _output(args) as out:  # opened before any work, so a bad --out costs none
             return args.func(args, out)
     except argparse.ArgumentError as exc:  # a value argparse cannot check on its own
-        build_parser().error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, takewhile
 from math import gcd
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -748,9 +748,3 @@ def sign_exceptions(s: QSeries, residue: int, modulus: int, lo: int, hi: int,
     """
     start, signs = _class_signs(s, residue, modulus, lo, hi)
     return (start + modulus * np.flatnonzero(signs != sign)).tolist()
-
-
-def iter_csv_rows(s: QSeries) -> Iterator[str]:
-    yield "index,coefficient"
-    for n, c in enumerate(s.coeffs):
-        yield f"{n},{c}"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import mpmath
 import pytest
@@ -210,6 +211,34 @@ class TestMainTermAndBound:
         assert large.strictly_greater(small)
 
 
+def seeded_inline_specs(seed: int, per_level: int) -> list[ProductSpec]:
+    """Random products of 2 or 3 factors at levels 5, 10 and 25, one factor at the level."""
+    rng = Random(seed)
+    specs = []
+    for level, moduli in ((5, (5,)), (10, (2, 5, 10)), (25, (5, 25))):
+        for _ in range(per_level):
+            ms = [level, *(rng.choice(moduli) for _ in range(rng.randint(1, 2)))]
+            specs.append(ProductSpec(tuple(
+                (rng.randrange(1, m), m, rng.choice((-3, -2, -1, 1, 2, 3))) for m in ms)))
+    return specs
+
+
+INLINE_SPECS = seeded_inline_specs(38, 4)
+#: the indices at which the written-form test reads M(n) and E(n)
+READ_INDICES = (20, 21, 22, 23, 24, 805)
+
+
+def written_form_readings(spec: ProductSpec, with_bound: bool):
+    """``main_term_data`` (or its refusal), then raw endpoints of S_r, M(n) and if asked E(n)."""
+    try:
+        data = main_term_data(spec)
+    except CertificateRefused as exc:
+        return str(exc)
+    return (data, [class_constant(spec, r)._mpi_ for r in range(data.k)],
+            [main_term(spec, n)._mpi_ for n in READ_INDICES],
+            [error_bound(spec, n)._mpi_ for n in READ_INDICES] if with_bound else None)
+
+
 class TestDerivedMainTerm:
     @pytest.mark.parametrize("name,omega,hs", [("A", -24, (1, 4)), ("B", 24, (2, 3)),
                                                ("D", 0, (1, 4))])
@@ -217,7 +246,7 @@ class TestDerivedMainTerm:
         data = main_term_data(registered_spec(name))
         assert (data.k, data.delta, data.omega) == (5, 24, omega)
         assert tuple(h for h, _, _ in data.arcs) == hs
-        assert analytic._main_term_data.cache_info().maxsize is not None
+        assert main_term_data.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("name,phase", [("A", lambda r: Fraction(2 * r + 1, 5)),
                                             ("B", lambda r: Fraction(2 * (2 * r - 1), 5))])
@@ -396,14 +425,26 @@ class TestEventualDominance:
         assert [(e.lo, e.hi) for e in (got.main, got.bound)] == [
             (e.lo, e.hi) for e in (want.main, want.bound)]
 
-    def test_main_term_data_is_kept_per_written_spec(self):
-        # D with its factors reversed lists its Pi factors in the other order;
-        # the memo keeps each written form's own data
-        inline = ProductSpec(SPECS["D"].factors[::-1])
-        assert inline == SPECS["D"]
-        got, want = main_term_data(inline), main_term_data(SPECS["D"])
-        assert (got.k, got.delta, got.omega) == (want.k, want.delta, want.omega)
-        assert [pi for _, _, pi in got.arcs] == [pi[::-1] for _, _, pi in want.arcs]
+    @pytest.mark.parametrize("spec", [*SPECS.values(), *INLINE_SPECS],
+                             ids=[*SPECS, *(f"inline{i}" for i in range(len(INLINE_SPECS)))])
+    def test_every_written_form_reads_the_specs_enclosures(self, spec):
+        # the factors reversed, every psi(r, m) as psi(m - r, m), one delta
+        # split in two, and a cancelling pair at a new modulus: one product,
+        # so one MainTermData and bit-identical S_r, M(n) and E(n)
+        first, *rest = spec.factors
+        forms = [spec.factors[::-1], tuple((m - r, m, d) for r, m, d in spec.factors),
+                 ((first[0], first[1], 2 * first[2]), (first[0], first[1], -first[2]), *rest),
+                 (*spec.factors, (1, 7, 1), (6, 7, -1))]
+        for factors in forms:
+            form = ProductSpec(factors)
+            with_bound = form in analytic.ERROR_CONSTANTS  # the pair moves the level: no C
+            assert (written_form_readings(form, with_bound)
+                    == written_form_readings(spec, with_bound)), factors
+
+    def test_a_product_that_reduces_to_one_does_not_grow(self):
+        with pytest.raises(CertificateRefused,
+                           match="no class with Delta > 0: the coefficients do not grow"):
+            main_term_data(ProductSpec(((1, 5, 1), (4, 5, -1))))
 
     @pytest.mark.parametrize("name", ["A", "B", "D"])
     def test_the_monotone_condition_on_y_is_the_papers_on_sqrt_x(self, name):

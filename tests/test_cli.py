@@ -271,6 +271,17 @@ class TestXcheck:
         capsys.readouterr()
         assert started == [2]
 
+    def test_only_a_pool_reads_the_cpu_count(self, monkeypatch, capsys):
+        def no_cpu_count():
+            raise AssertionError("read the CPU count")
+
+        monkeypatch.setattr(cli.os, "cpu_count", no_cpu_count)
+        build_parser.cache_clear()  # built again here, under the patch
+        for argv in (["delta", "--spec", "A"], ["expand", "--spec", "c", "--trunc", "3"],
+                     ["xcheck", "--identity", "psi", "--samples", "2", "--workers", "1"]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
     def test_unknown_identity(self):
         res = run_cli(["xcheck", "--identity", "wat"])
         assert res.returncode == 2 and "Traceback" not in res.stderr
@@ -498,9 +509,8 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     (["--spec-json", "[]"], "--spec-json: product spec needs at least one factor"),
     (["--spec-json", "@missing-spec.json"], "--spec-json: [Errno 2] No such file or directory"),
     (["--spec", "bogus"], "--spec: unknown spec 'bogus'; registered specs: A, B, C, D, c, d"),
-    ([], "--spec-json: provide --spec NAME or --spec-json JSON"),
     (["--spec", "A", "--spec-json", '[{"r": 1, "m": 5, "delta": 1}]'],
-     "--spec-json: not allowed with --spec"),
+     "--spec-json: not allowed with argument --spec"),
 ])
 def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where missing-spec.json does not exist
@@ -508,6 +518,33 @@ def test_malformed_spec_is_a_usage_error(argv, message, tmp_path, monkeypatch, c
         main(["expand", "--trunc", "5", *argv])
     assert exc.value.code == 2
     assert f"error: argument {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["expand", "--trunc", "5"], "one of the arguments --spec --spec-json is required"),
+    (["delta"], "one of the arguments --spec --spec-json is required"),
+    (["delta", "--spec", "A", "--spec-json", '[{"r": 1, "m": 5, "delta": 1}]'],
+     "argument --spec-json: not allowed with argument --spec"),
+    (["delta", "--spec", "bogus"], "argument --spec: unknown spec 'bogus'"),
+    (["delta", "--spec-json", "{not json"], "argument --spec-json: Expecting property name"),
+    (["dominance", "--spec", "bogus", "--n", "805"], "argument --spec: unknown spec 'bogus'"),
+    (["dominance", "--spec", "c", "--n", "805"], "argument --spec: spec ((2, 5, 1), (1, 5, -1)): "
+                                                 "no explicit error constant"),
+    (["dominance", "--spec", "A", "--n", "5"], "argument --n: error bound stated only for n >= 20"),
+    (["expand", "--spec", "c", "--trunc", "3", "--out", "missing/out.txt"],
+     "argument --out: [Errno 2] No such file or directory"),
+    (["certify", "--target", "A5n", "--out", "missing/out.txt"], "argument --out: [Errno 2]"),
+    (["xcheck", "--identity", "psi", "--out", "missing/out.txt"], "argument --out: [Errno 2]"),
+])
+def test_usage_errors_print_the_subcommands_usage(argv, message, tmp_path, monkeypatch, capsys):
+    # also those found after parsing (--out, dominance's --n and --spec)
+    monkeypatch.chdir(tmp_path)  # where missing/ does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: qsign {argv[0]} ")
+    assert lines[-1].startswith(f"qsign {argv[0]}: error: {message}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,7 +24,8 @@ the diagnostic ``circle``: the transitive ``qsign`` imports of ``certify``
 never reach ``circle``, and no module among them reads mpmath's float
 context (``mp`` beyond ``mp.make_mpf``, or an mpmath function whose result
 rounds at ``mp.prec``).
-No function of ``analytic`` takes a spec by name, and ``certify`` passes no
+No function of ``analytic`` takes a spec by name, no memoized function of
+the package takes the written ``factors`` of a spec, and ``certify`` passes no
 literal modulus to a sign scan, nor reads a coefficient as an int
 (``.coeffs``, ``.coeff(n)``).  No package module loads or assigns
 ``iv.prec`` or enters ``precision(...)``, except ``enclosure.precision``
@@ -403,6 +404,37 @@ def test_guard_sees_a_spec_taken_by_name():
 def test_analytic_takes_a_product_spec_never_a_name():
     # names are resolved in certify and cli; the analytic layer is keyed by spec content
     assert spec_name_parameters((ROOT / "src" / "qsign" / "analytic.py").read_text()) == []
+
+
+def memos_keyed_by_factors(source: str) -> list[str]:
+    """``lru_cache``- or ``cache``-decorated functions with a parameter named ``factors``."""
+    def name(decorator: ast.expr) -> str:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS) and any(name(d) in ("lru_cache", "cache")
+                                               for d in node.decorator_list):
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            found += [f"line {node.lineno}: {node.name}" for arg in params if arg.arg == "factors"]
+    return found
+
+
+def test_guard_sees_a_memo_keyed_by_factors():
+    source = ("@lru_cache(maxsize=8)\ndef a(factors, n):\n    pass\n\n"
+              "@functools.cache\ndef b(*, factors):\n    pass\n\n"
+              "@cache\ndef c(spec, bits):\n    pass\n\n"
+              "def d(factors):\n    pass\n\n"
+              "class Holder:\n    @functools.lru_cache\n    def e(self, factors):\n        pass\n")
+    assert memos_keyed_by_factors(source) == ["line 2: a", "line 6: b", "line 18: e"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_memo_keyed_by_written_factors(path):
+    # a memo keyed by the factors as written gives one product as many keys
+    # as it has spellings; key it by the ProductSpec, which hashes by content
+    assert memos_keyed_by_factors(path.read_text()) == []
 
 
 def literal_moduli(source: str) -> list[str]:

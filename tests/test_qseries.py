@@ -12,8 +12,8 @@ from oracles import expand_pochhammer, expand_product_literal, ps_inv, ps_mul, r
 from qsign.certify import PATTERNS
 from qsign.qseries import (ConstantTermError, ProductSpec, QSeries, REGISTERED_SPECS,
                            TruncationMismatchError, expand_product, expand_product_reference,
-                           iter_csv_rows, limb_plan, pass_plan, registered_spec,
-                           sign_exceptions, slice_indices, slice_signs)
+                           limb_plan, pass_plan, registered_spec, sign_exceptions,
+                           slice_indices, slice_signs)
 
 
 def brute_partitions(n):
@@ -725,15 +725,3 @@ def test_a_modulus_below_one_is_refused(modulus):
     with pytest.raises(ValueError, match="modulus must be positive"):
         sign_exceptions(QSeries.one(20), 0, modulus, 0, 20, 1)
 
-
-class TestSerialization:
-    def test_csv_dump(self):
-        rows = iter_csv_rows(series_of([1, -2, 0]))
-        assert "".join(row + "\n" for row in rows) == "index,coefficient\n0,1\n1,-2\n2,0\n"
-
-    def test_csv_rows_match_series(self):
-        s = expand_product(registered_spec("c"), 5)
-        rows = list(iter_csv_rows(s))
-        assert rows[0] == "index,coefficient"
-        assert len(rows) == 7
-        assert rows[1] == "0,1"
