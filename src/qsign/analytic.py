@@ -24,12 +24,13 @@ coefficient is M(n) plus an error of magnitude at most
     E(n) = C + (2 pi^{5/4} / 5) e^{y/2} sqrt(x)      (n >= 20)
 
 in every residue class, on M's own y = (4 pi/5) sqrt(x) and sqrt(x), with C
-the paper's constant in ``ERROR_CONSTANTS``, keyed by spec content (an
-inline spec equal to A, B or D has it too).  ``error_constant`` is the one
-lookup of C, and refuses a spec without one for everything that needs E.
-Certified verdicts compare the enclosures of |M| and E: "true" only when
-they separate strictly, "unknown" when they still overlap at the end of
-``precision_schedule``.
+the paper's constant in ``ERROR_CONSTANTS``, keyed by the reduced factors
+``ProductSpec.canonical[1]``, as the main term is (an inline spec that
+reduces to A, B or D has it too, whatever level it is written at).
+``error_constant`` is the one lookup of C, and refuses a spec without one
+for everything that needs E.  Certified verdicts compare the enclosures of
+|M| and E: "true" only when they separate strictly, "unknown" when they
+still overlap at the end of ``precision_schedule``.
 
 The modified Bessel function I_{-1} = I_1 is evaluated from its power
 series with a certified geometric tail bound; the two-sided exponential
@@ -171,15 +172,16 @@ def _const_d(bits: int) -> Enclosure:
             + (8 * Enclosure.pi(bits) + 2).exp())
 
 
-#: the paper's constant C of E(n) per spec content, built per call at the given bits
-ERROR_CONSTANTS: dict[ProductSpec, Callable[[int], Enclosure]] = {
-    registered_spec(name): const for name, const in (("A", _const_ab), ("B", _const_ab),
-                                                     ("D", _const_d))}
+#: the paper's constant C of E(n) per product, keyed by its reduced factors
+#: (``ProductSpec.canonical[1]``), built per call at the given bits
+ERROR_CONSTANTS: dict[tuple[tuple[int, int, int], ...], Callable[[int], Enclosure]] = {
+    registered_spec(name).canonical[1]: const
+    for name, const in (("A", _const_ab), ("B", _const_ab), ("D", _const_d))}
 
 
 def error_constant(spec: ProductSpec) -> Callable[[int], Enclosure]:
     """The C of the spec's E(n) from ``ERROR_CONSTANTS``; a spec without one is refused."""
-    const = ERROR_CONSTANTS.get(spec)
+    const = ERROR_CONSTANTS.get(spec.canonical[1])
     if const is None:
         data = main_term_data(spec)
         raise CertificateRefused(f"spec {spec.factors}: no explicit error constant for arcs at "

@@ -4,7 +4,7 @@ The five subcommands and their flags (each flag is attached only where it is rea
 
 * ``expand``     stream exact coefficients of a registered or inline product,
                  and report on stderr the engine's pass counts, limb radix,
-                 final limb count and division block sizes
+                 final limb count, division block sizes and division strides
                  (``qseries.limb_plan``), the largest coefficient in bits and
                  the times of the limb expansion, the conversion to ints and
                  apart the read of every sign off the limbs ("signs_s", not
@@ -139,7 +139,7 @@ def cmd_expand(args, out: TextIO) -> int:
           last_coefficient_digits=len(str(abs(coeffs[-1]))),
           mul_passes=len(plan.mul_passes), div_passes=len(plan.div_passes),
           limb_radix_bits=plan.radix_bits, limbs=limbs.shape[1],
-          div_blocks=list(plan.div_blocks),
+          div_blocks=list(plan.div_blocks), div_strides=list(plan.div_strides),
           coeff_bits_max=max(abs(c).bit_length() for c in coeffs))
     if args.format == "csv":
         out.write("index,coefficient\n")

@@ -20,6 +20,27 @@ level), 6k or L.  Per factor,
     omega:    -delta s(m'h, k')  = -delta (6k' s(m'h, k')) d/(6k),
     Delta:    -delta (2 d^2 + 12 u (u - d))/m.
 
+Dedekind sums by one Euclid run.  For 0 <= h < k run Euclid on r_0 = k,
+r_1 = h: r_{i-1} = a_i r_i + r_{i+1} until r_{n+1} = 0, so r_n = gcd(h, k),
+and carry the Bezout coefficients x_0 = 0, x_1 = 1, x_{i+1} = x_{i-1} -
+a_i x_i, with r_i = x_i h (mod k).  For r_n = 1 reciprocity, with
+s(r_{i-1}, r_i) = s(r_{i+1}, r_i) by periodicity,
+
+    s(r_i, r_{i-1}) = -1/4 + (r_i/r_{i-1} + r_{i-1}/r_i + 1/(r_{i-1} r_i))/12
+                      - s(r_{i+1}, r_i),
+
+telescopes down the run to s(0, 1) = 0 with alternating signs.  The -1/4s
+leave -[n odd]/4.  Since r_{i-1}/r_i = a_i + r_{i+1}/r_i, the ratios leave
+h/k + sum (-1)^{i+1} a_i.  And since x_i r_{i-1} - x_{i-1} r_i =
+(-1)^{i+1} k (it flips sign at each step), x_i/r_i - x_{i-1}/r_{i-1} =
+(-1)^{i+1} k/(r_{i-1} r_i), so sum (-1)^{i+1}/(r_{i-1} r_i) = x_n/k.  So
+
+    12 k s(h, k) = h + x_n + k (sum_{i=1..n} (-1)^{i+1} a_i - 3 [n odd]),
+
+all small ints (Barkan, Hickerson and Knuth's continued-fraction form), and
+x_n h = 1 (mod k) is the inverse that hbar = -x_n mod k' reads from the
+same run; a run that ends with r_n > 1 is refused.
+
 The definitional ``Fraction`` forms (the formulas in the docstrings) are the
 test oracle, in ``tests/oracles.py``.
 
@@ -45,7 +66,11 @@ of aleph, l and L divides every h and k of the class; conversely, with
 G = gcd(l, L), take k = G P for a prime P > 2l with P = l/G (mod L/G)
 (Dirichlet), so k = l (mod L), and h = aleph or aleph + l, whichever P does
 not divide (h = l when aleph = 0, where G = 1): gcd(h, G) = gcd(aleph, G) =
-1.  So the scan tests one gcd per class and searches for nothing.
+1.  So the scan tests one gcd per class and searches for nothing.  The
+kernel reads aleph only through u_j = (-r_j aleph) mod d_j, so at a given l
+it is periodic in aleph with period D_l = lcm_j gcd(m_j, l), a divisor of
+l: the scan evaluates it at aleph = 0 .. D_l - 1 and reads that value for
+every class of the row.
 
 Conventions.  For a factor psi(r, m) and a Farey fraction h/k write
 d = gcd(m, k), m = d m', k = d k'.  The attached matrix is
@@ -75,7 +100,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
 from .qseries import ProductSpec
@@ -88,36 +113,33 @@ class NotCoprimeError(ValueError):
 def dedekind_sum(d: int, c: int) -> Fraction:
     """Dedekind sum s(d, c) = sum_{n mod c} ((dn/c)) ((n/c)), gcd(d, c) = 1.
 
-    Computed by the reciprocity-accelerated Euclidean recursion
-
-        s(d, c) = -1/4 + (d^2 + c^2 + 1)/(12dc) - s(c mod d, d),
-
-    which agrees with the direct definitional sum (the test oracle
-    ``dedekind_sum_direct``).  The sum is odd and c-periodic in d.
+    Computed by one Euclid run on (c, d mod c) (``_dedekind_6c``, the module
+    docstring), which agrees with the direct definitional sum (the test
+    oracle ``dedekind_sum_direct``).  The sum is odd and c-periodic in d.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    if c > 1 and gcd(d, c) != 1:
-        raise NotCoprimeError(f"gcd({d}, {c}) != 1")
-    return Fraction(_dedekind_6c(d, c), 6 * c)
+    return Fraction(_dedekind_6c(d, c)[0], 6 * c)
 
 
-def _dedekind_6c(d: int, c: int) -> int:
-    """6c s(d, c), an integer for gcd(d, c) = 1 (unchecked here), by the recursion above."""
-    c0 = c
-    d %= c
-    # s = num/den over the common denominator prod 12dc
-    num, den, sign = 0, 1, 1
-    while c > 1:
-        t = 12 * d * c
-        num = num * t + sign * (d * d + c * c + 1 - 3 * d * c) * den
-        den *= t
-        d, c = c % d, d
+def _dedekind_6c(d: int, c: int) -> tuple[int, int]:
+    """(6c s(d, c), x) with x d = 1 (mod c), from one Euclid run (the module docstring).
+
+    x is the run's Bezout coefficient of d mod c, |x| <= c; 0 at c = 1.
+    Raises ``NotCoprimeError`` when the run ends above 1.
+    """
+    h = d % c
+    r0, r1, x0, x1 = c, h, 0, 1
+    alternating, sign = 0, 1
+    while r1:
+        a, rest = divmod(r0, r1)
+        r0, r1, x0, x1 = r1, rest, x1, x0 - a * x1
+        alternating += sign * a
         sign = -sign
-    out, rem = divmod(6 * c0 * num, den)
-    if rem:
-        raise ArithmeticError(f"6c s(d, c) is not an integer at c = {c0}")
-    return out
+    if r0 != 1:
+        raise NotCoprimeError(f"gcd({d}, {c}) != 1")
+    # 12c s is even: 6c s is an integer for coprime (d, c)
+    return (h + x0 + c * (alternating - 3 * (sign < 0))) // 2, x0
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +166,7 @@ class GammaMatrix:
         (a + d) - 2 (6c s(d, c)) - 3c, reduced mod 24c.
         """
         c = self.c
-        num = self.a + self.d - 2 * _dedekind_6c(self.d, c) - 3 * c
+        num = self.a + self.d - 2 * _dedekind_6c(self.d, c)[0] - 3 * c
         return Fraction(num % (24 * c), 12 * c)
 
 
@@ -262,14 +284,18 @@ def class_deltas(spec: ProductSpec) -> Iterator[tuple[int, int, int]]:
     """(aleph, l, L Delta) per class with a coprime representative, by (l, aleph).
 
     Each class is read off (aleph, l) itself: no representative, no Fraction.
+    At each l the kernel runs once per aleph mod D_l = lcm_j gcd(m_j, l), its
+    period in aleph (module docstring).
     """
     big_l = spec.level
     for l in range(1, big_l + 1):
         terms = _delta_terms(spec, l)
+        period = lcm(*(d for _, _, d in terms))
+        by_residue = [_level_delta(terms, a) for a in range(period)]
         g = gcd(l, big_l)
         for aleph in range(l):
             if gcd(aleph, g) == 1:
-                yield aleph, l, _level_delta(terms, aleph)
+                yield aleph, l, by_residue[aleph % period]
 
 
 def lpos_set(spec: ProductSpec) -> set[tuple[int, int]]:
@@ -366,8 +392,9 @@ def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
                   + 2 r_j d_j lam*_j/(m_j k) + hbar_j d_j (lam_j^2 - lam_j)/k ]).
 
     The two exponents are summed as integer numerators over L k and 6k (see
-    the module docstring) and reduced mod 2 as integers.  No ``Fraction``
-    is built here.
+    the module docstring) and reduced mod 2 as integers.  One Euclid run per
+    distinct modulus gives both 6k' s(m'h, k') and hbar (``_dedekind_6c``).
+    No ``Fraction`` is built here.
     """
     _check_fraction(h, k)
     big_l = spec.level
@@ -380,17 +407,18 @@ def transform_data(spec: ProductSpec, h: int, k: int) -> TransformData:
         if per_m is None:
             d = gcd(m, k)
             mp, kp = m // d, k // d
-            # the smallest nonnegative hbar with hbar m'h = -1 (mod k'), 0 when k' = 1
-            hb = -pow(mp * h, -1, kp) % kp
-            per_m = by_modulus[m] = (d, mp, kp, hb, _dedekind_6c(mp * h, kp) * d, big_l // m)
+            six_s, inverse = _dedekind_6c(mp * h, kp)
+            # hbar = -inverse mod k': the smallest nonnegative hbar with
+            # hbar m'h = -1 (mod k'), 0 when k' = 1
+            per_m = by_modulus[m] = (d, mp, kp, -inverse % kp, six_s * d, big_l // m)
         d, mp, kp, hb, omega_term, l_over_m = per_m
         lam = -(-r * h // d)
         u = lam * d - r * h
-        facs.append(FactorTransform(r, m, delta, d, mp, kp, hb, lam, u, k))
+        facs.append(FactorTransform._make((r, m, delta, d, mp, kp, hb, lam, u, k)))
         omega_num -= delta * omega_term
         ups_num += (delta * (r * h * m - r * d + 2 * r * u + hb * d * m * (lam * lam - lam))
                     * l_over_m)
         sum_delta += delta
         sum_dl += delta * lam
-    return TransformData(h, k, tuple(facs), big_l, sum_delta, sum_dl,
-                         omega_num % (12 * k), ups_num % (2 * big_l * k))
+    return TransformData._make((h, k, tuple(facs), big_l, sum_delta, sum_dl,
+                                omega_num % (12 * k), ups_num % (2 * big_l * k)))

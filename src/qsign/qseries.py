@@ -72,6 +72,31 @@ block of lo + e (the schedule of relaxed series arithmetic: J. van der
 Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 34 (2002)).
 Multiplication passes run first, on a limb-major copy, one shifted slice
 per term, carried once per pass; the result is transposed once.
+
+*Strided passes.*  T(r, m) is a series in q^g, g = gcd(r, m): every
+exponent r j + m j(j-1)/2 is a multiple of g.  So in y = x/T the value at
+rho + g i reads only x and y at rho + g i' with i' <= i: the g residue
+classes rho mod g are g independent divisions by T(r/g, m/g), and a pass
+by T(r, m) (an eta-type T(m, 3m) has g = m) runs as that one.  A prefix
+of the index-major array of rows g coefficients is, without a copy, an
+array of shape (rows, g, limbs) whose row i holds the coefficients
+g i .. g i + g - 1.  ``expand_limbs`` pads the coefficients past N + 1
+with zeros until each pass's view is a whole number of its blocks (b rows
+of g coefficients); a division never reads a later index into an earlier
+one, so no padded coefficient reaches the series, and they are cut,
+without a copy, at the end.  On the view the
+pass is the one division loop with the terms at e/g: a far term is one
+contiguous slice of rows of g coefficients, the block matrix is
+T(r/g, m/g)'s, and one float64 matmul covers the g residues, a stack of g
+products of the used limbs by that matrix.  Each is the product a stride-1
+pass would run on its residue, exact by the same bound, and no larger: a
+product of g times the used limbs' rows would cross OpenBLAS's threshold
+for threads (m n k > 2^18) at D's 21 limbs, and such a threaded product
+has taken 8 ms instead of 0.04 ms in some processes on a 2-vCPU machine.
+The carry runs down the residues' limbs stacked, each residue with its
+spare limbs on top: a residue's carries climb one limb a step, so its top
+spare limb is still zero at the start of every step and passes nothing to
+the next residue.  A stride-1 pass runs the same loop with g = 1.
 """
 
 from __future__ import annotations
@@ -379,15 +404,18 @@ def _carry(v: np.ndarray, radix_bits: int, steps: int) -> None:
 
     Adding 2^{R-1} first makes the carry a plain shift and the kept limb
     a mask, both in place; only the carries themselves are a new array.
+    The 2^{R-1} is added once before the first step and taken off once
+    after the last: a step leaves each limb below the top masked, so the
+    next step's shift and mask read it with the offset already in place.
     """
     half, mask, shift = _carry_constants(v.dtype.type, radix_bits)
     lo, hi = v[:-1], v[1:]
+    lo += half
     for _ in range(steps):
-        lo += half
         c = lo >> shift
         lo &= mask
-        lo -= half
         hi += c
+    lo -= half
 
 
 class _DivBlock(NamedTuple):
@@ -464,8 +492,11 @@ def _near_block(near: tuple[tuple[int, int], ...], term_count: int,
 class LimbPlan(NamedTuple):
     """How ``expand_product`` runs one expansion.
 
-    The passes of ``pass_plan``, the limb radix 2^radix_bits and the block
-    size of each division pass.
+    The multiplication passes of ``pass_plan``, the limb radix
+    2^radix_bits, and per division pass its terms, block size and stride g:
+    a division pass of ``pass_plan`` whose exponents are all multiples of g
+    is held with its terms at e/g and runs on rows of g coefficients (the
+    module docstring, *Strided passes*).
     """
 
     trunc_order: int
@@ -473,18 +504,22 @@ class LimbPlan(NamedTuple):
     div_passes: list[Terms]
     radix_bits: int
     div_blocks: tuple[int, ...]
+    div_strides: tuple[int, ...]
 
 
 def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
-    """The passes of `spec` to `trunc_order`, with the radix and blocks that keep them exact.
+    """The passes of `spec` to `trunc_order`, with the radix, blocks and strides that run them.
 
     A pass by t terms adds at most t limbs of magnitude <= h = _limb_bound(R)
     into one int32, and its carry adds 2^{R-1} before shifting; R is the
     largest radix with t h + 2^{R-1} <= 2^31 - 1 for the largest t of the
     plan.  The plan is refused if no R >= _MIN_RADIX_BITS fits: below it
     h > 2^R - 1, and a coefficient's sign is no longer that of its top
-    nonzero limb (``limb_signs``).  A product that reduces to 1 has no
-    passes (t = 0, R = 30), and ``expand_limbs`` returns the series 1.
+    nonzero limb (``limb_signs``).  A division pass's stride is the gcd of
+    its exponents (gcd(r, m) for T(r, m) once N >= m - r), 1 for a pass of
+    the constant term alone; its block comes from its terms at e/g.  A
+    product that reduces to 1 has no passes (t = 0, R = 30), and
+    ``expand_limbs`` returns the series 1.
     """
     n = trunc_order
     if n < 0:
@@ -496,8 +531,10 @@ def limb_plan(spec: ProductSpec, trunc_order: int) -> LimbPlan:
     if not radix_bits:
         raise ValueError(f"a pass of {t} terms leaves no int32 headroom for a radix "
                          f"of at least {_MIN_RADIX_BITS} bits")
-    blocks = tuple(_div_block(terms, radix_bits).size for terms in div_passes)
-    return LimbPlan(n, mul_passes, div_passes, radix_bits, blocks)
+    strides = tuple(gcd(*(e for e, _ in terms)) or 1 for terms in div_passes)
+    strided = [[(e // g, c) for e, c in terms] for terms, g in zip(div_passes, strides)]
+    blocks = tuple(_div_block(terms, radix_bits).size for terms in strided)
+    return LimbPlan(n, mul_passes, strided, radix_bits, blocks, strides)
 
 
 def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
@@ -519,71 +556,75 @@ def _mul_pass(a: np.ndarray, terms: Terms, radix_bits: int) -> np.ndarray:
     return out
 
 
-def _div_passes(out: np.ndarray, passes: list[Terms], radix_bits: int) -> np.ndarray:
-    """Divide the index-major limbs `out` by each sum_t c_t q^{e_t} (c_0 = 1) of `passes`.
+def _div_passes(out: np.ndarray, n1: int, plan: LimbPlan) -> np.ndarray:
+    """Divide the index-major limbs `out` by the passes of `plan`; its first n1 rows are the series.
 
-    A pass walks blocks of y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far
-    term (e >= W = _HISTORY b) is due at the block holding the first index
-    it has not yet reached: there it subtracts the final values [p, lo) from
+    A pass of stride g divides by a series in q^g whose terms the plan
+    holds at e/g.  It runs on `out` viewed as rows of g coefficients, shape
+    (rows, g, limbs), rows the whole blocks that cover ceil(n1/g) (the
+    module docstring, *Strided passes*): `out` is that long for every pass,
+    and no row past n1 is read into a row before it.  On that view the pass
+    walks blocks of y[i] = x[i] - sum_{t >= 1} c_t y[i - e_t].  A far term
+    (e >= W = _HISTORY b) is due at the block holding the first index it
+    has not yet reached: there it subtracts the final values [p, lo) from
     [p + e, lo + e), one contiguous run of rows, and becomes due again at
     the block of lo + e.  Its sources lie before the current block and its
-    targets in it or later, so each slice covers up to e indices and every
+    targets in it or later, so each slice covers up to e rows and every
     target gets its far contributions before its block runs.  The near
-    terms are one exact float64 product per block over the W indices before
-    it and the block itself (see ``_div_block``), carried in one int64
-    buffer per pass with spare limbs on top.  When a carry reaches past the
-    array's width, `out` is copied into one with _WIDEN_LIMBS - 1 zero limbs
-    above the highest the carry reached (D to 19501 copies 5 times on its
-    way to 21 limbs).  It runs every pass, so no caller holds a pass's input
-    while it is copied, and returns the array it ends with, spare limbs
-    included.
+    terms are one exact float64 product per block and residue over the W
+    rows before it and the block itself (see ``_div_block``), one matmul of
+    the g residues' used limbs stacked, carried in one int64 buffer of shape
+    (g, limbs, b) with spare limbs on top of each residue, stacked.  The
+    buffer starts zero and its limbs from `used` up stay zero between blocks
+    (a carry that leaves one nonzero raises `used` past it, and the buffer
+    is made anew), so a block writes only its product.  When a carry reaches
+    past the array's width, `out` is copied into one with _WIDEN_LIMBS - 1
+    zero limbs above the highest the carry reached.  D to 19501 runs its
+    five T(1,5) passes in 305 blocks each and T(10,25) at stride 5 in 61,
+    1586 blocks and 11342 far slices (1830 and 11835 unstrided), and copies
+    5 times on its way to 21 limbs.  It runs every pass, so no caller holds a pass's
+    input while it is copied, and returns the first n1 rows of the array it
+    ends with (a view when rows were padded), spare limbs included.
     """
-    n1, used = out.shape
-    for terms in passes:
+    radix_bits, used = plan.radix_bits, out.shape[1]
+    for terms, g in zip(plan.div_passes, plan.div_strides):
         block = _div_block(terms, radix_bits)
         b, steps = block.size, block.carry_steps
         history = _HISTORY * b
-        buf = np.empty((out.shape[1] + steps, b), dtype=np.int64)
-        due: list[list[tuple[int, np.ufunc, int]]] = [[] for _ in range(-(-n1 // b))]
+        rows = -(-n1 // (g * b)) * b
+        view = out[:rows * g].reshape(rows, g, -1)
+        y = np.zeros((g, used + steps, b), dtype=np.int64)
+        stacked = y.reshape(-1, b)
+        due: list[list[tuple[int, np.ufunc, int]]] = [[] for _ in range(rows // b)]
         for e, c in terms:
             if e >= history:
                 due[e // b].append((e, np.subtract if c > 0 else np.add, 0))
         for k, far in enumerate(due):
-            lo, hi = k * b, min(k * b + b, n1)
+            lo, hi = k * b, k * b + b
             for e, op, p in far:
-                if lo + e < n1:
-                    target = out[p + e:lo + e]
-                    op(target, out[p:lo], out=target)
+                if lo + e < rows:
+                    target = view[p + e:lo + e]
+                    op(target, view[p:lo], out=target)
                     due[(lo + e) // b].append((e, op, lo))
                 else:
-                    target = out[p + e:]
-                    op(target, out[p:n1 - e], out=target)
-            y = buf[:used + steps, :hi - lo]
-            _block_product(out, used, lo, hi, block, y)
-            _carry(y, radix_bits, steps)
-            if np.count_nonzero(y[used:]):
-                used += int(np.flatnonzero(y[used:].any(axis=1))[-1]) + 1
+                    target = view[p + e:]
+                    op(target, view[p:rows - e], out=target)
+            start = max(lo - history, 0)
+            x = view[start:hi, :, :used].astype(np.float64)
+            y[:, :used] = x.transpose(1, 2, 0) @ block.matrix[history - (lo - start):]
+            _carry(stacked, radix_bits, steps)
+            carried = y
+            if np.count_nonzero(y[:, used:]):
+                used += int(np.flatnonzero(y[:, used:].any(axis=(0, 2)))[-1]) + 1
+                y = np.zeros((g, used + steps, b), dtype=np.int64)
+                stacked = y.reshape(-1, b)
                 if used > out.shape[1]:
-                    wider = np.zeros((n1, used + _WIDEN_LIMBS - 1), dtype=np.int32)
+                    wider = np.zeros((out.shape[0], used + _WIDEN_LIMBS - 1), dtype=np.int32)
                     wider[:, :out.shape[1]] = out
                     out = wider
-                    buf = np.empty((out.shape[1] + steps, b), dtype=np.int64)
-            out[lo:hi, :used] = y[:used].T
-    return out
-
-
-def _block_product(out: np.ndarray, used: int, lo: int, hi: int, block: _DivBlock,
-                   y: np.ndarray) -> None:
-    """Limb-major y[:used] = M [y_hist; x] over the `used` limbs of `out`, y[used:] = 0.
-
-    The history is the W = _HISTORY b indices before lo, fewer near the
-    start of the series, where the missing ones are zero.
-    """
-    w, history = hi - lo, _HISTORY * block.size
-    start = max(lo - history, 0)
-    m = block.matrix[history - (lo - start):history + w, :w]
-    y[:used] = out[start:hi, :used].T.astype(np.float64) @ m
-    y[used:] = 0
+                    view = out[:rows * g].reshape(rows, g, -1)
+            view[lo:hi, :, :used] = carried[:, :used].transpose(2, 0, 1)
+    return out[:n1] if out.shape[0] > n1 else out
 
 
 def expand_limbs(plan: LimbPlan) -> np.ndarray:
@@ -592,21 +633,27 @@ def expand_limbs(plan: LimbPlan) -> np.ndarray:
     Coefficient n is sum_l limbs[n, l] 2^{R l} with R = plan.radix_bits,
     every |limb| <= _limb_bound(R) = 2^{R-1} + 2^{ceil(R/2)}, so one
     coefficient's limbs are adjacent.  The multiplication passes run
-    limb-major and are transposed once; the division passes then work on
-    the array, widening it several limbs per copy.  After the last pass the
+    limb-major and are transposed once, into an array whose rows run on
+    until each division pass covers them in whole blocks of rows of its
+    stride; the division passes then work on it, widening it several limbs
+    per copy, and hand back its first N + 1 rows.  After the last pass the
     all-zero top limbs are cut, the spare ones and any a carry reached but
     the result does not use, and the array is copied only when that cut
     takes something, so a series that keeps the limbs holds no spare ones:
     it keeps at least one limb, and its top limb is nonzero unless the
     series is 0.
     """
-    acc = np.zeros((1, plan.trunc_order + 1), dtype=np.int32)
+    n1 = plan.trunc_order + 1
+    acc = np.zeros((1, n1), dtype=np.int32)
     acc[0, 0] = 1
     for terms in plan.mul_passes:
         acc = _mul_pass(acc, terms, plan.radix_bits)
-    out = acc.T.copy()
+    rows = max((-(-n1 // (g * b)) * g * b for g, b in zip(plan.div_strides, plan.div_blocks)),
+               default=n1)
+    out = np.zeros((rows, acc.shape[0]), dtype=np.int32)
+    out[:n1] = acc.T
     del acc
-    out = _div_passes(out, plan.div_passes, plan.radix_bits)
+    out = _div_passes(out, n1, plan)
     width = out.shape[1]
     while width > 1 and not out[:, width - 1].any():
         width -= 1
@@ -653,15 +700,16 @@ def expand_product(spec: ProductSpec, trunc_order: int) -> QSeries:
     2^R, each limb at most h = 2^{R-1} + 2^{ceil(R/2)} in magnitude after a
     carry; the array grows several limbs at a time when a carry needs it.
     R is the largest radix with t h + 2^{R-1} < 2^31 for the largest pass
-    of t terms, so no int32 sum of a pass overflows.  A division pass walks
-    blocks of b <= 64 indices: its terms with e >= 2b wait on a due-list
-    keyed by block and run as one slice of final values each time their
-    block comes; the others are one float64 block product over the block
-    and the 2b indices before it, exact because b is halved until every
-    partial sum is an integer below 2^53.  The module docstring gives the
-    details.  The series keeps the limbs (``QSeries.from_limbs``): its
-    signs are read off them, and its ints are built when first read.  The
-    result is independent of factor order (all arithmetic is exact).
+    of t terms, so no int32 sum of a pass overflows.  A division pass by a
+    series in q^g runs on rows of g coefficients and walks blocks of b <= 64
+    rows: its terms with e >= 2b wait on a due-list keyed by block and run
+    as one slice of final values each time their block comes; the others
+    are one float64 block product over the block and the 2b rows before
+    it, exact because b is halved until every partial sum is an integer
+    below 2^53.  The module docstring gives the details.  The series keeps
+    the limbs (``QSeries.from_limbs``): its signs are read off them, and its
+    ints are built when first read.  The result is independent of factor
+    order (all arithmetic is exact).
     """
     plan = limb_plan(spec, trunc_order)
     return QSeries.from_limbs(expand_limbs(plan), plan.radix_bits)

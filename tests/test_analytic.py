@@ -400,7 +400,7 @@ class TestEventualDominance:
         # c squared: a spec no table holds, dominated at k = 5 with Delta = 48/5
         inline = ProductSpec.from_json(
             '[{"r": 1, "m": 5, "delta": -2}, {"r": 2, "m": 5, "delta": 2}]')
-        assert inline not in SPECS.values() and inline not in analytic.ERROR_CONSTANTS
+        assert inline not in SPECS.values() and inline.canonical[1] not in analytic.ERROR_CONSTANTS
         assert main_term_data(inline).delta == 2 * main_term_data(SPECS["c"]).delta
         assert isinstance(main_term(inline, 100), Enclosure)
         with pytest.raises(CertificateRefused, match="Delta = 48/5"):
@@ -430,14 +430,16 @@ class TestEventualDominance:
     def test_every_written_form_reads_the_specs_enclosures(self, spec):
         # the factors reversed, every psi(r, m) as psi(m - r, m), one delta
         # split in two, and a cancelling pair at a new modulus: one product,
-        # so one MainTermData and bit-identical S_r, M(n) and E(n)
+        # so one MainTermData and bit-identical S_r, M(n) and, for A, B and D
+        # (C is keyed by the reduced factors, as the main term), E(n)
+        with_bound = any(spec == SPECS[name] for name in "ABD")
         first, *rest = spec.factors
         forms = [spec.factors[::-1], tuple((m - r, m, d) for r, m, d in spec.factors),
                  ((first[0], first[1], 2 * first[2]), (first[0], first[1], -first[2]), *rest),
                  (*spec.factors, (1, 7, 1), (6, 7, -1))]
         for factors in forms:
             form = ProductSpec(factors)
-            with_bound = form in analytic.ERROR_CONSTANTS  # the pair moves the level: no C
+            assert (form.canonical[1] in analytic.ERROR_CONSTANTS) is with_bound, factors
             assert (written_form_readings(form, with_bound)
                     == written_form_readings(spec, with_bound)), factors
 
@@ -472,7 +474,8 @@ class TestEventualDominance:
         assert data.k == 7 and y0.strictly_less(5) and y0.strictly_greater(4)
         assert (Fraction(625, 16) / Enclosure.pi().square()).strictly_less(
             Enclosure.from_fraction(x0))
-        monkeypatch.setitem(analytic.ERROR_CONSTANTS, spec, lambda bits: Enclosure.exp_of(2, bits))
+        monkeypatch.setitem(analytic.ERROR_CONSTANTS, spec.canonical[1],
+                            lambda bits: Enclosure.exp_of(2, bits))
         with pytest.raises(CertificateRefused, match="y0 > 5 fails at index 20"):
             eventual_dominance_certificate(spec, 20 % 7, 20)
         assert isinstance(error_bound(spec, 20), Enclosure)

@@ -376,7 +376,7 @@ class TestExpandEvent:
         assert set(payload) == {"event", "spec", "trunc", "seconds", "expand_s", "convert_s",
                                 "signs_s", "last_coefficient_digits", "mul_passes",
                                 "div_passes", "limb_radix_bits", "limbs", "div_blocks",
-                                "coeff_bits_max"}
+                                "div_strides", "coeff_bits_max"}
         assert payload["spec"] == "c" and payload["trunc"] == 2000
         assert payload["seconds"] >= 0
         # psi(2,5)/psi(1,5): one triple-product pass each way, the eta powers cancel
@@ -386,6 +386,7 @@ class TestExpandEvent:
         plan = limb_plan(registered_spec("c"), 2000)
         assert payload["limb_radix_bits"] == plan.radix_bits == 26
         assert payload["div_blocks"] == list(plan.div_blocks) == [64]
+        assert payload["div_strides"] == list(plan.div_strides) == [1]
         # 63-bit coefficients in limbs of at most 2^25 + 2^13: three limbs
         assert payload["limbs"] == 3
         payload = self.event(tmp_path, capsys, "--spec-json", '[{"r": 1, "m": 5, "delta": 2}]',
@@ -398,6 +399,9 @@ class TestExpandEvent:
         # array grows by never reach the count
         payload = self.event(tmp_path, capsys, "--spec", "D", "--trunc", "19501")
         assert payload["limb_radix_bits"] == 24 and payload["limbs"] == 21
+        # five T(1,5) divisions, then T(10,25) on rows of five coefficients
+        assert payload["div_strides"] == [1, 1, 1, 1, 1, 5]
+        assert payload["div_blocks"] == [64] * 6
 
     def test_expand_counts_no_all_zero_top_limbs(self, tmp_path, capsys):
         # psi(2,5)^30 / psi(3,5)^30 is the series 1: one limb, though the

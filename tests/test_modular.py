@@ -12,7 +12,7 @@ from qsign import modular
 from qsign.modular import (FactorTransform, GammaMatrix, NotCoprimeError, class_deltas,
                            class_representative, dedekind_sum, delta_at, delta_table_rows,
                            lpos_set, omega_exact, transform_data)
-from qsign.qseries import ProductSpec, registered_spec
+from qsign.qseries import REGISTERED_SPECS, ProductSpec, registered_spec
 
 
 def dedekind_by_sawtooth(d: int, c: int) -> Fraction:
@@ -145,6 +145,9 @@ class TestDedekindSums:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             dedekind_sum(2, 4)
+        # the Euclid run itself ends at gcd(6, 15) = 3
+        with pytest.raises(NotCoprimeError):
+            modular._dedekind_6c(6, 15)
 
     @given(c=st.integers(1, 60), d=st.integers(1, 200))
     @settings(max_examples=80, deadline=None)
@@ -311,6 +314,17 @@ class TestGrowthExponents:
                     if gcd(h, k) == 1:
                         assert delta_at(spec, h, k) == delta_by_lambda_star(spec, h, k), (spec, h, k)
 
+    @pytest.mark.parametrize("spec", [registered_spec("A"), ProductSpec(((1, 5, 2), (3, 10, -1))),
+                                      LEVEL25, ProductSpec(((2, 5, 1), (3, 7, -2)))],
+                             ids=["level5", "level10", "level25", "level35"])
+    def test_class_deltas_equal_the_kernel_at_every_class(self, spec):
+        # the scan evaluates once per aleph mod lcm_j gcd(m_j, l); this reads every class
+        big_l = spec.level
+        per_class = [(aleph, l, modular._level_delta(modular._delta_terms(spec, l), aleph))
+                     for l in range(1, big_l + 1) for aleph in range(l)
+                     if gcd(aleph, l, big_l) == 1]
+        assert list(class_deltas(spec)) == per_class
+
     def test_class_deltas_agree_with_delta_at_the_representative(self):
         for spec in [*oracle_specs(20261020), LEVEL25]:
             big_l = spec.level
@@ -390,6 +404,15 @@ class TestPhases:
                     if gcd(h, k) == 1:
                         assert transform_data(spec, h, k) == transform_data_by_definition(
                             spec, h, k), (spec, h, k)
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
+    def test_hbar_from_the_euclid_run_is_the_modular_inverse(self, name):
+        spec = registered_spec(name)
+        fractions = [(h, k) for k in range(1, 21) for h in range(k) if gcd(h, k) == 1]
+        assert len(fractions) == 128
+        for h, k in fractions:
+            for ft in transform_data(spec, h, k).factors:
+                assert ft.hbar == -pow(ft.m_prime * h, -1, ft.k_prime) % ft.k_prime, (h, k, ft)
 
     def test_one_dedekind_sum_per_distinct_modulus(self, monkeypatch):
         calls = []

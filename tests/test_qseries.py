@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -334,23 +334,27 @@ class TestSliceEngine:
     @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
     def test_carry_steps_at_the_threshold(self, name):
         # from the exact row bounds at b = 64: T(1,5) up to 2^48.1 and T(2,5)
-        # up to 2^47.5 carry in two steps, the level-25 passes (2^35.4) in one
-        expected = {(1, 5): 2, (2, 5): 2, (5, 25): 1, (10, 25): 1}
+        # up to 2^47.5 carry in two steps; T(5,25) and T(10,25) run strided,
+        # as T(1,5) and T(2,5) on rows of five coefficients, so they do too
+        expected = {(1, 5): 2, (2, 5): 2}
         spec = registered_spec(name)
         plan = limb_plan(spec, 19501)
         r = plan.radix_bits
         divisors = [(a, m) for a, m, e in qseries.triple_product_powers(spec)
                     for _ in range(-e)]
-        assert len(divisors) == len(plan.div_passes)
-        for divisor, terms in zip(divisors, plan.div_passes):
+        assert len(divisors) == len(plan.div_passes) == len(plan.div_strides)
+        for (a, m), terms, g in zip(divisors, plan.div_passes, plan.div_strides):
+            assert g == gcd(a, m)
+            assert terms == qseries.triple_product_terms(a // g, m // g, 19501 // g)
             block = qseries._div_block(terms, r)
             bound = block_matrix_by_ints(terms, block.size, r)[1]
-            assert block.carry_steps == qseries._carry_steps(bound, r) == expected[divisor]
+            assert block.carry_steps == qseries._carry_steps(bound, r) == expected[a // g, m // g]
         for terms in plan.mul_passes:
             assert qseries._carry_steps(len(terms) * qseries._limb_bound(r), r) == 1
 
     def test_engine_carries_d_in_the_pinned_steps(self, monkeypatch):
-        # five T(1,5) passes in two steps, T(10,25) and every multiplication in one
+        # five T(1,5) passes and T(10,25), strided as T(2,5) on rows of five
+        # coefficients, in two steps, every multiplication in one
         calls = Counter()
         carry = qseries._carry
 
@@ -362,8 +366,10 @@ class TestSliceEngine:
         plan = limb_plan(registered_spec("D"), 19501)
         limbs = qseries.expand_limbs(plan)
         blocks = -(-19502 // qseries._MAX_BLOCK)
+        strided_blocks = -(-19502 // (5 * qseries._MAX_BLOCK))
+        assert plan.div_strides == (1, 1, 1, 1, 1, 5) and strided_blocks == 61
         assert calls == {("int32", 1): len(plan.mul_passes),
-                         ("int64", 2): 5 * blocks, ("int64", 1): blocks}
+                         ("int64", 2): 5 * blocks + strided_blocks}
         assert limbs.shape == (19502, 21)
 
     def test_expanded_limbs_stay_within_the_limb_bound(self):
@@ -502,7 +508,11 @@ class TestReducedPlan:
 
 #: products at the moduli 3, 5, 6, 7, 8, 11 and 13: the Borwein product psi(1,3)
 #: and its square, (q;q)/(q^p;q^p) = prod_{r<p/2} psi(r,p), and quotients of
-#: level 6, 8 and 7; psi(3,6) = (q^3;q^6)^2 has r = m - r
+#: level 6, 8 and 7; psi(3,6) = (q^3;q^6)^2 has r = m - r.  Then three whose
+#: divisions are strided (see STRIDED), at N = 1000, where N + 1 is no
+#: multiple of the strides: psi(1,5)^2 divides twice by T(5,15), psi(4,25)^3
+#: three times by T(25,75), and every factor of psi(5,25)/psi(10,25)^2 has
+#: stride 5
 OTHER_MODULI = {
     "psi(1,3)": ((1, 3, 1),),
     "psi(1,3)^2": ((1, 3, 2),),
@@ -514,6 +524,19 @@ OTHER_MODULI = {
     "psi(1,8)^4/psi(3,8)^4": ((1, 8, 4), (3, 8, -4)),
     "psi(1,7)/psi(2,7)": ((1, 7, 1), (2, 7, -1)),
     "psi(1,7)^2/(psi(2,7)psi(3,7))": ((1, 7, 2), (2, 7, -1), (3, 7, -1)),
+    "psi(1,5)^2": ((1, 5, 2),),
+    "psi(4,25)^3": ((4, 25, 3),),
+    "psi(5,25)/psi(10,25)^2": ((5, 25, 1), (10, 25, -2)),
+}
+
+#: the strides of the division passes at N = 1000: C divides by T(5,25) and
+#: D by T(10,25) after five passes of stride 1
+STRIDED = {
+    "C": (1, 1, 1, 1, 1, 5),
+    "D": (1, 1, 1, 1, 1, 5),
+    "psi(1,5)^2": (5, 5),
+    "psi(4,25)^3": (25, 25, 25),
+    "psi(5,25)/psi(10,25)^2": (5, 5),
 }
 
 
@@ -524,6 +547,27 @@ class TestEulerReference:
     def test_engine_equals_reference_at_other_moduli(self, name):
         spec = ProductSpec(OTHER_MODULI[name])
         assert expand_product(spec, 1000) == expand_product_reference(spec, 1000)
+
+    @pytest.mark.parametrize("name", STRIDED)
+    def test_division_strides(self, name):
+        spec = REGISTERED_SPECS.get(name) or ProductSpec(OTHER_MODULI[name])
+        plan = limb_plan(spec, 1000)
+        assert plan.div_strides == STRIDED[name]
+        assert len(plan.div_blocks) == len(plan.div_passes) == len(STRIDED[name])
+        # a strided pass holds its terms at e/g, up to N/g
+        for terms, g in zip(plan.div_passes, plan.div_strides):
+            assert terms[0] == (0, 1) and terms[-1][0] <= 1000 // g
+
+    def test_strided_rows_padded_to_whole_blocks(self):
+        # strides 5 in blocks of 32 and 25 in blocks of 64: the stride-5
+        # passes run to a multiple of 160 coefficients (none padded at
+        # N + 1 = 160 and 800), the stride-25 ones to 1600
+        spec = ProductSpec(((1, 5, 2), (4, 25, 3)))
+        plan = limb_plan(spec, 1000)
+        assert (plan.div_strides, plan.div_blocks) == ((5, 5, 25, 25, 25), (32, 32, 64, 64, 64))
+        ref = expand_product_reference(spec, 1000)
+        for n in (0, 1, 4, 5, 24, 25, 159, 160, 799, 800, *range(975, 1001)):
+            assert expand_product(spec, n) == truncated(ref, n), n
 
     @pytest.mark.parametrize("name", sorted(REGISTERED_SPECS))
     def test_reference_equals_literal_product(self, name):
